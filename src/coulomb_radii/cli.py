@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass, field
 
+from .equations import g_prime, g_value
 from .errors import CoulombDomainError, CoulombError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
@@ -24,21 +23,6 @@ from .series import eval_point, star_ratio, conv_ratio
 from .subordination import disk_min_real, region_check
 from .verify import criterion_count, run_all
 from .zeros import ZeroTarget, find_zeros
-
-ENV_N_MAX = "COULOMB_RADII_NMAX"
-_TOL_RANGE = (1e-14, 1e-4)
-
-
-@dataclass
-class RunConfig:
-    tolerance: float = 1e-10
-    n_max: int = 256
-    output: str = "json"
-    unsafe_params: bool = False
-    verbose: bool = False
-    L_values: list[float] = field(default_factory=list)
-    eta_values: list[float] = field(default_factory=list)
-    beta_values: list[float] = field(default_factory=list)
 
 
 def _float_list(text: str) -> list[float]:
@@ -62,10 +46,6 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _json_none(x):
-    return None if x is None else x
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulomb-radii",
@@ -74,10 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "csv", "table"), default="json")
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="series tolerance, in [1e-14, 1e-4] (default 1e-10)")
-    common.add_argument("--n-max", type=int, default=None,
-                        help=f"series length (default 256; env {ENV_N_MAX} overrides)")
     common.add_argument("--unsafe", action="store_true",
                         help="allow parameters outside L > -1, eta <= 0 (no certificate)")
     common.add_argument("--verbose", action="store_true",
@@ -135,39 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args) -> RunConfig:
-    tol = args.tolerance
-    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
-        parser.error(f"--tolerance must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
-    n_max = args.n_max
-    if n_max is None:
-        env = os.environ.get(ENV_N_MAX)
-        if env is not None:
-            try:
-                n_max = int(env)
-            except ValueError:
-                parser.error(f"{ENV_N_MAX}={env!r} is not an integer")
-        else:
-            n_max = 256
-    if n_max < 8:
-        parser.error("--n-max must be >= 8")
-    raw_L = getattr(args, "L", None)
-    raw_eta = getattr(args, "eta", None)
-    raw_beta = getattr(args, "beta", None)
-    return RunConfig(
-        tolerance=tol,
-        n_max=n_max,
-        output=args.output,
-        unsafe_params=args.unsafe,
-        verbose=args.verbose,
-        L_values=list(raw_L) if isinstance(raw_L, list) else [],
-        eta_values=list(raw_eta) if isinstance(raw_eta, list) else [],
-        beta_values=list(raw_beta) if isinstance(raw_beta, list) else [0.0],
-    )
-
-
-def _params(cfg: RunConfig, L: float, eta: float) -> CoulombParams:
-    return CoulombParams(L, eta, unsafe=cfg.unsafe_params)
+def _params(args, L: float, eta: float) -> CoulombParams:
+    return CoulombParams(L, eta, unsafe=args.unsafe)
 
 
 def _point_warnings(params: CoulombParams) -> list[str]:
@@ -180,33 +125,28 @@ def _point_warnings(params: CoulombParams) -> list[str]:
 # points: list of {"params": {...}, "result": {...}, "warnings": [...], "csv": [rows]}
 
 
-def _run_eval(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
+def _run_eval(args) -> tuple[list[dict], list[str]]:
     header = ["command", "L", "eta", "z", "quantity", "kind", "value", "p0", "p1",
               "p2", "truncation_terms", "tail_estimate", "warnings"]
     points = []
     for L in args.L:
         for eta in args.eta:
-            params = _params(cfg, L, eta)
+            params = _params(args, L, eta)
             warn = _point_warnings(params)
             for z in args.z:
                 if args.quantity == "series":
-                    sv = eval_point(params, z, cfg.tolerance, cfg.n_max)
+                    sv = eval_point(params, z)
                     result = {
                         "p0": sv.p0, "p1": sv.p1, "p2": sv.p2,
-                        "g": z * sv.p0, "g_prime": sv.p0 + z * sv.p1,
+                        "g": g_value(z, sv), "g_prime": g_prime(z, sv),
                         "truncation_terms": sv.truncation_terms,
                         "tail_estimate": sv.tail_estimate,
                     }
                     value = sv.p0
                     extra = [sv.p0, sv.p1, sv.p2, sv.truncation_terms, sv.tail_estimate]
-                elif args.quantity == "star":
-                    value = star_ratio(params, args.kind, z, tol=cfg.tolerance,
-                                       n_max=cfg.n_max)
-                    result = {"value": value}
-                    extra = ["", "", "", "", ""]
                 else:
-                    value = conv_ratio(params, args.kind, z, tol=cfg.tolerance,
-                                       n_max=cfg.n_max)
+                    ratio = star_ratio if args.quantity == "star" else conv_ratio
+                    value = ratio(params, args.kind, z)
                     result = {"value": value}
                     extra = ["", "", "", "", ""]
                 points.append({
@@ -219,14 +159,13 @@ def _run_eval(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
     return points, header
 
 
-def _run_zeros(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
+def _run_zeros(args) -> tuple[list[dict], list[str]]:
     header = ["command", "L", "eta", "target", "side", "index", "zero", "warnings"]
     points = []
     for L in args.L:
         for eta in args.eta:
-            params = _params(cfg, L, eta)
-            zs = find_zeros(params, args.target, args.count_pos, args.count_neg,
-                            n_max=cfg.n_max)
+            params = _params(args, L, eta)
+            zs = find_zeros(params, args.target, args.count_pos, args.count_neg)
             warn = _point_warnings(params)
             if zs.truncated:
                 warn = warn + ["truncated"]
@@ -248,7 +187,7 @@ def _run_zeros(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
     return points, header
 
 
-def _run_radius(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
+def _run_radius(args) -> tuple[list[dict], list[str]]:
     header = ["command", "L", "eta", "beta", "kind", "property", "form", "value",
               "bracket_lo", "bracket_hi", "residual", "domain_cap", "iterations",
               "warnings"]
@@ -256,7 +195,7 @@ def _run_radius(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
     for L in args.L:
         for eta in args.eta:
             for beta in args.beta:
-                params = _params(cfg, L, eta)
+                params = _params(args, L, eta)
                 query = RadiusQuery(params, args.kind, args.property, beta)
                 res = radius(query, form=args.form)
                 warn = _point_warnings(params) + [
@@ -282,14 +221,14 @@ def _run_radius(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
     return points, header
 
 
-def _run_bounds(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
+def _run_bounds(args) -> tuple[list[dict], list[str]]:
     header = ["command", "L", "eta", "kind", "m", "method", "lower", "upper",
               "warnings"]
     methods = ["extracted", "closed_form"] if args.method == "both" else [args.method]
     points = []
     for L in args.L:
         for eta in args.eta:
-            params = _params(cfg, L, eta)
+            params = _params(args, L, eta)
             warn = _point_warnings(params)
             result = {"m": args.m, "bounds": {}}
             rows = []
@@ -297,7 +236,7 @@ def _run_bounds(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
             for method in methods:
                 lower, upper = euler_rayleigh_bounds(params, args.kind, args.m,
                                                      method=method)
-                result["bounds"][method] = {"lower": lower, "upper": _json_none(upper)}
+                result["bounds"][method] = {"lower": lower, "upper": upper}
                 if method == "closed_form":
                     family = Family.SIGMA if args.kind == "f" else Family.VARSIGMA
                     s = sums(params, family, SumMethod.CLOSED_FORM, 3)
@@ -313,7 +252,7 @@ def _run_bounds(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
     return points, header
 
 
-def _run_region(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
+def _run_region(args) -> tuple[list[dict], list[str]]:
     header = ["command", "re_L", "im_L", "re_eta", "im_eta", "re_positive_ok",
               "starlike_ok", "margin_re_part", "margin_im_part", "margin_disk_gap",
               "margin_starlike_gap", "disk_quantity", "disk_min_real", "warnings"]
@@ -345,7 +284,7 @@ def _run_region(cfg: RunConfig, args) -> tuple[list[dict], list[str]]:
     return [point], header
 
 
-def _run_verify(cfg: RunConfig, args) -> tuple[list[dict], list[str], bool]:
+def _run_verify(args) -> tuple[list[dict], list[str], bool]:
     header = ["command", "criterion", "name", "passed", "flagged", "details"]
     picks = None
     if args.criteria:
@@ -442,13 +381,8 @@ def validate_report(obj: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
-    if cfg.verbose:
-        print(
-            f"config: n_max={cfg.n_max} tolerance={cfg.tolerance:g} "
-            f"output={cfg.output} unsafe={cfg.unsafe_params}",
-            file=sys.stderr,
-        )
+    if args.verbose:
+        print(f"config: output={args.output} unsafe={args.unsafe}", file=sys.stderr)
     sweep_commands = ("eval", "zeros", "radius", "bounds")
     if args.command in sweep_commands:
         if not args.L or not args.eta:
@@ -459,17 +393,17 @@ def main(argv: list[str] | None = None) -> int:
     verify_failed = False
     try:
         if args.command == "eval":
-            points, header = _run_eval(cfg, args)
+            points, header = _run_eval(args)
         elif args.command == "zeros":
-            points, header = _run_zeros(cfg, args)
+            points, header = _run_zeros(args)
         elif args.command == "radius":
-            points, header = _run_radius(cfg, args)
+            points, header = _run_radius(args)
         elif args.command == "bounds":
-            points, header = _run_bounds(cfg, args)
+            points, header = _run_bounds(args)
         elif args.command == "region":
-            points, header = _run_region(cfg, args)
+            points, header = _run_region(args)
         else:
-            points, header, all_ok = _run_verify(cfg, args)
+            points, header, all_ok = _run_verify(args)
             verify_failed = not all_ok
     except CoulombDomainError as exc:
         print(f"parameter-region violation: {exc}", file=sys.stderr)
@@ -478,9 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(args.command, points, sys.stdout)
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         _emit_csv(header, points, sys.stdout)
     else:
         _emit_table(header, points, sys.stdout)

@@ -14,9 +14,10 @@ iteration is used anywhere.  The equations, written on the series factor P:
 
 Each solver can run either on the decreasing ratio ("ratio" form) or on the
 polynomial combination above ("direct" form); the two roots agreeing is one
-of the acceptance checks.  The univalence radius is the starlikeness radius
-at beta = 0 and is resolved through the zero finder on the matching
-derivative target.
+of the acceptance checks.  Both forms live in the equations module.  The
+univalence radius is the starlikeness radius at beta = 0 and goes through
+the same bisection as every other beta; the zero finder only supplies the
+domain cap that bounds the search.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
+from . import equations
 from .errors import CoulombDomainError, MonotonicityError, PoleError
 from .params import CoulombParams
-from .series import DEFAULT_TOL, SeriesEvaluator, SeriesValue
-from .zeros import ZeroTarget, find_zeros, first_positive_zero
+from .series import eval_point
+from .zeros import ZeroTarget, find_zeros
 
 _ABSCISSA_TOL = 1e-13
 _BISECT_CAP = 200
@@ -72,57 +74,6 @@ class RadiusResult:
     domain_cap: float
     iterations: int
     flags: tuple[str, ...] = field(default_factory=tuple)
-
-
-def _ratio_star(ev: SeriesEvaluator, r: float) -> float:
-    sv: SeriesValue = ev.eval(r)
-    scale = max(abs(r * sv.p1), 1e-30)
-    if abs(sv.p0) <= max(1e-12 * scale, sv.noise[0]):
-        raise PoleError(f"P(r)=0 within tolerance at r={r:.12g}")
-    return 1.0 + r * sv.p1 / sv.p0
-
-
-def _ratio_conv_g(ev: SeriesEvaluator, r: float) -> float:
-    sv = ev.eval(r)
-    den = sv.p0 + r * sv.p1
-    num = r * (2.0 * sv.p1 + r * sv.p2)
-    if abs(den) <= max(1e-12 * max(abs(num), 1e-30), sv.noise[0] + r * sv.noise[1]):
-        raise PoleError(f"g'(r)=0 within tolerance at r={r:.12g}")
-    return 1.0 + num / den
-
-
-def _ratio_conv_f(ev: SeriesEvaluator, r: float) -> float:
-    sv = ev.eval(r)
-    L = ev.params.L
-    a_val = sv.p0
-    b_val = (L + 1.0) * sv.p0 + r * sv.p1
-    d_val = L * (L + 1.0) * sv.p0 + 2.0 * (L + 1.0) * r * sv.p1 + r * r * sv.p2
-    noise_b = (abs(L) + 1.0) * sv.noise[0] + r * sv.noise[1]
-    if abs(b_val) <= max(1e-12 * max(abs(d_val), 1e-30), noise_b):
-        raise PoleError(f"F'(r)=0 within tolerance at r={r:.12g}")
-    if abs(a_val) <= max(1e-12 * max(abs(b_val), 1e-30), sv.noise[0]):
-        raise PoleError(f"F(r)=0 within tolerance at r={r:.12g}")
-    return 1.0 + d_val / b_val - (L / (L + 1.0)) * (b_val / a_val)
-
-
-def _direct_star(ev: SeriesEvaluator, r: float, beta: float, kind: Kind) -> float:
-    sv = ev.eval(r)
-    fac = (1.0 - beta) * (ev.params.L + 1.0) if kind is Kind.F else (1.0 - beta)
-    return r * sv.p1 + fac * sv.p0
-
-
-def _direct_conv_g(ev: SeriesEvaluator, r: float, beta: float) -> float:
-    sv = ev.eval(r)
-    return r * r * sv.p2 + (3.0 - beta) * r * sv.p1 + (1.0 - beta) * sv.p0
-
-
-def _direct_conv_f(ev: SeriesEvaluator, r: float, beta: float) -> float:
-    sv = ev.eval(r)
-    L = ev.params.L
-    a_val = sv.p0
-    b_val = (L + 1.0) * sv.p0 + r * sv.p1
-    d_val = L * (L + 1.0) * sv.p0 + 2.0 * (L + 1.0) * r * sv.p1 + r * r * sv.p2
-    return (L + 1.0) * a_val * (d_val + (1.0 - beta) * b_val) - L * b_val * b_val
 
 
 def _domain_cap(params: CoulombParams, target: ZeroTarget) -> tuple[float, float]:
@@ -191,6 +142,8 @@ def _bisect_decreasing(fn: Callable[[float], float], level: float, pos_cap: floa
 
 
 def _solve(query: RadiusQuery, form: str) -> RadiusResult:
+    if form not in ("ratio", "direct"):
+        raise ValueError("form must be 'ratio' or 'direct'")
     params = query.params
     kind = query.kind
     beta = query.beta
@@ -209,40 +162,30 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
         cap_target = ZeroTarget.F
     pos_cap, domain_cap = _domain_cap(params, cap_target)
 
-    ev = SeriesEvaluator(params, DEFAULT_TOL)
     flags: list[str] = []
     if not certified:
         flags.append("no-certificate")
+    if query.property is RadiusProperty.UNIVALENT:
+        flags.append("univalent")
 
+    L = params.L
     if query.property is RadiusProperty.CONVEX:
-        level = beta
         if form == "ratio":
-            fn = (lambda r: _ratio_conv_g(ev, r)) if kind is Kind.G else (
-                lambda r: _ratio_conv_f(ev, r))
+            level = beta
+            eq = lambda r, sv: equations.conv_ratio(L, kind, r, sv)
         else:
-            fn = (lambda r: _direct_conv_g(ev, r, beta)) if kind is Kind.G else (
-                lambda r: _direct_conv_f(ev, r, beta))
             level = 0.0
+            eq = lambda r, sv: equations.direct_conv(L, kind, beta, r, sv)
+    elif form == "ratio":
+        # the f-form is solved on r g'/g, whose level carries the shift
+        level = equations.star_level(L, kind, beta)
+        eq = lambda r, sv: equations.star_ratio(L, Kind.G, r, sv)
     else:
-        level = beta if kind is Kind.G else beta * (params.L + 1.0) - params.L
-        if form == "ratio":
-            if beta == 0.0:
-                # delegate to the zero finder on the matching derivative target
-                tgt = ZeroTarget.G_PRIME if kind is Kind.G else ZeroTarget.F_PRIME
-                ref = first_positive_zero(params, tgt)
-                residual = _ratio_star(ev, ref.root) - level
-                return RadiusResult(
-                    value=ref.root,
-                    bracket=(ref.lo, ref.hi),
-                    residual=residual,
-                    domain_cap=domain_cap,
-                    iterations=ref.iterations,
-                    flags=tuple(flags),
-                )
-            fn = lambda r: _ratio_star(ev, r)
-        else:
-            fn = lambda r: _direct_star(ev, r, beta, kind)
-            level = 0.0
+        level = 0.0
+        eq = lambda r, sv: equations.direct_star(L, kind, beta, r, sv)
+
+    def fn(r: float) -> float:
+        return eq(r, eval_point(params, r))
 
     value, bracket, iters = _bisect_decreasing(fn, level, pos_cap, certified)
     residual = fn(value) - level
@@ -256,40 +199,29 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
     )
 
 
-def _check_form(form: str) -> str:
-    if form not in ("ratio", "direct"):
-        raise ValueError("form must be 'ratio' or 'direct'")
-    return form
-
-
 def radius_starlike(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     """Radius of starlikeness of order beta (smallest positive root of the
     starlike equation).  form='direct' solves the polynomial combination of
     P, P', P'' instead of the log-derivative ratio."""
     if query.property is RadiusProperty.CONVEX:
         raise ValueError("query.property must be starlike or univalent")
-    return _solve(query, _check_form(form))
+    return _solve(query, form)
 
 
 def radius_convex(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     """Radius of convexity of order beta."""
     if query.property is not RadiusProperty.CONVEX:
         query = replace(query, property=RadiusProperty.CONVEX)
-    return _solve(query, _check_form(form))
+    return _solve(query, form)
 
 
 def radius_univalence(params: CoulombParams, kind: Kind | str) -> RadiusResult:
     """Radius of univalence: the starlikeness radius at beta = 0."""
-    query = RadiusQuery(params, Kind(kind), RadiusProperty.UNIVALENT, 0.0)
-    result = _solve(query, "ratio")
-    return replace(result, flags=result.flags + ("univalent",))
+    return _solve(RadiusQuery(params, Kind(kind), RadiusProperty.UNIVALENT), "ratio")
 
 
 def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     """Dispatch on query.property."""
     if query.property is RadiusProperty.CONVEX:
         return radius_convex(query, form=form)
-    if query.property is RadiusProperty.UNIVALENT:
-        result = radius_starlike(query, form=form)
-        return replace(result, flags=result.flags + ("univalent",))
     return radius_starlike(query, form=form)

@@ -20,23 +20,28 @@ and the largest term grows like e^|z| while the value stays O(1), so plain
 doubles lose the low digits long before the tenth zero.  The truncation rule
 stops once three consecutive terms are negligible against each partial sum
 and a geometric-majorant tail bound, derived from the two-term recurrence,
-sits below the requested tolerance.  Beyond |z| ~ 55 even the pair format
-cannot certify results (noise floor eps_dd * sum|terms|) and evaluation
-refuses rather than degrade silently.
+sits below DEFAULT_TOL relative to each sum.  Beyond |z| ~ 55 even the pair
+format cannot certify results (noise floor eps_dd * sum|terms|) and
+evaluation refuses rather than degrade silently.
+
+eval_point is the one evaluation entry point: it reads immutable coefficient
+tables from a small bounded memo keyed on (params, n_max), so repeated
+queries at one parameter pair build the table once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 from . import _ddouble as dd
+from . import equations
 from .errors import (
     ConvergenceError,
     CoulombDomainError,
     DegenerateRecurrenceError,
-    PoleError,
 )
 from .params import CoulombParams
 
@@ -128,7 +133,7 @@ class SeriesValue:
     noise: tuple[float, float, float]
 
 
-def eval_series(table: CoefficientTable, z: float, tol: float = DEFAULT_TOL) -> SeriesValue:
+def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     """Sum P, P', P'' at real z with compensated (double-double) arithmetic."""
     z = float(z)
     if not math.isfinite(z):
@@ -184,7 +189,8 @@ def eval_series(table: CoefficientTable, z: float, tol: float = DEFAULT_TOL) -> 
                 fac = qa / (1.0 - qa)
                 tails = (t0m * fac, t1m * fac, t2m * fac)
                 ok = all(
-                    tails[k] <= max(tol * abs(s[0]), 0.25 * _NOISE_SAFETY * dd.EPS * g, _TINY)
+                    tails[k] <= max(DEFAULT_TOL * abs(s[0]),
+                                    0.25 * _NOISE_SAFETY * dd.EPS * g, _TINY)
                     for k, (s, g) in enumerate(((s0, g0), (s1, g1), (s2, g2)))
                 )
                 if ok:
@@ -215,108 +221,51 @@ def eval_series(table: CoefficientTable, z: float, tol: float = DEFAULT_TOL) -> 
     )
 
 
-class SeriesEvaluator:
-    """Reusable point evaluator that regrows its table on demand.
-
-    Holds the only mutable state in this module (the cached table), so share
-    one instance per thread only; the module-level functions construct their
-    own and stay pure.
-    """
-
-    def __init__(self, params: CoulombParams, tol: float = DEFAULT_TOL,
-                 n_max: int | None = None):
-        self.params = params
-        self.tol = tol
-        self._table = coefficients(params, n_max or DEFAULT_N_MAX)
-
-    @property
-    def table(self) -> CoefficientTable:
-        return self._table
-
-    def eval(self, z: float) -> SeriesValue:
-        if abs(z) > EVAL_Z_MAX:
-            raise ConvergenceError(
-                f"|z|={abs(z):.3g} is beyond the double-double evaluation range "
-                f"(~{EVAL_Z_MAX:g})"
-            )
-        while True:
-            try:
-                return eval_series(self._table, z, self.tol)
-            except ConvergenceError:
-                n = self._table.n_max
-                if n >= N_MAX_CAP:
-                    raise
-                self._table = coefficients(self.params, min(2 * n, N_MAX_CAP))
+@functools.lru_cache(maxsize=16)
+def _table(params: CoulombParams, n_max: int) -> CoefficientTable:
+    # bounded memo of immutable tables: ~37 kB per 256-term table, and
+    # lru_cache is safe to share between threads
+    return coefficients(params, n_max)
 
 
-def eval_point(params: CoulombParams, z: float, tol: float = DEFAULT_TOL,
-               n_max: int | None = None) -> SeriesValue:
-    """One-shot evaluation with automatic table doubling up to the cap."""
-    return SeriesEvaluator(params, tol, n_max).eval(z)
+def eval_point(params: CoulombParams, z: float) -> SeriesValue:
+    """Evaluate at z on the memoized table, doubling it up to N_MAX_CAP."""
+    n_max = DEFAULT_N_MAX
+    while True:
+        try:
+            return eval_series(_table(params, n_max), z)
+        except ConvergenceError:
+            if n_max >= N_MAX_CAP or abs(z) > EVAL_Z_MAX:  # no table helps
+                raise
+            n_max *= 2
 
 
-def _check_kind(kind: str) -> str:
+def _check_ratio_args(kind: str, r: float) -> None:
     if kind not in ("f", "g"):
         raise ValueError(f"kind must be 'f' or 'g', got {kind!r}")
-    return kind
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
 
 
-def _star_from_values(L: float, kind: str, r: float, sv: SeriesValue) -> float:
-    scale = max(abs(r * sv.p1), 1e-30)
-    if abs(sv.p0) <= max(1e-12 * scale, sv.noise[0]):
-        raise PoleError(f"P(r)=0 within tolerance at r={r:.12g} (at/past a zero of F)")
-    ratio_g = 1.0 + r * sv.p1 / sv.p0
-    if kind == "g":
-        return ratio_g
-    return (L + ratio_g) / (L + 1.0)
-
-
-def star_ratio(params: CoulombParams, kind: str, r: float, *,
-               tol: float = DEFAULT_TOL, n_max: int | None = None) -> float:
+def star_ratio(params: CoulombParams, kind: str, r: float) -> float:
     """r g'(r)/g(r) for kind 'g'; (1/(L+1)) r F'(r)/F(r) for kind 'f'.
 
     Both tend to 1 as r -> 0+ and decrease to -inf at the first positive zero
     of g (eta <= 0).  Raises PoleError when P(r) vanishes within tolerance.
     """
-    _check_kind(kind)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
-    sv = eval_point(params, r, tol, n_max)
-    return _star_from_values(params.L, kind, r, sv)
+    _check_ratio_args(kind, r)
+    return equations.star_ratio(params.L, kind, r, eval_point(params, r))
 
 
-def _conv_from_values(L: float, kind: str, r: float, sv: SeriesValue) -> float:
-    p0, p1, p2 = sv.p0, sv.p1, sv.p2
-    if kind == "g":
-        den = p0 + r * p1  # g'(r)
-        num = r * (2.0 * p1 + r * p2)  # r g''(r)
-        if abs(den) <= max(1e-12 * max(abs(num), 1e-30), sv.noise[0] + r * sv.noise[1]):
-            raise PoleError(f"g'(r)=0 within tolerance at r={r:.12g}")
-        return 1.0 + num / den
-    a_val = p0
-    b_val = (L + 1.0) * p0 + r * p1  # F'/(C z^L)
-    d_val = L * (L + 1.0) * p0 + 2.0 * (L + 1.0) * r * p1 + r * r * p2
-    noise_b = (abs(L) + 1.0) * sv.noise[0] + r * sv.noise[1]
-    if abs(b_val) <= max(1e-12 * max(abs(d_val), 1e-30), noise_b):
-        raise PoleError(f"F'(r)=0 within tolerance at r={r:.12g}")
-    if abs(a_val) <= max(1e-12 * max(abs(b_val), 1e-30), sv.noise[0]):
-        raise PoleError(f"F(r)=0 within tolerance at r={r:.12g}")
-    return 1.0 + d_val / b_val - (L / (L + 1.0)) * (b_val / a_val)
-
-
-def conv_ratio(params: CoulombParams, kind: str, r: float, *,
-               tol: float = DEFAULT_TOL, n_max: int | None = None) -> float:
+def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
     """1 + r g''/g' for kind 'g'; 1 + r F''/F' - (L/(L+1)) r F'/F for kind 'f'.
 
     The f-form is certified only for L > -1/2 (unsafe params may override).
     """
-    _check_kind(kind)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    _check_ratio_args(kind, r)
     if kind == "f" and params.L <= -0.5 and not params.unsafe:
         raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
-    sv = eval_point(params, r, tol, n_max)
-    return _conv_from_values(params.L, kind, r, sv)
+    return equations.conv_ratio(params.L, kind, r, eval_point(params, r))
 
 
 # --- normalization constant -------------------------------------------------

@@ -29,7 +29,10 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .series import complex_coefficients
+
+_DISK_N_CAP = 1536
 
 
 @dataclass(frozen=True)
@@ -60,15 +63,16 @@ def region_check(L: complex, eta: complex) -> RegionReport:
 
 def _coeffs_for_disk(L: complex, eta: complex) -> np.ndarray:
     # grow until the tail at |z| = 1 is negligible; the factorial-type decay
-    # of the recurrence makes this converge for any finite parameters
+    # of the recurrence wins eventually, but huge |eta| overflows first
     n = 48
-    while True:
+    while n <= _DISK_N_CAP:
         a = complex_coefficients(L, eta, n)
         if abs(a[-1]) + abs(a[-2]) < 1e-20:
             return np.asarray(a, dtype=complex)
-        if n >= 1024:
-            return np.asarray(a, dtype=complex)
         n *= 2
+    raise ConvergenceError(
+        f"disk coefficients for (L={L}, eta={eta}) not converged by n={_DISK_N_CAP}"
+    )
 
 
 def disk_min_real(L: complex, eta: complex, quantity: str, grid_n: int = 64,
@@ -78,7 +82,8 @@ def disk_min_real(L: complex, eta: complex, quantity: str, grid_n: int = 64,
 
     Rings at radii (k/grid_n) radius_cap, angles 2 pi j/(4 grid_n).  A
     positive result is grid evidence of the theorem's conclusion, not a
-    proof.  Returns -inf if the quantity hits a pole on the grid.
+    proof.  Returns -inf if the quantity hits a pole on the grid; raises
+    ConvergenceError if the coefficients do not settle by n = 1536.
     """
     if quantity not in ("g", "zgpg"):
         raise ValueError("quantity must be 'g' or 'zgpg'")

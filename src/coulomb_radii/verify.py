@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .equations import g_value
 from .params import CoulombParams
 from .radii import RadiusQuery, radius, radius_convex, radius_starlike, radius_univalence
 from .rayleigh import Family, SumMethod, euler_rayleigh_bounds, sums
@@ -95,7 +96,7 @@ def _bessel_cross_validation() -> CriterionResult:
         c_inv = 2.0 ** (L + 1.0) * math.exp(math.lgamma(L + 1.5)) / math.sqrt(math.pi)
         for k in range(1, 31):
             z = 0.1 * k
-            lhs = z * eval_point(params, z).p0
+            lhs = g_value(z, eval_point(params, z))
             rhs = c_inv * z ** (-L) * math.sqrt(math.pi * z / 2.0) * bessel_j(nu, z)
             worst_rel = max(worst_rel, abs(lhs - rhs) / abs(rhs))
     ok = worst_zero <= 1e-9 and worst_rel <= 1e-10

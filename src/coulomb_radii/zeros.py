@@ -1,7 +1,8 @@
 """Real-zero localization for F, F' and g', plus interlacing and the
 truncated Weierstrass product.
 
-Targets are reduced to the series factor P (see series module):
+Targets are reduced to the series factor P (values, noise floors and slopes
+live in the equations module):
 
     F        -> P(z)                 (the nontrivial zeros; z = 0 excluded)
     F_prime  -> (L+1) P(z) + z P'(z)
@@ -16,28 +17,26 @@ The scan horizon is the smaller of the requested one and the abscissa where
 the evaluator's cancellation-noise floor makes sign changes unresolvable;
 running past it would report garbage zeros, so the result is flagged
 truncated instead.
+
+find_zeros is the package's one scan.  The radius solvers call it only for
+the domain cap; every radius, univalence included, is then solved by
+bisection on its own equation (see the radii module).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
+from .equations import ZeroTarget, target_at_origin, target_slope, target_value
 from .errors import ConvergenceError, DegenerateZeroError
 from .params import CoulombParams
-from .series import DEFAULT_TOL, SeriesEvaluator, SeriesValue
+from .series import eval_point
 
 DEFAULT_REFINE_TOL = 1e-12
 DEFAULT_SCAN_STEP = math.pi / 8.0
 _BISECT_CAP = 80
-
-
-class ZeroTarget(str, Enum):
-    F = "F"
-    F_PRIME = "F_prime"
-    G_PRIME = "g_prime"
 
 
 @dataclass(frozen=True)
@@ -71,45 +70,8 @@ class InterlacingReport:
 @dataclass(frozen=True)
 class _Refined:
     root: float
-    lo: float
-    hi: float
     iterations: int
     residual: float
-
-
-def _target_fn(ev: SeriesEvaluator, target: ZeroTarget) -> Callable[[float], tuple[float, float]]:
-    L = ev.params.L
-
-    def h(z: float) -> tuple[float, float]:
-        sv: SeriesValue = ev.eval(z)
-        if target is ZeroTarget.F:
-            return sv.p0, sv.noise[0]
-        if target is ZeroTarget.F_PRIME:
-            val = (L + 1.0) * sv.p0 + z * sv.p1
-            noise = (abs(L) + 1.0) * sv.noise[0] + abs(z) * sv.noise[1]
-            return val, noise
-        val = sv.p0 + z * sv.p1
-        noise = sv.noise[0] + abs(z) * sv.noise[1]
-        return val, noise
-
-    return h
-
-
-def _target_derivative(ev: SeriesEvaluator, target: ZeroTarget, z: float) -> float:
-    sv = ev.eval(z)
-    L = ev.params.L
-    if target is ZeroTarget.F:
-        return sv.p1
-    if target is ZeroTarget.F_PRIME:
-        return (L + 2.0) * sv.p1 + z * sv.p2
-    return 2.0 * sv.p1 + z * sv.p2
-
-
-def _value_at_origin(params: CoulombParams, target: ZeroTarget) -> float:
-    # P(0) = 1, F'-target at 0 is L+1, g'(0) = 1
-    if target is ZeroTarget.F_PRIME:
-        return params.L + 1.0
-    return 1.0
 
 
 def refine_bracket(fn: Callable[[float], tuple[float, float]], lo: float, hi: float,
@@ -127,22 +89,22 @@ def refine_bracket(fn: Callable[[float], tuple[float, float]], lo: float, hi: fl
         iters += 1
     root = 0.5 * (lo + hi)
     resid, _ = fn(root)
-    return _Refined(root=root, lo=lo, hi=hi, iterations=iters, residual=resid)
+    return _Refined(root=root, iterations=iters, residual=resid)
 
 
-def _scan_one_sign(ev: SeriesEvaluator, target: ZeroTarget, sign: float, count: int,
+def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float, count: int,
                    refine_tol: float, scan_step: float) -> tuple[list[float], bool]:
     if count <= 0:
         return [], False
     horizon = max(20.0, 1.5 * count * math.pi)
-    base = _target_fn(ev, target)
+    L = params.L
 
     def h(t: float) -> tuple[float, float]:
-        return base(sign * t)
+        return target_value(L, target, sign * t, eval_point(params, sign * t))
 
     found: list[float] = []
     t_prev = 0.0
-    f_prev = _value_at_origin(ev.params, target)
+    f_prev = target_at_origin(L, target)
     t = scan_step
     truncated = False
     while len(found) < count:
@@ -164,10 +126,11 @@ def _scan_one_sign(ev: SeriesEvaluator, target: ZeroTarget, sign: float, count: 
             val = -f_prev
         elif (f_prev < 0.0) != (val < 0.0):
             ref = refine_bracket(h, t_prev, t, f_prev, refine_tol)
-            deriv = _target_derivative(ev, target, sign * ref.root) * sign
+            z = sign * ref.root
+            deriv = target_slope(L, target, z, eval_point(params, z)) * sign
             if abs(deriv) < 1e-9 and abs(ref.residual) < 1e-9:
                 raise DegenerateZeroError(
-                    f"target and derivative both vanish near {sign * ref.root:.12g}"
+                    f"target and derivative both vanish near {z:.12g}"
                 )
             found.append(ref.root)
         t_prev, f_prev = t, val
@@ -177,8 +140,7 @@ def _scan_one_sign(ev: SeriesEvaluator, target: ZeroTarget, sign: float, count: 
 
 def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
                count_neg: int, *, refine_tol: float = DEFAULT_REFINE_TOL,
-               scan_step: float = DEFAULT_SCAN_STEP, tol: float = DEFAULT_TOL,
-               n_max: int | None = None) -> ZeroSet:
+               scan_step: float = DEFAULT_SCAN_STEP) -> ZeroSet:
     """First count_pos positive and count_neg negative zeros, none skipped.
 
     Bisection-refined to refine_tol on the abscissa.  If a requested count is
@@ -188,9 +150,8 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:
         raise ValueError("zero counts must be >= 0")
-    ev = SeriesEvaluator(params, tol, n_max)
-    pos, trunc_pos = _scan_one_sign(ev, target, +1.0, count_pos, refine_tol, scan_step)
-    neg_mod, trunc_neg = _scan_one_sign(ev, target, -1.0, count_neg, refine_tol, scan_step)
+    pos, trunc_pos = _scan_one_sign(params, target, +1.0, count_pos, refine_tol, scan_step)
+    neg_mod, trunc_neg = _scan_one_sign(params, target, -1.0, count_neg, refine_tol, scan_step)
     return ZeroSet(
         params=params,
         target=target,
@@ -199,28 +160,6 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
         refine_tol=refine_tol,
         truncated=trunc_pos or trunc_neg,
     )
-
-
-def first_positive_zero(params: CoulombParams, target: ZeroTarget | str, *,
-                        refine_tol: float = DEFAULT_REFINE_TOL,
-                        tol: float = DEFAULT_TOL) -> _Refined:
-    """First positive zero with its final bracket (used by the radius solvers)."""
-    target = ZeroTarget(target)
-    ev = SeriesEvaluator(params, tol)
-    base = _target_fn(ev, target)
-    t_prev = 0.0
-    f_prev = _value_at_origin(params, target)
-    t = DEFAULT_SCAN_STEP
-    while t <= 400.0:
-        val, _noise = base(t)
-        if val == 0.0:
-            return _Refined(root=t, lo=t - refine_tol, hi=t + refine_tol,
-                            iterations=0, residual=0.0)
-        if (f_prev < 0.0) != (val < 0.0):
-            return refine_bracket(base, t_prev, t, f_prev, refine_tol)
-        t_prev, f_prev = t, val
-        t += DEFAULT_SCAN_STEP
-    raise ConvergenceError(f"no positive zero of {target.value} found in scan range")
 
 
 def interlacing_check(zf: ZeroSet, zfp: ZeroSet) -> InterlacingReport:

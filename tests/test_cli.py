@@ -1,4 +1,4 @@
-"""CLI surface: schema, determinism, exit codes, env override."""
+"""CLI surface: schema, determinism, exit codes."""
 
 import json
 import math
@@ -141,11 +141,22 @@ class TestExitCodes:
                   "--L", "0", "--eta", "0"])
         assert exc.value.code == 2
 
-    def test_tolerance_range_is_usage_error(self):
+    @pytest.mark.parametrize("knob", [("--tolerance", "1e-10"), ("--n-max", "256")],
+                             ids=["tolerance", "n-max"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--L", "0", "--eta", "0", "--z", "1"],
+        ["zeros", "--L", "0", "--eta", "0"],
+        ["radius", "--kind", "g", "--property", "starlike", "--L", "0", "--eta", "0"],
+        ["bounds", "--kind", "g", "--L", "0", "--eta", "0"],
+        ["region", "--L", "1+1i", "--eta", "2"],
+        ["verify", "--criteria", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_knobs_are_usage_errors(self, argv, knob, capsys):
+        # the series tolerance and length are fixed; no flag may pretend otherwise
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--L", "0", "--eta", "0", "--z", "1",
-                  "--tolerance", "1e-2"])
+            main(argv + list(knob))
         assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_region_violation_is_3(self, capsys):
         code, _, err = run_cli(
@@ -169,30 +180,11 @@ class TestExitCodes:
         assert code == 4
         assert "numerical failure" in err
 
-
-class TestConfig:
-    def test_env_n_max_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("COULOMB_RADII_NMAX", "300")
-        code, _, err = run_cli(
-            capsys, "eval", "--L", "0", "--eta", "0", "--z", "1", "--verbose",
-        )
-        assert code == 0
-        assert "n_max=300" in err
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("COULOMB_RADII_NMAX", "300")
-        code, _, err = run_cli(
-            capsys, "eval", "--L", "0", "--eta", "0", "--z", "1",
-            "--n-max", "64", "--verbose",
-        )
-        assert code == 0
-        assert "n_max=64" in err
-
-    def test_bad_env_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv("COULOMB_RADII_NMAX", "many")
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--L", "0", "--eta", "0", "--z", "1"])
-        assert exc.value.code == 2
+    def test_unconverged_disk_scan_is_4(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--L=0", "--eta=1e5", "--disk", "g",
+                                 "--grid-n", "16")
+        assert code == 4
+        assert out == "" and "not converged" in err
 
 
 class TestVerifyCommand:

@@ -84,6 +84,13 @@ class TestUnivalence:
             assert res.value == pytest.approx(math.pi / 2.0, abs=1e-10)
             assert "univalent" in res.flags
 
+    def test_bracket_straddles_pi_half(self):
+        res = radius_univalence(P00, "g")
+        lo, hi = res.bracket
+        assert lo <= math.pi / 2.0 <= hi
+        assert hi - lo <= 2e-13
+        assert 0 < res.iterations <= 200
+
     def test_f_eta_minus_one_inside_rayleigh_bracket(self):
         res = radius_univalence(CoulombParams(0.0, -1.0), "f")
         assert 3.0 ** -0.5 < res.value < 9.0 / 13.0
@@ -119,6 +126,16 @@ class TestProperties:
                     a = radius(q, form="ratio").value
                     b = radius(q, form="direct").value
                     assert abs(a - b) <= 1e-10 * abs(a)
+
+    def test_beta_zero_ratio_stays_below_the_domain_cap(self):
+        # the first zero of g' lies past the first zero of F here, so a
+        # scan on g' alone used to report a radius beyond the cap
+        params = CoulombParams(-0.7, -5.0)
+        for kind in ("g", "f"):
+            q = RadiusQuery(params, kind, "starlike", 0.0)
+            ratio = radius(q, form="ratio")
+            assert ratio.value < ratio.domain_cap
+            assert ratio.value == radius(q, form="direct").value
 
     def test_univalence_equals_starlike_at_beta_zero(self):
         params = CoulombParams(1.0, -1.0)

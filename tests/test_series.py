@@ -1,11 +1,14 @@
 """Series core: coefficients, evaluation, ratios, normalization, Bessel oracle."""
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomb_radii import series
 from coulomb_radii import (
     ConvergenceError,
     CoulombDomainError,
@@ -113,6 +116,48 @@ class TestEvalSeries:
         table = coefficients(P00, 8)
         with pytest.raises(ConvergenceError, match="n_max"):
             eval_series(table, 9.0)
+
+    def test_table_built_once_per_params(self, monkeypatch):
+        builds = []
+        build = series.coefficients
+
+        def counting(params, n_max):
+            builds.append((params, n_max))
+            return build(params, n_max)
+
+        monkeypatch.setattr(series, "coefficients", counting)
+        series._table.cache_clear()
+        params = CoulombParams(0.123, -0.456)
+        for r in (0.25, 0.5, 1.0):
+            star_ratio(params, "g", r)
+            conv_ratio(params, "f", r)
+            eval_point(params, -r)
+        assert builds == [(params, series.DEFAULT_N_MAX)]
+
+    def test_shared_memo_under_threads(self):
+        # more parameter pairs than memo slots, so threads evict each other's tables
+        grid = [CoulombParams(0.1 * k, -0.2 * k) for k in range(20)]
+        expected = {p: eval_point(p, 2.5) for p in grid}
+        errors = []
+
+        def worker(offset):
+            for i in range(3 * len(grid)):
+                p = grid[(i + offset) % len(grid)]
+                if eval_point(p, 2.5) != expected[p]:
+                    errors.append(p)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_range_guard(self):
         with pytest.raises(ConvergenceError):

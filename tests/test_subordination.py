@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomb_radii import ConvergenceError
 from coulomb_radii.subordination import axis_minimum_gap, disk_min_real, region_check
 
 
@@ -65,6 +66,10 @@ class TestDiskScan:
         for L, eta in samples:
             assert region_check(L, eta).starlike_ok
             assert disk_min_real(L, eta, "zgpg", 64, 0.99) > 0.0
+
+    def test_unconverged_coefficients_raise(self):
+        with pytest.raises(ConvergenceError):
+            disk_min_real(0.0, 1e5, "g", grid_n=16)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from coulomb_radii import CoulombParams, bessel_j
 from coulomb_radii.zeros import (
     ZeroTarget,
     find_zeros,
-    first_positive_zero,
     interlacing_check,
     product_eval,
     symmetric_zero_set,
@@ -88,11 +87,10 @@ class TestFindZeros:
         zs = find_zeros(P00, ZeroTarget.F, 0, 0)
         assert zs.positive == () and zs.negative == ()
 
-    def test_first_positive_zero_bracket(self):
-        ref = first_positive_zero(P00, ZeroTarget.G_PRIME)
-        assert ref.lo < ref.root < ref.hi
-        assert ref.root == pytest.approx(math.pi / 2.0, abs=1e-10)
-        assert ref.iterations <= 80
+    def test_first_positive_zero_of_g_prime(self):
+        zs = find_zeros(P00, ZeroTarget.G_PRIME, 1, 0)
+        assert zs.positive[0] == pytest.approx(math.pi / 2.0, abs=1e-10)
+        assert zs.negative == () and not zs.truncated
 
 
 class TestInterlacing:
