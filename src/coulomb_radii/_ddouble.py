@@ -61,10 +61,6 @@ def sub(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
     return (s, e)
 
 
-def neg(x: tuple[float, float]) -> tuple[float, float]:
-    return (-x[0], -x[1])
-
-
 def mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
     p, e = two_prod(x[0], y[0])
     e += x[0] * y[1] + x[1] * y[0]
@@ -86,11 +82,3 @@ def div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
     s, e = quick_two_sum(q1, q2)
     return (s, e)
 
-
-def div_d(x: tuple[float, float], d: float) -> tuple[float, float]:
-    q1 = x[0] / d
-    p, e = two_prod(q1, d)
-    r_hi, r_e = two_sum(x[0], -p)
-    q2 = (r_hi + (r_e + x[1] - e)) / d
-    s, e2 = quick_two_sum(q1, q2)
-    return (s, e2)

@@ -411,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CoulombError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        # the library rejects an argument value the parser let through
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     if args.output == "json":
         _emit_json(args.command, points, sys.stdout)

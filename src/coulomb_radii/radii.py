@@ -1,9 +1,12 @@
 """Radii of starlikeness, convexity and univalence of the normalized forms.
 
 For L > -1, eta <= 0 each defining ratio decreases strictly from 1 at the
-origin to -inf at the first positive zero of the relevant denominator, so a
-sign-change bracket plus plain bisection is a certified solver; no derivative
-iteration is used anywhere.  The equations, written on the series factor P:
+origin to -inf at x1, the first positive zero of the relevant denominator
+(F for starlikeness, F' or g' for convexity).  So [0, x1] is a proven
+sign-change bracket, and every radius is the one bisection of the zeros
+module (refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa; no
+derivative iteration is used anywhere.  x1 is reported as the domain cap.
+The equations, written on the series factor P:
 
     starlike, kind g:  r g'/g = beta            <=>  r P' + (1-beta) P = 0
     starlike, kind f:  r g'/g = beta(L+1) - L   <=>  r P' + (1-beta)(L+1) P = 0
@@ -16,8 +19,9 @@ Each solver can run either on the decreasing ratio ("ratio" form) or on the
 polynomial combination above ("direct" form); the two roots agreeing is one
 of the acceptance checks.  Both forms live in the equations module.  The
 univalence radius is the starlikeness radius at beta = 0 and goes through
-the same bisection as every other beta; the zero finder only supplies the
-domain cap that bounds the search.
+the same bisection as every other beta.  Under unsafe parameters the decrease
+is not proven; it is checked on the points the bisection visits, and a rise
+raises MonotonicityError.
 """
 
 from __future__ import annotations
@@ -25,16 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
 
 from . import equations
 from .errors import CoulombDomainError, MonotonicityError, PoleError
 from .params import CoulombParams
 from .series import eval_point
-from .zeros import ZeroTarget, find_zeros
+from .zeros import ZeroTarget, find_zeros, refine_bracket
 
 _ABSCISSA_TOL = 1e-13
-_BISECT_CAP = 200
 
 
 class Kind(str, Enum):
@@ -76,71 +78,6 @@ class RadiusResult:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _domain_cap(params: CoulombParams, target: ZeroTarget) -> tuple[float, float]:
-    """(positive-side singularity, min-modulus cap over both signs)."""
-    zs = find_zeros(params, target, 1, 1)
-    if not zs.positive or not zs.negative:
-        raise MonotonicityError(
-            f"could not locate the first zeros of {target.value} for "
-            f"(L={params.L}, eta={params.eta})"
-        )
-    pos = zs.positive[0]
-    return pos, min(pos, -zs.negative[0])
-
-
-def _bisect_decreasing(fn: Callable[[float], float], level: float, pos_cap: float,
-                       certified: bool) -> tuple[float, tuple[float, float], int]:
-    """Root of fn(r) = level on (0, pos_cap) for fn decreasing from 1 to -inf."""
-    lo = min(0.5, pos_cap / 4.0)
-    probes: list[tuple[float, float]] = []
-
-    def sample(r: float) -> float:
-        try:
-            v = fn(r)
-        except PoleError:
-            return -math.inf  # at/past the cap: counts as the low side
-        probes.append((r, v))
-        return v
-
-    f_lo = sample(lo)
-    while f_lo <= level:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise MonotonicityError("no left endpoint with ratio above the level")
-        f_lo = sample(lo)
-    hi = None
-    for k in range(1, 64):
-        cand = pos_cap - (pos_cap - lo) * 0.5**k
-        if sample(cand) < level:
-            hi = cand
-            break
-    if hi is None:
-        raise MonotonicityError("no right endpoint with ratio below the level")
-    if not certified:
-        # the decrease is proven only for eta <= 0; under unsafe parameters we
-        # verify it on the probes instead of assuming
-        probes.sort()
-        for (r1, v1), (r2, v2) in zip(probes, probes[1:]):
-            if v2 > v1 + 1e-9 * max(1.0, abs(v1)):
-                raise MonotonicityError(
-                    f"ratio increases between r={r1:.6g} and r={r2:.6g}; "
-                    "bisection is not certified for these parameters"
-                )
-    iters = 0
-    while hi - lo > _ABSCISSA_TOL * max(1.0, hi) and iters < _BISECT_CAP:
-        mid = 0.5 * (lo + hi)
-        try:
-            f_mid = fn(mid)
-        except PoleError:
-            f_mid = -math.inf
-        if f_mid < level:
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-    return 0.5 * (lo + hi), (lo, hi), iters
-
-
 def _solve(query: RadiusQuery, form: str) -> RadiusResult:
     if form not in ("ratio", "direct"):
         raise ValueError("form must be 'ratio' or 'direct'")
@@ -160,7 +97,13 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
         cap_target = ZeroTarget.G_PRIME if kind is Kind.G else ZeroTarget.F_PRIME
     else:
         cap_target = ZeroTarget.F
-    pos_cap, domain_cap = _domain_cap(params, cap_target)
+    zs = find_zeros(params, cap_target, 1, 0)
+    if not zs.positive:
+        raise MonotonicityError(
+            f"could not locate the first positive zero of {cap_target.value} for "
+            f"(L={params.L}, eta={params.eta})"
+        )
+    cap = zs.positive[0]
 
     flags: list[str] = []
     if not certified:
@@ -184,17 +127,35 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
         level = 0.0
         eq = lambda r, sv: equations.direct_star(L, kind, beta, r, sv)
 
-    def fn(r: float) -> float:
-        return eq(r, eval_point(params, r))
+    probes: list[tuple[float, float]] = []
 
-    value, bracket, iters = _bisect_decreasing(fn, level, pos_cap, certified)
-    residual = fn(value) - level
+    def fn(r: float) -> float:
+        try:
+            v = eq(r, eval_point(params, r))
+        except PoleError:
+            return -math.inf  # at/past the cap: counts as the low side
+        probes.append((r, v))
+        return v - level
+
+    # fn > 0 at 0+ (each ratio starts at 1, above its level) and < 0 below the
+    # cap (the ratio falls to -inf; a direct form has the sign of ratio - level)
+    ref = refine_bracket(fn, 0.0, cap, 1.0, _ABSCISSA_TOL * max(1.0, cap))
+    if not certified:
+        # the decrease is proven only for eta <= 0; under unsafe parameters we
+        # verify it on the points the bisection visited instead of assuming
+        probes.sort()
+        for (r1, v1), (r2, v2) in zip(probes, probes[1:]):
+            if v2 > v1 + 1e-9 * max(1.0, abs(v1)):
+                raise MonotonicityError(
+                    f"ratio increases between r={r1:.6g} and r={r2:.6g}; "
+                    "bisection is not certified for these parameters"
+                )
     return RadiusResult(
-        value=value,
-        bracket=bracket,
-        residual=residual,
-        domain_cap=domain_cap,
-        iterations=iters,
+        value=ref.root,
+        bracket=(ref.lo, ref.hi),
+        residual=ref.residual,
+        domain_cap=cap,
+        iterations=ref.iterations,
         flags=tuple(flags),
     )
 

@@ -8,19 +8,24 @@ live in the equations module):
     F_prime  -> (L+1) P(z) + z P'(z)
     g_prime  -> P(z) + z P'(z)
 
-Zeros are swept with a fixed step (Coulomb zeros are asymptotically ~pi
-apart, so pi/8 cannot skip any at desk scale), bracketed by sign change, and
+Zeros are swept outward from the origin, bracketed by sign change, and
 refined by plain bisection; no derivative iteration anywhere.  The negative
-axis reuses the same code path through the reflected function z -> P(-z).
+axis reuses the same code path through the reflected function z -> P(-z),
+which is P at -eta.  The step comes from the Coulomb equation
+u'' + q u = 0, q(t) = 1 - 2 eta/t - L(L+1)/t^2 (DLMF 33.2): on [t, inf) q
+stays below Q(t) = 1 + max(0, -2 eta)/t + max(0, -L(L+1))/t^2, so by Sturm
+comparison zeros of F there lie at least pi/sqrt(Q(t)) apart.  F is stepped
+by half that spacing, proven to hold at most one zero per step.  F' and g'
+have no such spacing proof; they are stepped by a quarter, a margin only.
 
 The scan horizon is the smaller of the requested one and the abscissa where
 the evaluator's cancellation-noise floor makes sign changes unresolvable;
 running past it would report garbage zeros, so the result is flagged
 truncated instead.
 
-find_zeros is the package's one scan.  The radius solvers call it only for
-the domain cap; every radius, univalence included, is then solved by
-bisection on its own equation (see the radii module).
+find_zeros is the package's one scan and refine_bracket its one bisection,
+which the radius solvers also run on their own equations (see the radii
+module).  refine_bracket decides signs without a noise-floor check.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .equations import ZeroTarget, target_at_origin, target_slope, target_value
-from .errors import ConvergenceError, DegenerateZeroError
+from .errors import ConvergenceError, CoulombDomainError, DegenerateZeroError
 from .params import CoulombParams
 from .series import eval_point
 
-DEFAULT_REFINE_TOL = 1e-12
-DEFAULT_SCAN_STEP = math.pi / 8.0
+REFINE_TOL = 1e-12
 _BISECT_CAP = 80
+# share of the Sturm spacing pi/sqrt(Q) per scan step (see the module docstring)
+_STEP_SHARE = {ZeroTarget.F: 0.5, ZeroTarget.F_PRIME: 0.25, ZeroTarget.G_PRIME: 0.25}
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,19 @@ class InterlacingReport:
 @dataclass(frozen=True)
 class _Refined:
     root: float
+    lo: float
+    hi: float
     iterations: int
     residual: float
 
 
-def refine_bracket(fn: Callable[[float], tuple[float, float]], lo: float, hi: float,
-                   f_lo: float, refine_tol: float) -> _Refined:
-    """Bisection on a sign-change bracket, capped at 80 iterations."""
+def refine_bracket(fn: Callable[[float], float], lo: float, hi: float,
+                   f_lo: float, tol: float) -> _Refined:
+    """Bisection on a sign-change bracket (only the sign of f_lo is used), 80 steps at most."""
     iters = 0
-    while hi - lo > refine_tol and iters < _BISECT_CAP:
+    while hi - lo > tol and iters < _BISECT_CAP:
         mid = 0.5 * (lo + hi)
-        f_mid, _ = fn(mid)
+        f_mid = fn(mid)
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
@@ -88,12 +96,11 @@ def refine_bracket(fn: Callable[[float], tuple[float, float]], lo: float, hi: fl
             f_lo = f_mid
         iters += 1
     root = 0.5 * (lo + hi)
-    resid, _ = fn(root)
-    return _Refined(root=root, iterations=iters, residual=resid)
+    return _Refined(root=root, lo=lo, hi=hi, iterations=iters, residual=fn(root))
 
 
-def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float, count: int,
-                   refine_tol: float, scan_step: float) -> tuple[list[float], bool]:
+def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
+                   count: int) -> tuple[list[float], bool]:
     if count <= 0:
         return [], False
     horizon = max(20.0, 1.5 * count * math.pi)
@@ -102,10 +109,21 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float, count
     def h(t: float) -> tuple[float, float]:
         return target_value(L, target, sign * t, eval_point(params, sign * t))
 
+    # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
+    a = max(0.0, -2.0 * sign * params.eta)
+    b = max(0.0, -L * (L + 1.0))
+    share = _STEP_SHARE[target] * math.pi
+    # Start below the first zero of every target.  With lam = L+1 > 0 and
+    # x = t max(e/lam, 2e, 1), e = |eta|, the recurrence bounds |a_n| t^n by x^n,
+    # and a target's |c_n/c_0| t^n by (n+1) max(1, 1/lam) x^n.  For
+    # x = 1/(4 max(1, 1/lam)) those terms sum below 1 on |z| <= t: no zero there.
+    lam, e = L + 1.0, abs(params.eta)
+    if lam == 0.0:
+        raise CoulombDomainError("coefficient recurrence requires L != -1")
+    t = 0.25 / (max(1.0, 1.0 / lam) * max(e / lam, 2.0 * e, 1.0))
     found: list[float] = []
     t_prev = 0.0
     f_prev = target_at_origin(L, target)
-    t = scan_step
     truncated = False
     while len(found) < count:
         if t > horizon * (1.0 + 1e-12):
@@ -125,7 +143,7 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float, count
             found.append(t)
             val = -f_prev
         elif (f_prev < 0.0) != (val < 0.0):
-            ref = refine_bracket(h, t_prev, t, f_prev, refine_tol)
+            ref = refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, REFINE_TOL)
             z = sign * ref.root
             deriv = target_slope(L, target, z, eval_point(params, z)) * sign
             if abs(deriv) < 1e-9 and abs(ref.residual) < 1e-9:
@@ -134,30 +152,29 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float, count
                 )
             found.append(ref.root)
         t_prev, f_prev = t, val
-        t += scan_step
+        t += share / math.sqrt(1.0 + a / t + b / (t * t))
     return found, truncated
 
 
 def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
-               count_neg: int, *, refine_tol: float = DEFAULT_REFINE_TOL,
-               scan_step: float = DEFAULT_SCAN_STEP) -> ZeroSet:
-    """First count_pos positive and count_neg negative zeros, none skipped.
+               count_neg: int) -> ZeroSet:
+    """First count_pos positive and count_neg negative zeros; none skipped for F.
 
-    Bisection-refined to refine_tol on the abscissa.  If a requested count is
+    Bisection-refined to REFINE_TOL on the abscissa.  If a requested count is
     not reachable within the scan horizon (or the evaluator's precision
     horizon), the partial result carries truncated=True.
     """
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:
         raise ValueError("zero counts must be >= 0")
-    pos, trunc_pos = _scan_one_sign(params, target, +1.0, count_pos, refine_tol, scan_step)
-    neg_mod, trunc_neg = _scan_one_sign(params, target, -1.0, count_neg, refine_tol, scan_step)
+    pos, trunc_pos = _scan_one_sign(params, target, +1.0, count_pos)
+    neg_mod, trunc_neg = _scan_one_sign(params, target, -1.0, count_neg)
     return ZeroSet(
         params=params,
         target=target,
         positive=tuple(pos),
         negative=tuple(-m for m in neg_mod),
-        refine_tol=refine_tol,
+        refine_tol=REFINE_TOL,
         truncated=trunc_pos or trunc_neg,
     )
 
@@ -218,8 +235,8 @@ def product_eval(zero_set: ZeroSet, params: CoulombParams, z: float, K: int) -> 
     return value, K
 
 
-def symmetric_zero_set(params: CoulombParams, abscissas: list[float] | tuple[float, ...],
-                       refine_tol: float = DEFAULT_REFINE_TOL) -> ZeroSet:
+def symmetric_zero_set(params: CoulombParams,
+                       abscissas: list[float] | tuple[float, ...]) -> ZeroSet:
     """ZeroSet of F built from known positive abscissas mirrored to z < 0.
 
     Only meaningful at eta = 0 where the zeros are symmetric; lets analytic
@@ -234,5 +251,5 @@ def symmetric_zero_set(params: CoulombParams, abscissas: list[float] | tuple[flo
         target=ZeroTarget.F,
         positive=pos,
         negative=tuple(-x for x in pos),
-        refine_tol=refine_tol,
+        refine_tol=REFINE_TOL,
     )

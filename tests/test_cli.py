@@ -158,6 +158,21 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--kind", "g", "--L", "0", "--eta=-1", "--m", "3"],
+        ["bounds", "--kind", "g", "--L", "0", "--eta=-1", "--method", "closed_form",
+         "--m", "4"],
+        ["bounds", "--kind", "f", "--L", "0", "--eta=-1", "--method", "both", "--m", "4"],
+        ["zeros", "--L", "0", "--eta", "0", "--count-pos", "-1"],
+        ["region", "--L", "1", "--eta", "0", "--disk", "g", "--grid-n", "8"],
+    ], ids=["bounds-m3", "closed-form-m4", "both-m4", "negative-count", "grid-n-8"])
+    def test_rejected_argument_values_are_usage_errors(self, argv, capsys):
+        # the library's ValueError on a user value is a usage error, not a traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_region_violation_is_3(self, capsys):
         code, _, err = run_cli(
             capsys, "radius", "--kind", "g", "--property", "starlike",

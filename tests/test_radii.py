@@ -14,6 +14,7 @@ from coulomb_radii.radii import (
     radius_starlike,
     radius_univalence,
 )
+from coulomb_radii.zeros import ZeroTarget, find_zeros
 
 P00 = CoulombParams(0.0, 0.0)
 
@@ -143,6 +144,54 @@ class TestProperties:
             st = radius_starlike(RadiusQuery(params, kind, "starlike", 0.0))
             un = radius_univalence(params, kind)
             assert un.value == pytest.approx(st.value, abs=1e-11)
+
+
+class TestLargeEta:
+    """Radii where the first zeros of F crowd the origin; oracle: mpmath.coulombf."""
+
+    @staticmethod
+    def starlike_g_equation(mpmath, L, eta, beta, r):
+        # r g'/g = beta  <=>  r F'(r) - (L + beta) F(r) = 0, positive at 0+
+        F = lambda t: mpmath.coulombf(L, eta, t)  # noqa: E731
+        return r * mpmath.diff(F, r) - (L + beta) * F(r)
+
+    @pytest.mark.parametrize("L", [0.0, 2.5])
+    def test_g_starlike_half_is_the_smallest_root(self, L):
+        mpmath = pytest.importorskip("mpmath")
+        for eta in range(-7, -17, -1):
+            r = radius(RadiusQuery(CoulombParams(L, eta), "g", "starlike", 0.5)).value
+            d = 1e-9 * max(1.0, r)
+            h = lambda t: self.starlike_g_equation(mpmath, L, eta, 0.5, t)  # noqa: E731
+            assert h(r - d) > 0 > h(r + d), (L, eta, r)
+            assert all(h((r - d) * k / 40) > 0 for k in range(1, 40)), (L, eta, r)
+
+    def test_g_starlike_half_check_value(self):
+        r = radius(RadiusQuery(CoulombParams(0.0, -16.0), "g", "starlike", 0.5)).value
+        assert r == pytest.approx(0.0264706376462, abs=1e-12)
+
+    def test_f_starlike_near_L_minus_one(self):
+        # the first zeros of F' and F sit at 0.0015 and 0.018 here
+        mpmath = pytest.importorskip("mpmath")
+        res = radius(RadiusQuery(CoulombParams(-0.9, -6.0), "f", "starlike", 0.0))
+        assert res.value == pytest.approx(0.00153759627180, abs=1e-13)
+        # f-starlike at beta = 0 is F'(r) = 0
+        dF = lambda t: mpmath.diff(lambda x: mpmath.coulombf(-0.9, -6, x), t)  # noqa: E731
+        assert dF(res.value * (1 - 1e-9)) > 0 > dF(res.value * (1 + 1e-9))
+
+
+class TestDomainCap:
+    """The cap is the first positive pole; for eta <= 0 it is also the
+    smallest-modulus zero, so no radius needs the negative axis."""
+
+    CASES = [("g", "starlike", ZeroTarget.F), ("f", "convex", ZeroTarget.F_PRIME),
+             ("g", "convex", ZeroTarget.G_PRIME)]
+
+    @pytest.mark.parametrize("params", GRID, ids=lambda p: f"L{p.L}_eta{p.eta}")
+    def test_cap_is_the_smallest_modulus_zero(self, params):
+        for kind, prop, target in self.CASES:
+            cap = radius(RadiusQuery(params, kind, prop, 0.0)).domain_cap
+            zs = find_zeros(params, target, 1, 1)
+            assert abs(cap - min(zs.positive[0], -zs.negative[0])) <= 1e-12
 
 
 class TestUnsafe:

@@ -1,0 +1,36 @@
+"""The table scripts in scripts/ run end to end on small grids."""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_radii_rows(capsys):
+    load("sweep_radii").main(["--L", "0,0.5", "--eta=-1,0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:3] == ["L", "eta", "kind"]
+    # one row per (L, eta, kind): convexity < univalence radius, above its lower bound
+    assert len(lines) == 1 + 2 * 2 * 2
+    for line in lines[1:]:
+        cells = line.split()
+        assert len(cells) == 7
+        assert 0.0 < float(cells[4]) < float(cells[3])
+        assert float(cells[5]) <= float(cells[3])
+
+
+def test_disk_scan_rows(capsys):
+    pytest.importorskip("numpy")
+    load("disk_scan").main(["--steps", "2", "--grid-n", "16"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "starlike_ok" in lines[0]
+    assert len(lines) == 1 + 2 * 2

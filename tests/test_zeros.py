@@ -16,6 +16,20 @@ from coulomb_radii.zeros import (
 P00 = CoulombParams(0.0, 0.0)
 
 
+def mpmath_sign_change_cells(L, eta, t_end, step):
+    """Grid cells (lo, hi] of (0, t_end] where mpmath's F_L(eta, .) changes sign."""
+    mpmath = pytest.importorskip("mpmath")
+    n = math.ceil(t_end / step)
+    grid = [t_end * k / n for k in range(1, n + 1)]
+    cells, prev_t, prev_pos = [], 0.0, True  # F > 0 just right of the origin
+    for t in grid:
+        pos = mpmath.coulombf(L, eta, t) > 0
+        if pos != prev_pos:
+            cells.append((prev_t, t))
+        prev_t, prev_pos = t, pos
+    return cells
+
+
 def bisect(f, lo, hi, iters=80):
     flo = f(lo)
     for _ in range(iters):
@@ -68,12 +82,17 @@ class TestFindZeros:
             assert abs(sv.p0) <= zs.refine_tol * max(1.0, abs(sv.p1) * x)
 
     def test_no_skip_under_resolution_doubling(self):
-        for (L, eta) in [(0.0, -1.0), (2.5, -2.0), (-0.4, -0.25)]:
-            params = CoulombParams(L, eta)
-            coarse = find_zeros(params, ZeroTarget.F, 10, 0)
-            fine = find_zeros(params, ZeroTarget.F, 10, 0, scan_step=math.pi / 16.0)
-            for a, b in zip(coarse.positive, fine.positive):
-                assert a == pytest.approx(b, abs=1e-10)
+        # differential: every sign change of mpmath's F on a grid much finer
+        # than the zero spacing is one found zero, and nothing else is
+        cases = [(0.0, -1.0, 0.05), (2.5, -2.0, 0.05), (-0.4, -0.25, 0.05),
+                 (0.0, -20.0, 0.005)]
+        for L, eta, grid_step in cases:
+            zs = find_zeros(CoulombParams(L, eta), ZeroTarget.F, 10, 0)
+            assert len(zs.positive) == 10 and not zs.truncated
+            cells = mpmath_sign_change_cells(L, eta, zs.positive[-1] + 1e-9, grid_step)
+            assert len(cells) == 10, (L, eta)
+            for (lo, hi), x in zip(cells, zs.positive):
+                assert lo < x <= hi
 
     def test_truncation_flag_past_precision_horizon(self):
         zs = find_zeros(P00, ZeroTarget.F, 60, 0)
@@ -91,6 +110,26 @@ class TestFindZeros:
         zs = find_zeros(P00, ZeroTarget.G_PRIME, 1, 0)
         assert zs.positive[0] == pytest.approx(math.pi / 2.0, abs=1e-10)
         assert zs.negative == () and not zs.truncated
+
+
+class TestLargeEta:
+    """Zeros crowd the origin as eta -> -inf; the oracle is mpmath.coulombf."""
+
+    def test_first_zeros_at_eta_minus_20(self):
+        mpmath = pytest.importorskip("mpmath")
+        zs = find_zeros(CoulombParams(0.0, -20.0), ZeroTarget.F, 2, 0)
+        for x, want in zip(zs.positive, (0.0916922474875766, 0.3068310134599343)):
+            oracle = float(mpmath.findroot(lambda t: mpmath.coulombf(0, -20, t), want))
+            assert x == pytest.approx(oracle, abs=1e-12)
+            assert x == pytest.approx(want, abs=1e-12)
+
+    def test_no_zero_skipped_at_eta_minus_100(self):
+        zs = find_zeros(CoulombParams(0.0, -100.0), ZeroTarget.F, 12, 0)
+        assert len(zs.positive) == 12 and zs.positive[-1] < 1.85
+        cells = mpmath_sign_change_cells(0.0, -100.0, 1.85, 0.0025)
+        assert len(cells) == 12
+        for (lo, hi), x in zip(cells, zs.positive):
+            assert lo < x <= hi
 
 
 class TestInterlacing:
