@@ -33,6 +33,12 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"eval-{quantity}-{kind}-{output}"] = [
                     "eval", "--L", "0.5", "--eta=-1", "--z", "0.5,2,7.5",
                     "--quantity", quantity, "--kind", kind, "--output", output]
+    # z*z is zero or subnormal at these points, so P' and P'' take the small-|z| path
+    for eta in ("-1", "0"):
+        for output in ("json", "csv"):
+            cases[f"eval-small-z-eta{eta}-{output}"] = [
+                "eval", "--L", "0.5", f"--eta={eta}", "--z=0,1e-200,-1e-200,1e-160",
+                "--output", output]
     for target in ("F", "F_prime", "g_prime"):
         for output in ("json", "csv"):
             cases[f"zeros-{target}-{output}"] = [
