@@ -7,7 +7,6 @@ from .errors import (
     CoulombDomainError,
     CoulombError,
     DegenerateRecurrenceError,
-    DegenerateZeroError,
     MonotonicityError,
     PoleError,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "CoulombParams",
     "CoefficientTable",
     "DegenerateRecurrenceError",
-    "DegenerateZeroError",
     "MonotonicityError",
     "PoleError",
     "SeriesValue",

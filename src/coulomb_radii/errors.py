@@ -28,9 +28,5 @@ class PoleError(CoulombError):
     """A ratio denominator vanished within tolerance (query at/past a zero)."""
 
 
-class DegenerateZeroError(CoulombError):
-    """A refined bracket where both the target and its derivative vanish."""
-
-
 class MonotonicityError(CoulombError):
     """Sampled ratio failed to decrease while bracketing under unsafe params."""

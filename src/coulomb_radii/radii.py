@@ -140,6 +140,7 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
     # fn > 0 at 0+ (each ratio starts at 1, above its level) and < 0 below the
     # cap (the ratio falls to -inf; a direct form has the sign of ratio - level)
     ref = refine_bracket(fn, 0.0, cap, 1.0, _ABSCISSA_TOL * max(1.0, cap))
+    residual = fn(ref.root)
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
         # verify it on the points the bisection visited instead of assuming
@@ -153,7 +154,7 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
     return RadiusResult(
         value=ref.root,
         bracket=(ref.lo, ref.hi),
-        residual=ref.residual,
+        residual=residual,
         domain_cap=cap,
         iterations=ref.iterations,
         flags=tuple(flags),

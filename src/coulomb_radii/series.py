@@ -17,12 +17,15 @@ and the normalization constant C cancels from every ratio used downstream.
 
 Evaluation runs on double-double pairs (see _ddouble): the series alternates
 and the largest term grows like e^|z| while the value stays O(1), so plain
-doubles lose the low digits long before the tenth zero.  The truncation rule
-stops once three consecutive terms are negligible against each partial sum
-and a geometric-majorant tail bound, derived from the two-term recurrence,
-sits below DEFAULT_TOL relative to each sum.  Beyond |z| ~ 55 even the pair
-format cannot certify results (noise floor eps_dd * sum|terms|) and
-evaluation refuses rather than degrade silently.
+doubles lose the low digits long before the tenth zero.  Each term is one
+pair product t_n = a_n z^n; the sums of t_n, n t_n and n(n-1) t_n are P,
+z P' and z^2 P'', divided by z and z^2 once at the end (below |z| = 1e-150,
+where z^2 nears underflow, P' and P'' are read off a_1..a_3).  The
+truncation rule stops once three consecutive terms are negligible against
+each partial sum and a geometric-majorant tail bound, derived from the
+two-term recurrence, sits below DEFAULT_TOL relative to each sum.  Beyond
+|z| ~ 55 even the pair format cannot certify results (noise floor
+eps_dd * sum|terms|) and evaluation refuses rather than degrade silently.
 
 eval_point is the one evaluation entry point: it reads immutable coefficient
 tables from a small bounded memo keyed on (params, n_max), so repeated
@@ -52,6 +55,7 @@ EVAL_Z_MAX = 55.0
 
 _EPS = 2.220446049250313e-16
 _TINY = 1e-306
+_SMALL_Z = 1e-150  # below this z*z < 1e-300 nears the end of the normal range
 _NOISE_SAFETY = 4.0
 
 
@@ -147,39 +151,26 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     az = abs(z)
     pairs = table.a_pairs
 
-    s0 = (0.0, 0.0)
-    s1 = (0.0, 0.0)
-    s2 = (0.0, 0.0)
+    s0 = s1 = s2 = (0.0, 0.0)
     g0 = g1 = g2 = 0.0
-    t0m = t1m = t2m = 0.0
     zn = (1.0, 0.0)
-    znm1 = (0.0, 0.0)
-    znm2 = (0.0, 0.0)
     run = 0
-
-    n_used = table.n_max + 1
-    converged = False
     for n in range(table.n_max + 1):
-        an = pairs[n]
-        t0 = dd.mul(an, zn)
-        s0 = dd.add(s0, t0)
-        t0m = abs(t0[0])
+        t = dd.mul(pairs[n], zn)
+        s0 = dd.add(s0, t)
+        s1 = dd.add(s1, dd.mul_d(t, float(n)))
+        s2 = dd.add(s2, dd.mul_d(t, float(n * (n - 1))))
+        t0m = abs(t[0])
+        t1m = n * t0m
+        t2m = (n - 1) * t1m
         g0 += t0m
-        if n >= 1:
-            t1 = dd.mul_d(dd.mul(an, znm1), float(n))
-            s1 = dd.add(s1, t1)
-            t1m = abs(t1[0])
-            g1 += t1m
-        if n >= 2:
-            t2 = dd.mul_d(dd.mul(an, znm2), float(n * (n - 1)))
-            s2 = dd.add(s2, t2)
-            t2m = abs(t2[0])
-            g2 += t2m
+        g1 += t1m
+        g2 += t2m
 
         small = (
             t0m <= _EPS * abs(s0[0]) + dd.EPS * g0 + _TINY
-            and (n < 1 or t1m <= _EPS * abs(s1[0]) + dd.EPS * g1 + _TINY)
-            and (n < 2 or t2m <= _EPS * abs(s2[0]) + dd.EPS * g2 + _TINY)
+            and t1m <= _EPS * abs(s1[0]) + dd.EPS * g1 + _TINY
+            and t2m <= _EPS * abs(s2[0]) + dd.EPS * g2 + _TINY
         )
         run = run + 1 if small else 0
         if run >= 3 and n >= 4:
@@ -194,25 +185,31 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
                     for k, (s, g) in enumerate(((s0, g0), (s1, g1), (s2, g2)))
                 )
                 if ok:
-                    n_used = n + 1
-                    tail0 = tails[0]
-                    converged = True
                     break
-        znm2 = znm1
-        znm1 = zn
         zn = dd.mul_d(zn, z)
-
-    if not converged:
+    else:
         raise ConvergenceError(
             f"tail bound not achieved within n_max={table.n_max} at z={z:.6g}; "
             "regenerate the table with a larger n_max"
         )
+    if az >= _SMALL_Z:
+        p1 = dd.to_float(dd.div(s1, (z, 0.0)))
+        p2 = dd.to_float(dd.div(s2, dd.two_prod(z, z)))
+        g1 /= az
+        g2 /= az * az
+    else:
+        # z*z is too close to underflow to divide by; to double precision
+        # P' and P'' are their first two terms
+        _, a1, a2, a3 = table.a[:4]
+        p1, p2 = a1 + 2.0 * a2 * z, 2.0 * a2 + 6.0 * a3 * z
+        g1 = abs(a1) + abs(2.0 * a2 * z)
+        g2 = abs(2.0 * a2) + abs(6.0 * a3 * z)
     return SeriesValue(
         p0=dd.to_float(s0),
-        p1=dd.to_float(s1),
-        p2=dd.to_float(s2),
-        truncation_terms=n_used,
-        tail_estimate=tail0,
+        p1=p1,
+        p2=p2,
+        truncation_terms=n + 1,
+        tail_estimate=tails[0],
         noise=(
             _NOISE_SAFETY * dd.EPS * g0,
             _NOISE_SAFETY * dd.EPS * g1,

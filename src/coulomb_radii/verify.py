@@ -202,12 +202,12 @@ def _monotone_ratios() -> CriterionResult:
     ok = True
     failures = []
     for params in _grid():
-        caps = {
-            "star": find_zeros(params, ZeroTarget.F, 1, 1),
-            "conv_g": find_zeros(params, ZeroTarget.G_PRIME, 1, 1),
-            "conv_f": find_zeros(params, ZeroTarget.F_PRIME, 1, 1),
+        # for eta <= 0 the first positive zero is the one nearest the origin
+        cap_of = {
+            key: find_zeros(params, target, 1, 0).positive[0]
+            for key, target in (("star", ZeroTarget.F), ("conv_g", ZeroTarget.G_PRIME),
+                                ("conv_f", ZeroTarget.F_PRIME))
         }
-        cap_of = {k: min(z.positive[0], -z.negative[0]) for k, z in caps.items()}
         checks = [
             ("star", lambda r: star_ratio(params, "g", r)),
             ("star", lambda r: star_ratio(params, "f", r)),

@@ -23,6 +23,12 @@ the evaluator's cancellation-noise floor makes sign changes unresolvable;
 running past it would report garbage zeros, so the result is flagged
 truncated instead.
 
+Each sign change is refined as one zero, with no check for a multiple one:
+bisection converges on any sign change, and F has only simple zeros at
+z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
+zero throughout).  The series is evaluated only at scan steps and bisection
+midpoints, never at the refined root itself.
+
 find_zeros is the package's one scan and refine_bracket its one bisection,
 which the radius solvers also run on their own equations (see the radii
 module).  refine_bracket decides signs without a noise-floor check.
@@ -34,8 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .equations import ZeroTarget, target_at_origin, target_slope, target_value
-from .errors import ConvergenceError, CoulombDomainError, DegenerateZeroError
+from .equations import ZeroTarget, target_at_origin, target_value
+from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
 from .series import eval_point
 
@@ -79,12 +85,14 @@ class _Refined:
     lo: float
     hi: float
     iterations: int
-    residual: float
 
 
 def refine_bracket(fn: Callable[[float], float], lo: float, hi: float,
                    f_lo: float, tol: float) -> _Refined:
-    """Bisection on a sign-change bracket (only the sign of f_lo is used), 80 steps at most."""
+    """Bisection on a sign-change bracket (only the sign of f_lo is used), 80 steps at most.
+
+    fn is evaluated at the midpoints only; root is the midpoint of the final bracket.
+    """
     iters = 0
     while hi - lo > tol and iters < _BISECT_CAP:
         mid = 0.5 * (lo + hi)
@@ -95,8 +103,7 @@ def refine_bracket(fn: Callable[[float], float], lo: float, hi: float,
             lo = mid
             f_lo = f_mid
         iters += 1
-    root = 0.5 * (lo + hi)
-    return _Refined(root=root, lo=lo, hi=hi, iterations=iters, residual=fn(root))
+    return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
 
 def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
@@ -143,14 +150,7 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
             found.append(t)
             val = -f_prev
         elif (f_prev < 0.0) != (val < 0.0):
-            ref = refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, REFINE_TOL)
-            z = sign * ref.root
-            deriv = target_slope(L, target, z, eval_point(params, z)) * sign
-            if abs(deriv) < 1e-9 and abs(ref.residual) < 1e-9:
-                raise DegenerateZeroError(
-                    f"target and derivative both vanish near {z:.12g}"
-                )
-            found.append(ref.root)
+            found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, REFINE_TOL).root)
         t_prev, f_prev = t, val
         t += share / math.sqrt(1.0 + a / t + b / (t * t))
     return found, truncated

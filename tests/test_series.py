@@ -172,17 +172,25 @@ class TestEvalSeries:
             assert a.p1 == pytest.approx(-b.p1, rel=1e-14)
 
     def test_against_mpmath_recurrence(self):
-        # independent arithmetic: 40-digit mpmath run of the same recurrence
+        # independent arithmetic: 40-digit mpmath run of the same recurrence,
+        # with P' and P'' summed termwise
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        for (L, eta, z) in [(0.3, -1.2, 7.5), (2.5, -2.0, 20.0), (-0.4, -0.25, 3.0), (0.0, 0.0, 30.0)]:
-            Lm, em = mp.mpf(L), mp.mpf(eta)
+        cases = [(0.3, -1.2, 7.5), (2.5, -2.0, 20.0), (-0.4, -0.25, 3.0), (0.0, 0.0, 30.0),
+                 (0.3, -1.2, 1e-200)]
+        for (L, eta, z) in cases:
+            Lm, em, zm = mp.mpf(L), mp.mpf(eta), mp.mpf(z)
             a = [mp.mpf(1), em / (Lm + 1)]
             for n in range(2, 200):
                 a.append((2 * em * a[n - 1] - a[n - 2]) / (n * (n + 2 * Lm + 1)))
-            want = float(sum(ai * mp.mpf(z) ** i for i, ai in enumerate(a)))
+            want = (
+                float(sum(a[n] * zm**n for n in range(200))),
+                float(sum(n * a[n] * zm ** (n - 1) for n in range(1, 200))),
+                float(sum(n * (n - 1) * a[n] * zm ** (n - 2) for n in range(2, 200))),
+            )
             sv = eval_point(CoulombParams(L, eta), z)
-            assert sv.p0 == pytest.approx(want, rel=5e-13)
+            for k, (got, v) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                assert abs(got - v) <= 5e-13 * abs(v) + sv.noise[k], (L, eta, z, k)
 
 
 class TestRatios:

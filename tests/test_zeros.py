@@ -123,6 +123,17 @@ class TestLargeEta:
             assert x == pytest.approx(oracle, abs=1e-12)
             assert x == pytest.approx(want, abs=1e-12)
 
+    def test_simple_zeros_at_large_L_are_not_refused(self):
+        # P = F/(C z^(L+1)) shrinks like z^-(L+1): near 44.74 both P and P' are
+        # below 1e-9, yet F has no multiple zero at z != 0 (u'' + q u = 0), so
+        # every sign change is one simple zero
+        mpmath = pytest.importorskip("mpmath")
+        zs = find_zeros(CoulombParams(10.0, -2.0), "F", 12, 0)
+        assert len(zs.positive) == 12 and not zs.truncated
+        for x in zs.positive:
+            oracle = float(mpmath.findroot(lambda t: mpmath.coulombf(10, -2, t), x))
+            assert x == pytest.approx(oracle, abs=1e-11)
+
     def test_no_zero_skipped_at_eta_minus_100(self):
         zs = find_zeros(CoulombParams(0.0, -100.0), ZeroTarget.F, 12, 0)
         assert len(zs.positive) == 12 and zs.positive[-1] < 1.85
