@@ -9,7 +9,7 @@ with the C-free factors of the series module,
     F'' -> L(L+1) P + 2(L+1) z P' + z^2 P''       (F'' / (C z^(L-1)))
     g   -> z P,    g' -> P + z P',    g'' -> 2 P' + z P''
 
-the module holds the zero targets with their noise floors and slopes, the
+the module holds the zero targets with their noise floors, the
 starlike and convex ratios with their pole thresholds, and the direct
 polynomial forms of the radius equations (see the radii module).
 """
@@ -47,15 +47,6 @@ def target_value(L: float, target: ZeroTarget, z: float, sv: SeriesValue) -> tup
     return val, noise
 
 
-def target_slope(L: float, target: ZeroTarget, z: float, sv: SeriesValue) -> float:
-    """z-derivative of the target's C-free factor."""
-    if target is ZeroTarget.F:
-        return sv.p1
-    if target is ZeroTarget.F_PRIME:
-        return (L + 2.0) * sv.p1 + z * sv.p2
-    return 2.0 * sv.p1 + z * sv.p2
-
-
 def target_at_origin(L: float, target: ZeroTarget) -> float:
     # P(0) = 1, F'-target at 0 is L+1, g'(0) = 1
     if target is ZeroTarget.F_PRIME:
@@ -72,6 +63,10 @@ def g_value(z: float, sv: SeriesValue) -> float:
 
 def g_prime(z: float, sv: SeriesValue) -> float:
     return sv.p0 + z * sv.p1
+
+
+def g_second(z: float, sv: SeriesValue) -> float:
+    return 2.0 * sv.p1 + z * sv.p2
 
 
 # --- starlike and convex ratios ---------------------------------------------------
@@ -97,7 +92,7 @@ def conv_ratio(L: float, kind: str, r: float, sv: SeriesValue) -> float:
     """1 + r g''/g' for kind 'g'; 1 + r F''/F' - (L/(L+1)) r F'/F for kind 'f'."""
     if kind == "g":
         den, noise = target_value(L, ZeroTarget.G_PRIME, r, sv)  # g'(r)
-        num = r * target_slope(L, ZeroTarget.G_PRIME, r, sv)  # r g''(r)
+        num = r * g_second(r, sv)
         if abs(den) <= max(1e-12 * max(abs(num), 1e-30), noise):
             raise PoleError(f"g'(r)=0 within tolerance at r={r:.12g}")
         return 1.0 + num / den

@@ -1,8 +1,8 @@
 """Real-zero localization for F, F' and g', plus interlacing and the
 truncated Weierstrass product.
 
-Targets are reduced to the series factor P (values, noise floors and slopes
-live in the equations module):
+Targets are reduced to the series factor P (values and noise floors live in
+the equations module):
 
     F        -> P(z)                 (the nontrivial zeros; z = 0 excluded)
     F_prime  -> (L+1) P(z) + z P'(z)
