@@ -9,6 +9,7 @@ without --unsafe, 4 numerical failure, 1 failed verify criteria.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import re
@@ -37,9 +38,12 @@ def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     cleaned = re.sub(r"(?<![\d.])j", "1j", cleaned)
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex scalar {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite complex scalar {text!r}")
+    return value
 
 
 def _complex_json(z: complex) -> dict:
@@ -291,10 +295,10 @@ def _run_verify(args) -> tuple[list[dict], list[str], bool]:
         try:
             picks = [int(part) for part in args.criteria.split(",") if part.strip()]
         except ValueError:
-            raise CoulombError(f"bad criteria list {args.criteria!r}")
+            raise ValueError(f"bad criteria list {args.criteria!r}") from None
         bad = [n for n in picks if not 1 <= n <= criterion_count()]
         if bad:
-            raise CoulombError(f"criterion numbers out of range: {bad}")
+            raise ValueError(f"criterion numbers out of range: {bad}")
     results = run_all(picks)
     points = []
     all_ok = True

@@ -27,7 +27,7 @@ raises MonotonicityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import equations
@@ -173,7 +173,7 @@ def radius_starlike(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
 def radius_convex(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     """Radius of convexity of order beta."""
     if query.property is not RadiusProperty.CONVEX:
-        query = replace(query, property=RadiusProperty.CONVEX)
+        raise ValueError("query.property must be convex")
     return _solve(query, form)
 
 

@@ -18,12 +18,12 @@ and the normalization constant C cancels from every ratio used downstream.
 Evaluation runs on double-double pairs (see _ddouble): the series alternates
 and the largest term grows like e^|z| while the value stays O(1), so plain
 doubles lose the low digits long before the tenth zero.  Each term is one
-pair product t_n = a_n z^n; the sums of t_n, n t_n and n(n-1) t_n are P,
-z P' and z^2 P'', divided by z and z^2 once at the end (below |z| = 1e-150,
-where z^2 nears underflow, P' and P'' are read off a_1..a_3).  The
-truncation rule stops once three consecutive terms are negligible against
-each partial sum and a geometric-majorant tail bound, derived from the
-two-term recurrence, sits below DEFAULT_TOL relative to each sum.  Beyond
+pair product t_n = a_n z^n; the sums of t_n and n t_n are P and z P', and
+P'' comes from the Coulomb equation z P'' + 2(L+1) P' + (z - 2 eta) P = 0
+(below |z| = 1e-12, where it cancels ~log10(1/|z|) of the pair's digits,
+P' and P'' are read off a_1..a_3).  Truncation stops once three terms in a
+row are negligible against both sums and a geometric-majorant tail bound
+from the recurrence sits below DEFAULT_TOL relative to each sum.  Beyond
 |z| ~ 55 even the pair format cannot certify results (noise floor
 eps_dd * sum|terms|) and evaluation refuses rather than degrade silently.
 
@@ -55,7 +55,7 @@ EVAL_Z_MAX = 55.0
 
 _EPS = 2.220446049250313e-16
 _TINY = 1e-306
-_SMALL_Z = 1e-150  # below this z*z < 1e-300 nears the end of the normal range
+_SMALL_Z = 1e-12  # below this the Coulomb equation cancels too many digits for P''
 _NOISE_SAFETY = 4.0
 
 
@@ -125,8 +125,8 @@ class SeriesValue:
     """P, P' and P'' at one point, with truncation and noise accounting.
 
     tail_estimate bounds the magnitude of the discarded tail of the P sum
-    (geometric majorant from the recurrence); noise holds the cancellation
-    floor eps_dd * sum|terms| of each of the three sums.
+    (geometric majorant from the recurrence); noise holds the floors
+    eps_dd * sum|terms| of the P and P' sums and their image in P''.
     """
 
     p0: float
@@ -138,7 +138,7 @@ class SeriesValue:
 
 
 def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
-    """Sum P, P', P'' at real z with compensated (double-double) arithmetic."""
+    """Sum P and P' at real z in double-double; P'' from the Coulomb equation."""
     z = float(z)
     if not math.isfinite(z):
         raise ValueError("z must be finite")
@@ -151,40 +151,34 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     az = abs(z)
     pairs = table.a_pairs
 
-    s0 = s1 = s2 = (0.0, 0.0)
-    g0 = g1 = g2 = 0.0
+    s0 = s1 = (0.0, 0.0)
+    g0 = g1 = 0.0
     zn = (1.0, 0.0)
     run = 0
     for n in range(table.n_max + 1):
         t = dd.mul(pairs[n], zn)
         s0 = dd.add(s0, t)
         s1 = dd.add(s1, dd.mul_d(t, float(n)))
-        s2 = dd.add(s2, dd.mul_d(t, float(n * (n - 1))))
         t0m = abs(t[0])
         t1m = n * t0m
-        t2m = (n - 1) * t1m
         g0 += t0m
         g1 += t1m
-        g2 += t2m
 
         small = (
             t0m <= _EPS * abs(s0[0]) + dd.EPS * g0 + _TINY
             and t1m <= _EPS * abs(s1[0]) + dd.EPS * g1 + _TINY
-            and t2m <= _EPS * abs(s2[0]) + dd.EPS * g2 + _TINY
         )
         run = run + 1 if small else 0
         if run >= 3 and n >= 4:
             q = az * (2.0 * abs(eta) + max(1.0, az)) / ((n + 1.0) * (n + 2.0 * L + 2.0))
             if 0.0 <= q < 0.9:
-                qa = q * (n + 3.0) / (n + 1.0)  # covers the derivative sums too
+                qa = q * (n + 3.0) / (n + 1.0)  # covers the derivative sum too
                 fac = qa / (1.0 - qa)
-                tails = (t0m * fac, t1m * fac, t2m * fac)
-                ok = all(
-                    tails[k] <= max(DEFAULT_TOL * abs(s[0]),
+                if all(
+                    tm * fac <= max(DEFAULT_TOL * abs(s[0]),
                                     0.25 * _NOISE_SAFETY * dd.EPS * g, _TINY)
-                    for k, (s, g) in enumerate(((s0, g0), (s1, g1), (s2, g2)))
-                )
-                if ok:
+                    for tm, s, g in ((t0m, s0, g0), (t1m, s1, g1))
+                ):
                     break
         zn = dd.mul_d(zn, z)
     else:
@@ -193,13 +187,14 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
             "regenerate the table with a larger n_max"
         )
     if az >= _SMALL_Z:
-        p1 = dd.to_float(dd.div(s1, (z, 0.0)))
-        p2 = dd.to_float(dd.div(s2, dd.two_prod(z, z)))
+        d1 = dd.div(s1, (z, 0.0))
+        lin = dd.add(dd.mul(dd.two_sum(2.0 * L, 2.0), d1), dd.mul(dd.two_sum(z, -2.0 * eta), s0))
+        p1, p2 = dd.to_float(d1), -dd.to_float(dd.div(lin, (z, 0.0)))
         g1 /= az
-        g2 /= az * az
+        g2 = (abs(2.0 * L + 2.0) * g1 + abs(z - 2.0 * eta) * g0) / az
     else:
-        # z*z is too close to underflow to divide by; to double precision
-        # P' and P'' are their first two terms
+        # the equation cancels ~log10(1/|z|) of the pair's digits here; to
+        # double precision P' and P'' are their first two terms
         _, a1, a2, a3 = table.a[:4]
         p1, p2 = a1 + 2.0 * a2 * z, 2.0 * a2 + 6.0 * a3 * z
         g1 = abs(a1) + abs(2.0 * a2 * z)
@@ -209,7 +204,7 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         p1=p1,
         p2=p2,
         truncation_terms=n + 1,
-        tail_estimate=tails[0],
+        tail_estimate=t0m * fac,
         noise=(
             _NOISE_SAFETY * dd.EPS * g0,
             _NOISE_SAFETY * dd.EPS * g1,

@@ -141,6 +141,16 @@ class TestExitCodes:
                   "--L", "0", "--eta", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["region", "--L", "nan", "--eta", "0"],
+        ["region", "--L", "4+1i", "--eta", "nan", "--disk", "g"],
+    ], ids=["L-nan", "eta-nan"])
+    def test_non_finite_complex_scalar_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "non-finite complex scalar" in capsys.readouterr().err
+
     @pytest.mark.parametrize("knob", [("--tolerance", "1e-10"), ("--n-max", "256")],
                              ids=["tolerance", "n-max"])
     @pytest.mark.parametrize("argv", [
@@ -165,7 +175,11 @@ class TestExitCodes:
         ["bounds", "--kind", "f", "--L", "0", "--eta=-1", "--method", "both", "--m", "4"],
         ["zeros", "--L", "0", "--eta", "0", "--count-pos", "-1"],
         ["region", "--L", "1", "--eta", "0", "--disk", "g", "--grid-n", "8"],
-    ], ids=["bounds-m3", "closed-form-m4", "both-m4", "negative-count", "grid-n-8"])
+        ["verify", "--criteria", "13"],
+        ["verify", "--criteria", "0"],
+        ["verify", "--criteria", "x"],
+    ], ids=["bounds-m3", "closed-form-m4", "both-m4", "negative-count", "grid-n-8",
+            "criteria-13", "criteria-0", "criteria-x"])
     def test_rejected_argument_values_are_usage_errors(self, argv, capsys):
         # the library's ValueError on a user value is a usage error, not a traceback
         code, out, err = run_cli(capsys, *argv)

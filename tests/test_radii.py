@@ -77,6 +77,11 @@ class TestConvex:
         with pytest.raises(CoulombDomainError):
             radius_convex(RadiusQuery(CoulombParams(-0.7, -1.0), "f", "convex", 0.0))
 
+    @pytest.mark.parametrize("prop", ["starlike", "univalent"])
+    def test_rejects_a_non_convex_query(self, prop):
+        with pytest.raises(ValueError):
+            radius_convex(RadiusQuery(P00, "g", prop, 0.0))
+
 
 class TestUnivalence:
     def test_sine_is_pi_half(self):

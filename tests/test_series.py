@@ -177,7 +177,8 @@ class TestEvalSeries:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         cases = [(0.3, -1.2, 7.5), (2.5, -2.0, 20.0), (-0.4, -0.25, 3.0), (0.0, 0.0, 30.0),
-                 (0.3, -1.2, 1e-200)]
+                 (0.3, -1.2, 1e-200), (0.3, -1.2, 1e-11), (0.3, -1.2, 1e-4), (1.5, -12.0, 2.0),
+                 (0.5, -1.0, -7.5), (0.0, -100.0, 1.0), (4.0, -3.0, 40.0)]
         for (L, eta, z) in cases:
             Lm, em, zm = mp.mpf(L), mp.mpf(eta), mp.mpf(z)
             a = [mp.mpf(1), em / (Lm + 1)]
