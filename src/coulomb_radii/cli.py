@@ -12,6 +12,7 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import re
 import sys
 
@@ -28,9 +29,12 @@ from .zeros import ZeroTarget, find_zeros
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"non-finite value in numeric list {text!r}")
+    return values
 
 
 def _parse_complex(text: str) -> complex:

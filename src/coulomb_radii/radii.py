@@ -3,9 +3,11 @@
 For L > -1, eta <= 0 each defining ratio decreases strictly from 1 at the
 origin to -inf at x1, the first positive zero of the relevant denominator
 (F for starlikeness, F' or g' for convexity).  So [0, x1] is a proven
-sign-change bracket, and every radius is the one bisection of the zeros
-module (refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa; no
-derivative iteration is used anywhere.  x1 is reported as the domain cap.
+sign-change bracket, and every radius is the one ITP root finder of the
+zeros module (refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa;
+no derivative iteration is used anywhere.  The solver starts from the
+equation's value at r = 0 and from -inf at x1, where it takes midpoint
+steps until both ends are finite.  x1 is reported as the domain cap.
 The equations, written on the series factor P:
 
     starlike, kind g:  r g'/g = beta            <=>  r P' + (1-beta) P = 0
@@ -19,8 +21,8 @@ Each solver can run either on the decreasing ratio ("ratio" form) or on the
 polynomial combination above ("direct" form); the two roots agreeing is one
 of the acceptance checks.  Both forms live in the equations module.  The
 univalence radius is the starlikeness radius at beta = 0 and goes through
-the same bisection as every other beta.  Under unsafe parameters the decrease
-is not proven; it is checked on the points the bisection visits, and a rise
+the same solver as every other beta.  Under unsafe parameters the decrease
+is not proven; it is checked on the points the solver visits, and a rise
 raises MonotonicityError.
 """
 
@@ -137,19 +139,19 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
         probes.append((r, v))
         return v - level
 
-    # fn > 0 at 0+ (each ratio starts at 1, above its level) and < 0 below the
+    # fn > 0 at 0 (each ratio starts at 1, above its level) and < 0 below the
     # cap (the ratio falls to -inf; a direct form has the sign of ratio - level)
-    ref = refine_bracket(fn, 0.0, cap, 1.0, _ABSCISSA_TOL * max(1.0, cap))
+    ref = refine_bracket(fn, 0.0, cap, fn(0.0), -math.inf, _ABSCISSA_TOL * max(1.0, cap))
     residual = fn(ref.root)
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
-        # verify it on the points the bisection visited instead of assuming
+        # verify it on the points the solver visited instead of assuming
         probes.sort()
         for (r1, v1), (r2, v2) in zip(probes, probes[1:]):
             if v2 > v1 + 1e-9 * max(1.0, abs(v1)):
                 raise MonotonicityError(
                     f"ratio increases between r={r1:.6g} and r={r2:.6g}; "
-                    "bisection is not certified for these parameters"
+                    "the solver is not certified for these parameters"
                 )
     return RadiusResult(
         value=ref.root,

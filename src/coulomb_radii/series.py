@@ -126,7 +126,9 @@ class SeriesValue:
 
     tail_estimate bounds the magnitude of the discarded tail of the P sum
     (geometric majorant from the recurrence); noise holds the floors
-    eps_dd * sum|terms| of the P and P' sums and their image in P''.
+    eps_dd * sum|terms| of the P and P' sums and their image in P''
+    (below |z| = 1e-12, where P' and P'' are formed in doubles, the P' and
+    P'' floors use the double eps).
     """
 
     p0: float
@@ -192,13 +194,16 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         p1, p2 = dd.to_float(d1), -dd.to_float(dd.div(lin, (z, 0.0)))
         g1 /= az
         g2 = (abs(2.0 * L + 2.0) * g1 + abs(z - 2.0 * eta) * g0) / az
+        eps12 = dd.EPS
     else:
         # the equation cancels ~log10(1/|z|) of the pair's digits here; to
-        # double precision P' and P'' are their first two terms
+        # double precision P' and P'' are their first two terms, formed in
+        # doubles, so their floors are double ones
         _, a1, a2, a3 = table.a[:4]
         p1, p2 = a1 + 2.0 * a2 * z, 2.0 * a2 + 6.0 * a3 * z
         g1 = abs(a1) + abs(2.0 * a2 * z)
         g2 = abs(2.0 * a2) + abs(6.0 * a3 * z)
+        eps12 = _EPS
     return SeriesValue(
         p0=dd.to_float(s0),
         p1=p1,
@@ -207,8 +212,8 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         tail_estimate=t0m * fac,
         noise=(
             _NOISE_SAFETY * dd.EPS * g0,
-            _NOISE_SAFETY * dd.EPS * g1,
-            _NOISE_SAFETY * dd.EPS * g2,
+            _NOISE_SAFETY * eps12 * g1,
+            _NOISE_SAFETY * eps12 * g2,
         ),
     )
 

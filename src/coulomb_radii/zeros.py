@@ -9,7 +9,8 @@ the equations module):
     g_prime  -> P(z) + z P'(z)
 
 Zeros are swept outward from the origin, bracketed by sign change, and
-refined by plain bisection; no derivative iteration anywhere.  The negative
+refined by ITP (interpolate, truncate, project; see refine_bracket), which
+keeps the bracket; no derivative iteration anywhere.  The negative
 axis reuses the same code path through the reflected function z -> P(-z),
 which is P at -eta.  The step comes from the Coulomb equation
 u'' + q u = 0, q(t) = 1 - 2 eta/t - L(L+1)/t^2 (DLMF 33.2): on [t, inf) q
@@ -24,14 +25,14 @@ running past it would report garbage zeros, so the result is flagged
 truncated instead.
 
 Each sign change is refined as one zero, with no check for a multiple one:
-bisection converges on any sign change, and F has only simple zeros at
+ITP converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
-zero throughout).  The series is evaluated only at scan steps and bisection
-midpoints, never at the refined root itself.
+zero throughout).  The series is evaluated only at scan steps and ITP steps,
+never at the refined root itself.
 
-find_zeros is the package's one scan and refine_bracket its one bisection,
-which the radius solvers also run on their own equations (see the radii
-module).  refine_bracket decides signs without a noise-floor check.
+find_zeros is the package's one scan and refine_bracket its one bracketed
+root finder, which the radius solvers also run on their own equations (see
+the radii module).  refine_bracket decides signs without a noise-floor check.
 """
 
 from __future__ import annotations
@@ -88,20 +89,43 @@ class _Refined:
 
 
 def refine_bracket(fn: Callable[[float], float], lo: float, hi: float,
-                   f_lo: float, tol: float) -> _Refined:
-    """Bisection on a sign-change bracket (only the sign of f_lo is used), 80 steps at most.
+                   f_lo: float, f_hi: float, tol: float) -> _Refined:
+    """ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on a sign-change bracket.
 
-    fn is evaluated at the midpoints only; root is the midpoint of the final bracket.
+    f_lo and f_hi are fn at the ends, of opposite signs.  Each step evaluates
+    fn once: at the regula falsi point, moved towards the midpoint by
+    k1 (hi-lo)^k2 (k1 = 0.2 over the first width, k2 = 2), kept tol/4 inside
+    the bracket, then projected into the ball around the midpoint that keeps
+    the bisection worst case plus n0 = 1 step: ceil(log2(width/tol)) + 1.
+    While an end value is infinite (a pole counted as one side) the step is
+    the midpoint.  Stops once hi - lo <= tol or after 80 steps; root is the
+    midpoint of the final bracket.
     """
+    width = hi - lo
+    n_max = math.ceil(math.log2(width / tol)) + 1 if width > tol else 0
+    # projections aim a few ulps inside tol, so rounding cannot cost a step
+    aim = max(tol - 4.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
     iters = 0
     while hi - lo > tol and iters < _BISECT_CAP:
         mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
+        x = mid
+        if math.isfinite(f_lo) and math.isfinite(f_hi):
+            x_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            sigma = math.copysign(1.0, mid - x_f)
+            delta = 0.2 * (hi - lo) ** 2 / width
+            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+            # once the interpolant sits on an end, where rounding would repeat
+            # it, a step tol/4 inside closes the bracket around that end
+            x_t = min(max(x_t, lo + 0.25 * tol), hi - 0.25 * tol)
+            r = aim * 2.0 ** (n_max - iters - 1) - 0.5 * (hi - lo)
+            x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        f_x = fn(x)
+        if f_x == 0.0:
+            lo = hi = x
+        elif (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
         else:
-            lo = mid
-            f_lo = f_mid
+            hi, f_hi = x, f_x
         iters += 1
     return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
@@ -150,7 +174,8 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
             found.append(t)
             val = -f_prev
         elif (f_prev < 0.0) != (val < 0.0):
-            found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, REFINE_TOL).root)
+            found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, val,
+                                        REFINE_TOL).root)
         t_prev, f_prev = t, val
         t += share / math.sqrt(1.0 + a / t + b / (t * t))
     return found, truncated
@@ -160,9 +185,9 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
                count_neg: int) -> ZeroSet:
     """First count_pos positive and count_neg negative zeros; none skipped for F.
 
-    Bisection-refined to REFINE_TOL on the abscissa.  If a requested count is
-    not reachable within the scan horizon (or the evaluator's precision
-    horizon), the partial result carries truncated=True.
+    Refined by refine_bracket to REFINE_TOL on the abscissa.  If a requested
+    count is not reachable within the scan horizon (or the evaluator's
+    precision horizon), the partial result carries truncated=True.
     """
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:

@@ -151,6 +151,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-finite complex scalar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--L", "nan", "--eta", "0", "--z", "1"],
+        ["zeros", "--L", "0", "--eta=-inf"],
+        ["radius", "--kind", "g", "--property", "starlike", "--L", "nan", "--eta", "0"],
+        ["bounds", "--kind", "g", "--L", "0", "--eta", "inf"],
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_float_list_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "non-finite value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("knob", [("--tolerance", "1e-10"), ("--n-max", "256")],
                              ids=["tolerance", "n-max"])
     @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coulomb_radii import CoulombDomainError, CoulombParams
+from coulomb_radii import CoulombDomainError, CoulombParams, series
 from coulomb_radii.radii import (
     Kind,
     RadiusProperty,
@@ -141,7 +141,8 @@ class TestProperties:
             q = RadiusQuery(params, kind, "starlike", 0.0)
             ratio = radius(q, form="ratio")
             assert ratio.value < ratio.domain_cap
-            assert ratio.value == radius(q, form="direct").value
+            direct = radius(q, form="direct").value
+            assert abs(ratio.value - direct) <= 1e-13 * max(1.0, ratio.value)
 
     def test_univalence_equals_starlike_at_beta_zero(self):
         params = CoulombParams(1.0, -1.0)
@@ -149,6 +150,27 @@ class TestProperties:
             st = radius_starlike(RadiusQuery(params, kind, "starlike", 0.0))
             un = radius_univalence(params, kind)
             assert un.value == pytest.approx(st.value, abs=1e-11)
+
+
+class TestEvaluationCounts:
+    def test_series_evaluations_per_radius(self, monkeypatch):
+        # deterministic gate on the solver: the cap scan, the origin value,
+        # the ITP steps and the residual, over every query shape at (0.5, -1)
+        calls = []
+        eval_series = series.eval_series
+        monkeypatch.setattr(series, "eval_series",
+                            lambda table, z: calls.append(z) or eval_series(table, z))
+        params = CoulombParams(0.5, -1.0)
+        counts = []
+        for kind in ("f", "g"):
+            for prop in ("starlike", "convex", "univalent"):
+                for beta in (0.0, 0.5):
+                    for form in ("ratio", "direct"):
+                        calls.clear()
+                        radius(RadiusQuery(params, kind, prop, beta), form=form)
+                        counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 30
+        assert max(counts) <= 45
 
 
 class TestLargeEta:

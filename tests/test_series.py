@@ -193,6 +193,24 @@ class TestEvalSeries:
             for k, (got, v) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
                 assert abs(got - v) <= 5e-13 * abs(v) + sv.noise[k], (L, eta, z, k)
 
+    def test_small_z_floors_cover_the_double_error(self):
+        # below |z| = 1e-12 P' and P'' are formed in doubles from a_1..a_3, so
+        # their floors must cover double rounding, not the pair's (50 digits)
+        mp = pytest.importorskip("mpmath")
+        L, eta, z = 0.3, -1.2, 5e-13
+        sv = eval_point(CoulombParams(L, eta), z)
+        with mp.workdps(50):
+            Lm, em, zm = mp.mpf(L), mp.mpf(eta), mp.mpf(z)
+            a = [mp.mpf(1), em / (Lm + 1)]
+            for n in range(2, 40):
+                a.append((2 * em * a[n - 1] - a[n - 2]) / (n * (n + 2 * Lm + 1)))
+            errors = (
+                abs(sv.p1 - sum(n * a[n] * zm ** (n - 1) for n in range(1, 40))),
+                abs(sv.p2 - sum(n * (n - 1) * a[n] * zm ** (n - 2) for n in range(2, 40))),
+            )
+        assert errors[0] <= sv.noise[1]
+        assert errors[1] <= sv.noise[2]
+
 
 class TestRatios:
     def test_star_g_cotangent(self):

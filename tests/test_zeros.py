@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from coulomb_radii import CoulombParams, bessel_j
+from coulomb_radii import CoulombParams, bessel_j, series
 from coulomb_radii.zeros import (
     ZeroTarget,
     find_zeros,
     interlacing_check,
     product_eval,
+    refine_bracket,
     symmetric_zero_set,
 )
 
@@ -110,6 +111,42 @@ class TestFindZeros:
         zs = find_zeros(P00, ZeroTarget.G_PRIME, 1, 0)
         assert zs.positive[0] == pytest.approx(math.pi / 2.0, abs=1e-10)
         assert zs.negative == () and not zs.truncated
+
+
+class TestRefineBracket:
+    """ITP keeps the sign-change bracket and bisection's worst case plus one step."""
+
+    # (f, lo, hi, root): a sign step (interpolation has nothing to use), a
+    # flat root where regula falsi crawls, and -inf at or near hi (a pole)
+    CASES = {
+        "sign-step": (lambda x: 1.0 if x < 1.0 / 3.0 else -1.0, 0.0, 1.0, 1.0 / 3.0),
+        "x9": (lambda x: x ** 9 - 0.5, 0.0, 2.0, 0.5 ** (1.0 / 9.0)),
+        "pole-at-hi": (lambda x: 1.0 - x / (1.0 - x) if x < 1.0 else -math.inf, 0.0, 1.0, 0.5),
+        "inf-near-hi": (lambda x: 0.2 - x if x <= 0.9 else -math.inf, 0.0, 1.0, 0.2),
+    }
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-13])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_worst_case_bracket_and_root(self, name, tol):
+        f, lo, hi, root = self.CASES[name]
+        calls = []
+        ref = refine_bracket(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi), tol)
+        assert ref.iterations == len(calls)
+        assert ref.iterations <= math.ceil(math.log2((hi - lo) / tol)) + 1
+        assert lo <= ref.lo <= ref.hi <= hi and ref.hi - ref.lo <= tol
+        f_lo, f_hi = f(ref.lo), f(ref.hi)
+        assert 0.0 in (f_lo, f_hi) or (f_lo < 0.0) != (f_hi < 0.0)
+        assert abs(ref.root - root) <= tol
+
+    def test_find_zeros_evaluation_count(self, monkeypatch):
+        # deterministic gate: 48 scan steps plus the ITP steps of 20 zeros
+        calls = []
+        eval_series = series.eval_series
+        monkeypatch.setattr(series, "eval_series",
+                            lambda table, z: calls.append(z) or eval_series(table, z))
+        zs = find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
+        assert len(zs.positive) == len(zs.negative) == 10
+        assert len(calls) <= 300
 
 
 class TestLargeEta:
