@@ -60,6 +60,10 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"bounds-{kind}-{method}-m{m}"] = [
                     "bounds", "--kind", kind, "--L", "0,0.5", "--eta=-1",
                     "--method", method, "--m", m]
+    # the interlacing chain and the truncated product; criterion 2 stays out,
+    # since its series-vs-Bessel error sits at the ulp level of the libm
+    cases["verify-interlacing-product-json"] = [
+        "verify", "--criteria", "7,11", "--output", "json"]
     return cases
 
 
