@@ -14,12 +14,10 @@ from .params import CoulombParams
 from .series import (
     CoefficientTable,
     SeriesValue,
-    bessel_j,
     coefficients,
     conv_ratio,
     eval_point,
     eval_series,
-    normalization_constant,
     star_ratio,
 )
 
@@ -33,12 +31,10 @@ __all__ = [
     "MonotonicityError",
     "PoleError",
     "SeriesValue",
-    "bessel_j",
     "coefficients",
     "conv_ratio",
     "eval_point",
     "eval_series",
-    "normalization_constant",
     "star_ratio",
 ]
 

@@ -34,7 +34,6 @@ queries at one parameter pair build the table once.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -128,7 +127,10 @@ class SeriesValue:
     (geometric majorant from the recurrence); noise holds the floors
     eps_dd * sum|terms| of the P and P' sums and their image in P''
     (below |z| = 1e-12, where P' and P'' are formed in doubles, the P' and
-    P'' floors use the double eps).
+    P'' floors use the double eps).  The floors bound cancellation in the
+    pair sums only, not the final rounding of p0, p1, p2 to doubles: at
+    (L, eta) = (0.3, -1.2), z = 5e-13, p0 is off by 1.9e-17 while noise[0]
+    is 2.0e-31.  A bound on the returned values adds half an ulp of each.
     """
 
     p0: float
@@ -260,115 +262,6 @@ def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
     The f-form is certified only for L > -1/2 (unsafe params may override).
     """
     _check_ratio_args(kind, r)
-    if kind == "f" and params.L <= -0.5 and not params.unsafe:
+    if kind == "f" and not params.supports_f_convexity() and not params.unsafe:
         raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
     return equations.conv_ratio(params.L, kind, r, eval_point(params, r))
-
-
-# --- normalization constant -------------------------------------------------
-
-# Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set);
-# relative error below 1e-13 on Re z > 0, which is all this package needs.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def lngamma_complex(z: complex) -> complex:
-    """log Gamma on Re z > 0 via the Lanczos sum."""
-    z = complex(z)
-    if z.real <= 0.0:
-        raise ValueError("lngamma_complex requires Re z > 0")
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def normalization_constant(L: float, eta: float) -> float:
-    """C_L(eta) = 2^L e^{-pi eta/2} |Gamma(L+1+i eta)| / Gamma(2L+2).
-
-    Integer L uses the finite-product form; non-integer L goes through the
-    complex log-gamma magnitude.  Only used for display and cross-checks: the
-    constant cancels in every radius equation.
-    """
-    L = float(L)
-    eta = float(eta)
-    if not L > -1.0:
-        raise CoulombDomainError("normalization_constant requires L > -1")
-    if L.is_integer():
-        Li = int(L)
-        if eta == 0.0:
-            return 2.0**Li * math.factorial(Li) / math.factorial(2 * Li + 1)
-        prod = 1.0
-        for k in range(Li + 1):
-            prod *= k * k + eta * eta
-        # eta*(e^{2 pi eta}-1) > 0 for all real eta != 0
-        return (2.0**Li / math.factorial(2 * Li + 1)) * math.sqrt(
-            2.0 * math.pi * prod / (eta * math.expm1(2.0 * math.pi * eta))
-        )
-    re_lg = lngamma_complex(complex(L + 1.0, eta)).real
-    return math.exp(
-        L * math.log(2.0) - math.pi * eta / 2.0 + re_lg - math.lgamma(2.0 * L + 2.0)
-    )
-
-
-# --- Bessel oracle ----------------------------------------------------------
-
-def bessel_j(nu: float, x: float, *, tol: float = 1e-14) -> float:
-    """Ascending-series Bessel function of the first kind (oracle path).
-
-    Independent of the Coulomb series code: used to cross-check the eta = 0
-    collapse F_{L,0}(z) = sqrt(pi z/2) J_{L+1/2}(z).  Accurate in plain
-    doubles for the desk-scale arguments (x <~ 10) exercised here.
-    """
-    nu = float(nu)
-    x = float(x)
-    if not nu > -1.0:
-        raise ValueError("bessel_j requires nu > -1")
-    if x < 0.0:
-        raise ValueError("bessel_j requires x >= 0")
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        raise ValueError("x = 0 diverges for nu < 0")
-    term = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-    q = 0.25 * x * x
-    s = term
-    comp = 0.0  # Neumaier compensation
-    run = 0
-    for k in range(400):
-        term = -term * q / ((k + 1.0) * (k + 1.0 + nu))
-        t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-        ratio = q / ((k + 2.0) * (k + 2.0 + nu))
-        if abs(term) <= _EPS * abs(s) + _TINY:
-            run += 1
-            if run >= 3 and ratio < 0.9:
-                if abs(term) * ratio / (1.0 - ratio) <= max(tol * abs(s), _TINY):
-                    return s + comp
-        else:
-            run = 0
-    raise ConvergenceError(f"bessel_j series did not converge at nu={nu}, x={x}")

@@ -3,11 +3,12 @@
 Every check is oracle- or property-based at desk scale.  Oracles here are
 deliberately independent of the series pipeline: elementary-function
 bisection (sin, cos, tan), the ascending Bessel series, hand-derived
-rational values, and analytic zero lists.  One check (printed versus
-extracted order-3 Rayleigh sums) verifies a documented discrepancy: it
-passes when the disagreement is present and annotated, since the printed
-cubic is the odd one out against both extraction and the intermediate
-convolution identities.
+rational values, and analytic zero lists.  Their helpers (bessel_j, the
+interlacing chain, the truncated Weierstrass product) live here and nowhere
+else in the package.  One check (printed versus extracted order-3 Rayleigh
+sums) verifies a documented discrepancy: it passes when the disagreement is
+present and annotated, since the printed cubic is the odd one out against
+both extraction and the intermediate convolution identities.
 """
 
 from __future__ import annotations
@@ -15,18 +16,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .equations import g_value
+from .errors import ConvergenceError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius, radius_convex, radius_starlike, radius_univalence
 from .rayleigh import Family, SumMethod, euler_rayleigh_bounds, sums
-from .series import bessel_j, conv_ratio, eval_point, star_ratio
+from .series import conv_ratio, eval_point, star_ratio
 from .subordination import axis_minimum_gap, disk_min_real
-from .zeros import ZeroTarget, find_zeros, interlacing_check, product_eval, symmetric_zero_set
+from .zeros import ZeroSet, ZeroTarget, find_zeros
 
 GRID_L = (-0.4, 0.0, 0.5, 1.0, 2.5)
 GRID_ETA = (-2.0, -1.0, -0.25, 0.0)
+
+# double epsilon and underflow guard of the Bessel oracle's stopping rule
+_EPS = 2.220446049250313e-16
+_TINY = 1e-306
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,73 @@ def _oracle_bisect(f: Callable[[float], float], lo: float, hi: float, iters: int
             lo = mid
             flo = f(lo)
     return 0.5 * (lo + hi)
+
+
+def bessel_j(nu: float, x: float, *, tol: float = 1e-14) -> float:
+    """Ascending-series Bessel function of the first kind (oracle path).
+
+    Independent of the Coulomb series code: used to cross-check the eta = 0
+    collapse F_{L,0}(z) = sqrt(pi z/2) J_{L+1/2}(z).  Accurate in plain
+    doubles for the desk-scale arguments (x <~ 10) exercised here.
+    """
+    nu = float(nu)
+    x = float(x)
+    if not nu > -1.0:
+        raise ValueError("bessel_j requires nu > -1")
+    if x < 0.0:
+        raise ValueError("bessel_j requires x >= 0")
+    if x == 0.0:
+        if nu == 0.0:
+            return 1.0
+        if nu > 0.0:
+            return 0.0
+        raise ValueError("x = 0 diverges for nu < 0")
+    term = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
+    q = 0.25 * x * x
+    s = term
+    comp = 0.0  # Neumaier compensation
+    run = 0
+    for k in range(400):
+        term = -term * q / ((k + 1.0) * (k + 1.0 + nu))
+        t = s + term
+        if abs(s) >= abs(term):
+            comp += (s - t) + term
+        else:
+            comp += (term - t) + s
+        s = t
+        ratio = q / ((k + 2.0) * (k + 2.0 + nu))
+        if abs(term) <= _EPS * abs(s) + _TINY:
+            run += 1
+            if run >= 3 and ratio < 0.9:
+                if abs(term) * ratio / (1.0 - ratio) <= max(tol * abs(s), _TINY):
+                    return s + comp
+        else:
+            run = 0
+    raise ConvergenceError(f"bessel_j series did not converge at nu={nu}, x={x}")
+
+
+def _interlaced(zf: ZeroSet, zd: ZeroSet) -> bool:
+    """x'_1 < x_1 < x'_2 < x_2 < ... by modulus on each side, for the zeros x of F
+    in zf and x' of a derivative target in zd, as far as both lists reach."""
+    for x, xd in ((zf.positive, zd.positive), (zf.negative, zd.negative)):
+        n = min(len(x), len(xd))
+        chain = [abs(v) for pair in zip(xd, x) for v in pair] + [abs(v) for v in xd[n:n + 1]]
+        if not all(a < b for a, b in zip(chain, chain[1:])):
+            return False
+    return True
+
+
+def _product(params: CoulombParams, positive: Sequence[float],
+             negative: Sequence[float], z: float, K: int) -> float:
+    """Truncated C-free Weierstrass product for g over the first K zeros per side:
+
+        z e^{eta z/(L+1)} prod_{n<=K} (1 - z/rho_n) e^{z/rho_n}
+    """
+    value = z * math.exp(params.eta * z / (params.L + 1.0))
+    for x, y in zip(positive[:K], negative[:K]):
+        value *= (1.0 - z / x) * math.exp(z / x)
+        value *= (1.0 - z / y) * math.exp(z / y)
+    return value
 
 
 def _grid(eta_filter: Callable[[float], bool] = lambda e: True) -> list[CoulombParams]:
@@ -185,11 +258,9 @@ def _interlacing() -> CriterionResult:
     for L in (0.0, 0.5, 1.0):
         for eta in (-1.0, 0.0):
             params = CoulombParams(L, eta)
-            report = interlacing_check(
-                find_zeros(params, ZeroTarget.F, 4, 4),
-                find_zeros(params, ZeroTarget.F_PRIME, 4, 4),
-            )
-            if not (report.ok and report.pairs_checked >= 4):
+            zf = find_zeros(params, ZeroTarget.F, 4, 4)
+            zd = find_zeros(params, ZeroTarget.F_PRIME, 4, 4)
+            if zf.truncated or zd.truncated or not _interlaced(zf, zd):
                 ok = False
                 failures.append(f"(L={L}, eta={eta})")
     return CriterionResult(
@@ -269,10 +340,11 @@ def _disk_positivity() -> CriterionResult:
 
 def _product_vs_series() -> CriterionResult:
     p00 = CoulombParams(0.0, 0.0)
-    zs = symmetric_zero_set(p00, [n * math.pi for n in range(1, 801)])
+    zeros = [n * math.pi for n in range(1, 801)]
+    mirrored = [-x for x in zeros]
     errs = {}
     for K in (100, 200, 400, 800):
-        value, _ = product_eval(zs, p00, 1.0, K)
+        value = _product(p00, zeros, mirrored, 1.0, K)
         errs[K] = abs(value - math.sin(1.0)) / math.sin(1.0)
     contraction_ok = all(
         errs[2 * K] <= 0.75 * errs[K] for K in (100, 200, 400)

@@ -1,5 +1,4 @@
-"""Real-zero localization for F, F' and g', plus interlacing and the
-truncated Weierstrass product.
+"""Real-zero localization for F, F' and g'.
 
 Targets are reduced to the series factor P (values and noise floors live in
 the equations module):
@@ -67,17 +66,6 @@ class ZeroSet:
     negative: tuple[float, ...]
     refine_tol: float
     truncated: bool = False
-
-
-@dataclass(frozen=True)
-class InterlacingReport:
-    ok: bool
-    positive_ok: bool
-    negative_ok: bool
-    pairs_checked: int
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -201,80 +189,4 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
         negative=tuple(-m for m in neg_mod),
         refine_tol=REFINE_TOL,
         truncated=trunc_pos or trunc_neg,
-    )
-
-
-def interlacing_check(zf: ZeroSet, zfp: ZeroSet) -> InterlacingReport:
-    """x'_1 < x_1 < x'_2 < x_2 < ... and the mirrored chain on the negative side.
-
-    Requires both sets from identical params with L > -1/2, targets F and
-    F_prime, and at least two zeros per side in each set.
-    """
-    if zf.params != zfp.params:
-        raise ValueError("interlacing_check requires identical params")
-    if zf.target is not ZeroTarget.F or zfp.target is not ZeroTarget.F_PRIME:
-        raise ValueError("interlacing_check expects targets (F, F_prime)")
-    if zf.params.L <= -0.5:
-        raise ValueError("interlacing holds for L > -1/2 only")
-    if min(len(zf.positive), len(zfp.positive), len(zf.negative), len(zfp.negative)) < 2:
-        raise ValueError("need at least 2 zeros per side on both targets")
-
-    def chain(x: tuple[float, ...], xp: tuple[float, ...]) -> tuple[bool, int]:
-        n = min(len(x), len(xp))
-        ok = all(xp[i] < x[i] for i in range(n)) and all(
-            x[i] < xp[i + 1] for i in range(n - 1)
-        )
-        return ok, n
-
-    pos_ok, n_pos = chain(zf.positive, zfp.positive)
-    neg_ok, n_neg = chain(
-        tuple(-y for y in zf.negative), tuple(-y for y in zfp.negative)
-    )
-    return InterlacingReport(
-        ok=pos_ok and neg_ok,
-        positive_ok=pos_ok,
-        negative_ok=neg_ok,
-        pairs_checked=min(n_pos, n_neg),
-    )
-
-
-def product_eval(zero_set: ZeroSet, params: CoulombParams, z: float, K: int) -> tuple[float, int]:
-    """Truncated C-free Weierstrass product for g:
-
-        z e^{eta z/(L+1)} prod_{n<=K} (1 - z/rho_n) e^{z/rho_n}
-
-    over the first K zeros on each sign list.  Returns (value, pairs_used).
-    """
-    if zero_set.target is not ZeroTarget.F:
-        raise ValueError("product_eval needs zeros of F")
-    if zero_set.params != params:
-        raise ValueError("params do not match the zero set")
-    if K < 0 or K > len(zero_set.positive) or K > len(zero_set.negative):
-        raise ValueError(f"need K={K} zeros available on each side")
-    value = z * math.exp(params.eta * z / (params.L + 1.0))
-    for n in range(K):
-        x = zero_set.positive[n]
-        y = zero_set.negative[n]
-        value *= (1.0 - z / x) * math.exp(z / x)
-        value *= (1.0 - z / y) * math.exp(z / y)
-    return value, K
-
-
-def symmetric_zero_set(params: CoulombParams,
-                       abscissas: list[float] | tuple[float, ...]) -> ZeroSet:
-    """ZeroSet of F built from known positive abscissas mirrored to z < 0.
-
-    Only meaningful at eta = 0 where the zeros are symmetric; lets analytic
-    zero lists (e.g. n pi for L = 0) feed product_eval beyond the range the
-    series evaluator can certify.
-    """
-    if params.eta != 0.0:
-        raise ValueError("symmetric zero sets require eta = 0")
-    pos = tuple(sorted(float(x) for x in abscissas))
-    return ZeroSet(
-        params=params,
-        target=ZeroTarget.F,
-        positive=pos,
-        negative=tuple(-x for x in pos),
-        refine_tol=REFINE_TOL,
     )

@@ -1,4 +1,4 @@
-"""Series core: coefficients, evaluation, ratios, normalization, Bessel oracle."""
+"""Series core: coefficients, evaluation, ratios; the series against the Bessel oracle."""
 
 import math
 import sys
@@ -15,14 +15,13 @@ from coulomb_radii import (
     CoulombParams,
     DegenerateRecurrenceError,
     PoleError,
-    bessel_j,
     coefficients,
     conv_ratio,
     eval_point,
     eval_series,
-    normalization_constant,
     star_ratio,
 )
+from coulomb_radii.verify import bessel_j
 
 P00 = CoulombParams(0.0, 0.0)
 P0M1 = CoulombParams(0.0, -1.0)
@@ -270,34 +269,6 @@ class TestRatios:
         lhs = star_ratio(params, "f", r)
         rhs = (L + star_ratio(params, "g", r)) / (L + 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
-
-
-class TestNormalizationConstant:
-    def test_integer_eta_zero(self):
-        assert normalization_constant(0.0, 0.0) == 1.0
-        assert normalization_constant(1.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-    def test_eta_branch_value(self):
-        want = math.sqrt(2.0 * math.pi / (1.0 - math.exp(-2.0 * math.pi)))
-        got = normalization_constant(0.0, -1.0)
-        assert got == pytest.approx(want, rel=1e-13)
-        assert got == pytest.approx(2.50897205016855, rel=1e-12)
-
-    @pytest.mark.parametrize("L", [0.5, 1.5, 0.25, 2.75])
-    def test_duplication_form_at_eta_zero(self, L):
-        # C_L(0)^{-1} = 2^{L+1} Gamma(L+3/2) / sqrt(pi)
-        dup = math.sqrt(math.pi) / (2.0 ** (L + 1.0) * math.exp(math.lgamma(L + 1.5)))
-        assert normalization_constant(L, 0.0) == pytest.approx(dup, rel=1e-12)
-
-    def test_integer_product_matches_gamma_route(self):
-        # dual route: finite product vs |Gamma| via the non-integer branch
-        got_prod = normalization_constant(2.0, -0.75)
-        got_gamma = normalization_constant(2.0 + 1e-13, -0.75)
-        assert got_prod == pytest.approx(got_gamma, rel=1e-9)
-
-    def test_requires_L_above_minus_one(self):
-        with pytest.raises(CoulombDomainError):
-            normalization_constant(-1.2, 0.0)
 
 
 class TestBesselOracle:

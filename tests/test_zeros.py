@@ -1,18 +1,14 @@
-"""Zero localization, interlacing, and the truncated Weierstrass product."""
+"""Zero localization; the found zeros against the interlacing chain and the
+truncated Weierstrass product of the acceptance matrix."""
 
+import dataclasses
 import math
 
 import pytest
 
-from coulomb_radii import CoulombParams, bessel_j, series
-from coulomb_radii.zeros import (
-    ZeroTarget,
-    find_zeros,
-    interlacing_check,
-    product_eval,
-    refine_bracket,
-    symmetric_zero_set,
-)
+from coulomb_radii import CoulombParams, series
+from coulomb_radii.verify import _interlaced, _product, bessel_j
+from coulomb_radii.zeros import ZeroTarget, find_zeros, refine_bracket
 
 P00 = CoulombParams(0.0, 0.0)
 
@@ -184,50 +180,61 @@ class TestInterlacing:
     def test_classical_sine_cosine(self):
         zf = find_zeros(P00, ZeroTarget.F, 4, 4)
         zfp = find_zeros(P00, ZeroTarget.F_PRIME, 4, 4)
-        report = interlacing_check(zf, zfp)
-        assert report.ok and report.positive_ok and report.negative_ok
+        assert not (zf.truncated or zfp.truncated)
+        assert _interlaced(zf, zfp)
 
     def test_half_order_bessel_chain(self):
         params = CoulombParams(0.5, 0.0)
-        report = interlacing_check(
+        assert _interlaced(
             find_zeros(params, ZeroTarget.F, 4, 4),
             find_zeros(params, ZeroTarget.F_PRIME, 4, 4),
         )
-        assert report.ok
 
     def test_acceptance_grid_case(self):
         params = CoulombParams(1.0, -1.0)
-        report = interlacing_check(
-            find_zeros(params, ZeroTarget.F, 4, 4),
-            find_zeros(params, ZeroTarget.F_PRIME, 4, 4),
-        )
-        assert report.ok and report.pairs_checked >= 4
+        zf = find_zeros(params, ZeroTarget.F, 4, 4)
+        zfp = find_zeros(params, ZeroTarget.F_PRIME, 4, 4)
+        assert not (zf.truncated or zfp.truncated)
+        assert _interlaced(zf, zfp)
 
-    def test_mismatched_params_rejected(self):
-        zf = find_zeros(P00, ZeroTarget.F, 2, 2)
-        zfp = find_zeros(CoulombParams(1.0, 0.0), ZeroTarget.F_PRIME, 2, 2)
-        with pytest.raises(ValueError):
-            interlacing_check(zf, zfp)
+    def test_chain_sees_a_skipped_zero(self):
+        zf = find_zeros(P00, ZeroTarget.F, 4, 4)
+        zfp = find_zeros(P00, ZeroTarget.F_PRIME, 4, 4)
+        skipped = dataclasses.replace(zf, positive=zf.positive[:1] + zf.positive[2:])
+        assert not _interlaced(skipped, zfp)
+        skipped = dataclasses.replace(zfp, negative=zfp.negative[:1] + zfp.negative[2:])
+        assert not _interlaced(zf, skipped)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, -5.0, -20.0])
+    @pytest.mark.parametrize("L", [-0.9, -0.5, 0.0, 2.5, 10.0])
+    def test_derivative_zeros_interlace_wide_grid(self, L, eta):
+        # one zero of F' and of g' below the first zero of F and one between
+        # neighbours, on both sides, also at L <= -1/2 and large |eta|; the
+        # lists may stop short (truncated), so the chain runs as far as both reach
+        params = CoulombParams(L, eta)
+        zf = find_zeros(params, ZeroTarget.F, 4, 4)
+        assert len(zf.positive) >= 2
+        for target in (ZeroTarget.F_PRIME, ZeroTarget.G_PRIME):
+            assert _interlaced(zf, find_zeros(params, target, 4, 4)), target
 
 
 class TestProductEval:
     def test_explicit_zero_factor(self):
         zs = find_zeros(P00, ZeroTarget.F, 3, 3)
-        value, used = product_eval(zs, P00, 0.0, 2)
-        assert value == 0.0 and used == 2
+        assert _product(P00, zs.positive, zs.negative, 0.0, 2) == 0.0
         # z equal to a stored zero kills its factor exactly
-        value, _ = product_eval(zs, P00, zs.positive[0], 3)
-        assert value == 0.0
+        assert _product(P00, zs.positive, zs.negative, zs.positive[0], 3) == 0.0
 
     def test_sine_product_with_oracle_zeros(self):
-        zs = symmetric_zero_set(P00, [n * math.pi for n in range(1, 801)])
-        value, _ = product_eval(zs, P00, 1.0, 100)
+        zeros = [n * math.pi for n in range(1, 801)]
+        mirrored = [-x for x in zeros]
+        value = _product(P00, zeros, mirrored, 1.0, 100)
         rel = abs(value - math.sin(1.0)) / math.sin(1.0)
         assert rel <= 2.1e-3
         # error contracts by at least 1/0.75 per doubling of K
         errs = []
         for K in (100, 200, 400, 800):
-            v, _ = product_eval(zs, P00, 1.0, K)
+            v = _product(P00, zeros, mirrored, 1.0, K)
             errs.append(abs(v - math.sin(1.0)))
         for a, b in zip(errs, errs[1:]):
             assert b <= 0.75 * a
@@ -239,11 +246,7 @@ class TestProductEval:
         zs = find_zeros(params, ZeroTarget.F, 8, 8)
         z = 0.8 * zs.positive[0]
         want = z * eval_point(params, z).p0
-        errs = [abs(product_eval(zs, params, z, K)[0] - want) for K in (2, 4, 8)]
+        errs = [abs(_product(params, zs.positive, zs.negative, z, K) - want)
+                for K in (2, 4, 8)]
         assert errs[1] <= 0.75 * errs[0]
         assert errs[2] <= 0.75 * errs[1]
-
-    def test_insufficient_zeros_rejected(self):
-        zs = find_zeros(P00, ZeroTarget.F, 2, 2)
-        with pytest.raises(ValueError):
-            product_eval(zs, P00, 1.0, 5)
