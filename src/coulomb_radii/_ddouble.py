@@ -6,11 +6,17 @@ both the coefficient recurrence and the summation run on these pairs.  Only
 the error-free transformations needed here are implemented: Knuth two-sum,
 Dekker split/product, and the usual renormalized add/mul/div on (hi, lo)
 tuples with |lo| <= ulp(hi)/2.
+
+These functions are the one definition of the pair arithmetic.  The two hot
+loops of the series module (the coefficient recurrence and the term sum)
+expand them inline on local floats, operation for operation, because a call
+and a tuple per operation cost more than the arithmetic; the tests check
+those loops bit for bit against loops written with the calls here.
 """
 
 from __future__ import annotations
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant for binary64
+SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant for binary64
 
 # unit roundoff of the pair format, 2**-104
 EPS = 4.930380657631324e-32
@@ -30,10 +36,10 @@ def quick_two_sum(a: float, b: float) -> tuple[float, float]:
 
 def two_prod(a: float, b: float) -> tuple[float, float]:
     p = a * b
-    t = _SPLITTER * a
+    t = SPLITTER * a
     ah = t - (t - a)
     al = a - ah
-    t = _SPLITTER * b
+    t = SPLITTER * b
     bh = t - (t - b)
     bl = b - bh
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl

@@ -1,6 +1,7 @@
 """Series core: coefficients, evaluation, ratios; the series against the Bessel oracle."""
 
 import math
+import random
 import sys
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomb_radii import _ddouble as dd
 from coulomb_radii import series
 from coulomb_radii import (
     ConvergenceError,
@@ -209,6 +211,173 @@ class TestEvalSeries:
             )
         assert errors[0] <= sv.noise[1]
         assert errors[1] <= sv.noise[2]
+
+
+# --- reference kernels: the two hot loops written with _ddouble calls ---------
+
+
+def reference_coefficients(params, n_max):
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    L, eta = params.L, params.eta
+    if L == -1.0:
+        raise CoulombDomainError("coefficient recurrence requires L != -1")
+    pairs = [(1.0, 0.0)]
+    pairs.append(dd.div(dd.from_float(eta), dd.two_sum(L, 1.0)))
+    two_eta = 2.0 * eta
+    two_L = 2.0 * L
+    for n in range(2, n_max + 1):
+        den = dd.mul_d(dd.two_sum(two_L, n + 1.0), float(n))
+        if den[0] == 0.0 or abs(n + two_L + 1.0) < 1e-14:
+            raise DegenerateRecurrenceError(n, L)
+        num = dd.sub(dd.mul_d(pairs[n - 1], two_eta), pairs[n - 2])
+        pairs.append(dd.div(num, den))
+    return series.CoefficientTable(
+        params=params,
+        n_max=n_max,
+        a=tuple(p[0] + p[1] for p in pairs),
+        a_pairs=tuple(pairs),
+    )
+
+
+def reference_eval_series(table, z):
+    z = float(z)
+    if not math.isfinite(z):
+        raise ValueError("z must be finite")
+    if abs(z) > series.EVAL_Z_MAX:
+        raise ConvergenceError(
+            f"|z|={abs(z):.3g} is beyond the double-double evaluation range "
+            f"(~{series.EVAL_Z_MAX:g}); cancellation noise would swamp the result"
+        )
+    L, eta = table.params.L, table.params.eta
+    az = abs(z)
+    pairs = table.a_pairs
+    eps, tiny, safety = series._EPS, series._TINY, series._NOISE_SAFETY
+
+    s0 = s1 = (0.0, 0.0)
+    g0 = g1 = 0.0
+    zn = (1.0, 0.0)
+    run = 0
+    for n in range(table.n_max + 1):
+        t = dd.mul(pairs[n], zn)
+        s0 = dd.add(s0, t)
+        s1 = dd.add(s1, dd.mul_d(t, float(n)))
+        t0m = abs(t[0])
+        t1m = n * t0m
+        g0 += t0m
+        g1 += t1m
+
+        small = (
+            t0m <= eps * abs(s0[0]) + dd.EPS * g0 + tiny
+            and t1m <= eps * abs(s1[0]) + dd.EPS * g1 + tiny
+        )
+        run = run + 1 if small else 0
+        if run >= 3 and n >= 4:
+            q = az * (2.0 * abs(eta) + max(1.0, az)) / ((n + 1.0) * (n + 2.0 * L + 2.0))
+            if 0.0 <= q < 0.9:
+                qa = q * (n + 3.0) / (n + 1.0)
+                fac = qa / (1.0 - qa)
+                if all(
+                    tm * fac <= max(series.DEFAULT_TOL * abs(s[0]),
+                                    0.25 * safety * dd.EPS * g, tiny)
+                    for tm, s, g in ((t0m, s0, g0), (t1m, s1, g1))
+                ):
+                    break
+        zn = dd.mul_d(zn, z)
+    else:
+        raise ConvergenceError(
+            f"tail bound not achieved within n_max={table.n_max} at z={z:.6g}; "
+            "regenerate the table with a larger n_max"
+        )
+    if az >= series._SMALL_Z:
+        d1 = dd.div(s1, (z, 0.0))
+        lin = dd.add(dd.mul(dd.two_sum(2.0 * L, 2.0), d1), dd.mul(dd.two_sum(z, -2.0 * eta), s0))
+        p1, p2 = dd.to_float(d1), -dd.to_float(dd.div(lin, (z, 0.0)))
+        g1 /= az
+        g2 = (abs(2.0 * L + 2.0) * g1 + abs(z - 2.0 * eta) * g0) / az
+        eps12 = dd.EPS
+    else:
+        _, a1, a2, a3 = table.a[:4]
+        p1, p2 = a1 + 2.0 * a2 * z, 2.0 * a2 + 6.0 * a3 * z
+        g1 = abs(a1) + abs(2.0 * a2 * z)
+        g2 = abs(2.0 * a2) + abs(6.0 * a3 * z)
+        eps12 = eps
+    return series.SeriesValue(
+        p0=dd.to_float(s0),
+        p1=p1,
+        p2=p2,
+        truncation_terms=n + 1,
+        tail_estimate=t0m * fac,
+        noise=(safety * dd.EPS * g0, safety * eps12 * g1, safety * eps12 * g2),
+    )
+
+
+def outcome(fn, *args):
+    # repr of the result, or the error's type, message and index
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return (type(exc).__name__, str(exc), getattr(exc, "n", None))
+
+
+class TestInlinedKernels:
+    """coefficients and eval_series agree bit for bit with the _ddouble loops."""
+
+    @staticmethod
+    def grid():
+        rng = random.Random(20261018)
+        points = [(0.0, 0.0), (0.5, -1.0), (12.0, 0.0), (-0.99, -40.0), (0.3, 5.0)]
+        # L in (-1, 12], eta in [-40, 5]
+        points += [(12.0 - 13.0 * rng.random(), rng.uniform(-40.0, 5.0)) for _ in range(60)]
+        return [CoulombParams(L, eta, unsafe=True) for L, eta in points]
+
+    @staticmethod
+    def abscissae(rng):
+        return [0.0, 1e-200, -1e-200, rng.uniform(-1e-12, 1e-12), rng.uniform(-1.0, 0.0),
+                rng.uniform(0.0, 5.0), rng.uniform(-50.0, -5.0), rng.uniform(5.0, 50.0),
+                rng.choice((-50.0, 50.0))]
+
+    def test_tables_match(self):
+        for params in self.grid():
+            for n_max in (4, 256, 512, 1024):
+                assert (coefficients(params, n_max).a_pairs
+                        == reference_coefficients(params, n_max).a_pairs), (params, n_max)
+
+    def test_sums_match(self):
+        rng = random.Random(55)
+        for params in self.grid():
+            tables = [coefficients(params, n) for n in (256, 512, 1024)]
+            for z in self.abscissae(rng):
+                for table in tables:
+                    assert (outcome(eval_series, table, z)
+                            == outcome(reference_eval_series, table, z)), (params, z)
+
+    def test_regrowth_chain_matches(self):
+        # from 8 terms, doubling as eval_point does: the same ConvergenceError
+        # at every short table, then the same value
+        for params, z in ((CoulombParams(0.5, -1.0), 10.0), (CoulombParams(2.0, -20.0), -45.0)):
+            n_max, steps = 8, []
+            while True:
+                table = coefficients(params, n_max)
+                got = outcome(eval_series, table, z)
+                assert got == outcome(reference_eval_series, table, z), (params, z, n_max)
+                steps.append(got)
+                if isinstance(got, str):
+                    break
+                n_max *= 2
+            assert len(steps) >= 3 and steps[0][0] == "ConvergenceError"
+
+    def test_same_errors(self):
+        table = coefficients(P0M1, 256)
+        for z in (55.5, -60.0, 1e3):
+            got = outcome(eval_series, table, z)
+            assert got == outcome(reference_eval_series, table, z)
+            assert got[0] == "ConvergenceError"
+        for L in (-1.5, -2.5):
+            params = CoulombParams(L, -1.0, unsafe=True)
+            got = outcome(coefficients, params, 64)
+            assert got == outcome(reference_coefficients, params, 64)
+            assert got[0] == "DegenerateRecurrenceError" and got[2] == -(2 * L + 1)
 
 
 class TestRatios:
