@@ -18,10 +18,14 @@ comparison zeros of F there lie at least pi/sqrt(Q(t)) apart.  F is stepped
 by half that spacing, proven to hold at most one zero per step.  F' and g'
 have no such spacing proof; they are stepped by a quarter, a margin only.
 
-The scan horizon is the smaller of the requested one and the abscissa where
-the evaluator's cancellation-noise floor makes sign changes unresolvable;
-running past it would report garbage zeros, so the result is flagged
-truncated instead.
+The scan runs until it has the requested count or reaches the precision
+horizon: the first step where the target is within eight cancellation-noise
+floors of zero (and the floor exceeds 1e-14), so its sign is no longer
+resolvable, or the end of the evaluator's range |z| <= 55
+(ConvergenceError).  Running past that horizon would report
+garbage zeros, so the result is flagged truncated instead.  The horizon
+depends on (L, eta) and the target alone, never on the count asked, so the
+first k zeros of a request do not depend on how many more were requested.
 
 Each sign change is refined as one zero, with no check for a multiple one:
 ITP converges on any sign change, and F has only simple zeros at
@@ -57,7 +61,7 @@ class ZeroSet:
 
     positive is strictly increasing; negative is strictly decreasing (all
     values < 0, moduli increasing).  truncated marks a partial result: the
-    requested count was not reachable within the scan horizon.
+    requested count was not reachable within the precision horizon.
     """
 
     params: CoulombParams
@@ -122,7 +126,6 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
                    count: int) -> tuple[list[float], bool]:
     if count <= 0:
         return [], False
-    horizon = max(20.0, 1.5 * count * math.pi)
     L = params.L
 
     def h(t: float) -> tuple[float, float]:
@@ -145,9 +148,6 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
     f_prev = target_at_origin(L, target)
     truncated = False
     while len(found) < count:
-        if t > horizon * (1.0 + 1e-12):
-            truncated = True
-            break
         try:
             val, noise = h(t)
         except ConvergenceError:
@@ -174,8 +174,8 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
     """First count_pos positive and count_neg negative zeros; none skipped for F.
 
     Refined by refine_bracket to REFINE_TOL on the abscissa.  If a requested
-    count is not reachable within the scan horizon (or the evaluator's
-    precision horizon), the partial result carries truncated=True.
+    count is not reachable within the precision horizon (see the module
+    docstring), the partial result carries truncated=True.
     """
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:

@@ -99,6 +99,17 @@ class TestFindZeros:
         for n, x in enumerate(zs.positive, start=1):
             assert x == pytest.approx(n * math.pi, abs=1e-9)
 
+    def test_count_does_not_move_the_horizon(self):
+        # the first zeros of F at (10, 0) lie past 1.5*4*pi; asking for four
+        # must give the first four of the count-10 answer, not a truncated two
+        params = CoulombParams(10.0, 0.0)
+        four = find_zeros(params, ZeroTarget.F, 4, 0)
+        ten = find_zeros(params, ZeroTarget.F, 10, 0)
+        assert not four.truncated
+        assert four.positive == ten.positive[:4]
+        assert four.positive[2:] == pytest.approx((22.66272065813593, 26.142767643379223),
+                                                  abs=1e-10)
+
     def test_zero_counts_allowed(self):
         zs = find_zeros(P00, ZeroTarget.F, 0, 0)
         assert zs.positive == () and zs.negative == ()
@@ -209,13 +220,20 @@ class TestInterlacing:
     @pytest.mark.parametrize("L", [-0.9, -0.5, 0.0, 2.5, 10.0])
     def test_derivative_zeros_interlace_wide_grid(self, L, eta):
         # one zero of F' and of g' below the first zero of F and one between
-        # neighbours, on both sides, also at L <= -1/2 and large |eta|; the
-        # lists may stop short (truncated), so the chain runs as far as both reach
+        # neighbours, on both sides, also at L <= -1/2 and large |eta|.  Only
+        # the precision horizon ends a scan: every list is full except the
+        # negative side at eta = -20 (it sees -eta = 20), which stops after
+        # one or two zeros, so there the chain runs as far as both lists reach
         params = CoulombParams(L, eta)
+        full = eta > -20.0
         zf = find_zeros(params, ZeroTarget.F, 4, 4)
-        assert len(zf.positive) >= 2
         for target in (ZeroTarget.F_PRIME, ZeroTarget.G_PRIME):
-            assert _interlaced(zf, find_zeros(params, target, 4, 4)), target
+            zd = find_zeros(params, target, 4, 4)
+            assert _interlaced(zf, zd), target
+            for zs in (zf, zd):
+                assert len(zs.positive) == 4
+                assert len(zs.negative) == 4 if full else len(zs.negative) >= 1
+                assert zs.truncated is not full
 
 
 class TestProductEval:
