@@ -109,8 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--eta", type=_parse_complex, required=True)
     p_region.add_argument("--disk", choices=("g", "zgpg"), default=None,
                           help="also run the unit-disk minimum scan")
-    p_region.add_argument("--grid-n", type=int, default=64)
-    p_region.add_argument("--radius-cap", type=float, default=0.99)
+    # the disk-scan knobs default to None so that main can refuse them without --disk
+    p_region.add_argument("--grid-n", type=int, default=None,
+                          help="disk scan grid size (default 64; needs --disk)")
+    p_region.add_argument("--radius-cap", type=float, default=None,
+                          help="disk scan radius (default 0.99; needs --disk)")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the acceptance matrix and print pass/fail lines")
@@ -397,6 +400,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("grid lists --L and --eta must be non-empty")
         if args.command == "radius" and not args.beta:
             parser.error("--beta list must be non-empty")
+    if args.command == "region":
+        if args.disk is None and (args.grid_n is not None or args.radius_cap is not None):
+            parser.error("--grid-n and --radius-cap apply only to the --disk scan")
+        args.grid_n = 64 if args.grid_n is None else args.grid_n
+        args.radius_cap = 0.99 if args.radius_cap is None else args.radius_cap
 
     verify_failed = False
     try:

@@ -199,6 +199,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--grid-n", "3", "--radius-cap", "0.5"], ["--grid-n", "64"], ["--radius-cap", "0.99"],
+    ], ids=["both", "grid-n", "radius-cap"])
+    def test_disk_flags_without_disk_are_usage_errors(self, flags, capsys):
+        # no flag may be accepted and then ignored, not even at its default value
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--L", "1+1i", "--eta", "2", *flags])
+        assert exc.value.code == 2
+        assert "--disk" in capsys.readouterr().err
+
     def test_region_violation_is_3(self, capsys):
         code, _, err = run_cli(
             capsys, "radius", "--kind", "g", "--property", "starlike",
