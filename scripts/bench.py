@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Layer and query costs of the series core, printed as one JSON object.
+
+The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
+
+    coef256      building a 256-term coefficient table
+    eval_z0.5    one eval_series on that table at z = 0.5 (also z = 10, 50)
+    radius       one radius: g, starlike, beta = 0.5
+    find_zeros   find_zeros(F, 10, 10)
+
+Each row holds the median wall time in ms over --repeat calls and, where the
+row evaluates the series, the number of eval_series calls and the sum of
+their truncation_terms, counted by a wrapped series.eval_series.  The query
+rows start every call with an empty table memo, so their times include the
+table builds.  The counts are deterministic; the times depend on the machine.
+
+    PYTHONPATH=src python scripts/bench.py
+    PYTHONPATH=src python scripts/bench.py --repeat 5
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+
+from coulomb_radii import CoulombParams, series
+from coulomb_radii.radii import RadiusQuery, radius
+from coulomb_radii.zeros import ZeroTarget, find_zeros
+
+PARAMS = CoulombParams(0.5, -1.0)
+
+
+def median_ms(fn, repeat, fresh_memo):
+    times = []
+    for _ in range(repeat):
+        if fresh_memo:
+            series._table.cache_clear()
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def counts(fn):
+    """eval_series calls (failed ones included) and summed terms of one cold call."""
+    tally = {"evals": 0, "terms": 0}
+    inner = series.eval_series
+
+    def counting(table, z):
+        tally["evals"] += 1
+        sv = inner(table, z)
+        tally["terms"] += sv.truncation_terms
+        return sv
+
+    series.eval_series = counting
+    try:
+        series._table.cache_clear()
+        fn()
+    finally:
+        series.eval_series = inner
+    return tally
+
+
+def rows(repeat):
+    table = series.coefficients(PARAMS, series.DEFAULT_N_MAX)
+    out = {"coef256": {"ms": median_ms(lambda: series.coefficients(PARAMS, 256), repeat, False)}}
+    for z in (0.5, 10.0, 50.0):
+        out[f"eval_z{z:g}"] = {
+            "ms": median_ms(lambda: series.eval_series(table, z), repeat, False),
+            "evals": 1,
+            "terms": series.eval_series(table, z).truncation_terms,
+        }
+    queries = {
+        "radius": lambda: radius(RadiusQuery(PARAMS, "g", "starlike", 0.5)),
+        "find_zeros": lambda: find_zeros(PARAMS, ZeroTarget.F, 10, 10),
+    }
+    for name, fn in queries.items():
+        out[name] = {"ms": median_ms(fn, repeat, True), **counts(fn)}
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeat", type=int, default=21, help="calls per timed row (median)")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be >= 1")
+    report = {
+        "params": {"L": PARAMS.L, "eta": PARAMS.eta},
+        "python": platform.python_version(),
+        "repeat": args.repeat,
+        "rows": rows(args.repeat),
+    }
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """The table scripts in scripts/ run end to end on small grids."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -34,3 +35,15 @@ def test_disk_scan_rows(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "starlike_ok" in lines[0]
     assert len(lines) == 1 + 2 * 2
+
+
+def test_bench_rows(capsys):
+    load("bench").main(["--repeat", "1"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "radius", "find_zeros"}
+    assert all(row["ms"] > 0.0 for row in rows.values())
+    # counted by the wrapped eval_series, within the gates of test_zeros and test_radii
+    assert 0 < rows["find_zeros"]["evals"] <= 300
+    assert 0 < rows["radius"]["evals"] <= 45
+    for name in ("eval_z0.5", "eval_z10", "eval_z50", "radius", "find_zeros"):
+        assert rows[name]["terms"] >= 5 * rows[name]["evals"]
