@@ -139,7 +139,7 @@ def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
         e += m1 - w1
         u0 = s + e
         u1 = e - (u0 - s)
-        # a_n = dd.div(num, den): q1, r = dd.sub(num, dd.mul_d(den, q1)), q2
+        # a_n = dd.div(num, den), in four steps: q1, then y = dd.mul_d(den, q1)
         q1 = u0 / d0
         p = d0 * q1
         c = split * d0
@@ -152,6 +152,7 @@ def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
         e += d1 * q1
         y0 = p + e
         y1 = e - (y0 - p)
+        # r = dd.sub(num, y)
         b = -y0
         s = u0 + b
         v = s - u0
@@ -159,6 +160,7 @@ def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
         e += u1 - y1
         r0 = s + e
         r1 = e - (r0 - s)
+        # q2, and a_n = dd.quick_two_sum(q1, q2)
         q2 = (r0 + r1) / d0
         s = q1 + q2
         w0, w1 = x0, x1
