@@ -47,10 +47,12 @@ def _cases() -> dict[str, list[str]]:
     for L, eta in RADIUS_PAIRS:
         for kind in ("f", "g"):
             for prop in ("starlike", "convex", "univalent"):
+                # univalence is the starlike radius at beta = 0 and takes no other beta
+                beta = "0" if prop == "univalent" else "0,0.5"
                 for form in ("ratio", "direct"):
                     cases[f"radius-{kind}-{prop}-{form}-L{L}-eta{eta}"] = [
                         "radius", "--kind", kind, "--property", prop, "--form", form,
-                        "--beta", "0,0.5", f"--L={L}", f"--eta={eta}"]
+                        "--beta", beta, f"--L={L}", f"--eta={eta}"]
     cases["radius-unsafe-eta0.1"] = [
         "radius", "--kind", "g", "--property", "starlike", "--beta", "0,0.5",
         "--L", "0", "--eta", "0.1", "--unsafe"]
