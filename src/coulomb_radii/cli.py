@@ -400,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("grid lists --L and --eta must be non-empty")
         if args.command == "radius" and not args.beta:
             parser.error("--beta list must be non-empty")
+        if args.command == "radius" and args.property == "univalent" and any(args.beta):
+            parser.error("--property univalent is the starlike radius at beta = 0; "
+                         "it takes no other --beta")
     if args.command == "region":
         if args.disk is None and (args.grid_n is not None or args.radius_cap is not None):
             parser.error("--grid-n and --radius-cap apply only to the --disk scan")

@@ -209,6 +209,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--disk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0.5", "0,0.5"], ids=["beta-0.5", "beta-list"])
+    def test_univalent_beta_is_usage_error(self, beta, capsys):
+        # univalence fixes beta = 0; a nonzero beta would be printed as 0.0
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--kind", "g", "--property", "univalent", "--beta", beta,
+                  "--L", "0", "--eta=-1"])
+        assert exc.value.code == 2
+        assert "univalent" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "radius", "--kind", "g", "--property", "univalent",
+                               "--beta", "0", "--L", "0", "--eta=-1")
+        assert code == 0 and out
+
     def test_region_violation_is_3(self, capsys):
         code, _, err = run_cli(
             capsys, "radius", "--kind", "g", "--property", "starlike",
