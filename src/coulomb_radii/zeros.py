@@ -11,21 +11,47 @@ Zeros are swept outward from the origin, bracketed by sign change, and
 refined by ITP (interpolate, truncate, project; see refine_bracket), which
 keeps the bracket; no derivative iteration anywhere.  The negative
 axis reuses the same code path through the reflected function z -> P(-z),
-which is P at -eta.  The step comes from the Coulomb equation
-u'' + q u = 0, q(t) = 1 - 2 eta/t - L(L+1)/t^2 (DLMF 33.2): on [t, inf) q
-stays below Q(t) = 1 + max(0, -2 eta)/t + max(0, -L(L+1))/t^2, so by Sturm
-comparison zeros of F there lie at least pi/sqrt(Q(t)) apart.  F is stepped
-by half that spacing, proven to hold at most one zero per step.  F' and g'
-have no such spacing proof; they are stepped by a quarter, a margin only.
+which is P at -eta; write eta_s for eta on the positive axis and -eta on
+the negative one.
+
+Every target is stepped by half the Sturm spacing, 0.5 pi/sqrt(Q(t)).
+u = F/C solves u'' + q u = 0, q(t) = 1 - 2 eta_s/t - L(L+1)/t^2 (DLMF
+33.2), and on [t, inf) q stays below Q = 1 + max(0, -2 eta_s)/t +
+max(0, -L(L+1))/t^2.  Scaled Pruefer variables u = rho sin(theta),
+u' = sqrt(Q) rho cos(theta) give
+
+    theta' = sqrt(Q) cos^2(theta) + (q/sqrt(Q)) sin^2(theta) <= sqrt(Q),
+
+so theta rises by at most pi/2 over a step, and it passes each multiple of
+pi once, upward (theta' = sqrt(Q) there).  Each target's zeros sit at a
+fixed phase of theta mod pi: F at 0, F' at pi/2, g' (u' = (L/z) u) at
+phi(z) = arccot(L/(z sqrt(Q))).  So a step holds at most one zero of F.
+On a side where a target's zeros interlace with those of F, theta passes a
+multiple of pi between two of its zeros and rises by pi + phi(z2) - phi(z1):
+pi for F', at least pi for g' with L >= 0 (phi rises with z), more than
+pi/2 for g' with L < 0 (phi falls by less than pi/2).  Consecutive zeros
+are then more than a step apart, and a step holds at most one of them.
+
+Interlacing is proven where q, or r = 1 - 2 eta_s/t - 2L/t^2 for g', changes
+sign at most once, from - to + (at a zero of F', F'' = -q F, so where q > 0
+every critical point of F is a strict extremum): for all L > -1 when
+eta_s <= 0, and for L >= 0 on both sides.  That covers the whole positive
+axis for eta <= 0 and the negative axis for L >= 0.  The proof stops where
+eta_s > 0 and -1 < L < 0 with eta_s^2 > -L(L+1) (F') or eta_s^2 > -2L (g'),
+unsafe eta > 0 on the positive axis included: there q or r dips below zero
+on an interval, and the half step is a margin only.  On 270 such cases it
+found the same zeros as a scan at 1/32 of the spacing.
 
 The scan runs until it has the requested count or reaches the precision
 horizon: the first step where the target is within eight cancellation-noise
 floors of zero (and the floor exceeds 1e-14), so its sign is no longer
-resolvable, or the end of the evaluator's range |z| <= 55
-(ConvergenceError).  Running past that horizon would report
-garbage zeros, so the result is flagged truncated instead.  The horizon
-depends on (L, eta) and the target alone, never on the count asked, so the
-first k zeros of a request do not depend on how many more were requested.
+resolvable, or the end of the evaluator's range: the last step ends exactly
+at |z| = EVAL_Z_MAX (55) and the scan stops there (a table that cannot
+converge below it raises ConvergenceError, which also ends the scan).
+Running past that horizon would report garbage zeros, so the result is
+flagged truncated instead.  The horizon depends on (L, eta) and the target
+alone, never on the count asked, so the first k zeros of a request do not
+depend on how many more were requested.
 
 Each sign change is refined as one zero, with no check for a multiple one:
 ITP converges on any sign change, and F has only simple zeros at
@@ -47,12 +73,10 @@ from typing import Callable
 from .equations import ZeroTarget, target_at_origin, target_value
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
-from .series import eval_point
+from .series import EVAL_Z_MAX, eval_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
-# share of the Sturm spacing pi/sqrt(Q) per scan step (see the module docstring)
-_STEP_SHARE = {ZeroTarget.F: 0.5, ZeroTarget.F_PRIME: 0.25, ZeroTarget.G_PRIME: 0.25}
 
 
 @dataclass(frozen=True)
@@ -134,7 +158,6 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
     # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
     a = max(0.0, -2.0 * sign * params.eta)
     b = max(0.0, -L * (L + 1.0))
-    share = _STEP_SHARE[target] * math.pi
     # Start below the first zero of every target.  With lam = L+1 > 0 and
     # x = t max(e/lam, 2e, 1), e = |eta|, the recurrence bounds |a_n| t^n by x^n,
     # and a target's |c_n/c_0| t^n by (n+1) max(1, 1/lam) x^n.  For
@@ -146,17 +169,13 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
     found: list[float] = []
     t_prev = 0.0
     f_prev = target_at_origin(L, target)
-    truncated = False
-    while len(found) < count:
+    while len(found) < count and t_prev < EVAL_Z_MAX:
         try:
             val, noise = h(t)
         except ConvergenceError:
-            truncated = True
             break
         if abs(val) <= 8.0 * noise and noise > 1e-14:
-            # sign no longer resolvable against the cancellation floor
-            truncated = True
-            break
+            break  # sign no longer resolvable against the cancellation floor
         if val == 0.0:
             # grid point sits exactly on a (simple) zero; the sign flips there
             found.append(t)
@@ -165,8 +184,9 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
             found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, val,
                                         REFINE_TOL).root)
         t_prev, f_prev = t, val
-        t += share / math.sqrt(1.0 + a / t + b / (t * t))
-    return found, truncated
+        # half the Sturm spacing, the last step ending on the evaluator's range
+        t = min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
+    return found, len(found) < count
 
 
 def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,

@@ -13,18 +13,35 @@ from coulomb_radii.zeros import ZeroTarget, find_zeros, refine_bracket
 P00 = CoulombParams(0.0, 0.0)
 
 
-def mpmath_sign_change_cells(L, eta, t_end, step):
-    """Grid cells (lo, hi] of (0, t_end] where mpmath's F_L(eta, .) changes sign."""
+def mpmath_zero_cells(L, eta, t_end, step):
+    """Grid cells of (0, t_end] that hold the zeros of F, F' and g', by target.
+
+    Only mpmath.coulombf is sampled, once per grid point.  F changes sign in
+    (t_{k-1}, t_k] where its samples do.  F' and g' = d/dt (F/t^L), up to C,
+    change sign in (t_{k-1}, t_{k+1}) where the slope of the samples of F or
+    of F/t^L does at t_k.  Every target is > 0 just right of the origin, where
+    F and F/t^L vanish.
+    """
     mpmath = pytest.importorskip("mpmath")
     n = math.ceil(t_end / step)
-    grid = [t_end * k / n for k in range(1, n + 1)]
-    cells, prev_t, prev_pos = [], 0.0, True  # F > 0 just right of the origin
-    for t in grid:
-        pos = mpmath.coulombf(L, eta, t) > 0
-        if pos != prev_pos:
-            cells.append((prev_t, t))
-        prev_t, prev_pos = t, pos
-    return cells
+    grid = [0.0] + [t_end * k / n for k in range(1, n + 1)]
+    f = [0.0] + [mpmath.coulombf(L, eta, t) for t in grid[1:]]
+    g = [0.0] + [v / t ** L for v, t in zip(f[1:], grid[1:])]
+
+    def cells(values, lo_offset):
+        out, prev_pos = [], True
+        for k in range(1, len(grid)):
+            pos = values[k] > 0
+            if pos != prev_pos:
+                out.append((grid[max(k - 1 - lo_offset, 0)], grid[k]))
+            prev_pos = pos
+        return out
+
+    # entry k of a slope list is the slope on (t_{k-1}, t_k)
+    slope = lambda v: [0.0] + [b - a for a, b in zip(v, v[1:])]
+    return {ZeroTarget.F: cells(f, 0),
+            ZeroTarget.F_PRIME: cells(slope(f), 1),
+            ZeroTarget.G_PRIME: cells(slope(g), 1)}
 
 
 def bisect(f, lo, hi, iters=80):
@@ -79,17 +96,25 @@ class TestFindZeros:
             assert abs(sv.p0) <= zs.refine_tol * max(1.0, abs(sv.p1) * x)
 
     def test_no_skip_under_resolution_doubling(self):
-        # differential: every sign change of mpmath's F on a grid much finer
-        # than the zero spacing is one found zero, and nothing else is
-        cases = [(0.0, -1.0, 0.05), (2.5, -2.0, 0.05), (-0.4, -0.25, 0.05),
-                 (0.0, -20.0, 0.005)]
-        for L, eta, grid_step in cases:
-            zs = find_zeros(CoulombParams(L, eta), ZeroTarget.F, 10, 0)
-            assert len(zs.positive) == 10 and not zs.truncated
-            cells = mpmath_sign_change_cells(L, eta, zs.positive[-1] + 1e-9, grid_step)
-            assert len(cells) == 10, (L, eta)
-            for (lo, hi), x in zip(cells, zs.positive):
-                assert lo < x <= hi
+        # differential: every sign change of mpmath's F, F' and g' on a grid
+        # much finer than the zero spacing is one found zero, and nothing else
+        # is.  The side z < 0 is mpmath's positive axis at -eta; at (-0.5, -5)
+        # it lies where interlacing is unproven and the half step is a margin
+        cases = [(0.0, -1.0, +1, 0.05), (2.5, -2.0, +1, 0.05), (-0.4, -0.25, +1, 0.05),
+                 (0.0, -20.0, +1, 0.005), (-0.5, -5.0, -1, 0.1)]
+        for L, eta, side, grid_step in cases:
+            found = {}
+            for target in ZeroTarget:
+                zs = find_zeros(CoulombParams(L, eta), target, 10 * (side > 0), 10 * (side < 0))
+                found[target] = zs.positive if side > 0 else tuple(-x for x in zs.negative)
+                assert len(found[target]) == 10 and not zs.truncated
+            t_end = max(x[-1] for x in found.values()) + 2.0 * grid_step
+            oracle = mpmath_zero_cells(L, side * eta, t_end, grid_step)
+            for target, xs in found.items():
+                cells = [c for c in oracle[target] if c[0] < xs[-1]]
+                assert len(cells) == 10, (L, eta, target)
+                for (lo, hi), x in zip(cells, xs):
+                    assert lo < x <= hi, (L, eta, target)
 
     def test_truncation_flag_past_precision_horizon(self):
         zs = find_zeros(P00, ZeroTarget.F, 60, 0)
@@ -109,6 +134,23 @@ class TestFindZeros:
         assert four.positive == ten.positive[:4]
         assert four.positive[2:] == pytest.approx((22.66272065813593, 26.142767643379223),
                                                   abs=1e-10)
+
+    def test_last_step_ends_on_the_evaluator_range(self):
+        # the scan's last step ends at |z| = 55 instead of stepping past it
+        # into ConvergenceError, so the 12th negative zero (mpmath:
+        # -53.9715732732457) is found; then the scan stops there
+        params = CoulombParams(5.0, -3.0)
+        twelve = find_zeros(params, ZeroTarget.F, 0, 12)
+        assert len(twelve.negative) == 12 and not twelve.truncated
+        assert twelve.negative[-1] == pytest.approx(-53.9715732732457, abs=1e-10)
+        thirteen = find_zeros(params, ZeroTarget.F, 0, 13)
+        assert thirteen.truncated and thirteen.negative == twelve.negative
+
+    def test_zero_in_the_last_step_is_kept(self):
+        # a half step from below 53.86 would land past 55; mpmath: -53.8595891391723
+        zs = find_zeros(CoulombParams(-0.5, -25.0), ZeroTarget.F_PRIME, 0, 1)
+        assert not zs.truncated
+        assert zs.negative == pytest.approx((-53.8595891391723,), abs=1e-10)
 
     def test_zero_counts_allowed(self):
         zs = find_zeros(P00, ZeroTarget.F, 0, 0)
@@ -146,14 +188,18 @@ class TestRefineBracket:
         assert abs(ref.root - root) <= tol
 
     def test_find_zeros_evaluation_count(self, monkeypatch):
-        # deterministic gate: 48 scan steps plus the ITP steps of 20 zeros
+        # deterministic gates: the scan steps plus the ITP steps of 20 zeros,
+        # one half-Sturm-spacing step for every target (F 223, F' 220, g' 221)
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
                             lambda table, z: calls.append(z) or eval_series(table, z))
-        zs = find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
-        assert len(zs.positive) == len(zs.negative) == 10
-        assert len(calls) <= 300
+        gates = {ZeroTarget.F: 300, ZeroTarget.F_PRIME: 240, ZeroTarget.G_PRIME: 240}
+        for target, gate in gates.items():
+            calls.clear()
+            zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
+            assert len(zs.positive) == len(zs.negative) == 10
+            assert len(calls) <= gate, target
 
 
 class TestLargeEta:
@@ -181,7 +227,7 @@ class TestLargeEta:
     def test_no_zero_skipped_at_eta_minus_100(self):
         zs = find_zeros(CoulombParams(0.0, -100.0), ZeroTarget.F, 12, 0)
         assert len(zs.positive) == 12 and zs.positive[-1] < 1.85
-        cells = mpmath_sign_change_cells(0.0, -100.0, 1.85, 0.0025)
+        cells = mpmath_zero_cells(0.0, -100.0, 1.85, 0.0025)[ZeroTarget.F]
         assert len(cells) == 12
         for (lo, hi), x in zip(cells, zs.positive):
             assert lo < x <= hi
