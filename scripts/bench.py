@@ -5,8 +5,11 @@ The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
 
     coef256      building a 256-term coefficient table
     eval_z0.5    one eval_series on that table at z = 0.5 (also z = 10, 50)
-    radius       one radius: g, starlike, beta = 0.5
-    find_zeros   find_zeros(F, 10, 10)
+    radius              one radius: g, starlike, beta = 0.5
+    radius_convex_g     one radius: g, convex, beta = 0.5
+    find_zeros          find_zeros(F, 10, 10)
+    find_zeros_F_prime  find_zeros(F_prime, 10, 10)
+    find_zeros_g_prime  find_zeros(g_prime, 10, 10)
 
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the number of eval_series calls and the sum of
@@ -74,7 +77,10 @@ def rows(repeat):
         }
     queries = {
         "radius": lambda: radius(RadiusQuery(PARAMS, "g", "starlike", 0.5)),
+        "radius_convex_g": lambda: radius(RadiusQuery(PARAMS, "g", "convex", 0.5)),
         "find_zeros": lambda: find_zeros(PARAMS, ZeroTarget.F, 10, 10),
+        "find_zeros_F_prime": lambda: find_zeros(PARAMS, ZeroTarget.F_PRIME, 10, 10),
+        "find_zeros_g_prime": lambda: find_zeros(PARAMS, ZeroTarget.G_PRIME, 10, 10),
     }
     for name, fn in queries.items():
         out[name] = {"ms": median_ms(fn, repeat, True), **counts(fn)}

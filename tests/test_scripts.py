@@ -40,10 +40,15 @@ def test_disk_scan_rows(capsys):
 def test_bench_rows(capsys):
     load("bench").main(["--repeat", "1"])
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "radius", "find_zeros"}
+    queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
+               "find_zeros_g_prime")
+    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # counted by the wrapped eval_series, within the gates of test_zeros and test_radii
     assert 0 < rows["find_zeros"]["evals"] <= 300
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 240
+    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 240
     assert 0 < rows["radius"]["evals"] <= 45
-    for name in ("eval_z0.5", "eval_z10", "eval_z50", "radius", "find_zeros"):
+    assert 0 < rows["radius_convex_g"]["evals"] <= 45
+    for name in ("eval_z0.5", "eval_z10", "eval_z50", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
