@@ -3,8 +3,8 @@
 
 The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
 
-    coef256      building a 256-term coefficient table
-    eval_z0.5    one eval_series on that table at z = 0.5 (also z = 10, 50)
+    coef256             building a 256-term coefficient table
+    eval_z0.5           one eval_series on that table at z = 0.5 (also z = 10, 50)
     radius              one radius: g, starlike, beta = 0.5
     radius_convex_g     one radius: g, convex, beta = 0.5
     find_zeros          find_zeros(F, 10, 10)

@@ -191,7 +191,8 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
 
 def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
                count_neg: int) -> ZeroSet:
-    """First count_pos positive and count_neg negative zeros; none skipped for F.
+    """First count_pos positive and count_neg negative zeros, none skipped where
+    the module docstring proves the scan step (for F, everywhere).
 
     Refined by refine_bracket to REFINE_TOL on the abscissa.  If a requested
     count is not reachable within the precision horizon (see the module
