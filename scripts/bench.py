@@ -13,9 +13,12 @@ The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
 
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the number of eval_series calls and the sum of
-their truncation_terms, counted by a wrapped series.eval_series.  The query
-rows start every call with an empty table memo, so their times include the
-table builds.  The counts are deterministic; the times depend on the machine.
+their truncation_terms, counted by a wrapped series.eval_series.  Each query
+row also holds refine_steps, the summed iterations of refine_bracket (the
+zero refines and the radius solve), so evals - refine_steps are the scan
+steps and the few single evaluations around them.  The query rows start
+every call with an empty table memo, so their times include the table
+builds.  The counts are deterministic; the times depend on the machine.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -28,7 +31,7 @@ import statistics
 import sys
 import time
 
-from coulomb_radii import CoulombParams, series
+from coulomb_radii import CoulombParams, radii, series, zeros
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
@@ -47,9 +50,10 @@ def median_ms(fn, repeat, fresh_memo):
 
 
 def counts(fn):
-    """eval_series calls (failed ones included) and summed terms of one cold call."""
-    tally = {"evals": 0, "terms": 0}
-    inner = series.eval_series
+    """eval_series calls (failed ones included), their summed terms and the
+    summed refine_bracket iterations of one cold call."""
+    tally = {"evals": 0, "terms": 0, "refine_steps": 0}
+    inner, refine = series.eval_series, zeros.refine_bracket
 
     def counting(table, z):
         tally["evals"] += 1
@@ -57,12 +61,20 @@ def counts(fn):
         tally["terms"] += sv.truncation_terms
         return sv
 
+    def counting_refine(*args):
+        ref = refine(*args)
+        tally["refine_steps"] += ref.iterations
+        return ref
+
+    # the radius solver calls refine_bracket through its own import
     series.eval_series = counting
+    zeros.refine_bracket = radii.refine_bracket = counting_refine
     try:
         series._table.cache_clear()
         fn()
     finally:
         series.eval_series = inner
+        zeros.refine_bracket = radii.refine_bracket = refine
     return tally
 
 

@@ -47,6 +47,19 @@ def target_value(L: float, target: ZeroTarget, z: float, sv: SeriesValue) -> tup
     return val, noise
 
 
+def target_slopes(L: float, eta: float, target: ZeroTarget, z: float,
+                  sv: SeriesValue) -> tuple[float, float]:
+    """(T', T'') of the target's C-free factor T at z, with z P''' from the
+    Coulomb equation differentiated once:
+    z P''' = -(2L+3) P'' - (z - 2 eta) P' - P."""
+    if target is ZeroTarget.F:
+        return sv.p1, sv.p2
+    zp3 = -(2.0 * L + 3.0) * sv.p2 - (z - 2.0 * eta) * sv.p1 - sv.p0
+    if target is ZeroTarget.F_PRIME:
+        return (L + 2.0) * sv.p1 + z * sv.p2, (L + 3.0) * sv.p2 + zp3
+    return 2.0 * sv.p1 + z * sv.p2, 3.0 * sv.p2 + zp3
+
+
 def target_at_origin(L: float, target: ZeroTarget) -> float:
     # P(0) = 1, F'-target at 0 is L+1, g'(0) = 1
     if target is ZeroTarget.F_PRIME:

@@ -3,10 +3,11 @@
 For L > -1, eta <= 0 each defining ratio decreases strictly from 1 at the
 origin to -inf at x1, the first positive zero of the relevant denominator
 (F for starlikeness, F' or g' for convexity).  So [0, x1] is a proven
-sign-change bracket, and every radius is the one ITP root finder of the
-zeros module (refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa;
-no derivative iteration is used anywhere.  The solver starts from the
-equation's value at r = 0 and from -inf at x1, where it takes midpoint
+sign-change bracket, and every radius is the one root finder of the zeros
+module (refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa.  The
+radius equations pass it no slopes, so every step is ITP's; x1 itself comes
+from the zero scan, whose refine takes Halley steps.  The solver starts from
+the equation's value at r = 0 and from -inf at x1, where it takes midpoint
 steps until both ends are finite.  x1 is reported as the domain cap.
 The equations, written on the series factor P:
 
@@ -139,9 +140,13 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
         probes.append((r, v))
         return v - level
 
+    def no_slopes(r: float) -> tuple[float, float, float]:
+        return fn(r), math.nan, math.nan
+
     # fn > 0 at 0 (each ratio starts at 1, above its level) and < 0 below the
     # cap (the ratio falls to -inf; a direct form has the sign of ratio - level)
-    ref = refine_bracket(fn, 0.0, cap, fn(0.0), -math.inf, _ABSCISSA_TOL * max(1.0, cap))
+    ref = refine_bracket(no_slopes, 0.0, cap, no_slopes(0.0), (-math.inf, math.nan, math.nan),
+                         _ABSCISSA_TOL * max(1.0, cap))
     residual = fn(ref.root)
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we

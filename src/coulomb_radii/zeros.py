@@ -8,8 +8,11 @@ the equations module):
     g_prime  -> P(z) + z P'(z)
 
 Zeros are swept outward from the origin, bracketed by sign change, and
-refined by ITP (interpolate, truncate, project; see refine_bracket), which
-keeps the bracket; no derivative iteration anywhere.  The negative
+refined by Halley steps guarded by ITP (interpolate, truncate, project; see
+refine_bracket), which keep the bracket.  Every evaluation returns P' and
+P'' with P, and equations.target_slopes turns them into the target's slope
+and curvature, so the Halley steps cost no evaluation beyond the step's own,
+and the scan hands the refine the values it has at both ends.  The negative
 axis reuses the same code path through the reflected function z -> P(-z),
 which is P at -eta; write eta_s for eta on the positive axis and -eta on
 the negative one.
@@ -54,14 +57,14 @@ alone, never on the count asked, so the first k zeros of a request do not
 depend on how many more were requested.
 
 Each sign change is refined as one zero, with no check for a multiple one:
-ITP converges on any sign change, and F has only simple zeros at
+refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
-zero throughout).  The series is evaluated only at scan steps and ITP steps,
-never at the refined root itself.
+zero throughout).  The series is evaluated only at scan steps and refine
+steps, never at the refined root itself.
 
 find_zeros is the package's one scan and refine_bracket its one bracketed
-root finder, which the radius solvers also run on their own equations (see
-the radii module).  refine_bracket decides signs without a noise-floor check.
+root finder, which the radius solvers also run on their own equations, with
+no slopes, so there every step is ITP's (see the radii module).  refine_bracket decides signs without a noise-floor check.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .equations import ZeroTarget, target_at_origin, target_value
+from .equations import ZeroTarget, target_at_origin, target_slopes, target_value
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
 from .series import EVAL_Z_MAX, eval_point
@@ -104,44 +107,75 @@ class _Refined:
     iterations: int
 
 
-def refine_bracket(fn: Callable[[float], float], lo: float, hi: float,
-                   f_lo: float, f_hi: float, tol: float) -> _Refined:
-    """ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on a sign-change bracket.
+def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
+                   at_lo: tuple[float, float, float], at_hi: tuple[float, float, float],
+                   tol: float) -> _Refined:
+    """Guarded Halley steps on a sign-change bracket, with ITP (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020) as the fallback.
 
-    f_lo and f_hi are fn at the ends, of opposite signs.  Each step evaluates
-    fn once: at the regula falsi point, moved towards the midpoint by
+    fn returns (f, f', f'') at x, and at_lo and at_hi are fn at the ends, whose
+    f have opposite signs.  A caller with no slopes returns NaN for f' and
+    f'', and then every step is ITP's.  Each step evaluates fn once.
+
+    Halley: from the end evaluated last (at the start, the end with the
+    smaller |f|) the step is s = -2 f f'/(2 f'^2 - f f''), lengthened past the
+    root by an estimate of Halley's own error, |s| (s/step)^2 with step the
+    previous step's length, or by tol/2 once |s| < tol/4.  Plain Halley points
+    tend to approach from one side and leave the far end where the caller put
+    it; lengthened ones land across the root, so both ends close in.  The
+    point is taken if it is finite, strictly inside the bracket and at most
+    half the previous step away, and if the bracket, were the step to gain
+    nothing, would still fit the worst case below.
+
+    ITP otherwise: the regula falsi point, moved towards the midpoint by
     k1 (hi-lo)^k2 (k1 = 0.2 over the first width, k2 = 2), kept tol/4 inside
     the bracket, then projected into the ball around the midpoint that keeps
     the bisection worst case plus n0 = 1 step: ceil(log2(width/tol)) + 1.
-    While an end value is infinite (a pole counted as one side) the step is
-    the midpoint.  Stops once hi - lo <= tol or after 80 steps; root is the
-    midpoint of the final bracket.
+    While an end value is infinite (a pole counted as one side) the ITP step
+    is the midpoint.  Both kinds of step keep that worst case.
+
+    Stops once hi - lo <= tol or after 80 steps; root is the midpoint of the
+    final bracket.
     """
     width = hi - lo
     n_max = math.ceil(math.log2(width / tol)) + 1 if width > tol else 0
     # projections aim a few ulps inside tol, so rounding cannot cost a step
     aim = max(tol - 4.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
+    f_lo, f_hi = at_lo[0], at_hi[0]
+    x0, (f0, d1, d2) = (lo, at_lo) if abs(f_lo) <= abs(f_hi) else (hi, at_hi)
+    step = width
     iters = 0
     while hi - lo > tol and iters < _BISECT_CAP:
-        mid = 0.5 * (lo + hi)
-        x = mid
-        if math.isfinite(f_lo) and math.isfinite(f_hi):
-            x_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            sigma = math.copysign(1.0, mid - x_f)
-            delta = 0.2 * (hi - lo) ** 2 / width
-            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-            # once the interpolant sits on an end, where rounding would repeat
-            # it, a step tol/4 inside closes the bracket around that end
-            x_t = min(max(x_t, lo + 0.25 * tol), hi - 0.25 * tol)
-            r = aim * 2.0 ** (n_max - iters - 1) - 0.5 * (hi - lo)
-            x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        f_x = fn(x)
-        if f_x == 0.0:
+        den = 2.0 * d1 * d1 - f0 * d2
+        s = -2.0 * f0 * d1 / den if den else 0.0
+        if s:  # NaN included; a zero step is refused below
+            s += math.copysign(0.5 * tol if abs(s) < 0.25 * tol
+                               else abs(s) * (s / step) * (s / step), s)
+        x = x0 + s
+        # were the step to gain nothing, the next ITP projection radius must
+        # still be nonnegative: iters + 1 + ceil(log2((hi-lo)/aim)) <= n_max
+        if not (lo < x < hi and abs(s) <= 0.5 * step
+                and hi - lo <= aim * 2.0 ** (n_max - iters - 1)):
+            mid = 0.5 * (lo + hi)
+            x = mid
+            if math.isfinite(f_lo) and math.isfinite(f_hi):
+                x_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+                sigma = math.copysign(1.0, mid - x_f)
+                delta = 0.2 * (hi - lo) ** 2 / width
+                x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+                # once the interpolant sits on an end, where rounding would
+                # repeat it, a step tol/4 inside closes the bracket around it
+                x_t = min(max(x_t, lo + 0.25 * tol), hi - 0.25 * tol)
+                r = aim * 2.0 ** (n_max - iters - 1) - 0.5 * (hi - lo)
+                x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        step = abs(x - x0)
+        x0, (f0, d1, d2) = x, fn(x)
+        if f0 == 0.0:
             lo = hi = x
-        elif (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f_x
+        elif (f0 < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f0
         else:
-            hi, f_hi = x, f_x
+            hi, f_hi = x, f0
         iters += 1
     return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
@@ -152,8 +186,14 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
         return [], False
     L = params.L
 
-    def h(t: float) -> tuple[float, float]:
-        return target_value(L, target, sign * t, eval_point(params, sign * t))
+    def h(t: float) -> tuple[tuple[float, float, float], float]:
+        # (value, slope, curvature) along t, and the noise floor; on the
+        # negative axis the slope flips sign and the curvature does not
+        z = sign * t
+        sv = eval_point(params, z)
+        val, noise = target_value(L, target, z, sv)
+        d1, d2 = target_slopes(L, params.eta, target, z, sv)
+        return (val, sign * d1, d2), noise
 
     # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
     a = max(0.0, -2.0 * sign * params.eta)
@@ -168,22 +208,23 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
     t = 0.25 / (max(1.0, 1.0 / lam) * max(e / lam, 2.0 * e, 1.0))
     found: list[float] = []
     t_prev = 0.0
-    f_prev = target_at_origin(L, target)
+    prev = (target_at_origin(L, target), math.nan, math.nan)
     while len(found) < count and t_prev < EVAL_Z_MAX:
         try:
-            val, noise = h(t)
+            cur, noise = h(t)
         except ConvergenceError:
             break
+        val = cur[0]
         if abs(val) <= 8.0 * noise and noise > 1e-14:
             break  # sign no longer resolvable against the cancellation floor
         if val == 0.0:
             # grid point sits exactly on a (simple) zero; the sign flips there
             found.append(t)
-            val = -f_prev
-        elif (f_prev < 0.0) != (val < 0.0):
-            found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, f_prev, val,
+            cur = (-prev[0], math.nan, math.nan)
+        elif (prev[0] < 0.0) != (val < 0.0):
+            found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, prev, cur,
                                         REFINE_TOL).root)
-        t_prev, f_prev = t, val
+        t_prev, prev = t, cur
         # half the Sturm spacing, the last step ending on the evaluator's range
         t = min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
     return found, len(found) < count

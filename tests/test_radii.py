@@ -154,8 +154,10 @@ class TestProperties:
 
 class TestEvaluationCounts:
     def test_series_evaluations_per_radius(self, monkeypatch):
-        # deterministic gate on the solver: the cap scan, the origin value,
-        # the ITP steps and the residual, over every query shape at (0.5, -1)
+        # deterministic gate on the solver: the cap scan with its Halley
+        # refine, the origin value, the ITP steps and the residual, over every
+        # query shape at (0.5, -1) (mean 19.4, max 20; 23.5 and 24 with ITP
+        # refining the cap)
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
@@ -169,8 +171,8 @@ class TestEvaluationCounts:
                         calls.clear()
                         radius(RadiusQuery(params, kind, prop, beta), form=form)
                         counts.append(len(calls))
-        assert sum(counts) / len(counts) <= 30
-        assert max(counts) <= 45
+        assert sum(counts) / len(counts) <= 20
+        assert max(counts) <= 22
 
 
 class TestLargeEta:

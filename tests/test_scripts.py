@@ -45,10 +45,15 @@ def test_bench_rows(capsys):
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # counted by the wrapped eval_series, within the gates of test_zeros and test_radii
-    assert 0 < rows["find_zeros"]["evals"] <= 300
-    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 240
-    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 240
-    assert 0 < rows["radius"]["evals"] <= 45
-    assert 0 < rows["radius_convex_g"]["evals"] <= 45
+    assert 0 < rows["find_zeros"]["evals"] <= 140
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 140
+    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 140
+    assert 0 < rows["radius"]["evals"] <= 22
+    assert 0 < rows["radius_convex_g"]["evals"] <= 22
     for name in ("eval_z0.5", "eval_z10", "eval_z50", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
+    # the refine steps are a part of the evaluations; the rest are scan steps
+    for name in queries:
+        assert rows[name]["refine_steps"] > 0
+    for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
+        assert rows[name]["refine_steps"] < rows[name]["evals"]

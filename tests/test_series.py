@@ -23,6 +23,7 @@ from coulomb_radii import (
     eval_series,
     star_ratio,
 )
+from coulomb_radii.equations import ZeroTarget, target_slopes, target_value
 from coulomb_radii.verify import bessel_j
 
 P00 = CoulombParams(0.0, 0.0)
@@ -438,6 +439,35 @@ class TestRatios:
         lhs = star_ratio(params, "f", r)
         rhs = (L + star_ratio(params, "g", r)) / (L + 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+
+
+    def test_target_slopes_against_mpmath(self):
+        # T'/T and T''/T of each zero target against mpmath.diff of
+        # coulombf(L, eta, z)/z^(L+1) and its F' and g' forms; on z < 0 the
+        # reference is coulombf at (-eta, -z), as P(z) at eta is P(-z) at -eta.
+        # The last point is in the small-|z| path of eval_series
+        mp = pytest.importorskip("mpmath")
+        for L, eta, z in [(0.5, -1.0, 2.0), (0.5, -1.0, -2.0), (2.5, -2.0, 7.3),
+                          (-0.4, -0.25, -3.1), (0.3, -1.2, 5e-13)]:
+            sv = eval_point(CoulombParams(L, eta), z)
+            with mp.workdps(50):
+                Lm, em, zm, s = mp.mpf(L), mp.mpf(eta), mp.mpf(z), (1 if z > 0 else -1)
+                # nested differences: the inner step far below the outer one
+                h, h_in = abs(zm) * mp.mpf(10) ** -10, abs(zm) * mp.mpf(10) ** -25
+                u = lambda t: mp.coulombf(Lm, s * em, s * t)  # C |t|^(L+1) P(t)
+                refs = {
+                    ZeroTarget.F: lambda t: u(t) / abs(t) ** (Lm + 1),
+                    ZeroTarget.F_PRIME: lambda t: s * mp.diff(u, t, h=h_in) / abs(t) ** Lm,
+                    ZeroTarget.G_PRIME: lambda t: mp.diff(
+                        lambda r: r * u(r) / abs(r) ** (Lm + 1), t, h=h_in),
+                }
+                for target, T in refs.items():
+                    t0 = T(zm)
+                    want = [float(mp.diff(T, zm, n, h=h) / t0) for n in (1, 2)]
+                    val, _ = target_value(L, target, z, sv)
+                    got = [d / val for d in target_slopes(L, eta, target, z, sv)]
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (L, eta, z, target)
 
 
 class TestBesselOracle:

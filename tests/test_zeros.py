@@ -162,39 +162,101 @@ class TestFindZeros:
         assert zs.negative == () and not zs.truncated
 
 
-class TestRefineBracket:
-    """ITP keeps the sign-change bracket and bisection's worst case plus one step."""
+def itp_iterates(f, lo, hi, f_lo, f_hi, tol):
+    """The points ITP alone evaluates: refine_bracket's fallback written out on
+    its own, as it stood before the Halley steps, for a value-only f."""
+    width = hi - lo
+    n_max = math.ceil(math.log2(width / tol)) + 1 if width > tol else 0
+    aim = max(tol - 4.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
+    xs = []
+    while hi - lo > tol and len(xs) < 80:
+        mid = 0.5 * (lo + hi)
+        x = mid
+        if math.isfinite(f_lo) and math.isfinite(f_hi):
+            x_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            sigma = math.copysign(1.0, mid - x_f)
+            delta = 0.2 * (hi - lo) ** 2 / width
+            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+            x_t = min(max(x_t, lo + 0.25 * tol), hi - 0.25 * tol)
+            r = aim * 2.0 ** (n_max - len(xs) - 1) - 0.5 * (hi - lo)
+            x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        xs.append(x)
+        f_x = f(x)
+        if f_x == 0.0:
+            lo = hi = x
+        elif (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+    return xs
 
-    # (f, lo, hi, root): a sign step (interpolation has nothing to use), a
-    # flat root where regula falsi crawls, and -inf at or near hi (a pole)
+
+def no_slopes(f):
+    return lambda x: (f(x), math.nan, math.nan)
+
+
+def pole(x):
+    return 1.0 - x / (1.0 - x) if x < 1.0 else -math.inf
+
+
+class TestRefineBracket:
+    """Guarded Halley steps and the ITP fallback keep the sign-change bracket
+    and bisection's worst case plus one step."""
+
+    # (fn -> (f, f', f''), lo, hi, root).  No slopes: a sign step
+    # (interpolation has nothing to use), a flat root where regula falsi
+    # crawls, and -inf at or near hi (a pole).  Slopes: exact ones, on a
+    # smooth root, on x^9 where Halley's step crawls and at the pole, and
+    # deliberately wrong ones, of varying sign and size
     CASES = {
-        "sign-step": (lambda x: 1.0 if x < 1.0 / 3.0 else -1.0, 0.0, 1.0, 1.0 / 3.0),
-        "x9": (lambda x: x ** 9 - 0.5, 0.0, 2.0, 0.5 ** (1.0 / 9.0)),
-        "pole-at-hi": (lambda x: 1.0 - x / (1.0 - x) if x < 1.0 else -math.inf, 0.0, 1.0, 0.5),
-        "inf-near-hi": (lambda x: 0.2 - x if x <= 0.9 else -math.inf, 0.0, 1.0, 0.2),
+        "sign-step": (no_slopes(lambda x: 1.0 if x < 1.0 / 3.0 else -1.0), 0.0, 1.0, 1.0 / 3.0),
+        "x9": (no_slopes(lambda x: x ** 9 - 0.5), 0.0, 2.0, 0.5 ** (1.0 / 9.0)),
+        "pole-at-hi": (no_slopes(pole), 0.0, 1.0, 0.5),
+        "inf-near-hi": (no_slopes(lambda x: 0.2 - x if x <= 0.9 else -math.inf), 0.0, 1.0, 0.2),
+        "cos-slopes": (lambda x: (math.cos(x), -math.sin(x), -math.cos(x)), 1.0, 2.0,
+                       0.5 * math.pi),
+        "x9-slopes": (lambda x: (x ** 9 - 0.5, 9.0 * x ** 8, 72.0 * x ** 7), 0.0, 2.0,
+                      0.5 ** (1.0 / 9.0)),
+        "pole-at-hi-slopes": (lambda x: (pole(x), -1.0 / (1.0 - x) ** 2, -2.0 / (1.0 - x) ** 3)
+                              if x < 1.0 else (-math.inf, math.nan, math.nan), 0.0, 1.0, 0.5),
+        "wrong-slopes": (lambda x: (1.0 / 3.0 - x, 1e3 * math.sin(50.0 * x),
+                                    1e5 * math.cos(70.0 * x)), 0.0, 1.0, 1.0 / 3.0),
+        "wrong-sign-slopes": (lambda x: (math.cos(x), math.sin(x), math.cos(x)), 0.0, 3.0,
+                              0.5 * math.pi),
     }
+
+    # a smooth root with exact slopes: at most 5 steps (ITP alone: 5, 8 and 9)
+    HALLEY_STEPS = {"cos-slopes": 5}
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-13])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_worst_case_bracket_and_root(self, name, tol):
-        f, lo, hi, root = self.CASES[name]
+        fn, lo, hi, root = self.CASES[name]
         calls = []
-        ref = refine_bracket(lambda x: calls.append(x) or f(x), lo, hi, f(lo), f(hi), tol)
+        ref = refine_bracket(lambda x: calls.append(x) or fn(x), lo, hi, fn(lo), fn(hi), tol)
         assert ref.iterations == len(calls)
-        assert ref.iterations <= math.ceil(math.log2((hi - lo) / tol)) + 1
+        assert ref.iterations <= self.HALLEY_STEPS.get(
+            name, math.ceil(math.log2((hi - lo) / tol)) + 1)
+        assert all(lo < x < hi for x in calls)
         assert lo <= ref.lo <= ref.hi <= hi and ref.hi - ref.lo <= tol
-        f_lo, f_hi = f(ref.lo), f(ref.hi)
+        f_lo, f_hi = fn(ref.lo)[0], fn(ref.hi)[0]
         assert 0.0 in (f_lo, f_hi) or (f_lo < 0.0) != (f_hi < 0.0)
         assert abs(ref.root - root) <= tol
+        if math.isnan(fn(lo)[1]):
+            # with no slopes the steps are ITP's, point for point
+            f = lambda x: fn(x)[0]
+            assert calls == itp_iterates(f, lo, hi, f(lo), f(hi), tol)
 
     def test_find_zeros_evaluation_count(self, monkeypatch):
-        # deterministic gates: the scan steps plus the ITP steps of 20 zeros,
-        # one half-Sturm-spacing step for every target (F 223, F' 220, g' 221)
+        # deterministic gates: the scan steps plus the refine steps of 20
+        # zeros, one half-Sturm-spacing step for every target and Halley
+        # steps from the scan's slopes (F 139, F' 138, g' 138; 223, 220 and
+        # 221 with ITP steps alone)
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
                             lambda table, z: calls.append(z) or eval_series(table, z))
-        gates = {ZeroTarget.F: 300, ZeroTarget.F_PRIME: 240, ZeroTarget.G_PRIME: 240}
+        gates = {ZeroTarget.F: 140, ZeroTarget.F_PRIME: 140, ZeroTarget.G_PRIME: 140}
         for target, gate in gates.items():
             calls.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
