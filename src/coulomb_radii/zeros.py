@@ -64,7 +64,8 @@ steps, never at the refined root itself.
 
 find_zeros is the package's one scan and refine_bracket its one bracketed
 root finder, which the radius solvers also run on their own equations, with
-no slopes, so there every step is ITP's (see the radii module).  refine_bracket decides signs without a noise-floor check.
+no slopes, so there every step is ITP's (see the radii module).
+refine_bracket decides signs without a noise-floor check.
 """
 
 from __future__ import annotations
