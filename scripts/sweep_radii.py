@@ -15,7 +15,7 @@ import csv
 import sys
 
 from coulomb_radii import CoulombParams
-from coulomb_radii.radii import RadiusQuery, radius_convex, radius_univalence
+from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.rayleigh import euler_rayleigh_bounds
 
 
@@ -37,8 +37,8 @@ def main(argv=None):
         for eta in args.eta:
             params = CoulombParams(L, eta)
             for kind in ("f", "g"):
-                runiv = radius_univalence(params, kind).value
-                rconv = radius_convex(RadiusQuery(params, kind, "convex", 0.0)).value
+                runiv = radius(RadiusQuery(params, kind, "univalent")).value
+                rconv = radius(RadiusQuery(params, kind, "convex", 0.0)).value
                 lower, upper = euler_rayleigh_bounds(params, kind, 2)
                 rows.append([L, eta, kind, runiv, rconv, lower, upper])
 

@@ -9,9 +9,10 @@ with the C-free factors of the series module,
     F'' -> L(L+1) P + 2(L+1) z P' + z^2 P''       (F'' / (C z^(L-1)))
     g   -> z P,    g' -> P + z P',    g'' -> 2 P' + z P''
 
-the module holds the zero targets with their noise floors, the
-starlike and convex ratios with their pole thresholds, and the direct
-polynomial forms of the radius equations (see the radii module).
+the module holds the zero targets with their noise floors, and each radius
+equation once, as a pair (N, D) whose quotient is the defining ratio
+(radius_terms); the ratio form with its pole check and the direct form
+N - beta D both come from that pair (see the radii module).
 """
 
 from __future__ import annotations
@@ -82,62 +83,43 @@ def g_second(z: float, sv: SeriesValue) -> float:
     return 2.0 * sv.p1 + z * sv.p2
 
 
-# --- starlike and convex ratios ---------------------------------------------------
+# --- radius equations -----------------------------------------------------------
 
 
-def star_ratio(L: float, kind: str, r: float, sv: SeriesValue) -> float:
-    """r g'/g for kind 'g'; (1/(L+1)) r F'/F = (L + r g'/g)/(L+1) for kind 'f'."""
-    scale = max(abs(r * sv.p1), 1e-30)
-    if abs(sv.p0) <= max(1e-12 * scale, sv.noise[0]):
-        raise PoleError(f"P(r)=0 within tolerance at r={r:.12g} (at/past a zero of F)")
-    ratio_g = 1.0 + r * sv.p1 / sv.p0
+def radius_terms(L: float, kind: str, convex: bool, r: float,
+                 sv: SeriesValue) -> tuple[float, float, float]:
+    """(N, D, noise floor of D) of one radius equation N/D = beta at r.
+
+    N/D is the defining ratio and D > 0 on (0, cap) for L > -1, eta <= 0:
+
+        starlike g:  N = r P' + P,                    D = P           (r g'/g)
+        starlike f:  N = r P' + (L+1) P,              D = (L+1) P     (r F'/F / (L+1))
+        convex g:    N = g' + r g'',                  D = g'          (1 + r g''/g')
+        convex f:    N = (L+1) A (F'' + B) - L B^2,   D = (L+1) A B
+                     (1 + r F''/F' - (L/(L+1)) r F'/F, with A, B, F'' the C-free
+                     F, F', F'' of the module docstring)
+
+    The ratio form of the equation is ratio(N, D, noise, r) - beta and the
+    direct form is N - beta D.
+    """
+    if not convex:
+        scale = L + 1.0 if kind == "f" else 1.0
+        return r * sv.p1 + scale * sv.p0, scale * sv.p0, abs(scale) * sv.noise[0]
     if kind == "g":
-        return ratio_g
-    return (L + ratio_g) / (L + 1.0)
-
-
-def star_level(L: float, kind: str, beta: float) -> float:
-    """Level of r g'/g at the radius of starlikeness of order beta."""
-    return beta if kind == "g" else beta * (L + 1.0) - L
-
-
-def conv_ratio(L: float, kind: str, r: float, sv: SeriesValue) -> float:
-    """1 + r g''/g' for kind 'g'; 1 + r F''/F' - (L/(L+1)) r F'/F for kind 'f'."""
-    if kind == "g":
-        den, noise = target_value(L, ZeroTarget.G_PRIME, r, sv)  # g'(r)
-        num = r * g_second(r, sv)
-        if abs(den) <= max(1e-12 * max(abs(num), 1e-30), noise):
-            raise PoleError(f"g'(r)=0 within tolerance at r={r:.12g}")
-        return 1.0 + num / den
+        den, noise = target_value(L, ZeroTarget.G_PRIME, r, sv)
+        return den + r * g_second(r, sv), den, noise
     a_val = sv.p0
     b_val, noise_b = target_value(L, ZeroTarget.F_PRIME, r, sv)
-    d_val = _f_second(L, r, sv)
-    if abs(b_val) <= max(1e-12 * max(abs(d_val), 1e-30), noise_b):
-        raise PoleError(f"F'(r)=0 within tolerance at r={r:.12g}")
-    if abs(a_val) <= max(1e-12 * max(abs(b_val), 1e-30), sv.noise[0]):
-        raise PoleError(f"F(r)=0 within tolerance at r={r:.12g}")
-    return 1.0 + d_val / b_val - (L / (L + 1.0)) * (b_val / a_val)
+    f_second = L * (L + 1.0) * a_val + 2.0 * (L + 1.0) * r * sv.p1 + r * r * sv.p2
+    num = (L + 1.0) * a_val * (f_second + b_val) - L * b_val * b_val
+    noise = abs(L + 1.0) * (abs(a_val) * noise_b + abs(b_val) * sv.noise[0])
+    return num, (L + 1.0) * a_val * b_val, noise
 
 
-def _f_second(L: float, r: float, sv: SeriesValue) -> float:
-    return L * (L + 1.0) * sv.p0 + 2.0 * (L + 1.0) * r * sv.p1 + r * r * sv.p2
-
-
-# --- direct forms of the radius equations -----------------------------------------
-
-
-def direct_star(L: float, kind: str, beta: float, r: float, sv: SeriesValue) -> float:
-    """r P' + (1-beta) P (kind g) or r P' + (1-beta)(L+1) P (kind f)."""
-    fac = (1.0 - beta) * (L + 1.0) if kind == "f" else (1.0 - beta)
-    return r * sv.p1 + fac * sv.p0
-
-
-def direct_conv(L: float, kind: str, beta: float, r: float, sv: SeriesValue) -> float:
-    """r^2 P'' + (3-beta) r P' + (1-beta) P (kind g) or
-    (L+1) A [D + (1-beta) B] - L B^2 (kind f), with A, B, D the C-free F, F', F''."""
-    if kind == "g":
-        return r * r * sv.p2 + (3.0 - beta) * r * sv.p1 + (1.0 - beta) * sv.p0
-    a_val = sv.p0
-    b_val, _ = target_value(L, ZeroTarget.F_PRIME, r, sv)
-    d_val = _f_second(L, r, sv)
-    return (L + 1.0) * a_val * (d_val + (1.0 - beta) * b_val) - L * b_val * b_val
+def ratio(num: float, den: float, noise: float, r: float) -> float:
+    """num/den; PoleError where den vanishes within its noise floor (at or past
+    the first zero of the denominator, the domain cap)."""
+    if abs(den) <= max(1e-12 * max(abs(num), 1e-30), noise):
+        raise PoleError(f"denominator of the radius equation is zero within "
+                        f"tolerance at r={r:.12g} (at/past the domain cap)")
+    return num / den

@@ -1,30 +1,28 @@
 """Radii of starlikeness, convexity and univalence of the normalized forms.
 
-For L > -1, eta <= 0 each defining ratio decreases strictly from 1 at the
-origin to -inf at x1, the first positive zero of the relevant denominator
-(F for starlikeness, F' or g' for convexity).  So [0, x1] is a proven
-sign-change bracket, and every radius is the one root finder of the zeros
-module (refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa.  The
-radius equations pass it no slopes, so every step is ITP's; x1 itself comes
-from the zero scan, whose refine takes Halley steps.  The solver starts from
-the equation's value at r = 0 and from -inf at x1, where it takes midpoint
-steps until both ends are finite.  x1 is reported as the domain cap.
-The equations, written on the series factor P:
+Every radius is the smallest positive root of one defining ratio N/D = beta,
+with (N, D) the pair of equations.radius_terms:
 
-    starlike, kind g:  r g'/g = beta            <=>  r P' + (1-beta) P = 0
-    starlike, kind f:  r g'/g = beta(L+1) - L   <=>  r P' + (1-beta)(L+1) P = 0
-    convex,   kind g:  1 + r g''/g' = beta      <=>  r^2 P'' + (3-beta) r P' + (1-beta) P = 0
+    starlike, kind g:  r g'/g = beta                              (N = r P' + P)
+    starlike, kind f:  r F'/F = beta (L+1)                        (N = r P' + (L+1) P)
+    convex,   kind g:  1 + r g''/g' = beta                        (N = g' + r g'')
     convex,   kind f:  1 + r F''/F' - (L/(L+1)) r F'/F = beta
-                       <=>  (L+1) A [D + (1-beta) B] - L B^2 = 0,
-                       A = P, B = (L+1)P + rP', D = L(L+1)P + 2(L+1)rP' + r^2 P''
 
-Each solver can run either on the decreasing ratio ("ratio" form) or on the
-polynomial combination above ("direct" form); the two roots agreeing is one
-of the acceptance checks.  Both forms live in the equations module.  The
-univalence radius is the starlikeness radius at beta = 0 and goes through
-the same solver as every other beta.  Under unsafe parameters the decrease
-is not proven; it is checked on the points the solver visits, and a rise
-raises MonotonicityError.
+For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
+-inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
+for convexity), and D > 0 on (0, x1).  So [0, x1] is a proven sign-change
+bracket, and radius() runs the one root finder of the zeros module
+(refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa.  It solves
+either the ratio form N/D - beta ("ratio") or the direct form N - beta D
+("direct"), which has the sign of the ratio form wherever D > 0; the two
+roots agreeing is one of the acceptance checks.  The radius equations pass
+the root finder no slopes, so every step is ITP's; x1 itself comes from the
+zero scan, whose refine takes Halley steps.  The solver starts from the
+equation's value at r = 0 and from -inf at x1, where it takes midpoint
+steps until both ends are finite.  x1 is reported as the domain cap.  The
+univalence radius is the starlikeness radius at beta = 0.  Under unsafe
+parameters the decrease is not proven; it is checked on the points the
+solver visits, and a rise raises MonotonicityError.
 """
 
 from __future__ import annotations
@@ -64,8 +62,9 @@ class RadiusQuery:
         object.__setattr__(self, "kind", Kind(self.kind))
         object.__setattr__(self, "property", RadiusProperty(self.property))
         beta = float(self.beta)
-        if self.property is RadiusProperty.UNIVALENT:
-            beta = 0.0
+        if self.property is RadiusProperty.UNIVALENT and beta != 0.0:
+            raise ValueError("univalent is the starlike radius at beta = 0; "
+                             "it takes no other beta")
         if not 0.0 <= beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         object.__setattr__(self, "beta", beta)
@@ -81,22 +80,25 @@ class RadiusResult:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _solve(query: RadiusQuery, form: str) -> RadiusResult:
+def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
+    """Radius of query.property of order query.beta: the smallest positive
+    root of the ratio form (form='ratio') or the direct form (form='direct')
+    of its equation."""
     if form not in ("ratio", "direct"):
         raise ValueError("form must be 'ratio' or 'direct'")
     params = query.params
     kind = query.kind
     beta = query.beta
+    convex = query.property is RadiusProperty.CONVEX
     certified = params.in_certified_region
-    if query.property is RadiusProperty.CONVEX and kind is Kind.F:
-        if not params.supports_f_convexity():
-            if not params.unsafe:
-                raise CoulombDomainError(
-                    "convexity of the f-form requires L > -1/2 and eta <= 0"
-                )
-            certified = False
+    if convex and kind is Kind.F and not params.supports_f_convexity():
+        if not params.unsafe:
+            raise CoulombDomainError(
+                "convexity of the f-form requires L > -1/2 and eta <= 0"
+            )
+        certified = False
 
-    if query.property is RadiusProperty.CONVEX:
+    if convex:
         cap_target = ZeroTarget.G_PRIME if kind is Kind.G else ZeroTarget.F_PRIME
     else:
         cap_target = ZeroTarget.F
@@ -114,37 +116,26 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
     if query.property is RadiusProperty.UNIVALENT:
         flags.append("univalent")
 
-    L = params.L
-    if query.property is RadiusProperty.CONVEX:
-        if form == "ratio":
-            level = beta
-            eq = lambda r, sv: equations.conv_ratio(L, kind, r, sv)
-        else:
-            level = 0.0
-            eq = lambda r, sv: equations.direct_conv(L, kind, beta, r, sv)
-    elif form == "ratio":
-        # the f-form is solved on r g'/g, whose level carries the shift
-        level = equations.star_level(L, kind, beta)
-        eq = lambda r, sv: equations.star_ratio(L, Kind.G, r, sv)
-    else:
-        level = 0.0
-        eq = lambda r, sv: equations.direct_star(L, kind, beta, r, sv)
-
     probes: list[tuple[float, float]] = []
 
     def fn(r: float) -> float:
-        try:
-            v = eq(r, eval_point(params, r))
-        except PoleError:
-            return -math.inf  # at/past the cap: counts as the low side
+        num, den, noise = equations.radius_terms(params.L, kind, convex, r,
+                                                 eval_point(params, r))
+        if form == "direct":
+            v = num - beta * den
+        else:
+            try:
+                v = equations.ratio(num, den, noise, r) - beta
+            except PoleError:
+                return -math.inf  # at/past the cap: counts as the low side
         probes.append((r, v))
-        return v - level
+        return v
 
     def no_slopes(r: float) -> tuple[float, float, float]:
         return fn(r), math.nan, math.nan
 
-    # fn > 0 at 0 (each ratio starts at 1, above its level) and < 0 below the
-    # cap (the ratio falls to -inf; a direct form has the sign of ratio - level)
+    # fn > 0 at 0 (each ratio starts at 1, above beta) and < 0 below the cap
+    # (the ratio falls to -inf; the direct form has the sign of the ratio form)
     ref = refine_bracket(no_slopes, 0.0, cap, no_slopes(0.0), (-math.inf, math.nan, math.nan),
                          _ABSCISSA_TOL * max(1.0, cap))
     residual = fn(ref.root)
@@ -166,31 +157,3 @@ def _solve(query: RadiusQuery, form: str) -> RadiusResult:
         iterations=ref.iterations,
         flags=tuple(flags),
     )
-
-
-def radius_starlike(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
-    """Radius of starlikeness of order beta (smallest positive root of the
-    starlike equation).  form='direct' solves the polynomial combination of
-    P, P', P'' instead of the log-derivative ratio."""
-    if query.property is RadiusProperty.CONVEX:
-        raise ValueError("query.property must be starlike or univalent")
-    return _solve(query, form)
-
-
-def radius_convex(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
-    """Radius of convexity of order beta."""
-    if query.property is not RadiusProperty.CONVEX:
-        raise ValueError("query.property must be convex")
-    return _solve(query, form)
-
-
-def radius_univalence(params: CoulombParams, kind: Kind | str) -> RadiusResult:
-    """Radius of univalence: the starlikeness radius at beta = 0."""
-    return _solve(RadiusQuery(params, Kind(kind), RadiusProperty.UNIVALENT), "ratio")
-
-
-def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
-    """Dispatch on query.property."""
-    if query.property is RadiusProperty.CONVEX:
-        return radius_convex(query, form=form)
-    return radius_starlike(query, form=form)

@@ -378,7 +378,8 @@ def star_ratio(params: CoulombParams, kind: str, r: float) -> float:
     of g (eta <= 0).  Raises PoleError when P(r) vanishes within tolerance.
     """
     _check_ratio_args(kind, r)
-    return equations.star_ratio(params.L, kind, r, eval_point(params, r))
+    return equations.ratio(*equations.radius_terms(params.L, kind, False, r,
+                                                   eval_point(params, r)), r)
 
 
 def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
@@ -389,4 +390,5 @@ def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
     _check_ratio_args(kind, r)
     if kind == "f" and not params.supports_f_convexity() and not params.unsafe:
         raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
-    return equations.conv_ratio(params.L, kind, r, eval_point(params, r))
+    return equations.ratio(*equations.radius_terms(params.L, kind, True, r,
+                                                   eval_point(params, r)), r)

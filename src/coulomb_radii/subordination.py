@@ -33,6 +33,8 @@ from .errors import ConvergenceError
 from .series import complex_coefficients
 
 _DISK_N_CAP = 1536
+# the scan holds a few arrays of 4 grid_n^2 complex points: ~0.3 GB at 1024
+_DISK_GRID_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,14 @@ def disk_min_real(L: complex, eta: complex, quantity: str, grid_n: int = 64,
 
     Rings at radii (k/grid_n) radius_cap, angles 2 pi j/(4 grid_n).  A
     positive result is grid evidence of the theorem's conclusion, not a
-    proof.  Returns -inf if the quantity hits a pole on the grid; raises
+    proof.  grid_n lies in [16, 1024], checked before anything is allocated.
+    Returns -inf if the quantity hits a pole on the grid; raises
     ConvergenceError if the coefficients do not settle by n = 1536.
     """
     if quantity not in ("g", "zgpg"):
         raise ValueError("quantity must be 'g' or 'zgpg'")
-    if grid_n < 16:
-        raise ValueError("grid_n must be >= 16")
+    if not 16 <= grid_n <= _DISK_GRID_CAP:
+        raise ValueError(f"grid_n must lie in [16, {_DISK_GRID_CAP}]")
     if not 0.0 < radius_cap < 1.0:
         raise ValueError("radius_cap must lie in (0, 1)")
     a = _coeffs_for_disk(complex(L), complex(eta))

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from .equations import g_value
 from .errors import ConvergenceError
 from .params import CoulombParams
-from .radii import RadiusQuery, radius, radius_convex, radius_starlike, radius_univalence
+from .radii import RadiusQuery, radius
 from .rayleigh import Family, SumMethod, euler_rayleigh_bounds, sums
 from .series import conv_ratio, eval_point, star_ratio
 from .subordination import axis_minimum_gap, disk_min_real
@@ -140,13 +140,13 @@ def _sine_collapse() -> CriterionResult:
         worst = max(worst, abs(x - n * math.pi))
     ok = len(zs.positive) == 10 and worst <= 1e-10
 
-    star_g = radius_starlike(RadiusQuery(p00, "g", "starlike", 0.0)).value
-    star_f = radius_starlike(RadiusQuery(p00, "f", "starlike", 0.0)).value
+    star_g = radius(RadiusQuery(p00, "g", "starlike", 0.0)).value
+    star_f = radius(RadiusQuery(p00, "f", "starlike", 0.0)).value
     ok &= abs(star_g - math.pi / 2.0) <= 1e-10
     ok &= abs(star_f - math.pi / 2.0) <= 1e-10
 
     conv_oracle = _oracle_bisect(lambda r: r * math.tan(r) - 1.0, 0.5, 1.2)
-    conv_g = radius_convex(RadiusQuery(p00, "g", "convex", 0.0)).value
+    conv_g = radius(RadiusQuery(p00, "g", "convex", 0.0)).value
     ok &= abs(conv_g - conv_oracle) <= 1e-9
     ok &= abs(conv_g - 0.8603335890) <= 1e-9
     return CriterionResult(
@@ -216,7 +216,7 @@ def _bound_bracketing() -> CriterionResult:
     for params in _grid(lambda e: e < 0.0):
         for kind in ("f", "g"):
             lower, upper = euler_rayleigh_bounds(params, kind, 2)
-            runiv = radius_univalence(params, kind).value
+            runiv = radius(RadiusQuery(params, kind, "univalent")).value
             if upper is None:
                 ok = False
                 details.append(f"upper undefined at (L={params.L}, eta={params.eta}, {kind})")

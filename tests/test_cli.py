@@ -199,6 +199,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    def test_oversized_disk_grid_is_usage_error(self, capsys, monkeypatch):
+        # rejected before the scan builds its 4 grid_n^2 points, not a MemoryError
+        from coulomb_radii import subordination
+
+        def no_arrays(*args):
+            raise AssertionError("disk arrays built before grid_n was checked")
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", no_arrays)
+        code, out, err = run_cli(capsys, "region", "--L", "4+1i", "--eta", "0.5",
+                                 "--disk", "g", "--grid-n", "100000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and "grid_n" in err
+
     @pytest.mark.parametrize("flags", [
         ["--grid-n", "3", "--radius-cap", "0.5"], ["--grid-n", "64"], ["--radius-cap", "0.99"],
     ], ids=["both", "grid-n", "radius-cap"])

@@ -10,9 +10,6 @@ from coulomb_radii.radii import (
     RadiusProperty,
     RadiusQuery,
     radius,
-    radius_convex,
-    radius_starlike,
-    radius_univalence,
 )
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
@@ -40,18 +37,18 @@ def bisect(f, lo, hi, iters=100):
 class TestStarlike:
     def test_sine_beta_zero_both_kinds(self):
         for kind in ("g", "f"):
-            res = radius_starlike(RadiusQuery(P00, kind, "starlike", 0.0))
+            res = radius(RadiusQuery(P00, kind, "starlike", 0.0))
             assert res.value == pytest.approx(math.pi / 2.0, abs=1e-10)
 
     def test_sine_beta_half(self):
         # oracle: independent bisection on r cot r = 1/2
         oracle = bisect(lambda r: r * math.cos(r) / math.sin(r) - 0.5, 1.0, 1.5)
-        res = radius_starlike(RadiusQuery(P00, "g", "starlike", 0.5))
+        res = radius(RadiusQuery(P00, "g", "starlike", 0.5))
         assert res.value == pytest.approx(oracle, abs=1e-10)
         assert res.value == pytest.approx(1.16556118520721, abs=1e-9)
 
     def test_result_diagnostics(self):
-        res = radius_starlike(RadiusQuery(P00, "g", "starlike", 0.25))
+        res = radius(RadiusQuery(P00, "g", "starlike", 0.25))
         lo, hi = res.bracket
         assert lo < res.value < hi
         assert abs(res.residual) <= 1e-10
@@ -64,41 +61,43 @@ class TestConvex:
     def test_sine_beta_zero_both_kinds(self):
         oracle = bisect(lambda r: r * math.tan(r) - 1.0, 0.5, 1.2)
         for kind in ("g", "f"):
-            res = radius_convex(RadiusQuery(P00, kind, "convex", 0.0))
+            res = radius(RadiusQuery(P00, kind, "convex", 0.0))
             assert res.value == pytest.approx(oracle, abs=1e-10)
             assert res.value == pytest.approx(0.8603335890, abs=1e-9)
 
     def test_sine_beta_half(self):
         oracle = bisect(lambda r: r * math.tan(r) - 0.5, 0.3, 1.0)
-        res = radius_convex(RadiusQuery(P00, "g", "convex", 0.5))
+        res = radius(RadiusQuery(P00, "g", "convex", 0.5))
         assert res.value == pytest.approx(oracle, abs=1e-10)
 
     def test_f_requires_L_above_minus_half(self):
         with pytest.raises(CoulombDomainError):
-            radius_convex(RadiusQuery(CoulombParams(-0.7, -1.0), "f", "convex", 0.0))
-
-    @pytest.mark.parametrize("prop", ["starlike", "univalent"])
-    def test_rejects_a_non_convex_query(self, prop):
-        with pytest.raises(ValueError):
-            radius_convex(RadiusQuery(P00, "g", prop, 0.0))
+            radius(RadiusQuery(CoulombParams(-0.7, -1.0), "f", "convex", 0.0))
 
 
 class TestUnivalence:
     def test_sine_is_pi_half(self):
         for kind in ("g", "f"):
-            res = radius_univalence(P00, kind)
+            res = radius(RadiusQuery(P00, kind, "univalent"))
             assert res.value == pytest.approx(math.pi / 2.0, abs=1e-10)
             assert "univalent" in res.flags
 
     def test_bracket_straddles_pi_half(self):
-        res = radius_univalence(P00, "g")
+        res = radius(RadiusQuery(P00, "g", "univalent"))
         lo, hi = res.bracket
         assert lo <= math.pi / 2.0 <= hi
         assert hi - lo <= 2e-13
         assert 0 < res.iterations <= 200
 
+    @pytest.mark.parametrize("beta", [0.5, 1e-300])
+    def test_nonzero_beta_is_rejected(self, beta):
+        # univalence is the starlike radius at beta = 0; a query may not carry
+        # another beta that the solver would then ignore
+        with pytest.raises(ValueError, match="beta"):
+            RadiusQuery(P00, "g", "univalent", beta)
+
     def test_f_eta_minus_one_inside_rayleigh_bracket(self):
-        res = radius_univalence(CoulombParams(0.0, -1.0), "f")
+        res = radius(RadiusQuery(CoulombParams(0.0, -1.0), "f", "univalent"))
         assert 3.0 ** -0.5 < res.value < 9.0 / 13.0
 
 
@@ -106,15 +105,15 @@ class TestProperties:
     @pytest.mark.parametrize("params", GRID, ids=lambda p: f"L{p.L}_eta{p.eta}")
     def test_convex_below_starlike(self, params):
         for kind in ("g", "f"):
-            star = radius_starlike(RadiusQuery(params, kind, "starlike", 0.0))
-            conv = radius_convex(RadiusQuery(params, kind, "convex", 0.0))
+            star = radius(RadiusQuery(params, kind, "starlike", 0.0))
+            conv = radius(RadiusQuery(params, kind, "convex", 0.0))
             assert conv.value <= star.value + 1e-12
 
     def test_monotone_in_beta(self):
         for params in (P00, CoulombParams(1.0, -1.0), CoulombParams(-0.4, -0.25)):
-            for prop, solver in (("starlike", radius_starlike), ("convex", radius_convex)):
+            for prop in ("starlike", "convex"):
                 values = [
-                    solver(RadiusQuery(params, "g", prop, b)).value
+                    radius(RadiusQuery(params, "g", prop, b)).value
                     for b in (0.0, 0.25, 0.5, 0.75)
                 ]
                 assert all(a > b for a, b in zip(values, values[1:]))
@@ -147,8 +146,8 @@ class TestProperties:
     def test_univalence_equals_starlike_at_beta_zero(self):
         params = CoulombParams(1.0, -1.0)
         for kind in ("g", "f"):
-            st = radius_starlike(RadiusQuery(params, kind, "starlike", 0.0))
-            un = radius_univalence(params, kind)
+            st = radius(RadiusQuery(params, kind, "starlike", 0.0))
+            un = radius(RadiusQuery(params, kind, "univalent"))
             assert un.value == pytest.approx(st.value, abs=1e-11)
 
 
@@ -156,8 +155,7 @@ class TestEvaluationCounts:
     def test_series_evaluations_per_radius(self, monkeypatch):
         # deterministic gate on the solver: the cap scan with its Halley
         # refine, the origin value, the ITP steps and the residual, over every
-        # query shape at (0.5, -1) (mean 19.4, max 20; 23.5 and 24 with ITP
-        # refining the cap)
+        # query shape at (0.5, -1); univalent takes beta = 0 only
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
@@ -166,7 +164,7 @@ class TestEvaluationCounts:
         counts = []
         for kind in ("f", "g"):
             for prop in ("starlike", "convex", "univalent"):
-                for beta in (0.0, 0.5):
+                for beta in (0.0,) if prop == "univalent" else (0.0, 0.5):
                     for form in ("ratio", "direct"):
                         calls.clear()
                         radius(RadiusQuery(params, kind, prop, beta), form=form)
@@ -230,6 +228,6 @@ class TestUnsafe:
 
     def test_unsafe_result_carries_no_certificate(self):
         params = CoulombParams(0.0, 0.1, unsafe=True)
-        res = radius_starlike(RadiusQuery(params, "g", "starlike", 0.0))
+        res = radius(RadiusQuery(params, "g", "starlike", 0.0))
         assert "no-certificate" in res.flags
         assert res.value > 0.0

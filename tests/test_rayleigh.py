@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coulomb_radii import CoulombParams
-from coulomb_radii.radii import RadiusQuery, radius_univalence
+from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.rayleigh import (
     Family,
     SumMethod,
@@ -152,7 +152,7 @@ class TestBounds:
         params = CoulombParams(L, eta)
         for kind in ("f", "g"):
             lower, upper = euler_rayleigh_bounds(params, kind, 2)
-            runiv = radius_univalence(params, kind).value
+            runiv = radius(RadiusQuery(params, kind, "univalent")).value
             assert upper is not None
             assert lower < runiv - 1e-12
             assert runiv < upper - 1e-12

@@ -441,6 +441,38 @@ class TestRatios:
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
+    def test_ratios_against_mpmath_off_eta_zero(self):
+        # the four defining ratios against mpmath.coulombf and mpmath.diff, at
+        # 0.2, 0.5 and 0.9 of each one's cap (first zero of F, g' or F'); with
+        # g = F t^(-L), r g'/g = r F'/F - L
+        mp = pytest.importorskip("mpmath")
+        from coulomb_radii.zeros import find_zeros
+        for L in (-0.4, 0.5, 2.5):
+            for eta in (-1.0, -5.0, -12.0):
+                params = CoulombParams(L, eta)
+                with mp.workdps(30):
+                    Lm, em = mp.mpf(L), mp.mpf(eta)
+                    F = lambda t: mp.coulombf(Lm, em, t)  # noqa: E731
+                    g = lambda t: F(t) * t ** -Lm  # noqa: E731
+                    cases = [
+                        (star_ratio, "g", ZeroTarget.F,
+                         lambda r: r * mp.diff(F, r) / F(r) - Lm),
+                        (star_ratio, "f", ZeroTarget.F,
+                         lambda r: r * mp.diff(F, r) / F(r) / (Lm + 1)),
+                        (conv_ratio, "g", ZeroTarget.G_PRIME,
+                         lambda r: 1 + r * mp.diff(g, r, 2) / mp.diff(g, r)),
+                        (conv_ratio, "f", ZeroTarget.F_PRIME,
+                         lambda r: 1 + r * mp.diff(F, r, 2) / mp.diff(F, r)
+                         - Lm / (Lm + 1) * r * mp.diff(F, r) / F(r)),
+                    ]
+                    for ratio, kind, target, ref in cases:
+                        cap = find_zeros(params, target, 1, 0).positive[0]
+                        for frac in (0.2, 0.5, 0.9):
+                            r = frac * cap
+                            want = float(ref(mp.mpf(r)))
+                            got = ratio(params, kind, r)
+                            assert abs(got - want) <= 1e-12 * abs(want), (L, eta, kind, frac)
+
     def test_target_slopes_against_mpmath(self):
         # T'/T and T''/T of each zero target against mpmath.diff of
         # coulombf(L, eta, z)/z^(L+1) and its F' and g' forms; on z < 0 the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulomb_radii import ConvergenceError
+from coulomb_radii import ConvergenceError, subordination
 from coulomb_radii.subordination import axis_minimum_gap, disk_min_real, region_check
 
 
@@ -70,6 +70,15 @@ class TestDiskScan:
     def test_unconverged_coefficients_raise(self):
         with pytest.raises(ConvergenceError):
             disk_min_real(0.0, 1e5, "g", grid_n=16)
+
+    def test_oversized_grid_is_rejected_before_any_allocation(self, monkeypatch):
+        # 4 grid_n^2 complex points: 2.56e11 bytes per array at grid_n = 1e5
+        def no_arrays(*args):
+            raise AssertionError("disk arrays built before grid_n was checked")
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", no_arrays)
+        for grid_n in (1025, 100_000):
+            with pytest.raises(ValueError, match="grid_n"):
+                disk_min_real(4 + 1j, 0.5, "g", grid_n=grid_n)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
