@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from coulomb_radii import subordination
 from coulomb_radii.cli import main, validate_report
 
 
@@ -201,8 +202,6 @@ class TestExitCodes:
 
     def test_oversized_disk_grid_is_usage_error(self, capsys, monkeypatch):
         # rejected before the scan builds its 4 grid_n^2 points, not a MemoryError
-        from coulomb_radii import subordination
-
         def no_arrays(*args):
             raise AssertionError("disk arrays built before grid_n was checked")
         monkeypatch.setattr(subordination, "_coeffs_for_disk", no_arrays)

@@ -155,7 +155,8 @@ class TestEvaluationCounts:
     def test_series_evaluations_per_radius(self, monkeypatch):
         # deterministic gate on the solver: the cap scan with its Halley
         # refine, the origin value, the ITP steps and the residual, over every
-        # query shape at (0.5, -1); univalent takes beta = 0 only
+        # query shape at (0.5, -1), univalent at beta = 0 only (mean 19.35,
+        # max 20)
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
