@@ -16,9 +16,12 @@ row evaluates the series, the number of eval_series calls and the sum of
 their truncation_terms, counted by a wrapped series.eval_series.  Each query
 row also holds refine_steps, the summed iterations of refine_bracket (the
 zero refines and the radius solve), so evals - refine_steps are the scan
-steps and the few single evaluations around them.  The query rows start
-every call with an empty table memo, so their times include the table
-builds.  The counts are deterministic; the times depend on the machine.
+steps and the few single evaluations around them, and coef_terms, the
+coefficient terms the call builds: the new terms of each table built from
+a_0 or continued from a shorter one (so the length the table reached).  The
+query rows start every call with an empty table memo, so their times
+include the table builds.  The counts are deterministic; the times depend
+on the machine.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -42,7 +45,7 @@ def median_ms(fn, repeat, fresh_memo):
     times = []
     for _ in range(repeat):
         if fresh_memo:
-            series._table.cache_clear()
+            series._memo.clear()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -50,10 +53,11 @@ def median_ms(fn, repeat, fresh_memo):
 
 
 def counts(fn):
-    """eval_series calls (failed ones included), their summed terms and the
-    summed refine_bracket iterations of one cold call."""
-    tally = {"evals": 0, "terms": 0, "refine_steps": 0}
-    inner, refine = series.eval_series, zeros.refine_bracket
+    """eval_series calls (failed ones included), their summed terms, the
+    summed refine_bracket iterations and the coefficient terms built by one
+    cold call."""
+    tally = {"evals": 0, "terms": 0, "refine_steps": 0, "coef_terms": 0}
+    inner, refine, build = series.eval_series, zeros.refine_bracket, series.coefficients
 
     def counting(table, z):
         tally["evals"] += 1
@@ -61,25 +65,30 @@ def counts(fn):
         tally["terms"] += sv.truncation_terms
         return sv
 
+    def counting_build(params, n_max, base=None):
+        table = build(params, n_max, base)
+        tally["coef_terms"] += n_max - (base.n_max if base else 0)
+        return table
+
     def counting_refine(*args):
         ref = refine(*args)
         tally["refine_steps"] += ref.iterations
         return ref
 
     # the radius solver calls refine_bracket through its own import
-    series.eval_series = counting
+    series.eval_series, series.coefficients = counting, counting_build
     zeros.refine_bracket = radii.refine_bracket = counting_refine
     try:
-        series._table.cache_clear()
+        series._memo.clear()
         fn()
     finally:
-        series.eval_series = inner
+        series.eval_series, series.coefficients = inner, build
         zeros.refine_bracket = radii.refine_bracket = refine
     return tally
 
 
 def rows(repeat):
-    table = series.coefficients(PARAMS, series.DEFAULT_N_MAX)
+    table = series.coefficients(PARAMS, 256)
     out = {"coef256": {"ms": median_ms(lambda: series.coefficients(PARAMS, 256), repeat, False)}}
     for z in (0.5, 10.0, 50.0):
         out[f"eval_z{z:g}"] = {

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 
-from .equations import g_prime, g_value
+from .equations import g_prime, g_value, noise_limited
 from .errors import CoulombDomainError, CoulombError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
@@ -145,6 +145,7 @@ def _run_eval(args) -> tuple[list[dict], list[str]]:
             params = _params(args, L, eta)
             warn = _point_warnings(params)
             for z in args.z:
+                row_warn = warn
                 if args.quantity == "series":
                     sv = eval_point(params, z)
                     result = {
@@ -155,6 +156,9 @@ def _run_eval(args) -> tuple[list[dict], list[str]]:
                     }
                     value = sv.p0
                     extra = [sv.p0, sv.p1, sv.p2, sv.truncation_terms, sv.tail_estimate]
+                    if noise_limited(sv.p0, sv.noise[0]):
+                        # the zero scan's own cut-off: p0 may be all cancellation noise
+                        row_warn = warn + ["noise-limited"]
                 else:
                     ratio = star_ratio if args.quantity == "star" else conv_ratio
                     value = ratio(params, args.kind, z)
@@ -163,9 +167,9 @@ def _run_eval(args) -> tuple[list[dict], list[str]]:
                 points.append({
                     "params": {"L": L, "eta": eta, "z": z},
                     "result": result,
-                    "warnings": warn,
+                    "warnings": row_warn,
                     "csv": [["eval", L, eta, z, args.quantity, args.kind, value,
-                             *extra, ";".join(warn)]],
+                             *extra, ";".join(row_warn)]],
                 })
     return points, header
 

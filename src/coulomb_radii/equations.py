@@ -48,6 +48,12 @@ def target_value(L: float, target: ZeroTarget, z: float, sv: SeriesValue) -> tup
     return val, noise
 
 
+def noise_limited(value: float, noise: float) -> bool:
+    """True where value lies within eight cancellation-noise floors of zero
+    (and the floor exceeds 1e-14), so its sign is not resolved."""
+    return abs(value) <= 8.0 * noise and noise > 1e-14
+
+
 def target_slopes(L: float, eta: float, target: ZeroTarget, z: float,
                   sv: SeriesValue) -> tuple[float, float]:
     """(T', T'') of the target's C-free factor T at z, with z P''' from the

@@ -33,15 +33,22 @@ the same roundings, without a call or a tuple per operation, which made
 both loops about twice as fast.  _ddouble stays their definition, and the
 tests pin both loops bit for bit against loops written with its calls.
 
-eval_point is the one evaluation entry point: it reads immutable coefficient
-tables from a small bounded memo keyed on (params, n_max), so repeated
-queries at one parameter pair build the table once.
+eval_point is the one evaluation entry point.  A small bounded memo holds one
+immutable coefficient table per parameter pair, and a table is only ever
+replaced by a longer one built by continuing the recurrence from its last
+two pairs (a_n does not depend on the table length, so the values are the
+same doubles as a table built from a_0).  A pair starts at 32 terms, about
+what a radius query needs, and grows by 16 after any evaluation that used
+more than n_max - 8 terms; an evaluation that still runs out (a jump in
+|z|) doubles the table, up to N_MAX_CAP.  So a zero scan, whose |z| creeps
+outward, grows its table ahead of need, and a radius stays on a short one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import _ddouble as dd
@@ -53,7 +60,6 @@ from .errors import (
 )
 from .params import CoulombParams
 
-DEFAULT_N_MAX = 256
 N_MAX_CAP = 4096
 DEFAULT_TOL = 1e-12
 EVAL_Z_MAX = 55.0
@@ -62,6 +68,10 @@ _EPS = 2.220446049250313e-16
 _TINY = 1e-306
 _SMALL_Z = 1e-12  # below this the Coulomb equation cancels too many digits for P''
 _NOISE_SAFETY = 4.0
+_START_TERMS = 32  # memo table length on first use
+_GROW_MARGIN = 8  # grow once an evaluation used more than n_max - 8 terms ...
+_GROW_STEP = 16  # ... by this many
+_MEMO_SIZE = 16  # parameter pairs held
 
 
 @dataclass(frozen=True)
@@ -78,19 +88,27 @@ class CoefficientTable:
     a_pairs: tuple[tuple[float, float], ...]
 
 
-def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
+def coefficients(params: CoulombParams, n_max: int,
+                 base: CoefficientTable | None = None) -> CoefficientTable:
     """Generate a_0..a_{n_max} from the two-term recurrence.
 
-    Raises DegenerateRecurrenceError if n(n+2L+1) vanishes for some index
-    (reachable only for unsafe L <= -3/2) and CoulombDomainError at L = -1.
+    With base, a shorter table of the same params, the recurrence resumes at
+    its last two pairs; the result equals a table built from a_0 bit for bit.
+    Raises DegenerateRecurrenceError if n(n+2L+1) vanishes for some index up
+    to n_max (reachable only for unsafe L <= -3/2) and CoulombDomainError at
+    L = -1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     L, eta = params.L, params.eta
-    if L == -1.0:
-        raise CoulombDomainError("coefficient recurrence requires L != -1")
-    pairs = [(1.0, 0.0)]
-    pairs.append(dd.div(dd.from_float(eta), dd.two_sum(L, 1.0)))
+    if base is None:
+        if L == -1.0:
+            raise CoulombDomainError("coefficient recurrence requires L != -1")
+        seed = ((1.0, 0.0), dd.div(dd.from_float(eta), dd.two_sum(L, 1.0)))
+        base = CoefficientTable(params, 1, tuple(p[0] + p[1] for p in seed), seed)
+    elif base.params != params or base.n_max > n_max:
+        raise ValueError("base must be a table of the same params with n_max <= the new one")
+    pairs = []
     # The recurrence below is dd.two_sum, dd.mul_d, dd.sub and dd.div expanded
     # inline on local floats, operation for operation; only the Dekker split
     # of 2 eta is hoisted.
@@ -100,9 +118,9 @@ def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
     c = split * two_eta
     eh = c - (c - two_eta)
     el = two_eta - eh
-    w0, w1 = pairs[0]
-    x0, x1 = pairs[1]
-    for n in range(2, n_max + 1):
+    w0, w1 = base.a_pairs[-2]
+    x0, x1 = base.a_pairs[-1]
+    for n in range(base.n_max + 1, n_max + 1):
         fn = float(n)
         # den = dd.mul_d(dd.two_sum(two_L, n + 1.0), fn)
         b = n + 1.0
@@ -169,8 +187,8 @@ def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
     return CoefficientTable(
         params=params,
         n_max=n_max,
-        a=tuple(p[0] + p[1] for p in pairs),
-        a_pairs=tuple(pairs),
+        a=base.a + tuple(p[0] + p[1] for p in pairs),
+        a_pairs=base.a_pairs + tuple(pairs),
     )
 
 
@@ -345,23 +363,79 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _table(params: CoulombParams, n_max: int) -> CoefficientTable:
-    # bounded memo of immutable tables: ~37 kB per 256-term table, and
-    # lru_cache is safe to share between threads
-    return coefficients(params, n_max)
+class _TableMemo:
+    """The current table of each of the last _MEMO_SIZE parameter pairs used.
+
+    Tables are immutable; growing one stores a longer table in its place, and
+    a shorter one (a thread that built from an older entry) never replaces
+    it.  The lock guards only the dict: tables are built outside it.
+    """
+
+    def __init__(self) -> None:
+        self._tables: OrderedDict[CoulombParams, CoefficientTable] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, params: CoulombParams) -> CoefficientTable:
+        with self._lock:
+            table = self._tables.get(params)
+            if table is not None:
+                self._tables.move_to_end(params)
+                return table
+        return self._store(coefficients(params, _START_TERMS))
+
+    def grow(self, table: CoefficientTable, n_max: int) -> CoefficientTable:
+        """The memo's table for table.params with at least n_max terms."""
+        with self._lock:
+            held = self._tables.get(table.params)
+        if held is not None and held.n_max > table.n_max:
+            table = held
+        if table.n_max >= n_max:
+            return table
+        return self._store(coefficients(table.params, n_max, table))
+
+    def _store(self, table: CoefficientTable) -> CoefficientTable:
+        with self._lock:
+            held = self._tables.get(table.params)
+            if held is not None and held.n_max >= table.n_max:
+                table = held
+            self._tables[table.params] = table
+            self._tables.move_to_end(table.params)
+            if len(self._tables) > _MEMO_SIZE:
+                self._tables.popitem(last=False)
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+
+
+_memo = _TableMemo()
+
+
+def shared_table(params: CoulombParams, n_max: int = 1) -> CoefficientTable:
+    """The memo's table for params, grown to at least a_0..a_{n_max}."""
+    return _memo.grow(_memo.get(params), n_max)
 
 
 def eval_point(params: CoulombParams, z: float) -> SeriesValue:
-    """Evaluate at z on the memoized table, doubling it up to N_MAX_CAP."""
-    n_max = DEFAULT_N_MAX
+    """Evaluate at z on the memoized table of params, growing it as needed.
+
+    The table grows by _GROW_STEP once an evaluation used more than n_max -
+    _GROW_MARGIN terms, so the next, slightly larger |z| finds it long
+    enough; an evaluation that runs out doubles it, up to N_MAX_CAP.
+    """
+    table = _memo.get(params)
     while True:
         try:
-            return eval_series(_table(params, n_max), z)
+            sv = eval_series(table, z)
+            break
         except ConvergenceError:
-            if n_max >= N_MAX_CAP or abs(z) > EVAL_Z_MAX:  # no table helps
+            if table.n_max >= N_MAX_CAP or abs(z) > EVAL_Z_MAX:  # no table helps
                 raise
-            n_max *= 2
+            table = _memo.grow(table, min(2 * table.n_max, N_MAX_CAP))
+    if sv.truncation_terms > table.n_max - _GROW_MARGIN and table.n_max < N_MAX_CAP:
+        _memo.grow(table, min(table.n_max + _GROW_STEP, N_MAX_CAP))
+    return sv
 
 
 def _check_ratio_args(kind: str, r: float) -> None:

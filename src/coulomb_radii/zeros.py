@@ -47,10 +47,11 @@ found the same zeros as a scan at 1/32 of the spacing.
 
 The scan runs until it has the requested count or reaches the precision
 horizon: the first step where the target is within eight cancellation-noise
-floors of zero (and the floor exceeds 1e-14), so its sign is no longer
-resolvable, or the end of the evaluator's range: the last step ends exactly
-at |z| = EVAL_Z_MAX (55) and the scan stops there (a table that cannot
-converge below it raises ConvergenceError, which also ends the scan).
+floors of zero (and the floor exceeds 1e-14; equations.noise_limited), so
+its sign is no longer resolvable, or the end of the evaluator's range: the
+last step ends exactly at |z| = EVAL_Z_MAX (55) and the scan stops there (a
+table that cannot converge below it raises ConvergenceError, which also
+ends the scan).
 Running past that horizon would report garbage zeros, so the result is
 flagged truncated instead.  The horizon depends on (L, eta) and the target
 alone, never on the count asked, so the first k zeros of a request do not
@@ -74,7 +75,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .equations import ZeroTarget, target_at_origin, target_slopes, target_value
+from .equations import (
+    ZeroTarget,
+    noise_limited,
+    target_at_origin,
+    target_slopes,
+    target_value,
+)
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
 from .series import EVAL_Z_MAX, eval_point
@@ -216,7 +223,7 @@ def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
         except ConvergenceError:
             break
         val = cur[0]
-        if abs(val) <= 8.0 * noise and noise > 1e-14:
+        if noise_limited(val, noise):
             break  # sign no longer resolvable against the cancellation floor
         if val == 0.0:
             # grid point sits exactly on a (simple) zero; the sign flips there

@@ -85,6 +85,21 @@ class TestEvalAndZeros:
             math.cos(1.0) / math.sin(1.0), rel=1e-12
         )
 
+    def test_noise_limited_series_row_is_flagged(self, capsys):
+        # p0 reads -1.58e17 where mpmath gives P = -3.54e-5: within eight
+        # noise floors (2.9e19), the zero scan's own cut-off
+        code, out, _ = run_cli(capsys, "eval", "--L", "0.5", "--eta=-2000", "--z", "1")
+        assert code == 0
+        report = json.loads(out)
+        validate_report(report)
+        assert report["warnings"] == ["noise-limited"]
+        code, out, _ = run_cli(capsys, "eval", "--L", "0.5", "--eta=-2000,-1", "--z", "1",
+                               "--output", "csv")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert rows[0].endswith(",noise-limited")
+        assert rows[1].endswith(",")
+
     def test_zeros_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "zeros", "--L", "0", "--eta", "0", "--count-pos", "2",

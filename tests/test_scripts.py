@@ -52,6 +52,12 @@ def test_bench_rows(capsys):
     assert 0 < rows["radius_convex_g"]["evals"] <= 22
     for name in ("eval_z0.5", "eval_z10", "eval_z50", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
+    # coefficient terms a cold query builds: the table length a radius or a
+    # ten-zero scan reaches
+    assert 32 <= rows["radius"]["coef_terms"] <= 48
+    assert 32 <= rows["radius_convex_g"]["coef_terms"] <= 48
+    for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
+        assert 32 <= rows[name]["coef_terms"] <= 144
     # the refine steps are a part of the evaluations; the rest are scan steps
     for name in queries:
         assert rows[name]["refine_steps"] > 0

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from coulomb_radii import (
     eval_series,
     star_ratio,
 )
-from coulomb_radii.equations import ZeroTarget, target_slopes, target_value
+from coulomb_radii.equations import ZeroTarget, noise_limited, target_slopes, target_value
+from coulomb_radii.rayleigh import euler_rayleigh_bounds
 from coulomb_radii.verify import bessel_j
 
 P00 = CoulombParams(0.0, 0.0)
@@ -120,21 +122,29 @@ class TestEvalSeries:
             eval_series(table, 9.0)
 
     def test_table_built_once_per_params(self, monkeypatch):
+        # one build from a_0 per params; every later build continues the
+        # memo's current table, whether eval_point or rayleigh grows it
         builds = []
         build = series.coefficients
 
-        def counting(params, n_max):
-            builds.append((params, n_max))
-            return build(params, n_max)
+        def counting(params, n_max, base=None):
+            table = build(params, n_max, base)
+            builds.append((params, n_max, base, table))
+            return table
 
         monkeypatch.setattr(series, "coefficients", counting)
-        series._table.cache_clear()
+        series._memo.clear()
         params = CoulombParams(0.123, -0.456)
-        for r in (0.25, 0.5, 1.0):
+        for r in (0.25, 0.5, 1.0, 4.0, 9.0, 20.0):
             star_ratio(params, "g", r)
             conv_ratio(params, "f", r)
             eval_point(params, -r)
-        assert builds == [(params, series.DEFAULT_N_MAX)]
+        euler_rayleigh_bounds(params, "f", 400)
+        assert len(builds) >= 3
+        assert builds[0][:3] == (params, 32, None)
+        for (p, n_max, base, _), prev in zip(builds[1:], builds):
+            assert p == params and base is prev[3] and n_max > base.n_max
+        assert series.shared_table(params) is builds[-1][3]
 
     def test_shared_memo_under_threads(self):
         # more parameter pairs than memo slots, so threads evict each other's tables
@@ -147,6 +157,42 @@ class TestEvalSeries:
                 p = grid[(i + offset) % len(grid)]
                 if eval_point(p, 2.5) != expected[p]:
                     errors.append(p)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_growth_under_threads(self):
+        # four threads grow one pair's table from different |z| at once: every
+        # value equals a fresh-memo one, and no thread sees the table shrink
+        params = CoulombParams(0.3, -2.0)
+        zs = [0.5 + 1.5 * k for k in range(30)]
+        expected = {}
+        for z in zs:
+            series._memo.clear()
+            expected[z] = repr(eval_point(params, z))
+        series._memo.clear()
+        errors = []
+
+        def worker(offset):
+            seen = 0
+            for i in range(len(zs)):
+                z = zs[(7 * i + offset) % len(zs)]
+                if repr(eval_point(params, z)) != expected[z]:
+                    errors.append(z)
+                n_max = series.shared_table(params).n_max
+                if n_max < seen:
+                    errors.append((seen, n_max))
+                seen = n_max
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -194,6 +240,21 @@ class TestEvalSeries:
             sv = eval_point(CoulombParams(L, eta), z)
             for k, (got, v) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
                 assert abs(got - v) <= 5e-13 * abs(v) + sv.noise[k], (L, eta, z, k)
+
+    def test_noise_limited_value_is_the_flagged_one(self):
+        # at (0.5, -2000), z = 1 the terms reach 1e49: p0 reads -1.58e17 where
+        # P = -3.54e-5, and equations.noise_limited flags it; at (0.5, -1) the
+        # value is good to 1e-12 and not flagged
+        mp = pytest.importorskip("mpmath")
+        for (L, eta), limited in (((0.5, -2000.0), True), ((0.5, -1.0), False)):
+            sv = eval_point(CoulombParams(L, eta), 1.0)
+            with mp.workdps(80):
+                a = [mp.mpf(1), mp.mpf(eta) / (mp.mpf(L) + 1)]
+                for n in range(2, 400):
+                    a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * mp.mpf(L) + 1)))
+                want = float(sum(a))
+            assert noise_limited(sv.p0, sv.noise[0]) is limited
+            assert (abs(sv.p0 - want) > 1e6 * abs(want)) is limited
 
     def test_small_z_floors_cover_the_double_error(self):
         # below |z| = 1e-12 P' and P'' are formed in doubles from a_1..a_3, so
@@ -354,12 +415,12 @@ class TestInlinedKernels:
                             == outcome(reference_eval_series, table, z)), (params, z)
 
     def test_regrowth_chain_matches(self):
-        # from 8 terms, doubling as eval_point does: the same ConvergenceError
-        # at every short table, then the same value
+        # from 8 terms, doubling by continuation as eval_point does: the same
+        # ConvergenceError at every short table, then the same value
         for params, z in ((CoulombParams(0.5, -1.0), 10.0), (CoulombParams(2.0, -20.0), -45.0)):
-            n_max, steps = 8, []
+            n_max, steps, table = 8, [], None
             while True:
-                table = coefficients(params, n_max)
+                table = coefficients(params, n_max, table)
                 got = outcome(eval_series, table, z)
                 assert got == outcome(reference_eval_series, table, z), (params, z, n_max)
                 steps.append(got)
@@ -379,6 +440,102 @@ class TestInlinedKernels:
             got = outcome(coefficients, params, 64)
             assert got == outcome(reference_coefficients, params, 64)
             assert got[0] == "DegenerateRecurrenceError" and got[2] == -(2 * L + 1)
+
+
+def table_bits(table):
+    # params, length and the bytes of every double: -0.0 and NaNs told apart
+    doubles = array("d", table.a)
+    doubles.extend(x for pair in table.a_pairs for x in pair)
+    return table.params, table.n_max, doubles.tobytes()
+
+
+class TestTableContinuation:
+    """Tables continued from shorter ones, and the memo that grows them."""
+
+    def test_continued_tables_match_fresh(self):
+        # +16 at a time, as eval_point grows ahead of need
+        for params in TestInlinedKernels.grid():
+            table = coefficients(params, 32)
+            for n_max in range(48, 257, 16):
+                table = coefficients(params, n_max, table)
+                assert table_bits(table) == table_bits(coefficients(params, n_max)), (params, n_max)
+
+    def test_doubling_chain_to_the_cap_matches_fresh(self):
+        for params in TestInlinedKernels.grid()[:8]:
+            table = coefficients(params, 32)
+            while table.n_max < series.N_MAX_CAP:
+                table = coefficients(params, 2 * table.n_max, table)
+                assert (table_bits(table)
+                        == table_bits(coefficients(params, table.n_max))), (params, table.n_max)
+
+    def test_degenerate_index_matches_past_the_start_size(self):
+        # n(n+2L+1) = 0 at n = 40 for L = -20.5, beyond the 32-term start table
+        params = CoulombParams(-20.5, -1.0, unsafe=True)
+        short = coefficients(params, 32)
+        for n_max in (40, 48, 64):
+            got = outcome(coefficients, params, n_max, short)
+            assert got == outcome(coefficients, params, n_max)
+            assert got == outcome(reference_coefficients, params, n_max)
+            assert got[0] == "DegenerateRecurrenceError" and got[2] == 40
+        assert (table_bits(coefficients(params, 39, short))
+                == table_bits(reference_coefficients(params, 39)))
+
+    def test_base_must_be_a_shorter_table_of_the_same_params(self):
+        table = coefficients(P0M1, 32)
+        with pytest.raises(ValueError):
+            coefficients(P0M1, 16, table)
+        with pytest.raises(ValueError):
+            coefficients(P00, 64, table)
+
+    def test_eval_point_refuses_a_degenerate_recurrence(self):
+        # the tail bound needs n + 2L + 2 > 0, so no sum stops short of a_40,
+        # and growing the 32-term start table to it raises, as a 256-term
+        # start table did
+        series._memo.clear()
+        with pytest.raises(DegenerateRecurrenceError) as exc:
+            eval_point(CoulombParams(-20.5, -1.0, unsafe=True), 0.5)
+        assert exc.value.n == 40
+
+    def test_evaluation_sequence_matches_fresh_memo(self):
+        # a short table, a jump that exhausts it, then a small |z| again: each
+        # value equals one on a fresh memo and one on a 256-term table
+        params = CoulombParams(0.5, -1.0)
+        zs = (0.5, 50.0, 1.0)
+        series._memo.clear()
+        in_sequence = [repr(eval_point(params, z)) for z in zs]
+        fresh = []
+        for z in zs:
+            series._memo.clear()
+            fresh.append(repr(eval_point(params, z)))
+        long = coefficients(params, 256)
+        assert in_sequence == fresh == [repr(eval_series(long, z)) for z in zs]
+
+    def test_table_grows_ahead_of_need(self):
+        # an evaluation that used more than n_max - 8 terms adds 16 terms
+        params = CoulombParams(0.5, -1.0)
+        series._memo.clear()
+        assert eval_point(params, 0.5).truncation_terms <= 24
+        assert series.shared_table(params).n_max == 32
+        assert 24 < eval_point(params, 3.0).truncation_terms <= 32
+        assert series.shared_table(params).n_max == 48
+
+    def test_memo_never_replaces_a_table_with_a_shorter_one(self):
+        series._memo.clear()
+        params = CoulombParams(0.25, -0.75)
+        start = series.shared_table(params)
+        longer = series.shared_table(params, 100)
+        # a thread still holding the start table grows it less far
+        assert series._memo.grow(start, 48) is longer
+        assert series._memo._store(coefficients(params, 64, start)) is longer
+        assert series.shared_table(params) is longer
+        assert series.shared_table(params, 100) is longer
+
+    def test_memo_holds_sixteen_pairs(self):
+        series._memo.clear()
+        grid = [CoulombParams(0.01 * k, -1.0) for k in range(20)]
+        for p in grid:
+            eval_point(p, 1.0)
+        assert list(series._memo._tables) == grid[4:]
 
 
 class TestRatios:
