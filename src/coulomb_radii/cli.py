@@ -214,7 +214,7 @@ def _run_radius(args) -> tuple[list[dict], list[str]]:
                 query = RadiusQuery(params, args.kind, args.property, beta)
                 res = radius(query, form=args.form)
                 warn = _point_warnings(params) + [
-                    f for f in res.flags if f == "no-certificate"
+                    f for f in res.flags if f in ("no-certificate", "domain-cap-beyond-range")
                 ]
                 warn = sorted(set(warn))
                 points.append({
@@ -384,6 +384,15 @@ def validate_report(obj: dict) -> None:
             raise ValueError("warnings must be a list")
         if not isinstance(point["params"], dict) or not isinstance(point["result"], dict):
             raise ValueError("params and result must be objects")
+        if obj["command"] == "radius":
+            if "domain_cap" not in point["result"]:
+                raise ValueError("radius result missing 'domain_cap'")
+            cap = point["result"]["domain_cap"]
+            if cap is not None and not isinstance(cap, (int, float)):
+                raise ValueError("domain_cap must be a number or null")
+            if (cap is None) != ("domain-cap-beyond-range" in point["warnings"]):
+                raise ValueError("domain_cap is null exactly when the warnings "
+                                 "hold 'domain-cap-beyond-range'")
     if "results" in obj:
         if not isinstance(obj["results"], list) or not obj["results"]:
             raise ValueError("results must be a non-empty list")

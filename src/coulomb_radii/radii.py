@@ -10,19 +10,27 @@ with (N, D) the pair of equations.radius_terms:
 
 For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 -inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
-for convexity), and D > 0 on (0, x1).  So [0, x1] is a proven sign-change
-bracket, and radius() runs the one root finder of the zeros module
-(refine_bracket) on it, to 1e-13 max(1, x1) on the abscissa.  It solves
-either the ratio form N/D - beta ("ratio") or the direct form N - beta D
-("direct"), which has the sign of the ratio form wherever D > 0; the two
-roots agreeing is one of the acceptance checks.  The radius equations pass
-the root finder no slopes, so every step is ITP's; x1 itself comes from the
-zero scan, whose refine takes Halley steps.  The solver starts from the
-equation's value at r = 0 and from -inf at x1, where it takes midpoint
-steps until both ends are finite.  x1 is reported as the domain cap.  The
-univalence radius is the starlikeness radius at beta = 0.  Under unsafe
-parameters the decrease is not proven; it is checked on the points the
-solver visits, and a rise raises MonotonicityError.
+for convexity), and D > 0 on (0, x1).  radius() runs the zero scan of the
+zeros module for x1 (zeros.scan) and reads the equation off the series value
+of each scan step, at no extra evaluation; the value at r = 0 is known in
+closed form.  The first step (t_prev, t] where the equation is <= 0, or that
+holds x1, brackets the radius: the equation decreases on [0, x1], and no
+sign change of F, F' or g' (whichever x1 is a zero of) up to t puts x1
+beyond t (or x1 is in the step, refined first, and the bracket is
+[t_prev, x1] with -inf at x1).  So the
+root in that step is the smallest, and the radius needs x1 only where x1
+lies in its step.  The one root finder of the zeros module (refine_bracket)
+refines that bracket with Halley steps from the jets of equations.equation,
+to 1e-13 max(1, end of the bracket) on the abscissa.  It solves either the
+ratio form N/D - beta ("ratio") or the direct form N - beta D ("direct"),
+which has the sign of the ratio form wherever D > 0; the two roots agreeing
+is one of the acceptance checks.  The scan then runs on to x1, refined as
+by find_zeros, which is reported as the domain cap; where the scan ends
+before it (x1 beyond |z| = 55 or the noise floor), the domain cap is None
+and the result carries the flag domain-cap-beyond-range.  The univalence
+radius is the starlikeness radius at beta = 0.  Under unsafe parameters
+the decrease is not proven; it is checked on the points the scan and the
+solver visit, and a rise raises MonotonicityError.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ from enum import Enum
 
 from . import equations
 from .errors import CoulombDomainError, MonotonicityError, PoleError
+from .equations import Jet
 from .params import CoulombParams
-from .series import eval_point
-from .zeros import ZeroTarget, find_zeros, refine_bracket
+from .series import SeriesValue, eval_point
+from .zeros import ZeroTarget, refine_bracket, scan
 
 _ABSCISSA_TOL = 1e-13
 
@@ -75,7 +84,7 @@ class RadiusResult:
     value: float
     bracket: tuple[float, float]
     residual: float
-    domain_cap: float
+    domain_cap: float | None
     iterations: int
     flags: tuple[str, ...] = field(default_factory=tuple)
 
@@ -102,13 +111,6 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         cap_target = ZeroTarget.G_PRIME if kind is Kind.G else ZeroTarget.F_PRIME
     else:
         cap_target = ZeroTarget.F
-    zs = find_zeros(params, cap_target, 1, 0)
-    if not zs.positive:
-        raise MonotonicityError(
-            f"could not locate the first positive zero of {cap_target.value} for "
-            f"(L={params.L}, eta={params.eta})"
-        )
-    cap = zs.positive[0]
 
     flags: list[str] = []
     if not certified:
@@ -116,32 +118,51 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     if query.property is RadiusProperty.UNIVALENT:
         flags.append("univalent")
 
+    L, eta = params.L, params.eta
     probes: list[tuple[float, float]] = []
 
-    def fn(r: float) -> float:
-        num, den, noise = equations.radius_terms(params.L, kind, convex, r,
-                                                 eval_point(params, r))
-        if form == "direct":
-            v = num - beta * den
-        else:
-            try:
-                v = equations.ratio(num, den, noise, r) - beta
-            except PoleError:
-                return -math.inf  # at/past the cap: counts as the low side
-        probes.append((r, v))
-        return v
+    def at(r: float, sv: SeriesValue) -> Jet:
+        try:
+            jet = equations.equation(*equations.radius_terms(L, eta, kind, convex, r, sv),
+                                     r, beta, form)
+        except PoleError:
+            return -math.inf, math.nan, math.nan  # at/past the cap: the low side
+        probes.append((r, jet[0]))
+        return jet
 
-    def no_slopes(r: float) -> tuple[float, float, float]:
-        return fn(r), math.nan, math.nan
-
-    # fn > 0 at 0 (each ratio starts at 1, above beta) and < 0 below the cap
-    # (the ratio falls to -inf; the direct form has the sign of the ratio form)
-    ref = refine_bracket(no_slopes, 0.0, cap, no_slopes(0.0), (-math.inf, math.nan, math.nan),
-                         _ABSCISSA_TOL * max(1.0, cap))
-    residual = fn(ref.root)
+    # the equation is > 0 at 0 (each ratio starts at 1, above beta) and falls
+    # to -inf at the cap (the direct form has the sign of the ratio form); the
+    # first scan step where it is <= 0, or that holds the cap, holds the radius
+    at_lo = (equations.equation_at_origin(L, kind, convex, beta, form), math.nan, math.nan)
+    bracket = None
+    cap = None
+    for step in scan(params, cap_target):
+        if bracket is None:
+            if step.zero is not None:
+                bracket = step.t_prev, step.zero, at_lo, (-math.inf, math.nan, math.nan)
+            else:
+                at_t = at(step.t, step.sv)
+                if at_t[0] <= 0.0:
+                    bracket = step.t_prev, step.t, at_lo, at_t
+                at_lo = at_t
+        if step.zero is not None:
+            cap = step.zero
+            break
+    if bracket is None:
+        raise MonotonicityError(
+            f"could not locate the first positive zero of {cap_target.value} for "
+            f"(L={L}, eta={eta}), nor the radius below it"
+        )
+    if cap is None:
+        flags.append("domain-cap-beyond-range")
+    lo, hi, at_lo, at_hi = bracket
+    ref = refine_bracket(lambda r: at(r, eval_point(params, r)), lo, hi, at_lo, at_hi,
+                         _ABSCISSA_TOL * max(1.0, hi))
+    residual = at(ref.root, eval_point(params, ref.root))[0]
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
-        # verify it on the points the solver visited instead of assuming
+        # verify it on the points the scan and the solver visited instead of
+        # assuming it
         probes.sort()
         for (r1, v1), (r2, v2) in zip(probes, probes[1:]):
             if v2 > v1 + 1e-9 * max(1.0, abs(v1)):

@@ -72,6 +72,7 @@ _START_TERMS = 32  # memo table length on first use
 _GROW_MARGIN = 8  # grow once an evaluation used more than n_max - 8 terms ...
 _GROW_STEP = 16  # ... by this many
 _MEMO_SIZE = 16  # parameter pairs held
+_LOG_EPS_DD = math.log(dd.EPS)
 
 
 @dataclass(frozen=True)
@@ -417,14 +418,37 @@ def shared_table(params: CoulombParams, n_max: int = 1) -> CoefficientTable:
     return _memo.grow(_memo.get(params), n_max)
 
 
+def _first_length(table: CoefficientTable, az: float) -> int:
+    """Table length for the first sum at |z| = az: table.n_max while the
+    tail test of eval_series (q < 0.9) can pass on it, else the first length
+    on its doubling chain where the tail test can pass and az^n/n! has sunk
+    below EPS_dd e^az, the pair noise of a sum whose terms add up to about
+    e^az (a guess: a shorter table would run through every term and fail)."""
+    L, eta = table.params.L, table.params.eta
+    n = table.n_max
+    while n < N_MAX_CAP:
+        den = (n + 1.0) * (n + 2.0 * L + 2.0)
+        if den > 0.0 and az * (2.0 * abs(eta) + max(1.0, az)) / den < 0.9 and (
+                n == table.n_max or n * math.log(az) - math.lgamma(n + 1.0) <= az + _LOG_EPS_DD):
+            break
+        n = min(2 * n, N_MAX_CAP)
+    return n
+
+
 def eval_point(params: CoulombParams, z: float) -> SeriesValue:
     """Evaluate at z on the memoized table of params, growing it as needed.
 
     The table grows by _GROW_STEP once an evaluation used more than n_max -
     _GROW_MARGIN terms, so the next, slightly larger |z| finds it long
-    enough; an evaluation that runs out doubles it, up to N_MAX_CAP.
+    enough.  A |z| that the table cannot reach (a jump outward) first doubles
+    it to the length _first_length guesses, and an evaluation that still runs
+    out doubles it again, up to N_MAX_CAP.
     """
     table = _memo.get(params)
+    if abs(z) <= EVAL_Z_MAX:
+        n_max = _first_length(table, abs(z))
+        if n_max > table.n_max:
+            table = _memo.grow(table, n_max)
     while True:
         try:
             sv = eval_series(table, z)
@@ -452,8 +476,7 @@ def star_ratio(params: CoulombParams, kind: str, r: float) -> float:
     of g (eta <= 0).  Raises PoleError when P(r) vanishes within tolerance.
     """
     _check_ratio_args(kind, r)
-    return equations.ratio(*equations.radius_terms(params.L, kind, False, r,
-                                                   eval_point(params, r)), r)
+    return _ratio(params, kind, False, r)
 
 
 def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
@@ -464,5 +487,10 @@ def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
     _check_ratio_args(kind, r)
     if kind == "f" and not params.supports_f_convexity() and not params.unsafe:
         raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
-    return equations.ratio(*equations.radius_terms(params.L, kind, True, r,
-                                                   eval_point(params, r)), r)
+    return _ratio(params, kind, True, r)
+
+
+def _ratio(params: CoulombParams, kind: str, convex: bool, r: float) -> float:
+    num, den, noise = equations.radius_terms(params.L, params.eta, kind, convex, r,
+                                             eval_point(params, r))
+    return equations.ratio(num[0], den[0], noise, r)

@@ -10,7 +10,7 @@ the equations module):
 Zeros are swept outward from the origin, bracketed by sign change, and
 refined by Halley steps guarded by ITP (interpolate, truncate, project; see
 refine_bracket), which keep the bracket.  Every evaluation returns P' and
-P'' with P, and equations.target_slopes turns them into the target's slope
+P'' with P, and equations.target_jet turns them into the target's slope
 and curvature, so the Halley steps cost no evaluation beyond the step's own,
 and the scan hands the refine the values it has at both ends.  The negative
 axis reuses the same code path through the reflected function z -> P(-z),
@@ -63,28 +63,24 @@ z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
 steps, never at the refined root itself.
 
-find_zeros is the package's one scan and refine_bracket its one bracketed
-root finder, which the radius solvers also run on their own equations, with
-no slopes, so there every step is ITP's (see the radii module).
-refine_bracket decides signs without a noise-floor check.
+scan is the package's one scan, a generator of steps that find_zeros and
+the radius solver both consume, and refine_bracket its one bracketed root
+finder.  The radius solver reads its equation off the series value of each
+step and refines the step that brackets the radius with the slopes of the
+equation's jet (see the radii module).  refine_bracket decides signs
+without a noise-floor check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
-from .equations import (
-    ZeroTarget,
-    noise_limited,
-    target_at_origin,
-    target_slopes,
-    target_value,
-)
+from .equations import Jet, ZeroTarget, noise_limited, target_at_origin, target_jet
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, eval_point
+from .series import EVAL_Z_MAX, SeriesValue, eval_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -188,53 +184,82 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
 
-def _scan_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
-                   count: int) -> tuple[list[float], bool]:
-    if count <= 0:
-        return [], False
-    L = params.L
+class ScanStep(NamedTuple):
+    """One step (t_prev, t] of the scan along t = |z| on one side.
 
-    def h(t: float) -> tuple[tuple[float, float, float], float]:
-        # (value, slope, curvature) along t, and the noise floor; on the
-        # negative axis the slope flips sign and the curvature does not
+    sv is the series at z = sign t; prev and cur are the target's (value,
+    slope, curvature) along t at t_prev and t (NaN slopes at the origin);
+    zero is the target's zero in the step, refined, or None.
+    """
+
+    t_prev: float
+    t: float
+    sv: SeriesValue
+    prev: Jet
+    cur: Jet
+    zero: float | None
+
+
+def scan(params: CoulombParams, target: ZeroTarget | str,
+         sign: float = 1.0) -> Iterator[ScanStep]:
+    """The one zero scan: half-Sturm-spacing steps outward from the origin on
+    the side of sign, each with the target's zero in it refined, up to the
+    precision horizon (module docstring).  The consumer stops it once it has
+    what it needs; each step evaluates the series once, plus the refine
+    steps of a step that holds a zero."""
+    target = ZeroTarget(target)
+    L, eta = params.L, params.eta
+
+    def h(t: float) -> tuple[SeriesValue, Jet, float]:
+        # on the negative axis the slope flips sign and the curvature does not
         z = sign * t
         sv = eval_point(params, z)
-        val, noise = target_value(L, target, z, sv)
-        d1, d2 = target_slopes(L, params.eta, target, z, sv)
-        return (val, sign * d1, d2), noise
+        (val, d1, d2), noise = target_jet(L, eta, target, z, sv)
+        return sv, (val, sign * d1, d2), noise
 
     # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
-    a = max(0.0, -2.0 * sign * params.eta)
+    a = max(0.0, -2.0 * sign * eta)
     b = max(0.0, -L * (L + 1.0))
     # Start below the first zero of every target.  With lam = L+1 > 0 and
     # x = t max(e/lam, 2e, 1), e = |eta|, the recurrence bounds |a_n| t^n by x^n,
     # and a target's |c_n/c_0| t^n by (n+1) max(1, 1/lam) x^n.  For
     # x = 1/(4 max(1, 1/lam)) those terms sum below 1 on |z| <= t: no zero there.
-    lam, e = L + 1.0, abs(params.eta)
+    lam, e = L + 1.0, abs(eta)
     if lam == 0.0:
         raise CoulombDomainError("coefficient recurrence requires L != -1")
     t = 0.25 / (max(1.0, 1.0 / lam) * max(e / lam, 2.0 * e, 1.0))
-    found: list[float] = []
     t_prev = 0.0
     prev = (target_at_origin(L, target), math.nan, math.nan)
-    while len(found) < count and t_prev < EVAL_Z_MAX:
+    while t_prev < EVAL_Z_MAX:
         try:
-            cur, noise = h(t)
+            sv, cur, noise = h(t)
         except ConvergenceError:
-            break
+            return
         val = cur[0]
         if noise_limited(val, noise):
-            break  # sign no longer resolvable against the cancellation floor
+            return  # sign no longer resolvable against the cancellation floor
+        zero = None
         if val == 0.0:
-            # grid point sits exactly on a (simple) zero; the sign flips there
-            found.append(t)
-            cur = (-prev[0], math.nan, math.nan)
+            zero = t  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            found.append(refine_bracket(lambda s: h(s)[0], t_prev, t, prev, cur,
-                                        REFINE_TOL).root)
+            zero = refine_bracket(lambda s: h(s)[1], t_prev, t, prev, cur, REFINE_TOL).root
+        yield ScanStep(t_prev, t, sv, prev, cur, zero)
+        if val == 0.0:
+            cur = (-prev[0], math.nan, math.nan)  # the sign flips there
         t_prev, prev = t, cur
         # half the Sturm spacing, the last step ending on the evaluator's range
         t = min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
+
+
+def _zeros_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
+                    count: int) -> tuple[list[float], bool]:
+    found: list[float] = []
+    if count > 0:
+        for step in scan(params, target, sign):
+            if step.zero is not None:
+                found.append(step.zero)
+                if len(found) == count:
+                    break
     return found, len(found) < count
 
 
@@ -250,8 +275,8 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:
         raise ValueError("zero counts must be >= 0")
-    pos, trunc_pos = _scan_one_sign(params, target, +1.0, count_pos)
-    neg_mod, trunc_neg = _scan_one_sign(params, target, -1.0, count_neg)
+    pos, trunc_pos = _zeros_one_sign(params, target, +1.0, count_pos)
+    neg_mod, trunc_neg = _zeros_one_sign(params, target, -1.0, count_neg)
     return ZeroSet(
         params=params,
         target=target,

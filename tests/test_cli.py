@@ -64,6 +64,34 @@ class TestRadiusCommand:
         validate_report(report)
         assert len(report["results"]) == 2
 
+    def test_cap_beyond_range(self, capsys):
+        # the first zero of F lies past |z| = 55 at L = 48; the radius does not
+        # need it, and domain_cap is null (JSON) or empty (CSV) with a warning
+        argv = ("radius", "--kind", "g", "--property", "starlike", "--L", "48", "--eta", "0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        validate_report(report)
+        assert report["result"]["domain_cap"] is None
+        assert report["warnings"] == ["domain-cap-beyond-range"]
+        assert 9.9 < report["result"]["value"] < 9.91
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        row = out.splitlines()[1].split(",")
+        assert code == 0 and row[11] == "" and row[13] == "domain-cap-beyond-range"
+
+    def test_validate_report_ties_null_cap_to_its_warning(self, capsys):
+        _, out, _ = run_cli(capsys, "radius", "--kind", "g", "--property", "starlike",
+                            "--L", "0", "--eta", "0")
+        report = json.loads(out)
+        report["result"]["domain_cap"] = None
+        with pytest.raises(ValueError, match="domain-cap-beyond-range"):
+            validate_report(report)
+        report["warnings"].append("domain-cap-beyond-range")
+        validate_report(report)
+        del report["result"]["domain_cap"]
+        with pytest.raises(ValueError, match="domain_cap"):
+            validate_report(report)
+
 
 class TestEvalAndZeros:
     def test_eval_series_point(self, capsys):

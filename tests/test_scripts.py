@@ -48,8 +48,8 @@ def test_bench_rows(capsys):
     assert 0 < rows["find_zeros"]["evals"] <= 140
     assert 0 < rows["find_zeros_F_prime"]["evals"] <= 140
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 140
-    assert 0 < rows["radius"]["evals"] <= 22
-    assert 0 < rows["radius_convex_g"]["evals"] <= 22
+    assert 0 < rows["radius"]["evals"] <= 17
+    assert 0 < rows["radius_convex_g"]["evals"] <= 17
     for name in ("eval_z0.5", "eval_z10", "eval_z50", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
     # coefficient terms a cold query builds: the table length a radius or a
@@ -60,6 +60,4 @@ def test_bench_rows(capsys):
         assert 32 <= rows[name]["coef_terms"] <= 144
     # the refine steps are a part of the evaluations; the rest are scan steps
     for name in queries:
-        assert rows[name]["refine_steps"] > 0
-    for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
-        assert rows[name]["refine_steps"] < rows[name]["evals"]
+        assert 0 < rows[name]["refine_steps"] < rows[name]["evals"]

@@ -24,7 +24,7 @@ from coulomb_radii import (
     eval_series,
     star_ratio,
 )
-from coulomb_radii.equations import ZeroTarget, noise_limited, target_slopes, target_value
+from coulomb_radii.equations import ZeroTarget, noise_limited, target_jet
 from coulomb_radii.rayleigh import euler_rayleigh_bounds
 from coulomb_radii.verify import bessel_j
 
@@ -510,6 +510,23 @@ class TestTableContinuation:
         long = coefficients(params, 256)
         assert in_sequence == fresh == [repr(eval_series(long, z)) for z in zs]
 
+    def test_cold_far_evaluation_is_one_sum(self, monkeypatch):
+        # the 32-term start table cannot pass the tail test at |z| = 50, so
+        # the first sum runs on the length its doubling chain reaches there
+        # (256), not on 32, 64 and 128 terms that each run out first; the
+        # value is the one those four sums gave
+        calls = []
+        monkeypatch.setattr(series, "eval_series",
+                            lambda table, z: calls.append(table.n_max) or eval_series(table, z))
+        series._memo.clear()
+        sv = eval_point(CoulombParams(0.5, -1.0), 50.0)
+        assert calls == [256]
+        assert repr(sv) == (
+            "SeriesValue(p0=-0.0003882359909327768, p1=-0.001375650145603863, "
+            "p2=0.0004863044393063197, truncation_terms=157, "
+            "tail_estimate=1.6479530543944906e-15, noise=(4.252056726522638e-12, "
+            "4.0800045312659705e-12, 4.666939267459501e-12))")
+
     def test_table_grows_ahead_of_need(self):
         # an evaluation that used more than n_max - 8 terms adds 16 terms
         params = CoulombParams(0.5, -1.0)
@@ -653,10 +670,63 @@ class TestRatios:
                 for target, T in refs.items():
                     t0 = T(zm)
                     want = [float(mp.diff(T, zm, n, h=h) / t0) for n in (1, 2)]
-                    val, _ = target_value(L, target, z, sv)
-                    got = [d / val for d in target_slopes(L, eta, target, z, sv)]
+                    (val, *slopes), _ = target_jet(L, eta, target, z, sv)
+                    got = [d / val for d in slopes]
                     for g, w in zip(got, want):
                         assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (L, eta, z, target)
+
+    def test_radius_jets_against_mpmath(self):
+        # (value, d/dr, d^2/dr^2) of N, D and of both forms of each radius
+        # equation, against mpmath: P^(k)(r), k <= 4, from mpmath.diff of
+        # coulombf/(coulombc t^(L+1)), so P''' and P'''' do not come from the
+        # Coulomb equation; N and D are then formed from P's Taylor polynomial
+        # at r, exact to the second derivative, and differentiated by mpmath
+        from coulomb_radii import equations
+        mp = pytest.importorskip("mpmath")
+        beta = 0.5
+        for L, eta, r in [(0.5, -1.0, 0.4), (0.5, -1.0, 1.1), (2.5, -2.0, 1.7),
+                          (-0.4, -0.25, 0.9), (0.0, -5.0, 0.05)]:
+            sv = eval_point(CoulombParams(L, eta), r)
+            with mp.workdps(40):
+                Lm, em, rm = mp.mpf(L), mp.mpf(eta), mp.mpf(r)
+                c = mp.coulombc(Lm, em)
+                pk = list(mp.diffs(lambda t: mp.coulombf(Lm, em, t) / (c * t ** (Lm + 1)),
+                                   rm, 4))
+
+                def d(j, h):  # P^(j)(r + h) from the Taylor polynomial
+                    return sum(pk[k] * h ** (k - j) / mp.factorial(k - j) for k in range(j, 5))
+
+                def terms(kind, convex, h):
+                    t, p0, p1, p2 = rm + h, d(0, h), d(1, h), d(2, h)
+                    if not convex:
+                        s = Lm + 1 if kind == "f" else 1
+                        return t * p1 + s * p0, s * p0
+                    if kind == "g":
+                        gp, gpp = p0 + t * p1, 2 * p1 + t * p2
+                        return gp + t * gpp, gp
+                    b = (Lm + 1) * p0 + t * p1
+                    f2 = Lm * (Lm + 1) * p0 + 2 * (Lm + 1) * t * p1 + t * t * p2
+                    return (Lm + 1) * p0 * (f2 + b) - Lm * b * b, (Lm + 1) * p0 * b
+
+                for kind in ("f", "g"):
+                    for convex in (False, True):
+                        num, den, noise = equations.radius_terms(L, eta, kind, convex, r, sv)
+                        refs = {
+                            "N": (num, lambda h: terms(kind, convex, h)[0]),
+                            "D": (den, lambda h: terms(kind, convex, h)[1]),
+                            "direct": (equations.equation(num, den, noise, r, beta, "direct"),
+                                       lambda h: (lambda n, q: n - beta * q)(
+                                           *terms(kind, convex, h))),
+                            "ratio": (equations.equation(num, den, noise, r, beta, "ratio"),
+                                      lambda h: (lambda n, q: n / q - beta)(
+                                          *terms(kind, convex, h))),
+                        }
+                        for name, (jet, ref) in refs.items():
+                            want = [ref(mp.mpf(0))] + [mp.diff(ref, mp.mpf(0), n) for n in (1, 2)]
+                            scale = max(abs(float(w)) for w in want)
+                            for n, (g, w) in enumerate(zip(jet, want)):
+                                assert abs(g - float(w)) <= 1e-13 * scale, (
+                                    L, eta, r, kind, convex, name, n)
 
 
 class TestBesselOracle:
