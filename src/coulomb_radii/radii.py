@@ -17,9 +17,8 @@ closed form.  The first step (t_prev, t] where the equation is <= 0, or that
 holds x1, brackets the radius: the equation decreases on [0, x1], and no
 sign change of F, F' or g' (whichever x1 is a zero of) up to t puts x1
 beyond t (or x1 is in the step, refined first, and the bracket is
-[t_prev, x1] with -inf at x1).  So the
-root in that step is the smallest, and the radius needs x1 only where x1
-lies in its step.  The one root finder of the zeros module (refine_bracket)
+[t_prev, x1] with -inf at x1).  So the root in that step is the smallest,
+and the radius needs x1 only where x1 lies in its step.  The one root finder of the zeros module (refine_bracket)
 refines that bracket with Halley steps from the jets of equations.equation,
 to 1e-13 max(1, end of the bracket) on the abscissa.  It solves either the
 ratio form N/D - beta ("ratio") or the direct form N - beta D ("direct"),
@@ -44,7 +43,8 @@ from .errors import CoulombDomainError, MonotonicityError, PoleError
 from .equations import Jet
 from .params import CoulombParams
 from .series import SeriesValue, eval_point
-from .zeros import ZeroTarget, refine_bracket, scan
+# find_zeros stays bound here, where perfbench's tracer also wraps it
+from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
 
 _ABSCISSA_TOL = 1e-13
 

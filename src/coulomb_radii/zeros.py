@@ -200,14 +200,13 @@ class ScanStep(NamedTuple):
     zero: float | None
 
 
-def scan(params: CoulombParams, target: ZeroTarget | str,
+def scan(params: CoulombParams, target: ZeroTarget,
          sign: float = 1.0) -> Iterator[ScanStep]:
     """The one zero scan: half-Sturm-spacing steps outward from the origin on
     the side of sign, each with the target's zero in it refined, up to the
     precision horizon (module docstring).  The consumer stops it once it has
     what it needs; each step evaluates the series once, plus the refine
     steps of a step that holds a zero."""
-    target = ZeroTarget(target)
     L, eta = params.L, params.eta
 
     def h(t: float) -> tuple[SeriesValue, Jet, float]:
