@@ -18,12 +18,13 @@ holds x1, brackets the radius: the equation decreases on [0, x1], and no
 sign change of F, F' or g' (whichever x1 is a zero of) up to t puts x1
 beyond t (or x1 is in the step, refined first, and the bracket is
 [t_prev, x1] with -inf at x1).  So the root in that step is the smallest,
-and the radius needs x1 only where x1 lies in its step.  The one root finder of the zeros module (refine_bracket)
-refines that bracket with Halley steps from the jets of equations.equation,
-to 1e-13 max(1, end of the bracket) on the abscissa.  It solves either the
-ratio form N/D - beta ("ratio") or the direct form N - beta D ("direct"),
-which has the sign of the ratio form wherever D > 0; the two roots agreeing
-is one of the acceptance checks.  The scan then runs on to x1, refined as
+and the radius needs x1 only where x1 lies in its step.  The one root
+finder of the zeros module (refine_bracket) refines that bracket with
+Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
+the bracket) on the abscissa.  It solves either the ratio form N/D - beta
+("ratio") or the direct form N - beta D ("direct"), which has the sign of
+the ratio form wherever D > 0; the two roots agreeing is one of the
+acceptance checks.  The scan then runs on to x1, refined as
 by find_zeros, which is reported as the domain cap; where the scan ends
 before it (x1 beyond |z| = 55 or the noise floor), the domain cap is None
 and the result carries the flag domain-cap-beyond-range.  The univalence

@@ -419,11 +419,14 @@ def shared_table(params: CoulombParams, n_max: int = 1) -> CoefficientTable:
 
 
 def _first_length(table: CoefficientTable, az: float) -> int:
-    """Table length for the first sum at |z| = az: table.n_max while the
-    tail test of eval_series (q < 0.9) can pass on it, else the first length
-    on its doubling chain where the tail test can pass and az^n/n! has sunk
-    below EPS_dd e^az, the pair noise of a sum whose terms add up to about
-    e^az (a guess: a shorter table would run through every term and fail)."""
+    """Table length for the first sum at |z| = az.
+
+    table.n_max where the tail test of eval_series (q < 0.9 at n = n_max) can
+    pass; a sum on a table where it cannot runs through every term and
+    fails.  Otherwise the first length on the table's doubling chain where
+    the tail test can pass and az^n/n! has fallen below EPS_dd e^az: a guess
+    at where the terms sink below the pair noise of a sum of about e^az.
+    """
     L, eta = table.params.L, table.params.eta
     n = table.n_max
     while n < N_MAX_CAP:
