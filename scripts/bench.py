@@ -10,6 +10,8 @@ The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
     find_zeros          find_zeros(F, 10, 10)
     find_zeros_F_prime  find_zeros(F_prime, 10, 10)
     find_zeros_g_prime  find_zeros(g_prime, 10, 10)
+    cli_eval            one in-process cli.main eval of the starlike ratio
+                        at 16 points z = 0.25 .. 4, stdout captured
 
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the number of eval_series calls and the sum of
@@ -20,25 +22,30 @@ steps and the few single evaluations around them, and coef_terms, the
 coefficient terms the call builds: the new terms of each table built from
 a_0 or continued from a shorter one (so the length the table reached).  The
 query rows start every call with an empty table memo, so their times
-include the table builds.  The counts are deterministic; the times depend
-on the machine.
+include the table builds.  The cli_eval row runs with the memo warm, as a
+repeated request does, and holds evals and terms alone.  The counts are
+deterministic; the times depend on the machine.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
 """
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import statistics
 import sys
 import time
 
-from coulomb_radii import CoulombParams, radii, series, zeros
+from coulomb_radii import CoulombParams, cli, radii, series, zeros
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
 PARAMS = CoulombParams(0.5, -1.0)
+CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
+            "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
 
 
 def median_ms(fn, repeat, fresh_memo):
@@ -52,10 +59,10 @@ def median_ms(fn, repeat, fresh_memo):
     return 1e3 * statistics.median(times)
 
 
-def counts(fn):
+def counts(fn, fresh_memo=True):
     """eval_series calls (failed ones included), their summed terms, the
     summed refine_bracket iterations and the coefficient terms built by one
-    cold call."""
+    call, cold unless fresh_memo is false."""
     tally = {"evals": 0, "terms": 0, "refine_steps": 0, "coef_terms": 0}
     inner, refine, build = series.eval_series, zeros.refine_bracket, series.coefficients
 
@@ -79,7 +86,8 @@ def counts(fn):
     series.eval_series, series.coefficients = counting, counting_build
     zeros.refine_bracket = radii.refine_bracket = counting_refine
     try:
-        series._memo.clear()
+        if fresh_memo:
+            series._memo.clear()
         fn()
     finally:
         series.eval_series, series.coefficients = inner, build
@@ -105,7 +113,18 @@ def rows(repeat):
     }
     for name, fn in queries.items():
         out[name] = {"ms": median_ms(fn, repeat, True), **counts(fn)}
+    cli_eval()
+    tally = counts(cli_eval, fresh_memo=False)
+    out["cli_eval"] = {"ms": median_ms(cli_eval, repeat, False),
+                       "evals": tally["evals"], "terms": tally["terms"]}
     return out
+
+
+def cli_eval():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(CLI_EVAL)
+    if code != 0:
+        raise RuntimeError(f"cli.main({CLI_EVAL}) exited {code}")
 
 
 def main(argv=None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import re
@@ -54,7 +55,14 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later one.
+
+    parse_args returns a fresh Namespace each time and main writes only to
+    that Namespace, so one parser serves any number of main calls; help text
+    takes its width when it is formatted, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="coulomb-radii",
         description="Radii of starlikeness/convexity of normalized regular "
@@ -411,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in sweep_commands:
         if not args.L or not args.eta:
             parser.error("grid lists --L and --eta must be non-empty")
+        if args.command == "eval" and not args.z:
+            parser.error("--z list must be non-empty")
         if args.command == "radius" and not args.beta:
             parser.error("--beta list must be non-empty")
         if args.command == "radius" and args.property == "univalent" and any(args.beta):

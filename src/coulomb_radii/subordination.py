@@ -101,14 +101,15 @@ def disk_min_real(L: complex, eta: complex, quantity: str, grid_n: int = 64,
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
     p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in a[::-1]:
-        dp = dp * z + p
-        p = p * z + c
-
     if quantity == "g":
+        for c in a[::-1]:
+            p = p * z + c
         vals = np.real(p)
     else:
+        dp = np.zeros_like(z)
+        for c in a[::-1]:
+            dp = dp * z + p
+            p = p * z + c
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.real(1.0 + z * dp / p)
         if not np.all(np.isfinite(vals)):

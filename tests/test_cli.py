@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from coulomb_radii import subordination
+from coulomb_radii import cli, subordination
 from coulomb_radii.cli import main, validate_report
 
 
@@ -224,6 +224,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", ["--z=", "--z=,"], ids=["empty", "comma"])
+    def test_empty_z_list_is_usage_error(self, z, capsys):
+        # an empty point list would print a report that validate_report rejects
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--L", "0.5", "--eta=-1", z])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--z list must be non-empty" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--kind", "g", "--L", "0", "--eta=-1", "--m", "3"],
         ["bounds", "--kind", "g", "--L", "0", "--eta=-1", "--method", "closed_form",
@@ -303,6 +312,50 @@ class TestExitCodes:
                                  "--grid-n", "16")
         assert code == 4
         assert out == "" and "not converged" in err
+
+
+class TestParserReuse:
+    # main writes args.grid_n and reads the shared --beta default list; a usage
+    # error exits through the parser mid-sequence
+    SEQUENCE = [
+        ["region", "--L", "4+1i", "--eta", "0.5", "--disk", "g", "--grid-n", "32"],
+        ["region", "--L", "4+1i", "--eta", "0.5", "--disk", "g"],
+        ["radius", "--kind", "g", "--property", "starlike", "--beta", "0,0.5",
+         "--L", "0", "--eta", "0"],
+        ["radius", "--kind", "g", "--property", "starlike", "--L", "0", "--eta", "0"],
+        ["radius", "--kind", "q", "--property", "starlike", "--L", "0", "--eta", "0"],
+        ["radius", "--kind", "g", "--property", "starlike", "--L", "0", "--eta", "0",
+         "--output", "csv"],
+        ["eval", "--L", "0", "--eta", "0", "--z", "1", "--output", "csv"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        cli._build_parser.cache_clear()
+        reused = [self.call(capsys, argv) for argv in self.SEQUENCE]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0]
+        assert json.loads(reused[0][1])["result"]["disk"]["grid_n"] == 32
+        assert json.loads(reused[1][1])["result"]["disk"]["grid_n"] == 64
+        assert len(json.loads(reused[2][1])["results"]) == 2
+        assert json.loads(reused[3][1])["params"]["beta"] == 0.0
+        assert len(reused[5][1].splitlines()) == 2
 
 
 class TestVerifyCommand:

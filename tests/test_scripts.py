@@ -42,7 +42,8 @@ def test_bench_rows(capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime")
-    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", *queries}
+    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
+                         *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # counted by the wrapped eval_series, within the gates of test_zeros and test_radii
     assert 0 < rows["find_zeros"]["evals"] <= 140
@@ -50,7 +51,9 @@ def test_bench_rows(capsys):
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 140
     assert 0 < rows["radius"]["evals"] <= 17
     assert 0 < rows["radius_convex_g"]["evals"] <= 17
-    for name in ("eval_z0.5", "eval_z10", "eval_z50", *queries):
+    # one evaluation per point of the warm in-process eval request
+    assert rows["cli_eval"]["evals"] == 16
+    for name in ("eval_z0.5", "eval_z10", "eval_z50", "cli_eval", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
     # coefficient terms a cold query builds: the table length a radius or a
     # ten-zero scan reaches
