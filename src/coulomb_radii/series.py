@@ -111,8 +111,9 @@ def coefficients(params: CoulombParams, n_max: int,
         raise ValueError("base must be a table of the same params with n_max <= the new one")
     pairs = []
     # The recurrence below is dd.two_sum, dd.mul_d, dd.sub and dd.div expanded
-    # inline on local floats, operation for operation; only the Dekker split
-    # of 2 eta is hoisted.
+    # inline on local floats, operation for operation; the Dekker split of
+    # 2 eta is hoisted, and the integer n (< 2^26, so its split is n + 0)
+    # takes none.
     split = dd.SPLITTER
     two_eta = 2.0 * eta
     two_L = 2.0 * L
@@ -132,10 +133,7 @@ def coefficients(params: CoulombParams, n_max: int,
         c = split * s
         ah = c - (c - s)
         al = s - ah
-        c = split * fn
-        bh = c - (c - fn)
-        bl = fn - bh
-        e2 = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e2 = (ah * fn - p) + al * fn
         e2 += e * fn
         d0 = p + e2
         d1 = e2 - (d0 - p)
@@ -248,7 +246,8 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     pairs = table.a_pairs
 
     # The loop is dd.mul, dd.add and dd.mul_d expanded inline on local floats,
-    # operation for operation; only the Dekker split of z is hoisted.
+    # operation for operation; the Dekker split of z is hoisted, and the
+    # integer n (< 2^26, so its split is n + 0) takes none.
     split, eps, eps_dd = dd.SPLITTER, _EPS, dd.EPS
     c = split * z
     zh = c - (c - z)
@@ -284,10 +283,7 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         c = split * t0
         ah = c - (c - t0)
         al = t0 - ah
-        c = split * fn
-        bh = c - (c - fn)
-        bl = fn - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e = (ah * fn - p) + al * fn
         e += t1 * fn
         u0 = p + e
         u1 = e - (u0 - p)
