@@ -111,6 +111,71 @@ class _Refined:
     iterations: int
 
 
+def _poly_root(coeffs: tuple[float, ...], u: float, neg_at_0: bool) -> float:
+    """A root in [0, 1] of the polynomial sum coeffs[k] u^k, whose value is
+    negative at 0 iff neg_at_0 and has the other sign at 1: Newton from u,
+    bisecting the bracket of the iterates wherever a step leaves it."""
+    lo, hi = 0.0, 1.0
+    for _ in range(_BISECT_CAP):
+        p = dp = 0.0
+        for a in reversed(coeffs):
+            dp = dp * u + p
+            p = p * u + a
+        if p == 0.0:
+            return u
+        if (p < 0.0) == neg_at_0:
+            lo = u
+        else:
+            hi = u
+        v = u - p / dp if dp else math.nan
+        if not lo < v < hi:
+            v = 0.5 * (lo + hi)
+        if abs(v - u) <= 1e-15:
+            return v
+        u = v
+    return u
+
+
+def _jet_roots(lo: float, hi: float, at_lo: tuple[float, float, float],
+               at_hi: tuple[float, float, float]) -> tuple[float, float] | None:
+    """Roots in [lo, hi] of the quintic Hermite interpolant of both end jets
+    (value, slope, curvature) and of the cubic one of value and slope, or None
+    unless all six entries are finite.  Both are written in u = (x - lo)/w,
+    w = hi - lo, with slopes scaled by w and curvatures by w^2, and cost no
+    evaluation of fn."""
+    f0, s0, c0 = at_lo
+    f1, s1, c1 = at_hi
+    w = hi - lo
+    a1, a2 = w * s0, 0.5 * w * w * c0
+    # the cubic f0 + a1 u + b2 u^2 + b3 u^3 meets (f1, w s1) at u = 1
+    A, B = f1 - f0 - a1, w * s1 - a1
+    cubic = (f0, a1, 3.0 * A - B, B - 2.0 * A)
+    # the quintic adds a2 u^2 and the u^3..u^5 terms that meet w^2 c1
+    A, B, C = A - a2, B - 2.0 * a2, w * w * c1 - 2.0 * a2
+    quintic = (f0, a1, a2, 10.0 * A - 4.0 * B + 0.5 * C, -15.0 * A + 7.0 * B - C,
+               6.0 * A - 3.0 * B + 0.5 * C)
+    if not all(map(math.isfinite, cubic + quintic)):
+        return None
+    neg = f0 < 0.0
+    u_c = _poly_root(cubic, f0 / (f0 - f1) if f0 != f1 else 0.5, neg)
+    u_q = _poly_root(quintic, u_c, neg)
+    return lo + w * u_q, lo + w * u_c
+
+
+def _jet_start(lo: float, hi: float, at_lo: tuple[float, float, float],
+               at_hi: tuple[float, float, float], tol: float) -> float | None:
+    """The first point of a refine with both end jets: the quintic root moved
+    towards the midpoint by delta = 0.05 |x_quintic - x_cubic|, clamped to
+    [4 tol, width/4]; None where _jet_roots is."""
+    roots = _jet_roots(lo, hi, at_lo, at_hi)
+    if roots is None:
+        return None
+    x_q, x_c = roots
+    mid = 0.5 * (lo + hi)
+    delta = min(max(0.05 * abs(x_q - x_c), 4.0 * tol), 0.25 * (hi - lo))
+    return x_q + math.copysign(delta, mid - x_q) if delta <= abs(mid - x_q) else mid
+
+
 def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float, hi: float,
                    at_lo: tuple[float, float, float], at_hi: tuple[float, float, float],
                    tol: float) -> _Refined:
@@ -147,19 +212,23 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     aim = max(tol - 4.0 * math.ulp(max(abs(lo), abs(hi))), 0.5 * tol)
     f_lo, f_hi = at_lo[0], at_hi[0]
     x0, (f0, d1, d2) = (lo, at_lo) if abs(f_lo) <= abs(f_hi) else (hi, at_hi)
+    start = _jet_start(lo, hi, at_lo, at_hi, tol)
     step = width
     iters = 0
     while hi - lo > tol and iters < _BISECT_CAP:
-        den = 2.0 * d1 * d1 - f0 * d2
-        s = -2.0 * f0 * d1 / den if den else 0.0
-        if s:  # NaN included; a zero step is refused below
-            s += math.copysign(0.5 * tol if abs(s) < 0.25 * tol
-                               else abs(s) * (s / step) * (s / step), s)
-        x = x0 + s
+        if start is None:
+            den = 2.0 * d1 * d1 - f0 * d2
+            s = -2.0 * f0 * d1 / den if den else 0.0
+            if s:  # NaN included; a zero step is refused below
+                s += math.copysign(0.5 * tol if abs(s) < 0.25 * tol
+                                   else abs(s) * (s / step) * (s / step), s)
+            x = x0 + s if abs(s) <= 0.5 * step else math.nan
+        else:
+            x = start
         # were the step to gain nothing, the next ITP projection radius must
         # still be nonnegative: iters + 1 + ceil(log2((hi-lo)/aim)) <= n_max
-        if not (lo < x < hi and abs(s) <= 0.5 * step
-                and hi - lo <= aim * 2.0 ** (n_max - iters - 1)):
+        if not (lo < x < hi and hi - lo <= aim * 2.0 ** (n_max - iters - 1)):
+            start = None
             mid = 0.5 * (lo + hi)
             x = mid
             if math.isfinite(f_lo) and math.isfinite(f_hi):
@@ -172,7 +241,11 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
                 x_t = min(max(x_t, lo + 0.25 * tol), hi - 0.25 * tol)
                 r = aim * 2.0 ** (n_max - iters - 1) - 0.5 * (hi - lo)
                 x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        step = abs(x - x0)
+        if start is None:
+            step = abs(x - x0)
+        # the interpolated point is no Halley step: the first Halley step
+        # after it measures its lengthening against the width
+        start = None
         x0, (f0, d1, d2) = x, fn(x)
         if f0 == 0.0:
             lo = hi = x

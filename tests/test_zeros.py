@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from coulomb_radii import CoulombParams, series
+from coulomb_radii import CoulombParams, series, zeros
 from coulomb_radii.verify import _interlaced, _product, bessel_j
-from coulomb_radii.zeros import ZeroTarget, find_zeros, refine_bracket
+from coulomb_radii.zeros import ZeroTarget, _jet_roots, _jet_start, find_zeros, refine_bracket
 
 P00 = CoulombParams(0.0, 0.0)
 
@@ -199,6 +199,27 @@ def pole(x):
     return 1.0 - x / (1.0 - x) if x < 1.0 else -math.inf
 
 
+def poly_jet(coeffs):
+    """fn -> (p, p', p'') of the polynomial sum coeffs[k] x^k."""
+    def fn(x):
+        p = d1 = d2 = 0.0
+        for a in reversed(coeffs):
+            d2 = d2 * x + 2.0 * d1
+            d1 = d1 * x + p
+            p = p * x + a
+        return p, d1, d2
+    return fn
+
+
+def poly_from_roots(roots, factor=(1.0,)):
+    """Coefficients of factor(x) * prod(x - r), constant term first."""
+    coeffs = list(factor)
+    for r in roots:
+        coeffs = [(coeffs[k - 1] if k else 0.0) - (r * coeffs[k] if k < len(coeffs) else 0.0)
+                  for k in range(len(coeffs) + 1)]
+    return coeffs
+
+
 class TestRefineBracket:
     """Guarded Halley steps and the ITP fallback keep the sign-change bracket
     and bisection's worst case plus one step."""
@@ -225,8 +246,9 @@ class TestRefineBracket:
                               0.5 * math.pi),
     }
 
-    # a smooth root with exact slopes: at most 5 steps (ITP alone: 5, 8 and 9)
-    HALLEY_STEPS = {"cos-slopes": 5}
+    # a smooth root with exact slopes: at most 3 steps from the interpolated
+    # start (5 from Halley steps alone; ITP alone: 5, 8 and 9)
+    HALLEY_STEPS = {"cos-slopes": 3}
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-13])
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -247,16 +269,86 @@ class TestRefineBracket:
             f = lambda x: fn(x)[0]
             assert calls == itp_iterates(f, lo, hi, f(lo), f(hi), tol)
 
+    # (coefficients, lo, hi, root): degrees 1 to 5, one root in the bracket,
+    # in the middle, near an end, and in a wide bracket
+    POLYS = [
+        (poly_from_roots([0.5], (2.0,)), 0.0, 3.0, 0.5),
+        (poly_from_roots([0.3], (1.0, 0.0, 1.0)), 0.0, 1.0, 0.3),
+        (poly_from_roots([0.01, 2.0, -1.0, -5.0], (-1.0,)), 0.0, 1.0, 0.01),
+        (poly_from_roots([1.7, -2.0, 4.0], (0.5, 0.0, 1.0)), 1.0, 3.0, 1.7),
+        (poly_from_roots([7.25, 20.0, -3.0], (5.0, -2.0, 1.0)), 0.0, 10.0, 7.25),
+        (poly_from_roots([2.0 ** 0.5, 3.0, -3.0, 0.5, -0.5], (-1e-6,)), 1.0, 2.0, 2.0 ** 0.5),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(POLYS)))
+    def test_interpolated_root_of_a_quintic_is_its_root(self, case):
+        # the quintic Hermite interpolant of a polynomial of degree <= 5 is
+        # the polynomial itself, and the cubic one for degree <= 3
+        coeffs, lo, hi, root = self.POLYS[case]
+        fn = poly_jet(coeffs)
+        x_q, x_c = _jet_roots(lo, hi, fn(lo), fn(hi))
+        assert x_q == pytest.approx(root, abs=1e-14)
+        if len(coeffs) <= 4:
+            assert x_c == pytest.approx(root, abs=1e-14)
+        # the first point sits delta towards the midpoint, delta >= 4 tol
+        tol = 1e-12
+        x = _jet_start(lo, hi, fn(lo), fn(hi), tol)
+        delta = min(max(0.05 * abs(x_q - x_c), 4.0 * tol), 0.25 * (hi - lo))
+        assert x - x_q == pytest.approx(math.copysign(delta, 0.5 * (lo + hi) - x_q), rel=1e-9)
+        calls = []
+        ref = refine_bracket(lambda t: calls.append(t) or fn(t), lo, hi, fn(lo), fn(hi), tol)
+        assert calls[0] == x
+        assert abs(ref.root - root) <= tol
+        assert ref.iterations <= math.ceil(math.log2((hi - lo) / tol)) + 1
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_non_finite_end_entry_takes_no_interpolated_point(self, end, entry):
+        # NaN slopes (the scan's origin) or an infinite value (a pole) at
+        # either end: the refine starts as it did before the interpolated
+        # point, from Halley or ITP, and keeps the worst case
+        coeffs, lo, hi, root = self.POLYS[3]
+        fn, tol = poly_jet(coeffs), 1e-12
+        ends = {"lo": list(fn(lo)), "hi": list(fn(hi))}
+        value = ends[end][0]
+        ends[end][entry] = math.copysign(math.inf, value) if entry == 0 else math.nan
+        at_lo, at_hi = tuple(ends["lo"]), tuple(ends["hi"])
+        assert _jet_roots(lo, hi, at_lo, at_hi) is None
+        assert _jet_start(lo, hi, at_lo, at_hi, tol) is None
+        calls = []
+        ref = refine_bracket(lambda t: calls.append(t) or fn(t), lo, hi, at_lo, at_hi, tol)
+        assert calls[0] != _jet_start(lo, hi, fn(lo), fn(hi), tol)
+        assert ref.iterations <= math.ceil(math.log2((hi - lo) / tol)) + 1
+        assert abs(ref.root - root) <= tol
+
+    def test_zero_next_to_an_extremum_of_an_end(self, monkeypatch):
+        # at (4.105, -22.918) the end of the first F bracket with the smaller
+        # |f| sits near an extremum, so a Halley step from it moves 3% of the
+        # width; started there the refine took 12 steps, from the
+        # interpolated point it takes 4
+        steps = []
+
+        def counting(*args):
+            ref = refine_bracket(*args)
+            steps.append(ref.iterations)
+            return ref
+
+        monkeypatch.setattr(zeros, "refine_bracket", counting)
+        zs = find_zeros(CoulombParams(4.105, -22.918), ZeroTarget.F, 1, 0)
+        assert zs.positive[0] == pytest.approx(0.99368, abs=1e-5)
+        assert steps == [steps[0]] and steps[0] <= 5
+
     def test_find_zeros_evaluation_count(self, monkeypatch):
         # deterministic gates: the scan steps plus the refine steps of 20
-        # zeros, one half-Sturm-spacing step for every target and Halley
-        # steps from the scan's slopes (F 139, F' 138, g' 138; 223, 220 and
-        # 221 with ITP steps alone)
+        # zeros, one half-Sturm-spacing step for every target, each refine
+        # started at the interpolated point of the scan's end jets (F 118,
+        # F' 119, g' 115; 139, 138 and 138 from Halley steps alone, 223, 220
+        # and 221 with ITP steps alone)
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
                             lambda table, z: calls.append(z) or eval_series(table, z))
-        gates = {ZeroTarget.F: 140, ZeroTarget.F_PRIME: 140, ZeroTarget.G_PRIME: 140}
+        gates = {ZeroTarget.F: 120, ZeroTarget.F_PRIME: 121, ZeroTarget.G_PRIME: 117}
         for target, gate in gates.items():
             calls.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
