@@ -305,8 +305,8 @@ class TestRefineBracket:
     @pytest.mark.parametrize("entry", [0, 1, 2])
     def test_non_finite_end_entry_takes_no_interpolated_point(self, end, entry):
         # NaN slopes (the scan's origin) or an infinite value (a pole) at
-        # either end: the refine starts as it did before the interpolated
-        # point, from Halley or ITP, and keeps the worst case
+        # either end: no interpolated point; the refine starts with a Halley
+        # or ITP step and keeps the worst case
         coeffs, lo, hi, root = self.POLYS[3]
         fn, tol = poly_jet(coeffs), 1e-12
         ends = {"lo": list(fn(lo)), "hi": list(fn(hi))}
