@@ -246,9 +246,11 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     pairs = table.a_pairs
 
     # The loop is dd.mul, dd.add and dd.mul_d expanded inline on local floats,
-    # operation for operation; the Dekker split of z is hoisted, and the
-    # integer n (< 2^26, so its split is n + 0) takes none.
-    split, eps, eps_dd = dd.SPLITTER, _EPS, dd.EPS
+    # operation for operation; the Dekker split of z is hoisted, the z^n
+    # update reuses the split of z^n that the term product made, and the
+    # index n runs as the float fn (< 2^26, so its split is fn + 0) and takes
+    # none.
+    split, eps, eps_dd, tiny = dd.SPLITTER, _EPS, dd.EPS, _TINY
     c = split * z
     zh = c - (c - z)
     zl = z - zh
@@ -256,10 +258,10 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     g0 = g1 = 0.0
     zn0, zn1 = 1.0, 0.0  # the pair z^n
     run = 0
-    for n in range(table.n_max + 1):
-        fn = float(n)
-        a0, a1 = pairs[n]
-        # t = dd.mul(pairs[n], zn)
+    fn = -1.0
+    for a0, a1 in pairs:
+        fn += 1.0
+        # t = dd.mul(a_n, zn)
         p = a0 * zn0
         c = split * a0
         ah = c - (c - a0)
@@ -295,32 +297,30 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         s10 = s + e
         s11 = e - (s10 - s)
         t0m = abs(t0)
-        t1m = n * t0m
+        t1m = fn * t0m
         g0 += t0m
         g1 += t1m
 
         small = (
-            t0m <= eps * abs(s00) + eps_dd * g0 + _TINY
-            and t1m <= eps * abs(s10) + eps_dd * g1 + _TINY
+            t0m <= eps * abs(s00) + eps_dd * g0 + tiny
+            and t1m <= eps * abs(s10) + eps_dd * g1 + tiny
         )
         run = run + 1 if small else 0
-        if run >= 3 and n >= 4:
+        if run >= 3 and fn >= 4.0:
+            n = int(fn)
             q = az * (2.0 * abs(eta) + max(1.0, az)) / ((n + 1.0) * (n + 2.0 * L + 2.0))
             if 0.0 <= q < 0.9:
                 qa = q * (n + 3.0) / (n + 1.0)  # covers the derivative sum too
                 fac = qa / (1.0 - qa)
                 if all(
                     tm * fac <= max(DEFAULT_TOL * abs(sh),
-                                    0.25 * _NOISE_SAFETY * dd.EPS * g, _TINY)
+                                    0.25 * _NOISE_SAFETY * eps_dd * g, tiny)
                     for tm, sh, g in ((t0m, s00, g0), (t1m, s10, g1))
                 ):
                     break
-        # zn = dd.mul_d(zn, z)
+        # zn = dd.mul_d(zn, z), on the split (bh, bl) of zn made above
         p = zn0 * z
-        c = split * zn0
-        ah = c - (c - zn0)
-        al = zn0 - ah
-        e = ((ah * zh - p) + ah * zl + al * zh) + al * zl
+        e = ((bh * zh - p) + bh * zl + bl * zh) + bl * zl
         e += zn1 * z
         zn0 = p + e
         zn1 = e - (zn0 - p)
