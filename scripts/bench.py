@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer and query costs of the series core, printed as one JSON object.
 
-The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
+The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
 
     coef256             building a 256-term coefficient table
     eval_z0.5           one eval_series on that table at z = 0.5 (also z = 10, 50)
@@ -10,6 +10,8 @@ The rows of the ROADMAP measurements, all at (L, eta) = (0.5, -1):
     find_zeros          find_zeros(F, 10, 10)
     find_zeros_F_prime  find_zeros(F_prime, 10, 10)
     find_zeros_g_prime  find_zeros(g_prime, 10, 10)
+    find_zeros_neg      find_zeros(F, 0, 3) at (2, -20), whose negative axis
+                        starts with the zero-free stretch the scan skips
     cli_eval            one in-process cli.main eval of the starlike ratio
                         at 16 points z = 0.25 .. 4, stdout captured
 
@@ -110,6 +112,7 @@ def rows(repeat):
         "find_zeros": lambda: find_zeros(PARAMS, ZeroTarget.F, 10, 10),
         "find_zeros_F_prime": lambda: find_zeros(PARAMS, ZeroTarget.F_PRIME, 10, 10),
         "find_zeros_g_prime": lambda: find_zeros(PARAMS, ZeroTarget.G_PRIME, 10, 10),
+        "find_zeros_neg": lambda: find_zeros(CoulombParams(2.0, -20.0), ZeroTarget.F, 0, 3),
     }
     for name, fn in queries.items():
         out[name] = {"ms": median_ms(fn, repeat, True), **counts(fn)}

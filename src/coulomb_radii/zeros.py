@@ -309,7 +309,8 @@ def scan(params: CoulombParams, target: ZeroTarget,
         return sv, (val, sign * d1, d2), noise
 
     # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
-    a = max(0.0, -2.0 * sign * eta)
+    eta_s = sign * eta
+    a = max(0.0, -2.0 * eta_s)
     b = max(0.0, -L * (L + 1.0))
     # Start below the first zero of every target.  With lam = L+1 > 0 and
     # x = t max(e/lam, 2e, 1), e = |eta|, the recurrence bounds |a_n| t^n by x^n,
@@ -319,6 +320,19 @@ def scan(params: CoulombParams, target: ZeroTarget,
     if lam == 0.0:
         raise CoulombDomainError("coefficient recurrence requires L != -1")
     t = 0.25 / (max(1.0, 1.0 / lam) * max(e / lam, 2.0 * e, 1.0))
+
+    def after(t: float) -> float:
+        # half the Sturm spacing, the last step ending on the evaluator's range
+        return min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
+
+    # No target zero lies in (0, t_free] on the negative axis with L >= 0
+    # (module docstring): walk the grid there unevaluated, up to its last
+    # point at or below t_free, so every later step is the same as without.
+    c = 2.0 * L if target is ZeroTarget.G_PRIME else L * (L + 1.0)
+    t_free = eta_s + math.sqrt(eta_s * eta_s + c) if sign < 0.0 and L >= 0.0 else 0.0
+    nxt = after(t)
+    while t < nxt <= t_free:
+        t, nxt = nxt, after(nxt)
     t_prev = 0.0
     prev = (target_at_origin(L, target), math.nan, math.nan)
     while t_prev < EVAL_Z_MAX:
@@ -338,8 +352,7 @@ def scan(params: CoulombParams, target: ZeroTarget,
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
         t_prev, prev = t, cur
-        # half the Sturm spacing, the last step ending on the evaluator's range
-        t = min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
+        t = after(t)
 
 
 def _zeros_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,

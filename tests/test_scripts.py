@@ -41,14 +41,15 @@ def test_bench_rows(capsys):
     load("bench").main(["--repeat", "1"])
     rows = json.loads(capsys.readouterr().out)["rows"]
     queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
-               "find_zeros_g_prime")
+               "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
                          *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # counted by the wrapped eval_series, within the gates of test_zeros and test_radii
-    assert 0 < rows["find_zeros"]["evals"] <= 120
-    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 121
-    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 117
+    assert 0 < rows["find_zeros"]["evals"] <= 119
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 120
+    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 116
+    assert 0 < rows["find_zeros_neg"]["evals"] <= 17
     assert 0 < rows["radius"]["evals"] <= 14
     assert 0 < rows["radius_convex_g"]["evals"] <= 14
     # one evaluation per point of the warm in-process eval request

@@ -2,6 +2,7 @@
 truncated Weierstrass product of the acceptance matrix."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -160,6 +161,55 @@ class TestFindZeros:
         zs = find_zeros(P00, ZeroTarget.G_PRIME, 1, 0)
         assert zs.positive[0] == pytest.approx(math.pi / 2.0, abs=1e-10)
         assert zs.negative == () and not zs.truncated
+
+
+class TestZeroFreeStart:
+    """The negative axis with L >= 0 skips the grid points in (0, t*], where
+    q (r for g') < 0 and no target zero lies (zeros module docstring)."""
+
+    def test_no_zero_skipped_at_eta_minus_20(self):
+        # negative-axis zeros of (L, eta) are the positive zeros of (L, -eta)
+        L, eta, step = 2.0, -20.0, 0.05
+        t_star = {ZeroTarget.F: 20.0 + math.sqrt(400.0 + L * (L + 1.0)),
+                  ZeroTarget.G_PRIME: 20.0 + math.sqrt(400.0 + 2.0 * L)}
+        t_star[ZeroTarget.F_PRIME] = t_star[ZeroTarget.F]
+        params = CoulombParams(L, eta)
+        for target, t in t_star.items():
+            # the first step is (0, t_k], t_k the last grid point at or below t*
+            first, second = itertools.islice(zeros.scan(params, target, -1.0), 2)
+            assert first.t_prev == 0.0 and first.t <= t < second.t, target
+        found = {target: tuple(-x for x in find_zeros(params, target, 0, 3).negative)
+                 for target in ZeroTarget}
+        assert all(found.values())
+        oracle = mpmath_zero_cells(L, -eta, max(x[-1] for x in found.values()) + 2.0 * step, step)
+        for target, xs in found.items():
+            cells = [c for c in oracle[target] if c[0] < xs[-1]]
+            assert all(hi > t_star[target] for _, hi in cells), target
+            assert len(cells) == len(xs), target
+            for (lo, hi), x in zip(cells, xs):
+                assert lo < x <= hi, target
+
+    @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 17), (0.0, -25.0, 2, 8)])
+    def test_evaluation_count(self, monkeypatch, L, eta, count, gate):
+        # deterministic gates: 15 and 6 evaluations, against 41 and 37 with
+        # every grid point of (0, t*] evaluated
+        calls = []
+        eval_series = series.eval_series
+        monkeypatch.setattr(series, "eval_series",
+                            lambda table, z: calls.append(z) or eval_series(table, z))
+        find_zeros(CoulombParams(L, eta), ZeroTarget.F, 0, count)
+        assert 0 < len(calls) <= gate
+
+    def test_unsafe_L_below_minus_one_is_not_skipped(self):
+        # L(L+1) > 0 here too, but u u' < 0 at the origin, so (0, t* = 10.04]
+        # is not zero-free; mpmath: 0.039019553515725 and 15.5805095145986
+        params = CoulombParams(-1.3, -5.0, unsafe=True)
+        zs = find_zeros(params, ZeroTarget.F, 0, 2)
+        assert not zs.truncated
+        assert zs.negative == pytest.approx((-0.039019553515725, -15.5805095145986), abs=1e-10)
+        # ... in a half step from the first grid point, not in a skipped stretch
+        step = next(s for s in zeros.scan(params, ZeroTarget.F, -1.0) if s.zero is not None)
+        assert 0.0 < step.t_prev < 0.039 < step.t < 2.0
 
 
 def itp_iterates(f, lo, hi, f_lo, f_hi, tol):
@@ -341,14 +391,15 @@ class TestRefineBracket:
     def test_find_zeros_evaluation_count(self, monkeypatch):
         # deterministic gates: the scan steps plus the refine steps of 20
         # zeros, one half-Sturm-spacing step for every target, each refine
-        # started at the interpolated point of the scan's end jets (F 118,
-        # F' 119, g' 115; 139, 138 and 138 from Halley steps alone, 223, 220
-        # and 221 with ITP steps alone)
+        # started at the interpolated point of the scan's end jets, the
+        # zero-free start of the negative axis unevaluated (F 117, F' 118,
+        # g' 114; 118, 119 and 115 with it evaluated, 139, 138 and 138 from
+        # Halley steps alone, 223, 220 and 221 with ITP steps alone)
         calls = []
         eval_series = series.eval_series
         monkeypatch.setattr(series, "eval_series",
                             lambda table, z: calls.append(z) or eval_series(table, z))
-        gates = {ZeroTarget.F: 120, ZeroTarget.F_PRIME: 121, ZeroTarget.G_PRIME: 117}
+        gates = {ZeroTarget.F: 119, ZeroTarget.F_PRIME: 120, ZeroTarget.G_PRIME: 116}
         for target, gate in gates.items():
             calls.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
