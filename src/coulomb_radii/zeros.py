@@ -49,6 +49,25 @@ unsafe eta > 0 on the positive axis included: there q or r dips below zero
 on an interval, and the half step is a margin only.  On 270 such cases it
 found the same zeros as a scan at 1/32 of the spacing.
 
+The negative axis starts with a zero-free stretch (0, t*] where L >= 0, with
+t* = eta_s + sqrt(eta_s^2 + L(L+1)) for F and F', and eta_s +
+sqrt(eta_s^2 + 2L) for g'.  Where t* > 0 (L > 0, or L = 0 with eta_s > 0), q
+(r for g') < 0 on (0, t*).  There u'' = -q u has the sign of u, so
+(u u')' = u'^2 - q u^2 > 0, and u ~ t^(L+1) gives u u' > 0 just right of the
+origin: neither u nor u' vanishes on (0, t*].  For g', v = t^(-L) u = t P has
+v' proportional to g', and (t^(2L) v')' = -r t^(2L) v gives
+(v t^(2L) v')' = t^(2L) (v'^2 - r v^2) > 0 with v v' > 0 at 0+.  Both
+products are positive at t* itself, so a t* rounded a few ulps high holds no
+zero either.  The scan walks its grid through (0, t*] unevaluated and takes
+(0, t_k] as its first step, t_k the last grid point at or below t*; the grid
+is the one it would have walked, so every later step, refine and zero is the
+same double.  L > -1 is needed: for unsafe L < -1, L(L+1) > 0 too, but
+u u' < 0 at the origin, and at (-1.3, -5) F vanishes at z = -0.039.  The
+positive axis, where t* > 0 for L > 0, keeps every step: the radius solver
+reads its equation off each step of the cap scan, and a first step (0, t*]
+there widens the radius bracket (at (48, 0), g-starlike, the direct and
+ratio forms then differ by 1.4e-12).
+
 The scan runs until it has the requested count or reaches the precision
 horizon: the first step where the target is within eight cancellation-noise
 floors of zero (and the floor exceeds 1e-14; equations.noise_limited), so
@@ -298,7 +317,9 @@ def scan(params: CoulombParams, target: ZeroTarget,
     the side of sign, each with the target's zero in it refined, up to the
     precision horizon (module docstring).  The consumer stops it once it has
     what it needs; each step evaluates the series once, plus the refine
-    steps of a step that holds a zero."""
+    steps of a step that holds a zero.  On the negative axis with L >= 0 the
+    first step is (0, t_k], t_k the last grid point of the zero-free
+    stretch (0, t*] (module docstring)."""
     L, eta = params.L, params.eta
 
     def h(t: float) -> tuple[SeriesValue, Jet, float]:
