@@ -3,7 +3,7 @@
 
 The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
 
-    coef256             building a 256-term coefficient table
+    coef256             building a 256-term coefficient table, in exact arithmetic
     eval_z0.5           one eval_series on that table at z = 0.5 (also z = 10, 50)
     radius              one radius: g, starlike, beta = 0.5
     radius_convex_g     one radius: g, convex, beta = 0.5
@@ -20,13 +20,9 @@ row evaluates the series, the number of eval_series calls and the sum of
 their truncation_terms, counted by a wrapped series.eval_series.  Each query
 row also holds refine_steps, the summed iterations of refine_bracket (the
 zero refines and the radius solve), so evals - refine_steps are the scan
-steps and the few single evaluations around them, and coef_terms, the
-coefficient terms the call builds: the new terms of each table built from
-a_0 or continued from a shorter one (so the length the table reached).  The
-query rows start every call with an empty table memo, so their times
-include the table builds.  The cli_eval row runs with the memo warm, as a
-repeated request does, and holds evals and terms alone.  The counts are
-deterministic; the times depend on the machine.
+steps and the few single evaluations around them.  Nothing is cached between
+calls, so every row is a repeated request as well as a cold one.  The counts
+are deterministic; the times depend on the machine.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -50,23 +46,20 @@ CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
             "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
 
 
-def median_ms(fn, repeat, fresh_memo):
+def median_ms(fn, repeat):
     times = []
     for _ in range(repeat):
-        if fresh_memo:
-            series._memo.clear()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 
 
-def counts(fn, fresh_memo=True):
-    """eval_series calls (failed ones included), their summed terms, the
-    summed refine_bracket iterations and the coefficient terms built by one
-    call, cold unless fresh_memo is false."""
-    tally = {"evals": 0, "terms": 0, "refine_steps": 0, "coef_terms": 0}
-    inner, refine, build = series.eval_series, zeros.refine_bracket, series.coefficients
+def counts(fn):
+    """eval_series calls (failed ones included), their summed terms and the
+    summed refine_bracket iterations of one call."""
+    tally = {"evals": 0, "terms": 0, "refine_steps": 0}
+    inner, refine = series.eval_series, zeros.refine_bracket
 
     def counting(table, z):
         tally["evals"] += 1
@@ -74,35 +67,28 @@ def counts(fn, fresh_memo=True):
         tally["terms"] += sv.truncation_terms
         return sv
 
-    def counting_build(params, n_max, base=None):
-        table = build(params, n_max, base)
-        tally["coef_terms"] += n_max - (base.n_max if base else 0)
-        return table
-
     def counting_refine(*args):
         ref = refine(*args)
         tally["refine_steps"] += ref.iterations
         return ref
 
     # the radius solver calls refine_bracket through its own import
-    series.eval_series, series.coefficients = counting, counting_build
+    series.eval_series = counting
     zeros.refine_bracket = radii.refine_bracket = counting_refine
     try:
-        if fresh_memo:
-            series._memo.clear()
         fn()
     finally:
-        series.eval_series, series.coefficients = inner, build
+        series.eval_series = inner
         zeros.refine_bracket = radii.refine_bracket = refine
     return tally
 
 
 def rows(repeat):
     table = series.coefficients(PARAMS, 256)
-    out = {"coef256": {"ms": median_ms(lambda: series.coefficients(PARAMS, 256), repeat, False)}}
+    out = {"coef256": {"ms": median_ms(lambda: series.coefficients(PARAMS, 256), repeat)}}
     for z in (0.5, 10.0, 50.0):
         out[f"eval_z{z:g}"] = {
-            "ms": median_ms(lambda: series.eval_series(table, z), repeat, False),
+            "ms": median_ms(lambda: series.eval_series(table, z), repeat),
             "evals": 1,
             "terms": series.eval_series(table, z).truncation_terms,
         }
@@ -115,10 +101,9 @@ def rows(repeat):
         "find_zeros_neg": lambda: find_zeros(CoulombParams(2.0, -20.0), ZeroTarget.F, 0, 3),
     }
     for name, fn in queries.items():
-        out[name] = {"ms": median_ms(fn, repeat, True), **counts(fn)}
-    cli_eval()
-    tally = counts(cli_eval, fresh_memo=False)
-    out["cli_eval"] = {"ms": median_ms(cli_eval, repeat, False),
+        out[name] = {"ms": median_ms(fn, repeat), **counts(fn)}
+    tally = counts(cli_eval)
+    out["cli_eval"] = {"ms": median_ms(cli_eval, repeat),
                        "evals": tally["evals"], "terms": tally["terms"]}
     return out
 

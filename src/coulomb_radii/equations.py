@@ -42,8 +42,8 @@ if TYPE_CHECKING:
 
 Jet = tuple[float, float, float]  # (value, d/dz, d^2/dz^2)
 
-# below this |z| the series module forms P' and P'' from a_1..a_3 in doubles,
-# so P''' from the Coulomb equation is all rounding: radius slopes are NaN
+# below this |r| a radius equation's slopes are NaN, so the solver takes no
+# Halley step that close to the origin
 _SMALL_Z = 1e-12
 
 

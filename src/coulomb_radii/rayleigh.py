@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from .errors import CoulombError
 from .params import CoulombParams
 from .radii import Kind
-from .series import shared_table
+from .series import coefficients
 
 
 class Family(str, Enum):
@@ -71,7 +71,7 @@ def logderiv_coeffs(series_coeffs: Sequence[float], m_max: int) -> list[float]:
 
 
 def _family_coeffs(params: CoulombParams, family: Family, n: int) -> list[float]:
-    a = shared_table(params, n).a  # the table eval_point reads, grown to n if shorter
+    a = coefficients(params, n).a
     L = params.L
     if family is Family.SIGMA:
         return [(k + L + 1.0) / (L + 1.0) * a[k] for k in range(n + 1)]

@@ -15,43 +15,57 @@ derivative combinations are rewritten via
 
 and the normalization constant C cancels from every ratio used downstream.
 
-Evaluation runs on double-double pairs (see _ddouble): the series alternates
-and the largest term grows like e^|z| while the value stays O(1), so plain
-doubles lose the low digits long before the tenth zero.  Each term is one
-pair product t_n = a_n z^n; the sums of t_n and n t_n are P and z P', and
-P'' comes from the Coulomb equation z P'' + 2(L+1) P' + (z - 2 eta) P = 0
-(below |z| = 1e-12, where it cancels ~log10(1/|z|) of the pair's digits,
-P' and P'' are read off a_1..a_3).  Truncation stops once three terms in a
-row are negligible against both sums and a geometric-majorant tail bound
-from the recurrence sits below DEFAULT_TOL relative to each sum.  Beyond
-|z| ~ 55 even the pair format cannot certify results (noise floor
-eps_dd * sum|terms|) and evaluation refuses rather than degrade silently.
+The series alternates, and its largest term grows like e^|z| (like
+e^(2 sqrt(2|eta z|)) at large |eta|) while the value stays O(1), so doubles
+lose the low digits long before the tenth zero.  eval_series therefore sums
+in fixed point on Python integers.  L, eta and z enter exactly, as the
+dyadic rationals of float.as_integer_ratio, and the terms t_n = a_n z^n come
+straight from
 
-The recurrence loop of coefficients and the term loop of eval_series expand
-the _ddouble operations inline on local floats: the same operations with
-the same roundings, without a call or a tuple per operation, which made
-both loops about twice as fast.  _ddouble stays their definition, and the
-tests pin both loops bit for bit against loops written with its calls.
+    n(n+2L+1) t_n = 2 eta z t_{n-1} - z^2 t_{n-2},   t_{-1} = 0, t_0 = 1,
 
-eval_point is the one evaluation entry point.  A small bounded memo holds one
-immutable coefficient table per parameter pair, and a table is only ever
-replaced by a longer one built by continuing the recurrence from its last
-two pairs (a_n does not depend on the table length, so the values are the
-same doubles as a table built from a_0).  A pair starts at 32 terms, about
-what a radius query needs, and grows by 16 after any evaluation that used
-more than n_max - 8 terms; an evaluation that still runs out (a jump in
-|z|) doubles the table, up to N_MAX_CAP.  So a zero scan, whose |z| creeps
-outward, grows its table ahead of need, and a radius stays on a short one.
+each scaled by 2^s and floor-divided once.  Three integer sums give P,
+z P' and z^2 P'' (the last is sum n(n-1) t_n), and each is rounded once to
+a double.  Below |z| = 1, s carries two bits per halving of |z| beyond the
+working precision, so z P' and z^2 P'', which start at z and z^2, keep it.
+
+The error is bounded, not estimated.  Each floor errs by less than one
+unit 2^-s, and the errors travel through the same recurrence, so
+|T_n - 2^s t_n| <= E_n with
+
+    E_n = (|2 eta z| E_{n-1} + z^2 E_{n-2}) / |c_n| + 1,   c_n = n(n+2L+1).
+
+E is carried in doubles next to the sum until c_n reaches
+2(|2 eta z| + z^2); from there on E_n <= E_{n-1}/2 + 1, so E stays below
+its last value (taken at least 2) and is no longer stepped.  The sums of
+n T_n and n(n-1) T_n carry at most N and N(N-1) times the sum of the E_n.
+The tail is bounded from the same recurrence: once c_m grows for m > N,
+a = |2 eta z|/c_(N+1) and b = z^2/c_(N+1) bound every later coefficient, and
+the root rho of rho^2 = a rho + b gives |t_(N+j)| <= B rho^j with
+B = max(|T_N| + E_N, rho (|T_(N-1)| + E_(N-1))) 2^-s.  Where
+rho (N+2)/N < 1 the tails of all three sums are geometric, and the sum
+stops at the first N where each tail lies below 2^-58 of its sum or below
+its floor errors.  Floor errors plus tail bound each sum, and
+SeriesValue.noise adds half an ulp of each rounded double.
+
+Precision follows the point.  A sum starts at 192 bits; where a sum does
+not clear its bound by 56 bits (cancellation beyond ~2^130, or a point
+next to a zero of P, P' or P''), eval_series sums again, in the same call,
+at the precision that bound asks for, up to 2048 bits.  A point still short
+there returns with its true, large bound, and equations.noise_limited
+flags it.  Beyond |z| = 55, and where a value or its bound overflows a
+double, evaluation raises ConvergenceError.
+
+coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
+numerators and denominators, each rounded once.  The evaluation does not
+read them, and nothing is cached: eval_point is one eval_series call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from . import _ddouble as dd
 from . import equations
 from .errors import (
     ConvergenceError,
@@ -61,134 +75,61 @@ from .errors import (
 from .params import CoulombParams
 
 N_MAX_CAP = 4096
-DEFAULT_TOL = 1e-12
 EVAL_Z_MAX = 55.0
 
-_EPS = 2.220446049250313e-16
-_TINY = 1e-306
-_SMALL_Z = 1e-12  # below this the Coulomb equation cancels too many digits for P''
-_NOISE_SAFETY = 4.0
-_START_TERMS = 32  # memo table length on first use
-_GROW_MARGIN = 8  # grow once an evaluation used more than n_max - 8 terms ...
-_GROW_STEP = 16  # ... by this many
-_MEMO_SIZE = 16  # parameter pairs held
-_LOG_EPS_DD = math.log(dd.EPS)
+_START_BITS = 192
+_MAX_BITS = 2048
+_GUARD_BITS = 56  # bits by which a sum must clear its error bound
+_TAIL_BITS = 58  # the tail bound stops the sum below 2^-58 of it
+_UP = 1.0 + 2.0 ** -30  # covers the roundings of the doubles in the bound
+_BIG, _SMALL = 2.0 ** 512, 2.0 ** -512  # rescaling of E, kept in range
 
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Truncated coefficient sequence a_0..a_{n_max} for fixed (L, eta).
-
-    ``a`` is the double-rounded view; the double-double pairs used for
-    evaluation are kept alongside so no accuracy is lost on re-evaluation.
-    """
+    """Coefficients a_0..a_{n_max} for fixed (L, eta), each a double rounded
+    once from its exact value.  eval_series reads only params."""
 
     params: CoulombParams
     n_max: int
     a: tuple[float, ...]
-    a_pairs: tuple[tuple[float, float], ...]
 
 
-def coefficients(params: CoulombParams, n_max: int,
-                 base: CoefficientTable | None = None) -> CoefficientTable:
-    """Generate a_0..a_{n_max} from the two-term recurrence.
+def _exact_coefficients(L: float, eta: float, n_max: int) -> list[tuple[int, int]]:
+    """a_0..a_{n_max} as exact (numerator, denominator) pairs.
 
-    With base, a shorter table of the same params, the recurrence resumes at
-    its last two pairs; the result equals a table built from a_0 bit for bit.
+    With L = Ln/Ld, eta = En/Ed and m_n = n (n Ld + 2 Ln + Ld) = Ld n(n+2L+1),
+    the denominators D_n = D_{n-1} Ed m_n take
+    N_n = Ld (2 En N_{n-1} - Ed^2 m_{n-1} N_{n-2}).
+    """
+    if L == -1.0:
+        raise CoulombDomainError("coefficient recurrence requires L != -1")
+    Ln, Ld = L.as_integer_ratio()
+    En, Ed = eta.as_integer_ratio()
+    c = 2 * Ln + Ld
+    out = [(1, 1)]
+    num1, num, den, m = 0, 1, 1, 0
+    for n in range(1, n_max + 1):
+        m_prev, m = m, n * (n * Ld + c)
+        if m == 0:
+            raise DegenerateRecurrenceError(n, L)
+        num1, num = num, Ld * (2 * En * num - Ed * Ed * m_prev * num1)
+        den *= Ed * m
+        out.append((num, den))
+    return out
+
+
+def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
+    """a_0..a_{n_max} from the two-term recurrence, in exact arithmetic.
+
     Raises DegenerateRecurrenceError if n(n+2L+1) vanishes for some index up
     to n_max (reachable only for unsafe L <= -3/2) and CoulombDomainError at
     L = -1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    L, eta = params.L, params.eta
-    if base is None:
-        if L == -1.0:
-            raise CoulombDomainError("coefficient recurrence requires L != -1")
-        seed = ((1.0, 0.0), dd.div(dd.from_float(eta), dd.two_sum(L, 1.0)))
-        base = CoefficientTable(params, 1, tuple(p[0] + p[1] for p in seed), seed)
-    elif base.params != params or base.n_max > n_max:
-        raise ValueError("base must be a table of the same params with n_max <= the new one")
-    pairs = []
-    # The recurrence below is dd.two_sum, dd.mul_d, dd.sub and dd.div expanded
-    # inline on local floats, operation for operation; the Dekker split of
-    # 2 eta is hoisted, and the integer n (< 2^26, so its split is n + 0)
-    # takes none.
-    split = dd.SPLITTER
-    two_eta = 2.0 * eta
-    two_L = 2.0 * L
-    c = split * two_eta
-    eh = c - (c - two_eta)
-    el = two_eta - eh
-    w0, w1 = base.a_pairs[-2]
-    x0, x1 = base.a_pairs[-1]
-    for n in range(base.n_max + 1, n_max + 1):
-        fn = float(n)
-        # den = dd.mul_d(dd.two_sum(two_L, n + 1.0), fn)
-        b = n + 1.0
-        s = two_L + b
-        v = s - two_L
-        e = (two_L - (s - v)) + (b - v)
-        p = s * fn
-        c = split * s
-        ah = c - (c - s)
-        al = s - ah
-        e2 = (ah * fn - p) + al * fn
-        e2 += e * fn
-        d0 = p + e2
-        d1 = e2 - (d0 - p)
-        if d0 == 0.0 or abs(n + two_L + 1.0) < 1e-14:
-            raise DegenerateRecurrenceError(n, L)
-        # m = dd.mul_d(a_{n-1}, two_eta)
-        p = x0 * two_eta
-        c = split * x0
-        ah = c - (c - x0)
-        al = x0 - ah
-        e = ((ah * eh - p) + ah * el + al * eh) + al * el
-        e += x1 * two_eta
-        m0 = p + e
-        m1 = e - (m0 - p)
-        # num = dd.sub(m, a_{n-2})
-        b = -w0
-        s = m0 + b
-        v = s - m0
-        e = (m0 - (s - v)) + (b - v)
-        e += m1 - w1
-        u0 = s + e
-        u1 = e - (u0 - s)
-        # a_n = dd.div(num, den), in four steps: q1, then y = dd.mul_d(den, q1)
-        q1 = u0 / d0
-        p = d0 * q1
-        c = split * d0
-        ah = c - (c - d0)
-        al = d0 - ah
-        c = split * q1
-        bh = c - (c - q1)
-        bl = q1 - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        e += d1 * q1
-        y0 = p + e
-        y1 = e - (y0 - p)
-        # r = dd.sub(num, y)
-        b = -y0
-        s = u0 + b
-        v = s - u0
-        e = (u0 - (s - v)) + (b - v)
-        e += u1 - y1
-        r0 = s + e
-        r1 = e - (r0 - s)
-        # q2, and a_n = dd.quick_two_sum(q1, q2)
-        q2 = (r0 + r1) / d0
-        s = q1 + q2
-        w0, w1 = x0, x1
-        x0, x1 = s, q2 - (s - q1)
-        pairs.append((x0, x1))
-    return CoefficientTable(
-        params=params,
-        n_max=n_max,
-        a=base.a + tuple(p[0] + p[1] for p in pairs),
-        a_pairs=base.a_pairs + tuple(pairs),
-    )
+    exact = _exact_coefficients(params.L, params.eta, n_max)
+    return CoefficientTable(params, n_max, tuple(num / den for num, den in exact))
 
 
 def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex, ...]:
@@ -211,16 +152,13 @@ def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex,
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """P, P' and P'' at one point, with truncation and noise accounting.
+    """P, P' and P'' at one point, each a double, with their error bounds.
 
-    tail_estimate bounds the magnitude of the discarded tail of the P sum
-    (geometric majorant from the recurrence); noise holds the floors
-    eps_dd * sum|terms| of the P and P' sums and their image in P''
-    (below |z| = 1e-12, where P' and P'' are formed in doubles, the P' and
-    P'' floors use the double eps).  The floors bound cancellation in the
-    pair sums only, not the final rounding of p0, p1, p2 to doubles: at
-    (L, eta) = (0.3, -1.2), z = 5e-13, p0 is off by 1.9e-17 while noise[0]
-    is 2.0e-31.  A bound on the returned values adds half an ulp of each.
+    noise[k] bounds |p_k - exact| for the double p_k as returned: the floor
+    errors of the fixed-point sum carried through the recurrence, the bound
+    on the discarded tail, and half an ulp of p_k.  truncation_terms counts
+    the terms t_0..t_N summed, and tail_estimate bounds the discarded tail
+    of the P sum (both of the last pass, at the precision that was kept).
     """
 
     p0: float
@@ -232,233 +170,137 @@ class SeriesValue:
 
 
 def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
-    """Sum P and P' at real z in double-double; P'' from the Coulomb equation."""
+    """P, P' and P'' at real z for table.params, summed in fixed point.
+
+    The terms come from the recurrence in z, not from the table's
+    coefficients, so its length does not limit the sum.
+    """
     z = float(z)
     if not math.isfinite(z):
         raise ValueError("z must be finite")
     if abs(z) > EVAL_Z_MAX:
         raise ConvergenceError(
-            f"|z|={abs(z):.3g} is beyond the double-double evaluation range "
-            f"(~{EVAL_Z_MAX:g}); cancellation noise would swamp the result"
+            f"|z|={abs(z):.3g} is beyond the evaluation range (~{EVAL_Z_MAX:g})"
         )
     L, eta = table.params.L, table.params.eta
-    az = abs(z)
-    pairs = table.a_pairs
-
-    # The loop is dd.mul, dd.add and dd.mul_d expanded inline on local floats,
-    # operation for operation; the Dekker split of z is hoisted, the z^n
-    # update reuses the split of z^n that the term product made, and the
-    # index n runs as the float fn (< 2^26, so its split is fn + 0) and takes
-    # none.
-    split, eps, eps_dd, tiny = dd.SPLITTER, _EPS, dd.EPS, _TINY
-    c = split * z
-    zh = c - (c - z)
-    zl = z - zh
-    s00 = s01 = s10 = s11 = 0.0  # the pair sums s0 (P) and s1 (z P')
-    g0 = g1 = 0.0
-    zn0, zn1 = 1.0, 0.0  # the pair z^n
-    run = 0
-    fn = -1.0
-    for a0, a1 in pairs:
-        fn += 1.0
-        # t = dd.mul(a_n, zn)
-        p = a0 * zn0
-        c = split * a0
-        ah = c - (c - a0)
-        al = a0 - ah
-        c = split * zn0
-        bh = c - (c - zn0)
-        bl = zn0 - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        e += a0 * zn1 + a1 * zn0
-        t0 = p + e
-        t1 = e - (t0 - p)
-        # s0 = dd.add(s0, t)
-        s = s00 + t0
-        v = s - s00
-        e = (s00 - (s - v)) + (t0 - v)
-        e += s01 + t1
-        s00 = s + e
-        s01 = e - (s00 - s)
-        # u = dd.mul_d(t, fn)
-        p = t0 * fn
-        c = split * t0
-        ah = c - (c - t0)
-        al = t0 - ah
-        e = (ah * fn - p) + al * fn
-        e += t1 * fn
-        u0 = p + e
-        u1 = e - (u0 - p)
-        # s1 = dd.add(s1, u)
-        s = s10 + u0
-        v = s - s10
-        e = (s10 - (s - v)) + (u0 - v)
-        e += s11 + u1
-        s10 = s + e
-        s11 = e - (s10 - s)
-        t0m = abs(t0)
-        t1m = fn * t0m
-        g0 += t0m
-        g1 += t1m
-
-        small = (
-            t0m <= eps * abs(s00) + eps_dd * g0 + tiny
-            and t1m <= eps * abs(s10) + eps_dd * g1 + tiny
-        )
-        run = run + 1 if small else 0
-        if run >= 3 and fn >= 4.0:
-            n = int(fn)
-            q = az * (2.0 * abs(eta) + max(1.0, az)) / ((n + 1.0) * (n + 2.0 * L + 2.0))
-            if 0.0 <= q < 0.9:
-                qa = q * (n + 3.0) / (n + 1.0)  # covers the derivative sum too
-                fac = qa / (1.0 - qa)
-                if all(
-                    tm * fac <= max(DEFAULT_TOL * abs(sh),
-                                    0.25 * _NOISE_SAFETY * eps_dd * g, tiny)
-                    for tm, sh, g in ((t0m, s00, g0), (t1m, s10, g1))
-                ):
-                    break
-        # zn = dd.mul_d(zn, z), on the split (bh, bl) of zn made above
-        p = zn0 * z
-        e = ((bh * zh - p) + bh * zl + bl * zh) + bl * zl
-        e += zn1 * z
-        zn0 = p + e
-        zn1 = e - (zn0 - p)
-    else:
-        raise ConvergenceError(
-            f"tail bound not achieved within n_max={table.n_max} at z={z:.6g}; "
-            "regenerate the table with a larger n_max"
-        )
-    s0, s1 = (s00, s01), (s10, s11)
-    if az >= _SMALL_Z:
-        d1 = dd.div(s1, (z, 0.0))
-        lin = dd.add(dd.mul(dd.two_sum(2.0 * L, 2.0), d1), dd.mul(dd.two_sum(z, -2.0 * eta), s0))
-        p1, p2 = dd.to_float(d1), -dd.to_float(dd.div(lin, (z, 0.0)))
-        g1 /= az
-        g2 = (abs(2.0 * L + 2.0) * g1 + abs(z - 2.0 * eta) * g0) / az
-        eps12 = dd.EPS
-    else:
-        # the equation cancels ~log10(1/|z|) of the pair's digits here; to
-        # double precision P' and P'' are their first two terms, formed in
-        # doubles, so their floors are double ones
-        _, a1, a2, a3 = table.a[:4]
-        p1, p2 = a1 + 2.0 * a2 * z, 2.0 * a2 + 6.0 * a3 * z
-        g1 = abs(a1) + abs(2.0 * a2 * z)
-        g2 = abs(2.0 * a2) + abs(6.0 * a3 * z)
-        eps12 = _EPS
-    return SeriesValue(
-        p0=dd.to_float(s0),
-        p1=p1,
-        p2=p2,
-        truncation_terms=n + 1,
-        tail_estimate=t0m * fac,
-        noise=(
-            _NOISE_SAFETY * dd.EPS * g0,
-            _NOISE_SAFETY * eps12 * g1,
-            _NOISE_SAFETY * eps12 * g2,
-        ),
-    )
-
-
-class _TableMemo:
-    """The current table of each of the last _MEMO_SIZE parameter pairs used.
-
-    Tables are immutable; growing one stores a longer table in its place, and
-    a shorter one (a thread that built from an older entry) never replaces
-    it.  The lock guards only the dict: tables are built outside it.
-    """
-
-    def __init__(self) -> None:
-        self._tables: OrderedDict[CoulombParams, CoefficientTable] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, params: CoulombParams) -> CoefficientTable:
-        with self._lock:
-            table = self._tables.get(params)
-            if table is not None:
-                self._tables.move_to_end(params)
-                return table
-        return self._store(coefficients(params, _START_TERMS))
-
-    def grow(self, table: CoefficientTable, n_max: int) -> CoefficientTable:
-        """The memo's table for table.params with at least n_max terms."""
-        with self._lock:
-            held = self._tables.get(table.params)
-        if held is not None and held.n_max > table.n_max:
-            table = held
-        if table.n_max >= n_max:
-            return table
-        return self._store(coefficients(table.params, n_max, table))
-
-    def _store(self, table: CoefficientTable) -> CoefficientTable:
-        with self._lock:
-            held = self._tables.get(table.params)
-            if held is not None and held.n_max >= table.n_max:
-                table = held
-            self._tables[table.params] = table
-            self._tables.move_to_end(table.params)
-            if len(self._tables) > _MEMO_SIZE:
-                self._tables.popitem(last=False)
-        return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-
-
-_memo = _TableMemo()
-
-
-def shared_table(params: CoulombParams, n_max: int = 1) -> CoefficientTable:
-    """The memo's table for params, grown to at least a_0..a_{n_max}."""
-    return _memo.grow(_memo.get(params), n_max)
-
-
-def _first_length(table: CoefficientTable, az: float) -> int:
-    """Table length for the first sum at |z| = az.
-
-    table.n_max where the tail test of eval_series (q < 0.9 at n = n_max) can
-    pass; a sum on a table where it cannot runs through every term and
-    fails.  Otherwise the first length on the table's doubling chain where
-    the tail test can pass and az^n/n! has fallen below EPS_dd e^az: a guess
-    at where the terms sink below the pair noise of a sum of about e^az.
-    """
-    L, eta = table.params.L, table.params.eta
-    n = table.n_max
-    while n < N_MAX_CAP:
-        den = (n + 1.0) * (n + 2.0 * L + 2.0)
-        if den > 0.0 and az * (2.0 * abs(eta) + max(1.0, az)) / den < 0.9 and (
-                n == table.n_max or n * math.log(az) - math.lgamma(n + 1.0) <= az + _LOG_EPS_DD):
+    if L == -1.0:
+        raise CoulombDomainError("coefficient recurrence requires L != -1")
+    if z == 0.0:
+        # P'(0) = a_1 and P''(0) = 2 a_2, each rounded once
+        values = (1.0, *(k * num / den for k, (num, den)
+                         in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
+        return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
+                           noise=tuple(0.5 * math.ulp(v) for v in values))
+    bits = _START_BITS
+    while True:
+        (s0, s1, s2), (r0, r1, r2), shift, n, tau = _fixed_point_sum(L, eta, z, bits)
+        # bits by which the sums fall short of clearing their bounds by _GUARD_BITS
+        missing = max(r0.bit_length() - abs(s0).bit_length(),
+                      r1.bit_length() - abs(s1).bit_length(),
+                      r2.bit_length() - abs(s2).bit_length()) + _GUARD_BITS + 1
+        if missing <= 0 or bits >= _MAX_BITS:
             break
-        n = min(2 * n, N_MAX_CAP)
-    return n
+        bits = min(bits + missing, _MAX_BITS)
+    # the sums are P, z P' and z^2 P'' in units of 2^-shift; each rounds once
+    unit = 1 << shift
+    Zn, Zd = z.as_integer_ratio()
+    q1, q2 = Zn * unit, Zn * Zn * unit
+    try:
+        p0, p1, p2 = s0 / unit, s1 * Zd / q1, s2 * Zd * Zd / q2
+        b0, b1, b2 = r0 / unit, r1 * Zd / abs(q1), r2 * Zd * Zd / q2
+    except OverflowError:
+        raise ConvergenceError(
+            f"P, P' or P'' at z={z:.6g}, or its error bound, overflows a double"
+        ) from None
+    # _UP covers the rounding of each bound and of the sum with half an ulp
+    return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau / unit * _UP,
+                       noise=((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
+                              (b2 + 0.5 * math.ulp(p2)) * _UP))
+
+
+def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
+    """One summation at bits below min(1, z^2).
+
+    Returns the integer sums of t_n, n t_n and n(n-1) t_n and their error
+    bounds, all in units of 2^-shift, then shift, the last index N and the
+    bound tau on the tail of the t_n sum.
+    """
+    Ln, Ld = L.as_integer_ratio()
+    En, Ed = eta.as_integer_ratio()
+    Zn, Zd = z.as_integer_ratio()
+    # T_n = floor((A T_{n-1} - B T_{n-2}) / (D m_n)), m_n = n (n Ld + 2 Ln + Ld)
+    A, B, D = 2 * En * Zn * Zd * Ld, Ed * Zn * Zn * Ld, Ed * Zd * Zd
+    common = math.gcd(A, B, D)
+    A, B, D = A // common, B // common, D // common
+    den, step, step2 = 0, 2 * D * (Ld + Ln), 2 * D * Ld  # D m_n by its differences
+    shift = bits + 2 * max(0, -math.frexp(z)[1])
+    eta_z, zz, l1 = 2.0 * abs(eta * z), z * z, 2.0 * L + 1.0
+    settle = 2.0 * (eta_z + zz)
+    tail_bits, big, small, up = _TAIL_BITS, _BIG, _SMALL, _UP
+    t, t1 = 1 << shift, 0  # T_n, T_{n-1}
+    # s0 sums T_n; h1 and h2 sum its partial sums once and twice, which give
+    # sum n T_n and sum n(n-1) T_n exactly without a product per term
+    s0, h1, h2 = t, 0, 0
+    e = e1 = g = 0.0  # E_n, E_{n-1} and sum E_n, in units of 2^scale
+    one, scale, live = 1.0, 0, True
+    lag = tail_bits + 8  # the tail test runs once T_n < 2^-lag of the sum
+    for n in range(1, N_MAX_CAP + 1):
+        den += step
+        step += step2
+        if not den:
+            raise DegenerateRecurrenceError(n, L)
+        t, t1 = (A * t - B * t1) // den, t
+        if live:
+            c = n * (n + l1)
+            e, e1 = (eta_z * e + zz * e1) / (c if c > 0.0 else -c) + one, e
+            if e > big:
+                e, e1, g, one, scale = e * small, e1 * small, g * small, one * small, scale + 512
+            if c >= settle:
+                # from here on |2 eta z| + z^2 <= c_m / 2, so E_m <= E_(m-1)/2 + 1
+                # stays below this E once it is at least 2
+                live = False
+                e = e1 = max(e, e1, 2.0 * one)
+        g += e
+        h2 += h1
+        h1 += s0
+        s0 += t
+        tb = t.bit_length()
+        if tb > s0.bit_length() - lag and tb > 1:
+            continue
+        c = (n + 1.0) * (n + 1.0 + l1)
+        if c <= 0.0:
+            continue
+        a, b = eta_z / c, zz / c
+        rho = 0.5 * (a + math.sqrt(a * a + 4.0 * b)) * up
+        r = rho * (n + 2.0) / n  # bounds the growth of the weights n, n(n-1) too
+        if r >= 1.0:
+            continue
+        # |t_(N+j)| <= B rho^j, B = max(|T_N| + E_N, rho (|T_(N-1)| + E_(N-1))) < 2^xb
+        xb = max((abs(t) + ((int(e * up) + 1) << scale)).bit_length(),
+                 (abs(t1) + ((int(e1 * up) + 1) << scale)).bit_length() + math.frexp(rho)[1])
+        tau = 1 << max(0, xb + math.frexp(rho / (1.0 - r) * up)[1])
+        gi = (int(g * up) + 1) << scale
+        s1 = n * s0 - h1
+        s2 = 2 * (h2 + (n - 1) * s1) - n * (n - 1) * s0
+        # bits by which each weighted tail bound exceeds 2^-tail_bits of its sum
+        # and the floor errors made so far, the larger of the two
+        short = max(tau.bit_length() - max(gi, abs(s0) >> tail_bits).bit_length(),
+                    ((n + 1) * tau).bit_length() - max(n * gi, abs(s1) >> tail_bits).bit_length(),
+                    ((n + 1) * n * tau).bit_length()
+                    - max(n * (n - 1) * gi, abs(s2) >> tail_bits).bit_length()) + 1
+        if short <= 0:
+            break
+        lag = s0.bit_length() - tb + short  # test again once T_n is that much smaller
+    else:
+        raise ConvergenceError(f"tail bound not reached within {N_MAX_CAP} terms at z={z:.6g}")
+    # floor errors, with the weights n and n(n-1) at most N and N(N-1), and tail
+    errs = (gi + tau, n * gi + (n + 1) * tau, n * (n - 1) * gi + (n + 1) * n * tau)
+    return (s0, s1, s2), errs, shift, n, tau
 
 
 def eval_point(params: CoulombParams, z: float) -> SeriesValue:
-    """Evaluate at z on the memoized table of params, growing it as needed.
-
-    The table grows by _GROW_STEP once an evaluation used more than n_max -
-    _GROW_MARGIN terms, so the next, slightly larger |z| finds it long
-    enough.  A |z| that the table cannot reach (a jump outward) first doubles
-    it to the length _first_length guesses, and an evaluation that still runs
-    out doubles it again, up to N_MAX_CAP.
-    """
-    table = _memo.get(params)
-    if abs(z) <= EVAL_Z_MAX:
-        n_max = _first_length(table, abs(z))
-        if n_max > table.n_max:
-            table = _memo.grow(table, n_max)
-    while True:
-        try:
-            sv = eval_series(table, z)
-            break
-        except ConvergenceError:
-            if table.n_max >= N_MAX_CAP or abs(z) > EVAL_Z_MAX:  # no table helps
-                raise
-            table = _memo.grow(table, min(2 * table.n_max, N_MAX_CAP))
-    if sv.truncation_terms > table.n_max - _GROW_MARGIN and table.n_max < N_MAX_CAP:
-        _memo.grow(table, min(table.n_max + _GROW_STEP, N_MAX_CAP))
-    return sv
+    """P, P' and P'' of params at z: one eval_series call."""
+    return eval_series(CoefficientTable(params, 0, (1.0,)), z)
 
 
 def _check_ratio_args(kind: str, r: float) -> None:

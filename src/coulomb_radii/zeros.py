@@ -69,12 +69,14 @@ there widens the radius bracket (at (48, 0), g-starlike, the direct and
 ratio forms then differ by 1.4e-12).
 
 The scan runs until it has the requested count or reaches the precision
-horizon: the first step where the target is within eight cancellation-noise
-floors of zero (and the floor exceeds 1e-14; equations.noise_limited), so
+horizon: the first step where the target is within eight of its error
+bounds of zero (and the bound exceeds 1e-14; equations.noise_limited), so
 its sign is no longer resolvable, or the end of the evaluator's range: the
 last step ends exactly at |z| = EVAL_Z_MAX (55) and the scan stops there (a
-table that cannot converge below it raises ConvergenceError, which also
-ends the scan).
+point whose value overflows a double raises ConvergenceError, which also
+ends the scan).  The series is summed at the precision each point needs,
+so inside the range the horizon is reached only where that precision
+passes the series module's cap.
 Running past that horizon would report garbage zeros, so the result is
 flagged truncated instead.  The horizon depends on (L, eta) and the target
 alone, never on the count asked, so the first k zeros of a request do not

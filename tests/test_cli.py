@@ -114,19 +114,26 @@ class TestEvalAndZeros:
         )
 
     def test_noise_limited_series_row_is_flagged(self, capsys):
-        # p0 reads -1.58e17 where mpmath gives P = -3.54e-5: within eight
-        # noise floors (2.9e19), the zero scan's own cut-off
-        code, out, _ = run_cli(capsys, "eval", "--L", "0.5", "--eta=-2000", "--z", "1")
+        # at (0, -6000), z = 50 the sum's bound asks for more than the
+        # 2048-bit cap, so p0 keeps a bound far above it (the zero scan's own
+        # cut-off); (0.5, -2000), z = 1 needs about 234 bits and is exact
+        code, out, _ = run_cli(capsys, "eval", "--L", "0", "--eta=-6000", "--z", "50")
         assert code == 0
         report = json.loads(out)
         validate_report(report)
         assert report["warnings"] == ["noise-limited"]
-        code, out, _ = run_cli(capsys, "eval", "--L", "0.5", "--eta=-2000,-1", "--z", "1",
+        code, out, _ = run_cli(capsys, "eval", "--L", "0", "--eta=-6000,-2000", "--z", "50",
                                "--output", "csv")
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows[0].endswith(",noise-limited")
         assert rows[1].endswith(",")
+        code, out, _ = run_cli(capsys, "eval", "--L", "0.5", "--eta=-2000", "--z", "1",
+                               "--output", "csv")
+        assert code == 0
+        row = out.strip().splitlines()[1]
+        assert row.endswith(",") and float(row.split(",")[7]) == pytest.approx(-3.540304e-05,
+                                                                               rel=1e-6)
 
     def test_zeros_json(self, capsys):
         code, out, _ = run_cli(

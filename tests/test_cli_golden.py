@@ -33,7 +33,7 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"eval-{quantity}-{kind}-{output}"] = [
                     "eval", "--L", "0.5", "--eta=-1", "--z", "0.5,2,7.5",
                     "--quantity", quantity, "--kind", kind, "--output", output]
-    # |z| < 1e-12 at these points, so P' and P'' take the small-|z| path
+    # tiny |z|: the sums of z P' and z^2 P'' start at z and z^2 there
     for eta in ("-1", "0"):
         for output in ("json", "csv"):
             cases[f"eval-small-z-eta{eta}-{output}"] = [

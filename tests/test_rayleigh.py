@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coulomb_radii import CoulombParams, coefficients, eval_point, rayleigh, series
+from coulomb_radii import CoulombParams
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.rayleigh import (
     Family,
@@ -171,17 +171,3 @@ class TestBounds:
         assert lower == pytest.approx(3.0 ** -0.5, rel=1e-12)
         # printed sigma_3 is 6 here, so the printed upper is 1/2
         assert upper == pytest.approx(0.5, rel=1e-12)
-
-
-class TestSharedTable:
-    def test_sums_read_the_memo_table(self, monkeypatch):
-        # the same doubles as a table built for the sums alone; m = 401 grows
-        # the 32-term table that eval_point left, as `bounds --m 400` does
-        params = CoulombParams(0.5, -1.0)
-        series._memo.clear()
-        eval_point(params, 2.0)
-        cases = [(family, m) for family in Family for m in (8, 401)]
-        got = [repr(sums(params, f, SumMethod.EXTRACTED, m)) for f, m in cases]
-        assert series.shared_table(params).n_max == 403
-        monkeypatch.setattr(rayleigh, "shared_table", coefficients)
-        assert got == [repr(sums(params, f, SumMethod.EXTRACTED, m)) for f, m in cases]

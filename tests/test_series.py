@@ -5,12 +5,12 @@ import random
 import sys
 import threading
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulomb_radii import _ddouble as dd
 from coulomb_radii import series
 from coulomb_radii import (
     ConvergenceError,
@@ -116,38 +116,9 @@ class TestEvalSeries:
         sv = eval_point(P00, z)
         assert z * sv.p0 == pytest.approx(math.sin(z), rel=1e-12)
 
-    def test_tail_failure_instructs_regeneration(self):
-        table = coefficients(P00, 8)
-        with pytest.raises(ConvergenceError, match="n_max"):
-            eval_series(table, 9.0)
-
-    def test_table_built_once_per_params(self, monkeypatch):
-        # one build from a_0 per params; every later build continues the
-        # memo's current table, whether eval_point or rayleigh grows it
-        builds = []
-        build = series.coefficients
-
-        def counting(params, n_max, base=None):
-            table = build(params, n_max, base)
-            builds.append((params, n_max, base, table))
-            return table
-
-        monkeypatch.setattr(series, "coefficients", counting)
-        series._memo.clear()
-        params = CoulombParams(0.123, -0.456)
-        for r in (0.25, 0.5, 1.0, 4.0, 9.0, 20.0):
-            star_ratio(params, "g", r)
-            conv_ratio(params, "f", r)
-            eval_point(params, -r)
-        euler_rayleigh_bounds(params, "f", 400)
-        assert len(builds) >= 3
-        assert builds[0][:3] == (params, 32, None)
-        for (p, n_max, base, _), prev in zip(builds[1:], builds):
-            assert p == params and base is prev[3] and n_max > base.n_max
-        assert series.shared_table(params) is builds[-1][3]
-
     def test_shared_memo_under_threads(self):
-        # more parameter pairs than memo slots, so threads evict each other's tables
+        # twenty parameter pairs over four threads: evaluation keeps no state
+        # between calls, so every value equals a serial one
         grid = [CoulombParams(0.1 * k, -0.2 * k) for k in range(20)]
         expected = {p: eval_point(p, 2.5) for p in grid}
         errors = []
@@ -172,27 +143,18 @@ class TestEvalSeries:
         assert errors == []
 
     def test_growth_under_threads(self):
-        # four threads grow one pair's table from different |z| at once: every
-        # value equals a fresh-memo one, and no thread sees the table shrink
+        # four threads evaluate one pair at |z| from 0.5 to 44 at once, in
+        # scattered orders: every value equals a serial one
         params = CoulombParams(0.3, -2.0)
         zs = [0.5 + 1.5 * k for k in range(30)]
-        expected = {}
-        for z in zs:
-            series._memo.clear()
-            expected[z] = repr(eval_point(params, z))
-        series._memo.clear()
+        expected = {z: repr(eval_point(params, z)) for z in zs}
         errors = []
 
         def worker(offset):
-            seen = 0
             for i in range(len(zs)):
                 z = zs[(7 * i + offset) % len(zs)]
                 if repr(eval_point(params, z)) != expected[z]:
                     errors.append(z)
-                n_max = series.shared_table(params).n_max
-                if n_max < seen:
-                    errors.append((seen, n_max))
-                seen = n_max
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -242,23 +204,23 @@ class TestEvalSeries:
                 assert abs(got - v) <= 5e-13 * abs(v) + sv.noise[k], (L, eta, z, k)
 
     def test_noise_limited_value_is_the_flagged_one(self):
-        # at (0.5, -2000), z = 1 the terms reach 1e49: p0 reads -1.58e17 where
-        # P = -3.54e-5, and equations.noise_limited flags it; at (0.5, -1) the
-        # value is good to 1e-12 and not flagged
-        mp = pytest.importorskip("mpmath")
-        for (L, eta), limited in (((0.5, -2000.0), True), ((0.5, -1.0), False)):
-            sv = eval_point(CoulombParams(L, eta), 1.0)
-            with mp.workdps(80):
-                a = [mp.mpf(1), mp.mpf(eta) / (mp.mpf(L) + 1)]
-                for n in range(2, 400):
-                    a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * mp.mpf(L) + 1)))
-                want = float(sum(a))
-            assert noise_limited(sv.p0, sv.noise[0]) is limited
-            assert (abs(sv.p0 - want) > 1e6 * abs(want)) is limited
+        # at (0.5, -2000), z = 1 the terms reach 1e55 and P = -3.54e-5: the sum
+        # takes more than 192 bits and returns mpmath's double, unflagged.  At
+        # (0, -6000), z = 50 the bound asks for more than the 2048-bit cap, so
+        # the value keeps a bound far above it and equations.noise_limited
+        # flags it
+        sv = eval_point(CoulombParams(0.5, -2000.0), 1.0)
+        want = mpmath_series(0.5, -2000.0, 1.0)
+        assert (sv.p0, sv.p1, sv.p2) == want
+        assert sv.p0 == pytest.approx(-3.540304e-05, rel=1e-6)
+        assert not noise_limited(sv.p0, sv.noise[0])
+        sv = eval_point(CoulombParams(0.0, -6000.0), 50.0)
+        assert noise_limited(sv.p0, sv.noise[0])
+        assert sv.noise[0] > 1e6
 
     def test_small_z_floors_cover_the_double_error(self):
-        # below |z| = 1e-12 P' and P'' are formed in doubles from a_1..a_3, so
-        # their floors must cover double rounding, not the pair's (50 digits)
+        # at |z| = 5e-13 the sums of z P' and z^2 P'' start at z and z^2, and
+        # each value, p0 included, lies within its bound of a 50-digit sum
         mp = pytest.importorskip("mpmath")
         L, eta, z = 0.3, -1.2, 5e-13
         sv = eval_point(CoulombParams(L, eta), z)
@@ -268,110 +230,72 @@ class TestEvalSeries:
             for n in range(2, 40):
                 a.append((2 * em * a[n - 1] - a[n - 2]) / (n * (n + 2 * Lm + 1)))
             errors = (
+                abs(sv.p0 - sum(a[n] * zm ** n for n in range(40))),
                 abs(sv.p1 - sum(n * a[n] * zm ** (n - 1) for n in range(1, 40))),
                 abs(sv.p2 - sum(n * (n - 1) * a[n] * zm ** (n - 2) for n in range(2, 40))),
             )
-        assert errors[0] <= sv.noise[1]
-        assert errors[1] <= sv.noise[2]
+        assert errors[0] <= sv.noise[0]
+        assert errors[1] <= sv.noise[1]
+        assert errors[2] <= sv.noise[2]
+
+    def test_wide_grid_against_mpmath(self):
+        # eta from 0 to -2000, |z| up to 55, both signs: each of p0, p1, p2
+        # lies within its bound of an mpmath sum carried at the digits the
+        # largest term needs; where P itself is beyond the double range
+        # (deep in the forbidden region of the reflected axis), evaluation
+        # raises ConvergenceError
+        checked = 0
+        for L in (-0.7, 0.0, 2.5, 9.0):
+            for eta in (0.0, -0.5, -3.0, -25.0, -300.0, -2000.0):
+                for z in (0.7, -3.3, 12.9, -21.0, 37.5, 55.0, -55.0):
+                    want = mpmath_series(L, eta, z)
+                    if any(math.isinf(w) for w in want):
+                        with pytest.raises(ConvergenceError):
+                            eval_point(CoulombParams(L, eta), z)
+                        continue
+                    sv = eval_point(CoulombParams(L, eta), z)
+                    for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                        assert abs(got - w) <= sv.noise[k], (L, eta, z, k)
+                    checked += 1
+        assert checked >= 150
 
 
-# --- reference kernels: the two hot loops written with _ddouble calls ---------
+def mpmath_series(L, eta, z):
+    """(P, P', P'') at z as doubles, summed by mpmath at the digits the
+    largest term, about e^(|z| + 2 sqrt(2 |eta z|)), leaves to spare; a value
+    beyond the double range comes back infinite."""
+    mp = pytest.importorskip("mpmath")
+    digits = 40 + int((abs(z) + 2.0 * math.sqrt(2.0 * abs(eta * z))) / 2.3)
+    with mp.workdps(digits):
+        Lm, em, zm = mp.mpf(L), mp.mpf(eta), mp.mpf(z)
+        t2, t1 = mp.mpf(0), mp.mpf(1)
+        s0, s1, s2 = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        n = 0
+        while True:
+            n += 1
+            t = (2 * em * zm * t1 - zm * zm * t2) / (n * (n + 2 * Lm + 1))
+            s0, s1, s2 = s0 + t, s1 + n * t, s2 + n * (n - 1) * t
+            t2, t1 = t1, t
+            if n > 2 * abs(z) + 10 and (abs(t1) + abs(t2)) * n * n < mp.mpf(10) ** (5 - digits):
+                break
+        out = []
+        for v in (s0, s1 / zm, s2 / zm ** 2):
+            try:
+                out.append(float(v))
+            except OverflowError:
+                out.append(math.inf)
+        return tuple(out)
+
+
+# --- exact references: coefficients in fractions.Fraction, sums in mpmath ----
 
 
 def reference_coefficients(params, n_max):
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    L, eta = params.L, params.eta
-    if L == -1.0:
-        raise CoulombDomainError("coefficient recurrence requires L != -1")
-    pairs = [(1.0, 0.0)]
-    pairs.append(dd.div(dd.from_float(eta), dd.two_sum(L, 1.0)))
-    two_eta = 2.0 * eta
-    two_L = 2.0 * L
+    L, eta = Fraction(params.L), Fraction(params.eta)
+    a = [Fraction(1), eta / (L + 1)]
     for n in range(2, n_max + 1):
-        den = dd.mul_d(dd.two_sum(two_L, n + 1.0), float(n))
-        if den[0] == 0.0 or abs(n + two_L + 1.0) < 1e-14:
-            raise DegenerateRecurrenceError(n, L)
-        num = dd.sub(dd.mul_d(pairs[n - 1], two_eta), pairs[n - 2])
-        pairs.append(dd.div(num, den))
-    return series.CoefficientTable(
-        params=params,
-        n_max=n_max,
-        a=tuple(p[0] + p[1] for p in pairs),
-        a_pairs=tuple(pairs),
-    )
-
-
-def reference_eval_series(table, z):
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    if abs(z) > series.EVAL_Z_MAX:
-        raise ConvergenceError(
-            f"|z|={abs(z):.3g} is beyond the double-double evaluation range "
-            f"(~{series.EVAL_Z_MAX:g}); cancellation noise would swamp the result"
-        )
-    L, eta = table.params.L, table.params.eta
-    az = abs(z)
-    pairs = table.a_pairs
-    eps, tiny, safety = series._EPS, series._TINY, series._NOISE_SAFETY
-
-    s0 = s1 = (0.0, 0.0)
-    g0 = g1 = 0.0
-    zn = (1.0, 0.0)
-    run = 0
-    for n in range(table.n_max + 1):
-        t = dd.mul(pairs[n], zn)
-        s0 = dd.add(s0, t)
-        s1 = dd.add(s1, dd.mul_d(t, float(n)))
-        t0m = abs(t[0])
-        t1m = n * t0m
-        g0 += t0m
-        g1 += t1m
-
-        small = (
-            t0m <= eps * abs(s0[0]) + dd.EPS * g0 + tiny
-            and t1m <= eps * abs(s1[0]) + dd.EPS * g1 + tiny
-        )
-        run = run + 1 if small else 0
-        if run >= 3 and n >= 4:
-            q = az * (2.0 * abs(eta) + max(1.0, az)) / ((n + 1.0) * (n + 2.0 * L + 2.0))
-            if 0.0 <= q < 0.9:
-                qa = q * (n + 3.0) / (n + 1.0)
-                fac = qa / (1.0 - qa)
-                if all(
-                    tm * fac <= max(series.DEFAULT_TOL * abs(s[0]),
-                                    0.25 * safety * dd.EPS * g, tiny)
-                    for tm, s, g in ((t0m, s0, g0), (t1m, s1, g1))
-                ):
-                    break
-        zn = dd.mul_d(zn, z)
-    else:
-        raise ConvergenceError(
-            f"tail bound not achieved within n_max={table.n_max} at z={z:.6g}; "
-            "regenerate the table with a larger n_max"
-        )
-    if az >= series._SMALL_Z:
-        d1 = dd.div(s1, (z, 0.0))
-        lin = dd.add(dd.mul(dd.two_sum(2.0 * L, 2.0), d1), dd.mul(dd.two_sum(z, -2.0 * eta), s0))
-        p1, p2 = dd.to_float(d1), -dd.to_float(dd.div(lin, (z, 0.0)))
-        g1 /= az
-        g2 = (abs(2.0 * L + 2.0) * g1 + abs(z - 2.0 * eta) * g0) / az
-        eps12 = dd.EPS
-    else:
-        _, a1, a2, a3 = table.a[:4]
-        p1, p2 = a1 + 2.0 * a2 * z, 2.0 * a2 + 6.0 * a3 * z
-        g1 = abs(a1) + abs(2.0 * a2 * z)
-        g2 = abs(2.0 * a2) + abs(6.0 * a3 * z)
-        eps12 = eps
-    return series.SeriesValue(
-        p0=dd.to_float(s0),
-        p1=p1,
-        p2=p2,
-        truncation_terms=n + 1,
-        tail_estimate=t0m * fac,
-        noise=(safety * dd.EPS * g0, safety * eps12 * g1, safety * eps12 * g2),
-    )
+        a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * L + 1)))
+    return tuple(float(x) for x in a[:n_max + 1])
 
 
 def outcome(fn, *args):
@@ -383,7 +307,8 @@ def outcome(fn, *args):
 
 
 class TestInlinedKernels:
-    """coefficients and eval_series agree bit for bit with the _ddouble loops."""
+    """The integer loops of coefficients and eval_series against exact
+    references: the recurrence in fractions, and mpmath sums."""
 
     @staticmethod
     def grid():
@@ -400,159 +325,107 @@ class TestInlinedKernels:
                 rng.choice((-50.0, 50.0))]
 
     def test_tables_match(self):
-        for params in self.grid():
-            for n_max in (4, 256, 512, 1024):
-                assert (coefficients(params, n_max).a_pairs
-                        == reference_coefficients(params, n_max).a_pairs), (params, n_max)
+        # each a_n is its exact value rounded once
+        for k, params in enumerate(self.grid()):
+            n_max = 64 if k % 8 else 256
+            assert coefficients(params, n_max).a == reference_coefficients(params, n_max), params
 
     def test_sums_match(self):
+        # the table's length plays no part, and every value lies within its
+        # bound of mpmath's (P'(0) = a_1 and P''(0) = 2 a_2 at the origin)
         rng = random.Random(55)
-        for params in self.grid():
-            tables = [coefficients(params, n) for n in (256, 512, 1024)]
+        for params in self.grid()[::4]:
+            tables = [coefficients(params, n) for n in (1, 256)]
             for z in self.abscissae(rng):
-                for table in tables:
-                    assert (outcome(eval_series, table, z)
-                            == outcome(reference_eval_series, table, z)), (params, z)
-
-    def test_regrowth_chain_matches(self):
-        # from 8 terms, doubling by continuation as eval_point does: the same
-        # ConvergenceError at every short table, then the same value
-        for params, z in ((CoulombParams(0.5, -1.0), 10.0), (CoulombParams(2.0, -20.0), -45.0)):
-            n_max, steps, table = 8, [], None
-            while True:
-                table = coefficients(params, n_max, table)
-                got = outcome(eval_series, table, z)
-                assert got == outcome(reference_eval_series, table, z), (params, z, n_max)
-                steps.append(got)
-                if isinstance(got, str):
-                    break
-                n_max *= 2
-            assert len(steps) >= 3 and steps[0][0] == "ConvergenceError"
+                got = outcome(eval_series, tables[0], z)
+                assert got == outcome(eval_series, tables[1], z) == outcome(eval_point, params, z)
+                if isinstance(got, tuple):
+                    continue  # P beyond the double range on the reflected axis
+                sv = eval_point(params, z)
+                if z == 0.0:
+                    a = reference_coefficients(params, 2)
+                    want = (1.0, a[1], 2.0 * a[2])
+                else:
+                    want = mpmath_series(params.L, params.eta, z)
+                for k, (v, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                    assert abs(v - w) <= sv.noise[k], (params, z, k)
 
     def test_same_errors(self):
         table = coefficients(P0M1, 256)
         for z in (55.5, -60.0, 1e3):
             got = outcome(eval_series, table, z)
-            assert got == outcome(reference_eval_series, table, z)
+            assert got == outcome(eval_point, P0M1, z)
             assert got[0] == "ConvergenceError"
         for L in (-1.5, -2.5):
             params = CoulombParams(L, -1.0, unsafe=True)
             got = outcome(coefficients, params, 64)
-            assert got == outcome(reference_coefficients, params, 64)
+            assert got == outcome(eval_point, params, 0.5)
             assert got[0] == "DegenerateRecurrenceError" and got[2] == -(2 * L + 1)
+            with pytest.raises(ZeroDivisionError):
+                reference_coefficients(params, 64)
 
 
 def table_bits(table):
     # params, length and the bytes of every double: -0.0 and NaNs told apart
-    doubles = array("d", table.a)
-    doubles.extend(x for pair in table.a_pairs for x in pair)
-    return table.params, table.n_max, doubles.tobytes()
+    return table.params, table.n_max, array("d", table.a).tobytes()
 
 
 class TestTableContinuation:
-    """Tables continued from shorter ones, and the memo that grows them."""
+    """A table's values do not depend on its length, and an evaluation does not
+    depend on what was evaluated before."""
 
     def test_continued_tables_match_fresh(self):
-        # +16 at a time, as eval_point grows ahead of need
-        for params in TestInlinedKernels.grid():
-            table = coefficients(params, 32)
-            for n_max in range(48, 257, 16):
-                table = coefficients(params, n_max, table)
-                assert table_bits(table) == table_bits(coefficients(params, n_max)), (params, n_max)
-
-    def test_doubling_chain_to_the_cap_matches_fresh(self):
-        for params in TestInlinedKernels.grid()[:8]:
-            table = coefficients(params, 32)
-            while table.n_max < series.N_MAX_CAP:
-                table = coefficients(params, 2 * table.n_max, table)
-                assert (table_bits(table)
-                        == table_bits(coefficients(params, table.n_max))), (params, table.n_max)
+        # every table is the start of each longer one, bit for bit
+        for params in TestInlinedKernels.grid()[::4]:
+            longest = coefficients(params, 256)
+            for n_max in range(32, 257, 16):
+                table = coefficients(params, n_max)
+                assert table_bits(table)[2] == array("d", longest.a[:n_max + 1]).tobytes(), (
+                    params, n_max)
 
     def test_degenerate_index_matches_past_the_start_size(self):
-        # n(n+2L+1) = 0 at n = 40 for L = -20.5, beyond the 32-term start table
+        # n(n+2L+1) = 0 at n = 40 for L = -20.5: every table that reaches it,
+        # and every evaluation, reports that index
         params = CoulombParams(-20.5, -1.0, unsafe=True)
-        short = coefficients(params, 32)
         for n_max in (40, 48, 64):
-            got = outcome(coefficients, params, n_max, short)
-            assert got == outcome(coefficients, params, n_max)
-            assert got == outcome(reference_coefficients, params, n_max)
+            got = outcome(coefficients, params, n_max)
             assert got[0] == "DegenerateRecurrenceError" and got[2] == 40
-        assert (table_bits(coefficients(params, 39, short))
-                == table_bits(reference_coefficients(params, 39)))
-
-    def test_base_must_be_a_shorter_table_of_the_same_params(self):
-        table = coefficients(P0M1, 32)
-        with pytest.raises(ValueError):
-            coefficients(P0M1, 16, table)
-        with pytest.raises(ValueError):
-            coefficients(P00, 64, table)
+        assert coefficients(params, 39).a == reference_coefficients(params, 39)
 
     def test_eval_point_refuses_a_degenerate_recurrence(self):
-        # the tail bound needs n + 2L + 2 > 0, so no sum stops short of a_40,
-        # and growing the 32-term start table to it raises, as a 256-term
-        # start table did
-        series._memo.clear()
+        # the tail bound needs n + 2L + 2 > 0, so no sum stops short of a_40
         with pytest.raises(DegenerateRecurrenceError) as exc:
             eval_point(CoulombParams(-20.5, -1.0, unsafe=True), 0.5)
         assert exc.value.n == 40
 
     def test_evaluation_sequence_matches_fresh_memo(self):
-        # a short table, a jump that exhausts it, then a small |z| again: each
-        # value equals one on a fresh memo and one on a 256-term table
+        # a small |z|, a jump to 50, a small |z| again: each value equals the
+        # one evaluated alone, and eval_series on a table of any length
         params = CoulombParams(0.5, -1.0)
         zs = (0.5, 50.0, 1.0)
-        series._memo.clear()
         in_sequence = [repr(eval_point(params, z)) for z in zs]
-        fresh = []
+        alone = []
         for z in zs:
-            series._memo.clear()
-            fresh.append(repr(eval_point(params, z)))
-        long = coefficients(params, 256)
-        assert in_sequence == fresh == [repr(eval_series(long, z)) for z in zs]
+            alone.append(repr(eval_point(params, z)))
+        assert in_sequence == alone
+        for n_max in (1, 8, 256):
+            table = coefficients(params, n_max)
+            assert in_sequence == [repr(eval_series(table, z)) for z in zs]
 
     def test_cold_far_evaluation_is_one_sum(self, monkeypatch):
-        # the 32-term start table cannot pass the tail test at |z| = 50, so
-        # the first sum runs on the length its doubling chain reaches there
-        # (256), not on 32, 64 and 128 terms that each run out first; the
-        # value is the one those four sums gave
+        # one eval_series call per evaluation, at any |z|; the value is
+        # mpmath's double in all three places
         calls = []
         monkeypatch.setattr(series, "eval_series",
-                            lambda table, z: calls.append(table.n_max) or eval_series(table, z))
-        series._memo.clear()
+                            lambda table, z: calls.append(z) or eval_series(table, z))
         sv = eval_point(CoulombParams(0.5, -1.0), 50.0)
-        assert calls == [256]
+        assert calls == [50.0]
+        assert (sv.p0, sv.p1, sv.p2) == mpmath_series(0.5, -1.0, 50.0)
         assert repr(sv) == (
-            "SeriesValue(p0=-0.0003882359909327768, p1=-0.001375650145603863, "
-            "p2=0.0004863044393063197, truncation_terms=157, "
-            "tail_estimate=1.6479530543944906e-15, noise=(4.252056726522638e-12, "
-            "4.0800045312659705e-12, 4.666939267459501e-12))")
-
-    def test_table_grows_ahead_of_need(self):
-        # an evaluation that used more than n_max - 8 terms adds 16 terms
-        params = CoulombParams(0.5, -1.0)
-        series._memo.clear()
-        assert eval_point(params, 0.5).truncation_terms <= 24
-        assert series.shared_table(params).n_max == 32
-        assert 24 < eval_point(params, 3.0).truncation_terms <= 32
-        assert series.shared_table(params).n_max == 48
-
-    def test_memo_never_replaces_a_table_with_a_shorter_one(self):
-        series._memo.clear()
-        params = CoulombParams(0.25, -0.75)
-        start = series.shared_table(params)
-        longer = series.shared_table(params, 100)
-        # a thread still holding the start table grows it less far
-        assert series._memo.grow(start, 48) is longer
-        assert series._memo._store(coefficients(params, 64, start)) is longer
-        assert series.shared_table(params) is longer
-        assert series.shared_table(params, 100) is longer
-
-    def test_memo_holds_sixteen_pairs(self):
-        series._memo.clear()
-        grid = [CoulombParams(0.01 * k, -1.0) for k in range(20)]
-        for p in grid:
-            eval_point(p, 1.0)
-        assert list(series._memo._tables) == grid[4:]
+            "SeriesValue(p0=-0.00038823599095620453, p1=-0.0013756501456219433, "
+            "p2=0.0004863044393317693, truncation_terms=175, "
+            "tail_estimate=3.3087224532935986e-24, noise=(2.7108363059834453e-20, "
+            "1.0843179787811117e-19, 2.7145354576862276e-20))")
 
 
 class TestRatios:
@@ -651,7 +524,8 @@ class TestRatios:
         # T'/T and T''/T of each zero target against mpmath.diff of
         # coulombf(L, eta, z)/z^(L+1) and its F' and g' forms; on z < 0 the
         # reference is coulombf at (-eta, -z), as P(z) at eta is P(-z) at -eta.
-        # The last point is in the small-|z| path of eval_series
+        # The last point is at |z| = 5e-13, where the sums of z P' and
+        # z^2 P'' start at z and z^2
         mp = pytest.importorskip("mpmath")
         for L, eta, z in [(0.5, -1.0, 2.0), (0.5, -1.0, -2.0), (2.5, -2.0, 7.3),
                           (-0.4, -0.25, -3.1), (0.3, -1.2, 5e-13)]:

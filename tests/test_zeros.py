@@ -429,6 +429,27 @@ class TestLargeEta:
             oracle = float(mpmath.findroot(lambda t: mpmath.coulombf(10, -2, t), x))
             assert x == pytest.approx(oracle, abs=1e-11)
 
+    def test_zeros_past_the_old_noise_floor_at_eta_minus_25(self):
+        # at (10, -25) P near the zeros of F past 17.5 sat below the
+        # double-double noise floor: zeros 11-16 were up to 1e-6 off, unflagged.
+        # Summed at the precision each point needs, they and the 12th zero of
+        # F' lie within the refine tolerance of mpmath, and neither scan is
+        # truncated
+        mpmath = pytest.importorskip("mpmath")
+        params = CoulombParams(10.0, -25.0)
+        zs = find_zeros(params, ZeroTarget.F, 16, 0)
+        fp = find_zeros(params, ZeroTarget.F_PRIME, 12, 0)
+        assert len(zs.positive) == 16 and not zs.truncated
+        assert len(fp.positive) == 12 and not fp.truncated
+        with mpmath.workdps(40):
+            F = lambda t: mpmath.coulombf(10, -25, t)  # noqa: E731
+            for x in zs.positive[10:]:
+                oracle = float(mpmath.findroot(F, mpmath.mpf(x)))
+                assert abs(x - oracle) <= zeros.REFINE_TOL * max(1.0, abs(x)), x
+            x = fp.positive[11]
+            oracle = float(mpmath.findroot(lambda t: mpmath.diff(F, t), mpmath.mpf(x)))
+            assert abs(x - oracle) <= zeros.REFINE_TOL * max(1.0, abs(x))
+
     def test_no_zero_skipped_at_eta_minus_100(self):
         zs = find_zeros(CoulombParams(0.0, -100.0), ZeroTarget.F, 12, 0)
         assert len(zs.positive) == 12 and zs.positive[-1] < 1.85
