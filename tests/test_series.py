@@ -25,7 +25,6 @@ from coulomb_radii import (
     star_ratio,
 )
 from coulomb_radii.equations import ZeroTarget, noise_limited, target_jet
-from coulomb_radii.rayleigh import euler_rayleigh_bounds
 from coulomb_radii.verify import bessel_j
 
 P00 = CoulombParams(0.0, 0.0)
@@ -365,11 +364,6 @@ class TestInlinedKernels:
                 reference_coefficients(params, 64)
 
 
-def table_bits(table):
-    # params, length and the bytes of every double: -0.0 and NaNs told apart
-    return table.params, table.n_max, array("d", table.a).tobytes()
-
-
 class TestTableContinuation:
     """A table's values do not depend on its length, and an evaluation does not
     depend on what was evaluated before."""
@@ -379,9 +373,9 @@ class TestTableContinuation:
         for params in TestInlinedKernels.grid()[::4]:
             longest = coefficients(params, 256)
             for n_max in range(32, 257, 16):
-                table = coefficients(params, n_max)
-                assert table_bits(table)[2] == array("d", longest.a[:n_max + 1]).tobytes(), (
-                    params, n_max)
+                # the bytes of every double: -0.0 and NaNs told apart
+                assert (array("d", coefficients(params, n_max).a).tobytes()
+                        == array("d", longest.a[:n_max + 1]).tobytes()), (params, n_max)
 
     def test_degenerate_index_matches_past_the_start_size(self):
         # n(n+2L+1) = 0 at n = 40 for L = -20.5: every table that reaches it,
@@ -400,14 +394,11 @@ class TestTableContinuation:
 
     def test_evaluation_sequence_matches_fresh_memo(self):
         # a small |z|, a jump to 50, a small |z| again: each value equals the
-        # one evaluated alone, and eval_series on a table of any length
+        # one of the reversed sequence, and eval_series on a table of any length
         params = CoulombParams(0.5, -1.0)
         zs = (0.5, 50.0, 1.0)
         in_sequence = [repr(eval_point(params, z)) for z in zs]
-        alone = []
-        for z in zs:
-            alone.append(repr(eval_point(params, z)))
-        assert in_sequence == alone
+        assert in_sequence == [repr(eval_point(params, z)) for z in reversed(zs)][::-1]
         for n_max in (1, 8, 256):
             table = coefficients(params, n_max)
             assert in_sequence == [repr(eval_series(table, z)) for z in zs]

@@ -430,11 +430,10 @@ class TestLargeEta:
             assert x == pytest.approx(oracle, abs=1e-11)
 
     def test_zeros_past_the_old_noise_floor_at_eta_minus_25(self):
-        # at (10, -25) P near the zeros of F past 17.5 sat below the
-        # double-double noise floor: zeros 11-16 were up to 1e-6 off, unflagged.
-        # Summed at the precision each point needs, they and the 12th zero of
-        # F' lie within the refine tolerance of mpmath, and neither scan is
-        # truncated
+        # at (10, -25), |P| near the zeros of F past 17.5 is far below what a
+        # 106-bit sum resolves; summed at the precision each point needs,
+        # zeros 11-16 and the 12th zero of F' lie within the refine tolerance
+        # of mpmath, and neither scan is truncated
         mpmath = pytest.importorskip("mpmath")
         params = CoulombParams(10.0, -25.0)
         zs = find_zeros(params, ZeroTarget.F, 16, 0)
