@@ -31,7 +31,6 @@ the expanded expressions above, whatever the slopes.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -41,10 +40,6 @@ if TYPE_CHECKING:
     from .series import SeriesValue
 
 Jet = tuple[float, float, float]  # (value, d/dz, d^2/dz^2)
-
-# below this |r| a radius equation's slopes are NaN, so the solver takes no
-# Halley step that close to the origin
-_SMALL_Z = 1e-12
 
 
 class ZeroTarget(str, Enum):
@@ -173,17 +168,12 @@ def ratio(num: float, den: float, noise: float, r: float) -> float:
 def equation(num: Jet, den: Jet, noise: float, r: float, beta: float,
              form: str) -> Jet:
     """Jet of the direct form N - beta D (form 'direct') or of the ratio form
-    N/D - beta (form 'ratio', PoleError as in ratio) at r; the slopes are NaN
-    below |r| = 1e-12."""
+    N/D - beta (form 'ratio', PoleError as in ratio) at r."""
     if form == "direct":
-        jet = (num[0] - beta * den[0], num[1] - beta * den[1], num[2] - beta * den[2])
-    else:
-        q = ratio(num[0], den[0], noise, r)
-        q1 = (num[1] - q * den[1]) / den[0]
-        jet = (q - beta, q1, (num[2] - 2.0 * q1 * den[1] - q * den[2]) / den[0])
-    if abs(r) < _SMALL_Z:
-        return jet[0], math.nan, math.nan
-    return jet
+        return num[0] - beta * den[0], num[1] - beta * den[1], num[2] - beta * den[2]
+    q = ratio(num[0], den[0], noise, r)
+    q1 = (num[1] - q * den[1]) / den[0]
+    return q - beta, q1, (num[2] - 2.0 * q1 * den[1] - q * den[2]) / den[0]
 
 
 def equation_at_origin(L: float, kind: str, convex: bool, beta: float,
