@@ -16,13 +16,20 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
                         at 16 points z = 0.25 .. 4, stdout captured
 
 Each row holds the median wall time in ms over --repeat calls and, where the
-row evaluates the series, the number of eval_series calls and the sum of
-their truncation_terms, counted by a wrapped series.eval_series.  Each query
-row also holds refine_steps, the summed iterations of refine_bracket (the
-zero refines and the radius solve), so evals - refine_steps are the scan
-steps and the few single evaluations around them.  Nothing is cached between
-calls, so every row is a repeated request as well as a cold one.  The counts
-are deterministic; the times depend on the machine.
+row evaluates the series, the number of evaluations and the sum of their
+truncation_terms, counted by the wrapped sums of the series module: evals and
+terms count direct sums (from the origin) and local ones (series.eval_near,
+about a scan step) together, and local_evals and local_terms the local ones
+alone.  base_terms counts the terms by which direct sums were carried on
+the first time each served as a base of local ones; terms includes them.
+local_fallbacks counts the local sums given up for a direct one (as many
+terms as their base, or short of their bounds); their terms are not counted.
+Each query row also holds refine_steps, the summed iterations of
+refine_bracket (the zero refines and the radius solve), so evals -
+refine_steps are the scan steps and the few single evaluations around them.
+Nothing is cached between calls, so every row is a repeated request as well
+as a cold one.  The counts are deterministic; the times depend on the
+machine.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -56,15 +63,36 @@ def median_ms(fn, repeat):
 
 
 def counts(fn):
-    """eval_series calls (failed ones included), their summed terms and the
-    summed refine_bracket iterations of one call."""
-    tally = {"evals": 0, "terms": 0, "refine_steps": 0}
-    inner, refine = series.eval_series, zeros.refine_bracket
+    """Evaluations (direct sums that failed included), their summed terms,
+    the local ones among them and the summed refine_bracket iterations of
+    one call."""
+    tally = {"evals": 0, "terms": 0, "local_evals": 0, "local_terms": 0, "base_terms": 0,
+             "local_fallbacks": 0, "refine_steps": 0}
+    direct, local, refine = series._direct, series._local, zeros.refine_bracket
+    kernel = series._fixed_point_sum
 
-    def counting(table, z):
+    def counting_kernel(*args):
+        out = kernel(*args)
+        if len(args) > 5 and args[5] is not None:  # carried on from a shorter sum
+            tally["base_terms"] += out[3] - args[5][0]
+            tally["terms"] += out[3] - args[5][0]
+        return out
+
+    def counting_direct(*args):
         tally["evals"] += 1
-        sv = inner(table, z)
+        sv = direct(*args)
         tally["terms"] += sv.truncation_terms
+        return sv
+
+    def counting_local(*args):
+        sv = local(*args)
+        if sv is None:
+            tally["local_fallbacks"] += 1
+        else:
+            tally["evals"] += 1
+            tally["local_evals"] += 1
+            tally["terms"] += sv.truncation_terms
+            tally["local_terms"] += sv.truncation_terms
         return sv
 
     def counting_refine(*args):
@@ -73,12 +101,14 @@ def counts(fn):
         return ref
 
     # the radius solver calls refine_bracket through its own import
-    series.eval_series = counting
+    series._direct, series._local = counting_direct, counting_local
+    series._fixed_point_sum = counting_kernel
     zeros.refine_bracket = radii.refine_bracket = counting_refine
     try:
         fn()
     finally:
-        series.eval_series = inner
+        series._direct, series._local = direct, local
+        series._fixed_point_sum = kernel
         zeros.refine_bracket = radii.refine_bracket = refine
     return tally
 
@@ -103,8 +133,8 @@ def rows(repeat):
     for name, fn in queries.items():
         out[name] = {"ms": median_ms(fn, repeat), **counts(fn)}
     tally = counts(cli_eval)
-    out["cli_eval"] = {"ms": median_ms(cli_eval, repeat),
-                       "evals": tally["evals"], "terms": tally["terms"]}
+    del tally["refine_steps"]
+    out["cli_eval"] = {"ms": median_ms(cli_eval, repeat), **tally}
     return out
 
 

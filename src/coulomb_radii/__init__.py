@@ -10,15 +10,15 @@ from .errors import (
     MonotonicityError,
     PoleError,
 )
+from .equations import conv_ratio, star_ratio
 from .params import CoulombParams
 from .series import (
     CoefficientTable,
     SeriesValue,
     coefficients,
-    conv_ratio,
+    eval_near,
     eval_point,
     eval_series,
-    star_ratio,
 )
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "SeriesValue",
     "coefficients",
     "conv_ratio",
+    "eval_near",
     "eval_point",
     "eval_series",
     "star_ratio",

@@ -17,12 +17,12 @@ import math
 import re
 import sys
 
-from .equations import g_prime, g_value, noise_limited
+from .equations import conv_ratio, g_prime, g_value, noise_limited, star_ratio
 from .errors import CoulombDomainError, CoulombError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
 from .rayleigh import SumMethod, euler_rayleigh_bounds, sums, Family
-from .series import eval_point, star_ratio, conv_ratio
+from .series import eval_point
 from .subordination import disk_min_real, region_check
 from .verify import criterion_count, run_all
 from .zeros import ZeroTarget, find_zeros

@@ -1,8 +1,9 @@
 """Every quantity read off the series sums P, P', P'' at one real point.
 
 Each function here is pure algebra on a ``SeriesValue`` at z (or r), with
-(L, eta) as the only parameters; nothing here evaluates the series.  Written
-with the C-free factors of the series module,
+(L, eta) as the only parameters; only star_ratio and conv_ratio, the
+defining ratios at one point, evaluate the series themselves
+(series.eval_point).  Written with the C-free factors of the series module,
 
     F   -> P
     F'  -> (L+1) P + z P'                         (F' / (C z^L))
@@ -31,13 +32,12 @@ the expanded expressions above, whatever the slopes.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from typing import TYPE_CHECKING
 
-from .errors import PoleError
-
-if TYPE_CHECKING:
-    from .series import SeriesValue
+from .errors import CoulombDomainError, PoleError
+from .params import CoulombParams
+from .series import SeriesValue, eval_point
 
 Jet = tuple[float, float, float]  # (value, d/dz, d^2/dz^2)
 
@@ -183,3 +183,39 @@ def equation_at_origin(L: float, kind: str, convex: bool, beta: float,
     if form == "ratio" or kind == "g":
         return 1.0 - beta
     return (1.0 - beta) * (L + 1.0) ** (2 if convex else 1)
+
+
+# --- log-derivative ratios at one point -----------------------------------------
+
+
+def _check_ratio_args(kind: str, r: float) -> None:
+    if kind not in ("f", "g"):
+        raise ValueError(f"kind must be 'f' or 'g', got {kind!r}")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
+
+
+def star_ratio(params: CoulombParams, kind: str, r: float) -> float:
+    """r g'(r)/g(r) for kind 'g'; (1/(L+1)) r F'(r)/F(r) for kind 'f'.
+
+    Both tend to 1 as r -> 0+ and decrease to -inf at the first positive zero
+    of g (eta <= 0).  Raises PoleError when P(r) vanishes within tolerance.
+    """
+    _check_ratio_args(kind, r)
+    return _ratio(params, kind, False, r)
+
+
+def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
+    """1 + r g''/g' for kind 'g'; 1 + r F''/F' - (L/(L+1)) r F'/F for kind 'f'.
+
+    The f-form is certified only for L > -1/2 (unsafe params may override).
+    """
+    _check_ratio_args(kind, r)
+    if kind == "f" and not params.supports_f_convexity() and not params.unsafe:
+        raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
+    return _ratio(params, kind, True, r)
+
+
+def _ratio(params: CoulombParams, kind: str, convex: bool, r: float) -> float:
+    num, den, noise = radius_terms(params.L, params.eta, kind, convex, r, eval_point(params, r))
+    return ratio(num[0], den[0], noise, r)

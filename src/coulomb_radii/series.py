@@ -56,17 +56,74 @@ there returns with its true, large bound, and equations.noise_limited
 flags it.  Beyond |z| = 55, and where a value or its bound overflows a
 double, evaluation raises ConvergenceError.
 
+Local sums.  eval_near sums P about a point z0 != 0 whose direct sum a
+caller already holds (the zero scan's steps), instead of about 0.  The
+Coulomb equation (DLMF 33.2.1) written for P,
+
+    z P'' + 2(L+1) P' + (z - 2 eta) P = 0,
+
+gives for P(z0 + h) = sum c_k h^k
+
+    z0 (k+2)(k+1) c_(k+2) = -(k+1)(k+2L+2) c_(k+1) - (z0 - 2 eta) c_k - c_(k-1),
+
+so the terms u_k = c_k h^k follow from
+
+    z0 n(n-1) u_n = -(n-1)(n+2L) h u_(n-1) - (z0 - 2 eta) h^2 u_(n-2) - h^3 u_(n-3),
+
+with u_0 = P(z0) and u_1 = h P'(z0) taken from the base's exact integer
+sums of P and z0 P'.  They are summed as above: L, eta, z0 and h = z - z0
+enter as exact dyadics, each U_n is one floor division in the base's unit
+2^-s, and the sums of u_k, k u_k and k(k-1) u_k give P, h P' and h^2 P''.
+The majorant E starts at the base's error bounds, E_0 = r_0 and
+E_1 = r_1 |h/z0| + 1, and follows
+
+    E_n = |n+2L| |h/z0| E_(n-1)/n + (|z0 - 2 eta| h^2 E_(n-2) + |h|^3 E_(n-3))
+          / (|z0| n(n-1)) + 1,
+
+no longer stepped once the three coefficients sum to at most 1/2 for every
+later n.  For m > N they are at most a = |h/z0| max(1, |N+1+2L|/(N+1)),
+b = |z0 - 2 eta| h^2/(|z0| (N+1) N) and c = |h|^3/(|z0| (N+1) N), so a rho
+at or above the dominant root of rho^3 = a rho^2 + b rho + c gives
+|u_(N+j)| <= B rho^j with B = max(|U_N| + E_N, rho (|U_(N-1)| + E_(N-1)),
+rho^2 (|U_(N-2)| + E_(N-2))) 2^-s.  The stop, the bounds, the 56-bit guard
+and the rounding are those of the direct sum.
+
+The second solution of the Coulomb equation is singular at 0, so the series
+about z0 converges like (h/z0)^k; where |h/z0| is small it takes far fewer
+terms than the sum from 0 (about 19 against 71 at the refine points of the
+zero scan).  eval_near sums directly instead where z0 is the origin, where
+twice the estimate 64 / log2|z0/h| of the local terms, plus 30, is not
+below the base's truncation_terms (the estimate runs low at few terms, a
+local term costs about 1.2 direct ones, and the set-up and the base's
+deeper sum, shared by its few uses, some 30 more), where
+the local sum reaches the base's truncation_terms,
+where its sums do not clear their bounds by 56 bits, or where the base's
+bounds pass 2^512 units (a base summed at well over 600 bits), too large to
+start E in doubles.
+
+P(z) summed about z0 can be no more accurate, in absolute terms, than
+P(z0).  A direct sum stops once its tail is below 2^-58 of its value,
+while the refine steps of a zero come within ~1e-12 of it, where P (or P'
+or P'') is some 2^-40 of its size at z0.  So a direct value keeps its loop
+state, and the first time it serves as a base its sum is carried on from
+there until each tail lies below 2^-112 of its sum (some 24 more terms);
+that deeper sum is kept with the value for its later uses as a base.  The
+value itself, its repr and its equality do not change.  A local value keeps
+nothing and is refused as a base, so errors never chain.
+
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
-read them, and nothing is cached: eval_point is one eval_series call.
+read them, and nothing is cached between calls: eval_point and eval_series
+are one direct sum each, and a direct value carries only its own sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import equations
 from .errors import (
     ConvergenceError,
     CoulombDomainError,
@@ -81,8 +138,16 @@ _START_BITS = 192
 _MAX_BITS = 2048
 _GUARD_BITS = 56  # bits by which a sum must clear its error bound
 _TAIL_BITS = 58  # the tail bound stops the sum below 2^-58 of it
+_BASE_TAIL_BITS = 112  # ... and below 2^-112 of it at a base of local sums
 _UP = 1.0 + 2.0 ** -30  # covers the roundings of the doubles in the bound
 _BIG, _SMALL = 2.0 ** 512, 2.0 ** -512  # rescaling of E, kept in range
+_ESTIMATE_BITS = 64  # a local sum is estimated to stop once (h/z0)^k < 2^-64
+# ... and tried where _LOCAL_COST times that estimate, plus _LOCAL_SETUP, stays
+# below the direct sum's terms: the estimate runs low by some 6 terms, a local
+# term costs some 1.2 direct ones, and the set-up and the base's deeper sum,
+# shared by the base's few uses, cost some 30
+_LOCAL_COST = 2
+_LOCAL_SETUP = 30
 
 
 @dataclass(frozen=True)
@@ -150,6 +215,17 @@ def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex,
     return tuple(a)
 
 
+class _Sums(NamedTuple):
+    """The integer sums of P and z P' in units of 2^-shift, and their error
+    bounds."""
+
+    s0: int
+    s1: int
+    r0: int
+    r1: int
+    shift: int
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """P, P' and P'' at one point, each a double, with their error bounds.
@@ -157,8 +233,11 @@ class SeriesValue:
     noise[k] bounds |p_k - exact| for the double p_k as returned: the floor
     errors of the fixed-point sum carried through the recurrence, the bound
     on the discarded tail, and half an ulp of p_k.  truncation_terms counts
-    the terms t_0..t_N summed, and tail_estimate bounds the discarded tail
-    of the P sum (both of the last pass, at the precision that was kept).
+    the terms summed, and tail_estimate bounds the discarded tail of the P
+    sum (both of the last pass, at the precision that was kept).  A direct
+    sum (eval_point, eval_series) also keeps what eval_near needs to sum
+    about its point, outside the value's repr and equality; a local sum
+    (eval_near) keeps nothing.
     """
 
     p0: float
@@ -167,6 +246,18 @@ class SeriesValue:
     truncation_terms: int
     tail_estimate: float
     noise: tuple[float, float, float]
+    # a direct sum's (L, eta, z, bits, loop state); None for a local sum
+    _base: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _deep(self) -> _Sums:
+        """The direct sum carried on from its loop state until each tail lies
+        below 2^-_BASE_TAIL_BITS of its sum: summed the first time the value
+        serves as a base, and kept with it."""
+        L, eta, z, bits, state = self._base
+        (s0, s1, _), (r0, r1, _), shift, *_ = _fixed_point_sum(
+            L, eta, z, bits, _BASE_TAIL_BITS, state)
+        return _Sums(s0, s1, r0, r1, shift)
 
 
 def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
@@ -175,6 +266,48 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
     The terms come from the recurrence in z, not from the table's
     coefficients, so its length does not limit the sum.
     """
+    return _direct(table.params.L, table.params.eta, z)
+
+
+def eval_point(params: CoulombParams, z: float) -> SeriesValue:
+    """P, P' and P'' of params at z, summed in fixed point from the origin."""
+    return _direct(params.L, params.eta, z)
+
+
+def eval_near(base: SeriesValue, z: float) -> SeriesValue:
+    """P, P' and P'' at z, summed about the point of base (module docstring).
+
+    base is a direct sum (eval_point or eval_series); its (L, eta) are those
+    of the result.  A local sum is refused as a base, so errors never chain.
+    The value means what a direct sum's does, its noise included.  Summed
+    directly instead where base is the origin, where the local sum would not
+    take clearly fewer terms than base did, or where its sums do not clear
+    their bounds by 56 bits.
+    """
+    kept = base._base
+    if kept is None:
+        raise ValueError("eval_near needs a direct sum (eval_point or eval_series) as its base")
+    z = float(z)
+    if z == kept[2]:
+        return base
+    if abs(z - kept[2]) < _reach(base) and abs(z) <= EVAL_Z_MAX:
+        near = _local(base, z)
+        if near is not None:
+            return near
+    return _direct(kept[0], kept[1], z)
+
+
+def _reach(base: SeriesValue) -> float:
+    """The largest |z - z0| at which eval_near tries a local sum about the
+    point z0 of the direct sum base: where _LOCAL_COST times its estimated
+    terms 64 / log2|z0/h|, plus _LOCAL_SETUP, stay below base's; 0 at the
+    origin."""
+    spare = base.truncation_terms - _LOCAL_SETUP
+    return abs(base._base[2]) * 2.0 ** (-_ESTIMATE_BITS * _LOCAL_COST / spare) if spare > 0 else 0.0
+
+
+def _direct(L: float, eta: float, z: float) -> SeriesValue:
+    """The sum from the origin, at the precision its bounds ask for."""
     z = float(z)
     if not math.isfinite(z):
         raise ValueError("z must be finite")
@@ -182,7 +315,6 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         raise ConvergenceError(
             f"|z|={abs(z):.3g} is beyond the evaluation range (~{EVAL_Z_MAX:g})"
         )
-    L, eta = table.params.L, table.params.eta
     if L == -1.0:
         raise CoulombDomainError("coefficient recurrence requires L != -1")
     if z == 0.0:
@@ -190,40 +322,58 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
         values = (1.0, *(k * num / den for k, (num, den)
                          in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
         return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
-                           noise=tuple(0.5 * math.ulp(v) for v in values))
+                           noise=tuple(0.5 * math.ulp(v) for v in values),
+                           _base=(L, eta, z, 0, None))
     bits = _START_BITS
     while True:
-        (s0, s1, s2), (r0, r1, r2), shift, n, tau = _fixed_point_sum(L, eta, z, bits)
-        # bits by which the sums fall short of clearing their bounds by _GUARD_BITS
-        missing = max(r0.bit_length() - abs(s0).bit_length(),
-                      r1.bit_length() - abs(s1).bit_length(),
-                      r2.bit_length() - abs(s2).bit_length()) + _GUARD_BITS + 1
+        sums, errs, shift, n, tau, state = _fixed_point_sum(L, eta, z, bits, _TAIL_BITS)
+        missing = _missing_bits(sums, errs)
         if missing <= 0 or bits >= _MAX_BITS:
             break
         bits = min(bits + missing, _MAX_BITS)
-    # the sums are P, z P' and z^2 P'' in units of 2^-shift; each rounds once
+    return _rounded(sums, errs, shift, n, tau, z.as_integer_ratio(), z, (L, eta, z, bits, state))
+
+
+def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int:
+    """Bits by which the sums fall short of clearing their bounds by _GUARD_BITS."""
+    (s0, s1, s2), (r0, r1, r2) = sums, errs
+    return max(r0.bit_length() - abs(s0).bit_length(), r1.bit_length() - abs(s1).bit_length(),
+               r2.bit_length() - abs(s2).bit_length()) + _GUARD_BITS + 1
+
+
+def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int, n: int,
+             tau: int, x: tuple[int, int], z: float, base: tuple | None) -> SeriesValue:
+    """The SeriesValue at z of the sums of u_k, k u_k and k(k-1) u_k in units
+    of 2^-shift, u_k = c_k x^k with c_k the Taylor coefficients of P about
+    the point summed from and x = Xn/Xd the distance from there: each of P,
+    P', P'' and its bound rounds once, and _UP covers the rounding of each
+    bound and of the sum with half an ulp."""
+    (s0, s1, s2), (r0, r1, r2) = sums, errs
     unit = 1 << shift
-    Zn, Zd = z.as_integer_ratio()
-    q1, q2 = Zn * unit, Zn * Zn * unit
+    Xn, Xd = x
+    q1, q2 = Xn * unit, Xn * Xn * unit
     try:
-        p0, p1, p2 = s0 / unit, s1 * Zd / q1, s2 * Zd * Zd / q2
-        b0, b1, b2 = r0 / unit, r1 * Zd / abs(q1), r2 * Zd * Zd / q2
+        p0, p1, p2 = s0 / unit, s1 * Xd / q1, s2 * Xd * Xd / q2
+        b0, b1, b2 = r0 / unit, r1 * Xd / abs(q1), r2 * Xd * Xd / q2
     except OverflowError:
         raise ConvergenceError(
             f"P, P' or P'' at z={z:.6g}, or its error bound, overflows a double"
         ) from None
-    # _UP covers the rounding of each bound and of the sum with half an ulp
     return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau / unit * _UP,
                        noise=((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
-                              (b2 + 0.5 * math.ulp(p2)) * _UP))
+                              (b2 + 0.5 * math.ulp(p2)) * _UP),
+                       _base=base)
 
 
-def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
-    """One summation at bits below min(1, z^2).
+def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
+                     state: tuple | None = None):
+    """One summation at bits below min(1, z^2), until each tail lies below
+    2^-tail_bits of its sum or below its floor errors; from the origin, or
+    on from the state a shorter summation returned.
 
     Returns the integer sums of t_n, n t_n and n(n-1) t_n and their error
-    bounds, all in units of 2^-shift, then shift, the last index N and the
-    bound tau on the tail of the t_n sum.
+    bounds, all in units of 2^-shift, then shift, the last index N, the
+    bound tau on the tail of the t_n sum and the loop state at N.
     """
     Ln, Ld = L.as_integer_ratio()
     En, Ed = eta.as_integer_ratio()
@@ -232,19 +382,20 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
     A, B, D = 2 * En * Zn * Zd * Ld, Ed * Zn * Zn * Ld, Ed * Zd * Zd
     common = math.gcd(A, B, D)
     A, B, D = A // common, B // common, D // common
-    den, step, step2 = 0, 2 * D * (Ld + Ln), 2 * D * Ld  # D m_n by its differences
     shift = bits + 2 * max(0, -math.frexp(z)[1])
     eta_z, zz, l1 = 2.0 * abs(eta * z), z * z, 2.0 * L + 1.0
     settle = 2.0 * (eta_z + zz)
-    tail_bits, big, small, up = _TAIL_BITS, _BIG, _SMALL, _UP
-    t, t1 = 1 << shift, 0  # T_n, T_{n-1}
-    # s0 sums T_n; h1 and h2 sum its partial sums once and twice, which give
-    # sum n T_n and sum n(n-1) T_n exactly without a product per term
-    s0, h1, h2 = t, 0, 0
-    e = e1 = g = 0.0  # E_n, E_{n-1} and sum E_n, in units of 2^scale
-    one, scale, live = 1.0, 0, True
+    big, small, up = _BIG, _SMALL, _UP
+    if state is None:
+        # T_n and T_(n-1); s0 sums T_n; h1 and h2 sum its partial sums once and
+        # twice, which give sum n T_n and sum n(n-1) T_n exactly without a
+        # product per term; E_n, E_(n-1) and sum E_n in units of 2^scale
+        state = (0, 1 << shift, 0, 1 << shift, 0, 0, 0.0, 0.0, 0.0, 1.0, 0, True)
+    n0, t, t1, s0, h1, h2, e, e1, g, one, scale, live = state
+    # D m_n by its differences
+    den, step, step2 = D * n0 * (n0 * Ld + 2 * Ln + Ld), 2 * D * ((n0 + 1) * Ld + Ln), 2 * D * Ld
     lag = tail_bits + 8  # the tail test runs once T_n < 2^-lag of the sum
-    for n in range(1, N_MAX_CAP + 1):
+    for n in range(n0 + 1, N_MAX_CAP + 1):
         den += step
         step += step2
         if not den:
@@ -293,45 +444,108 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
         lag = s0.bit_length() - tb + short  # test again once T_n is that much smaller
     else:
         raise ConvergenceError(f"tail bound not reached within {N_MAX_CAP} terms at z={z:.6g}")
-    # floor errors, with the weights n and n(n-1) at most N and N(N-1), and tail
-    errs = (gi + tau, n * gi + (n + 1) * tau, n * (n - 1) * gi + (n + 1) * n * tau)
-    return (s0, s1, s2), errs, shift, n, tau
+    return ((s0, s1, s2), _errors(n, gi, tau), shift, n, tau,
+            (n, t, t1, s0, h1, h2, e, e1, g, one, scale, live))
 
 
-def eval_point(params: CoulombParams, z: float) -> SeriesValue:
-    """P, P' and P'' of params at z: one eval_series call."""
-    return eval_series(CoefficientTable(params, 0, (1.0,)), z)
+def _errors(n: int, gi: int, tau: int) -> tuple[int, int, int]:
+    """Bounds on the three sums: the floor errors gi, with the weights k and
+    k(k-1) at most N and N(N-1), plus the weighted tail bounds."""
+    return gi + tau, n * gi + (n + 1) * tau, n * (n - 1) * gi + (n + 1) * n * tau
 
 
-def _check_ratio_args(kind: str, r: float) -> None:
-    if kind not in ("f", "g"):
-        raise ValueError(f"kind must be 'f' or 'g', got {kind!r}")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
-
-
-def star_ratio(params: CoulombParams, kind: str, r: float) -> float:
-    """r g'(r)/g(r) for kind 'g'; (1/(L+1)) r F'(r)/F(r) for kind 'f'.
-
-    Both tend to 1 as r -> 0+ and decrease to -inf at the first positive zero
-    of g (eta <= 0).  Raises PoleError when P(r) vanishes within tolerance.
-    """
-    _check_ratio_args(kind, r)
-    return _ratio(params, kind, False, r)
-
-
-def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
-    """1 + r g''/g' for kind 'g'; 1 + r F''/F' - (L/(L+1)) r F'/F for kind 'f'.
-
-    The f-form is certified only for L > -1/2 (unsafe params may override).
-    """
-    _check_ratio_args(kind, r)
-    if kind == "f" and not params.supports_f_convexity() and not params.unsafe:
-        raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
-    return _ratio(params, kind, True, r)
-
-
-def _ratio(params: CoulombParams, kind: str, convex: bool, r: float) -> float:
-    num, den, noise = equations.radius_terms(params.L, params.eta, kind, convex, r,
-                                             eval_point(params, r))
-    return equations.ratio(num[0], den[0], noise, r)
+def _local(base: SeriesValue, z: float) -> SeriesValue | None:
+    """P, P' and P'' at z, within _reach(base) of the point z0 != 0 of the
+    direct sum base, summed about z0 (module docstring); None where that
+    takes as many terms as base did, or does not clear its bounds by
+    _GUARD_BITS."""
+    L, eta, z0 = base._base[:3]
+    base_terms = base.truncation_terms
+    b = base._deep
+    r0, r1 = b.r0, b.r1
+    if (r0 | r1).bit_length() > 512:
+        return None  # E starts at the base's bounds, in doubles
+    Ln, Ld = L.as_integer_ratio()
+    En, Ed = eta.as_integer_ratio()
+    Wn, Wd = z0.as_integer_ratio()
+    Zn, Zd = z.as_integer_ratio()
+    d = max(Wd, Zd)  # h = z - z0 = Hn/Hd exactly, both denominators powers of two
+    Hn, Hd = Zn * (d // Zd) - Wn * (d // Wd), d
+    hf, az = abs(Hn / Hd), abs(z0)
+    # z0 n(n-1) u_n = -(n-1)(n+2L) h u_{n-1} - (z0-2 eta) h^2 u_{n-2} - h^3 u_{n-3}
+    # times Ld Ed Wd Hd^3: K n(n-1) U_n = (n-1)(n Ld + 2 Ln) G U_{n-1} + B U_{n-2} + C U_{n-3}
+    K = Wn * Ld * Ed * Hd ** 3
+    G = -Hn * Ed * Wd * Hd * Hd
+    B = -(Wn * Ed - 2 * En * Wd) * Ld * Hn * Hn * Hd
+    C = -Ld * Ed * Wd * Hn ** 3
+    common = math.gcd(K, G, B, C) * (1 if K > 0 else -1)
+    K, G, B, C = K // common, G // common, B // common, C // common
+    den, step, step2 = 0, 2 * K, 2 * K  # K n(n-1) by its differences
+    coef, cstep, cstep2 = 0, 2 * G * (Ld + Ln), 2 * G * Ld  # (n-1)(n Ld + 2 Ln) G
+    qa = hf / az * _UP
+    qb = abs(z0 - 2.0 * eta) * hf * hf / az * _UP
+    qc = hf * hf * hf / az * _UP
+    l2 = 2.0 * L
+    tail_bits, big, small, up = _TAIL_BITS, _BIG, _SMALL, _UP
+    # U_0 and U_1 = s1 h/z0 from the base's sums, with its bounds as E_0 and E_1
+    t2, t1, t = 0, b.s0, (b.s1 * Hn * Wd) // (Hd * Wn)
+    e2, e1, e = 0.0, float(r0), r1 * qa + 1.0
+    s0, h1, h2 = t1 + t, t1, 0
+    g = e1 + e
+    one, scale, live = 1.0, 0, True
+    lag = tail_bits + 8
+    for n in range(2, base_terms):
+        den += step
+        step += step2
+        coef += cstep
+        cstep += cstep2
+        t, t1, t2 = (coef * t + B * t1 + C * t2) // den, t, t1
+        if live:
+            growth = abs(n + l2) / n * qa
+            e, e1, e2 = growth * e + (qb * e1 + qc * e2) / (n * (n - 1.0)) + one, e, e1
+            if e > big:
+                e, e1, e2, g, one, scale = (e * small, e1 * small, e2 * small, g * small,
+                                            one * small, scale + 512)
+            if max(growth, qa) + (qb + qc) / (n * (n - 1.0)) <= 0.5:
+                # from here on E_m <= max(E_(m-1), E_(m-2), E_(m-3))/2 + 1
+                live = False
+                e = e1 = e2 = max(e, e1, e2, 2.0 * one)
+        g += e
+        h2 += h1
+        h1 += s0
+        s0 += t
+        tb = t.bit_length()
+        if tb > s0.bit_length() - lag and tb > 1:
+            continue
+        # every later coefficient is at most a, b, c: rho bounds the root of
+        # rho^3 = a rho^2 + b rho + c, |u_(N+j)| <= B rho^j
+        m = n + 1.0
+        a = qa * max(1.0, abs(m + l2) / m)
+        bb, cc = qb / (m * n), qc / (m * n)
+        rho = a + math.sqrt(bb) + cc ** (1.0 / 3.0)
+        rho -= (((rho - a) * rho - bb) * rho - cc) / ((3.0 * rho - 2.0 * a) * rho - bb)
+        rho *= up
+        r = rho * (n + 2.0) / n
+        if r >= 1.0:
+            continue
+        xr = math.frexp(rho)[1]
+        xb = max((abs(t) + ((int(e * up) + 1) << scale)).bit_length(),
+                 (abs(t1) + ((int(e1 * up) + 1) << scale)).bit_length() + xr,
+                 (abs(t2) + ((int(e2 * up) + 1) << scale)).bit_length() + 2 * xr)
+        tau = 1 << max(0, xb + math.frexp(rho / (1.0 - r) * up)[1])
+        gi = (int(g * up) + 1) << scale
+        s1 = n * s0 - h1
+        s2 = 2 * (h2 + (n - 1) * s1) - n * (n - 1) * s0
+        short = max(tau.bit_length() - max(gi, abs(s0) >> tail_bits).bit_length(),
+                    ((n + 1) * tau).bit_length() - max(n * gi, abs(s1) >> tail_bits).bit_length(),
+                    ((n + 1) * n * tau).bit_length()
+                    - max(n * (n - 1) * gi, abs(s2) >> tail_bits).bit_length()) + 1
+        if short <= 0:
+            break
+        lag = s0.bit_length() - tb + short
+    else:
+        return None  # no cheaper than the direct sum
+    sums, errs = (s0, s1, s2), _errors(n, gi, tau)
+    if _missing_bits(sums, errs) > 0:
+        return None
+    return _rounded(sums, errs, b.shift, n, tau, (Hn, Hd), z, None)

@@ -18,12 +18,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .equations import g_value
+from .equations import conv_ratio, g_value, star_ratio
 from .errors import ConvergenceError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
 from .rayleigh import Family, SumMethod, euler_rayleigh_bounds, sums
-from .series import conv_ratio, eval_point, star_ratio
+from .series import eval_point
 from .subordination import axis_minimum_gap, disk_min_real
 from .zeros import ZeroSet, ZeroTarget, find_zeros
 

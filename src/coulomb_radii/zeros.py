@@ -86,7 +86,15 @@ Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
-steps, never at the refined root itself.
+steps, never at the refined root itself.  Each scan step is a direct sum
+from the origin (series.eval_point); each refine step is summed about the
+nearer end of its scan step (series.eval_near, through eval_in_step), from
+that end's direct sum, or directly where that end is the origin or the
+local sum would not pay.  A refine step lies within half a step of its
+base, where the series about the base converges like (h/z0)^k: on the
+zero-scan benchmark it takes about 19 terms against 71 from the origin,
+plus some 24 once per base to carry the base's sum deeper.  The values are
+the same doubles as the direct sums', up to a rare last-bit rounding.
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
@@ -105,7 +113,7 @@ from typing import Callable, Iterator, NamedTuple
 from .equations import Jet, ZeroTarget, noise_limited, target_at_origin, target_jet
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, eval_point
+from .series import EVAL_Z_MAX, SeriesValue, eval_near, eval_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -324,12 +332,10 @@ def scan(params: CoulombParams, target: ZeroTarget,
     stretch (0, t*] (module docstring)."""
     L, eta = params.L, params.eta
 
-    def h(t: float) -> tuple[SeriesValue, Jet, float]:
+    def h(sv: SeriesValue, t: float) -> tuple[Jet, float]:
         # on the negative axis the slope flips sign and the curvature does not
-        z = sign * t
-        sv = eval_point(params, z)
-        (val, d1, d2), noise = target_jet(L, eta, target, z, sv)
-        return sv, (val, sign * d1, d2), noise
+        (val, d1, d2), noise = target_jet(L, eta, target, sign * t, sv)
+        return (val, sign * d1, d2), noise
 
     # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
     eta_s = sign * eta
@@ -356,13 +362,14 @@ def scan(params: CoulombParams, target: ZeroTarget,
     nxt = after(t)
     while t < nxt <= t_free:
         t, nxt = nxt, after(nxt)
-    t_prev = 0.0
+    t_prev, prev_sv = 0.0, None
     prev = (target_at_origin(L, target), math.nan, math.nan)
     while t_prev < EVAL_Z_MAX:
         try:
-            sv, cur, noise = h(t)
+            sv = eval_point(params, sign * t)
         except ConvergenceError:
             return
+        cur, noise = h(sv, t)
         val = cur[0]
         if noise_limited(val, noise):
             return  # sign no longer resolvable against the cancellation floor
@@ -370,12 +377,23 @@ def scan(params: CoulombParams, target: ZeroTarget,
         if val == 0.0:
             zero = t  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            zero = refine_bracket(lambda s: h(s)[1], t_prev, t, prev, cur, REFINE_TOL).root
+            zero = refine_bracket(
+                lambda s: h(eval_in_step(params, sign * s, t_prev, prev_sv, t, sv), s)[0],
+                t_prev, t, prev, cur, REFINE_TOL).root
         yield ScanStep(t_prev, t, sv, prev, cur, zero)
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
-        t_prev, prev = t, cur
+        t_prev, prev, prev_sv = t, cur, sv
         t = after(t)
+
+
+def eval_in_step(params: CoulombParams, z: float, t_prev: float,
+                 prev_sv: SeriesValue | None, t: float, sv: SeriesValue) -> SeriesValue:
+    """The series at z, |z| in the scan step (t_prev, t] whose ends were
+    summed as prev_sv and sv: summed about the nearer end (series.eval_near),
+    or directly where that end is the origin (prev_sv None)."""
+    base = prev_sv if abs(z) - t_prev < t - abs(z) else sv
+    return eval_point(params, z) if base is None else eval_near(base, z)
 
 
 def _zeros_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coulomb_radii import CoulombDomainError, CoulombParams, series
+from coulomb_radii import CoulombDomainError, CoulombParams
 from coulomb_radii.radii import (
     Kind,
     RadiusProperty,
@@ -152,7 +152,7 @@ class TestProperties:
 
 
 class TestEvaluationCounts:
-    def test_series_evaluations_per_radius(self, monkeypatch):
+    def test_series_evaluations_per_radius(self, evaluations):
         # deterministic gate on the solver: the cap scan with its Halley
         # refine, the Halley steps of the radius from the scan step that
         # brackets it and the residual, over every query shape at (0.5, -1),
@@ -160,19 +160,15 @@ class TestEvaluationCounts:
         # point of its end jets (mean 11.65, max 13; 13.9 and 15 from Halley
         # steps alone, 19.35 and 20 when the radius was a second ITP solve on
         # [0, cap])
-        calls = []
-        eval_series = series.eval_series
-        monkeypatch.setattr(series, "eval_series",
-                            lambda table, z: calls.append(z) or eval_series(table, z))
         params = CoulombParams(0.5, -1.0)
         counts = []
         for kind in ("f", "g"):
             for prop in ("starlike", "convex", "univalent"):
                 for beta in (0.0,) if prop == "univalent" else (0.0, 0.5):
                     for form in ("ratio", "direct"):
-                        calls.clear()
+                        evaluations.clear()
                         radius(RadiusQuery(params, kind, prop, beta), form=form)
-                        counts.append(len(calls))
+                        counts.append(len(evaluations))
         assert sum(counts) / len(counts) <= 12
         assert max(counts) <= 14
 

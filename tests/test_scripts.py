@@ -45,15 +45,26 @@ def test_bench_rows(capsys):
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
                          *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
-    # counted by the wrapped eval_series, within the gates of test_zeros and test_radii
+    # direct and local sums, counted by the wrapped kernels, within the gates
+    # of test_zeros and test_radii
     assert 0 < rows["find_zeros"]["evals"] <= 117
     assert 0 < rows["find_zeros_F_prime"]["evals"] <= 118
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 114
     assert 0 < rows["find_zeros_neg"]["evals"] <= 17
     assert 0 < rows["radius"]["evals"] <= 14
     assert 0 < rows["radius_convex_g"]["evals"] <= 14
-    # one evaluation per point of the warm in-process eval request
+    # terms, the carried-on bases included: 5925, 5328 and 5097 with the
+    # refine steps summed about the scan steps (10198, 8760 and 8462 from 0)
+    assert rows["find_zeros"]["terms"] <= 5950
+    assert rows["find_zeros_F_prime"]["terms"] <= 5350
+    assert rows["find_zeros_g_prime"]["terms"] <= 5120
+    # most refine steps are local sums, of 17-23 terms on average
+    for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
+        assert rows[name]["local_evals"] >= 50
+        assert rows[name]["local_terms"] <= 24 * rows[name]["local_evals"]
+    # one direct evaluation per point of the warm in-process eval request
     assert rows["cli_eval"]["evals"] == 16
+    assert rows["cli_eval"]["local_evals"] == rows["cli_eval"]["base_terms"] == 0
     for name in ("eval_z0.5", "eval_z10", "eval_z50", "cli_eval", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
     # the refine steps are a part of the evaluations; the rest are scan steps

@@ -26,6 +26,7 @@ from coulomb_radii import (
 )
 from coulomb_radii.equations import ZeroTarget, noise_limited, target_jet
 from coulomb_radii.verify import bessel_j
+from coulomb_radii.zeros import find_zeros
 
 P00 = CoulombParams(0.0, 0.0)
 P0M1 = CoulombParams(0.0, -1.0)
@@ -261,6 +262,20 @@ class TestEvalSeries:
         assert checked >= 150
 
 
+def _mp_series(mp, L, eta, z):
+    """(P, P') at z as mpmath numbers at the working precision."""
+    t2, t1 = mp.mpf(0), mp.mpf(1)
+    s0, s1 = mp.mpf(1), mp.mpf(0)
+    n = 0
+    while True:
+        n += 1
+        t = (2 * eta * z * t1 - z * z * t2) / (n * (n + 2 * L + 1))
+        s0, s1 = s0 + t, s1 + n * t
+        t2, t1 = t1, t
+        if n > 2 * abs(z) + 10 and (abs(t1) + abs(t2)) * n * n < mp.mpf(10) ** (-mp.mp.dps - 5):
+            return s0, s1 / z
+
+
 def mpmath_series(L, eta, z):
     """(P, P', P'') at z as doubles, summed by mpmath at the digits the
     largest term, about e^(|z| + 2 sqrt(2 |eta z|)), leaves to spare; a value
@@ -305,6 +320,119 @@ def outcome(fn, *args):
         return repr(fn(*args))
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return (type(exc).__name__, str(exc), getattr(exc, "n", None))
+
+
+class TestLocalSums:
+    """eval_near: P summed about a direct sum's point, against mpmath."""
+
+    def check(self, params, base, hs):
+        # each value lies within its bound of mpmath's, rounded; returns how
+        # many were summed about the base
+        local = 0
+        z0 = base._base[2]
+        for h in hs:
+            z = z0 + h
+            want = mpmath_series(params.L, params.eta, z)
+            if abs(z) > series.EVAL_Z_MAX or any(map(math.isinf, want)):
+                continue
+            sv = series.eval_near(base, z)
+            local += sv._base is None
+            for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                assert abs(got - w) <= sv.noise[k] + 0.5 * math.ulp(w), (params, z0, h, k)
+        return local
+
+    def test_grid_against_mpmath(self):
+        # L from -0.9 to 9, eta from 0 to -25, both axes; h from tol/4 up to
+        # the reach of the local sum, on both sides of the base
+        tried = local = 0
+        for L in (-0.9, 0.0, 2.5, 9.0):
+            for eta in (0.0, -3.0, -25.0):
+                params = CoulombParams(L, eta)
+                for z0 in (2.9, -7.3, 21.7, -38.1):
+                    try:
+                        base = eval_point(params, z0)
+                    except ConvergenceError:  # P beyond the double range
+                        continue
+                    reach = 0.99 * series._reach(base)
+                    hs = (2.5e-13, -3e-7, 0.4 * reach, -reach)
+                    local += self.check(params, base, hs)
+                    tried += len(hs)
+        assert tried >= 150
+        assert local >= 0.6 * tried
+
+    def test_bases_next_to_zeros_of_P_and_P_prime(self):
+        # a base within 1e-9 of a zero of P or of P' (so |P| or |P'| is some
+        # 1e-9 of its size), and points from tol/4 to the reach on both sides
+        local = tried = 0
+        for L, eta in ((0.5, -1.0), (-0.9, -25.0), (9.0, -3.0)):
+            params = CoulombParams(L, eta)
+            zs = find_zeros(params, ZeroTarget.F, 4, 3)
+            points = list(zs.positive + zs.negative)
+            # P' changes sign between consecutive zeros of P
+            for side in (zs.positive, zs.negative):
+                for lo, hi in zip(side, side[1:]):
+                    neg = eval_point(params, lo).p1 < 0.0
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if (eval_point(params, mid).p1 < 0.0) == neg else (lo, mid)
+                    points.append(lo)
+            for x in points:
+                base = eval_point(params, x + 1e-9)
+                reach = 0.99 * series._reach(base)
+                hs = (2.5e-13, -2.5e-13, 1e-4, -0.5 * reach, reach)
+                local += self.check(params, base, hs)
+                tried += len(hs)
+        assert tried >= 100
+        assert local >= 0.6 * tried
+
+    def test_tail_estimate_bounds_the_discarded_tail(self):
+        # the Taylor coefficients about z0 from the recurrence in mpmath,
+        # started at mpmath's P(z0) and P'(z0): the terms past the last one
+        # summed add up to at most tail_estimate
+        mp = pytest.importorskip("mpmath")
+        checked = 0
+        for L, eta, z0, hs in ((0.5, -1.0, 10.3, (0.2, -0.4)), (-0.9, -25.0, 3.1, (0.02, -0.025)),
+                               (9.0, -3.0, -21.7, (0.6, -0.9)), (2.5, 0.0, 37.1, (1.1, -0.4))):
+            base = eval_point(CoulombParams(L, eta), z0)
+            with mp.workdps(60):
+                Lm, em, wm = mp.mpf(L), mp.mpf(eta), mp.mpf(z0)
+                c = [None, *_mp_series(mp, Lm, em, wm)[:2]]
+                for k in range(0, 200):
+                    c.append((-(k + 1) * (k + 2 * Lm + 2) * c[k + 2] - (wm - 2 * em) * c[k + 1]
+                              - (c[k] if k else 0)) / (wm * (k + 2) * (k + 1)))
+                c = c[1:]
+                for h in hs:
+                    sv = series.eval_near(base, z0 + h)
+                    assert sv._base is None, (L, eta, z0, h)
+                    hm = mp.mpf(z0 + h) - wm
+                    tail = sum(c[k] * hm ** k for k in range(sv.truncation_terms, 200))
+                    assert abs(tail) <= sv.tail_estimate, (L, eta, z0, h)
+                    checked += 1
+        assert checked == 8
+
+    def test_local_values_are_no_base(self):
+        params = CoulombParams(0.5, -1.0)
+        near = series.eval_near(eval_point(params, 10.0), 10.1)
+        assert near._base is None
+        with pytest.raises(ValueError):
+            series.eval_near(near, 10.2)
+
+    def test_base_at_the_origin_is_summed_directly(self, evaluations):
+        params = CoulombParams(0.5, -1.0)
+        origin = eval_point(params, 0.0)
+        evaluations.clear()
+        sv = series.eval_near(origin, 0.3)
+        assert evaluations == [0.3]
+        assert sv._base is not None  # a direct sum
+        assert repr(sv) == repr(eval_point(params, 0.3))
+
+    def test_far_point_is_summed_directly(self, evaluations):
+        # h/z0 = 0.5: 128 terms estimated against the base's 59
+        params = CoulombParams(0.5, -1.0)
+        base = eval_point(params, 10.0)
+        sv = series.eval_near(base, 15.0)
+        assert sv._base is not None
+        assert repr(sv) == repr(eval_point(params, 15.0))
 
 
 class TestInlinedKernels:
@@ -408,14 +536,11 @@ class TestTableContinuation:
             table = coefficients(params, n_max)
             assert in_sequence == [repr(eval_series(table, z)) for z in zs]
 
-    def test_cold_far_evaluation_is_one_sum(self, monkeypatch):
-        # one eval_series call per evaluation, at any |z|; the value is
-        # mpmath's double in all three places
-        calls = []
-        monkeypatch.setattr(series, "eval_series",
-                            lambda table, z: calls.append(z) or eval_series(table, z))
+    def test_cold_far_evaluation_is_one_sum(self, evaluations):
+        # one sum per evaluation, at any |z|; the value is mpmath's double in
+        # all three places
         sv = eval_point(CoulombParams(0.5, -1.0), 50.0)
-        assert calls == [50.0]
+        assert evaluations == [50.0]
         assert (sv.p0, sv.p1, sv.p2) == mpmath_series(0.5, -1.0, 50.0)
         assert repr(sv) == (
             "SeriesValue(p0=-0.00038823599095620453, p1=-0.0013756501456219433, "

@@ -190,15 +190,11 @@ class TestZeroFreeStart:
                 assert lo < x <= hi, target
 
     @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 17), (0.0, -25.0, 2, 8)])
-    def test_evaluation_count(self, monkeypatch, L, eta, count, gate):
+    def test_evaluation_count(self, evaluations, L, eta, count, gate):
         # deterministic gates: 15 and 6 evaluations, against 41 and 37 with
         # every grid point of (0, t*] evaluated
-        calls = []
-        eval_series = series.eval_series
-        monkeypatch.setattr(series, "eval_series",
-                            lambda table, z: calls.append(z) or eval_series(table, z))
         find_zeros(CoulombParams(L, eta), ZeroTarget.F, 0, count)
-        assert 0 < len(calls) <= gate
+        assert 0 < len(evaluations) <= gate
 
     def test_unsafe_L_below_minus_one_is_not_skipped(self):
         # L(L+1) > 0 here too, but u u' < 0 at the origin, so (0, t* = 10.04]
@@ -388,23 +384,62 @@ class TestRefineBracket:
         assert zs.positive[0] == pytest.approx(0.99368, abs=1e-5)
         assert steps == [steps[0]] and steps[0] <= 5
 
-    def test_find_zeros_evaluation_count(self, monkeypatch):
+    def test_find_zeros_evaluation_count(self, evaluations):
         # deterministic gates: the scan steps plus the refine steps of 20
         # zeros, one half-Sturm-spacing step for every target, each refine
         # started at the interpolated point of the scan's end jets, the
         # zero-free start of the negative axis unevaluated (F 117, F' 118,
         # g' 114; 118, 119 and 115 with it evaluated, 139, 138 and 138 from
-        # Halley steps alone, 223, 220 and 221 with ITP steps alone)
-        calls = []
-        eval_series = series.eval_series
-        monkeypatch.setattr(series, "eval_series",
-                            lambda table, z: calls.append(z) or eval_series(table, z))
+        # Halley steps alone, 223, 220 and 221 with ITP steps alone); the
+        # refine steps count whether summed directly or about a scan step
         gates = {ZeroTarget.F: 119, ZeroTarget.F_PRIME: 120, ZeroTarget.G_PRIME: 116}
         for target, gate in gates.items():
-            calls.clear()
+            evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
             assert len(zs.positive) == len(zs.negative) == 10
-            assert len(calls) <= gate, target
+            assert len(evaluations) <= gate, target
+
+
+class TestLocalRefine:
+    """Refine steps and the radius solve sum about the nearer scan step."""
+
+    def test_every_base_is_a_scan_step(self, monkeypatch):
+        # each base is the direct sum of one end of the scan step that holds
+        # the point, the nearer one, and the scan's own value there
+        from coulomb_radii import radii
+        from coulomb_radii.radii import RadiusQuery
+
+        seen = []
+        near = zeros.eval_near
+
+        def recording(base, z):
+            seen.append((base, z))
+            return near(base, z)
+
+        monkeypatch.setattr(zeros, "eval_near", recording)
+        params = CoulombParams(0.5, -1.0)
+        steps = {}
+        for sign in (1.0, -1.0):
+            for step in itertools.islice(zeros.scan(params, ZeroTarget.F, sign), 12):
+                steps[sign * step.t] = step
+        assert seen
+        for base, z in seen:
+            assert base._base is not None  # a direct sum
+            t0 = base._base[2]
+            assert t0 in steps and repr(steps[t0].sv) == repr(base)
+            step = next(s for s in steps.values() if s.t_prev < abs(z) < s.t)
+            assert abs(abs(z) - abs(t0)) <= 0.5 * (step.t - step.t_prev)
+        seen.clear()
+        radii.radius(RadiusQuery(CoulombParams(2.5, -3.0), "g", "convex", 0.5))
+        assert seen and all(base._base is not None for base, _ in seen)
+
+    def test_refined_zeros_match_direct_sums(self, monkeypatch):
+        # every refine step summed from the origin instead gives the same zeros
+        params = CoulombParams(4.105, -22.918)
+        local = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
+        monkeypatch.setattr(zeros, "eval_near",
+                            lambda base, z: series.eval_point(params, z))
+        assert find_zeros(params, ZeroTarget.F_PRIME, 10, 10) == local
 
 
 class TestLargeEta:
