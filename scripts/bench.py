@@ -14,6 +14,7 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
                         starts with the zero-free stretch the scan skips
     cli_eval            one in-process cli.main eval of the starlike ratio
                         at 16 points z = 0.25 .. 4, stdout captured
+    cli_eval_warm       the same request again, its points in eval_point's memo
 
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the number of evaluations and the sum of their
@@ -27,9 +28,12 @@ terms as their base, or short of their bounds); their terms are not counted.
 Each query row also holds refine_steps, the summed iterations of
 refine_bracket (the zero refines and the radius solve), so evals -
 refine_steps are the scan steps and the few single evaluations around them.
-Nothing is cached between calls, so every row is a repeated request as well
-as a cold one.  The counts are deterministic; the times depend on the
-machine.
+Only series.eval_point keeps values between calls, in its memo.  Every row
+but cli_eval_warm empties the memo before each call, timed or counted, so it
+is a cold request; the query rows never reach the memo, so for them a cold
+request is also a repeated one.  cli_eval_warm fills the memo with one
+request first, and its counts are those of the repeated request: no sums.
+The counts are deterministic; the times depend on the machine.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -53,19 +57,23 @@ CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
             "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
 
 
-def median_ms(fn, repeat):
+def median_ms(fn, repeat, cold=True):
     times = []
     for _ in range(repeat):
+        if cold:
+            series.eval_point.cache_clear()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 
 
-def counts(fn):
+def counts(fn, cold=True):
     """Evaluations (direct sums that failed included), their summed terms,
     the local ones among them and the summed refine_bracket iterations of
-    one call."""
+    one call, from an empty eval_point memo unless not cold."""
+    if cold:
+        series.eval_point.cache_clear()
     tally = {"evals": 0, "terms": 0, "local_evals": 0, "local_terms": 0, "base_terms": 0,
              "local_fallbacks": 0, "refine_steps": 0}
     direct, local, refine = series._direct, series._local, zeros.refine_bracket
@@ -135,6 +143,10 @@ def rows(repeat):
     tally = counts(cli_eval)
     del tally["refine_steps"]
     out["cli_eval"] = {"ms": median_ms(cli_eval, repeat), **tally}
+    cli_eval()  # fills the memo
+    tally = counts(cli_eval, cold=False)
+    del tally["refine_steps"]
+    out["cli_eval_warm"] = {"ms": median_ms(cli_eval, repeat, cold=False), **tally}
     return out
 
 

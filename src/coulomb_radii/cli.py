@@ -148,6 +148,7 @@ def _run_eval(args) -> tuple[list[dict], list[str]]:
     header = ["command", "L", "eta", "z", "quantity", "kind", "value", "p0", "p1",
               "p2", "truncation_terms", "tail_estimate", "warnings"]
     points = []
+    memo = eval_point.cache_info()
     for L in args.L:
         for eta in args.eta:
             params = _params(args, L, eta)
@@ -179,6 +180,10 @@ def _run_eval(args) -> tuple[list[dict], list[str]]:
                     "csv": [["eval", L, eta, z, args.quantity, args.kind, value,
                              *extra, ";".join(row_warn)]],
                 })
+    if args.verbose:
+        now = eval_point.cache_info()
+        print(f"eval memo: hits={now.hits - memo.hits} misses={now.misses - memo.misses}",
+              file=sys.stderr)
     return points, header
 
 

@@ -113,8 +113,10 @@ nothing and is refused as a base, so errors never chain.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
-read them, and nothing is cached between calls: eval_point and eval_series
-are one direct sum each, and a direct value carries only its own sums.
+read them.  Only eval_point keeps values between calls, a memo of the last
+512 keyed by the exact (L, eta, z); sum_point, eval_series and eval_near sum
+on every call, and the zero scan and the radius solve, whose points never
+repeat, use them.
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ _ESTIMATE_BITS = 64  # a local sum is estimated to stop once (h/z0)^k < 2^-64
 # shared by the base's few uses, cost some 30
 _LOCAL_COST = 2
 _LOCAL_SETUP = 30
+_MEMO_SIZE = 512  # eval_point's values kept, about 1 KB each with their loop state
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ class SeriesValue:
     on the discarded tail, and half an ulp of p_k.  truncation_terms counts
     the terms summed, and tail_estimate bounds the discarded tail of the P
     sum (both of the last pass, at the precision that was kept).  A direct
-    sum (eval_point, eval_series) also keeps what eval_near needs to sum
+    sum (eval_point, sum_point, eval_series) also keeps what eval_near needs
     about its point, outside the value's repr and equality; a local sum
     (eval_near) keeps nothing.
     """
@@ -270,23 +273,41 @@ def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
 
 
 def eval_point(params: CoulombParams, z: float) -> SeriesValue:
-    """P, P' and P'' of params at z, summed in fixed point from the origin."""
+    """P, P' and P'' of params at z, summed in fixed point from the origin.
+
+    Kept in a memo of the last _MEMO_SIZE values, keyed by the exact
+    (L, eta, float(z)); errors are not kept.  eval_point.cache_info() and
+    eval_point.cache_clear() are the memo's.
+    """
+    return _memo(params.L, params.eta, float(z))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo(L: float, eta: float, z: float) -> SeriesValue:
+    return _direct(L, eta, z)
+
+
+eval_point.cache_info, eval_point.cache_clear = _memo.cache_info, _memo.cache_clear
+
+
+def sum_point(params: CoulombParams, z: float) -> SeriesValue:
+    """eval_point without the memo: one sum from the origin on every call."""
     return _direct(params.L, params.eta, z)
 
 
 def eval_near(base: SeriesValue, z: float) -> SeriesValue:
     """P, P' and P'' at z, summed about the point of base (module docstring).
 
-    base is a direct sum (eval_point or eval_series); its (L, eta) are those
-    of the result.  A local sum is refused as a base, so errors never chain.
-    The value means what a direct sum's does, its noise included.  Summed
-    directly instead where base is the origin, where the local sum would not
-    take clearly fewer terms than base did, or where its sums do not clear
-    their bounds by 56 bits.
+    base is a direct sum (eval_point, sum_point or eval_series); its
+    (L, eta) are those of the result.  A local sum is refused as a base, so
+    errors never chain.  The value means what a direct sum's does, its noise
+    included.  Summed directly instead where base is the origin, where the
+    local sum would not take clearly fewer terms than base did, or where its
+    sums do not clear their bounds by 56 bits.
     """
     kept = base._base
     if kept is None:
-        raise ValueError("eval_near needs a direct sum (eval_point or eval_series) as its base")
+        raise ValueError("eval_near needs a direct sum (eval_point, sum_point, eval_series)")
     z = float(z)
     if z == kept[2]:
         return base

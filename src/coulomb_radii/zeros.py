@@ -87,14 +87,15 @@ refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
 steps, never at the refined root itself.  Each scan step is a direct sum
-from the origin (series.eval_point); each refine step is summed about the
-nearer end of its scan step (series.eval_near, through eval_in_step), from
-that end's direct sum, or directly where that end is the origin or the
-local sum would not pay.  A refine step lies within half a step of its
-base, where the series about the base converges like (h/z0)^k: on the
-zero-scan benchmark it takes about 19 terms against 71 from the origin,
-plus some 24 once per base to carry the base's sum deeper.  The values are
-the same doubles as the direct sums', up to a rare last-bit rounding.
+from the origin (series.sum_point, past eval_point's memo); each refine
+step is summed about the nearer end of its scan step (series.eval_near,
+through eval_in_step), from that end's direct sum, or directly where that
+end is the origin or the local sum would not pay.  A refine step lies
+within half a step of its base, where the series about the base converges
+like (h/z0)^k: on the zero-scan benchmark it takes about 19 terms against
+71 from the origin, plus some 24 once per base to carry the base's sum
+deeper.  The values are the same doubles as the direct sums', up to a rare
+last-bit rounding.
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
@@ -113,7 +114,7 @@ from typing import Callable, Iterator, NamedTuple
 from .equations import Jet, ZeroTarget, noise_limited, target_at_origin, target_jet
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, eval_near, eval_point
+from .series import EVAL_Z_MAX, SeriesValue, eval_near, sum_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -366,7 +367,7 @@ def scan(params: CoulombParams, target: ZeroTarget,
     prev = (target_at_origin(L, target), math.nan, math.nan)
     while t_prev < EVAL_Z_MAX:
         try:
-            sv = eval_point(params, sign * t)
+            sv = sum_point(params, sign * t)
         except ConvergenceError:
             return
         cur, noise = h(sv, t)
@@ -393,7 +394,7 @@ def eval_in_step(params: CoulombParams, z: float, t_prev: float,
     summed as prev_sv and sv: summed about the nearer end (series.eval_near),
     or directly where that end is the origin (prev_sv None)."""
     base = prev_sv if abs(z) - t_prev < t - abs(z) else sv
-    return eval_point(params, z) if base is None else eval_near(base, z)
+    return sum_point(params, z) if base is None else eval_near(base, z)
 
 
 def _zeros_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,

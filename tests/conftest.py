@@ -9,7 +9,9 @@ from coulomb_radii import series
 def evaluations(monkeypatch):
     """The abscissae of the series evaluations made while a test runs, direct
     sums and local ones alike; a local sum that falls back to a direct one
-    counts once."""
+    counts once.  eval_point's memo starts empty, so what earlier tests left
+    in it serves no point and every count is that of a cold start."""
+    series.eval_point.cache_clear()
     calls = []
     direct, local = series._direct, series._local
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from coulomb_radii import cli, subordination
+from coulomb_radii import cli, series, subordination
 from coulomb_radii.cli import main, validate_report
 
 
@@ -112,6 +112,21 @@ class TestEvalAndZeros:
         assert report["result"]["value"] == pytest.approx(
             math.cos(1.0) / math.sin(1.0), rel=1e-12
         )
+
+    def test_verbose_eval_reports_memo_hits(self, capsys):
+        # the repeated point is a hit on a cold memo, and the whole request on
+        # a warm one; stdout is the same with or without --verbose
+        argv = ["eval", "--L", "0.5", "--eta=-1", "--z", "1,2,1", "--output", "csv"]
+        series.eval_point.cache_clear()
+        code, out, err = run_cli(capsys, *argv, "--verbose")
+        assert code == 0
+        assert "eval memo: hits=1 misses=2\n" in err
+        code, warm, err = run_cli(capsys, *argv, "--verbose")
+        assert code == 0 and warm == out
+        assert "eval memo: hits=3 misses=0\n" in err
+        series.eval_point.cache_clear()
+        code, quiet, err = run_cli(capsys, *argv)
+        assert code == 0 and quiet == out and "memo" not in err
 
     def test_noise_limited_series_row_is_flagged(self, capsys):
         # at (0, -6000), z = 50 the sum's bound asks for more than the

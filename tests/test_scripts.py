@@ -43,7 +43,7 @@ def test_bench_rows(capsys):
     queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
-                         *queries}
+                         "cli_eval_warm", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # direct and local sums, counted by the wrapped kernels, within the gates
     # of test_zeros and test_radii
@@ -62,9 +62,13 @@ def test_bench_rows(capsys):
     for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
         assert rows[name]["local_evals"] >= 50
         assert rows[name]["local_terms"] <= 24 * rows[name]["local_evals"]
-    # one direct evaluation per point of the warm in-process eval request
+    # one direct evaluation per point of the in-process eval request on an
+    # empty memo, and none when the request is repeated
     assert rows["cli_eval"]["evals"] == 16
+    assert rows["cli_eval"]["terms"] == 440
     assert rows["cli_eval"]["local_evals"] == rows["cli_eval"]["base_terms"] == 0
+    assert rows["cli_eval_warm"]["evals"] == rows["cli_eval_warm"]["terms"] == 0
+    assert rows["cli_eval_warm"]["local_fallbacks"] == 0
     for name in ("eval_z0.5", "eval_z10", "eval_z50", "cli_eval", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
     # the refine steps are a part of the evaluations; the rest are scan steps

@@ -117,8 +117,8 @@ class TestEvalSeries:
         assert z * sv.p0 == pytest.approx(math.sin(z), rel=1e-12)
 
     def test_shared_memo_under_threads(self):
-        # twenty parameter pairs over four threads: evaluation keeps no state
-        # between calls, so every value equals a serial one
+        # twenty parameter pairs over four threads, read from eval_point's
+        # memo after one serial pass fills it: every value equals the serial one
         grid = [CoulombParams(0.1 * k, -0.2 * k) for k in range(20)]
         expected = {p: eval_point(p, 2.5) for p in grid}
         errors = []
@@ -144,10 +144,11 @@ class TestEvalSeries:
 
     def test_growth_under_threads(self):
         # four threads evaluate one pair at |z| from 0.5 to 44 at once, in
-        # scattered orders: every value equals a serial one
+        # scattered orders, filling eval_point's memo from empty: every value
+        # equals a serial sum made apart from the memo
         params = CoulombParams(0.3, -2.0)
         zs = [0.5 + 1.5 * k for k in range(30)]
-        expected = {z: repr(eval_point(params, z)) for z in zs}
+        expected = {z: repr(series.sum_point(params, z)) for z in zs}
         errors = []
 
         def worker(offset):
@@ -156,6 +157,7 @@ class TestEvalSeries:
                 if repr(eval_point(params, z)) != expected[z]:
                     errors.append(z)
 
+        eval_point.cache_clear()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -320,6 +322,79 @@ def outcome(fn, *args):
         return repr(fn(*args))
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return (type(exc).__name__, str(exc), getattr(exc, "n", None))
+
+
+def fields(sv):
+    return (sv.p0, sv.p1, sv.p2, sv.truncation_terms, sv.tail_estimate, sv.noise)
+
+
+class TestPointMemo:
+    """eval_point's memo: keyed by the exact (L, eta, float(z)), bounded,
+    never holding an error, and out of reach of the zero scan and the radius
+    solve."""
+
+    def test_warm_value_is_the_cold_one(self):
+        params = CoulombParams(0.5, -1.0)
+        for z in (0.3, -7.9, 31.4):
+            eval_point.cache_clear()
+            cold = eval_point(params, z)
+            warm = eval_point(params, z)
+            assert warm is cold
+            assert fields(warm) == fields(cold) == fields(series.sum_point(params, z))
+
+    def test_second_call_sums_nothing(self, evaluations):
+        params = CoulombParams(2.5, -3.0)
+        eval_point(params, 12.5)
+        eval_point(params, 12.5)
+        eval_point(CoulombParams(2.5, -3.0), 12.5)
+        assert evaluations == [12.5]
+
+    def test_equal_abscissae_share_an_entry(self, evaluations):
+        params = CoulombParams(0.7, -1.3)
+        assert fields(eval_point(params, 0.0)) == fields(eval_point(params, -0.0))
+        assert fields(eval_point(params, 1)) == fields(eval_point(params, 1.0))
+        assert evaluations == [0.0, 1.0]
+        assert type(evaluations[1]) is float
+        assert eval_point.cache_info().currsize == 2
+
+    def test_errors_are_raised_on_every_call(self):
+        eval_point.cache_clear()
+        for k in range(3):
+            with pytest.raises(ConvergenceError):
+                eval_point(P0M1, 60.0)
+            with pytest.raises(ValueError):
+                eval_point(P0M1, math.nan)
+            info = eval_point.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 2 * (k + 1), 0)
+
+    def test_memo_stays_within_its_bound(self):
+        eval_point.cache_clear()
+        bound = eval_point.cache_info().maxsize
+        assert bound == 512
+        for k in range(bound + 100):
+            eval_point(P0M1, 1e-3 * (k + 1))
+            assert eval_point.cache_info().currsize == min(k + 1, bound)
+        # the oldest points left first
+        misses = eval_point.cache_info().misses
+        eval_point(P0M1, 1e-3 * (bound + 100))
+        eval_point(P0M1, 1e-3)
+        assert eval_point.cache_info().misses == misses + 1
+
+    def test_queries_never_reach_the_memo(self):
+        from coulomb_radii.radii import RadiusQuery, radius
+        from coulomb_radii.rayleigh import euler_rayleigh_bounds
+
+        params = CoulombParams(0.5, -1.0)
+        eval_point.cache_clear()
+        eval_point(params, 2.0)
+        before = eval_point.cache_info()
+        find_zeros(params, ZeroTarget.F, 3, 3)
+        find_zeros(CoulombParams(2.0, -20.0), ZeroTarget.G_PRIME, 0, 2)
+        for kind, prop, beta in (("g", "starlike", 0.5), ("f", "convex", 0.0)):
+            radius(RadiusQuery(params, kind, prop, beta))
+            radius(RadiusQuery(params, kind, prop, beta), form="direct")
+        euler_rayleigh_bounds(params, "g", 4)
+        assert eval_point.cache_info() == before
 
 
 class TestLocalSums:
