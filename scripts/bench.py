@@ -15,6 +15,8 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
     cli_eval            one in-process cli.main eval of the starlike ratio
                         at 16 points z = 0.25 .. 4, stdout captured
     cli_eval_warm       the same request again, its points in eval_point's memo
+    disk_g64            one unit-disk scan of Re g(z)/z at (4+1i, 0.5), grid 64
+    disk_zgpg64         the same scan of Re z g'(z)/g(z)
 
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the number of evaluations and the sum of their
@@ -33,6 +35,8 @@ but cli_eval_warm empties the memo before each call, timed or counted, so it
 is a cold request; the query rows never reach the memo, so for them a cold
 request is also a repeated one.  cli_eval_warm fills the memo with one
 request first, and its counts are those of the repeated request: no sums.
+The disk rows sum in numpy, not through the series module, so they hold
+only their time.
 The counts are deterministic; the times depend on the machine.
 
     PYTHONPATH=src python scripts/bench.py
@@ -50,6 +54,7 @@ import time
 
 from coulomb_radii import CoulombParams, cli, radii, series, zeros
 from coulomb_radii.radii import RadiusQuery, radius
+from coulomb_radii.subordination import disk_min_real
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
 PARAMS = CoulombParams(0.5, -1.0)
@@ -147,6 +152,10 @@ def rows(repeat):
     tally = counts(cli_eval, cold=False)
     del tally["refine_steps"]
     out["cli_eval_warm"] = {"ms": median_ms(cli_eval, repeat, cold=False), **tally}
+    for quantity in ("g", "zgpg"):
+        out[f"disk_{quantity}64"] = {
+            "ms": median_ms(lambda: disk_min_real(4 + 1j, 0.5, quantity, 64), repeat),
+        }
     return out
 
 

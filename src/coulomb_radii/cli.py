@@ -291,9 +291,12 @@ def _run_region(args) -> tuple[list[dict], list[str]]:
         "margins": dict(rep.margins),
     }
     disk_val = ""
+    warnings = []
     if args.disk is not None:
         disk_val = disk_min_real(args.L, args.eta, args.disk, args.grid_n,
                                  args.radius_cap)
+        if disk_val.noise_limited:
+            warnings.append("noise-limited")
         result["disk"] = {
             "quantity": args.disk,
             "grid_n": args.grid_n,
@@ -303,11 +306,12 @@ def _run_region(args) -> tuple[list[dict], list[str]]:
     point = {
         "params": {"L": _complex_json(args.L), "eta": _complex_json(args.eta)},
         "result": result,
-        "warnings": [],
+        "warnings": warnings,
         "csv": [["region", args.L.real, args.L.imag, args.eta.real, args.eta.imag,
                  rep.re_positive_ok, rep.starlike_ok, rep.margins["re_part"],
                  rep.margins["im_part"], rep.margins["disk_gap"],
-                 rep.margins["starlike_gap"], args.disk or "", disk_val, ""]],
+                 rep.margins["starlike_gap"], args.disk or "", disk_val,
+                 ";".join(warnings)]],
     }
     return [point], header
 

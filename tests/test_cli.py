@@ -198,6 +198,25 @@ class TestBoundsAndRegion:
         assert code == 0
         report = json.loads(out)
         assert report["result"]["disk"]["min_real"] > 0.0
+        assert report["warnings"] == []
+
+    @pytest.mark.parametrize("L, eta, noisy", [
+        ("4+1i", "0.5", False), ("3+1i", "0.25", False), ("5+2i", "1", False),
+        ("2+0.5i", "-0.5", False), ("0", "-3", False), ("3+2i", "100", True),
+    ])
+    def test_disk_scan_below_half_precision_is_noise_limited(self, capsys, L, eta, noisy):
+        # sum |a_n| r^n / |P| reaches 8.7e11 at (3+2i, 100), past 2^26; it stays
+        # under 3 on the benchmark region pairs and at 1.3e3 at (0, -3)
+        argv = ("region", f"--L={L}", f"--eta={eta}", "--disk", "zgpg", "--grid-n", "64")
+        expected = ["noise-limited"] if noisy else []
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["warnings"] == expected
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header.split(",")[-1] == "warnings"
+        assert row.split(",")[-1] == ";".join(expected)
 
 
 class TestExitCodes:

@@ -43,7 +43,7 @@ def test_bench_rows(capsys):
     queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
-                         "cli_eval_warm", *queries}
+                         "cli_eval_warm", "disk_g64", "disk_zgpg64", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # direct and local sums, counted by the wrapped kernels, within the gates
     # of test_zeros and test_radii

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,67 @@ class TestRegionCheck:
         assert not (not base.starlike_ok and tighter.starlike_ok)
 
 
+def horner_min_real(L, eta, quantity, grid_n, radius_cap=0.99):
+    """The scan summed by Horner's rule at every grid point, for reference."""
+    a = subordination._coeffs_for_disk(complex(L), complex(eta))
+    radii = radius_cap * np.arange(1, grid_n + 1) / grid_n
+    angles = 2.0 * np.pi * np.arange(4 * grid_n) / (4.0 * grid_n)
+    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    p = np.zeros_like(z)
+    dp = np.zeros_like(z)
+    for c in a[::-1]:
+        dp = dp * z + p
+        p = p * z + c
+    if quantity == "g":
+        return float(np.min(p.real))
+    return float(np.min((1.0 + z * dp / p).real))
+
+
 class TestDiskScan:
+    @pytest.mark.parametrize("L, eta", [
+        (4 + 1j, 0.5), (3 + 1j, 0.25), (5 + 2j, 1.0), (2 + 0.5j, -0.5), (0j, 0j),
+    ])
+    @pytest.mark.parametrize("quantity", ["g", "zgpg"])
+    def test_ring_sums_match_horner(self, L, eta, quantity):
+        for grid_n in (16, 32, 64):
+            assert disk_min_real(L, eta, quantity, grid_n) == pytest.approx(
+                horner_min_real(L, eta, quantity, grid_n), rel=1e-13)
+
+    def test_terms_past_the_ring_length_fold_exactly(self, monkeypatch):
+        # 97 terms of e^z on 64 angles: n and n + 64 share a column.  The
+        # angle pi is on the grid, where Re e^z = e^(-0.99) and Re(1 + z) = 0.01
+        # are least
+        coeffs = np.array([1.0 / math.factorial(n) for n in range(97)], dtype=complex)
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: coeffs)
+        assert disk_min_real(0, 0, "g", 16) == pytest.approx(math.exp(-0.99), rel=1e-14)
+        assert disk_min_real(0, 0, "zgpg", 16) == pytest.approx(0.01, abs=1e-14)
+        # the e^z terms past n = 64 are below 1e-89; 97 unit terms are not
+        ones = np.ones(97, dtype=complex)
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: ones)
+        for quantity in ("g", "zgpg"):
+            assert disk_min_real(0, 0, quantity, 16) == pytest.approx(
+                horner_min_real(0, 0, quantity, 16), rel=1e-13)
+
+    def test_zero_of_p_on_the_grid_is_a_pole(self, monkeypatch):
+        # P(z) = 0.99 - z vanishes at the grid point z = 0.99
+        coeffs = np.array([0.99, -1.0], dtype=complex)
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: coeffs)
+        assert disk_min_real(0, 0, "zgpg", 16) == -math.inf
+        assert disk_min_real(0, 0, "zgpg", 16).noise_limited
+        # a double zero at z = 1/2 makes z P'/P = 0/0 there, exactly
+        square = np.array([0.25, -1.0, 1.0], dtype=complex)
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: square)
+        assert disk_min_real(0, 0, "zgpg", 16, radius_cap=0.5) == -math.inf
+
+    def test_condition_number_marks_noise(self):
+        # sum |a_n| r^n / |P| stays near 1 on the printed region and passes
+        # 2^26 at large |eta|
+        assert not disk_min_real(4 + 1j, 0.5, "g", 32).noise_limited
+        assert disk_min_real(0, -3, "g", 32).condition == pytest.approx(1.3e3, rel=0.05)
+        noisy = disk_min_real(3 + 2j, 100, "zgpg", 64)
+        assert noisy.condition > 1e11
+        assert noisy.noise_limited
+
     def test_center_rings_near_one(self):
         # z g'/g -> 1 at the origin, so the innermost rings sit near 1
         val = disk_min_real(0.5 + 0j, -0.5 + 0j, "zgpg", grid_n=16, radius_cap=0.05)
