@@ -15,8 +15,9 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
     cli_eval            one in-process cli.main eval of the starlike ratio
                         at 16 points z = 0.25 .. 4, stdout captured
     cli_eval_warm       the same request again, its points in eval_point's memo
-    disk_g64            one unit-disk scan of Re g(z)/z at (4+1i, 0.5), grid 64
-    disk_zgpg64         the same scan of Re z g'(z)/g(z)
+    disk_g64            one unit-disk scan of Re g(z)/z at (4+1i, 0.5), grid 64:
+                        256 angles on |z| = 0.99
+    disk_zgpg64         the same scan of Re z g'(z)/g(z), with its zero count
 
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the number of evaluations and the sum of their

@@ -32,7 +32,7 @@ def main(argv=None):
             im_l = args.im_l[0] + (args.im_l[1] - args.im_l[0]) * j / max(1, args.steps - 1)
             L = complex(re_l, im_l)
             rep = region_check(L, args.eta)
-            scanned = disk_min_real(L, args.eta, "zgpg", args.grid_n, 0.99)
+            scanned = disk_min_real(L, args.eta, "zgpg", args.grid_n, 0.99).min_real
             marker = ""
             if rep.starlike_ok and scanned <= 0.0:
                 marker = "  <-- predicate holds but scan is nonpositive"

@@ -293,10 +293,9 @@ def _run_region(args) -> tuple[list[dict], list[str]]:
     disk_val = ""
     warnings = []
     if args.disk is not None:
-        disk_val = disk_min_real(args.L, args.eta, args.disk, args.grid_n,
-                                 args.radius_cap)
-        if disk_val.noise_limited:
-            warnings.append("noise-limited")
+        scan = disk_min_real(args.L, args.eta, args.disk, args.grid_n, args.radius_cap)
+        disk_val = scan.min_real
+        warnings.extend(scan.warnings)
         result["disk"] = {
             "quantity": args.disk,
             "grid_n": args.grid_n,

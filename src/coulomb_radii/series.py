@@ -209,12 +209,16 @@ def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex,
         raise ValueError("n_max must be >= 1")
     if L == -1:
         raise CoulombDomainError("coefficient recurrence requires L != -1")
-    a = [1.0 + 0j, complex(eta) / (complex(L) + 1.0)]
+    two_l = 2.0 * complex(L)
+    two_eta = 2.0 * complex(eta)
+    prev, cur = 1.0 + 0j, complex(eta) / (complex(L) + 1.0)
+    a = [prev, cur]
     for n in range(2, n_max + 1):
-        den = n * (n + 2.0 * complex(L) + 1.0)
+        den = n * (n + two_l + 1.0)  # summed as (n + 2L) + 1, as a_n is defined
         if abs(den) < 1e-14:
             raise DegenerateRecurrenceError(n, L)  # type: ignore[arg-type]
-        a.append((2.0 * complex(eta) * a[n - 1] - a[n - 2]) / den)
+        prev, cur = cur, (two_eta * cur - prev) / den
+        a.append(cur)
     return tuple(a)
 
 

@@ -6,21 +6,30 @@ stated, without harmonizing their asymmetric hypotheses:
   * positivity set:  Re L >= 1/2,  Im L >= 1,  (1 + Im L + |eta|)^2 <= (Re L - 1/2)^2
   * starlike set:    |eta| <= Re L - (Im L)^2 / 3 - 1/4
 
-The disk scan is numerical evidence, not a certificate: it samples a polar
-grid of the unit disk (boundary-heavy, since minima of harmonic functions sit
-on the boundary) and reports the minimum real part of either g(z)/z or
-z g'(z)/g(z).  The g-quantity is the normalized value g(z)/z = P(z), the
-function fixed to 1 at the center whose positive real part the parameter
-region controls; the raw g vanishes at the origin, so its real part has no
-positivity to check.
+The disk scan is numerical evidence, not a certificate.  It reports the
+minimum real part of either g(z)/z or z g'(z)/g(z) on |z| <= radius_cap.
+The g-quantity is the normalized value g(z)/z = P(z), the function fixed to 1
+at the center whose positive real part the parameter region controls; the
+raw g vanishes at the origin, so its real part has no positivity to check.
 
-The grid has m = 4 grid_n equally spaced angles on every ring, so on ring k,
-with w = e^(2 pi i/m), P(r_k w^j) = sum_n a_n r_k^n w^(nj) is an inverse DFT
-of the ring's terms taken over n mod m.  Each ring is summed by one FFT of
-length m (and z P' by a second one, of n a_n r_k^n), not by Horner's rule at
-each grid point.  The minimum carries the condition number of those sums,
-max over the grid of sum_n |a_n| r^n / |P|; it stays near 1 on the printed
+Re P is harmonic on the disk, so its minimum lies on the boundary circle
+|z| = radius_cap; so does that of Re(z g'/g) = Re(1 + z P'/P), which is
+harmonic where P has no zero.  The scan samples that circle only.  It takes
+m = 4 grid_n equally spaced angles: with w = e^(2 pi i/m),
+P(r w^j) = sum_n a_n r^n w^(nj) is an inverse DFT of the terms a_n r^n taken
+over n mod m, summed by one FFT of length m (and z P' by a second one, of
+n a_n r^n).  The minimum carries the condition number of those sums, max
+over the circle of sum_n |a_n| r^n / |P|; it stays near 1 on the printed
 regions but grows past 1e11 at large |eta|, where the minimum is noise.
+
+The same samples count the zeros of P inside the circle.  By the argument
+principle the mean of Re(z P'/P) over the circle is that number, and the
+trapezoid rule on m equal angles converges to it geometrically in m for this
+analytic periodic integrand (Delves & Lyness, Math. Comp. 21, 1967).  Where
+the mean lies within 1e-3 of an integer k >= 1, Re(z g'/g) is unbounded
+below near those zeros and the 'zgpg' minimum is -inf.  Where it lies
+farther from every integer, a zero sits next to the circle, the samples do
+not resolve it, and the sampled minimum is all the scan reports.
 
 axis_minimum_gap exposes, for property testing, the inequality that a
 weighted two-pole real-part combination is minimized on the positive real
@@ -32,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,10 +49,12 @@ from .errors import ConvergenceError
 from .series import complex_coefficients
 
 _DISK_N_CAP = 1536
-# the zgpg scan holds P and z P' at all 4 grid_n^2 points (134 MB at 1024) and
-# |P| (34 MB): its peak RSS at the cap is about 190 MB, the g scan's 125 MB
+# the scan holds a few arrays of 4 grid_n samples on one circle (64 KB each at
+# 1024); a zgpg scan at the cap peaks at 29 MB of process RSS, 1.5 MB above the
+# interpreter with numpy loaded
 _DISK_GRID_CAP = 1024
 _DISK_NOISE_CONDITION = 2.0**26
+_ZERO_COUNT_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,20 +97,21 @@ def _coeffs_for_disk(L: complex, eta: complex) -> np.ndarray:
     )
 
 
-class DiskMinimum(float):
-    """A disk scan's minimum, carrying the condition number of its sums.
+class DiskScan(NamedTuple):
+    """A disk scan's minimum, the condition number of its sums and, for
+    'zgpg', the zero count of P inside the circle.
 
-    condition is the largest ratio, over the grid, of the sum of the term
+    condition is the largest ratio, over the circle, of the sum of the term
     moduli |a_n| r^n to |P|: the factor by which rounding in the terms is
-    magnified in P.  It is infinite where P vanishes on the grid.
+    magnified in P.  It is infinite where P vanishes at a sample.
+    zeros_inside is the trapezoid-rule mean of Re(z P'/P) over the circle,
+    the number of zeros of P inside it where it lies within 1e-3 of a
+    nonnegative integer; None for 'g'.
     """
 
-    __slots__ = ("condition",)
-
-    def __new__(cls, value: float, condition: float):
-        self = super().__new__(cls, value)
-        self.condition = condition
-        return self
+    min_real: float
+    condition: float
+    zeros_inside: float | None
 
     @property
     def noise_limited(self) -> bool:
@@ -107,21 +119,45 @@ class DiskMinimum(float):
         # 53 bits in P, so the minimum may be noise
         return not self.condition <= _DISK_NOISE_CONDITION
 
+    @property
+    def warnings(self) -> list[str]:
+        """The region warnings this scan raises, in report order."""
+        out = ["noise-limited"] if self.noise_limited else []
+        if self.zeros_inside is not None:
+            count = _zero_count(self.zeros_inside)
+            if count is None:
+                out.append("zero-near-circle")
+            elif count:
+                out.append("zeros-inside")
+        return out
+
+
+def _zero_count(mean: float) -> int | None:
+    # the argument principle gives a nonnegative integer; a mean away from
+    # every such integer means a zero next to (or on) the circle, where the
+    # trapezoid rule has not converged
+    if not math.isfinite(mean):
+        return None
+    count = round(mean)
+    if count < 0 or abs(mean - count) > _ZERO_COUNT_TOLERANCE:
+        return None
+    return count
+
 
 def disk_min_real(L: complex, eta: complex, quantity: str, grid_n: int = 64,
-                  radius_cap: float = 0.99) -> DiskMinimum:
-    """Minimum real part of g(z)/z ('g') or z g'(z)/g(z) ('zgpg') on a polar
-    grid of the disk |z| <= radius_cap.
+                  radius_cap: float = 0.99) -> DiskScan:
+    """Minimum real part of g(z)/z ('g') or z g'(z)/g(z) ('zgpg') on the
+    disk |z| <= radius_cap, sampled on its boundary circle.
 
-    Rings at radii r_k = (k/grid_n) radius_cap, angles 2 pi j/m with
-    m = 4 grid_n.  Each ring is summed by an inverse FFT of length m of its
-    terms a_n r_k^n, and z P' by one of n a_n r_k^n (see the module
-    docstring), not by Horner's rule at each grid point.  A positive result
-    is grid evidence of the theorem's conclusion, not a proof.  grid_n lies
-    in [16, 1024], checked before anything is allocated.  Returns -inf if
-    the quantity hits a pole on the grid; raises ConvergenceError if the
-    coefficients do not settle by n = 1536.  The minimum is a float that
-    also carries the condition number of the sums (DiskMinimum).
+    The circle |z| = radius_cap is sampled at m = 4 grid_n angles 2 pi j/m;
+    its terms a_n r^n are summed by one inverse FFT of length m, and z P'
+    by one of n a_n r^n (see the module docstring).  For 'zgpg' the mean of
+    Re(z P'/P) over the samples counts the zeros of P inside the circle;
+    where it is an integer k >= 1 the minimum is -inf.  A positive result is
+    evidence of the theorem's conclusion, not a proof.  grid_n lies in
+    [16, 1024], checked before anything is allocated.  Returns -inf also if
+    the quantity hits a pole at a sample; raises ConvergenceError if the
+    coefficients do not settle by n = 1536.
     """
     if quantity not in ("g", "zgpg"):
         raise ValueError("quantity must be 'g' or 'zgpg'")
@@ -132,29 +168,29 @@ def disk_min_real(L: complex, eta: complex, quantity: str, grid_n: int = 64,
     a = _coeffs_for_disk(complex(L), complex(eta))
 
     m = 4 * grid_n
-    radii = radius_cap * np.arange(1, grid_n + 1) / grid_n
     n = np.arange(len(a))
-    terms = a * radii[:, None] ** n  # a_n r_k^n, one ring per row
-    scale = np.abs(terms).sum(axis=1)
+    terms = a * radius_cap ** n
+    scale = np.abs(terms).sum()
     if quantity == "g":
         p = _ring_sums(terms, m)
-    else:  # n a_n r_k^n sum to z P'(z); one FFT call takes both
+    else:  # n a_n r^n sum to z P'(z); one FFT call takes both
         p, zdp = _ring_sums(np.stack([terms, n * terms]), m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        condition = float(np.max(scale / np.abs(p).min(axis=1)))
+        condition = float(scale / np.abs(p).min())
         if quantity == "g":
-            return DiskMinimum(np.min(p.real), condition)
+            return DiskScan(float(p.real.min()), condition, None)
         zdp /= p
-    vals = zdp.real
-    vals += 1.0
-    if not np.all(np.isfinite(vals)):
-        return DiskMinimum(-math.inf, condition)
-    return DiskMinimum(np.min(vals), condition)
+    ratio = zdp.real
+    mean = float(ratio.mean())
+    count = _zero_count(mean)
+    if count or not np.all(np.isfinite(ratio)):
+        return DiskScan(-math.inf, condition, mean)
+    return DiskScan(float(ratio.min() + 1.0), condition, mean)
 
 
 def _ring_sums(terms: np.ndarray, m: int) -> np.ndarray:
-    # sum_n t_kn w^(nj), w = e^(2 pi i/m), at j = 0..m-1 for each row k: an
-    # unscaled inverse DFT of length m
+    # sum_n t_n w^(nj), w = e^(2 pi i/m), at j = 0..m-1 for each row of
+    # terms: an unscaled inverse DFT of length m
     width = terms.shape[-1]
     if width > m:  # w^(nj) depends on n mod m only, so folding is exact
         folded = np.zeros(terms.shape[:-1] + (m,), dtype=complex)

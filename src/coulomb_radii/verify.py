@@ -327,9 +327,9 @@ def _gap_property_suite() -> CriterionResult:
 
 
 def _disk_positivity() -> CriterionResult:
-    ming = disk_min_real(4 + 1j, 0.5, "g", 64, 0.99)
-    minq = disk_min_real(4 + 1j, 0.5, "zgpg", 64, 0.99)
-    minq_sine = disk_min_real(0j, 0j, "zgpg", 64, 0.99)
+    ming = disk_min_real(4 + 1j, 0.5, "g", 64, 0.99).min_real
+    minq = disk_min_real(4 + 1j, 0.5, "zgpg", 64, 0.99).min_real
+    minq_sine = disk_min_real(0j, 0j, "zgpg", 64, 0.99).min_real
     ok = ming > 0.0 and minq > 0.0 and minq_sine > 0.0
     return CriterionResult(
         10, "unit-disk grid positivity for region parameters", ok,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from coulomb_radii import cli, series, subordination
@@ -205,10 +206,14 @@ class TestBoundsAndRegion:
         ("2+0.5i", "-0.5", False), ("0", "-3", False), ("3+2i", "100", True),
     ])
     def test_disk_scan_below_half_precision_is_noise_limited(self, capsys, L, eta, noisy):
-        # sum |a_n| r^n / |P| reaches 8.7e11 at (3+2i, 100), past 2^26; it stays
-        # under 3 on the benchmark region pairs and at 1.3e3 at (0, -3)
+        # sum |a_n| r^n / |P| on the circle reaches 4.0e11 at (3+2i, 100), past
+        # 2^26; it stays under 3 on the benchmark region pairs and at 61.6 at
+        # (0, -3).  P has one zero inside the circle at (0, -3), and the ring
+        # mean reads 5.000003 at (3+2i, 100)
         argv = ("region", f"--L={L}", f"--eta={eta}", "--disk", "zgpg", "--grid-n", "64")
         expected = ["noise-limited"] if noisy else []
+        if (L, eta) in {("0", "-3"), ("3+2i", "100")}:
+            expected.append("zeros-inside")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["warnings"] == expected
@@ -217,6 +222,33 @@ class TestBoundsAndRegion:
         header, row = out.splitlines()
         assert header.split(",")[-1] == "warnings"
         assert row.split(",")[-1] == ";".join(expected)
+
+    def test_zeros_of_p_inside_make_the_minimum_minus_inf(self, capsys):
+        # P has zeros at 0.183 and 0.609, where Re z g'/g is unbounded below
+        argv = ("region", "--L", "0", "--eta=-10", "--disk", "zgpg")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        validate_report(report)
+        assert report["result"]["disk"]["min_real"] == -math.inf
+        assert report["warnings"] == ["zeros-inside"]
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        assert dict(zip(header, row))["disk_min_real"] == "-inf"
+        assert row[-1] == "zeros-inside"
+
+    def test_zero_next_to_the_circle_is_warned(self, capsys, monkeypatch):
+        # 97 unit terms: 96 zeros of P on |z| = 1, just outside the circle
+        ones = np.ones(97, dtype=complex)
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: ones)
+        code, out, _ = run_cli(capsys, "region", "--L", "0", "--eta", "0", "--disk", "zgpg",
+                               "--grid-n", "16", "--output", "csv")
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        cells = dict(zip(header, row))
+        assert float(cells["disk_min_real"]) == pytest.approx(-57.26, abs=0.01)
+        assert cells["warnings"] == "zero-near-circle"
 
 
 class TestExitCodes:
@@ -294,7 +326,7 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_oversized_disk_grid_is_usage_error(self, capsys, monkeypatch):
-        # rejected before the scan builds its 4 grid_n^2 points, not a MemoryError
+        # rejected before the scan builds anything
         def no_arrays(*args):
             raise AssertionError("disk arrays built before grid_n was checked")
         monkeypatch.setattr(subordination, "_coeffs_for_disk", no_arrays)

@@ -87,6 +87,18 @@ class TestCoefficients:
         table = coefficients(CoulombParams(1.7, 0.0), 32)
         assert all(table.a[n] == 0.0 for n in range(1, 33, 2))
 
+    @pytest.mark.parametrize("L, eta", [
+        (4 + 1j, 0.5), (3 + 1j, 0.25), (5 + 2j, 1.0), (2 + 0.5j, -0.5), (0.3 + 0.7j, -1.5 + 0.4j),
+    ])
+    def test_complex_coefficients_match_the_plain_loop(self, L, eta):
+        # the recurrence as written, converting and doubling inside the loop:
+        # hoisting those must leave every coefficient bit-identical
+        want = [1.0 + 0j, complex(eta) / (complex(L) + 1.0)]
+        for n in range(2, 1537):
+            den = n * (n + 2.0 * complex(L) + 1.0)
+            want.append((2.0 * complex(eta) * want[n - 1] - want[n - 2]) / den)
+        assert series.complex_coefficients(L, eta, 1536) == tuple(want)
+
 
 class TestEvalSeries:
     def test_origin(self):

@@ -69,8 +69,10 @@ class TestDiskScan:
     ])
     @pytest.mark.parametrize("quantity", ["g", "zgpg"])
     def test_ring_sums_match_horner(self, L, eta, quantity):
+        # P has no zero in the disk, so both real parts are harmonic there and
+        # the outer ring of the full grid holds its minimum
         for grid_n in (16, 32, 64):
-            assert disk_min_real(L, eta, quantity, grid_n) == pytest.approx(
+            assert disk_min_real(L, eta, quantity, grid_n).min_real == pytest.approx(
                 horner_min_real(L, eta, quantity, grid_n), rel=1e-13)
 
     def test_terms_past_the_ring_length_fold_exactly(self, monkeypatch):
@@ -79,61 +81,99 @@ class TestDiskScan:
         # are least
         coeffs = np.array([1.0 / math.factorial(n) for n in range(97)], dtype=complex)
         monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: coeffs)
-        assert disk_min_real(0, 0, "g", 16) == pytest.approx(math.exp(-0.99), rel=1e-14)
-        assert disk_min_real(0, 0, "zgpg", 16) == pytest.approx(0.01, abs=1e-14)
+        assert disk_min_real(0, 0, "g", 16).min_real == pytest.approx(
+            math.exp(-0.99), rel=1e-14)
+        assert disk_min_real(0, 0, "zgpg", 16).min_real == pytest.approx(0.01, abs=1e-14)
         # the e^z terms past n = 64 are below 1e-89; 97 unit terms are not
         ones = np.ones(97, dtype=complex)
         monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: ones)
         for quantity in ("g", "zgpg"):
-            assert disk_min_real(0, 0, quantity, 16) == pytest.approx(
+            assert disk_min_real(0, 0, quantity, 16).min_real == pytest.approx(
                 horner_min_real(0, 0, quantity, 16), rel=1e-13)
+
+    def test_zero_next_to_the_circle_keeps_the_sampled_minimum(self, monkeypatch):
+        # P = (1 - z^97)/(1 - z) has its 96 zeros on |z| = 1, 0.01 outside the
+        # circle: 64 angles do not resolve z P'/P there, so the ring mean is
+        # no integer and the scan reports what it sampled, with a warning
+        ones = np.ones(97, dtype=complex)
+        monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: ones)
+        scan = disk_min_real(0, 0, "zgpg", 16)
+        assert scan.zeros_inside == pytest.approx(1.108, abs=1e-3)
+        assert scan.min_real == pytest.approx(-57.26, abs=0.01)
+        assert scan.warnings == ["zero-near-circle"]
 
     def test_zero_of_p_on_the_grid_is_a_pole(self, monkeypatch):
         # P(z) = 0.99 - z vanishes at the grid point z = 0.99
         coeffs = np.array([0.99, -1.0], dtype=complex)
         monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: coeffs)
-        assert disk_min_real(0, 0, "zgpg", 16) == -math.inf
-        assert disk_min_real(0, 0, "zgpg", 16).noise_limited
+        scan = disk_min_real(0, 0, "zgpg", 16)
+        assert scan.min_real == -math.inf
+        assert scan.noise_limited
+        assert scan.warnings == ["noise-limited", "zero-near-circle"]
         # a double zero at z = 1/2 makes z P'/P = 0/0 there, exactly
         square = np.array([0.25, -1.0, 1.0], dtype=complex)
         monkeypatch.setattr(subordination, "_coeffs_for_disk", lambda L, eta: square)
-        assert disk_min_real(0, 0, "zgpg", 16, radius_cap=0.5) == -math.inf
+        assert disk_min_real(0, 0, "zgpg", 16, radius_cap=0.5).min_real == -math.inf
+
+    @pytest.mark.parametrize("L, eta, count", [
+        (0, -3, 1), (0, -10, 2),
+        (4 + 1j, 0.5, 0), (3 + 1j, 0.25, 0), (5 + 2j, 1.0, 0), (2 + 0.5j, -0.5, 0),
+    ])
+    def test_ring_mean_counts_the_zeros_of_p_inside(self, L, eta, count):
+        scan = disk_min_real(L, eta, "zgpg", 64)
+        assert scan.zeros_inside == pytest.approx(count, abs=1e-12)
+        if count:  # Re z g'/g is unbounded below near a zero of P
+            assert scan.min_real == -math.inf
+            assert scan.warnings == ["zeros-inside"]
+        else:
+            assert scan.min_real > 0.0
+            assert scan.warnings == []
+        assert disk_min_real(L, eta, "g", 64).zeros_inside is None
+
+    def test_zeros_counted_at_minus_ten_are_the_real_ones(self):
+        # P is real at real (L, eta); its sign changes on [0, 0.99] lie at
+        # 0.183 and 0.609, so the two zeros the ring counts there are these
+        a = subordination._coeffs_for_disk(0j, -10 + 0j).real
+        x = np.linspace(0.0, 0.99, 9901)
+        p = np.polyval(a[::-1], x)
+        crossings = x[1:][np.sign(p[1:]) != np.sign(p[:-1])]
+        assert crossings == pytest.approx([0.183, 0.609], abs=1e-3)
 
     def test_condition_number_marks_noise(self):
-        # sum |a_n| r^n / |P| stays near 1 on the printed region and passes
-        # 2^26 at large |eta|
+        # sum |a_n| r^n / |P| on the circle stays near 1 on the printed region
+        # and passes 2^26 at large |eta|
         assert not disk_min_real(4 + 1j, 0.5, "g", 32).noise_limited
-        assert disk_min_real(0, -3, "g", 32).condition == pytest.approx(1.3e3, rel=0.05)
+        assert disk_min_real(0, -3, "g", 32).condition == pytest.approx(61.6, rel=0.01)
         noisy = disk_min_real(3 + 2j, 100, "zgpg", 64)
         assert noisy.condition > 1e11
         assert noisy.noise_limited
 
     def test_center_rings_near_one(self):
-        # z g'/g -> 1 at the origin, so the innermost rings sit near 1
+        # z g'/g -> 1 at the origin, so a small circle sits near 1
         val = disk_min_real(0.5 + 0j, -0.5 + 0j, "zgpg", grid_n=16, radius_cap=0.05)
-        assert val == pytest.approx(1.0, abs=0.05)
+        assert val.min_real == pytest.approx(1.0, abs=0.05)
 
     def test_sine_starlike_in_unit_disk(self):
         # r*(g_{0,0}) = pi/2 > 1, so Re(z g'/g) > 0 on the disk
-        assert disk_min_real(0.0 + 0j, 0.0 + 0j, "zgpg", 64, 0.99) > 0.0
+        assert disk_min_real(0.0 + 0j, 0.0 + 0j, "zgpg", 64, 0.99).min_real > 0.0
 
     def test_region_parameters_give_positive_scans(self):
-        assert disk_min_real(4 + 1j, 0.5, "g", 64, 0.99) > 0.0
-        assert disk_min_real(4 + 1j, 0.5, "zgpg", 64, 0.99) > 0.0
+        assert disk_min_real(4 + 1j, 0.5, "g", 64, 0.99).min_real > 0.0
+        assert disk_min_real(4 + 1j, 0.5, "zgpg", 64, 0.99).min_real > 0.0
 
     def test_starlike_region_sample_implies_positive_ratio(self):
         # 5-point sample of parameters passing the starlike inequality
         samples = [(4 + 1j, 0.5), (2 + 0.5j, 0.2), (6 + 2j, 1.0), (1.5 + 0j, 0.9), (3 + 1j, 2.0)]
         for L, eta in samples:
             assert region_check(L, eta).starlike_ok
-            assert disk_min_real(L, eta, "zgpg", 64, 0.99) > 0.0
+            assert disk_min_real(L, eta, "zgpg", 64, 0.99).min_real > 0.0
 
     def test_unconverged_coefficients_raise(self):
         with pytest.raises(ConvergenceError):
             disk_min_real(0.0, 1e5, "g", grid_n=16)
 
     def test_oversized_grid_is_rejected_before_any_allocation(self, monkeypatch):
-        # 4 grid_n^2 complex points: 2.56e11 bytes per array at grid_n = 1e5
+        # the cap on grid_n is checked before the coefficients are built
         def no_arrays(*args):
             raise AssertionError("disk arrays built before grid_n was checked")
         monkeypatch.setattr(subordination, "_coeffs_for_disk", no_arrays)
