@@ -20,17 +20,12 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
     disk_zgpg64         the same scan of Re z g'(z)/g(z), with its zero count
 
 Each row holds the median wall time in ms over --repeat calls and, where the
-row evaluates the series, the number of evaluations and the sum of their
-truncation_terms, counted by the wrapped sums of the series module: evals and
-terms count direct sums (from the origin) and local ones (series.eval_near,
-about a scan step) together, and local_evals and local_terms the local ones
-alone.  base_terms counts the terms by which direct sums were carried on
-the first time each served as a base of local ones; terms includes them.
-local_fallbacks counts the local sums given up for a direct one (as many
-terms as their base, or short of their bounds); their terms are not counted.
-Each query row also holds refine_steps, the summed iterations of
-refine_bracket (the zero refines and the radius solve), so evals -
-refine_steps are the scan steps and the few single evaluations around them.
+row evaluates the series, the series.counting() record of one call (fields
+as series.SumCounts documents them, evals for the number of points): direct
+sums from the origin and local ones about a scan step (series.eval_near),
+and each query row's refine_steps, the zero refines and the radius solve,
+so evals - refine_steps are the scan steps and the few single evaluations
+around them.
 Only series.eval_point keeps values between calls, in its memo.  Every row
 but cli_eval_warm empties the memo before each call, timed or counted, so it
 is a cold request; the query rows never reach the memo, so for them a cold
@@ -53,7 +48,7 @@ import statistics
 import sys
 import time
 
-from coulomb_radii import CoulombParams, cli, radii, series, zeros
+from coulomb_radii import CoulombParams, cli, series
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.subordination import disk_min_real
 from coulomb_radii.zeros import ZeroTarget, find_zeros
@@ -75,56 +70,13 @@ def median_ms(fn, repeat, cold=True):
 
 
 def counts(fn, cold=True):
-    """Evaluations (direct sums that failed included), their summed terms,
-    the local ones among them and the summed refine_bracket iterations of
-    one call, from an empty eval_point memo unless not cold."""
+    """The series.counting() record of one call, from an empty eval_point
+    memo unless not cold."""
     if cold:
         series.eval_point.cache_clear()
-    tally = {"evals": 0, "terms": 0, "local_evals": 0, "local_terms": 0, "base_terms": 0,
-             "local_fallbacks": 0, "refine_steps": 0}
-    direct, local, refine = series._direct, series._local, zeros.refine_bracket
-    kernel = series._fixed_point_sum
-
-    def counting_kernel(*args):
-        out = kernel(*args)
-        if len(args) > 5 and args[5] is not None:  # carried on from a shorter sum
-            tally["base_terms"] += out[3] - args[5][0]
-            tally["terms"] += out[3] - args[5][0]
-        return out
-
-    def counting_direct(*args):
-        tally["evals"] += 1
-        sv = direct(*args)
-        tally["terms"] += sv.truncation_terms
-        return sv
-
-    def counting_local(*args):
-        sv = local(*args)
-        if sv is None:
-            tally["local_fallbacks"] += 1
-        else:
-            tally["evals"] += 1
-            tally["local_evals"] += 1
-            tally["terms"] += sv.truncation_terms
-            tally["local_terms"] += sv.truncation_terms
-        return sv
-
-    def counting_refine(*args):
-        ref = refine(*args)
-        tally["refine_steps"] += ref.iterations
-        return ref
-
-    # the radius solver calls refine_bracket through its own import
-    series._direct, series._local = counting_direct, counting_local
-    series._fixed_point_sum = counting_kernel
-    zeros.refine_bracket = radii.refine_bracket = counting_refine
-    try:
+    with series.counting() as record:
         fn()
-    finally:
-        series._direct, series._local = direct, local
-        series._fixed_point_sum = kernel
-        zeros.refine_bracket = radii.refine_bracket = refine
-    return tally
+    return record.totals()
 
 
 def rows(repeat):
@@ -146,13 +98,11 @@ def rows(repeat):
     }
     for name, fn in queries.items():
         out[name] = {"ms": median_ms(fn, repeat), **counts(fn)}
-    tally = counts(cli_eval)
-    del tally["refine_steps"]
-    out["cli_eval"] = {"ms": median_ms(cli_eval, repeat), **tally}
-    cli_eval()  # fills the memo
-    tally = counts(cli_eval, cold=False)
-    del tally["refine_steps"]
-    out["cli_eval_warm"] = {"ms": median_ms(cli_eval, repeat, cold=False), **tally}
+    for name, cold in (("cli_eval", True), ("cli_eval_warm", False)):
+        # the cold calls leave the memo full for the warm ones
+        tally = counts(cli_eval, cold)
+        del tally["refine_steps"]
+        out[name] = {"ms": median_ms(cli_eval, repeat, cold), **tally}
     for quantity in ("g", "zgpg"):
         out[f"disk_{quantity}64"] = {
             "ms": median_ms(lambda: disk_min_real(4 + 1j, 0.5, quantity, 64), repeat),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import functools
 import json
@@ -22,7 +23,7 @@ from .errors import CoulombDomainError, CoulombError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
 from .rayleigh import SumMethod, euler_rayleigh_bounds, sums, Family
-from .series import eval_point
+from .series import counting, eval_point
 from .subordination import disk_min_real, region_check
 from .verify import criterion_count, run_all
 from .zeros import ZeroTarget, find_zeros
@@ -318,11 +319,13 @@ def _run_region(args) -> tuple[list[dict], list[str]]:
 def _run_verify(args) -> tuple[list[dict], list[str], bool]:
     header = ["command", "criterion", "name", "passed", "flagged", "details"]
     picks = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             picks = [int(part) for part in args.criteria.split(",") if part.strip()]
         except ValueError:
             raise ValueError(f"bad criteria list {args.criteria!r}") from None
+        if not picks:
+            raise ValueError(f"criteria list {args.criteria!r} names no criterion")
         bad = [n for n in picks if not 1 <= n <= criterion_count()]
         if bad:
             raise ValueError(f"criterion numbers out of range: {bad}")
@@ -440,21 +443,11 @@ def main(argv: list[str] | None = None) -> int:
         args.grid_n = 64 if args.grid_n is None else args.grid_n
         args.radius_cap = 0.99 if args.radius_cap is None else args.radius_cap
 
-    verify_failed = False
+    run = {"eval": _run_eval, "zeros": _run_zeros, "radius": _run_radius, "bounds": _run_bounds,
+           "region": _run_region, "verify": _run_verify}[args.command]
     try:
-        if args.command == "eval":
-            points, header = _run_eval(args)
-        elif args.command == "zeros":
-            points, header = _run_zeros(args)
-        elif args.command == "radius":
-            points, header = _run_radius(args)
-        elif args.command == "bounds":
-            points, header = _run_bounds(args)
-        elif args.command == "region":
-            points, header = _run_region(args)
-        else:
-            points, header, all_ok = _run_verify(args)
-            verify_failed = not all_ok
+        with counting() if args.verbose else contextlib.nullcontext() as counts:
+            points, header, *all_ok = run(args)  # verify adds whether every criterion passed
     except CoulombDomainError as exc:
         print(f"parameter-region violation: {exc}", file=sys.stderr)
         return 3
@@ -465,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
         # the library rejects an argument value the parser let through
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.verbose:
+            print(f"sums: {json.dumps(counts.totals(), sort_keys=True)}", file=sys.stderr)
 
     if args.output == "json":
         _emit_json(args.command, points, sys.stdout)
@@ -480,8 +476,7 @@ def main(argv: list[str] | None = None) -> int:
             note = " [flagged: expected discrepancy]" if res["flagged"] else ""
             print(f"{status} criterion {p['params']['criterion']:2d} "
                   f"{res['name']}{note}", file=sys.stderr)
-        return 1 if verify_failed else 0
-    return 0
+    return 0 if all(all_ok) else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ and the radius needs x1 only where x1 lies in its step.  The one root
 finder of the zeros module (refine_bracket) refines that bracket with
 Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
 the bracket) on the abscissa; each of its evaluations, and the residual's,
-is summed about the nearer end of that scan step (zeros.eval_in_step).  It
+is a direct sum from the origin (series.sum_point), as a scan step's is.  It
 solves either the ratio form N/D - beta ("ratio") or the direct form
 N - beta D ("direct"), which has the sign of the ratio form wherever D > 0;
 the two roots agreeing is one of the acceptance checks.  The scan then runs
@@ -44,9 +44,9 @@ from . import equations
 from .errors import CoulombDomainError, MonotonicityError, PoleError
 from .equations import Jet
 from .params import CoulombParams
-from .series import SeriesValue
+from .series import SeriesValue, sum_point
 # find_zeros stays bound here, where perfbench's tracer also wraps it
-from .zeros import ZeroTarget, eval_in_step, find_zeros, refine_bracket, scan  # noqa: F401
+from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
 
 _ABSCISSA_TOL = 1e-13
 
@@ -138,22 +138,18 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     at_lo = (equations.equation_at_origin(L, kind, convex, beta, form), math.nan, math.nan)
     bracket = None
     cap = None
-    prev_sv = None
     for step in scan(params, cap_target):
         if bracket is None:
-            # the direct sums at the ends of the bracketing step are the solve's bases
-            ends = step.t_prev, prev_sv, step.t, step.sv
             if step.zero is not None:
-                bracket = step.t_prev, step.zero, at_lo, (-math.inf, math.nan, math.nan), ends
+                bracket = step.t_prev, step.zero, at_lo, (-math.inf, math.nan, math.nan)
             else:
                 at_t = at(step.t, step.sv)
                 if at_t[0] <= 0.0:
-                    bracket = step.t_prev, step.t, at_lo, at_t, ends
+                    bracket = step.t_prev, step.t, at_lo, at_t
                 at_lo = at_t
         if step.zero is not None:
             cap = step.zero
             break
-        prev_sv = step.sv
     if bracket is None:
         raise MonotonicityError(
             f"could not locate the first positive zero of {cap_target.value} for "
@@ -161,10 +157,10 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         )
     if cap is None:
         flags.append("domain-cap-beyond-range")
-    lo, hi, at_lo, at_hi, ends = bracket
-    ref = refine_bracket(lambda r: at(r, eval_in_step(params, r, *ends)), lo, hi, at_lo, at_hi,
+    lo, hi, at_lo, at_hi = bracket
+    ref = refine_bracket(lambda r: at(r, sum_point(params, r)), lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
-    residual = at(ref.root, eval_in_step(params, ref.root, *ends))[0]
+    residual = at(ref.root, sum_point(params, ref.root))[0]
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
         # verify it on the points the scan and the solver visited instead of

@@ -116,15 +116,19 @@ numerators and denominators, each rounded once.  The evaluation does not
 read them.  Only eval_point keeps values between calls, a memo of the last
 512 keyed by the exact (L, eta, z); sum_point, eval_series and eval_near sum
 on every call, and the zero scan and the radius solve, whose points never
-repeat, use them.
+repeat, use them.  counting() counts every sum made inside its block, where
+it is made, and the steps of zeros.refine_bracket; outside a block a sum
+pays one ContextVar lookup.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from contextvars import ContextVar
+from dataclasses import dataclass, field, fields
+from typing import Iterator, NamedTuple
 
 from .errors import (
     ConvergenceError,
@@ -151,6 +155,55 @@ _ESTIMATE_BITS = 64  # a local sum is estimated to stop once (h/z0)^k < 2^-64
 _LOCAL_COST = 2
 _LOCAL_SETUP = 30
 _MEMO_SIZE = 512  # eval_point's values kept, about 1 KB each with their loop state
+
+
+@dataclass
+class SumCounts:
+    """The sums of one counting() block: points holds the abscissa of every
+    direct sum (one that fails included) and local sum, in order; terms their
+    truncation_terms plus base_terms; local_evals and local_terms the local
+    sums alone; base_terms the terms by which direct sums were carried on the
+    first time each served as a base; local_fallbacks the local sums given up
+    for a direct one, whose terms are not counted; refine_steps the
+    iterations of zeros.refine_bracket."""
+
+    points: list[float] = field(default_factory=list)
+    terms: int = 0
+    local_evals: int = 0
+    local_terms: int = 0
+    base_terms: int = 0
+    local_fallbacks: int = 0
+    refine_steps: int = 0
+
+    def totals(self) -> dict[str, int]:
+        """The counts as a dict, with evals = len(points) for points."""
+        return {"evals": len(self.points),
+                **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
+
+
+_record: ContextVar[SumCounts | None] = ContextVar("coulomb_radii.series.record", default=None)
+
+
+@contextlib.contextmanager
+def counting() -> Iterator[SumCounts]:
+    """Count the sums made inside the block into the SumCounts it yields.
+
+    A nested block adds its counts to the enclosing one on exit.  The record
+    belongs to the context the block runs in: a thread started inside the
+    block starts outside it (in an empty context, on CPython's default
+    build), while code run in a copy of the block's context
+    (contextvars.copy_context().run) counts into the same, unlocked, record.
+    """
+    outer, counts = _record.get(), SumCounts()
+    token = _record.set(counts)
+    try:
+        yield counts
+    finally:
+        _record.reset(token)
+        if outer is not None:
+            outer.points += counts.points
+            for f in fields(counts)[1:]:
+                setattr(outer, f.name, getattr(outer, f.name) + getattr(counts, f.name))
 
 
 @dataclass(frozen=True)
@@ -262,8 +315,12 @@ class SeriesValue:
         below 2^-_BASE_TAIL_BITS of its sum: summed the first time the value
         serves as a base, and kept with it."""
         L, eta, z, bits, state = self._base
-        (s0, s1, _), (r0, r1, _), shift, *_ = _fixed_point_sum(
+        (s0, s1, _), (r0, r1, _), shift, n, *_ = _fixed_point_sum(
             L, eta, z, bits, _BASE_TAIL_BITS, state)
+        counts = _record.get()
+        if counts is not None:
+            counts.base_terms += n - state[0]
+            counts.terms += n - state[0]
         return _Sums(s0, s1, r0, r1, shift)
 
 
@@ -317,7 +374,16 @@ def eval_near(base: SeriesValue, z: float) -> SeriesValue:
         return base
     if abs(z - kept[2]) < _reach(base) and abs(z) <= EVAL_Z_MAX:
         near = _local(base, z)
-        if near is not None:
+        counts = _record.get()
+        if near is None:
+            if counts is not None:
+                counts.local_fallbacks += 1
+        else:
+            if counts is not None:
+                counts.points.append(z)
+                counts.local_evals += 1
+                counts.terms += near.truncation_terms
+                counts.local_terms += near.truncation_terms
             return near
     return _direct(kept[0], kept[1], z)
 
@@ -334,6 +400,9 @@ def _reach(base: SeriesValue) -> float:
 def _direct(L: float, eta: float, z: float) -> SeriesValue:
     """The sum from the origin, at the precision its bounds ask for."""
     z = float(z)
+    counts = _record.get()
+    if counts is not None:
+        counts.points.append(z)
     if not math.isfinite(z):
         raise ValueError("z must be finite")
     if abs(z) > EVAL_Z_MAX:
@@ -346,6 +415,8 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
         # P'(0) = a_1 and P''(0) = 2 a_2, each rounded once
         values = (1.0, *(k * num / den for k, (num, den)
                          in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
+        if counts is not None:
+            counts.terms += 1
         return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
                            noise=tuple(0.5 * math.ulp(v) for v in values),
                            _base=(L, eta, z, 0, None))
@@ -356,7 +427,10 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
         if missing <= 0 or bits >= _MAX_BITS:
             break
         bits = min(bits + missing, _MAX_BITS)
-    return _rounded(sums, errs, shift, n, tau, z.as_integer_ratio(), z, (L, eta, z, bits, state))
+    sv = _rounded(sums, errs, shift, n, tau, z.as_integer_ratio(), z, (L, eta, z, bits, state))
+    if counts is not None:
+        counts.terms += sv.truncation_terms
+    return sv
 
 
 def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int:

@@ -88,13 +88,12 @@ z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
 steps, never at the refined root itself.  Each scan step is a direct sum
 from the origin (series.sum_point, past eval_point's memo); each refine
-step is summed about the nearer end of its scan step (series.eval_near,
-through eval_in_step), from that end's direct sum, or directly where that
-end is the origin or the local sum would not pay.  A refine step lies
-within half a step of its base, where the series about the base converges
-like (h/z0)^k: on the zero-scan benchmark it takes about 19 terms against
-71 from the origin, plus some 24 once per base to carry the base's sum
-deeper.  The values are the same doubles as the direct sums', up to a rare
+step is summed about the nearer end of its scan step (series.eval_near),
+from that end's direct sum, or directly where that end is the origin or the
+local sum would not pay.  A refine step lies within half a step of its
+base, where the series about the base converges like (h/z0)^k: on the
+zero-scan benchmark it takes about 19 terms against 71 from the origin,
+plus some 24 once per base to carry the base's sum deeper.  The values are the same doubles as the direct sums', up to a rare
 last-bit rounding.
 
 scan is the package's one scan, a generator of steps that find_zeros and
@@ -102,7 +101,7 @@ the radius solver both consume, and refine_bracket its one bracketed root
 finder.  The radius solver reads its equation off the series value of each
 step and refines the step that brackets the radius with the slopes of the
 equation's jet (see the radii module).  refine_bracket decides signs
-without a noise-floor check.
+without a noise-floor check; series.counting() counts its steps.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ from typing import Callable, Iterator, NamedTuple
 from .equations import Jet, ZeroTarget, noise_limited, target_at_origin, target_jet
 from .errors import ConvergenceError, CoulombDomainError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, eval_near, sum_point
+from .series import EVAL_Z_MAX, SeriesValue, _record, eval_near, sum_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -303,6 +302,9 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
         else:
             hi, f_hi = x, f0
         iters += 1
+    counts = _record.get()  # series.counting() counts the steps with the sums
+    if counts is not None:
+        counts.refine_steps += iters
     return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
 
@@ -363,7 +365,14 @@ def scan(params: CoulombParams, target: ZeroTarget,
     nxt = after(t)
     while t < nxt <= t_free:
         t, nxt = nxt, after(nxt)
-    t_prev, prev_sv = 0.0, None
+
+    def in_step(s: float) -> Jet:
+        # a refine point of the current step (t_prev, t]: summed about the
+        # nearer end, directly where that end is the origin (sv_prev None)
+        base = sv_prev if s - t_prev < t - s else sv
+        return h(sum_point(params, sign * s) if base is None else eval_near(base, sign * s), s)[0]
+
+    t_prev, sv_prev = 0.0, None
     prev = (target_at_origin(L, target), math.nan, math.nan)
     while t_prev < EVAL_Z_MAX:
         try:
@@ -378,23 +387,12 @@ def scan(params: CoulombParams, target: ZeroTarget,
         if val == 0.0:
             zero = t  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            zero = refine_bracket(
-                lambda s: h(eval_in_step(params, sign * s, t_prev, prev_sv, t, sv), s)[0],
-                t_prev, t, prev, cur, REFINE_TOL).root
+            zero = refine_bracket(in_step, t_prev, t, prev, cur, REFINE_TOL).root
         yield ScanStep(t_prev, t, sv, prev, cur, zero)
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
-        t_prev, prev, prev_sv = t, cur, sv
+        t_prev, prev, sv_prev = t, cur, sv
         t = after(t)
-
-
-def eval_in_step(params: CoulombParams, z: float, t_prev: float,
-                 prev_sv: SeriesValue | None, t: float, sv: SeriesValue) -> SeriesValue:
-    """The series at z, |z| in the scan step (t_prev, t] whose ends were
-    summed as prev_sv and sv: summed about the nearer end (series.eval_near),
-    or directly where that end is the origin (prev_sv None)."""
-    base = prev_sv if abs(z) - t_prev < t - abs(z) else sv
-    return sum_point(params, z) if base is None else eval_near(base, z)
 
 
 def _zeros_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,

@@ -129,6 +129,19 @@ class TestEvalAndZeros:
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and "memo" not in err
 
+    def test_verbose_prints_the_sums(self, capsys):
+        # one sums: line on stderr, the series.counting() record of the
+        # command; stdout is the same without --verbose
+        argv = ["zeros", "--L", "0.5", "--eta=-1", "--count-pos", "10", "--count-neg", "10"]
+        code, out, err = run_cli(capsys, *argv, "--verbose")
+        assert code == 0
+        lines = [line for line in err.splitlines() if line.startswith("sums: ")]
+        assert len(lines) == 1
+        totals = json.loads(lines[0][len("sums: "):])
+        assert (totals["evals"], totals["terms"], totals["refine_steps"]) == (117, 5925, 70)
+        code, quiet, err = run_cli(capsys, *argv)
+        assert code == 0 and quiet == out and err == ""
+
     def test_noise_limited_series_row_is_flagged(self, capsys):
         # at (0, -6000), z = 50 the sum's bound asks for more than the
         # 2048-bit cap, so p0 keeps a bound far above it (the zero scan's own
@@ -316,8 +329,10 @@ class TestExitCodes:
         ["verify", "--criteria", "13"],
         ["verify", "--criteria", "0"],
         ["verify", "--criteria", "x"],
+        ["verify", "--criteria", ","],
+        ["verify", "--criteria="],
     ], ids=["bounds-m3", "closed-form-m4", "both-m4", "negative-count", "grid-n-8",
-            "criteria-13", "criteria-0", "criteria-x"])
+            "criteria-13", "criteria-0", "criteria-x", "criteria-comma", "criteria-empty"])
     def test_rejected_argument_values_are_usage_errors(self, argv, capsys):
         # the library's ValueError on a user value is a usage error, not a traceback
         code, out, err = run_cli(capsys, *argv)

@@ -522,6 +522,80 @@ class TestLocalSums:
         assert repr(sv) == repr(eval_point(params, 15.0))
 
 
+class TestCounting:
+    """series.counting(): the record of the sums made inside a block."""
+
+    def test_find_zeros_record(self):
+        with series.counting() as counts:
+            find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
+        totals = counts.totals()
+        assert (totals["evals"], totals["local_evals"], totals["terms"],
+                totals["refine_steps"]) == (117, 56, 5925, 70)
+        assert totals["local_fallbacks"] == 0
+
+    def test_radius_record(self):
+        from coulomb_radii.radii import RadiusQuery, radius
+
+        with series.counting() as counts:
+            radius(RadiusQuery(CoulombParams(0.5, -1.0), "g", "starlike", 0.5))
+        totals = counts.totals()
+        assert (totals["evals"], totals["terms"], totals["refine_steps"]) == (12, 307, 6)
+        assert totals["local_evals"] == totals["base_terms"] == 0
+
+    def test_radius_solve_sums_from_the_origin(self):
+        # at (60, -1) the f-convex solve summed 4 of its points about a scan
+        # step, each carrying that step's sum deeper first
+        from coulomb_radii.radii import RadiusQuery, radius
+
+        with series.counting() as counts:
+            res = radius(RadiusQuery(CoulombParams(60.0, -1.0), "f", "convex", 0.0))
+        assert counts.local_evals == counts.base_terms == 0
+        assert res.value == 39.54609038197775
+
+    def test_nothing_is_recorded_outside_a_block(self):
+        params = CoulombParams(0.5, -1.0)
+        with series.counting() as counts:
+            pass
+        assert series._record.get() is None
+        find_zeros(params, ZeroTarget.F, 2, 2)
+        series.eval_near(series.sum_point(params, 10.0), 10.1)
+        assert counts == series.SumCounts()
+
+    def test_failed_sum_counts_with_no_terms(self):
+        with series.counting() as counts:
+            with pytest.raises(ConvergenceError):
+                series.sum_point(P0M1, 60.0)
+        assert counts.points == [60.0] and counts.terms == 0
+
+    def test_nested_block_adds_to_the_enclosing_one(self):
+        params = CoulombParams(0.5, -1.0)
+        with series.counting() as outer:
+            series.sum_point(params, 1.0)
+            with series.counting() as inner:
+                find_zeros(params, ZeroTarget.F, 1, 0)
+                assert outer.points == [1.0] and outer.refine_steps == 0
+            assert len(inner.points) > 1 and inner.refine_steps > 0
+        assert outer.points == [1.0, *inner.points]
+        assert outer.terms == series.sum_point(params, 1.0).truncation_terms + inner.terms
+        assert outer.refine_steps == inner.refine_steps
+
+    def test_other_threads_count_only_in_a_copy_of_the_context(self):
+        import contextvars
+
+        params = CoulombParams(0.5, -1.0)
+        with series.counting() as counts:
+            plain = threading.Thread(target=series.sum_point, args=(params, 2.0))
+            plain.start()
+            plain.join(timeout=60)
+            assert not plain.is_alive() and counts.points == []
+            copied = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(series.sum_point, params, 3.0))
+            copied.start()
+            copied.join(timeout=60)
+            assert not copied.is_alive()
+        assert counts.points == [3.0]
+
+
 class TestInlinedKernels:
     """The integer loops of coefficients and eval_series against exact
     references: the recurrence in fractions, and mpmath sums."""

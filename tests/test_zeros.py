@@ -401,7 +401,8 @@ class TestRefineBracket:
 
 
 class TestLocalRefine:
-    """Refine steps and the radius solve sum about the nearer scan step."""
+    """Refine steps sum about the nearer scan step; the radius solve sums
+    from the origin."""
 
     def test_every_base_is_a_scan_step(self, monkeypatch):
         # each base is the direct sum of one end of the scan step that holds
@@ -429,9 +430,18 @@ class TestLocalRefine:
             assert t0 in steps and repr(steps[t0].sv) == repr(base)
             step = next(s for s in steps.values() if s.t_prev < abs(z) < s.t)
             assert abs(abs(z) - abs(t0)) <= 0.5 * (step.t - step.t_prev)
+        # a radius in another step than its cap: only the cap refine sums
+        # locally, about the ends of the cap's step
+        params = CoulombParams(2.5, -3.0)
+        cap_step = next(s for s in zeros.scan(params, ZeroTarget.G_PRIME) if s.zero is not None)
         seen.clear()
-        radii.radius(RadiusQuery(CoulombParams(2.5, -3.0), "g", "convex", 0.5))
-        assert seen and all(base._base is not None for base, _ in seen)
+        res = radii.radius(RadiusQuery(params, "g", "convex", 0.5))
+        assert res.value < cap_step.t_prev
+        assert seen
+        for base, z in seen:
+            assert base._base is not None
+            assert base._base[2] in (cap_step.t_prev, cap_step.t)
+            assert cap_step.t_prev < z < cap_step.t
 
     def test_refined_zeros_match_direct_sums(self, monkeypatch):
         # every refine step summed from the origin instead gives the same zeros
