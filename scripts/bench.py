@@ -26,11 +26,12 @@ sums from the origin and local ones about a scan step (series.eval_near),
 and each query row's refine_steps, the zero refines and the radius solve,
 so evals - refine_steps are the scan steps and the few single evaluations
 around them.
-Only series.eval_point keeps values between calls, in its memo.  Every row
-but cli_eval_warm empties the memo before each call, timed or counted, so it
-is a cold request; the query rows never reach the memo, so for them a cold
-request is also a repeated one.  cli_eval_warm fills the memo with one
-request first, and its counts are those of the repeated request: no sums.
+Only series.eval_point keeps values between calls, in its memo, and the cli
+rows add its memo_hits and memo_misses.  Every row but cli_eval_warm empties
+the memo before each call, timed or counted, so it is a cold request; the
+query rows never reach the memo, so for them a cold request is also a
+repeated one.  cli_eval_warm fills the memo with one request first, and its
+counts are those of the repeated request: 16 hits and no sums.
 The disk rows sum in numpy, not through the series module, so they hold
 only their time.
 The counts are deterministic; the times depend on the machine.
@@ -97,7 +98,9 @@ def rows(repeat):
         "find_zeros_neg": lambda: find_zeros(CoulombParams(2.0, -20.0), ZeroTarget.F, 0, 3),
     }
     for name, fn in queries.items():
-        out[name] = {"ms": median_ms(fn, repeat), **counts(fn)}
+        tally = counts(fn)
+        del tally["memo_hits"], tally["memo_misses"]  # the queries sum past the memo
+        out[name] = {"ms": median_ms(fn, repeat), **tally}
     for name, cold in (("cli_eval", True), ("cli_eval_warm", False)):
         # the cold calls leave the memo full for the warm ones
         tally = counts(cli_eval, cold)

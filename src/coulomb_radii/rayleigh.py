@@ -36,6 +36,12 @@ class Family(str, Enum):
     VARSIGMA = "varsigma"  # zeros of g'
 
 
+def family_of(kind: Kind | str) -> Family:
+    """The family whose sums bound the univalence radius of kind: sigma for
+    f, varsigma for g."""
+    return Family.SIGMA if Kind(kind) is Kind.F else Family.VARSIGMA
+
+
 class SumMethod(str, Enum):
     CLOSED_FORM = "closed_form"
     EXTRACTED = "extracted"
@@ -157,8 +163,8 @@ def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2, *
     """(lower, upper) bracket for the smallest-modulus derivative zero.
 
     lower = S_m^{-1/m}; upper = S_m/S_{m+1} when S_{m+1} > 0, else None.
-    Kind 'f' reads the sigma family, kind 'g' the varsigma family.  m must be
-    even so the lower bound is unconditional for real zeros.
+    kind reads the sums of family_of(kind).  m must be even so the lower
+    bound is unconditional for real zeros.
     """
     kind = Kind(kind)
     method = SumMethod(method)
@@ -166,8 +172,7 @@ def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2, *
         raise ValueError("m must be an even count >= 2")
     if method is SumMethod.CLOSED_FORM and m != 2:
         raise ValueError("closed_form bounds exist for m = 2 only")
-    family = Family.SIGMA if kind is Kind.F else Family.VARSIGMA
-    s = sums(params, family, method, m_max=m + 1)
+    s = sums(params, family_of(kind), method, m_max=m + 1)
     s_m = s.values[m]
     s_m1 = s.values[m + 1]
     if not s_m > 0.0:

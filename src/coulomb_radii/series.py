@@ -117,8 +117,9 @@ read them.  Only eval_point keeps values between calls, a memo of the last
 512 keyed by the exact (L, eta, z); sum_point, eval_series and eval_near sum
 on every call, and the zero scan and the radius solve, whose points never
 repeat, use them.  counting() counts every sum made inside its block, where
-it is made, and the steps of zeros.refine_bracket; outside a block a sum
-pays one ContextVar lookup.
+it is made, the steps of zeros.refine_bracket and the hits and misses of
+eval_point's memo; outside a block a sum or a memo lookup pays one
+ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ class SumCounts:
     sums alone; base_terms the terms by which direct sums were carried on the
     first time each served as a base; local_fallbacks the local sums given up
     for a direct one, whose terms are not counted; refine_steps the
-    iterations of zeros.refine_bracket."""
+    iterations of zeros.refine_bracket; memo_hits and memo_misses the
+    lookups in eval_point's memo, each miss also a direct sum."""
 
     points: list[float] = field(default_factory=list)
     terms: int = 0
@@ -174,6 +176,8 @@ class SumCounts:
     base_terms: int = 0
     local_fallbacks: int = 0
     refine_steps: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
 
     def totals(self) -> dict[str, int]:
         """The counts as a dict, with evals = len(points) for points."""
@@ -340,7 +344,19 @@ def eval_point(params: CoulombParams, z: float) -> SeriesValue:
     (L, eta, float(z)); errors are not kept.  eval_point.cache_info() and
     eval_point.cache_clear() are the memo's.
     """
-    return _memo(params.L, params.eta, float(z))
+    z = float(z)
+    counts = _record.get()
+    if counts is None:
+        return _memo(params.L, params.eta, z)
+    summed = len(counts.points)
+    try:
+        return _memo(params.L, params.eta, z)
+    finally:
+        # only a miss sums, and every direct sum adds its abscissa to points
+        if len(counts.points) == summed:
+            counts.memo_hits += 1
+        else:
+            counts.memo_misses += 1
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

@@ -400,14 +400,17 @@ _CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 
 
 def run_criterion(number: int) -> CriterionResult:
-    if not 1 <= number <= len(_CRITERIA):
-        raise ValueError(f"criterion number must be 1..{len(_CRITERIA)}")
-    return _CRITERIA[number - 1]()
+    return run_all([number])[0]
 
 
 def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
+    """The criteria numbered in numbers (default all), in that order; every
+    number is checked before any criterion runs."""
     picks = numbers if numbers is not None else range(1, len(_CRITERIA) + 1)
-    return [run_criterion(n) for n in picks]
+    bad = [n for n in picks if not 1 <= n <= len(_CRITERIA)]
+    if bad:
+        raise ValueError(f"criterion numbers out of range: {bad}")
+    return [_CRITERIA[n - 1]() for n in picks]
 
 
 def criterion_count() -> int:

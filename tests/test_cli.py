@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from coulomb_radii import cli, series, subordination
+from coulomb_radii import cli, series, subordination, verify
 from coulomb_radii.cli import main, validate_report
 
 
@@ -116,18 +116,27 @@ class TestEvalAndZeros:
 
     def test_verbose_eval_reports_memo_hits(self, capsys):
         # the repeated point is a hit on a cold memo, and the whole request on
-        # a warm one; stdout is the same with or without --verbose
+        # a warm one, read off the sums: line; stdout is the same with or
+        # without --verbose
         argv = ["eval", "--L", "0.5", "--eta=-1", "--z", "1,2,1", "--output", "csv"]
+
+        def sums(err):
+            lines = err.splitlines()
+            assert [line.split(":")[0] for line in lines] == ["config", "sums"]
+            return json.loads(lines[1][len("sums: "):])
+
         series.eval_point.cache_clear()
         code, out, err = run_cli(capsys, *argv, "--verbose")
         assert code == 0
-        assert "eval memo: hits=1 misses=2\n" in err
+        totals = sums(err)
+        assert (totals["memo_hits"], totals["memo_misses"], totals["evals"]) == (1, 2, 2)
         code, warm, err = run_cli(capsys, *argv, "--verbose")
         assert code == 0 and warm == out
-        assert "eval memo: hits=3 misses=0\n" in err
+        totals = sums(err)
+        assert (totals["memo_hits"], totals["memo_misses"], totals["evals"]) == (3, 0, 0)
         series.eval_point.cache_clear()
         code, quiet, err = run_cli(capsys, *argv)
-        assert code == 0 and quiet == out and "memo" not in err
+        assert code == 0 and quiet == out and err == ""
 
     def test_verbose_prints_the_sums(self, capsys):
         # one sums: line on stderr, the series.counting() record of the
@@ -340,6 +349,40 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    def test_out_of_range_criterion_runs_no_criterion(self, capsys, monkeypatch):
+        # verify.run_all checks every number before it runs the first one
+        def never(*args):
+            raise AssertionError("a criterion ran before its list was checked")
+        monkeypatch.setattr(verify, "_CRITERIA", (never,) * len(verify._CRITERIA))
+        code, out, err = run_cli(capsys, "verify", "--criteria", "1,13")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--L", "0", "--eta", "0.1", "--z", "1"],
+        ["zeros", "--L", "0", "--eta", "0.1", "--count-pos", "1"],
+        ["radius", "--kind", "g", "--property", "starlike", "--L", "0", "--eta", "0.1"],
+        ["bounds", "--kind", "g", "--L", "0", "--eta", "0.1"],
+        ["region", "--L", "4+1i", "--eta", "0.5"],
+        ["verify", "--criteria", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_unsafe_only_on_grid_commands(self, argv, capsys):
+        # no flag may be accepted and then ignored: the grid commands read
+        # --unsafe (without it eta = 0.1 is a region violation), and region
+        # and verify, which never would, refuse it
+        if argv[0] in ("region", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--unsafe"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "unrecognized arguments: --unsafe" in captured.err
+            return
+        assert run_cli(capsys, *argv)[0] == 3
+        code, out, _ = run_cli(capsys, *argv, "--unsafe")
+        assert code == 0
+        assert json.loads(out)["warnings"] == ["no-certificate"]
+
     def test_oversized_disk_grid_is_usage_error(self, capsys, monkeypatch):
         # rejected before the scan builds anything
         def no_arrays(*args):
@@ -362,13 +405,18 @@ class TestExitCodes:
         assert "--disk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("beta", ["0.5", "0,0.5"], ids=["beta-0.5", "beta-list"])
-    def test_univalent_beta_is_usage_error(self, beta, capsys):
-        # univalence fixes beta = 0; a nonzero beta would be printed as 0.0
-        with pytest.raises(SystemExit) as exc:
-            main(["radius", "--kind", "g", "--property", "univalent", "--beta", beta,
-                  "--L", "0", "--eta=-1"])
-        assert exc.value.code == 2
-        assert "univalent" in capsys.readouterr().err
+    def test_univalent_beta_is_usage_error(self, beta, capsys, monkeypatch):
+        # univalence fixes beta = 0; a nonzero beta would be printed as 0.0.
+        # RadiusQuery refuses it, before any radius is solved, and main
+        # reports that as a usage error
+        def never(*args, **kwargs):
+            raise AssertionError("a radius was solved before every beta was checked")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "radius", never)
+            code, out, err = run_cli(capsys, "radius", "--kind", "g", "--property",
+                                     "univalent", "--beta", beta, "--L", "0", "--eta=-1")
+        assert code == 2
+        assert out == "" and err.startswith("usage error: ") and "univalent" in err
         code, out, _ = run_cli(capsys, "radius", "--kind", "g", "--property", "univalent",
                                "--beta", "0", "--L", "0", "--eta=-1")
         assert code == 0 and out

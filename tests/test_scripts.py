@@ -45,7 +45,7 @@ def test_bench_rows(capsys):
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
                          "cli_eval_warm", "disk_g64", "disk_zgpg64", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
-    # direct and local sums, counted by the wrapped kernels, within the gates
+    # direct and local sums, counted by series.counting(), within the gates
     # of test_zeros and test_radii
     assert 0 < rows["find_zeros"]["evals"] <= 117
     assert 0 < rows["find_zeros_F_prime"]["evals"] <= 118
@@ -69,6 +69,9 @@ def test_bench_rows(capsys):
     assert rows["cli_eval"]["local_evals"] == rows["cli_eval"]["base_terms"] == 0
     assert rows["cli_eval_warm"]["evals"] == rows["cli_eval_warm"]["terms"] == 0
     assert rows["cli_eval_warm"]["local_fallbacks"] == 0
+    # each point a memo miss on an empty memo and a hit on a full one
+    assert (rows["cli_eval"]["memo_hits"], rows["cli_eval"]["memo_misses"]) == (0, 16)
+    assert (rows["cli_eval_warm"]["memo_hits"], rows["cli_eval_warm"]["memo_misses"]) == (16, 0)
     for name in ("eval_z0.5", "eval_z10", "eval_z50", "cli_eval", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
     # the refine steps are a part of the evaluations; the rest are scan steps
