@@ -23,7 +23,7 @@ from .equations import conv_ratio, g_prime, g_value, noise_limited, star_ratio
 from .errors import CoulombDomainError, CoulombError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
-from .rayleigh import euler_rayleigh_bounds, family_of, sums
+from .rayleigh import bracket_sums
 from .series import counting, eval_point
 from .subordination import disk_min_real, region_check
 from .verify import run_all
@@ -228,14 +228,14 @@ def _run_radius(args) -> Iterator[_Point]:
 def _run_bounds(args) -> Iterator[_Point]:
     methods = ["extracted", "closed_form"] if args.method == "both" else [args.method]
     for L, eta, params, warn in _grid(args):
+        record = bracket_sums(params, args.kind, args.m, method=methods[-1])
         result = {"m": args.m, "bounds": {}}
         rows = []
         for method in methods:
-            lower, upper = euler_rayleigh_bounds(params, args.kind, args.m, method=method)
+            lower, upper = record.bracket(args.m, method)
             result["bounds"][method] = {"lower": lower, "upper": upper}
             if method == "closed_form":
-                s = sums(params, family_of(args.kind), method, 3)
-                warn = warn + list(s.discrepancies.values())
+                warn = warn + list(record.discrepancies.values())
             rows.append(["bounds", L, eta, args.kind, args.m, method, lower,
                          "" if upper is None else upper, ";".join(warn)])
         yield _Point({"L": L, "eta": eta}, result, warn, rows)

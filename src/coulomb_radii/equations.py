@@ -35,11 +35,16 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import CoulombDomainError, PoleError
+from .errors import PoleError
 from .params import CoulombParams
 from .series import SeriesValue, eval_point
 
 Jet = tuple[float, float, float]  # (value, d/dz, d^2/dz^2)
+
+
+class Kind(str, Enum):  # the normalized form f = (F/C)^(1/(L+1)) or g = z P
+    F = "f"
+    G = "g"
 
 
 class ZeroTarget(str, Enum):
@@ -208,11 +213,12 @@ def star_ratio(params: CoulombParams, kind: str, r: float) -> float:
 def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
     """1 + r g''/g' for kind 'g'; 1 + r F''/F' - (L/(L+1)) r F'/F for kind 'f'.
 
-    The f-form is certified only for L > -1/2 (unsafe params may override).
+    The f-form is certified only for L > -1/2 (params.check_f_convexity;
+    unsafe params may override).
     """
     _check_ratio_args(kind, r)
-    if kind == "f" and not params.supports_f_convexity() and not params.unsafe:
-        raise CoulombDomainError("conv_ratio kind 'f' requires L > -1/2")
+    if kind == "f":
+        params.check_f_convexity()
     return _ratio(params, kind, True, r)
 
 

@@ -1,10 +1,10 @@
 """Parameter pair (L, eta) for the regular Coulomb wave function.
 
 The radius results of this package are certified only on L > -1, eta <= 0
-(convexity of the f-form additionally needs L > -1/2, checked at the solver).
+(convexity of the f-form additionally needs L > -1/2: check_f_convexity).
 Values outside that region can be constructed, but only with an explicit
 ``unsafe`` marker, and everything downstream then carries a no-certificate
-flag.
+flag; L = -1, where a_1 = eta/(L+1) divides by zero, is refused even then.
 """
 
 from __future__ import annotations
@@ -33,11 +33,17 @@ class CoulombParams:
                 f"(L={self.L}, eta={self.eta}) is outside the certified region "
                 "L > -1, eta <= 0; construct with unsafe=True to override"
             )
+        if self.L == -1.0:
+            raise CoulombDomainError("coefficient recurrence requires L != -1")
 
     @property
     def in_certified_region(self) -> bool:
         return self.L > -1.0 and self.eta <= 0.0
 
-    def supports_f_convexity(self) -> bool:
-        # the f-form convexity equation is certified only for L > -1/2
-        return self.L > -0.5 and self.eta <= 0.0
+    def check_f_convexity(self) -> bool:
+        """Whether f-form convexity is certified (L > -1/2, eta <= 0); outside
+        that, False for unsafe params and CoulombDomainError otherwise."""
+        certified = self.L > -0.5 and self.eta <= 0.0
+        if not (certified or self.unsafe):
+            raise CoulombDomainError("convexity of the f-form requires L > -1/2 and eta <= 0")
+        return certified

@@ -41,19 +41,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import equations
-from .errors import CoulombDomainError, MonotonicityError, PoleError
-from .equations import Jet
+from .errors import MonotonicityError, PoleError
+from .equations import Jet, Kind  # Kind is re-exported here
 from .params import CoulombParams
 from .series import SeriesValue, sum_point
 # find_zeros stays bound here, where perfbench's tracer also wraps it
 from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
 
 _ABSCISSA_TOL = 1e-13
-
-
-class Kind(str, Enum):
-    F = "f"
-    G = "g"
 
 
 class RadiusProperty(str, Enum):
@@ -101,13 +96,8 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     kind = query.kind
     beta = query.beta
     convex = query.property is RadiusProperty.CONVEX
-    certified = params.in_certified_region
-    if convex and kind is Kind.F and not params.supports_f_convexity():
-        if not params.unsafe:
-            raise CoulombDomainError(
-                "convexity of the f-form requires L > -1/2 and eta <= 0"
-            )
-        certified = False
+    certified = (params.check_f_convexity() if convex and kind is Kind.F
+                 else params.in_certified_region)
 
     if convex:
         cap_target = ZeroTarget.G_PRIME if kind is Kind.G else ZeroTarget.F_PRIME

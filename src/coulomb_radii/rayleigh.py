@@ -12,7 +12,8 @@ The printed m=3 polynomials disagree with extraction at most parameters (at
 L=0, eta=-1 they give 6 versus the extracted 13/3, which also follows from
 the intermediate convolution identities), so closed-form results carry a
 discrepancy annotation wherever they differ beyond 1e-8 relative; extraction
-is the ground truth for bounds.
+is the ground truth for bounds.  A closed-form record keeps that extraction,
+so one record gives the brackets of both routes and the annotations.
 
 Euler-Rayleigh: S_m^{-1/m} < |zeta_1| < S_m/S_{m+1}, the upper bound only
 when S_{m+1} > 0 (a validity condition with mixed-sign zeros, not an error).
@@ -25,21 +26,15 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from .equations import Kind
 from .errors import CoulombError
 from .params import CoulombParams
-from .radii import Kind
 from .series import coefficients
 
 
 class Family(str, Enum):
     SIGMA = "sigma"  # zeros of F'
     VARSIGMA = "varsigma"  # zeros of g'
-
-
-def family_of(kind: Kind | str) -> Family:
-    """The family whose sums bound the univalence radius of kind: sigma for
-    f, varsigma for g."""
-    return Family.SIGMA if Kind(kind) is Kind.F else Family.VARSIGMA
 
 
 class SumMethod(str, Enum):
@@ -49,11 +44,34 @@ class SumMethod(str, Enum):
 
 @dataclass(frozen=True)
 class RayleighSums:
+    """S_m by method, the extraction they came from or were checked against,
+    and a note on each printed value that disagrees with it."""
+
     params: CoulombParams
     family: Family
     method: SumMethod
     values: Mapping[int, float]
     discrepancies: Mapping[int, str]
+    extracted: Mapping[int, float]
+
+    def bracket(self, m: int = 2, method: SumMethod | str | None = None,
+                ) -> tuple[float, float | None]:
+        """(S_m^{-1/m}, S_m/S_{m+1}; None unless S_{m+1} > 0) from the sums of
+        method: by default the record's own, and 'extracted' its extraction."""
+        method = self.method if method is None else SumMethod(method)
+        if method is SumMethod.EXTRACTED:
+            values = self.extracted
+        elif self.method is SumMethod.CLOSED_FORM:
+            values = self.values
+        else:
+            raise ValueError("an extracted record holds no closed-form sums")
+        s_m, s_m1 = values[m], values[m + 1]
+        if not s_m > 0.0:
+            raise CoulombError(
+                f"S_{m} = {s_m:.6g} is not positive; no real lower bound "
+                "(zeros may be complex for these parameters)"
+            )
+        return s_m ** (-1.0 / m), (s_m / s_m1 if s_m1 > 0.0 else None)
 
 
 def logderiv_coeffs(series_coeffs: Sequence[float], m_max: int) -> list[float]:
@@ -76,16 +94,12 @@ def logderiv_coeffs(series_coeffs: Sequence[float], m_max: int) -> list[float]:
     return t
 
 
-def _family_coeffs(params: CoulombParams, family: Family, n: int) -> list[float]:
-    a = coefficients(params, n).a
-    L = params.L
-    if family is Family.SIGMA:
-        return [(k + L + 1.0) / (L + 1.0) * a[k] for k in range(n + 1)]
-    return [(k + 1.0) * a[k] for k in range(n + 1)]
-
-
 def _extracted_values(params: CoulombParams, family: Family, m_max: int) -> dict[int, float]:
-    c = _family_coeffs(params, family, m_max + 2)
+    a, L = coefficients(params, m_max + 2).a, params.L
+    if family is Family.SIGMA:
+        c = [(k + L + 1.0) / (L + 1.0) * a_k for k, a_k in enumerate(a)]
+    else:
+        c = [(k + 1.0) * a_k for k, a_k in enumerate(a)]
     t = logderiv_coeffs(c, m_max - 1)
     return {m: -t[m - 1] for m in range(2, m_max + 1)}
 
@@ -132,54 +146,40 @@ def sums(params: CoulombParams, family: Family | str, method: SumMethod | str,
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     if method is SumMethod.EXTRACTED:
-        values = _extracted_values(params, family, m_max)
-        return RayleighSums(params, family, method,
-                            MappingProxyType(values), MappingProxyType({}))
+        values = MappingProxyType(_extracted_values(params, family, m_max))
+        return RayleighSums(params, family, method, values, MappingProxyType({}), values)
     if m_max > 3:
         raise ValueError("closed_form supports m in {2, 3} only")
-    L, eta = params.L, params.eta
-    if family is Family.SIGMA:
-        values = {2: _sigma2_closed(L, eta), 3: _sigma3_closed(L, eta)}
-    else:
-        values = {2: _varsigma2_closed(L, eta), 3: _varsigma3_closed(L, eta)}
-    values = {m: v for m, v in values.items() if m <= m_max}
-    extracted = _extracted_values(params, family, max(3, m_max))
-    notes: dict[int, str] = {}
-    for m, printed in values.items():
-        ref = extracted[m]
-        denom = max(abs(ref), 1e-30)
-        if abs(printed - ref) / denom > 1e-8:
-            notes[m] = (
-                f"printed m={m} value {printed:.12g} disagrees with "
-                f"coefficient extraction {ref:.12g}; extraction is used for bounds"
-            )
-    return RayleighSums(params, family, method,
-                        MappingProxyType(values), MappingProxyType(notes))
+    extracted = _extracted_values(params, family, 3)
+    closed = ((_sigma2_closed, _sigma3_closed) if family is Family.SIGMA
+              else (_varsigma2_closed, _varsigma3_closed))
+    values = {m: f(params.L, params.eta) for m, f in zip((2, 3), closed) if m <= m_max}
+    notes = {m: f"printed m={m} value {v:.12g} disagrees with coefficient extraction "
+                f"{extracted[m]:.12g}; extraction is used for bounds"
+             for m, v in values.items()
+             if abs(v - extracted[m]) / max(abs(extracted[m]), 1e-30) > 1e-8}
+    return RayleighSums(params, family, method, MappingProxyType(values),
+                        MappingProxyType(notes), MappingProxyType(extracted))
 
 
-def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2, *,
-                          method: SumMethod | str = SumMethod.EXTRACTED,
-                          ) -> tuple[float, float | None]:
-    """(lower, upper) bracket for the smallest-modulus derivative zero.
-
-    lower = S_m^{-1/m}; upper = S_m/S_{m+1} when S_{m+1} > 0, else None.
-    kind reads the sums of family_of(kind).  m must be even so the lower
-    bound is unconditional for real zeros.
-    """
-    kind = Kind(kind)
+def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2, *,
+                 method: SumMethod | str = SumMethod.EXTRACTED) -> RayleighSums:
+    """S_2..S_{m+1} by method of the family that bounds the univalence radius
+    of kind (sigma for f, varsigma for g): the record of the brackets of every
+    even order up to m.  m must be even, so the lower bound is unconditional
+    for real zeros; closed forms give m = 2 only."""
     method = SumMethod(method)
     if m < 2 or m % 2:
         raise ValueError("m must be an even count >= 2")
     if method is SumMethod.CLOSED_FORM and m != 2:
         raise ValueError("closed_form bounds exist for m = 2 only")
-    s = sums(params, family_of(kind), method, m_max=m + 1)
-    s_m = s.values[m]
-    s_m1 = s.values[m + 1]
-    if not s_m > 0.0:
-        raise CoulombError(
-            f"S_{m} = {s_m:.6g} is not positive; no real lower bound "
-            "(zeros may be complex for these parameters)"
-        )
-    lower = s_m ** (-1.0 / m)
-    upper = s_m / s_m1 if s_m1 > 0.0 else None
-    return lower, upper
+    family = Family.SIGMA if Kind(kind) is Kind.F else Family.VARSIGMA
+    return sums(params, family, method, m_max=m + 1)
+
+
+def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2, *,
+                          method: SumMethod | str = SumMethod.EXTRACTED,
+                          ) -> tuple[float, float | None]:
+    """(lower, upper) bracket for the smallest-modulus derivative zero:
+    RayleighSums.bracket(m) of the record bracket_sums builds."""
+    return bracket_sums(params, kind, m, method=method).bracket(m)

@@ -46,7 +46,10 @@ B = max(|T_N| + E_N, rho (|T_(N-1)| + E_(N-1))) 2^-s.  Where
 rho (N+2)/N < 1 the tails of all three sums are geometric, and the sum
 stops at the first N where each tail lies below 2^-58 of its sum or below
 its floor errors.  Floor errors plus tail bound each sum, and
-SeriesValue.noise adds half an ulp of each rounded double.
+SeriesValue.noise adds half an ulp of each rounded double.  Where n(n+2L+1)
+vanishes at some n = -(2L+1) <= N_MAX_CAP (unsafe L <= -3/2 only), the tail
+test, which needs (n+1)(n+2L+2) > 0, lets no sum stop short of it, so such a
+sum raises DegenerateRecurrenceError before its first term.
 
 Precision follows the point.  A sum starts at 192 bits; where a sum does
 not clear its bound by 56 bits (cancellation beyond ~2^130, or a point
@@ -227,8 +230,6 @@ def _exact_coefficients(L: float, eta: float, n_max: int) -> list[tuple[int, int
     the denominators D_n = D_{n-1} Ed m_n take
     N_n = Ld (2 En N_{n-1} - Ed^2 m_{n-1} N_{n-2}).
     """
-    if L == -1.0:
-        raise CoulombDomainError("coefficient recurrence requires L != -1")
     Ln, Ld = L.as_integer_ratio()
     En, Ed = eta.as_integer_ratio()
     c = 2 * Ln + Ld
@@ -248,8 +249,7 @@ def coefficients(params: CoulombParams, n_max: int) -> CoefficientTable:
     """a_0..a_{n_max} from the two-term recurrence, in exact arithmetic.
 
     Raises DegenerateRecurrenceError if n(n+2L+1) vanishes for some index up
-    to n_max (reachable only for unsafe L <= -3/2) and CoulombDomainError at
-    L = -1.
+    to n_max (reachable only for unsafe L <= -3/2; params refuse L = -1).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -425,8 +425,6 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
         raise ConvergenceError(
             f"|z|={abs(z):.3g} is beyond the evaluation range (~{EVAL_Z_MAX:g})"
         )
-    if L == -1.0:
-        raise CoulombDomainError("coefficient recurrence requires L != -1")
     if z == 0.0:
         # P'(0) = a_1 and P''(0) = 2 a_2, each rounded once
         values = (1.0, *(k * num / den for k, (num, den)
@@ -493,6 +491,10 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
     Ln, Ld = L.as_integer_ratio()
     En, Ed = eta.as_integer_ratio()
     Zn, Zd = z.as_integer_ratio()
+    # m_n = 0 at k = -(2L+1) alone, which every sum reaches (module docstring)
+    k, rem = divmod(-(2 * Ln + Ld), Ld)
+    if not rem and 1 <= k <= N_MAX_CAP:
+        raise DegenerateRecurrenceError(k, L)
     # T_n = floor((A T_{n-1} - B T_{n-2}) / (D m_n)), m_n = n (n Ld + 2 Ln + Ld)
     A, B, D = 2 * En * Zn * Zd * Ld, Ed * Zn * Zn * Ld, Ed * Zd * Zd
     common = math.gcd(A, B, D)
@@ -513,8 +515,6 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
     for n in range(n0 + 1, N_MAX_CAP + 1):
         den += step
         step += step2
-        if not den:
-            raise DegenerateRecurrenceError(n, L)
         t, t1 = (A * t - B * t1) // den, t
         if live:
             c = n * (n + l1)

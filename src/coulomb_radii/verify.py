@@ -22,7 +22,7 @@ from .equations import conv_ratio, g_value, star_ratio
 from .errors import ConvergenceError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
-from .rayleigh import Family, SumMethod, euler_rayleigh_bounds, sums
+from .rayleigh import Family, SumMethod, bracket_sums, euler_rayleigh_bounds, sums
 from .series import eval_point
 from .subordination import axis_minimum_gap, disk_min_real
 from .zeros import ZeroSet, ZeroTarget, find_zeros
@@ -183,9 +183,8 @@ def _closed_form_agreement() -> CriterionResult:
     worst = 0.0
     for params in _grid():
         for family in Family:
-            closed = sums(params, family, SumMethod.CLOSED_FORM, 2).values[2]
-            extracted = sums(params, family, SumMethod.EXTRACTED, 2).values[2]
-            worst = max(worst, abs(closed - extracted) / abs(extracted))
+            s = sums(params, family, SumMethod.CLOSED_FORM, 2)
+            worst = max(worst, abs(s.values[2] - s.extracted[2]) / abs(s.extracted[2]))
     ok = worst <= 1e-10
     return CriterionResult(
         3, "order-2 closed forms match extraction on the grid", ok,
@@ -195,17 +194,16 @@ def _closed_form_agreement() -> CriterionResult:
 
 def _documented_discrepancy() -> CriterionResult:
     params = CoulombParams(0.0, -1.0)
-    closed = sums(params, Family.SIGMA, SumMethod.CLOSED_FORM, 3)
-    extracted = sums(params, Family.SIGMA, SumMethod.EXTRACTED, 3)
-    printed_ok = abs(closed.values[3] - 6.0) <= 1e-12
-    extracted_ok = abs(extracted.values[3] - 13.0 / 3.0) <= 1e-13
-    annotated = 3 in closed.discrepancies
+    s = sums(params, Family.SIGMA, SumMethod.CLOSED_FORM, 3)
+    printed_ok = abs(s.values[3] - 6.0) <= 1e-12
+    extracted_ok = abs(s.extracted[3] - 13.0 / 3.0) <= 1e-13
+    annotated = 3 in s.discrepancies
     ok = printed_ok and extracted_ok and annotated
     return CriterionResult(
         4, "order-3 printed/extracted discrepancy at (L=0, eta=-1)", ok,
-        f"printed {closed.values[3]:.12g}, extracted {extracted.values[3]:.12g}; "
+        f"printed {s.values[3]:.12g}, extracted {s.extracted[3]:.12g}; "
         "expected, flagged, and not a failure of the extraction path",
-        flagged=(closed.discrepancies.get(3, ""),) if annotated else (),
+        flagged=(s.discrepancies.get(3, ""),) if annotated else (),
     )
 
 
@@ -215,7 +213,9 @@ def _bound_bracketing() -> CriterionResult:
     ok = True
     for params in _grid(lambda e: e < 0.0):
         for kind in ("f", "g"):
-            lower, upper = euler_rayleigh_bounds(params, kind, 2)
+            # S_2..S_5: the m = 2 and m = 4 brackets from one extraction
+            record = bracket_sums(params, kind, 4)
+            lower, upper = record.bracket(2)
             runiv = radius(RadiusQuery(params, kind, "univalent")).value
             if upper is None:
                 ok = False
@@ -226,7 +226,7 @@ def _bound_bracketing() -> CriterionResult:
             if not (lower < runiv - 1e-12 and runiv < upper - 1e-12):
                 ok = False
                 details.append(f"bracket fails at (L={params.L}, eta={params.eta}, {kind})")
-            lower4, _ = euler_rayleigh_bounds(params, kind, 4)
+            lower4, _ = record.bracket(4)
             if lower4 < lower - 1e-12:
                 ok = False
                 details.append(f"m=4 lower below m=2 at (L={params.L}, eta={params.eta}, {kind})")

@@ -111,7 +111,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .equations import Jet, ZeroTarget, noise_limited, target_at_origin, target_jet
-from .errors import ConvergenceError, CoulombDomainError
+from .errors import ConvergenceError
 from .params import CoulombParams
 from .series import EVAL_Z_MAX, SeriesValue, _record, eval_near, sum_point
 
@@ -349,8 +349,6 @@ def scan(params: CoulombParams, target: ZeroTarget,
     # and a target's |c_n/c_0| t^n by (n+1) max(1, 1/lam) x^n.  For
     # x = 1/(4 max(1, 1/lam)) those terms sum below 1 on |z| <= t: no zero there.
     lam, e = L + 1.0, abs(eta)
-    if lam == 0.0:
-        raise CoulombDomainError("coefficient recurrence requires L != -1")
     t = 0.25 / (max(1.0, 1.0 / lam) * max(e / lam, 2.0 * e, 1.0))
 
     def after(t: float) -> float:

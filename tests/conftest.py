@@ -2,7 +2,7 @@
 
 import pytest
 
-from coulomb_radii import series
+from coulomb_radii import rayleigh, series
 
 
 @pytest.fixture
@@ -13,3 +13,17 @@ def evaluations():
     series.eval_point.cache_clear()
     with series.counting() as counts:
         yield counts.points
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """The (params, family) of every log-derivative extraction made while a
+    test runs (rayleigh._extracted_values), in order."""
+    calls = []
+    extract = rayleigh._extracted_values
+
+    def counted(params, family, m_max):
+        calls.append((params, family))
+        return extract(params, family, m_max)
+    monkeypatch.setattr(rayleigh, "_extracted_values", counted)
+    return calls

@@ -186,6 +186,15 @@ class TestEvalAndZeros:
 
 
 class TestBoundsAndRegion:
+    @pytest.mark.parametrize("method", ["extracted", "closed_form", "both"])
+    def test_bounds_point_extracts_once(self, method, capsys, extractions):
+        # one record per point: a closed-form record carries the extraction
+        # that gives the extracted bracket and the discrepancy notes
+        code, out, _ = run_cli(capsys, "bounds", "--kind", "f", "--L", "0.5", "--eta=-1",
+                               "--method", method)
+        assert code == 0 and out
+        assert len(extractions) == 1
+
     def test_bounds_both_methods(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--kind", "f", "--L", "0", "--eta", "-1",

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coulomb_radii import CoulombDomainError, CoulombParams
+from coulomb_radii import CoulombDomainError, CoulombParams, conv_ratio
 from coulomb_radii.radii import (
     Kind,
     RadiusProperty,
@@ -73,6 +73,20 @@ class TestConvex:
     def test_f_requires_L_above_minus_half(self):
         with pytest.raises(CoulombDomainError):
             radius(RadiusQuery(CoulombParams(-0.7, -1.0), "f", "convex", 0.0))
+
+    def test_f_convexity_rule_is_one_rule(self):
+        # radius and conv_ratio refuse with the same message, and unsafe
+        # params run both, the radius uncertified
+        safe, unsafe = CoulombParams(-0.7, -1.0), CoulombParams(-0.7, -1.0, unsafe=True)
+        with pytest.raises(CoulombDomainError) as by_radius:
+            radius(RadiusQuery(safe, "f", "convex", 0.0))
+        with pytest.raises(CoulombDomainError) as by_ratio:
+            conv_ratio(safe, "f", 0.1)
+        assert str(by_radius.value) == str(by_ratio.value)
+        assert "L > -1/2" in str(by_ratio.value)
+        res = radius(RadiusQuery(unsafe, "f", "convex", 0.0))
+        assert "no-certificate" in res.flags and res.value > 0.0
+        assert math.isfinite(conv_ratio(unsafe, "f", 0.1))
 
 
 class TestUnivalence:

@@ -1,15 +1,20 @@
 """Rayleigh sums: log-derivative extraction, closed forms, Euler-Rayleigh bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from coulomb_radii import CoulombParams
+from coulomb_radii import CoulombParams, rayleigh, verify
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.rayleigh import (
     Family,
     SumMethod,
+    bracket_sums,
     euler_rayleigh_bounds,
     logderiv_coeffs,
     sums,
@@ -171,3 +176,53 @@ class TestBounds:
         assert lower == pytest.approx(3.0 ** -0.5, rel=1e-12)
         # printed sigma_3 is 6 here, so the printed upper is 1/2
         assert upper == pytest.approx(0.5, rel=1e-12)
+
+
+class TestOneRecord:
+    """Every bracket and note of a point comes from one RayleighSums record."""
+
+    def test_closed_form_record_holds_the_extracted_bracket(self):
+        params = CoulombParams(0.5, -1.0)
+        for kind in ("f", "g"):
+            record = bracket_sums(params, kind, method=SumMethod.CLOSED_FORM)
+            assert record.bracket(2, SumMethod.EXTRACTED) == euler_rayleigh_bounds(params, kind)
+            assert record.bracket() == euler_rayleigh_bounds(
+                params, kind, method=SumMethod.CLOSED_FORM)
+            assert 3 in record.discrepancies
+
+    def test_extracted_record_has_no_closed_form_bracket(self):
+        record = bracket_sums(CoulombParams(0.0, -1.0), "f")
+        assert record.extracted is record.values
+        with pytest.raises(ValueError):
+            record.bracket(2, SumMethod.CLOSED_FORM)
+
+    def test_shorter_extraction_is_a_prefix(self):
+        # each coefficient is rounded once from its exact value, so the m = 2
+        # bracket of an m_max = 5 record is the one of an m_max = 3 record
+        for L, eta in ((0.5, -1.0), (2.5, -2.0), (-0.4, -0.25)):
+            params = CoulombParams(L, eta)
+            for kind in ("f", "g"):
+                assert bracket_sums(params, kind, 4).bracket(2) == euler_rayleigh_bounds(
+                    params, kind, 2)
+
+    def test_bad_order_is_refused_before_any_extraction(self, extractions):
+        params = CoulombParams(0.0, -1.0)
+        for m, method in ((3, "extracted"), (0, "extracted"), (4, "closed_form")):
+            with pytest.raises(ValueError):
+                bracket_sums(params, "f", m, method=method)
+        assert extractions == []
+
+    def test_bound_bracketing_extracts_once_per_point(self, extractions):
+        assert verify.run_criterion(5).passed
+        counts = Counter(extractions)
+        assert len(counts) == 30 and set(counts.values()) == {1}
+
+    def test_import_leaves_the_solvers_unloaded(self):
+        code = ("import sys, coulomb_radii.rayleigh; "
+                "print(sorted(m for m in sys.modules if m.startswith('coulomb_radii')))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rayleigh.__file__)))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert "coulomb_radii.radii" not in out and "coulomb_radii.zeros" not in out
+        assert "coulomb_radii.rayleigh" in out

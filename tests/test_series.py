@@ -680,6 +680,19 @@ class TestTableContinuation:
             assert got[0] == "DegenerateRecurrenceError" and got[2] == 40
         assert coefficients(params, 39).a == reference_coefficients(params, 39)
 
+    def test_degenerate_index_is_refused_before_the_first_term(self):
+        # at L = -10.5, n(n+2L+1) = 0 at n = 20: the origin needs a_1 and a_2
+        # only, and a sum elsewhere raises before it sums a term
+        params = CoulombParams(-10.5, -1.0, unsafe=True)
+        a = reference_coefficients(params, 2)
+        sv = series.sum_point(params, 0.0)
+        assert (sv.p0, sv.p1, sv.p2) == (1.0, a[1], 2.0 * a[2])
+        with series.counting() as counts:
+            with pytest.raises(DegenerateRecurrenceError) as exc:
+                series.sum_point(params, 0.5)
+        assert exc.value.n == 20
+        assert counts.points == [0.5] and counts.terms == 0
+
     def test_eval_point_refuses_a_degenerate_recurrence(self):
         # the tail bound needs n + 2L + 2 > 0, so no sum stops short of a_40
         with pytest.raises(DegenerateRecurrenceError) as exc:
@@ -935,3 +948,10 @@ class TestParams:
             CoulombParams(-2.0, 0.0)
         p = CoulombParams(0.0, 1.0, unsafe=True)
         assert not p.in_certified_region
+
+    def test_L_minus_one_refused_even_unsafe(self):
+        # a_1 = eta/(L+1): the one check of L != -1 is at construction
+        with pytest.raises(CoulombDomainError, match="requires L != -1"):
+            CoulombParams(-1.0, 0.0, unsafe=True)
+        with pytest.raises(CoulombDomainError, match="outside the certified region"):
+            CoulombParams(-1.0, 0.0)
