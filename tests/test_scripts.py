@@ -29,6 +29,14 @@ def test_sweep_radii_rows(capsys):
         assert float(cells[5]) <= float(cells[3])
 
 
+def test_sweep_radii_default_output_is_pinned(capsys):
+    # the default 5 x 4 grid, every radius and bracket to 10 digits
+    load("sweep_radii").main([])
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                           "sweep_radii.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_disk_scan_rows(capsys):
     pytest.importorskip("numpy")
     load("disk_scan").main(["--steps", "2", "--grid-n", "16"])
