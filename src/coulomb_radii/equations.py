@@ -22,16 +22,20 @@ twice, gives
     z P'''  = -(2L+3) P''  - (z - 2 eta) P'  - P,
     z P'''' = -(2L+4) P''' - (z - 2 eta) P'' - 2 P',
 
-so the jets cost no evaluation beyond P, P', P''.  With theta = z d/dz the
-quantities are (c + theta) P for the targets (c = L+1 for F', 1 for g'),
+so the jets cost no evaluation beyond P, P', P''.  With theta = z d/dz each
+derivative target is (s + 1 + theta) P, with the theta-shift s = L for F'
+and 0 for g' (theta_shift).  derivative_target names the one of each kind,
+F' for f and g' for g: its zeros are the paper's sigma and varsigma zeros,
+which cap the convexity radius and carry the Rayleigh sums.  Then
 (1 + theta)^2 P = g' + z g'' and (L+1 + theta)^2 P = F'' + F' (C-free), and
-d/dz (c + theta) = (c + 1 + theta) d/dz, so every jet needs z P''' and
-z^2 P'''' only, never a division by z.  The values are formed exactly as
-the expanded expressions above, whatever the slopes.
+d/dz (c + theta) = (c + 1 + theta) d/dz for a constant c, so every jet
+needs z P''' and z^2 P'''' only, never a division by z.  The values are
+formed exactly as the expanded expressions above, whatever the slopes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -84,17 +88,28 @@ def _mul(u: Jet, v: Jet) -> Jet:
 # --- zero targets -------------------------------------------------------------
 
 
+@functools.cache  # Kind(kind) once per kind, not at every evaluation
+def derivative_target(kind: Kind | str) -> ZeroTarget:
+    """The derivative of kind whose zeros cap its convexity radius and carry
+    its Rayleigh sums: F' (the sigma zeros) for f, g' (the varsigma zeros)
+    for g."""
+    return ZeroTarget.F_PRIME if Kind(kind) is Kind.F else ZeroTarget.G_PRIME
+
+
+def theta_shift(L: float, target: ZeroTarget) -> float:
+    """s of a derivative target (s + 1 + theta) P: L for F', 0 for g'."""
+    return L if target is ZeroTarget.F_PRIME else 0.0
+
+
 def target_jet(L: float, eta: float, target: ZeroTarget, z: float,
                sv: SeriesValue) -> tuple[Jet, float]:
     """(jet, cancellation-noise floor) of the target's C-free factor at z."""
     p = (sv.p0, sv.p1, sv.p2)
     if target is ZeroTarget.F:
         return p, sv.noise[0]
-    zp3 = _third(L, eta, z, sv)
-    if target is ZeroTarget.F_PRIME:
-        noise = (abs(L) + 1.0) * sv.noise[0] + abs(z) * sv.noise[1]
-        return _theta(L, p, z, zp3), noise
-    return _theta(0.0, p, z, zp3), sv.noise[0] + abs(z) * sv.noise[1]
+    s = theta_shift(L, target)
+    noise = (abs(s) + 1.0) * sv.noise[0] + abs(z) * sv.noise[1]
+    return _theta(s, p, z, _third(L, eta, z, sv)), noise
 
 
 def noise_limited(value: float, noise: float) -> bool:
@@ -104,10 +119,8 @@ def noise_limited(value: float, noise: float) -> bool:
 
 
 def target_at_origin(L: float, target: ZeroTarget) -> float:
-    # P(0) = 1, F'-target at 0 is L+1, g'(0) = 1
-    if target is ZeroTarget.F_PRIME:
-        return L + 1.0
-    return 1.0
+    # P(0) = 1, so a derivative target (s + 1 + theta) P is s + 1 there
+    return 1.0 if target is ZeroTarget.F else theta_shift(L, target) + 1.0
 
 
 # --- the normalized form g = z P ------------------------------------------------
@@ -129,29 +142,28 @@ def radius_terms(L: float, eta: float, kind: str, convex: bool, r: float,
     """(N, D, noise floor of D) of one radius equation N/D = beta at r, N and
     D as jets in r.
 
-    N/D is the defining ratio and D > 0 on (0, cap) for L > -1, eta <= 0:
+    N/D is the defining ratio and D > 0 on (0, cap) for L > -1, eta <= 0.
+    B = (s + 1 + theta) P is the derivative target of kind (g', or the C-free
+    F' for f) and s its theta-shift:
 
-        starlike g:  N = r P' + P,                    D = P           (r g'/g)
-        starlike f:  N = r P' + (L+1) P,              D = (L+1) P     (r F'/F / (L+1))
-        convex g:    N = g' + r g'',                  D = g'          (1 + r g''/g')
-        convex f:    N = (L+1) A (F'' + B) - L B^2,   D = (L+1) A B
-                     (1 + r F''/F' - (L/(L+1)) r F'/F, with A, B, F'' the C-free
-                     F, F', F'' of the module docstring)
+        starlike:  N = B = r P' + (s+1) P,          D = (s+1) P  (r g'/g, r F'/F/(L+1))
+        convex g:  N = (1 + theta) B = g' + r g'',  D = B        (1 + r g''/g')
+        convex f:  N = (L+1) A (F'' + B) - L B^2,   D = (L+1) A B
+                   (1 + r F''/F' - (L/(L+1)) r F'/F, with A, F'' the C-free
+                   F, F'' of the module docstring)
     """
+    target = derivative_target(kind)
+    s = theta_shift(L, target)
     p = (sv.p0, sv.p1, sv.p2)
     zp3 = _third(L, eta, r, sv)
-    if not convex:
-        if kind == "f":
-            return _theta(L, p, r, zp3), _scale(L + 1.0, p), abs(L + 1.0) * sv.noise[0]
-        return _theta(0.0, p, r, zp3), p, sv.noise[0]
-    zzp4 = _fourth(L, eta, r, sv, zp3)
-    if kind == "g":
-        den, noise = target_jet(L, eta, ZeroTarget.G_PRIME, r, sv)
-        # r g'''' = 4 r P''' + r^2 P''''
-        return _theta(0.0, den, r, 4.0 * zp3 + zzp4), den, noise
-    b, noise_b = target_jet(L, eta, ZeroTarget.F_PRIME, r, sv)
-    # F'' + B = (L+1 + theta) B, with r B''' = (L+4) r P''' + r^2 P''''
-    e = _theta(L, b, r, (L + 4.0) * zp3 + zzp4)
+    if not convex:  # N is the target's jet, without its noise floor
+        return _theta(s, p, r, zp3), _scale(s + 1.0, p), abs(s + 1.0) * sv.noise[0]
+    b, noise_b = target_jet(L, eta, target, r, sv)
+    # (s + 1 + theta) B, with r B''' = (s+4) r P''' + r^2 P''''; for f it is
+    # F'' + B, whose value is formed from the expanded F'' below
+    e = _theta(s, b, r, (s + 4.0) * zp3 + _fourth(L, eta, r, sv, zp3))
+    if target is ZeroTarget.G_PRIME:
+        return e, b, noise_b
     f_second = L * (L + 1.0) * sv.p0 + 2.0 * (L + 1.0) * r * sv.p1 + r * r * sv.p2
     e = (f_second + b[0], e[1], e[2])
     a = _scale(L + 1.0, p)
@@ -183,19 +195,18 @@ def equation(num: Jet, den: Jet, noise: float, r: float, beta: float,
 
 def equation_at_origin(L: float, kind: str, convex: bool, beta: float,
                        form: str) -> float:
-    """The equation at r = 0, where the ratio is 1 and D is 1, L+1 (f
-    starlike) or (L+1)^2 (f convex)."""
-    if form == "ratio" or kind == "g":
+    """The equation at r = 0, where the ratio is 1 and D is s + 1 (starlike)
+    or (s + 1)^2 (convex), s the theta-shift: 1 for g, L+1 or (L+1)^2 for f."""
+    if form == "ratio":
         return 1.0 - beta
-    return (1.0 - beta) * (L + 1.0) ** (2 if convex else 1)
+    return (1.0 - beta) * (theta_shift(L, derivative_target(kind)) + 1.0) ** (2 if convex else 1)
 
 
 # --- log-derivative ratios at one point -----------------------------------------
 
 
 def _check_ratio_args(kind: str, r: float) -> None:
-    if kind not in ("f", "g"):
-        raise ValueError(f"kind must be 'f' or 'g', got {kind!r}")
+    derivative_target(kind)  # the kind rule: Kind(kind), once per kind
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
 

@@ -31,7 +31,9 @@ where the scan ends before it (x1 beyond |z| = 55 or the noise floor), the
 domain cap is None and the result carries the flag domain-cap-beyond-range.  The univalence
 radius is the starlikeness radius at beta = 0.  Under unsafe parameters
 the decrease is not proven; it is checked on the points the scan and the
-solver visit, and a rise raises MonotonicityError.
+solver visit, and a rise raises MonotonicityError.  The cap of a convexity
+radius is the first zero of equations.derivative_target(kind): of F' for f
+and g' for g, whose zeros the paper calls sigma and varsigma.
 """
 
 from __future__ import annotations
@@ -99,10 +101,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     certified = (params.check_f_convexity() if convex and kind is Kind.F
                  else params.in_certified_region)
 
-    if convex:
-        cap_target = ZeroTarget.G_PRIME if kind is Kind.G else ZeroTarget.F_PRIME
-    else:
-        cap_target = ZeroTarget.F
+    cap_target = equations.derivative_target(kind) if convex else ZeroTarget.F
 
     flags: list[str] = []
     if not certified:

@@ -2,10 +2,11 @@
 
 Two independent routes to S_m = sum_n zeta_n^{-m}:
 
-  * extraction: the log-derivative of the relevant normalized series has
-    Taylor coefficients t_k with S_m = -t_{m-1} for m >= 2.  The sigma family
-    (zeros of F') uses coefficients (n+L+1)/(L+1) a_n; the varsigma family
-    (zeros of g') uses (n+1) a_n.
+  * extraction: the log-derivative of the target's normalized series has
+    Taylor coefficients t_k with S_m = -t_{m-1} for m >= 2.  A derivative
+    target (s + 1 + theta) P (equations.theta_shift) has the coefficients
+    (n+s+1)/(s+1) a_n: (n+L+1)/(L+1) a_n for the zeros of F' (the paper's
+    sigma sums), (n+1) a_n for the zeros of g' (its varsigma sums).
   * closed form: the printed degree-(2,3) rational expressions in (L, eta).
 
 The printed m=3 polynomials disagree with extraction at most parameters (at
@@ -26,15 +27,10 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .equations import Kind
+from .equations import Kind, ZeroTarget, derivative_target, theta_shift
 from .errors import CoulombError
 from .params import CoulombParams
 from .series import coefficients
-
-
-class Family(str, Enum):
-    SIGMA = "sigma"  # zeros of F'
-    VARSIGMA = "varsigma"  # zeros of g'
 
 
 class SumMethod(str, Enum):
@@ -48,7 +44,7 @@ class RayleighSums:
     and a note on each printed value that disagrees with it."""
 
     params: CoulombParams
-    family: Family
+    target: ZeroTarget
     method: SumMethod
     values: Mapping[int, float]
     discrepancies: Mapping[int, str]
@@ -65,6 +61,9 @@ class RayleighSums:
             values = self.values
         else:
             raise ValueError("an extracted record holds no closed-form sums")
+        if m not in values or m + 1 not in values:
+            raise ValueError(f"the record holds S_{min(values)}..S_{max(values)}; "
+                             f"the m = {m} bracket needs S_{m} and S_{m + 1}")
         s_m, s_m1 = values[m], values[m + 1]
         if not s_m > 0.0:
             raise CoulombError(
@@ -94,12 +93,9 @@ def logderiv_coeffs(series_coeffs: Sequence[float], m_max: int) -> list[float]:
     return t
 
 
-def _extracted_values(params: CoulombParams, family: Family, m_max: int) -> dict[int, float]:
-    a, L = coefficients(params, m_max + 2).a, params.L
-    if family is Family.SIGMA:
-        c = [(k + L + 1.0) / (L + 1.0) * a_k for k, a_k in enumerate(a)]
-    else:
-        c = [(k + 1.0) * a_k for k, a_k in enumerate(a)]
+def _extracted_values(params: CoulombParams, target: ZeroTarget, m_max: int) -> dict[int, float]:
+    a, s = coefficients(params, m_max + 2).a, theta_shift(params.L, target)
+    c = [(k + s + 1.0) / (s + 1.0) * a_k for k, a_k in enumerate(a)]
     t = logderiv_coeffs(c, m_max - 1)
     return {m: -t[m - 1] for m in range(2, m_max + 1)}
 
@@ -134,47 +130,49 @@ def _varsigma3_closed(L: float, eta: float) -> float:
     return num / ((L + 1.0) ** 3 * (L + 2.0) * (2.0 * L + 3.0))
 
 
-def sums(params: CoulombParams, family: Family | str, method: SumMethod | str,
+def sums(params: CoulombParams, target: ZeroTarget | str, method: SumMethod | str,
          m_max: int = 8) -> RayleighSums:
-    """Rayleigh sums S_2..S_{m_max} for the chosen family and route.
+    """Rayleigh sums S_2..S_{m_max} over the zeros of a derivative target (F'
+    or g'; not F) by the chosen route.
 
     closed_form supports m in {2, 3} only and annotates any m=3 value that
     disagrees with extraction beyond 1e-8 relative.
     """
-    family = Family(family)
+    target = ZeroTarget(target)
     method = SumMethod(method)
+    if target is ZeroTarget.F:
+        raise ValueError("Rayleigh sums run over the zeros of F_prime or g_prime, not F")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     if method is SumMethod.EXTRACTED:
-        values = MappingProxyType(_extracted_values(params, family, m_max))
-        return RayleighSums(params, family, method, values, MappingProxyType({}), values)
+        values = MappingProxyType(_extracted_values(params, target, m_max))
+        return RayleighSums(params, target, method, values, MappingProxyType({}), values)
     if m_max > 3:
         raise ValueError("closed_form supports m in {2, 3} only")
-    extracted = _extracted_values(params, family, 3)
-    closed = ((_sigma2_closed, _sigma3_closed) if family is Family.SIGMA
+    extracted = _extracted_values(params, target, 3)
+    closed = ((_sigma2_closed, _sigma3_closed) if target is ZeroTarget.F_PRIME
               else (_varsigma2_closed, _varsigma3_closed))
     values = {m: f(params.L, params.eta) for m, f in zip((2, 3), closed) if m <= m_max}
     notes = {m: f"printed m={m} value {v:.12g} disagrees with coefficient extraction "
                 f"{extracted[m]:.12g}; extraction is used for bounds"
              for m, v in values.items()
              if abs(v - extracted[m]) / max(abs(extracted[m]), 1e-30) > 1e-8}
-    return RayleighSums(params, family, method, MappingProxyType(values),
+    return RayleighSums(params, target, method, MappingProxyType(values),
                         MappingProxyType(notes), MappingProxyType(extracted))
 
 
 def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2, *,
                  method: SumMethod | str = SumMethod.EXTRACTED) -> RayleighSums:
-    """S_2..S_{m+1} by method of the family that bounds the univalence radius
-    of kind (sigma for f, varsigma for g): the record of the brackets of every
-    even order up to m.  m must be even, so the lower bound is unconditional
-    for real zeros; closed forms give m = 2 only."""
+    """S_2..S_{m+1} by method over the zeros of derivative_target(kind) (F' for
+    f, g' for g), which bound the univalence radius of kind: the record of the
+    brackets of every even order up to m.  m must be even, so the lower bound
+    is unconditional for real zeros; closed forms give m = 2 only."""
     method = SumMethod(method)
     if m < 2 or m % 2:
         raise ValueError("m must be an even count >= 2")
     if method is SumMethod.CLOSED_FORM and m != 2:
         raise ValueError("closed_form bounds exist for m = 2 only")
-    family = Family.SIGMA if Kind(kind) is Kind.F else Family.VARSIGMA
-    return sums(params, family, method, m_max=m + 1)
+    return sums(params, derivative_target(kind), method, m_max=m + 1)
 
 
 def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2, *,

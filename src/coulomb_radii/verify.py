@@ -18,11 +18,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .equations import conv_ratio, g_value, star_ratio
+from .equations import Kind, conv_ratio, derivative_target, g_value, star_ratio
 from .errors import ConvergenceError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
-from .rayleigh import Family, SumMethod, bracket_sums, euler_rayleigh_bounds, sums
+from .rayleigh import SumMethod, bracket_sums, euler_rayleigh_bounds, sums
 from .series import eval_point
 from .subordination import axis_minimum_gap, disk_min_real
 from .zeros import ZeroSet, ZeroTarget, find_zeros
@@ -182,8 +182,8 @@ def _bessel_cross_validation() -> CriterionResult:
 def _closed_form_agreement() -> CriterionResult:
     worst = 0.0
     for params in _grid():
-        for family in Family:
-            s = sums(params, family, SumMethod.CLOSED_FORM, 2)
+        for kind in Kind:
+            s = sums(params, derivative_target(kind), SumMethod.CLOSED_FORM, 2)
             worst = max(worst, abs(s.values[2] - s.extracted[2]) / abs(s.extracted[2]))
     ok = worst <= 1e-10
     return CriterionResult(
@@ -194,7 +194,7 @@ def _closed_form_agreement() -> CriterionResult:
 
 def _documented_discrepancy() -> CriterionResult:
     params = CoulombParams(0.0, -1.0)
-    s = sums(params, Family.SIGMA, SumMethod.CLOSED_FORM, 3)
+    s = sums(params, ZeroTarget.F_PRIME, SumMethod.CLOSED_FORM, 3)
     printed_ok = abs(s.values[3] - 6.0) <= 1e-12
     extracted_ok = abs(s.extracted[3] - 13.0 / 3.0) <= 1e-13
     annotated = 3 in s.discrepancies
@@ -273,24 +273,16 @@ def _monotone_ratios() -> CriterionResult:
     ok = True
     failures = []
     for params in _grid():
-        # for eta <= 0 the first positive zero is the one nearest the origin
-        cap_of = {
-            key: find_zeros(params, target, 1, 0).positive[0]
-            for key, target in (("star", ZeroTarget.F), ("conv_g", ZeroTarget.G_PRIME),
-                                ("conv_f", ZeroTarget.F_PRIME))
-        }
-        checks = [
-            ("star", lambda r: star_ratio(params, "g", r)),
-            ("star", lambda r: star_ratio(params, "f", r)),
-            ("conv_g", lambda r: conv_ratio(params, "g", r)),
-            ("conv_f", lambda r: conv_ratio(params, "f", r)),
-        ]
-        for cap_key, fn in checks:
-            cap = cap_of[cap_key]
-            values = [fn(cap * i / 65.0) for i in range(1, 65)]
-            if not all(a > b for a, b in zip(values, values[1:])):
-                ok = False
-                failures.append(f"(L={params.L}, eta={params.eta}, {cap_key})")
+        # cap: first positive zero of F or of the derivative target (nearest 0, eta <= 0)
+        cap_of = {target: find_zeros(params, target, 1, 0).positive[0]
+                  for target in (ZeroTarget.F, *map(derivative_target, ("g", "f")))}
+        for name, ratio in (("star", star_ratio), ("conv", conv_ratio)):
+            for kind in ("g", "f"):
+                cap = cap_of[derivative_target(kind) if name == "conv" else ZeroTarget.F]
+                values = [ratio(params, kind, cap * i / 65.0) for i in range(1, 65)]
+                if not all(a > b for a, b in zip(values, values[1:])):
+                    ok = False
+                    failures.append(f"(L={params.L}, eta={params.eta}, {name}_{kind})")
     return CriterionResult(
         8, "star and convexity ratios strictly decrease on (0, cap)", ok,
         "failures: " + ", ".join(failures) if failures else

@@ -93,8 +93,8 @@ from that end's direct sum, or directly where that end is the origin or the
 local sum would not pay.  A refine step lies within half a step of its
 base, where the series about the base converges like (h/z0)^k: on the
 zero-scan benchmark it takes about 19 terms against 71 from the origin,
-plus some 24 once per base to carry the base's sum deeper.  The values are the same doubles as the direct sums', up to a rare
-last-bit rounding.
+plus some 24 once per base to carry the base's sum deeper.  The values are
+the same doubles as the direct sums', up to a rare last-bit rounding.
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root

@@ -17,13 +17,13 @@ def evaluations():
 
 @pytest.fixture
 def extractions(monkeypatch):
-    """The (params, family) of every log-derivative extraction made while a
+    """The (params, target) of every log-derivative extraction made while a
     test runs (rayleigh._extracted_values), in order."""
     calls = []
     extract = rayleigh._extracted_values
 
-    def counted(params, family, m_max):
-        calls.append((params, family))
-        return extract(params, family, m_max)
+    def counted(params, target, m_max):
+        calls.append((params, target))
+        return extract(params, target, m_max)
     monkeypatch.setattr(rayleigh, "_extracted_values", counted)
     return calls

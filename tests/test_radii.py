@@ -4,13 +4,15 @@ import math
 
 import pytest
 
-from coulomb_radii import CoulombDomainError, CoulombParams, conv_ratio
+from coulomb_radii import CoulombDomainError, CoulombParams, conv_ratio, star_ratio
+from coulomb_radii.equations import derivative_target
 from coulomb_radii.radii import (
     Kind,
     RadiusProperty,
     RadiusQuery,
     radius,
 )
+from coulomb_radii.rayleigh import bracket_sums
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
 P00 = CoulombParams(0.0, 0.0)
@@ -89,6 +91,20 @@ class TestConvex:
         assert math.isfinite(conv_ratio(unsafe, "f", 0.1))
 
 
+def test_kind_rule_is_one_rule():
+    # the ratios, the radius query and the Rayleigh record all decide the
+    # kind by Kind(kind), with one message
+    params = CoulombParams(0.5, -1.0)
+    calls = (lambda: star_ratio(params, "x", 0.5), lambda: conv_ratio(params, "x", 0.5),
+             lambda: RadiusQuery(params, "x", "starlike"), lambda: bracket_sums(params, "x"))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {"'x' is not a valid Kind"}
+
+
 class TestUnivalence:
     def test_sine_is_pi_half(self):
         for kind in ("g", "f"):
@@ -109,6 +125,15 @@ class TestUnivalence:
         # another beta that the solver would then ignore
         with pytest.raises(ValueError, match="beta"):
             RadiusQuery(P00, "g", "univalent", beta)
+
+    @pytest.mark.parametrize("params", GRID, ids=lambda p: f"L{p.L}_eta{p.eta}")
+    def test_radius_is_the_first_zero_of_the_derivative_target(self, params):
+        # r g'/g and r F'/F vanish with g' and F': the univalence radius of
+        # each kind is the first positive zero of its derivative target
+        for kind in Kind:
+            x = find_zeros(params, derivative_target(kind), 1, 0).positive[0]
+            value = radius(RadiusQuery(params, kind, "univalent")).value
+            assert abs(value - x) <= 1e-12 * max(1.0, x)
 
     def test_f_eta_minus_one_inside_rayleigh_bracket(self):
         res = radius(RadiusQuery(CoulombParams(0.0, -1.0), "f", "univalent"))

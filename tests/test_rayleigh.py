@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from coulomb_radii import CoulombParams, rayleigh, verify
+from coulomb_radii.equations import ZeroTarget
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.rayleigh import (
-    Family,
     SumMethod,
     bracket_sums,
     euler_rayleigh_bounds,
@@ -71,12 +71,12 @@ class TestLogderivCoeffs:
 
 class TestSums:
     def test_extracted_sigma_at_0_minus1(self):
-        s = sums(CoulombParams(0.0, -1.0), Family.SIGMA, SumMethod.EXTRACTED, 4)
+        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 4)
         assert s.values[2] == pytest.approx(3.0, abs=1e-13)
         assert s.values[3] == pytest.approx(13.0 / 3.0, abs=1e-13)
 
     def test_closed_form_sigma_at_0_minus1_is_flagged(self):
-        s = sums(CoulombParams(0.0, -1.0), Family.SIGMA, SumMethod.CLOSED_FORM, 3)
+        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, SumMethod.CLOSED_FORM, 3)
         assert s.values[2] == pytest.approx(3.0, abs=1e-13)
         # the printed cubic evaluates to 6 here; extraction gives 13/3
         assert s.values[3] == pytest.approx(6.0, abs=1e-12)
@@ -85,43 +85,50 @@ class TestSums:
     def test_varsigma_cosine_sum(self):
         # zeros of cos: sum of 1/xi^2 = (8/pi^2) sum (2n-1)^{-2} = 1
         for method in SumMethod:
-            s = sums(CoulombParams(0.0, 0.0), Family.VARSIGMA, method, 3)
+            s = sums(CoulombParams(0.0, 0.0), ZeroTarget.G_PRIME, method, 3)
             assert s.values[2] == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("L", GRID_L)
     @pytest.mark.parametrize("eta", GRID_ETA)
     def test_order_two_closed_forms_match_extraction(self, L, eta):
         params = CoulombParams(L, eta)
-        for family in Family:
-            closed = sums(params, family, SumMethod.CLOSED_FORM, 2).values[2]
-            extracted = sums(params, family, SumMethod.EXTRACTED, 2).values[2]
+        for target in (ZeroTarget.F_PRIME, ZeroTarget.G_PRIME):
+            closed = sums(params, target, SumMethod.CLOSED_FORM, 2).values[2]
+            extracted = sums(params, target, SumMethod.EXTRACTED, 2).values[2]
             assert abs(closed - extracted) <= 1e-10 * abs(extracted)
 
     def test_extraction_self_consistency(self):
         # S_m from m_max and from 2 m_max coefficients agree
         params = CoulombParams(0.5, -1.0)
-        a = sums(params, Family.SIGMA, SumMethod.EXTRACTED, 8).values
-        b = sums(params, Family.SIGMA, SumMethod.EXTRACTED, 16).values
+        a = sums(params, ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 8).values
+        b = sums(params, ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 16).values
         for m in range(2, 9):
             assert a[m] == pytest.approx(b[m], rel=1e-12, abs=1e-12)
 
     def test_odd_sums_vanish_at_eta_zero(self):
-        s = sums(CoulombParams(1.5, 0.0), Family.SIGMA, SumMethod.EXTRACTED, 8)
+        s = sums(CoulombParams(1.5, 0.0), ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 8)
         assert s.values[3] == 0.0
         assert s.values[5] == 0.0
         assert s.values[7] == 0.0
 
     def test_closed_form_beyond_three_unsupported(self):
         with pytest.raises(ValueError):
-            sums(CoulombParams(0.0, -1.0), Family.SIGMA, SumMethod.CLOSED_FORM, 4)
+            sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, SumMethod.CLOSED_FORM, 4)
 
-    def test_zero_sum_identity_against_refined_zeros(self):
+    @pytest.mark.parametrize("L, eta, target", [
+        (0.0, -1.0, ZeroTarget.F_PRIME),
+        (0.5, -1.0, ZeroTarget.F_PRIME),
+        (0.5, -1.0, ZeroTarget.G_PRIME),
+    ], ids=["L0-F_prime", "L0.5-F_prime", "L0.5-g_prime"])
+    def test_zero_sum_identity_against_refined_zeros(self, L, eta, target):
         # S_2 equals the partial sum over refined zeros plus a tail below the
-        # analytic correction bound 1/(s x_N) per side (s = min observed gap)
-        from coulomb_radii.zeros import ZeroTarget, find_zeros
+        # analytic correction bound 1/(s x_N) per side (s = min observed gap).
+        # F' and g' are one function at L = 0; at L = 0.5 their S_2 are 1.040
+        # and 1.528, so sums over the other target's zeros fail the bound
+        from coulomb_radii.zeros import find_zeros
 
-        params = CoulombParams(0.0, -1.0)
-        zs = find_zeros(params, ZeroTarget.F_PRIME, 12, 12)
+        params = CoulombParams(L, eta)
+        zs = find_zeros(params, target, 12, 12)
         assert len(zs.positive) >= 10 and len(zs.negative) >= 10
         partial = sum(x**-2 for x in zs.positive) + sum(y**-2 for y in zs.negative)
         gaps_pos = [b - a for a, b in zip(zs.positive, zs.positive[1:])]
@@ -129,7 +136,7 @@ class TestSums:
         tail_bound = 1.0 / (min(gaps_pos) * zs.positive[-1]) + 1.0 / (
             min(gaps_neg) * -zs.negative[-1]
         )
-        s2 = sums(params, Family.SIGMA, SumMethod.EXTRACTED, 2).values[2]
+        s2 = sums(params, target, SumMethod.EXTRACTED, 2).values[2]
         assert abs(s2 - partial) <= tail_bound
 
 
@@ -204,6 +211,18 @@ class TestOneRecord:
             for kind in ("f", "g"):
                 assert bracket_sums(params, kind, 4).bracket(2) == euler_rayleigh_bounds(
                     params, kind, 2)
+
+    def test_bracket_outside_the_record_names_its_orders(self):
+        record = bracket_sums(CoulombParams(0.5, -1.0), "f", 2)
+        assert record.target is ZeroTarget.F_PRIME
+        for m in (3, 4):
+            with pytest.raises(ValueError, match=rf"holds S_2\.\.S_3; the m = {m} bracket"):
+                record.bracket(m)
+
+    def test_sums_refuse_the_zeros_of_F(self, extractions):
+        with pytest.raises(ValueError, match="not F"):
+            sums(CoulombParams(0.0, -1.0), ZeroTarget.F, SumMethod.EXTRACTED)
+        assert extractions == []
 
     def test_bad_order_is_refused_before_any_extraction(self, extractions):
         params = CoulombParams(0.0, -1.0)
