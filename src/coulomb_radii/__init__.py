@@ -19,6 +19,7 @@ from .series import (
     eval_near,
     eval_point,
     eval_series,
+    jet,
 )
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "eval_near",
     "eval_point",
     "eval_series",
+    "jet",
     "star_ratio",
 ]
 

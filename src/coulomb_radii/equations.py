@@ -41,7 +41,7 @@ from enum import Enum
 
 from .errors import PoleError
 from .params import CoulombParams
-from .series import SeriesValue, eval_point
+from .series import SeriesValue, eval_point, noise_limited  # noqa: F401 (re-exported)
 
 Jet = tuple[float, float, float]  # (value, d/dz, d^2/dz^2)
 
@@ -101,6 +101,12 @@ def theta_shift(L: float, target: ZeroTarget) -> float:
     return L if target is ZeroTarget.F_PRIME else 0.0
 
 
+def centrifugal(L: float, target: ZeroTarget) -> float:
+    """c of the coefficient 1 - 2 eta/t - c/t^2 whose sign rules the target's
+    zeros (the zeros module): L(L+1), of q, for F and F'; 2L, of r, for g'."""
+    return 2.0 * L if target is ZeroTarget.G_PRIME else L * (L + 1.0)
+
+
 def target_jet(L: float, eta: float, target: ZeroTarget, z: float,
                sv: SeriesValue) -> tuple[Jet, float]:
     """(jet, cancellation-noise floor) of the target's C-free factor at z."""
@@ -110,12 +116,6 @@ def target_jet(L: float, eta: float, target: ZeroTarget, z: float,
     s = theta_shift(L, target)
     noise = (abs(s) + 1.0) * sv.noise[0] + abs(z) * sv.noise[1]
     return _theta(s, p, z, _third(L, eta, z, sv)), noise
-
-
-def noise_limited(value: float, noise: float) -> bool:
-    """True where value lies within eight cancellation-noise floors of zero
-    (and the floor exceeds 1e-14), so its sign is not resolved."""
-    return abs(value) <= 8.0 * noise and noise > 1e-14
 
 
 def target_at_origin(L: float, target: ZeroTarget) -> float:

@@ -21,8 +21,10 @@ beyond t (or x1 is in the step, refined first, and the bracket is
 and the radius needs x1 only where x1 lies in its step.  The one root
 finder of the zeros module (refine_bracket) refines that bracket with
 Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
-the bracket) on the abscissa; each of its evaluations, and the residual's,
-is a direct sum from the origin (series.sum_point), as a scan step's is.  It
+the bracket) on the abscissa.  Its first evaluation is a direct sum from
+the origin (series.sum_point), as a scan step's is; its later evaluations
+and the residual's are jets of the points it summed (series.jet, through
+zeros.refine_values), each summed instead where no jet is taken.  It
 solves either the ratio form N/D - beta ("ratio") or the direct form
 N - beta D ("direct"), which has the sign of the ratio form wherever D > 0;
 the two roots agreeing is one of the acceptance checks.  The scan then runs
@@ -46,9 +48,9 @@ from . import equations
 from .errors import MonotonicityError, PoleError
 from .equations import Jet, Kind  # Kind is re-exported here
 from .params import CoulombParams
-from .series import SeriesValue, sum_point
+from .series import SeriesValue
 # find_zeros stays bound here, where perfbench's tracer also wraps it
-from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
+from .zeros import ZeroTarget, find_zeros, refine_bracket, refine_values, scan  # noqa: F401
 
 _ABSCISSA_TOL = 1e-13
 
@@ -147,9 +149,10 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     if cap is None:
         flags.append("domain-cap-beyond-range")
     lo, hi, at_lo, at_hi = bracket
-    ref = refine_bracket(lambda r: at(r, sum_point(params, r)), lo, hi, at_lo, at_hi,
+    value = refine_values(params)
+    ref = refine_bracket(lambda r: at(r, value(r)), lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
-    residual = at(ref.root, sum_point(params, ref.root))[0]
+    residual = at(ref.root, value(ref.root))[0]
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
         # verify it on the points the scan and the solver visited instead of

@@ -33,6 +33,9 @@ from .params import CoulombParams
 from .series import coefficients
 
 
+_EVEN_M = "m must be an even count >= 2"
+
+
 class SumMethod(str, Enum):
     CLOSED_FORM = "closed_form"
     EXTRACTED = "extracted"
@@ -53,7 +56,9 @@ class RayleighSums:
     def bracket(self, m: int = 2, method: SumMethod | str | None = None,
                 ) -> tuple[float, float | None]:
         """(S_m^{-1/m}, S_m/S_{m+1}; None unless S_{m+1} > 0) from the sums of
-        method: by default the record's own, and 'extracted' its extraction."""
+        method: by default the record's own, and 'extracted' its extraction.
+        m must be even, as in bracket_sums: with zeros of both signs an odd
+        S_m bounds nothing."""
         method = self.method if method is None else SumMethod(method)
         if method is SumMethod.EXTRACTED:
             values = self.extracted
@@ -64,6 +69,8 @@ class RayleighSums:
         if m not in values or m + 1 not in values:
             raise ValueError(f"the record holds S_{min(values)}..S_{max(values)}; "
                              f"the m = {m} bracket needs S_{m} and S_{m + 1}")
+        if m % 2:
+            raise ValueError(_EVEN_M)
         s_m, s_m1 = values[m], values[m + 1]
         if not s_m > 0.0:
             raise CoulombError(
@@ -169,7 +176,7 @@ def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2, *,
     is unconditional for real zeros; closed forms give m = 2 only."""
     method = SumMethod(method)
     if m < 2 or m % 2:
-        raise ValueError("m must be an even count >= 2")
+        raise ValueError(_EVEN_M)
     if method is SumMethod.CLOSED_FORM and m != 2:
         raise ValueError("closed_form bounds exist for m = 2 only")
     return sums(params, derivative_target(kind), method, m_max=m + 1)

@@ -55,9 +55,9 @@ Precision follows the point.  A sum starts at 192 bits; where a sum does
 not clear its bound by 56 bits (cancellation beyond ~2^130, or a point
 next to a zero of P, P' or P''), eval_series sums again, in the same call,
 at the precision that bound asks for, up to 2048 bits.  A point still short
-there returns with its true, large bound, and equations.noise_limited
-flags it.  Beyond |z| = 55, and where a value or its bound overflows a
-double, evaluation raises ConvergenceError.
+there returns with its true, large bound, and noise_limited flags it.
+Beyond |z| = 55, and where a value or its bound overflows a double,
+evaluation raises ConvergenceError.
 
 Local sums.  eval_near sums P about a point z0 != 0 whose direct sum a
 caller already holds (the zero scan's steps), instead of about 0.  The
@@ -114,15 +114,36 @@ that deeper sum is kept with the value for its later uses as a base.  The
 value itself, its repr and its equality do not change.  A local value keeps
 nothing and is refused as a base, so errors never chain.
 
+Jets.  jet serves a point z next to a sum at z0, direct or local, without
+a sum.  Within |z - z0| <= 2^-12 |z0|, where the terms about z0 fall by 12
+bits or more each, the recurrence above runs in doubles from u_0 = P(z0) and
+u_1 = h P'(z0); h = z - z0 is exact there (Sterbenz), and a few terms give
+P, h P' and h^2 P''.  Its noise is a bound of three parts.  The base's noise
+is carried through a majorant of the recurrence: E_0 and E_1 are the base's
+bounds, and
+    E_n = |n+2L|/n |h/z0| F_(n-1)
+          + (|z0 - 2 eta| h^2 F_(n-2) + |h|^3 F_(n-3)) / (|z0| n(n-1)),
+with F_k = E_k + 16 eps |u_k| for the roundings u_k brings into the terms
+after it (eps = 2^-53).  A running rounding bound covers the three sums in
+doubles: (N+1) eps times the sums of |u_k|, k |u_k| and k(k-1) |u_k|.  The
+geometric tail bound is that of the local sums, with one rho for every n,
+taken from the recurrence's coefficients at n = 3, which bound all later
+ones.  The jet stops once each weighted tail bound lies below the error
+bound of its sum.  jet returns None beyond its reach, past |z| = 55, and
+where P, P' or P'' is noise_limited by its bound; the caller then sums the
+point.  A jet keeps neither loop state nor its point, so it is the base of
+neither eval_near nor jet, and errors never chain.  One jet costs about half
+a local sum and a tenth of a direct sum at |z| = 40.
+
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  Only eval_point keeps values between calls, a memo of the last
 512 keyed by the exact (L, eta, z); sum_point, eval_series and eval_near sum
 on every call, and the zero scan and the radius solve, whose points never
 repeat, use them.  counting() counts every sum made inside its block, where
-it is made, the steps of zeros.refine_bracket and the hits and misses of
-eval_point's memo; outside a block a sum or a memo lookup pays one
-ContextVar lookup.
+it is made, the jets, the steps of zeros.refine_bracket and the hits and
+misses of eval_point's memo; outside a block a sum, a jet or a memo lookup
+pays one ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -159,6 +180,11 @@ _ESTIMATE_BITS = 64  # a local sum is estimated to stop once (h/z0)^k < 2^-64
 _LOCAL_COST = 2
 _LOCAL_SETUP = 30
 _MEMO_SIZE = 512  # eval_point's values kept, about 1 KB each with their loop state
+_JET_REACH = 2.0 ** -12  # jet serves points within this share of |z0| of its base
+_JET_TERMS = 32  # ... and gives up on a jet that needs this many terms
+_EPS = 2.0 ** -53  # the unit roundoff of a double
+_JET_ROUND = 16.0 * _EPS  # bounds the roundings of one jet term against its parts
+_TINY = 2.0 ** -1060  # ... plus this, for a term that leaves the normal range
 
 
 @dataclass
@@ -179,6 +205,7 @@ class SumCounts:
     base_terms: int = 0
     local_fallbacks: int = 0
     refine_steps: int = 0
+    jets: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -301,7 +328,8 @@ class SeriesValue:
     sum (both of the last pass, at the precision that was kept).  A direct
     sum (eval_point, sum_point, eval_series) also keeps what eval_near needs
     about its point, outside the value's repr and equality; a local sum
-    (eval_near) keeps nothing.
+    (eval_near) keeps nothing of it.  Every sum, direct or local, keeps its
+    (L, eta, z) for jet; a jet keeps neither.
     """
 
     p0: float
@@ -312,6 +340,8 @@ class SeriesValue:
     noise: tuple[float, float, float]
     # a direct sum's (L, eta, z, bits, loop state); None for a local sum
     _base: tuple | None = field(default=None, repr=False, compare=False)
+    # a sum's (L, eta, z); None for a jet
+    _at: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def _deep(self) -> _Sums:
@@ -326,6 +356,12 @@ class SeriesValue:
             counts.base_terms += n - state[0]
             counts.terms += n - state[0]
         return _Sums(s0, s1, r0, r1, shift)
+
+
+def noise_limited(value: float, noise: float) -> bool:
+    """True where value lies within eight cancellation-noise floors of zero
+    (and the floor exceeds 1e-14), so its sign is not resolved."""
+    return abs(value) <= 8.0 * noise and noise > 1e-14
 
 
 def eval_series(table: CoefficientTable, z: float) -> SeriesValue:
@@ -413,6 +449,90 @@ def _reach(base: SeriesValue) -> float:
     return abs(base._base[2]) * 2.0 ** (-_ESTIMATE_BITS * _LOCAL_COST / spare) if spare > 0 else 0.0
 
 
+def jet(value: SeriesValue, z: float) -> SeriesValue | None:
+    """P, P' and P'' at z from the Taylor jet of the sum value at z0, in
+    doubles (module docstring, Jets); None where |z - z0| > 2^-12 |z0|, or
+    where P, P' or P'' is noise_limited by the jet's bound.
+
+    value is a sum (eval_point, sum_point, eval_series or eval_near); a jet
+    is refused as a base, so errors never chain, and a jet is no base of
+    eval_near either.  The noise means what a sum's does.
+    """
+    at = value._at
+    if at is None:
+        raise ValueError("jet needs a sum (eval_point, sum_point, eval_series, eval_near)")
+    L, eta, z0 = at
+    z = float(z)
+    if z == z0:
+        return value
+    h = z - z0  # exact within the reach, where z0/2 <= z <= 2 z0
+    ah = abs(h)
+    if not ah <= _JET_REACH * abs(z0) or abs(z) > EVAL_Z_MAX:
+        return None
+    # n(n-1) u_n = -(n-1)(n+2L) qa u_(n-1) - qb u_(n-2) - qc u_(n-3), u_k = c_k h^k
+    qa, qb, qc = h / z0, (z0 - 2.0 * eta) * (h * h) / z0, h * h * h / z0
+    ma, mb, mc = abs(qa) * _UP, abs(qb) * _UP, abs(qc) * _UP  # the majorant's
+    l2, eps, up, rnd = 2.0 * L, _EPS, _UP, _JET_ROUND
+    # E_k bounds the error of u_k, from the base's bounds at E_0 and E_1, and
+    # F_k = E_k + rnd |u_k| adds the roundings u_k brings into later terms:
+    # E_n = (|n+2L|/n ma F_(n-1) + (mb F_(n-2) + mc F_(n-3))/(n(n-1))) + _TINY;
+    # g0, g1, g2 sum E_k, k E_k and k(k-1) E_k
+    u2, u1, u3 = value.p0, h * value.p1, 0.0
+    a2, a1, a3 = abs(u2), abs(u1), 0.0
+    e2, e1 = value.noise[0], ah * value.noise[1] * up + eps * a1
+    f3, f2, f1 = 0.0, e2 + rnd * a2, e1 + rnd * a1
+    s0, s1, s2 = u2 + u1, u1, 0.0
+    g0, g1, g2 = e2 + e1, e1, 0.0
+    # the sums of |u_k|, k |u_k| and k(k-1) |u_k|: N + 1 terms summed in
+    # doubles err by at most (N + 1) eps times these, the products k u_k included
+    m0, m1, m2 = a2 + a1, a1, 0.0
+    # every |u_m|, m > n >= 2, follows from the last three by coefficients at
+    # most those at m = 3, so one rho serves every n
+    rho = _dominant_root(ma * max(1.0, abs(3.0 + l2) / 3.0), mb / 6.0, mc / 6.0)
+    for n in range(2, _JET_TERMS):
+        k = n * (n - 1.0)
+        c = (n - 1.0) * (n + l2)
+        u = -(c * qa * u1 + qb * u2 + qc * u3) / k
+        au = abs(u)
+        e = (abs(c) * ma * f1 + mb * f2 + mc * f3) / k + _TINY
+        s0 += u
+        s1 += n * u
+        s2 += k * u
+        m0 += au
+        m1 += n * au
+        m2 += k * au
+        g0 += e
+        g1 += n * e
+        g2 += k * e
+        u3, u2, u1, a3, a2, a1, f3, f2, f1 = u2, u1, u, a2, a1, au, f2, f1, e + rnd * au
+        ratio = rho * (n + 2.0) / n
+        # stop once each weighted tail bound lies below the error bound of its
+        # sum, which is at least 3 eps times it; tau is at least |u_n| rho
+        roundoff = (n + 1.0) * eps
+        err0 = g0 + roundoff * m0
+        if au * rho > err0 or ratio >= 1.0:
+            continue
+        # F_k >= E_k bounds |u_k| - |computed u_k| as well
+        tau = max(a1 + f1, rho * (a2 + f2), rho * rho * (a3 + f3)) * rho / (1.0 - ratio) * up
+        err1, err2 = g1 + roundoff * m1, g2 + roundoff * m2
+        if tau <= err0 and (n + 1.0) * tau <= err1 and (n + 1.0) * n * tau <= err2:
+            break
+    else:
+        return None
+    # P = s0, P' = s1/h and P'' = s2/h^2, each division rounded once
+    p0, p1, p2 = s0, s1 / h, s2 / h / h
+    b0 = (err0 + tau) * up
+    b1 = ((err1 + (n + 1.0) * tau) / ah + eps * abs(p1)) * up
+    b2 = ((err2 + (n + 1.0) * n * tau) / ah / ah + 2.0 * eps * abs(p2)) * up
+    if (not b0 + b1 + b2 + abs(p0) + abs(p1) + abs(p2) < math.inf
+            or noise_limited(p0, b0) or noise_limited(p1, b1) or noise_limited(p2, b2)):
+        return None
+    counts = _record.get()
+    if counts is not None:
+        counts.jets += 1
+    return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau, noise=(b0, b1, b2))
+
+
 def _direct(L: float, eta: float, z: float) -> SeriesValue:
     """The sum from the origin, at the precision its bounds ask for."""
     z = float(z)
@@ -433,7 +553,7 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
             counts.terms += 1
         return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
                            noise=tuple(0.5 * math.ulp(v) for v in values),
-                           _base=(L, eta, z, 0, None))
+                           _base=(L, eta, z, 0, None), _at=(L, eta, z))
     bits = _START_BITS
     while True:
         sums, errs, shift, n, tau, state = _fixed_point_sum(L, eta, z, bits, _TAIL_BITS)
@@ -441,7 +561,8 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
         if missing <= 0 or bits >= _MAX_BITS:
             break
         bits = min(bits + missing, _MAX_BITS)
-    sv = _rounded(sums, errs, shift, n, tau, z.as_integer_ratio(), z, (L, eta, z, bits, state))
+    sv = _rounded(sums, errs, shift, n, tau, z.as_integer_ratio(), (L, eta, z),
+                  (L, eta, z, bits, state))
     if counts is not None:
         counts.terms += sv.truncation_terms
     return sv
@@ -455,10 +576,12 @@ def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int
 
 
 def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int, n: int,
-             tau: int, x: tuple[int, int], z: float, base: tuple | None) -> SeriesValue:
+             tau: int, x: tuple[int, int], at: tuple[float, float, float],
+             base: tuple | None) -> SeriesValue:
     """The SeriesValue at z of the sums of u_k, k u_k and k(k-1) u_k in units
     of 2^-shift, u_k = c_k x^k with c_k the Taylor coefficients of P about
-    the point summed from and x = Xn/Xd the distance from there: each of P,
+    the point summed from and x = Xn/Xd the distance from there to the point
+    at = (L, eta, z): each of P,
     P', P'' and its bound rounds once, and _UP covers the rounding of each
     bound and of the sum with half an ulp."""
     (s0, s1, s2), (r0, r1, r2) = sums, errs
@@ -470,12 +593,12 @@ def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int,
         b0, b1, b2 = r0 / unit, r1 * Xd / abs(q1), r2 * Xd * Xd / q2
     except OverflowError:
         raise ConvergenceError(
-            f"P, P' or P'' at z={z:.6g}, or its error bound, overflows a double"
+            f"P, P' or P'' at z={at[2]:.6g}, or its error bound, overflows a double"
         ) from None
     return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau / unit * _UP,
                        noise=((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
                               (b2 + 0.5 * math.ulp(p2)) * _UP),
-                       _base=base)
+                       _base=base, _at=at)
 
 
 def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
@@ -563,6 +686,15 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
             (n, t, t1, s0, h1, h2, e, e1, g, one, scale, live))
 
 
+def _dominant_root(a: float, b: float, c: float) -> float:
+    """An upper bound, within a few ulps, on the root of rho^3 = a rho^2 + b rho + c
+    (a, b, c >= 0, not all 0): a + sqrt(b) + c^(1/3), which lies above it,
+    then one Newton step, which stays above it, and _UP."""
+    rho = a + math.sqrt(b) + c ** (1.0 / 3.0)
+    rho -= (((rho - a) * rho - b) * rho - c) / ((3.0 * rho - 2.0 * a) * rho - b)
+    return rho * _UP
+
+
 def _errors(n: int, gi: int, tau: int) -> tuple[int, int, int]:
     """Bounds on the three sums: the floor errors gi, with the weights k and
     k(k-1) at most N and N(N-1), plus the weighted tail bounds."""
@@ -635,11 +767,7 @@ def _local(base: SeriesValue, z: float) -> SeriesValue | None:
         # every later coefficient is at most a, b, c: rho bounds the root of
         # rho^3 = a rho^2 + b rho + c, |u_(N+j)| <= B rho^j
         m = n + 1.0
-        a = qa * max(1.0, abs(m + l2) / m)
-        bb, cc = qb / (m * n), qc / (m * n)
-        rho = a + math.sqrt(bb) + cc ** (1.0 / 3.0)
-        rho -= (((rho - a) * rho - bb) * rho - cc) / ((3.0 * rho - 2.0 * a) * rho - bb)
-        rho *= up
+        rho = _dominant_root(qa * max(1.0, abs(m + l2) / m), qb / (m * n), qc / (m * n))
         r = rho * (n + 2.0) / n
         if r >= 1.0:
             continue
@@ -663,4 +791,4 @@ def _local(base: SeriesValue, z: float) -> SeriesValue | None:
     sums, errs = (s0, s1, s2), _errors(n, gi, tau)
     if _missing_bits(sums, errs) > 0:
         return None
-    return _rounded(sums, errs, b.shift, n, tau, (Hn, Hd), z, None)
+    return _rounded(sums, errs, b.shift, n, tau, (Hn, Hd), (L, eta, z), None)

@@ -87,18 +87,26 @@ refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
 steps, never at the refined root itself.  Each scan step is a direct sum
-from the origin (series.sum_point, past eval_point's memo); each refine
-step is summed about the nearer end of its scan step (series.eval_near),
-from that end's direct sum, or directly where that end is the origin or the
-local sum would not pay.  A refine step lies within half a step of its
-base, where the series about the base converges like (h/z0)^k: on the
-zero-scan benchmark it takes about 19 terms against 71 from the origin,
-plus some 24 once per base to carry the base's sum deeper.  The values are
-the same doubles as the direct sums', up to a rare last-bit rounding.
+from the origin (series.sum_point, past eval_point's memo).  The first
+point of each refine is summed about the nearer end of its scan step
+(series.eval_near), from that end's direct sum, or directly where that end
+is the origin or the local sum would not pay.  That point lies within half
+a step of its base, where the series about the base converges like
+(h/z0)^k: on the zero-scan benchmark it takes about 19 terms against 71
+from the origin, plus some 24 once per base to carry the base's sum deeper.
+Every later point lands within about 1e-5 of the first, and refine_values
+serves it as a jet (series.jet) of the nearest point the refine summed, a
+few double operations instead of a sum; it sums a point only where no jet
+is taken (beyond 2^-12 |z| of every summed point, or noise-limited), so no
+sign is decided from a noise-limited jet.  A jet lies within its noise of
+the sum, and the zeros move by less than the refine tolerance against
+summing every point (find_zeros(F, 10, 10) at (0.5, -1): 67 sums and 50
+jets where it made 117 sums).
 
 scan is the package's one scan, a generator of steps that find_zeros and
-the radius solver both consume, and refine_bracket its one bracketed root
-finder.  The radius solver reads its equation off the series value of each
+the radius solver both consume, refine_bracket its one bracketed root
+finder, and refine_values the one source of the values of a refine's
+points.  The radius solver reads its equation off the series value of each
 step and refines the step that brackets the radius with the slopes of the
 equation's jet (see the radii module).  refine_bracket decides signs
 without a noise-floor check; series.counting() counts its steps.
@@ -110,10 +118,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .equations import Jet, ZeroTarget, noise_limited, target_at_origin, target_jet
+from .equations import (Jet, ZeroTarget, centrifugal, noise_limited, target_at_origin,
+                        target_jet)
 from .errors import ConvergenceError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, _record, eval_near, sum_point
+from .series import EVAL_Z_MAX, SeriesValue, _record, eval_near, jet, sum_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -308,6 +317,35 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
 
+def refine_values(params: CoulombParams, sign: float = 1.0,
+                  step: tuple[float, SeriesValue | None, float, SeriesValue] | None = None,
+                  ) -> Callable[[float], SeriesValue]:
+    """The series at z = sign t for every point t of one refine.
+
+    A point within series.jet's reach of a value this refine has summed is
+    that jet about the nearest such value, unless jet refuses it (noise-
+    limited included).  Every other point, the refine's first among them, is
+    summed: about the nearer end of step = (t_prev, sv_prev, t, sv), the scan
+    step that holds the refine (series.eval_near; from the origin where that
+    end is the origin, sv_prev None), or from the origin without a step
+    (series.sum_point).  Jets are never bases, of a jet or of eval_near.
+    """
+    summed: list[tuple[float, SeriesValue]] = []
+
+    def value(t: float) -> SeriesValue:
+        z = sign * t
+        if summed:
+            sv = jet(min(summed, key=lambda kept: abs(kept[0] - z))[1], z)
+            if sv is not None:
+                return sv
+        base = None if step is None else step[1] if t - step[0] < step[2] - t else step[3]
+        sv = sum_point(params, z) if base is None else eval_near(base, z)
+        summed.append((z, sv))
+        return sv
+
+    return value
+
+
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along t = |z| on one side.
 
@@ -358,17 +396,11 @@ def scan(params: CoulombParams, target: ZeroTarget,
     # No target zero lies in (0, t_free] on the negative axis with L >= 0
     # (module docstring): walk the grid there unevaluated, up to its last
     # point at or below t_free, so every later step is the same as without.
-    c = 2.0 * L if target is ZeroTarget.G_PRIME else L * (L + 1.0)
+    c = centrifugal(L, target)
     t_free = eta_s + math.sqrt(eta_s * eta_s + c) if sign < 0.0 and L >= 0.0 else 0.0
     nxt = after(t)
     while t < nxt <= t_free:
         t, nxt = nxt, after(nxt)
-
-    def in_step(s: float) -> Jet:
-        # a refine point of the current step (t_prev, t]: summed about the
-        # nearer end, directly where that end is the origin (sv_prev None)
-        base = sv_prev if s - t_prev < t - s else sv
-        return h(sum_point(params, sign * s) if base is None else eval_near(base, sign * s), s)[0]
 
     t_prev, sv_prev = 0.0, None
     prev = (target_at_origin(L, target), math.nan, math.nan)
@@ -385,7 +417,9 @@ def scan(params: CoulombParams, target: ZeroTarget,
         if val == 0.0:
             zero = t  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            zero = refine_bracket(in_step, t_prev, t, prev, cur, REFINE_TOL).root
+            value = refine_values(params, sign, (t_prev, sv_prev, t, sv))
+            zero = refine_bracket(lambda s: h(value(s), s)[0], t_prev, t, prev, cur,
+                                  REFINE_TOL).root
         yield ScanStep(t_prev, t, sv, prev, cur, zero)
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there

@@ -147,7 +147,8 @@ class TestEvalAndZeros:
         lines = [line for line in err.splitlines() if line.startswith("sums: ")]
         assert len(lines) == 1
         totals = json.loads(lines[0][len("sums: "):])
-        assert (totals["evals"], totals["terms"], totals["refine_steps"]) == (117, 5925, 70)
+        assert (totals["evals"], totals["terms"], totals["refine_steps"],
+                totals["jets"]) == (67, 4416, 70, 50)
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and err == ""
 

@@ -219,6 +219,15 @@ class TestOneRecord:
             with pytest.raises(ValueError, match=rf"holds S_2\.\.S_3; the m = {m} bracket"):
                 record.bracket(m)
 
+    def test_bracket_refuses_an_odd_order(self):
+        # S_3 of this record gives (2.913, 0.966) around a univalence radius
+        # of 2.419: with zeros of both signs an odd sum bounds nothing
+        record = bracket_sums(CoulombParams(1.0, -0.25), "f", 4)
+        for method in (None, SumMethod.EXTRACTED):
+            with pytest.raises(ValueError, match="even"):
+                record.bracket(3, method)
+        assert record.bracket(4) == euler_rayleigh_bounds(CoulombParams(1.0, -0.25), "f", 4)
+
     def test_sums_refuse_the_zeros_of_F(self, extractions):
         with pytest.raises(ValueError, match="not F"):
             sums(CoulombParams(0.0, -1.0), ZeroTarget.F, SumMethod.EXTRACTED)

@@ -54,21 +54,24 @@ def test_bench_rows(capsys):
                          "cli_eval_warm", "disk_g64", "disk_zgpg64", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # direct and local sums, counted by series.counting(), within the gates
-    # of test_zeros and test_radii
-    assert 0 < rows["find_zeros"]["evals"] <= 117
-    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 118
-    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 114
-    assert 0 < rows["find_zeros_neg"]["evals"] <= 17
-    assert 0 < rows["radius"]["evals"] <= 14
-    assert 0 < rows["radius_convex_g"]["evals"] <= 14
-    # terms, the carried-on bases included: 5925, 5328 and 5097 with the
-    # refine steps summed about the scan steps (10198, 8760 and 8462 from 0)
-    assert rows["find_zeros"]["terms"] <= 5950
-    assert rows["find_zeros_F_prime"]["terms"] <= 5350
-    assert rows["find_zeros_g_prime"]["terms"] <= 5120
-    # most refine steps are local sums, of 17-23 terms on average
+    # of test_zeros and test_radii (117, 118, 114, 15, 12 and 13 with every
+    # refine point summed)
+    assert 0 < rows["find_zeros"]["evals"] <= 67
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 65
+    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 64
+    assert 0 < rows["find_zeros_neg"]["evals"] <= 13
+    assert 0 < rows["radius"]["evals"] <= 7
+    assert 0 < rows["radius_convex_g"]["evals"] <= 8
+    # terms, the carried-on bases included: 4416, 4107 and 3971 with the
+    # refine points after the first jets (5925, 5328 and 5097 with each one
+    # summed about a scan step, 10198, 8760 and 8462 from 0)
+    assert rows["find_zeros"]["terms"] <= 4416
+    assert rows["find_zeros_F_prime"]["terms"] <= 4107
+    assert rows["find_zeros_g_prime"]["terms"] <= 3971
+    # every refine step but a few is a local sum, of 17-23 terms on average,
+    # or a jet
     for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
-        assert rows[name]["local_evals"] >= 50
+        assert rows[name]["local_evals"] + rows[name]["jets"] >= 60
         assert rows[name]["local_terms"] <= 24 * rows[name]["local_evals"]
     # one direct evaluation per point of the in-process eval request on an
     # empty memo, and none when the request is repeated
@@ -82,6 +85,6 @@ def test_bench_rows(capsys):
     assert (rows["cli_eval_warm"]["memo_hits"], rows["cli_eval_warm"]["memo_misses"]) == (16, 0)
     for name in ("eval_z0.5", "eval_z10", "eval_z50", "cli_eval", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
-    # the refine steps are a part of the evaluations; the rest are scan steps
+    # the refine steps are sums or jets, and the rest of the sums are scan steps
     for name in queries:
-        assert 0 < rows[name]["refine_steps"] < rows[name]["evals"]
+        assert 0 < rows[name]["refine_steps"] <= rows[name]["evals"] + rows[name]["jets"]

@@ -8,7 +8,7 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coulomb_radii import series
@@ -522,6 +522,113 @@ class TestLocalSums:
         assert repr(sv) == repr(eval_point(params, 15.0))
 
 
+def _mp_values(mp, L, eta, z):
+    """(P, P', P'') at the double z as mpmath numbers, summed from the origin
+    at 60 digits, or more where the largest term, about
+    e^(|z| + 2 sqrt(2 |eta z|)), would leave fewer than 40 to spare."""
+    digits = max(60, 40 + int((abs(z) + 2.0 * math.sqrt(2.0 * abs(eta * z))) / 2.3))
+    with mp.workdps(digits):
+        Lm, em, zm = mp.mpf(L), mp.mpf(eta), mp.mpf(z)
+        t2, t1 = mp.mpf(0), mp.mpf(1)
+        s0, s1, s2 = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        n = 0
+        while True:
+            n += 1
+            t = (2 * em * zm * t1 - zm * zm * t2) / (n * (n + 2 * Lm + 1))
+            s0, s1, s2 = s0 + t, s1 + n * t, s2 + n * (n - 1) * t
+            t2, t1 = t1, t
+            if n > 2 * abs(z) + 10 and (abs(t1) + abs(t2)) * n * n < mp.mpf(10) ** (5 - digits):
+                return s0, s1 / zm, s2 / zm ** 2
+
+
+class TestJets:
+    """series.jet: P, P', P'' next to a sum, from its Taylor jet in doubles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 5.0, exclude_min=True), st.floats(-25.0, 0.0),
+           st.floats(0.05, 55.0), st.sampled_from((1.0, -1.0)), st.floats(-1.0, 1.0))
+    def test_jet_lies_within_its_noise_of_mpmath(self, L, eta, t0, sign, frac):
+        mp = pytest.importorskip("mpmath")
+        z0 = sign * t0
+        try:
+            base = series.sum_point(CoulombParams(L, eta), z0)
+        except ConvergenceError:  # P beyond the double range
+            assume(False)
+        assert series.jet(base, z0 + math.copysign(1.001 * 2.0 ** -12 * t0, frac)) is None
+        z = z0 + frac * 2.0 ** -12 * t0
+        sv = series.jet(base, z)
+        if sv is None:  # noise-limited, or past |z| = 55; test_jets_are_taken_on_a_grid
+            return      # counts these
+        assert sv is base or sv._at is None  # z = z0 gives the base
+        want = _mp_values(mp, L, eta, z)
+        with mp.workdps(60):
+            for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                assert abs(mp.mpf(got) - w) <= sv.noise[k], (L, eta, z0, z, k)
+
+    def test_jets_are_taken_on_a_grid(self):
+        # L from -0.9 to 5, eta from 0 to -25, both axes, h up to the reach:
+        # nearly every jet is taken, and each lies within its noise of mpmath
+        mp = pytest.importorskip("mpmath")
+        tried = taken = 0
+        for L in (-0.9, 0.0, 2.5, 5.0):
+            for eta in (0.0, -3.0, -25.0):
+                params = CoulombParams(L, eta)
+                for z0 in (0.05, 2.9, -7.3, 21.7, -38.1, 54.9):
+                    try:
+                        base = series.sum_point(params, z0)
+                    except ConvergenceError:
+                        continue
+                    for h in (2.5e-13, -3e-7, 2.0 ** -13 * z0, -0.99 * 2.0 ** -12 * z0):
+                        tried += 1
+                        sv = series.jet(base, z0 + h)
+                        if sv is None:
+                            continue
+                        taken += 1
+                        want = _mp_values(mp, L, eta, z0 + h)
+                        with mp.workdps(60):
+                            for k, got in enumerate((sv.p0, sv.p1, sv.p2)):
+                                assert abs(mp.mpf(got) - want[k]) <= sv.noise[k], (L, eta, z0, h)
+        assert tried >= 250
+        assert taken == tried
+
+    def test_no_jet_beyond_its_reach(self):
+        params = CoulombParams(0.5, -1.0)
+        for z0 in (0.3, -2.0, 10.0, -40.0):
+            base = series.sum_point(params, z0)
+            reach = 2.0 ** -12 * abs(z0)
+            for h in (reach, -reach):
+                assert series.jet(base, z0 + h) is not None
+                beyond = math.nextafter(z0 + h, math.copysign(math.inf, h))
+                assert series.jet(base, beyond) is None
+        assert series.jet(series.sum_point(params, 0.0), 1e-300) is None  # no reach at 0
+
+    def test_no_jet_where_its_value_is_noise_limited(self):
+        # at (0, -6000), z = 50 the sum keeps a bound far above its value
+        # (the scan's cut-off), and the jet carries it
+        base = series.sum_point(CoulombParams(0.0, -6000.0), 50.0)
+        assert noise_limited(base.p0, base.noise[0])
+        assert series.jet(base, 50.001) is None
+
+    def test_jets_are_no_bases(self):
+        params = CoulombParams(0.5, -1.0)
+        near = series.eval_near(series.sum_point(params, 10.0), 10.1)
+        assert near._base is None and near._at is not None
+        sv = series.jet(near, 10.1001)  # a local sum is a base of a jet
+        assert sv is not None and sv._at is None
+        with pytest.raises(ValueError):
+            series.eval_near(sv, 10.1002)
+        with pytest.raises(ValueError):
+            series.jet(sv, 10.1002)
+
+    def test_a_jet_is_counted_apart_from_the_sums(self):
+        params = CoulombParams(0.5, -1.0)
+        base = series.sum_point(params, 10.0)
+        with series.counting() as counts:
+            series.jet(base, 10.001)
+            series.jet(base, 11.0)  # beyond the reach: no jet, and no sum
+        assert counts.totals() == {**series.SumCounts().totals(), "jets": 1}
+
+
 class TestCounting:
     """series.counting(): the record of the sums made inside a block."""
 
@@ -529,8 +636,10 @@ class TestCounting:
         with series.counting() as counts:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
+        # each refine's first point summed (16 of them about a scan step), its
+        # later 50 points jets of it; 117 sums, 56 local and 5925 terms without
         assert (totals["evals"], totals["local_evals"], totals["terms"],
-                totals["refine_steps"]) == (117, 56, 5925, 70)
+                totals["refine_steps"], totals["jets"]) == (67, 16, 4416, 70, 50)
         assert totals["local_fallbacks"] == 0
 
     def test_radius_record(self):
@@ -539,18 +648,24 @@ class TestCounting:
         with series.counting() as counts:
             radius(RadiusQuery(CoulombParams(0.5, -1.0), "g", "starlike", 0.5))
         totals = counts.totals()
-        assert (totals["evals"], totals["terms"], totals["refine_steps"]) == (12, 307, 6)
+        # 12 sums and 307 terms with every solve point and the residual summed
+        assert (totals["evals"], totals["terms"], totals["refine_steps"],
+                totals["jets"]) == (7, 169, 6, 5)
         assert totals["local_evals"] == totals["base_terms"] == 0
 
     def test_radius_solve_sums_from_the_origin(self):
         # at (60, -1) the f-convex solve summed 4 of its points about a scan
-        # step, each carrying that step's sum deeper first
+        # step, each carrying that step's sum deeper first; its first point is
+        # summed from the origin, and the later ones and the residual are jets
+        # (39.54609038197775 with every point summed; mpmath's root lies
+        # 1.16e-12 from this one and 1.06e-12 from that)
         from coulomb_radii.radii import RadiusQuery, radius
 
         with series.counting() as counts:
             res = radius(RadiusQuery(CoulombParams(60.0, -1.0), "f", "convex", 0.0))
         assert counts.local_evals == counts.base_terms == 0
-        assert res.value == 39.54609038197775
+        assert counts.jets == 3
+        assert res.value == 39.546090381975525
 
     def test_nothing_is_recorded_outside_a_block(self):
         params = CoulombParams(0.5, -1.0)

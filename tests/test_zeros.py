@@ -8,6 +8,7 @@ import math
 import pytest
 
 from coulomb_radii import CoulombParams, series, zeros
+from coulomb_radii.equations import noise_limited
 from coulomb_radii.verify import _interlaced, _product, bessel_j
 from coulomb_radii.zeros import ZeroTarget, _jet_roots, _jet_start, find_zeros, refine_bracket
 
@@ -167,6 +168,13 @@ class TestZeroFreeStart:
     """The negative axis with L >= 0 skips the grid points in (0, t*], where
     q (r for g') < 0 and no target zero lies (zeros module docstring)."""
 
+    def test_stretch_constant_per_target(self):
+        # t* = eta_s + sqrt(eta_s^2 + c): c = L(L+1) of q for F and F', 2L of r for g'
+        from coulomb_radii.equations import centrifugal
+
+        assert centrifugal(2.0, ZeroTarget.F) == centrifugal(2.0, ZeroTarget.F_PRIME) == 6.0
+        assert centrifugal(2.0, ZeroTarget.G_PRIME) == 4.0
+
     def test_no_zero_skipped_at_eta_minus_20(self):
         # negative-axis zeros of (L, eta) are the positive zeros of (L, -eta)
         L, eta, step = 2.0, -20.0, 0.05
@@ -189,10 +197,11 @@ class TestZeroFreeStart:
             for (lo, hi), x in zip(cells, xs):
                 assert lo < x <= hi, target
 
-    @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 17), (0.0, -25.0, 2, 8)])
+    @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 15), (0.0, -25.0, 2, 8)])
     def test_evaluation_count(self, evaluations, L, eta, count, gate):
-        # deterministic gates: 15 and 6 evaluations, against 41 and 37 with
-        # every grid point of (0, t*] evaluated
+        # deterministic gates: 13 and 6 evaluations (15 and 6 with every
+        # refine point summed), against 41 and 37 with every grid point of
+        # (0, t*] evaluated
         find_zeros(CoulombParams(L, eta), ZeroTarget.F, 0, count)
         assert 0 < len(evaluations) <= gate
 
@@ -388,11 +397,13 @@ class TestRefineBracket:
         # deterministic gates: the scan steps plus the refine steps of 20
         # zeros, one half-Sturm-spacing step for every target, each refine
         # started at the interpolated point of the scan's end jets, the
-        # zero-free start of the negative axis unevaluated (F 117, F' 118,
-        # g' 114; 118, 119 and 115 with it evaluated, 139, 138 and 138 from
-        # Halley steps alone, 223, 220 and 221 with ITP steps alone); the
-        # refine steps count whether summed directly or about a scan step
-        gates = {ZeroTarget.F: 119, ZeroTarget.F_PRIME: 120, ZeroTarget.G_PRIME: 116}
+        # zero-free start of the negative axis unevaluated, each refine point
+        # after the first a jet (F 67, F' 65, g' 64; 117, 118 and 114 with
+        # every refine point summed, 118, 119 and 115 with the zero-free start
+        # evaluated too, 139, 138 and 138 from Halley steps alone, 223, 220
+        # and 221 with ITP steps alone); the summed points count whether
+        # summed directly or about a scan step, and jets are no sums
+        gates = {ZeroTarget.F: 69, ZeroTarget.F_PRIME: 67, ZeroTarget.G_PRIME: 66}
         for target, gate in gates.items():
             evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
@@ -401,8 +412,33 @@ class TestRefineBracket:
 
 
 class TestLocalRefine:
-    """Refine steps sum about the nearer scan step; the radius solve sums
-    from the origin."""
+    """A refine sums its first point about the nearer scan step (the radius
+    solve from the origin), and each later point that lies within a jet's
+    reach of one it summed is that jet (zeros.refine_values)."""
+
+    def test_later_points_are_jets_of_the_nearest_sum(self):
+        params = CoulombParams(0.5, -1.0)
+        value = zeros.refine_values(params, -1.0)
+        with series.counting() as counts:
+            first = value(10.0)
+            second = value(10.001)  # within 2^-12 |z| of -10
+            third = value(11.0)  # beyond it: summed
+            fourth = value(10.9999)  # a jet of -11, the nearer sum
+        assert counts.points == [-10.0, -11.0] and counts.jets == 2
+        assert first._at is not None and third._at is not None
+        assert second._at is None and fourth._at is None
+        assert fourth == series.jet(third, -10.9999)
+
+    def test_noise_limited_jet_is_summed_instead(self):
+        # at (0, -6000), z = 50 the sum's bound lies far above its value, so
+        # a jet of it is noise-limited: the refine sums that point
+        value = zeros.refine_values(CoulombParams(0.0, -6000.0))
+        with series.counting() as counts:
+            first = value(50.0)
+            second = value(50.001)
+        assert noise_limited(first.p0, first.noise[0])
+        assert counts.points == [50.0, 50.001] and counts.jets == 0
+        assert second._at is not None
 
     def test_every_base_is_a_scan_step(self, monkeypatch):
         # each base is the direct sum of one end of the scan step that holds
