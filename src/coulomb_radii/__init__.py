@@ -19,7 +19,6 @@ from .series import (
     eval_near,
     eval_point,
     eval_series,
-    jet,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "eval_near",
     "eval_point",
     "eval_series",
-    "jet",
     "star_ratio",
 ]
 

@@ -132,8 +132,8 @@ ones.  The jet stops once each weighted tail bound lies below the error
 bound of its sum.  jet returns None beyond its reach, past |z| = 55, and
 where P, P' or P'' is noise_limited by its bound; the caller then sums the
 point.  A jet keeps neither loop state nor its point, so it is the base of
-neither eval_near nor jet, and errors never chain.  One jet costs about half
-a local sum and a tenth of a direct sum at |z| = 40.
+neither eval_near nor jet, and errors never chain.  One jet costs about a
+third of a local sum, and a fifteenth of a direct sum at |z| = 40.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not

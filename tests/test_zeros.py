@@ -197,7 +197,7 @@ class TestZeroFreeStart:
             for (lo, hi), x in zip(cells, xs):
                 assert lo < x <= hi, target
 
-    @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 15), (0.0, -25.0, 2, 8)])
+    @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 17), (0.0, -25.0, 2, 8)])
     def test_evaluation_count(self, evaluations, L, eta, count, gate):
         # deterministic gates: 13 and 6 evaluations (15 and 6 with every
         # refine point summed), against 41 and 37 with every grid point of
