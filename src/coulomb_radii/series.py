@@ -451,8 +451,8 @@ def _reach(base: SeriesValue) -> float:
 
 def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     """P, P' and P'' at z from the Taylor jet of the sum value at z0, in
-    doubles (module docstring, Jets); None where |z - z0| > 2^-12 |z0|, or
-    where P, P' or P'' is noise_limited by the jet's bound.
+    doubles (module docstring, Jets); None where |z - z0| > 2^-12 |z0|, past
+    |z| = 55, or where P, P' or P'' is noise_limited by the jet's bound.
 
     value is a sum (eval_point, sum_point, eval_series or eval_near); a jet
     is refused as a base, so errors never chain, and a jet is no base of
@@ -578,12 +578,11 @@ def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int
 def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int, n: int,
              tau: int, x: tuple[int, int], at: tuple[float, float, float],
              base: tuple | None) -> SeriesValue:
-    """The SeriesValue at z of the sums of u_k, k u_k and k(k-1) u_k in units
-    of 2^-shift, u_k = c_k x^k with c_k the Taylor coefficients of P about
-    the point summed from and x = Xn/Xd the distance from there to the point
-    at = (L, eta, z): each of P,
-    P', P'' and its bound rounds once, and _UP covers the rounding of each
-    bound and of the sum with half an ulp."""
+    """The SeriesValue at at = (L, eta, z) of the sums of u_k, k u_k and
+    k(k-1) u_k in units of 2^-shift, u_k = c_k x^k with c_k the Taylor
+    coefficients of P about the point summed from and x = Xn/Xd the distance
+    from there to z: each of P, P', P'' and its bound rounds once, and _UP
+    covers the rounding of each bound and of the sum with half an ulp."""
     (s0, s1, s2), (r0, r1, r2) = sums, errs
     unit = 1 << shift
     Xn, Xd = x

@@ -99,7 +99,7 @@ serves it as a jet (series.jet) of the nearest point the refine summed, a
 few double operations instead of a sum; it sums a point only where no jet
 is taken (beyond 2^-12 |z| of every summed point, or noise-limited), so no
 sign is decided from a noise-limited jet.  A jet lies within its noise of
-the sum, and the zeros move by less than the refine tolerance against
+P, P' and P'', and the zeros move by less than the refine tolerance against
 summing every point (find_zeros(F, 10, 10) at (0.5, -1): 67 sums and 50
 jets where it made 117 sums).
 
