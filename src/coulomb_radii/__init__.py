@@ -16,7 +16,6 @@ from .series import (
     CoefficientTable,
     SeriesValue,
     coefficients,
-    eval_near,
     eval_point,
     eval_series,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "SeriesValue",
     "coefficients",
     "conv_ratio",
-    "eval_near",
     "eval_point",
     "eval_series",
     "star_ratio",

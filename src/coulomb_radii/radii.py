@@ -21,13 +21,12 @@ beyond t (or x1 is in the step, refined first, and the bracket is
 and the radius needs x1 only where x1 lies in its step.  The one root
 finder of the zeros module (refine_bracket) refines that bracket with
 Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
-the bracket) on the abscissa.  Its first evaluation is a direct sum from
-the origin (series.sum_point), as a scan step's is; its later evaluations
-and the residual's are jets of the points it summed (series.jet, through
-zeros.refine_values), each summed instead where no jet is taken.  It
-solves either the ratio form N/D - beta ("ratio") or the direct form
-N - beta D ("direct"), which has the sign of the ratio form wherever D > 0;
-the two roots agreeing is one of the acceptance checks.  The scan then runs
+the bracket) on the abscissa.  Its evaluations and the residual's are jets
+of the ends of that scan step (series.jet, through zeros.refine_values),
+each summed from the origin instead where no jet is taken.  It solves
+either the ratio form N/D - beta ("ratio") or the direct form N - beta D
+("direct"), which has the sign of the ratio form wherever D > 0; the two
+roots agreeing is one of the acceptance checks.  The scan then runs
 on to x1, refined as by find_zeros, which is reported as the domain cap;
 where the scan ends before it (x1 beyond |z| = 55 or the noise floor), the
 domain cap is None and the result carries the flag domain-cap-beyond-range.  The univalence
@@ -132,11 +131,11 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     for step in scan(params, cap_target):
         if bracket is None:
             if step.zero is not None:
-                bracket = step.t_prev, step.zero, at_lo, (-math.inf, math.nan, math.nan)
+                bracket = step, step.zero, at_lo, (-math.inf, math.nan, math.nan)
             else:
                 at_t = at(step.t, step.sv)
                 if at_t[0] <= 0.0:
-                    bracket = step.t_prev, step.t, at_lo, at_t
+                    bracket = step, step.t, at_lo, at_t
                 at_lo = at_t
         if step.zero is not None:
             cap = step.zero
@@ -148,8 +147,9 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         )
     if cap is None:
         flags.append("domain-cap-beyond-range")
-    lo, hi, at_lo, at_hi = bracket
-    value = refine_values(params)
+    step, hi, at_lo, at_hi = bracket
+    lo = step.t_prev
+    value = refine_values(params, step)
     ref = refine_bracket(lambda r: at(r, value(r)), lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
     residual = at(ref.root, value(ref.root))[0]

@@ -59,8 +59,7 @@ there returns with its true, large bound, and noise_limited flags it.
 Beyond |z| = 55, and where a value or its bound overflows a double,
 evaluation raises ConvergenceError.
 
-Local sums.  eval_near sums P about a point z0 != 0 whose direct sum a
-caller already holds (the zero scan's steps), instead of about 0.  The
+Jets.  jet serves a point z next to a sum at z0 != 0 without a sum.  The
 Coulomb equation (DLMF 33.2.1) written for P,
 
     z P'' + 2(L+1) P' + (z - 2 eta) P = 0,
@@ -71,76 +70,42 @@ gives for P(z0 + h) = sum c_k h^k
 
 so the terms u_k = c_k h^k follow from
 
-    z0 n(n-1) u_n = -(n-1)(n+2L) h u_(n-1) - (z0 - 2 eta) h^2 u_(n-2) - h^3 u_(n-3),
+    z0 n(n-1) u_n = -(n-1)(n+2L) h u_(n-1) - (z0 - 2 eta) h^2 u_(n-2) - h^3 u_(n-3).
 
-with u_0 = P(z0) and u_1 = h P'(z0) taken from the base's exact integer
-sums of P and z0 P'.  They are summed as above: L, eta, z0 and h = z - z0
-enter as exact dyadics, each U_n is one floor division in the base's unit
-2^-s, and the sums of u_k, k u_k and k(k-1) u_k give P, h P' and h^2 P''.
-The majorant E starts at the base's error bounds, E_0 = r_0 and
-E_1 = r_1 |h/z0| + 1, and follows
-
-    E_n = |n+2L| |h/z0| E_(n-1)/n + (|z0 - 2 eta| h^2 E_(n-2) + |h|^3 E_(n-3))
-          / (|z0| n(n-1)) + 1,
-
-no longer stepped once the three coefficients sum to at most 1/2 for every
-later n.  For m > N they are at most a = |h/z0| max(1, |N+1+2L|/(N+1)),
-b = |z0 - 2 eta| h^2/(|z0| (N+1) N) and c = |h|^3/(|z0| (N+1) N), so a rho
-at or above the dominant root of rho^3 = a rho^2 + b rho + c gives
-|u_(N+j)| <= B rho^j with B = max(|U_N| + E_N, rho (|U_(N-1)| + E_(N-1)),
-rho^2 (|U_(N-2)| + E_(N-2))) 2^-s.  The stop, the bounds, the 56-bit guard
-and the rounding are those of the direct sum.
-
-The second solution of the Coulomb equation is singular at 0, so the series
-about z0 converges like (h/z0)^k; where |h/z0| is small it takes far fewer
-terms than the sum from 0 (about 19 against 71 at the refine points of the
-zero scan).  eval_near sums directly instead where z0 is the origin, where
-twice the estimate 64 / log2|z0/h| of the local terms, plus 30, is not
-below the base's truncation_terms (the estimate runs low at few terms, a
-local term costs about 1.2 direct ones, and the set-up and the base's
-deeper sum, shared by its few uses, some 30 more), where
-the local sum reaches the base's truncation_terms,
-where its sums do not clear their bounds by 56 bits, or where the base's
-bounds pass 2^512 units (a base summed at well over 600 bits), too large to
-start E in doubles.
-
-P(z) summed about z0 can be no more accurate, in absolute terms, than
-P(z0).  A direct sum stops once its tail is below 2^-58 of its value,
-while the refine steps of a zero come within ~1e-12 of it, where P (or P'
-or P'') is some 2^-40 of its size at z0.  So a direct value keeps its loop
-state, and the first time it serves as a base its sum is carried on from
-there until each tail lies below 2^-112 of its sum (some 24 more terms);
-that deeper sum is kept with the value for its later uses as a base.  The
-value itself, its repr and its equality do not change.  A local value keeps
-nothing and is refused as a base, so errors never chain.
-
-Jets.  jet serves a point z next to a sum at z0, direct or local, without
-a sum.  Within |z - z0| <= 2^-12 |z0|, where the terms about z0 fall by 12
-bits or more each, the recurrence above runs in doubles from u_0 = P(z0) and
-u_1 = h P'(z0); h = z - z0 is exact there (Sterbenz), and a few terms give
-P, h P' and h^2 P''.  Its noise is a bound of three parts.  The base's noise
-is carried through a majorant of the recurrence: E_0 and E_1 are the base's
-bounds, and
+jet runs this recurrence in doubles from u_0 = P(z0) and u_1 = h P'(z0),
+and the sums of u_k, k u_k and k(k-1) u_k give P, h P' and h^2 P''.  Its
+reach is |z - z0| < |z0|/2, the largest share of |z0| within which
+z0/2 <= z <= 2 z0 on both sides, so that h = z - z0 is exact (Sterbenz).
+The second solution of the Coulomb equation is singular at 0, so the
+terms about z0 fall like (h/z0)^k at best, and the jet gives up after
+_JET_TERMS = 32 terms; the recurrence's h^2 and h^3 terms narrow it
+further where |z0 - 2 eta| is large.  Its noise is a bound of three parts.
+The base's noise is carried through a majorant of the recurrence: E_0 and
+E_1 are the base's bounds, and
     E_n = |n+2L|/n |h/z0| F_(n-1)
           + (|z0 - 2 eta| h^2 F_(n-2) + |h|^3 F_(n-3)) / (|z0| n(n-1)),
 with F_k = E_k + 16 eps |u_k| for the roundings u_k brings into the terms
 after it (eps = 2^-53).  A running rounding bound covers the three sums in
 doubles: (N+1) eps times the sums of |u_k|, k |u_k| and k(k-1) |u_k|.  The
-geometric tail bound is that of the local sums, with one rho for every n,
-taken from the recurrence's coefficients at n = 3, which bound all later
-ones.  The jet stops once each weighted tail bound lies below the error
-bound of its sum.  jet returns None beyond its reach, past |z| = 55, and
-where P, P' or P'' is noise_limited by its bound; the caller then sums the
-point.  A jet keeps neither loop state nor its point, so it is the base of
-neither eval_near nor jet, and errors never chain.  One jet costs about a
-third of a local sum, and a fifteenth of a direct sum at |z| = 40.
+tail bound is geometric: for every m >= 3 the three coefficients of the
+recurrence are at most those at m = 3, a = |h/z0| max(1, |3+2L|/3),
+b = |z0 - 2 eta| h^2/(6 |z0|) and c = |h|^3/(6 |z0|), so a rho at or above
+the dominant root of rho^3 = a rho^2 + b rho + c gives |u_(N+j)| <= B rho^j
+with B = max(|u_N| + F_N, rho (|u_(N-1)| + F_(N-1)),
+rho^2 (|u_(N-2)| + F_(N-2))), and where rho (N+2)/N < 1 the weighted tails
+are geometric too.  The jet stops once each weighted tail bound lies below
+the error bound of its sum.  jet returns None beyond its reach, past
+|z| = 55, past _JET_TERMS terms, and where P, P' or P'' is noise_limited by
+its bound; the caller then sums the point.  A jet keeps no point, so it is
+the base of no jet, and errors never chain.  One jet costs about a
+fifteenth of a direct sum at |z| = 40.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  Only eval_point keeps values between calls, a memo of the last
-512 keyed by the exact (L, eta, z); sum_point, eval_series and eval_near sum
-on every call, and the zero scan and the radius solve, whose points never
-repeat, use them.  counting() counts every sum made inside its block, where
+512 keyed by the exact (L, eta, z); sum_point and eval_series sum on every
+call, and the zero scan and the radius solve, whose points never repeat,
+use them.  counting() counts every sum made inside its block, where
 it is made, the jets, the steps of zeros.refine_bracket and the hits and
 misses of eval_point's memo; outside a block a sum, a jet or a memo lookup
 pays one ContextVar lookup.
@@ -153,7 +118,7 @@ import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import (
     ConvergenceError,
@@ -169,18 +134,10 @@ _START_BITS = 192
 _MAX_BITS = 2048
 _GUARD_BITS = 56  # bits by which a sum must clear its error bound
 _TAIL_BITS = 58  # the tail bound stops the sum below 2^-58 of it
-_BASE_TAIL_BITS = 112  # ... and below 2^-112 of it at a base of local sums
 _UP = 1.0 + 2.0 ** -30  # covers the roundings of the doubles in the bound
 _BIG, _SMALL = 2.0 ** 512, 2.0 ** -512  # rescaling of E, kept in range
-_ESTIMATE_BITS = 64  # a local sum is estimated to stop once (h/z0)^k < 2^-64
-# ... and tried where _LOCAL_COST times that estimate, plus _LOCAL_SETUP, stays
-# below the direct sum's terms: the estimate runs low by some 6 terms, a local
-# term costs some 1.2 direct ones, and the set-up and the base's deeper sum,
-# shared by the base's few uses, cost some 30
-_LOCAL_COST = 2
-_LOCAL_SETUP = 30
-_MEMO_SIZE = 512  # eval_point's values kept, about 1 KB each with their loop state
-_JET_REACH = 2.0 ** -12  # jet serves points within this share of |z0| of its base
+_MEMO_SIZE = 512  # eval_point's values kept
+_JET_REACH = 0.5  # jet serves points within this share of |z0| of its base, where h is exact
 _JET_TERMS = 32  # ... and gives up on a jet that needs this many terms
 _EPS = 2.0 ** -53  # the unit roundoff of a double
 _JET_ROUND = 16.0 * _EPS  # bounds the roundings of one jet term against its parts
@@ -190,20 +147,13 @@ _TINY = 2.0 ** -1060  # ... plus this, for a term that leaves the normal range
 @dataclass
 class SumCounts:
     """The sums of one counting() block: points holds the abscissa of every
-    direct sum (one that fails included) and local sum, in order; terms their
-    truncation_terms plus base_terms; local_evals and local_terms the local
-    sums alone; base_terms the terms by which direct sums were carried on the
-    first time each served as a base; local_fallbacks the local sums given up
-    for a direct one, whose terms are not counted; refine_steps the
-    iterations of zeros.refine_bracket; memo_hits and memo_misses the
-    lookups in eval_point's memo, each miss also a direct sum."""
+    sum (one that fails included), in order; terms their truncation_terms;
+    refine_steps the iterations of zeros.refine_bracket; jets the values
+    served by jet, which are no sums; memo_hits and memo_misses the lookups
+    in eval_point's memo, each miss also a sum."""
 
     points: list[float] = field(default_factory=list)
     terms: int = 0
-    local_evals: int = 0
-    local_terms: int = 0
-    base_terms: int = 0
-    local_fallbacks: int = 0
     refine_steps: int = 0
     jets: int = 0
     memo_hits: int = 0
@@ -306,18 +256,7 @@ def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex,
     return tuple(a)
 
 
-class _Sums(NamedTuple):
-    """The integer sums of P and z P' in units of 2^-shift, and their error
-    bounds."""
-
-    s0: int
-    s1: int
-    r0: int
-    r1: int
-    shift: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesValue:
     """P, P' and P'' at one point, each a double, with their error bounds.
 
@@ -325,11 +264,9 @@ class SeriesValue:
     errors of the fixed-point sum carried through the recurrence, the bound
     on the discarded tail, and half an ulp of p_k.  truncation_terms counts
     the terms summed, and tail_estimate bounds the discarded tail of the P
-    sum (both of the last pass, at the precision that was kept).  A direct
-    sum (eval_point, sum_point, eval_series) also keeps what eval_near needs
-    about its point, outside the value's repr and equality; a local sum
-    (eval_near) keeps nothing of it.  Every sum, direct or local, keeps its
-    (L, eta, z) for jet; a jet keeps neither.
+    sum (both of the last pass, at the precision that was kept).  A sum
+    (eval_point, sum_point, eval_series) keeps its (L, eta, z) for jet,
+    outside the value's repr and equality; a jet keeps none.
     """
 
     p0: float
@@ -338,24 +275,8 @@ class SeriesValue:
     truncation_terms: int
     tail_estimate: float
     noise: tuple[float, float, float]
-    # a direct sum's (L, eta, z, bits, loop state); None for a local sum
-    _base: tuple | None = field(default=None, repr=False, compare=False)
     # a sum's (L, eta, z); None for a jet
     _at: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def _deep(self) -> _Sums:
-        """The direct sum carried on from its loop state until each tail lies
-        below 2^-_BASE_TAIL_BITS of its sum: summed the first time the value
-        serves as a base, and kept with it."""
-        L, eta, z, bits, state = self._base
-        (s0, s1, _), (r0, r1, _), shift, n, *_ = _fixed_point_sum(
-            L, eta, z, bits, _BASE_TAIL_BITS, state)
-        counts = _record.get()
-        if counts is not None:
-            counts.base_terms += n - state[0]
-            counts.terms += n - state[0]
-        return _Sums(s0, s1, r0, r1, shift)
 
 
 def noise_limited(value: float, noise: float) -> bool:
@@ -408,66 +329,26 @@ def sum_point(params: CoulombParams, z: float) -> SeriesValue:
     return _direct(params.L, params.eta, z)
 
 
-def eval_near(base: SeriesValue, z: float) -> SeriesValue:
-    """P, P' and P'' at z, summed about the point of base (module docstring).
-
-    base is a direct sum (eval_point, sum_point or eval_series); its
-    (L, eta) are those of the result.  A local sum is refused as a base, so
-    errors never chain.  The value means what a direct sum's does, its noise
-    included.  Summed directly instead where base is the origin, where the
-    local sum would not take clearly fewer terms than base did, or where its
-    sums do not clear their bounds by 56 bits.
-    """
-    kept = base._base
-    if kept is None:
-        raise ValueError("eval_near needs a direct sum (eval_point, sum_point, eval_series)")
-    z = float(z)
-    if z == kept[2]:
-        return base
-    if abs(z - kept[2]) < _reach(base) and abs(z) <= EVAL_Z_MAX:
-        near = _local(base, z)
-        counts = _record.get()
-        if near is None:
-            if counts is not None:
-                counts.local_fallbacks += 1
-        else:
-            if counts is not None:
-                counts.points.append(z)
-                counts.local_evals += 1
-                counts.terms += near.truncation_terms
-                counts.local_terms += near.truncation_terms
-            return near
-    return _direct(kept[0], kept[1], z)
-
-
-def _reach(base: SeriesValue) -> float:
-    """The largest |z - z0| at which eval_near tries a local sum about the
-    point z0 of the direct sum base: where _LOCAL_COST times its estimated
-    terms 64 / log2|z0/h|, plus _LOCAL_SETUP, stay below base's; 0 at the
-    origin."""
-    spare = base.truncation_terms - _LOCAL_SETUP
-    return abs(base._base[2]) * 2.0 ** (-_ESTIMATE_BITS * _LOCAL_COST / spare) if spare > 0 else 0.0
-
-
 def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     """P, P' and P'' at z from the Taylor jet of the sum value at z0, in
-    doubles (module docstring, Jets); None where |z - z0| > 2^-12 |z0|, past
-    |z| = 55, or where P, P' or P'' is noise_limited by the jet's bound.
+    doubles (module docstring, Jets); None where |z - z0| >= |z0|/2, past
+    |z| = 55, past _JET_TERMS terms, or where P, P' or P'' is noise_limited
+    by the jet's bound.
 
-    value is a sum (eval_point, sum_point, eval_series or eval_near); a jet
-    is refused as a base, so errors never chain, and a jet is no base of
-    eval_near either.  The noise means what a sum's does.
+    value is a sum (eval_point, sum_point or eval_series); a jet is refused
+    as a base, so errors never chain.  The noise means what a sum's does.
     """
     at = value._at
     if at is None:
-        raise ValueError("jet needs a sum (eval_point, sum_point, eval_series, eval_near)")
+        raise ValueError("jet needs a sum (eval_point, sum_point, eval_series)")
     L, eta, z0 = at
     z = float(z)
     if z == z0:
         return value
     h = z - z0  # exact within the reach, where z0/2 <= z <= 2 z0
     ah = abs(h)
-    if not ah <= _JET_REACH * abs(z0) or abs(z) > EVAL_Z_MAX:
+    # strict: a z just past z0/2 may round h to -z0/2
+    if not ah < _JET_REACH * abs(z0) or abs(z) > EVAL_Z_MAX:
         return None
     # n(n-1) u_n = -(n-1)(n+2L) qa u_(n-1) - qb u_(n-2) - qc u_(n-3), u_k = c_k h^k
     qa, qb, qc = h / z0, (z0 - 2.0 * eta) * (h * h) / z0, h * h * h / z0
@@ -552,17 +433,15 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
         if counts is not None:
             counts.terms += 1
         return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
-                           noise=tuple(0.5 * math.ulp(v) for v in values),
-                           _base=(L, eta, z, 0, None), _at=(L, eta, z))
+                           noise=tuple(0.5 * math.ulp(v) for v in values), _at=(L, eta, z))
     bits = _START_BITS
     while True:
-        sums, errs, shift, n, tau, state = _fixed_point_sum(L, eta, z, bits, _TAIL_BITS)
+        sums, errs, shift, n, tau = _fixed_point_sum(L, eta, z, bits)
         missing = _missing_bits(sums, errs)
         if missing <= 0 or bits >= _MAX_BITS:
             break
         bits = min(bits + missing, _MAX_BITS)
-    sv = _rounded(sums, errs, shift, n, tau, z.as_integer_ratio(), (L, eta, z),
-                  (L, eta, z, bits, state))
+    sv = _rounded(sums, errs, shift, n, tau, (L, eta, z))
     if counts is not None:
         counts.terms += sv.truncation_terms
     return sv
@@ -576,20 +455,18 @@ def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int
 
 
 def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int, n: int,
-             tau: int, x: tuple[int, int], at: tuple[float, float, float],
-             base: tuple | None) -> SeriesValue:
-    """The SeriesValue at at = (L, eta, z) of the sums of u_k, k u_k and
-    k(k-1) u_k in units of 2^-shift, u_k = c_k x^k with c_k the Taylor
-    coefficients of P about the point summed from and x = Xn/Xd the distance
-    from there to z: each of P, P', P'' and its bound rounds once, and _UP
-    covers the rounding of each bound and of the sum with half an ulp."""
+             tau: int, at: tuple[float, float, float]) -> SeriesValue:
+    """The SeriesValue at at = (L, eta, z) of the sums of t_n, n t_n and
+    n(n-1) t_n in units of 2^-shift, t_n = a_n z^n: each of P, P', P'' and
+    its bound rounds once, and _UP covers the rounding of each bound and of
+    the sum with half an ulp."""
     (s0, s1, s2), (r0, r1, r2) = sums, errs
     unit = 1 << shift
-    Xn, Xd = x
-    q1, q2 = Xn * unit, Xn * Xn * unit
+    Zn, Zd = at[2].as_integer_ratio()
+    q1, q2 = Zn * unit, Zn * Zn * unit
     try:
-        p0, p1, p2 = s0 / unit, s1 * Xd / q1, s2 * Xd * Xd / q2
-        b0, b1, b2 = r0 / unit, r1 * Xd / abs(q1), r2 * Xd * Xd / q2
+        p0, p1, p2 = s0 / unit, s1 * Zd / q1, s2 * Zd * Zd / q2
+        b0, b1, b2 = r0 / unit, r1 * Zd / abs(q1), r2 * Zd * Zd / q2
     except OverflowError:
         raise ConvergenceError(
             f"P, P' or P'' at z={at[2]:.6g}, or its error bound, overflows a double"
@@ -597,18 +474,16 @@ def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int,
     return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau / unit * _UP,
                        noise=((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
                               (b2 + 0.5 * math.ulp(p2)) * _UP),
-                       _base=base, _at=at)
+                       _at=at)
 
 
-def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
-                     state: tuple | None = None):
-    """One summation at bits below min(1, z^2), until each tail lies below
-    2^-tail_bits of its sum or below its floor errors; from the origin, or
-    on from the state a shorter summation returned.
+def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
+    """One summation from the origin at bits below min(1, z^2), until each
+    tail lies below 2^-_TAIL_BITS of its sum or below its floor errors.
 
     Returns the integer sums of t_n, n t_n and n(n-1) t_n and their error
-    bounds, all in units of 2^-shift, then shift, the last index N, the
-    bound tau on the tail of the t_n sum and the loop state at N.
+    bounds, all in units of 2^-shift, then shift, the last index N and the
+    bound tau on the tail of the t_n sum.
     """
     Ln, Ld = L.as_integer_ratio()
     En, Ed = eta.as_integer_ratio()
@@ -624,17 +499,17 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
     shift = bits + 2 * max(0, -math.frexp(z)[1])
     eta_z, zz, l1 = 2.0 * abs(eta * z), z * z, 2.0 * L + 1.0
     settle = 2.0 * (eta_z + zz)
-    big, small, up = _BIG, _SMALL, _UP
-    if state is None:
-        # T_n and T_(n-1); s0 sums T_n; h1 and h2 sum its partial sums once and
-        # twice, which give sum n T_n and sum n(n-1) T_n exactly without a
-        # product per term; E_n, E_(n-1) and sum E_n in units of 2^scale
-        state = (0, 1 << shift, 0, 1 << shift, 0, 0, 0.0, 0.0, 0.0, 1.0, 0, True)
-    n0, t, t1, s0, h1, h2, e, e1, g, one, scale, live = state
+    big, small, up, tail_bits = _BIG, _SMALL, _UP, _TAIL_BITS
+    # T_n and T_(n-1); s0 sums T_n; h1 and h2 sum its partial sums once and
+    # twice, which give sum n T_n and sum n(n-1) T_n exactly without a product
+    # per term; E_n, E_(n-1) and sum E_n in units of 2^scale
+    t, t1, s0, h1, h2 = 1 << shift, 0, 1 << shift, 0, 0
+    e = e1 = g = 0.0
+    one, scale, live = 1.0, 0, True
     # D m_n by its differences
-    den, step, step2 = D * n0 * (n0 * Ld + 2 * Ln + Ld), 2 * D * ((n0 + 1) * Ld + Ln), 2 * D * Ld
+    den, step, step2 = 0, 2 * D * (Ld + Ln), 2 * D * Ld
     lag = tail_bits + 8  # the tail test runs once T_n < 2^-lag of the sum
-    for n in range(n0 + 1, N_MAX_CAP + 1):
+    for n in range(1, N_MAX_CAP + 1):
         den += step
         step += step2
         t, t1 = (A * t - B * t1) // den, t
@@ -681,8 +556,7 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int, tail_bits: int,
         lag = s0.bit_length() - tb + short  # test again once T_n is that much smaller
     else:
         raise ConvergenceError(f"tail bound not reached within {N_MAX_CAP} terms at z={z:.6g}")
-    return ((s0, s1, s2), _errors(n, gi, tau), shift, n, tau,
-            (n, t, t1, s0, h1, h2, e, e1, g, one, scale, live))
+    return (s0, s1, s2), _errors(n, gi, tau), shift, n, tau
 
 
 def _dominant_root(a: float, b: float, c: float) -> float:
@@ -698,96 +572,3 @@ def _errors(n: int, gi: int, tau: int) -> tuple[int, int, int]:
     """Bounds on the three sums: the floor errors gi, with the weights k and
     k(k-1) at most N and N(N-1), plus the weighted tail bounds."""
     return gi + tau, n * gi + (n + 1) * tau, n * (n - 1) * gi + (n + 1) * n * tau
-
-
-def _local(base: SeriesValue, z: float) -> SeriesValue | None:
-    """P, P' and P'' at z, within _reach(base) of the point z0 != 0 of the
-    direct sum base, summed about z0 (module docstring); None where that
-    takes as many terms as base did, or does not clear its bounds by
-    _GUARD_BITS."""
-    L, eta, z0 = base._base[:3]
-    base_terms = base.truncation_terms
-    b = base._deep
-    r0, r1 = b.r0, b.r1
-    if (r0 | r1).bit_length() > 512:
-        return None  # E starts at the base's bounds, in doubles
-    Ln, Ld = L.as_integer_ratio()
-    En, Ed = eta.as_integer_ratio()
-    Wn, Wd = z0.as_integer_ratio()
-    Zn, Zd = z.as_integer_ratio()
-    d = max(Wd, Zd)  # h = z - z0 = Hn/Hd exactly, both denominators powers of two
-    Hn, Hd = Zn * (d // Zd) - Wn * (d // Wd), d
-    hf, az = abs(Hn / Hd), abs(z0)
-    # z0 n(n-1) u_n = -(n-1)(n+2L) h u_{n-1} - (z0-2 eta) h^2 u_{n-2} - h^3 u_{n-3}
-    # times Ld Ed Wd Hd^3: K n(n-1) U_n = (n-1)(n Ld + 2 Ln) G U_{n-1} + B U_{n-2} + C U_{n-3}
-    K = Wn * Ld * Ed * Hd ** 3
-    G = -Hn * Ed * Wd * Hd * Hd
-    B = -(Wn * Ed - 2 * En * Wd) * Ld * Hn * Hn * Hd
-    C = -Ld * Ed * Wd * Hn ** 3
-    common = math.gcd(K, G, B, C) * (1 if K > 0 else -1)
-    K, G, B, C = K // common, G // common, B // common, C // common
-    den, step, step2 = 0, 2 * K, 2 * K  # K n(n-1) by its differences
-    coef, cstep, cstep2 = 0, 2 * G * (Ld + Ln), 2 * G * Ld  # (n-1)(n Ld + 2 Ln) G
-    qa = hf / az * _UP
-    qb = abs(z0 - 2.0 * eta) * hf * hf / az * _UP
-    qc = hf * hf * hf / az * _UP
-    l2 = 2.0 * L
-    tail_bits, big, small, up = _TAIL_BITS, _BIG, _SMALL, _UP
-    # U_0 and U_1 = s1 h/z0 from the base's sums, with its bounds as E_0 and E_1
-    t2, t1, t = 0, b.s0, (b.s1 * Hn * Wd) // (Hd * Wn)
-    e2, e1, e = 0.0, float(r0), r1 * qa + 1.0
-    s0, h1, h2 = t1 + t, t1, 0
-    g = e1 + e
-    one, scale, live = 1.0, 0, True
-    lag = tail_bits + 8
-    for n in range(2, base_terms):
-        den += step
-        step += step2
-        coef += cstep
-        cstep += cstep2
-        t, t1, t2 = (coef * t + B * t1 + C * t2) // den, t, t1
-        if live:
-            growth = abs(n + l2) / n * qa
-            e, e1, e2 = growth * e + (qb * e1 + qc * e2) / (n * (n - 1.0)) + one, e, e1
-            if e > big:
-                e, e1, e2, g, one, scale = (e * small, e1 * small, e2 * small, g * small,
-                                            one * small, scale + 512)
-            if max(growth, qa) + (qb + qc) / (n * (n - 1.0)) <= 0.5:
-                # from here on E_m <= max(E_(m-1), E_(m-2), E_(m-3))/2 + 1
-                live = False
-                e = e1 = e2 = max(e, e1, e2, 2.0 * one)
-        g += e
-        h2 += h1
-        h1 += s0
-        s0 += t
-        tb = t.bit_length()
-        if tb > s0.bit_length() - lag and tb > 1:
-            continue
-        # every later coefficient is at most a, b, c: rho bounds the root of
-        # rho^3 = a rho^2 + b rho + c, |u_(N+j)| <= B rho^j
-        m = n + 1.0
-        rho = _dominant_root(qa * max(1.0, abs(m + l2) / m), qb / (m * n), qc / (m * n))
-        r = rho * (n + 2.0) / n
-        if r >= 1.0:
-            continue
-        xr = math.frexp(rho)[1]
-        xb = max((abs(t) + ((int(e * up) + 1) << scale)).bit_length(),
-                 (abs(t1) + ((int(e1 * up) + 1) << scale)).bit_length() + xr,
-                 (abs(t2) + ((int(e2 * up) + 1) << scale)).bit_length() + 2 * xr)
-        tau = 1 << max(0, xb + math.frexp(rho / (1.0 - r) * up)[1])
-        gi = (int(g * up) + 1) << scale
-        s1 = n * s0 - h1
-        s2 = 2 * (h2 + (n - 1) * s1) - n * (n - 1) * s0
-        short = max(tau.bit_length() - max(gi, abs(s0) >> tail_bits).bit_length(),
-                    ((n + 1) * tau).bit_length() - max(n * gi, abs(s1) >> tail_bits).bit_length(),
-                    ((n + 1) * n * tau).bit_length()
-                    - max(n * (n - 1) * gi, abs(s2) >> tail_bits).bit_length()) + 1
-        if short <= 0:
-            break
-        lag = s0.bit_length() - tb + short
-    else:
-        return None  # no cheaper than the direct sum
-    sums, errs = (s0, s1, s2), _errors(n, gi, tau)
-    if _missing_bits(sums, errs) > 0:
-        return None
-    return _rounded(sums, errs, b.shift, n, tau, (Hn, Hd), (L, eta, z), None)

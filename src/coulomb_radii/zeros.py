@@ -86,22 +86,17 @@ Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
-steps, never at the refined root itself.  Each scan step is a direct sum
-from the origin (series.sum_point, past eval_point's memo).  The first
-point of each refine is summed about the nearer end of its scan step
-(series.eval_near), from that end's direct sum, or directly where that end
-is the origin or the local sum would not pay.  That point lies within half
-a step of its base, where the series about the base converges like
-(h/z0)^k: on the zero-scan benchmark it takes about 19 terms against 71
-from the origin, plus some 24 once per base to carry the base's sum deeper.
-Every later point lands within about 1e-5 of the first, and refine_values
-serves it as a jet (series.jet) of the nearest point the refine summed, a
-few double operations instead of a sum; it sums a point only where no jet
-is taken (beyond 2^-12 |z| of every summed point, or noise-limited), so no
-sign is decided from a noise-limited jet.  A jet lies within its noise of
-P, P' and P'', and the zeros move by less than the refine tolerance against
-summing every point (find_zeros(F, 10, 10) at (0.5, -1): 67 sums and 50
-jets where it made 117 sums).
+steps, never at the refined root itself.  Each scan step is a sum from the
+origin (series.sum_point, past eval_point's memo).  refine_values serves
+each refine point as a jet (series.jet) of the nearest point summed for
+the refine, which starts with the ends of its scan step, the nearer end
+for its first point: a few double operations instead of a sum.  It sums a
+point from the origin only where jet refuses it (past the jet's reach or
+terms, or noise-limited), so no sign is decided from a noise-limited jet,
+and later points are jets of it too.  A jet lies within its noise of P, P'
+and P'', and the zeros move by less than the refine tolerance against
+summing every point (find_zeros(F, 10, 10) at (0.5, -1): 47 sums, the scan
+steps alone, and 70 jets, against 117 sums with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, refine_bracket its one bracketed root
@@ -122,7 +117,7 @@ from .equations import (Jet, ZeroTarget, centrifugal, noise_limited, target_at_o
                         target_jet)
 from .errors import ConvergenceError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, _record, eval_near, jet, sum_point
+from .series import EVAL_Z_MAX, SeriesValue, _record, jet, sum_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -317,49 +312,47 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     return _Refined(root=0.5 * (lo + hi), lo=lo, hi=hi, iterations=iters)
 
 
-def refine_values(params: CoulombParams, sign: float = 1.0,
-                  step: tuple[float, SeriesValue | None, float, SeriesValue] | None = None,
-                  ) -> Callable[[float], SeriesValue]:
-    """The series at z = sign t for every point t of one refine.
-
-    A point within series.jet's reach of a value this refine has summed is
-    that jet about the nearest such value, unless jet refuses it (noise-
-    limited included).  Every other point, the refine's first among them, is
-    summed: about the nearer end of step = (t_prev, sv_prev, t, sv), the scan
-    step that holds the refine (series.eval_near; from the origin where that
-    end is the origin, sv_prev None), or from the origin without a step
-    (series.sum_point).  Jets are never bases, of a jet or of eval_near.
-    """
-    summed: list[tuple[float, SeriesValue]] = []
-
-    def value(t: float) -> SeriesValue:
-        z = sign * t
-        if summed:
-            sv = jet(min(summed, key=lambda kept: abs(kept[0] - z))[1], z)
-            if sv is not None:
-                return sv
-        base = None if step is None else step[1] if t - step[0] < step[2] - t else step[3]
-        sv = sum_point(params, z) if base is None else eval_near(base, z)
-        summed.append((z, sv))
-        return sv
-
-    return value
-
-
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along t = |z| on one side.
 
-    sv is the series at z = sign t; prev and cur are the target's (value,
-    slope, curvature) along t at t_prev and t (NaN slopes at the origin);
-    zero is the target's zero in the step, refined, or None.
+    sv_prev and sv are the series at z = sign t_prev (None at the origin)
+    and z = sign t; prev and cur are the target's (value, slope, curvature)
+    along t at t_prev and t (NaN slopes at the origin); zero is the target's
+    zero in the step, refined, or None.
     """
 
     t_prev: float
     t: float
+    sv_prev: SeriesValue | None
     sv: SeriesValue
     prev: Jet
     cur: Jet
     zero: float | None
+
+
+def refine_values(params: CoulombParams, step: ScanStep,
+                  sign: float = 1.0) -> Callable[[float], SeriesValue]:
+    """The series at z = sign t for every point t of one refine in step.
+
+    Each point is the series.jet of the nearest point summed for this
+    refine, which starts with the ends of step (its end at the origin left
+    out), unless jet refuses it (noise-limited included); then it is summed
+    from the origin (series.sum_point) and joins them.  Jets are never bases.
+    """
+    # at equal distance, the end at t
+    summed = [(sign * step.t, step.sv)]
+    if step.sv_prev is not None:
+        summed.append((sign * step.t_prev, step.sv_prev))
+
+    def value(t: float) -> SeriesValue:
+        z = sign * t
+        sv = jet(min(summed, key=lambda kept: abs(kept[0] - z))[1], z)
+        if sv is None:
+            sv = sum_point(params, z)
+            summed.append((z, sv))
+        return sv
+
+    return value
 
 
 def scan(params: CoulombParams, target: ZeroTarget,
@@ -413,14 +406,14 @@ def scan(params: CoulombParams, target: ZeroTarget,
         val = cur[0]
         if noise_limited(val, noise):
             return  # sign no longer resolvable against the cancellation floor
-        zero = None
+        step = ScanStep(t_prev, t, sv_prev, sv, prev, cur, None)
         if val == 0.0:
-            zero = t  # grid point sits exactly on a (simple) zero
+            step = step._replace(zero=t)  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            value = refine_values(params, sign, (t_prev, sv_prev, t, sv))
-            zero = refine_bracket(lambda s: h(value(s), s)[0], t_prev, t, prev, cur,
-                                  REFINE_TOL).root
-        yield ScanStep(t_prev, t, sv, prev, cur, zero)
+            value = refine_values(params, step, sign)
+            step = step._replace(zero=refine_bracket(lambda s: h(value(s), s)[0], t_prev, t,
+                                                     prev, cur, REFINE_TOL).root)
+        yield step
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
         t_prev, prev, sv_prev = t, cur, sv

@@ -7,9 +7,9 @@ from coulomb_radii import rayleigh, series
 
 @pytest.fixture
 def evaluations():
-    """The abscissae of the series evaluations made while a test runs, direct
-    sums and local ones alike (series.counting()), from an empty eval_point
-    memo, so every count is that of a cold start."""
+    """The abscissae of the series sums made while a test runs
+    (series.counting(); jets are no sums), from an empty eval_point memo, so
+    every count is that of a cold start."""
     series.eval_point.cache_clear()
     with series.counting() as counts:
         yield counts.points

@@ -148,7 +148,7 @@ class TestEvalAndZeros:
         assert len(lines) == 1
         totals = json.loads(lines[0][len("sums: "):])
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (67, 4416, 70, 50)
+                totals["jets"]) == (47, 3566, 70, 70)
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and err == ""
 

@@ -53,33 +53,30 @@ def test_bench_rows(capsys):
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
                          "cli_eval_warm", "disk_g64", "disk_zgpg64", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
-    # direct and local sums, counted by series.counting(), within the gates
-    # of test_zeros and test_radii (117, 118, 114, 15, 12 and 13 with every
-    # refine point summed)
-    assert 0 < rows["find_zeros"]["evals"] <= 67
-    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 65
-    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 64
+    # sums, counted by series.counting(), within the gates of test_zeros and
+    # test_radii: the scan steps alone, every refine point a jet (67, 65, 64,
+    # 13, 7 and 8 with each refine's first point summed, 117, 118, 114, 15,
+    # 12 and 13 with every refine point summed)
+    assert 0 < rows["find_zeros"]["evals"] <= 47
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 45
+    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 44
     assert 0 < rows["find_zeros_neg"]["evals"] <= 13
-    assert 0 < rows["radius"]["evals"] <= 7
-    assert 0 < rows["radius_convex_g"]["evals"] <= 8
-    # terms, the carried-on bases included: 4416, 4107 and 3971 with the
-    # refine points after the first jets (5925, 5328 and 5097 with each one
-    # summed about a scan step, 10198, 8760 and 8462 from 0)
-    assert rows["find_zeros"]["terms"] <= 4416
-    assert rows["find_zeros_F_prime"]["terms"] <= 4107
-    assert rows["find_zeros_g_prime"]["terms"] <= 3971
-    # every refine step but a few is a local sum, of 17-23 terms on average,
-    # or a jet
+    assert 0 < rows["radius"]["evals"] <= 5
+    assert 0 < rows["radius_convex_g"]["evals"] <= 4
+    # terms: 3566, 3312 and 3177 (4416, 4107 and 3971 with each refine's
+    # first point summed, 5925, 5328 and 5097 with every refine point summed
+    # about a scan step, 10198, 8760 and 8462 from 0)
+    assert rows["find_zeros"]["terms"] <= 3566
+    assert rows["find_zeros_F_prime"]["terms"] <= 3312
+    assert rows["find_zeros_g_prime"]["terms"] <= 3177
+    # every refine step is a jet
     for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
-        assert rows[name]["local_evals"] + rows[name]["jets"] >= 60
-        assert rows[name]["local_terms"] <= 24 * rows[name]["local_evals"]
-    # one direct evaluation per point of the in-process eval request on an
-    # empty memo, and none when the request is repeated
+        assert rows[name]["jets"] >= rows[name]["refine_steps"]
+    # one sum per point of the in-process eval request on an empty memo, and
+    # none when the request is repeated
     assert rows["cli_eval"]["evals"] == 16
     assert rows["cli_eval"]["terms"] == 440
-    assert rows["cli_eval"]["local_evals"] == rows["cli_eval"]["base_terms"] == 0
     assert rows["cli_eval_warm"]["evals"] == rows["cli_eval_warm"]["terms"] == 0
-    assert rows["cli_eval_warm"]["local_fallbacks"] == 0
     # each point a memo miss on an empty memo and a hit on a full one
     assert (rows["cli_eval"]["memo_hits"], rows["cli_eval"]["memo_misses"]) == (0, 16)
     assert (rows["cli_eval_warm"]["memo_hits"], rows["cli_eval_warm"]["memo_misses"]) == (16, 0)

@@ -1,5 +1,6 @@
 """Series core: coefficients, evaluation, ratios; the series against the Bessel oracle."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -26,7 +27,7 @@ from coulomb_radii import (
 )
 from coulomb_radii.equations import ZeroTarget, noise_limited, target_jet
 from coulomb_radii.verify import bessel_j
-from coulomb_radii.zeros import find_zeros
+from coulomb_radii.zeros import find_zeros, scan
 
 P00 = CoulombParams(0.0, 0.0)
 P0M1 = CoulombParams(0.0, -1.0)
@@ -409,119 +410,6 @@ class TestPointMemo:
         assert eval_point.cache_info() == before
 
 
-class TestLocalSums:
-    """eval_near: P summed about a direct sum's point, against mpmath."""
-
-    def check(self, params, base, hs):
-        # each value lies within its bound of mpmath's, rounded; returns how
-        # many were summed about the base
-        local = 0
-        z0 = base._base[2]
-        for h in hs:
-            z = z0 + h
-            want = mpmath_series(params.L, params.eta, z)
-            if abs(z) > series.EVAL_Z_MAX or any(map(math.isinf, want)):
-                continue
-            sv = series.eval_near(base, z)
-            local += sv._base is None
-            for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
-                assert abs(got - w) <= sv.noise[k] + 0.5 * math.ulp(w), (params, z0, h, k)
-        return local
-
-    def test_grid_against_mpmath(self):
-        # L from -0.9 to 9, eta from 0 to -25, both axes; h from tol/4 up to
-        # the reach of the local sum, on both sides of the base
-        tried = local = 0
-        for L in (-0.9, 0.0, 2.5, 9.0):
-            for eta in (0.0, -3.0, -25.0):
-                params = CoulombParams(L, eta)
-                for z0 in (2.9, -7.3, 21.7, -38.1):
-                    try:
-                        base = eval_point(params, z0)
-                    except ConvergenceError:  # P beyond the double range
-                        continue
-                    reach = 0.99 * series._reach(base)
-                    hs = (2.5e-13, -3e-7, 0.4 * reach, -reach)
-                    local += self.check(params, base, hs)
-                    tried += len(hs)
-        assert tried >= 150
-        assert local >= 0.6 * tried
-
-    def test_bases_next_to_zeros_of_P_and_P_prime(self):
-        # a base within 1e-9 of a zero of P or of P' (so |P| or |P'| is some
-        # 1e-9 of its size), and points from tol/4 to the reach on both sides
-        local = tried = 0
-        for L, eta in ((0.5, -1.0), (-0.9, -25.0), (9.0, -3.0)):
-            params = CoulombParams(L, eta)
-            zs = find_zeros(params, ZeroTarget.F, 4, 3)
-            points = list(zs.positive + zs.negative)
-            # P' changes sign between consecutive zeros of P
-            for side in (zs.positive, zs.negative):
-                for lo, hi in zip(side, side[1:]):
-                    neg = eval_point(params, lo).p1 < 0.0
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        lo, hi = (mid, hi) if (eval_point(params, mid).p1 < 0.0) == neg else (lo, mid)
-                    points.append(lo)
-            for x in points:
-                base = eval_point(params, x + 1e-9)
-                reach = 0.99 * series._reach(base)
-                hs = (2.5e-13, -2.5e-13, 1e-4, -0.5 * reach, reach)
-                local += self.check(params, base, hs)
-                tried += len(hs)
-        assert tried >= 100
-        assert local >= 0.6 * tried
-
-    def test_tail_estimate_bounds_the_discarded_tail(self):
-        # the Taylor coefficients about z0 from the recurrence in mpmath,
-        # started at mpmath's P(z0) and P'(z0): the terms past the last one
-        # summed add up to at most tail_estimate
-        mp = pytest.importorskip("mpmath")
-        checked = 0
-        for L, eta, z0, hs in ((0.5, -1.0, 10.3, (0.2, -0.4)), (-0.9, -25.0, 3.1, (0.02, -0.025)),
-                               (9.0, -3.0, -21.7, (0.6, -0.9)), (2.5, 0.0, 37.1, (1.1, -0.4))):
-            base = eval_point(CoulombParams(L, eta), z0)
-            with mp.workdps(60):
-                Lm, em, wm = mp.mpf(L), mp.mpf(eta), mp.mpf(z0)
-                c = [None, *_mp_series(mp, Lm, em, wm)[:2]]
-                for k in range(0, 200):
-                    c.append((-(k + 1) * (k + 2 * Lm + 2) * c[k + 2] - (wm - 2 * em) * c[k + 1]
-                              - (c[k] if k else 0)) / (wm * (k + 2) * (k + 1)))
-                c = c[1:]
-                for h in hs:
-                    sv = series.eval_near(base, z0 + h)
-                    assert sv._base is None, (L, eta, z0, h)
-                    hm = mp.mpf(z0 + h) - wm
-                    tail = sum(c[k] * hm ** k for k in range(sv.truncation_terms, 200))
-                    assert abs(tail) <= sv.tail_estimate, (L, eta, z0, h)
-                    checked += 1
-        assert checked == 8
-
-    def test_local_values_are_no_base(self):
-        params = CoulombParams(0.5, -1.0)
-        near = series.eval_near(eval_point(params, 10.0), 10.1)
-        assert near._base is None
-        with pytest.raises(ValueError):
-            series.eval_near(near, 10.2)
-
-    def test_base_at_the_origin_is_summed_directly(self, evaluations):
-        params = CoulombParams(0.5, -1.0)
-        origin = eval_point(params, 0.0)
-        evaluations.clear()
-        sv = series.eval_near(origin, 0.3)
-        assert evaluations == [0.3]
-        assert sv._base is not None  # a direct sum
-        assert repr(sv) == repr(eval_point(params, 0.3))
-
-    def test_far_point_is_summed_directly(self, evaluations):
-        # h/z0 = 0.5: 128 terms estimated against the base's 59
-        params = CoulombParams(0.5, -1.0)
-        base = eval_point(params, 10.0)
-        sv = series.eval_near(base, 15.0)
-        assert sv._base is not None
-        assert repr(sv) == repr(eval_point(params, 15.0))
-
-
 def _mp_values(mp, L, eta, z):
     """(P, P', P'') at the double z as mpmath numbers, summed from the origin
     at 60 digits, or more where the largest term, about
@@ -546,19 +434,22 @@ class TestJets:
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1.0, 5.0, exclude_min=True), st.floats(-25.0, 0.0),
-           st.floats(0.05, 55.0), st.sampled_from((1.0, -1.0)), st.floats(-1.0, 1.0))
-    def test_jet_lies_within_its_noise_of_mpmath(self, L, eta, t0, sign, frac):
+           st.floats(0.05, 55.0), st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0)),
+           st.floats(0.0, 40.0))
+    def test_jet_lies_within_its_noise_of_mpmath(self, L, eta, t0, sign, side, e):
+        # h log-uniform across the whole reach, up to |z0|/2, on both sides
         mp = pytest.importorskip("mpmath")
         z0 = sign * t0
         try:
             base = series.sum_point(CoulombParams(L, eta), z0)
         except ConvergenceError:  # P beyond the double range
             assume(False)
-        assert series.jet(base, z0 + math.copysign(1.001 * 2.0 ** -12 * t0, frac)) is None
-        z = z0 + frac * 2.0 ** -12 * t0
+        reach = series._JET_REACH * t0
+        assert series.jet(base, z0 + side * 1.001 * reach) is None
+        z = z0 + side * reach * 2.0 ** -e
         sv = series.jet(base, z)
-        if sv is None:  # noise-limited, or past |z| = 55; test_jets_are_taken_on_a_grid
-            return      # counts these
+        if sv is None:  # past its terms, noise-limited, or past |z| = 55;
+            return      # test_jets_are_taken_on_a_grid counts these
         assert sv is base or sv._at is None  # z = z0 gives the base
         want = _mp_values(mp, L, eta, z)
         with mp.workdps(60):
@@ -566,10 +457,12 @@ class TestJets:
                 assert abs(mp.mpf(got) - w) <= sv.noise[k], (L, eta, z0, z, k)
 
     def test_jets_are_taken_on_a_grid(self):
-        # L from -0.9 to 5, eta from 0 to -25, both axes, h up to the reach:
-        # nearly every jet is taken, and each lies within its noise of mpmath
+        # L from -0.9 to 5, eta from 0 to -25, both axes, h up to 2^-12 |z0|,
+        # where every jet is taken, and on to 0.49 |z0|, near the edge of the
+        # reach, where the jet runs out of terms unless z0 is small; each jet
+        # taken lies within its noise of mpmath
         mp = pytest.importorskip("mpmath")
-        tried = taken = 0
+        near = near_taken = far = far_taken = 0
         for L in (-0.9, 0.0, 2.5, 5.0):
             for eta in (0.0, -3.0, -25.0):
                 params = CoulombParams(L, eta)
@@ -578,28 +471,39 @@ class TestJets:
                         base = series.sum_point(params, z0)
                     except ConvergenceError:
                         continue
-                    for h in (2.5e-13, -3e-7, 2.0 ** -13 * z0, -0.99 * 2.0 ** -12 * z0):
-                        tried += 1
+                    for h in (2.5e-13, -3e-7, 2.0 ** -13 * z0, -0.99 * 2.0 ** -12 * z0,
+                              2.0 ** -2 * z0, -2.0 ** -2 * z0, -0.49 * z0):
+                        is_near = abs(h) <= 2.0 ** -12 * abs(z0)
+                        near += is_near
+                        far += not is_near
                         sv = series.jet(base, z0 + h)
                         if sv is None:
                             continue
-                        taken += 1
+                        near_taken += is_near
+                        far_taken += not is_near
                         want = _mp_values(mp, L, eta, z0 + h)
                         with mp.workdps(60):
                             for k, got in enumerate((sv.p0, sv.p1, sv.p2)):
                                 assert abs(mp.mpf(got) - want[k]) <= sv.noise[k], (L, eta, z0, h)
-        assert tried >= 250
-        assert taken == tried
+        assert near >= 250
+        assert near_taken == near
+        assert far_taken >= 20
 
     def test_no_jet_beyond_its_reach(self):
+        # the reach is |z0|/2, the largest share of |z0| where h = z - z0 is
+        # exact (Sterbenz); next to the origin the terms about z0 fall fast
+        # enough for jets close to its edge
+        assert series._JET_REACH == 0.5
         params = CoulombParams(0.5, -1.0)
         for z0 in (0.3, -2.0, 10.0, -40.0):
             base = series.sum_point(params, z0)
-            reach = 2.0 ** -12 * abs(z0)
+            reach = series._JET_REACH * abs(z0)
             for h in (reach, -reach):
-                assert series.jet(base, z0 + h) is not None
                 beyond = math.nextafter(z0 + h, math.copysign(math.inf, h))
                 assert series.jet(base, beyond) is None
+        base = series.sum_point(CoulombParams(0.0, 0.0), 0.05)
+        for frac in (0.98, -0.98):
+            assert series.jet(base, 0.05 * (1.0 + frac * series._JET_REACH)) is not None
         assert series.jet(series.sum_point(params, 0.0), 1e-300) is None  # no reach at 0
 
     def test_no_jet_where_its_value_is_noise_limited(self):
@@ -609,14 +513,73 @@ class TestJets:
         assert noise_limited(base.p0, base.noise[0])
         assert series.jet(base, 50.001) is None
 
+    def test_bases_next_to_zeros_of_P_and_P_prime(self):
+        # a base within 1e-9 of a zero of P or of P' (so |P| or |P'| is some
+        # 1e-9 of its size), and points from 2.5e-13 to 2^-3 |z0| on both
+        # sides: every jet taken lies within its noise of mpmath, and those
+        # within 1e-4 are all taken
+        mp = pytest.importorskip("mpmath")
+        tried = taken = 0
+        for L, eta in ((0.5, -1.0), (-0.9, -25.0), (9.0, -3.0)):
+            params = CoulombParams(L, eta)
+            zs = find_zeros(params, ZeroTarget.F, 4, 3)
+            points = list(zs.positive + zs.negative)
+            # P' changes sign between consecutive zeros of P
+            for side in (zs.positive, zs.negative):
+                for lo, hi in zip(side, side[1:]):
+                    neg = eval_point(params, lo).p1 < 0.0
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if (eval_point(params, mid).p1 < 0.0) == neg else (lo, mid)
+                    points.append(lo)
+            for x in points:
+                z0 = x + 1e-9
+                base = series.sum_point(params, z0)
+                for h in (2.5e-13, -2.5e-13, 1e-4, -2.0 ** -6 * z0, 2.0 ** -3 * z0):
+                    tried += 1
+                    sv = series.jet(base, z0 + h)
+                    if sv is None:
+                        assert abs(h) > 1e-4, (L, eta, z0, h)
+                        continue
+                    taken += 1
+                    want = _mp_values(mp, L, eta, z0 + h)
+                    with mp.workdps(60):
+                        for k, got in enumerate((sv.p0, sv.p1, sv.p2)):
+                            assert abs(mp.mpf(got) - want[k]) <= sv.noise[k], (L, eta, z0, h, k)
+        assert tried >= 100
+        assert taken >= 0.6 * tried
+
+    def test_tail_estimate_bounds_the_discarded_tail(self):
+        # the Taylor coefficients about z0 from the recurrence in mpmath,
+        # started at mpmath's P(z0) and P'(z0): the terms past the last one
+        # summed add up to at most tail_estimate
+        mp = pytest.importorskip("mpmath")
+        checked = 0
+        for L, eta, z0, hs in ((0.5, -1.0, 10.3, (0.2, -0.4)), (-0.9, -25.0, 3.1, (0.02, -0.025)),
+                               (9.0, -3.0, -21.7, (0.6, -0.9)), (2.5, 0.0, 37.1, (1.1, -0.4))):
+            base = series.sum_point(CoulombParams(L, eta), z0)
+            with mp.workdps(60):
+                Lm, em, wm = mp.mpf(L), mp.mpf(eta), mp.mpf(z0)
+                c = [None, *_mp_series(mp, Lm, em, wm)[:2]]
+                for k in range(0, 200):
+                    c.append((-(k + 1) * (k + 2 * Lm + 2) * c[k + 2] - (wm - 2 * em) * c[k + 1]
+                              - (c[k] if k else 0)) / (wm * (k + 2) * (k + 1)))
+                c = c[1:]
+                for h in hs:
+                    sv = series.jet(base, z0 + h)
+                    assert sv is not None and sv._at is None, (L, eta, z0, h)
+                    hm = mp.mpf(z0 + h) - wm
+                    tail = sum(c[k] * hm ** k for k in range(sv.truncation_terms, 200))
+                    assert abs(tail) <= sv.tail_estimate, (L, eta, z0, h)
+                    checked += 1
+        assert checked == 8
+
     def test_jets_are_no_bases(self):
         params = CoulombParams(0.5, -1.0)
-        near = series.eval_near(series.sum_point(params, 10.0), 10.1)
-        assert near._base is None and near._at is not None
-        sv = series.jet(near, 10.1001)  # a local sum is a base of a jet
+        base = series.sum_point(params, 10.0)
+        assert base._at is not None
+        sv = series.jet(base, 10.1)
         assert sv is not None and sv._at is None
-        with pytest.raises(ValueError):
-            series.eval_near(sv, 10.1002)
         with pytest.raises(ValueError):
             series.jet(sv, 10.1002)
 
@@ -625,8 +588,15 @@ class TestJets:
         base = series.sum_point(params, 10.0)
         with series.counting() as counts:
             series.jet(base, 10.001)
-            series.jet(base, 11.0)  # beyond the reach: no jet, and no sum
+            series.jet(base, 16.0)  # beyond the reach: no jet, and no sum
         assert counts.totals() == {**series.SumCounts().totals(), "jets": 1}
+
+    def test_a_value_has_no_dict(self):
+        # SeriesValue has slots: a value is a few doubles, nothing kept beside
+        sv = series.sum_point(CoulombParams(0.5, -1.0), 10.0)
+        assert not hasattr(sv, "__dict__")
+        assert [f.name for f in dataclasses.fields(sv)] == [
+            "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise", "_at"]
 
 
 class TestCounting:
@@ -636,11 +606,25 @@ class TestCounting:
         with series.counting() as counts:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
-        # each refine's first point summed (16 of them about a scan step), its
-        # later 50 points jets of it; 117 sums, 56 local and 5925 terms without
-        assert (totals["evals"], totals["local_evals"], totals["terms"],
-                totals["refine_steps"], totals["jets"]) == (67, 16, 4416, 70, 50)
-        assert totals["local_fallbacks"] == 0
+        # every refine point a jet of an end of its scan step; 67 sums and
+        # 4416 terms with each refine's first point summed, 117 and 5925 with
+        # every point summed
+        assert (totals["evals"], totals["terms"], totals["refine_steps"],
+                totals["jets"]) == (47, 3566, 70, 70)
+
+    def test_find_zeros_sums_only_its_scan_steps(self):
+        params = CoulombParams(0.5, -1.0)
+        with series.counting() as counts:
+            find_zeros(params, ZeroTarget.F, 10, 10)
+        steps = []
+        for sign in (1.0, -1.0):
+            found = 0
+            for step in scan(params, ZeroTarget.F, sign):
+                steps.append(sign * step.t)
+                found += step.zero is not None
+                if found == 10:
+                    break
+        assert counts.points == steps and len(steps) == 47
 
     def test_radius_record(self):
         from coulomb_radii.radii import RadiusQuery, radius
@@ -648,24 +632,29 @@ class TestCounting:
         with series.counting() as counts:
             radius(RadiusQuery(CoulombParams(0.5, -1.0), "g", "starlike", 0.5))
         totals = counts.totals()
-        # 12 sums and 307 terms with every solve point and the residual summed
+        # the cap scan's steps alone: the solve's points and the residual are
+        # jets of the ends of the step that brackets the radius (7 sums and
+        # 169 terms with the solve's first point summed, 12 and 307 with every
+        # point summed)
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (7, 169, 6, 5)
-        assert totals["local_evals"] == totals["base_terms"] == 0
+                totals["jets"]) == (5, 117, 6, 7)
 
     def test_radius_solve_sums_from_the_origin(self):
-        # at (60, -1) the f-convex solve summed 4 of its points about a scan
-        # step, each carrying that step's sum deeper first; its first point is
-        # summed from the origin, and the later ones and the residual are jets
-        # (39.54609038197775 with every point summed; mpmath's root lies
-        # 1.16e-12 from this one and 1.06e-12 from that)
+        # at (60, -1) every point of the f-convex solve and the residual are
+        # jets of the ends of the bracketing scan step, and every sum is a
+        # scan step's, from the origin (39.546090381975525 with the first
+        # point summed, 39.54609038197775 with every point summed; mpmath's
+        # root lies 8.0e-13 from this one, 1.16e-12 and 1.06e-12 from those)
         from coulomb_radii.radii import RadiusQuery, radius
 
+        params = CoulombParams(60.0, -1.0)
         with series.counting() as counts:
-            res = radius(RadiusQuery(CoulombParams(60.0, -1.0), "f", "convex", 0.0))
-        assert counts.local_evals == counts.base_terms == 0
-        assert counts.jets == 3
-        assert res.value == 39.546090381975525
+            res = radius(RadiusQuery(params, "f", "convex", 0.0))
+        assert counts.jets == 4 and counts.refine_steps == 3
+        # the cap lies past |z| = 55, so the scan runs to its end
+        assert res.domain_cap is None
+        assert counts.points == [step.t for step in scan(params, ZeroTarget.F_PRIME)]
+        assert res.value == 39.54609038197589
 
     def test_nothing_is_recorded_outside_a_block(self):
         params = CoulombParams(0.5, -1.0)
@@ -673,7 +662,7 @@ class TestCounting:
             pass
         assert series._record.get() is None
         find_zeros(params, ZeroTarget.F, 2, 2)
-        series.eval_near(series.sum_point(params, 10.0), 10.1)
+        series.jet(series.sum_point(params, 10.0), 10.1)
         assert counts == series.SumCounts()
 
     def test_failed_sum_counts_with_no_terms(self):

@@ -394,16 +394,16 @@ class TestRefineBracket:
         assert steps == [steps[0]] and steps[0] <= 5
 
     def test_find_zeros_evaluation_count(self, evaluations):
-        # deterministic gates: the scan steps plus the refine steps of 20
-        # zeros, one half-Sturm-spacing step for every target, each refine
-        # started at the interpolated point of the scan's end jets, the
-        # zero-free start of the negative axis unevaluated, each refine point
-        # after the first a jet (F 67, F' 65, g' 64; 117, 118 and 114 with
-        # every refine point summed, 118, 119 and 115 with the zero-free start
-        # evaluated too, 139, 138 and 138 from Halley steps alone, 223, 220
-        # and 221 with ITP steps alone); the summed points count whether
-        # summed directly or about a scan step, and jets are no sums
-        gates = {ZeroTarget.F: 69, ZeroTarget.F_PRIME: 67, ZeroTarget.G_PRIME: 66}
+        # deterministic gates: the scan steps of 20 zeros, one
+        # half-Sturm-spacing step for every target, the zero-free start of the
+        # negative axis unevaluated, each refine started at the interpolated
+        # point of the scan's end jets and every refine point a jet of an end
+        # of its scan step (F 47, F' 45, g' 44; 67, 65 and 64 with each
+        # refine's first point summed, 117, 118 and 114 with every refine
+        # point summed, 118, 119 and 115 with the zero-free start evaluated
+        # too, 139, 138 and 138 from Halley steps alone, 223, 220 and 221 with
+        # ITP steps alone); jets are no sums
+        gates = {ZeroTarget.F: 47, ZeroTarget.F_PRIME: 45, ZeroTarget.G_PRIME: 44}
         for target, gate in gates.items():
             evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
@@ -411,81 +411,71 @@ class TestRefineBracket:
             assert len(evaluations) <= gate, target
 
 
+def _step(params, t_prev, t, sign=1.0):
+    """The scan step (t_prev, t] on the side of sign with the sums of its
+    ends (none at the origin), as refine_values reads it."""
+    nan = (math.nan,) * 3
+    sv_prev = series.sum_point(params, sign * t_prev) if t_prev else None
+    return zeros.ScanStep(t_prev, t, sv_prev, series.sum_point(params, sign * t), nan, nan, None)
+
+
 class TestLocalRefine:
-    """A refine sums its first point about the nearer scan step (the radius
-    solve from the origin), and each later point that lies within a jet's
-    reach of one it summed is that jet (zeros.refine_values)."""
+    """Each refine point is a jet of the nearest point summed for the refine,
+    which starts with the ends of its scan step; a point is summed from the
+    origin only where the jet is refused (zeros.refine_values)."""
+
+    def test_points_are_jets_of_the_nearer_end(self):
+        params = CoulombParams(0.5, -1.0)
+        step = _step(params, 10.0, 11.5, -1.0)
+        value = zeros.refine_values(params, step, -1.0)
+        with series.counting() as counts:
+            first = value(10.001)  # a jet of the nearer end, -10
+            second = value(11.4999)  # a jet of -11.5
+            third = value(10.75)  # the midpoint: a jet of the end at t
+        assert counts.points == [] and counts.jets == 3
+        assert first == series.jet(step.sv_prev, -10.001)
+        assert second == series.jet(step.sv, -11.4999)
+        assert third == series.jet(step.sv, -10.75)
 
     def test_later_points_are_jets_of_the_nearest_sum(self):
+        # a step from the origin has one summed end: a point beyond the jet's
+        # reach of it is summed, and later points are jets of the nearest sum
         params = CoulombParams(0.5, -1.0)
-        value = zeros.refine_values(params, -1.0)
+        step = _step(params, 0.0, 2.0, -1.0)
+        value = zeros.refine_values(params, step, -1.0)
         with series.counting() as counts:
-            first = value(10.0)
-            second = value(10.001)  # within 2^-12 |z| of -10
-            third = value(11.0)  # beyond it: summed
-            fourth = value(10.9999)  # a jet of -11, the nearer sum
-        assert counts.points == [-10.0, -11.0] and counts.jets == 2
-        assert first._at is not None and third._at is not None
-        assert second._at is None and fourth._at is None
-        assert fourth == series.jet(third, -10.9999)
+            first = value(1.9)  # a jet of -2
+            second = value(0.5)  # beyond |z0|/2 of -2: summed
+            third = value(0.5001)  # a jet of -0.5, the nearer sum
+        assert counts.points == [-0.5] and counts.jets == 2
+        assert first == series.jet(step.sv, -1.9)
+        assert second._at is not None
+        assert third == series.jet(second, -0.5001)
 
     def test_noise_limited_jet_is_summed_instead(self):
         # at (0, -6000), z = 50 the sum's bound lies far above its value, so
         # a jet of it is noise-limited: the refine sums that point
-        value = zeros.refine_values(CoulombParams(0.0, -6000.0))
+        params = CoulombParams(0.0, -6000.0)
+        step = _step(params, 49.0, 50.0)
+        value = zeros.refine_values(params, step)
         with series.counting() as counts:
-            first = value(50.0)
-            second = value(50.001)
-        assert noise_limited(first.p0, first.noise[0])
-        assert counts.points == [50.0, 50.001] and counts.jets == 0
-        assert second._at is not None
-
-    def test_every_base_is_a_scan_step(self, monkeypatch):
-        # each base is the direct sum of one end of the scan step that holds
-        # the point, the nearer one, and the scan's own value there
-        from coulomb_radii import radii
-        from coulomb_radii.radii import RadiusQuery
-
-        seen = []
-        near = zeros.eval_near
-
-        def recording(base, z):
-            seen.append((base, z))
-            return near(base, z)
-
-        monkeypatch.setattr(zeros, "eval_near", recording)
-        params = CoulombParams(0.5, -1.0)
-        steps = {}
-        for sign in (1.0, -1.0):
-            for step in itertools.islice(zeros.scan(params, ZeroTarget.F, sign), 12):
-                steps[sign * step.t] = step
-        assert seen
-        for base, z in seen:
-            assert base._base is not None  # a direct sum
-            t0 = base._base[2]
-            assert t0 in steps and repr(steps[t0].sv) == repr(base)
-            step = next(s for s in steps.values() if s.t_prev < abs(z) < s.t)
-            assert abs(abs(z) - abs(t0)) <= 0.5 * (step.t - step.t_prev)
-        # a radius in another step than its cap: only the cap refine sums
-        # locally, about the ends of the cap's step
-        params = CoulombParams(2.5, -3.0)
-        cap_step = next(s for s in zeros.scan(params, ZeroTarget.G_PRIME) if s.zero is not None)
-        seen.clear()
-        res = radii.radius(RadiusQuery(params, "g", "convex", 0.5))
-        assert res.value < cap_step.t_prev
-        assert seen
-        for base, z in seen:
-            assert base._base is not None
-            assert base._base[2] in (cap_step.t_prev, cap_step.t)
-            assert cap_step.t_prev < z < cap_step.t
+            first = value(49.999)
+            second = value(49.9991)
+        assert noise_limited(step.sv.p0, step.sv.noise[0])
+        assert counts.points == [49.999, 49.9991] and counts.jets == 0
+        assert first._at is not None and second._at is not None
 
     def test_refined_zeros_match_direct_sums(self, monkeypatch):
-        # every refine step summed from the origin instead gives the same zeros
+        # every refine point summed from the origin instead gives zeros within
+        # the refine tolerance of these
         params = CoulombParams(4.105, -22.918)
-        local = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
-        monkeypatch.setattr(zeros, "eval_near",
-                            lambda base, z: series.eval_point(params, z))
-        assert find_zeros(params, ZeroTarget.F_PRIME, 10, 10) == local
+        jets = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
+        monkeypatch.setattr(zeros, "jet", lambda value, z: None)
+        summed = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
+        assert len(jets.positive) == len(summed.positive) == 10
+        assert len(jets.negative) == len(summed.negative) and jets.truncated == summed.truncated
+        for a, b in zip(jets.positive + jets.negative, summed.positive + summed.negative):
+            assert abs(a - b) <= zeros.REFINE_TOL, (a, b)
 
 
 class TestLargeEta:
