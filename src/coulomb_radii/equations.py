@@ -11,9 +11,10 @@ defining ratios at one point, evaluate the series themselves
     g   -> z P,    g' -> P + z P',    g'' -> 2 P' + z P''
 
 the module holds the zero targets with their noise floors, and each radius
-equation once, as a pair (N, D) whose quotient is the defining ratio
-(radius_terms); the ratio form with its pole check and the direct form
-N - beta D both come from that pair (equation).
+equation once, as a pair (N, D) whose quotient is the defining ratio, with
+the noise floors of both (radius_terms); the ratio form with its pole check
+and the direct form N - beta D, each with its noise floor, both come from
+that pair (equation).
 
 Each of them comes as a 2-jet in z: (value, d/dz, d^2/dz^2).  The Coulomb
 equation z P'' + 2(L+1) P' + (z - 2 eta) P = 0, differentiated once and
@@ -138,9 +139,9 @@ def g_prime(z: float, sv: SeriesValue) -> float:
 
 
 def radius_terms(L: float, eta: float, kind: str, convex: bool, r: float,
-                 sv: SeriesValue) -> tuple[Jet, Jet, float]:
-    """(N, D, noise floor of D) of one radius equation N/D = beta at r, N and
-    D as jets in r.
+                 sv: SeriesValue) -> tuple[Jet, Jet, float, float]:
+    """(N, D, noise floor of N, noise floor of D) of one radius equation
+    N/D = beta at r, N and D as jets in r.
 
     N/D is the defining ratio and D > 0 on (0, cap) for L > -1, eta <= 0.
     B = (s + 1 + theta) P is the derivative target of kind (g', or the C-free
@@ -151,26 +152,33 @@ def radius_terms(L: float, eta: float, kind: str, convex: bool, r: float,
         convex f:  N = (L+1) A (F'' + B) - L B^2,   D = (L+1) A B
                    (1 + r F''/F' - (L/(L+1)) r F'/F, with A, F'' the C-free
                    F, F'' of the module docstring)
+
+    Each noise floor carries the bounds of P, P' and P'' through N or D to
+    first order; (s + 1 + theta) B = (s+1)^2 P + (2s+3) r P' + r^2 P''.
     """
     target = derivative_target(kind)
     s = theta_shift(L, target)
     p = (sv.p0, sv.p1, sv.p2)
-    zp3 = _third(L, eta, r, sv)
-    if not convex:  # N is the target's jet, without its noise floor
-        return _theta(s, p, r, zp3), _scale(s + 1.0, p), abs(s + 1.0) * sv.noise[0]
+    n0, n1, n2 = sv.noise
     b, noise_b = target_jet(L, eta, target, r, sv)
+    if not convex:  # N is the target's jet
+        return b, _scale(s + 1.0, p), noise_b, abs(s + 1.0) * n0
     # (s + 1 + theta) B, with r B''' = (s+4) r P''' + r^2 P''''; for f it is
     # F'' + B, whose value is formed from the expanded F'' below
+    zp3 = _third(L, eta, r, sv)
     e = _theta(s, b, r, (s + 4.0) * zp3 + _fourth(L, eta, r, sv, zp3))
+    noise_e = (s + 1.0) ** 2 * n0 + abs(2.0 * s + 3.0) * abs(r) * n1 + r * r * n2
     if target is ZeroTarget.G_PRIME:
-        return e, b, noise_b
+        return e, b, noise_e, noise_b
     f_second = L * (L + 1.0) * sv.p0 + 2.0 * (L + 1.0) * r * sv.p1 + r * r * sv.p2
     e = (f_second + b[0], e[1], e[2])
     a = _scale(L + 1.0, p)
     num = _mul(a, e)
     sq = _mul(_scale(L, b), b)
-    noise = abs(L + 1.0) * (abs(sv.p0) * noise_b + abs(b[0]) * sv.noise[0])
-    return (num[0] - sq[0], num[1] - sq[1], num[2] - sq[2]), _mul(a, b), noise
+    noise_n = (abs(L + 1.0) * (abs(e[0]) * n0 + abs(sv.p0) * noise_e)
+               + 2.0 * abs(L * b[0]) * noise_b)
+    noise_d = abs(L + 1.0) * (abs(sv.p0) * noise_b + abs(b[0]) * n0)
+    return (num[0] - sq[0], num[1] - sq[1], num[2] - sq[2]), _mul(a, b), noise_n, noise_d
 
 
 def ratio(num: float, den: float, noise: float, r: float) -> float:
@@ -182,15 +190,17 @@ def ratio(num: float, den: float, noise: float, r: float) -> float:
     return num / den
 
 
-def equation(num: Jet, den: Jet, noise: float, r: float, beta: float,
-             form: str) -> Jet:
-    """Jet of the direct form N - beta D (form 'direct') or of the ratio form
-    N/D - beta (form 'ratio', PoleError as in ratio) at r."""
+def equation(num: Jet, den: Jet, noise_n: float, noise_d: float, r: float, beta: float,
+             form: str) -> tuple[Jet, float]:
+    """(jet, noise floor) of the direct form N - beta D (form 'direct') or of
+    the ratio form N/D - beta (form 'ratio', PoleError as in ratio) at r."""
     if form == "direct":
-        return num[0] - beta * den[0], num[1] - beta * den[1], num[2] - beta * den[2]
-    q = ratio(num[0], den[0], noise, r)
+        return ((num[0] - beta * den[0], num[1] - beta * den[1], num[2] - beta * den[2]),
+                noise_n + beta * noise_d)
+    q = ratio(num[0], den[0], noise_d, r)
     q1 = (num[1] - q * den[1]) / den[0]
-    return q - beta, q1, (num[2] - 2.0 * q1 * den[1] - q * den[2]) / den[0]
+    return ((q - beta, q1, (num[2] - 2.0 * q1 * den[1] - q * den[2]) / den[0]),
+            (noise_n + abs(q) * noise_d) / abs(den[0]))
 
 
 def equation_at_origin(L: float, kind: str, convex: bool, beta: float,
@@ -234,5 +244,5 @@ def conv_ratio(params: CoulombParams, kind: str, r: float) -> float:
 
 
 def _ratio(params: CoulombParams, kind: str, convex: bool, r: float) -> float:
-    num, den, noise = radius_terms(params.L, params.eta, kind, convex, r, eval_point(params, r))
+    num, den, _, noise = radius_terms(params.L, params.eta, kind, convex, r, eval_point(params, r))
     return ratio(num[0], den[0], noise, r)

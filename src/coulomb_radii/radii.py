@@ -26,7 +26,11 @@ of the ends of that scan step (series.jet, through zeros.refine_values),
 each summed from the origin instead where no jet is taken.  It solves
 either the ratio form N/D - beta ("ratio") or the direct form N - beta D
 ("direct"), which has the sign of the ratio form wherever D > 0; the two
-roots agreeing is one of the acceptance checks.  The scan then runs
+roots agreeing is one of the acceptance checks.  Where the solve lands on
+an exact zero x of the computed equation, refine_bracket closes its
+bracket to x; the result reports x -/+ the equation's noise floor at x
+over its slope instead, within the scan step, so the bracket still shows
+the uncertainty the noise leaves.  The scan then runs
 on to x1, refined as by find_zeros, which is reported as the domain cap;
 where the scan ends before it (x1 beyond |z| = 55 or the noise floor), the
 domain cap is None and the result carries the flag domain-cap-beyond-range.  The univalence
@@ -113,14 +117,14 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     L, eta = params.L, params.eta
     probes: list[tuple[float, float]] = []
 
-    def at(r: float, sv: SeriesValue) -> Jet:
+    def at(r: float, sv: SeriesValue) -> tuple[Jet, float]:
         try:
-            jet = equations.equation(*equations.radius_terms(L, eta, kind, convex, r, sv),
-                                     r, beta, form)
+            jet, noise = equations.equation(
+                *equations.radius_terms(L, eta, kind, convex, r, sv), r, beta, form)
         except PoleError:
-            return -math.inf, math.nan, math.nan  # at/past the cap: the low side
+            return (-math.inf, math.nan, math.nan), math.inf  # at/past the cap: the low side
         probes.append((r, jet[0]))
-        return jet
+        return jet, noise
 
     # the equation is > 0 at 0 (each ratio starts at 1, above beta) and falls
     # to -inf at the cap (the direct form has the sign of the ratio form); the
@@ -133,7 +137,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
             if step.zero is not None:
                 bracket = step, step.zero, at_lo, (-math.inf, math.nan, math.nan)
             else:
-                at_t = at(step.t, step.sv)
+                at_t = at(step.t, step.sv)[0]
                 if at_t[0] <= 0.0:
                     bracket = step, step.t, at_lo, at_t
                 at_lo = at_t
@@ -150,9 +154,16 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     step, hi, at_lo, at_hi = bracket
     lo = step.t_prev
     value = refine_values(params, step)
-    ref = refine_bracket(lambda r: at(r, value(r)), lo, hi, at_lo, at_hi,
+    ref = refine_bracket(lambda r: at(r, value(r))[0], lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
-    residual = at(ref.root, value(ref.root))[0]
+    (residual, slope, _), noise = at(ref.root, value(ref.root))
+    if ref.lo == ref.hi:
+        # the solve landed on an exact zero of the computed equation: the root
+        # lies within its noise over its slope, and in the step's bracket
+        half = noise / abs(slope) if slope else math.inf
+        lo, hi = max(lo, ref.lo - half), min(hi, ref.hi + half)
+    else:
+        lo, hi = ref.lo, ref.hi
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
         # verify it on the points the scan and the solver visited instead of
@@ -166,7 +177,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
                 )
     return RadiusResult(
         value=ref.root,
-        bracket=(ref.lo, ref.hi),
+        bracket=(lo, hi),
         residual=residual,
         domain_cap=cap,
         iterations=ref.iterations,

@@ -90,6 +90,18 @@ def test_fixture_covers_every_case():
     assert sorted(_load()) == sorted(_cases())
 
 
+def test_no_radius_bracket_has_zero_width():
+    # a solve that lands on an exact zero of its computed equation reports
+    # the bracket the equation's noise leaves around it, not that one point
+    brackets = []
+    for name, case in _load().items():
+        if name.startswith("radius-"):
+            out = json.loads(case["stdout"])
+            brackets += [r["result"]["bracket"] for r in out.get("results", [out])]
+    assert len(brackets) == 42
+    assert all(lo < hi for lo, hi in brackets)
+
+
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_golden_bytes(name):
     expected = _load()[name]

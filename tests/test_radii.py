@@ -119,6 +119,21 @@ class TestUnivalence:
         assert hi - lo <= 2e-13
         assert 0 < res.iterations <= 200
 
+    def test_exact_zero_of_the_equation_widens_the_bracket(self):
+        # the f-univalence solve at (0.5, -1) lands on an exact zero of its
+        # computed ratio form, where refine_bracket closes the bracket to that
+        # point; the bracket is widened by the equation's noise over its slope
+        # and holds mpmath's root, the first zero of F'
+        mpmath = pytest.importorskip("mpmath")
+        res = radius(RadiusQuery(CoulombParams(0.5, -1.0), "f", "univalent"))
+        lo, hi = res.bracket
+        assert res.residual == 0.0
+        assert lo < res.value < hi and hi - lo <= 1e-13
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda t: mpmath.diff(lambda u: mpmath.coulombf(0.5, -1, u), t),
+                                   res.value)
+            assert lo <= root <= hi
+
     @pytest.mark.parametrize("beta", [0.5, 1e-300])
     def test_nonzero_beta_is_rejected(self, beta):
         # univalence is the starlike radius at beta = 0; a query may not carry

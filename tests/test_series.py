@@ -983,16 +983,18 @@ class TestRatios:
 
                 for kind in ("f", "g"):
                     for convex in (False, True):
-                        num, den, noise = equations.radius_terms(L, eta, kind, convex, r, sv)
+                        num, den, noise_n, noise_d = equations.radius_terms(
+                            L, eta, kind, convex, r, sv)
+                        forms = {form: equations.equation(num, den, noise_n, noise_d, r, beta,
+                                                          form)[0]
+                                 for form in ("direct", "ratio")}
                         refs = {
                             "N": (num, lambda h: terms(kind, convex, h)[0]),
                             "D": (den, lambda h: terms(kind, convex, h)[1]),
-                            "direct": (equations.equation(num, den, noise, r, beta, "direct"),
-                                       lambda h: (lambda n, q: n - beta * q)(
-                                           *terms(kind, convex, h))),
-                            "ratio": (equations.equation(num, den, noise, r, beta, "ratio"),
-                                      lambda h: (lambda n, q: n / q - beta)(
-                                          *terms(kind, convex, h))),
+                            "direct": (forms["direct"], lambda h: (lambda n, q: n - beta * q)(
+                                *terms(kind, convex, h))),
+                            "ratio": (forms["ratio"], lambda h: (lambda n, q: n / q - beta)(
+                                *terms(kind, convex, h))),
                         }
                         for name, (jet, ref) in refs.items():
                             want = [ref(mp.mpf(0))] + [mp.diff(ref, mp.mpf(0), n) for n in (1, 2)]
