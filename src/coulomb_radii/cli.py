@@ -228,7 +228,7 @@ def _run_radius(args) -> Iterator[_Point]:
 def _run_bounds(args) -> Iterator[_Point]:
     methods = ["extracted", "closed_form"] if args.method == "both" else [args.method]
     for L, eta, params, warn in _grid(args):
-        record = bracket_sums(params, args.kind, args.m, method=methods[-1])
+        record = bracket_sums(params, args.kind, args.m)
         result = {"m": args.m, "bounds": {}}
         rows = []
         for method in methods:

@@ -11,10 +11,10 @@ Two independent routes to S_m = sum_n zeta_n^{-m}:
 
 The printed m=3 polynomials disagree with extraction at most parameters (at
 L=0, eta=-1 they give 6 versus the extracted 13/3, which also follows from
-the intermediate convolution identities), so closed-form results carry a
-discrepancy annotation wherever they differ beyond 1e-8 relative; extraction
-is the ground truth for bounds.  A closed-form record keeps that extraction,
-so one record gives the brackets of both routes and the annotations.
+the intermediate convolution identities), so a record notes each printed
+value that differs beyond 1e-8 relative; extraction is the ground truth for
+bounds.  Every record holds both routes, so one record gives the brackets
+of both and the notes.
 
 Euler-Rayleigh: S_m^{-1/m} < |zeta_1| < S_m/S_{m+1}, the upper bound only
 when S_{m+1} > 0 (a validity condition with mixed-sign zeros, not an error).
@@ -22,6 +22,7 @@ when S_{m+1} > 0 (a validity condition with mixed-sign zeros, not an error).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -43,32 +44,26 @@ class SumMethod(str, Enum):
 
 @dataclass(frozen=True)
 class RayleighSums:
-    """S_m by method, the extraction they came from or were checked against,
-    and a note on each printed value that disagrees with it."""
+    """S_m by both routes: extracted S_2..S_max(m_max, 3), the printed S_2
+    and S_3, and a note on each printed value that disagrees with the
+    extraction."""
 
     params: CoulombParams
     target: ZeroTarget
-    method: SumMethod
-    values: Mapping[int, float]
-    discrepancies: Mapping[int, str]
     extracted: Mapping[int, float]
+    closed_form: Mapping[int, float]
+    discrepancies: Mapping[int, str]
 
-    def bracket(self, m: int = 2, method: SumMethod | str | None = None,
+    def bracket(self, m: int = 2, method: SumMethod | str = SumMethod.EXTRACTED,
                 ) -> tuple[float, float | None]:
         """(S_m^{-1/m}, S_m/S_{m+1}; None unless S_{m+1} > 0) from the sums of
-        method: by default the record's own, and 'extracted' its extraction.
-        m must be even, as in bracket_sums: with zeros of both signs an odd
-        S_m bounds nothing."""
-        method = self.method if method is None else SumMethod(method)
-        if method is SumMethod.EXTRACTED:
-            values = self.extracted
-        elif self.method is SumMethod.CLOSED_FORM:
-            values = self.values
-        else:
-            raise ValueError("an extracted record holds no closed-form sums")
+        method.  m must be even, as in bracket_sums: with zeros of both signs
+        an odd S_m bounds nothing."""
+        values = self.extracted if SumMethod(method) is SumMethod.EXTRACTED else self.closed_form
         if m not in values or m + 1 not in values:
-            raise ValueError(f"the record holds S_{min(values)}..S_{max(values)}; "
-                             f"the m = {m} bracket needs S_{m} and S_{m + 1}")
+            held = (f"the record holds S_2..S_{max(values)}" if values is self.extracted
+                    else "the closed forms give S_2 and S_3 only")
+            raise ValueError(f"{held}; the m = {m} bracket needs S_{m} and S_{m + 1}")
         if m % 2:
             raise ValueError(_EVEN_M)
         s_m, s_m1 = values[m], values[m + 1]
@@ -137,54 +132,46 @@ def _varsigma3_closed(L: float, eta: float) -> float:
     return num / ((L + 1.0) ** 3 * (L + 2.0) * (2.0 * L + 3.0))
 
 
-def sums(params: CoulombParams, target: ZeroTarget | str, method: SumMethod | str,
-         m_max: int = 8) -> RayleighSums:
-    """Rayleigh sums S_2..S_{m_max} over the zeros of a derivative target (F'
-    or g'; not F) by the chosen route.
-
-    closed_form supports m in {2, 3} only and annotates any m=3 value that
-    disagrees with extraction beyond 1e-8 relative.
-    """
+def sums(params: CoulombParams, target: ZeroTarget | str, m_max: int = 8) -> RayleighSums:
+    """Rayleigh sums over the zeros of a derivative target (F' or g'; not F)
+    by both routes: S_2..S_max(m_max, 3) by extraction, which comes first (a
+    degenerate recurrence raises before a closed form meets its pole), and
+    the printed S_2 and S_3, each noted where it disagrees with extraction
+    beyond 1e-8 relative."""
     target = ZeroTarget(target)
-    method = SumMethod(method)
     if target is ZeroTarget.F:
         raise ValueError("Rayleigh sums run over the zeros of F_prime or g_prime, not F")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    if method is SumMethod.EXTRACTED:
-        values = MappingProxyType(_extracted_values(params, target, m_max))
-        return RayleighSums(params, target, method, values, MappingProxyType({}), values)
-    if m_max > 3:
-        raise ValueError("closed_form supports m in {2, 3} only")
-    extracted = _extracted_values(params, target, 3)
+    extracted = _extracted_values(params, target, max(m_max, 3))
     closed = ((_sigma2_closed, _sigma3_closed) if target is ZeroTarget.F_PRIME
               else (_varsigma2_closed, _varsigma3_closed))
-    values = {m: f(params.L, params.eta) for m, f in zip((2, 3), closed) if m <= m_max}
+    try:
+        closed_form = {m: f(params.L, params.eta) for m, f in zip((2, 3), closed)}
+    except OverflowError:  # the printed powers overflow from |L| ~ 1e77, extraction does not
+        closed_form = {2: math.nan, 3: math.nan}
     notes = {m: f"printed m={m} value {v:.12g} disagrees with coefficient extraction "
                 f"{extracted[m]:.12g}; extraction is used for bounds"
-             for m, v in values.items()
+             for m, v in closed_form.items()
              if abs(v - extracted[m]) / max(abs(extracted[m]), 1e-30) > 1e-8}
-    return RayleighSums(params, target, method, MappingProxyType(values),
-                        MappingProxyType(notes), MappingProxyType(extracted))
+    return RayleighSums(params, target, MappingProxyType(extracted),
+                        MappingProxyType(closed_form), MappingProxyType(notes))
 
 
-def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2, *,
-                 method: SumMethod | str = SumMethod.EXTRACTED) -> RayleighSums:
-    """S_2..S_{m+1} by method over the zeros of derivative_target(kind) (F' for
-    f, g' for g), which bound the univalence radius of kind: the record of the
-    brackets of every even order up to m.  m must be even, so the lower bound
-    is unconditional for real zeros; closed forms give m = 2 only."""
-    method = SumMethod(method)
+def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2) -> RayleighSums:
+    """The record of S_2..S_{m+1} over the zeros of derivative_target(kind)
+    (F' for f, g' for g), which bound the univalence radius of kind: it gives
+    the brackets of every even order up to m, and the closed-form one of
+    m = 2.  m must be even, so the lower bound is unconditional for real
+    zeros."""
     if m < 2 or m % 2:
         raise ValueError(_EVEN_M)
-    if method is SumMethod.CLOSED_FORM and m != 2:
-        raise ValueError("closed_form bounds exist for m = 2 only")
-    return sums(params, derivative_target(kind), method, m_max=m + 1)
+    return sums(params, derivative_target(kind), m_max=m + 1)
 
 
-def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2, *,
-                          method: SumMethod | str = SumMethod.EXTRACTED,
+def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2,
                           ) -> tuple[float, float | None]:
     """(lower, upper) bracket for the smallest-modulus derivative zero:
-    RayleighSums.bracket(m) of the record bracket_sums builds."""
-    return bracket_sums(params, kind, m, method=method).bracket(m)
+    RayleighSums.bracket(m) of the extraction in the record bracket_sums
+    builds."""
+    return bracket_sums(params, kind, m).bracket(m)

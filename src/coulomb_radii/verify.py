@@ -22,7 +22,7 @@ from .equations import Kind, conv_ratio, derivative_target, g_value, star_ratio
 from .errors import ConvergenceError
 from .params import CoulombParams
 from .radii import RadiusQuery, radius
-from .rayleigh import SumMethod, bracket_sums, euler_rayleigh_bounds, sums
+from .rayleigh import bracket_sums, euler_rayleigh_bounds, sums
 from .series import eval_point
 from .subordination import axis_minimum_gap, disk_min_real
 from .zeros import ZeroSet, ZeroTarget, find_zeros
@@ -183,8 +183,8 @@ def _closed_form_agreement() -> CriterionResult:
     worst = 0.0
     for params in _grid():
         for kind in Kind:
-            s = sums(params, derivative_target(kind), SumMethod.CLOSED_FORM, 2)
-            worst = max(worst, abs(s.values[2] - s.extracted[2]) / abs(s.extracted[2]))
+            s = sums(params, derivative_target(kind), 2)
+            worst = max(worst, abs(s.closed_form[2] - s.extracted[2]) / abs(s.extracted[2]))
     ok = worst <= 1e-10
     return CriterionResult(
         3, "order-2 closed forms match extraction on the grid", ok,
@@ -194,14 +194,14 @@ def _closed_form_agreement() -> CriterionResult:
 
 def _documented_discrepancy() -> CriterionResult:
     params = CoulombParams(0.0, -1.0)
-    s = sums(params, ZeroTarget.F_PRIME, SumMethod.CLOSED_FORM, 3)
-    printed_ok = abs(s.values[3] - 6.0) <= 1e-12
+    s = sums(params, ZeroTarget.F_PRIME, 3)
+    printed_ok = abs(s.closed_form[3] - 6.0) <= 1e-12
     extracted_ok = abs(s.extracted[3] - 13.0 / 3.0) <= 1e-13
     annotated = 3 in s.discrepancies
     ok = printed_ok and extracted_ok and annotated
     return CriterionResult(
         4, "order-3 printed/extracted discrepancy at (L=0, eta=-1)", ok,
-        f"printed {s.values[3]:.12g}, extracted {s.extracted[3]:.12g}; "
+        f"printed {s.closed_form[3]:.12g}, extracted {s.extracted[3]:.12g}; "
         "expected, flagged, and not a failure of the extraction path",
         flagged=(s.discrepancies.get(3, ""),) if annotated else (),
     )

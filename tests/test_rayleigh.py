@@ -9,11 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from coulomb_radii import CoulombParams, rayleigh, verify
+from coulomb_radii import (
+    CoulombError,
+    CoulombParams,
+    DegenerateRecurrenceError,
+    rayleigh,
+    verify,
+)
 from coulomb_radii.equations import ZeroTarget
 from coulomb_radii.radii import RadiusQuery, radius
 from coulomb_radii.rayleigh import (
-    SumMethod,
     bracket_sums,
     euler_rayleigh_bounds,
     logderiv_coeffs,
@@ -71,49 +76,70 @@ class TestLogderivCoeffs:
 
 class TestSums:
     def test_extracted_sigma_at_0_minus1(self):
-        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 4)
-        assert s.values[2] == pytest.approx(3.0, abs=1e-13)
-        assert s.values[3] == pytest.approx(13.0 / 3.0, abs=1e-13)
+        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, 4)
+        assert s.extracted[2] == pytest.approx(3.0, abs=1e-13)
+        assert s.extracted[3] == pytest.approx(13.0 / 3.0, abs=1e-13)
 
     def test_closed_form_sigma_at_0_minus1_is_flagged(self):
-        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, SumMethod.CLOSED_FORM, 3)
-        assert s.values[2] == pytest.approx(3.0, abs=1e-13)
+        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, 3)
+        assert s.closed_form[2] == pytest.approx(3.0, abs=1e-13)
         # the printed cubic evaluates to 6 here; extraction gives 13/3
-        assert s.values[3] == pytest.approx(6.0, abs=1e-12)
+        assert s.closed_form[3] == pytest.approx(6.0, abs=1e-12)
         assert 3 in s.discrepancies and 2 not in s.discrepancies
 
     def test_varsigma_cosine_sum(self):
         # zeros of cos: sum of 1/xi^2 = (8/pi^2) sum (2n-1)^{-2} = 1
-        for method in SumMethod:
-            s = sums(CoulombParams(0.0, 0.0), ZeroTarget.G_PRIME, method, 3)
-            assert s.values[2] == pytest.approx(1.0, abs=1e-13)
+        s = sums(CoulombParams(0.0, 0.0), ZeroTarget.G_PRIME, 3)
+        for values in (s.extracted, s.closed_form):
+            assert values[2] == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("L", GRID_L)
     @pytest.mark.parametrize("eta", GRID_ETA)
     def test_order_two_closed_forms_match_extraction(self, L, eta):
         params = CoulombParams(L, eta)
         for target in (ZeroTarget.F_PRIME, ZeroTarget.G_PRIME):
-            closed = sums(params, target, SumMethod.CLOSED_FORM, 2).values[2]
-            extracted = sums(params, target, SumMethod.EXTRACTED, 2).values[2]
-            assert abs(closed - extracted) <= 1e-10 * abs(extracted)
+            s = sums(params, target, 2)
+            assert abs(s.closed_form[2] - s.extracted[2]) <= 1e-10 * abs(s.extracted[2])
 
     def test_extraction_self_consistency(self):
         # S_m from m_max and from 2 m_max coefficients agree
         params = CoulombParams(0.5, -1.0)
-        a = sums(params, ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 8).values
-        b = sums(params, ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 16).values
+        a = sums(params, ZeroTarget.F_PRIME, 8).extracted
+        b = sums(params, ZeroTarget.F_PRIME, 16).extracted
         for m in range(2, 9):
             assert a[m] == pytest.approx(b[m], rel=1e-12, abs=1e-12)
 
     def test_odd_sums_vanish_at_eta_zero(self):
-        s = sums(CoulombParams(1.5, 0.0), ZeroTarget.F_PRIME, SumMethod.EXTRACTED, 8)
-        assert s.values[3] == 0.0
-        assert s.values[5] == 0.0
-        assert s.values[7] == 0.0
+        s = sums(CoulombParams(1.5, 0.0), ZeroTarget.F_PRIME, 8)
+        assert s.extracted[3] == 0.0
+        assert s.extracted[5] == 0.0
+        assert s.extracted[7] == 0.0
 
     def test_closed_form_beyond_three_unsupported(self):
-        with pytest.raises(ValueError):
-            sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, SumMethod.CLOSED_FORM, 4)
+        # the closed forms give S_2 and S_3 whatever m_max the record extracts
+        s = sums(CoulombParams(0.0, -1.0), ZeroTarget.F_PRIME, 8)
+        assert sorted(s.closed_form) == [2, 3] and sorted(s.extracted) == list(range(2, 9))
+        with pytest.raises(ValueError, match="closed forms give S_2 and S_3 only"):
+            s.bracket(4, "closed_form")
+
+    @pytest.mark.parametrize("L, n", [(-1.5, 2), (-2.0, 3)])
+    def test_a_pole_of_the_closed_forms_raises_the_recurrence_error(self, L, n):
+        # 2L + 3 and L + 2 divide the printed sums; extraction runs first, and
+        # the recurrence degenerates at those L before a closed form is formed
+        params = CoulombParams(L, -1.0, unsafe=True)
+        for target in (ZeroTarget.F_PRIME, ZeroTarget.G_PRIME):
+            with pytest.raises(DegenerateRecurrenceError) as exc:
+                sums(params, target, 2)
+            assert exc.value.n == n
+
+    def test_printed_overflow_leaves_the_extraction(self):
+        # the printed polynomials overflow at L = 1e100; the extracted bracket
+        # does not, and the closed-form one is refused as a numerical failure
+        record = bracket_sums(CoulombParams(1e100, -1.0), "g")
+        assert record.bracket(2) == pytest.approx((8.16496580927726e49, 1e100), rel=1e-12)
+        assert all(math.isnan(v) for v in record.closed_form.values())
+        with pytest.raises(CoulombError, match="not positive"):
+            record.bracket(2, "closed_form")
 
     @pytest.mark.parametrize("L, eta, target", [
         (0.0, -1.0, ZeroTarget.F_PRIME),
@@ -136,7 +162,7 @@ class TestSums:
         tail_bound = 1.0 / (min(gaps_pos) * zs.positive[-1]) + 1.0 / (
             min(gaps_neg) * -zs.negative[-1]
         )
-        s2 = sums(params, target, SumMethod.EXTRACTED, 2).values[2]
+        s2 = sums(params, target, 2).extracted[2]
         assert abs(s2 - partial) <= tail_bound
 
 
@@ -177,9 +203,7 @@ class TestBounds:
 
     def test_closed_form_method_gives_printed_bounds(self):
         params = CoulombParams(0.0, -1.0)
-        lower, upper = euler_rayleigh_bounds(
-            params, "f", 2, method=SumMethod.CLOSED_FORM
-        )
+        lower, upper = bracket_sums(params, "f", 2).bracket(2, "closed_form")
         assert lower == pytest.approx(3.0 ** -0.5, rel=1e-12)
         # printed sigma_3 is 6 here, so the printed upper is 1/2
         assert upper == pytest.approx(0.5, rel=1e-12)
@@ -188,20 +212,19 @@ class TestBounds:
 class TestOneRecord:
     """Every bracket and note of a point comes from one RayleighSums record."""
 
-    def test_closed_form_record_holds_the_extracted_bracket(self):
+    def test_every_record_gives_both_brackets(self):
+        # the default bracket is the extracted one; the closed-form one and
+        # the notes come with every record, of any order
         params = CoulombParams(0.5, -1.0)
         for kind in ("f", "g"):
-            record = bracket_sums(params, kind, method=SumMethod.CLOSED_FORM)
-            assert record.bracket(2, SumMethod.EXTRACTED) == euler_rayleigh_bounds(params, kind)
-            assert record.bracket() == euler_rayleigh_bounds(
-                params, kind, method=SumMethod.CLOSED_FORM)
-            assert 3 in record.discrepancies
-
-    def test_extracted_record_has_no_closed_form_bracket(self):
-        record = bracket_sums(CoulombParams(0.0, -1.0), "f")
-        assert record.extracted is record.values
-        with pytest.raises(ValueError):
-            record.bracket(2, SumMethod.CLOSED_FORM)
+            for m in (2, 4):
+                record = bracket_sums(params, kind, m)
+                assert record.bracket(2) == record.bracket(2, "extracted")
+                assert record.bracket(2) == euler_rayleigh_bounds(params, kind)
+                s2, s3 = record.closed_form[2], record.closed_form[3]
+                assert record.bracket(2, "closed_form") == (s2 ** -0.5, s2 / s3)
+                assert record.bracket(2, "closed_form") != record.bracket(2)
+                assert 3 in record.discrepancies and 2 not in record.discrepancies
 
     def test_shorter_extraction_is_a_prefix(self):
         # each coefficient is rounded once from its exact value, so the m = 2
@@ -223,21 +246,23 @@ class TestOneRecord:
         # S_3 of this record gives (2.913, 0.966) around a univalence radius
         # of 2.419: with zeros of both signs an odd sum bounds nothing
         record = bracket_sums(CoulombParams(1.0, -0.25), "f", 4)
-        for method in (None, SumMethod.EXTRACTED):
+        for bracket in (lambda: record.bracket(3), lambda: record.bracket(3, "extracted")):
             with pytest.raises(ValueError, match="even"):
-                record.bracket(3, method)
+                bracket()
         assert record.bracket(4) == euler_rayleigh_bounds(CoulombParams(1.0, -0.25), "f", 4)
 
     def test_sums_refuse_the_zeros_of_F(self, extractions):
         with pytest.raises(ValueError, match="not F"):
-            sums(CoulombParams(0.0, -1.0), ZeroTarget.F, SumMethod.EXTRACTED)
+            sums(CoulombParams(0.0, -1.0), ZeroTarget.F)
         assert extractions == []
 
     def test_bad_order_is_refused_before_any_extraction(self, extractions):
         params = CoulombParams(0.0, -1.0)
-        for m, method in ((3, "extracted"), (0, "extracted"), (4, "closed_form")):
-            with pytest.raises(ValueError):
-                bracket_sums(params, "f", m, method=method)
+        for m in (3, 0, 1):
+            with pytest.raises(ValueError, match="even"):
+                bracket_sums(params, "f", m)
+        with pytest.raises(ValueError, match="m_max must be >= 2"):
+            sums(params, ZeroTarget.F_PRIME, 1)
         assert extractions == []
 
     def test_bound_bracketing_extracts_once_per_point(self, extractions):
