@@ -26,11 +26,12 @@ of the ends of that scan step (series.jet, through zeros.refine_values),
 each summed from the origin instead where no jet is taken.  It solves
 either the ratio form N/D - beta ("ratio") or the direct form N - beta D
 ("direct"), which has the sign of the ratio form wherever D > 0; the two
-roots agreeing is one of the acceptance checks.  Where the solve lands on
-an exact zero x of the computed equation, refine_bracket closes its
-bracket to x; the result reports x -/+ the equation's noise floor at x
-over its slope instead, within the scan step, so the bracket still shows
-the uncertainty the noise leaves.  The scan then runs
+roots agreeing is one of the acceptance checks.  refine_bracket decides
+the sign at each end of its bracket without a noise check, so the result
+widens both ends by the equation's noise floor at the root over its slope,
+within the scan step: a rule first order in the series bounds, not a
+proof, under which every golden and seeded random bracket holds the root
+of a 50-digit equation.  The scan then runs
 on to x1, refined as by find_zeros, which is reported as the domain cap;
 where the scan ends before it (x1 beyond |z| = 55 or the noise floor), the
 domain cap is None and the result carries the flag domain-cap-beyond-range.  The univalence
@@ -157,13 +158,11 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     ref = refine_bracket(lambda r: at(r, value(r))[0], lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
     (residual, slope, _), noise = at(ref.root, value(ref.root))
-    if ref.lo == ref.hi:
-        # the solve landed on an exact zero of the computed equation: the root
-        # lies within its noise over its slope, and in the step's bracket
-        half = noise / abs(slope) if slope else math.inf
-        lo, hi = max(lo, ref.lo - half), min(hi, ref.hi + half)
-    else:
-        lo, hi = ref.lo, ref.hi
+    # refine_bracket decides the sign at each end without a noise check, so
+    # the root lies within the noise over the slope of either end, and in the
+    # step's bracket
+    half = noise / abs(slope) if slope else math.inf
+    lo, hi = max(lo, ref.lo - half), min(hi, ref.hi + half)
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
         # verify it on the points the scan and the solver visited instead of

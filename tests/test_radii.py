@@ -1,6 +1,10 @@
 """Radius solvers: starlikeness, convexity, univalence."""
 
+import functools
+import json
 import math
+import os
+import random
 
 import pytest
 
@@ -323,3 +327,83 @@ class TestUnsafe:
         res = radius(RadiusQuery(params, "g", "starlike", 0.0))
         assert "no-certificate" in res.flags
         assert res.value > 0.0
+
+
+class TestBracketHoldsTheRoot:
+    """Every radius bracket straddles the root of the exact equation.
+
+    The oracle shares no code with the package: (P, r P', r^2 P'') summed
+    from the coefficient recurrence at 50 digits, and (N, D) formed as in the
+    equations.radius_terms docstring; the direct form N - beta D has the sign
+    of the ratio form wherever D > 0, and stays finite at the domain cap."""
+
+    GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "cli_golden.json")
+
+    @staticmethod
+    def direct_form(mp, L, eta, kind, prop, beta, r):
+        with mp.workdps(50):
+            Lm, em, rm = mp.mpf(L), mp.mpf(eta), mp.mpf(r)
+            t2, t1 = mp.mpf(0), mp.mpf(1)
+            p0, p1, p2 = mp.mpf(1), mp.mpf(0), mp.mpf(0)  # P, r P', r^2 P''
+            n = 0
+            while n <= 2 * abs(r) + 10 or (abs(t1) + abs(t2)) * n * n > mp.mpf(10) ** -45:
+                n += 1
+                t = (2 * em * rm * t1 - rm * rm * t2) / (n * (n + 2 * Lm + 1))
+                p0, p1, p2 = p0 + t, p1 + n * t, p2 + n * (n - 1) * t
+                t2, t1 = t1, t
+            s = Lm if kind == "f" else mp.mpf(0)
+            b = p1 + (s + 1) * p0
+            if prop != "convex":
+                num, den = b, (s + 1) * p0
+            elif kind == "g":
+                num, den = p0 + 3 * p1 + p2, b
+            else:
+                f2 = Lm * (Lm + 1) * p0 + 2 * (Lm + 1) * p1 + p2
+                num, den = (Lm + 1) * p0 * (f2 + b) - Lm * b * b, (Lm + 1) * p0 * b
+            return num - beta * den
+
+    def assert_straddles(self, mp, L, eta, kind, prop, beta, form, bracket):
+        lo, hi = bracket
+        h = functools.partial(self.direct_form, mp, L, eta, kind, prop, beta)
+        assert h(lo) >= 0 >= h(hi), (L, eta, kind, prop, beta, form, bracket)
+
+    def test_golden_brackets(self):
+        # each radius result of the golden file, at most 2e-13 max(1, r) wide
+        mp = pytest.importorskip("mpmath")
+        with open(self.GOLDEN) as fh:
+            golden = json.load(fh)
+        checked = 0
+        for name, case in golden.items():
+            if not name.startswith("radius-"):
+                continue
+            argv = case["argv"]
+            kind, prop, form = (argv[argv.index(flag) + 1] if flag in argv else "ratio"
+                                for flag in ("--kind", "--property", "--form"))
+            out = json.loads(case["stdout"])
+            for point in out.get("results", [out]):
+                params, result = point["params"], point["result"]
+                lo, hi = result["bracket"]
+                assert hi - lo <= 2e-13 * max(1.0, result["value"]), (name, lo, hi)
+                self.assert_straddles(mp, params["L"], params["eta"], kind, prop,
+                                      params["beta"], form, (lo, hi))
+                checked += 1
+        assert checked == 42
+
+    def test_random_queries(self):
+        # three seeded (L, eta) per kind x property x beta x form: L in
+        # (-1, 5], (-1/2, 5] for f-convex, and eta in [-12, 0]
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(28)
+        for kind in ("f", "g"):
+            for prop in ("starlike", "convex", "univalent"):
+                for beta in (0.0,) if prop == "univalent" else (0.0, 0.25, 0.5, 0.75):
+                    for form in ("ratio", "direct"):
+                        for _ in range(3):
+                            L = 5.0 - rng.random() * (5.5 if (kind, prop) == ("f", "convex")
+                                                      else 6.0)
+                            eta = -12.0 * rng.random()
+                            res = radius(RadiusQuery(CoulombParams(L, eta), kind, prop, beta),
+                                         form=form)
+                            self.assert_straddles(mp, L, eta, kind, prop, beta, form,
+                                                  res.bracket)
