@@ -44,9 +44,8 @@ class SumMethod(str, Enum):
 
 @dataclass(frozen=True)
 class RayleighSums:
-    """S_m by both routes: extracted S_2..S_max(m_max, 3), the printed S_2
-    and S_3, and a note on each printed value that disagrees with the
-    extraction."""
+    """S_m by both routes, extracted S_2..S_max(m_max, 3) and the printed S_2
+    and S_3, and a note on each printed value that disagrees with extraction."""
 
     params: CoulombParams
     target: ZeroTarget
@@ -159,11 +158,10 @@ def sums(params: CoulombParams, target: ZeroTarget | str, m_max: int = 8) -> Ray
 
 
 def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2) -> RayleighSums:
-    """The record of S_2..S_{m+1} over the zeros of derivative_target(kind)
-    (F' for f, g' for g), which bound the univalence radius of kind: it gives
-    the brackets of every even order up to m, and the closed-form one of
-    m = 2.  m must be even, so the lower bound is unconditional for real
-    zeros."""
+    """S_2..S_{m+1} over the zeros of derivative_target(kind) (F' for f, g'
+    for g), which bound the univalence radius of kind: the record of the
+    brackets of every even order up to m, and of the closed-form one.  m must
+    be even, so the lower bound is unconditional for real zeros."""
     if m < 2 or m % 2:
         raise ValueError(_EVEN_M)
     return sums(params, derivative_target(kind), m_max=m + 1)
@@ -172,6 +170,5 @@ def bracket_sums(params: CoulombParams, kind: Kind | str, m: int = 2) -> Rayleig
 def euler_rayleigh_bounds(params: CoulombParams, kind: Kind | str, m: int = 2,
                           ) -> tuple[float, float | None]:
     """(lower, upper) bracket for the smallest-modulus derivative zero:
-    RayleighSums.bracket(m) of the extraction in the record bracket_sums
-    builds."""
+    RayleighSums.bracket(m) of the record bracket_sums builds."""
     return bracket_sums(params, kind, m).bracket(m)
