@@ -159,7 +159,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
                          _ABSCISSA_TOL * max(1.0, hi))
     (residual, slope, _), noise = at(ref.root, value(ref.root))
     # refine_bracket decides the sign at each end without a noise check, so
-    # the root lies within the noise over the slope of either end, and in the
+    # both ends move out by the noise over the slope at the root, within the
     # step's bracket
     half = noise / abs(slope) if slope else math.inf
     lo, hi = max(lo, ref.lo - half), min(hi, ref.hi + half)
