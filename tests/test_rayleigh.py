@@ -212,7 +212,7 @@ class TestBounds:
 class TestOneRecord:
     """Every bracket and note of a point comes from one RayleighSums record."""
 
-    def test_every_record_gives_both_brackets(self):
+    def test_closed_form_record_holds_the_extracted_bracket(self):
         # the default bracket is the extracted one; the closed-form one and
         # the notes come with every record, of any order
         params = CoulombParams(0.5, -1.0)
@@ -225,6 +225,16 @@ class TestOneRecord:
                 assert record.bracket(2, "closed_form") == (s2 ** -0.5, s2 / s3)
                 assert record.bracket(2, "closed_form") != record.bracket(2)
                 assert 3 in record.discrepancies and 2 not in record.discrepancies
+
+    def test_extracted_record_has_no_closed_form_bracket(self):
+        # past m = 2 a record's brackets are extracted only: the closed forms
+        # give S_2 and S_3, so a higher-order closed-form bracket is refused
+        params = CoulombParams(0.0, -1.0)
+        record = bracket_sums(params, "f", 4)
+        assert sorted(record.closed_form) == [2, 3]
+        assert record.bracket(4) == euler_rayleigh_bounds(params, "f", 4)
+        with pytest.raises(ValueError, match="closed forms give S_2 and S_3 only"):
+            record.bracket(4, "closed_form")
 
     def test_shorter_extraction_is_a_prefix(self):
         # each coefficient is rounded once from its exact value, so the m = 2
