@@ -119,11 +119,6 @@ def target_jet(L: float, eta: float, target: ZeroTarget, z: float,
     return _theta(s, p, z, _third(L, eta, z, sv)), noise
 
 
-def target_at_origin(L: float, target: ZeroTarget) -> float:
-    # P(0) = 1, so a derivative target (s + 1 + theta) P is s + 1 there
-    return 1.0 if target is ZeroTarget.F else theta_shift(L, target) + 1.0
-
-
 # --- the normalized form g = z P ------------------------------------------------
 
 
@@ -201,15 +196,6 @@ def equation(num: Jet, den: Jet, noise_n: float, noise_d: float, r: float, beta:
     q1 = (num[1] - q * den[1]) / den[0]
     return ((q - beta, q1, (num[2] - 2.0 * q1 * den[1] - q * den[2]) / den[0]),
             (noise_n + abs(q) * noise_d) / abs(den[0]))
-
-
-def equation_at_origin(L: float, kind: str, convex: bool, beta: float,
-                       form: str) -> float:
-    """The equation at r = 0, where the ratio is 1 and D is s + 1 (starlike)
-    or (s + 1)^2 (convex), s the theta-shift: 1 for g, L+1 or (L+1)^2 for f."""
-    if form == "ratio":
-        return 1.0 - beta
-    return (1.0 - beta) * (theta_shift(L, derivative_target(kind)) + 1.0) ** (2 if convex else 1)
 
 
 # --- log-derivative ratios at one point -----------------------------------------

@@ -12,14 +12,14 @@ For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 -inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
 for convexity), and D > 0 on (0, x1).  radius() runs the zero scan of the
 zeros module for x1 (zeros.scan) and reads the equation off the series value
-of each scan step, at no extra evaluation; the value at r = 0 is known in
-closed form.  The first step (t_prev, t] where the equation is <= 0, or that
-holds x1, brackets the radius: the equation decreases on [0, x1], and no
-sign change of F, F' or g' (whichever x1 is a zero of) up to t puts x1
-beyond t (or x1 is in the step, refined first, and the bracket is
-[t_prev, x1] with -inf at x1).  So the root in that step is the smallest,
-and the radius needs x1 only where x1 lies in its step.  The one root
-finder of the zeros module (refine_bracket) refines that bracket with
+of each scan step, at no extra evaluation, and at r = 0 off the origin's
+exact series value, which is no sum.  The first step (t_prev, t] where the
+equation is <= 0, or that holds x1, brackets the radius: the equation
+decreases on [0, x1], and no sign change of F, F' or g' (whichever x1 is a
+zero of) up to t puts x1 beyond t (or x1 is in the step, refined first, and
+the bracket is [t_prev, x1] with -inf at x1).  So the root in that step is
+the smallest, and the radius needs x1 only where x1 lies in its step.  The
+one root finder of the zeros module (refine_bracket) refines that bracket with
 Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
 the bracket) on the abscissa.  Its evaluations and the residual's are jets
 of the ends of that scan step (series.jet, through zeros.refine_values),
@@ -37,9 +37,9 @@ where the scan ends before it (x1 beyond |z| = 55 or the noise floor), the
 domain cap is None and the result carries the flag domain-cap-beyond-range.  The univalence
 radius is the starlikeness radius at beta = 0.  Under unsafe parameters
 the decrease is not proven; it is checked on the points the scan and the
-solver visit, and a rise raises MonotonicityError.  The cap of a convexity
-radius is the first zero of equations.derivative_target(kind): of F' for f
-and g' for g, whose zeros the paper calls sigma and varsigma.
+solver visit past the origin, and a rise raises MonotonicityError.  The cap
+of a convexity radius is the first zero of equations.derivative_target(kind):
+of F' for f and g' for g, whose zeros the paper calls sigma and varsigma.
 """
 
 from __future__ import annotations
@@ -124,17 +124,18 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
                 *equations.radius_terms(L, eta, kind, convex, r, sv), r, beta, form)
         except PoleError:
             return (-math.inf, math.nan, math.nan), math.inf  # at/past the cap: the low side
-        probes.append((r, jet[0]))
+        if r > 0.0:  # an unsafe ratio may rise from its 1 at the origin
+            probes.append((r, jet[0]))
         return jet, noise
 
     # the equation is > 0 at 0 (each ratio starts at 1, above beta) and falls
     # to -inf at the cap (the direct form has the sign of the ratio form); the
     # first scan step where it is <= 0, or that holds the cap, holds the radius
-    at_lo = (equations.equation_at_origin(L, kind, convex, beta, form), math.nan, math.nan)
-    bracket = None
-    cap = None
+    bracket = at_lo = cap = None
     for step in scan(params, cap_target):
         if bracket is None:
+            if at_lo is None:  # the first step starts at the origin
+                at_lo = at(step.t_prev, step.sv_prev)[0]
             if step.zero is not None:
                 bracket = step, step.zero, at_lo, (-math.inf, math.nan, math.nan)
             else:

@@ -147,7 +147,8 @@ _TINY = 2.0 ** -1060  # ... plus this, for a term that leaves the normal range
 @dataclass
 class SumCounts:
     """The sums of one counting() block: points holds the abscissa of every
-    sum (one that fails included), in order; terms their truncation_terms;
+    sum (one that fails included), in order, find_zeros's negative side at
+    +t of (L, -eta) (zeros module docstring); terms their truncation_terms;
     refine_steps the iterations of zeros.refine_bracket; jets the values
     served by jet, which are no sums; memo_hits and memo_misses the lookups
     in eval_point's memo, each miss also a sum."""
@@ -427,13 +428,9 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
             f"|z|={abs(z):.3g} is beyond the evaluation range (~{EVAL_Z_MAX:g})"
         )
     if z == 0.0:
-        # P'(0) = a_1 and P''(0) = 2 a_2, each rounded once
-        values = (1.0, *(k * num / den for k, (num, den)
-                         in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
         if counts is not None:
             counts.terms += 1
-        return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
-                           noise=tuple(0.5 * math.ulp(v) for v in values), _at=(L, eta, z))
+        return _origin(L, eta)
     bits = _START_BITS
     while True:
         sums, errs, shift, n, tau = _fixed_point_sum(L, eta, z, bits)
@@ -445,6 +442,15 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
     if counts is not None:
         counts.terms += sv.truncation_terms
     return sv
+
+
+def _origin(L: float, eta: float) -> SeriesValue:
+    """The exact series value at z = 0, (1, a_1, 2 a_2) each rounded once; no
+    sum, so counting() does not count it."""
+    values = (1.0, *(k * num / den for k, (num, den)
+                     in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
+    return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
+                       noise=tuple(0.5 * math.ulp(v) for v in values), _at=(L, eta, 0.0))
 
 
 def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int:

@@ -16,14 +16,14 @@ and the scan hands the refine the jets it has at both ends.  The refine's
 first point is the root of the quintic Hermite interpolant of those two
 jets, moved a little towards the midpoint so that it cuts off the long side
 of the bracket (refine_bracket); it costs no evaluation, and a zero takes
-about 3.5 refine steps (4.5 from Halley steps alone).  The negative
-axis reuses the same code path through the reflected function z -> P(-z),
-which is P at -eta; write eta_s for eta on the positive axis and -eta on
-the negative one.
+about 3.5 refine steps (4.5 from Halley steps alone).  The scan walks
+the positive axis only.  P(-t) at eta is P(t) at -eta, sum for sum and jet
+for jet, bit for bit (P' flips sign, P and P'' do not), so find_zeros finds
+the negative zeros of (L, eta) as the positive zeros of (L, -eta), negated.
 
 Every target is stepped by half the Sturm spacing, 0.5 pi/sqrt(Q(t)).
-u = F/C solves u'' + q u = 0, q(t) = 1 - 2 eta_s/t - L(L+1)/t^2 (DLMF
-33.2), and on [t, inf) q stays below Q = 1 + max(0, -2 eta_s)/t +
+u = F/C solves u'' + q u = 0, q(t) = 1 - 2 eta/t - L(L+1)/t^2 (DLMF
+33.2), and on [t, inf) q stays below Q = 1 + max(0, -2 eta)/t +
 max(0, -L(L+1))/t^2.  Scaled Pruefer variables u = rho sin(theta),
 u' = sqrt(Q) rho cos(theta) give
 
@@ -39,34 +39,34 @@ pi for F', at least pi for g' with L >= 0 (phi rises with z), more than
 pi/2 for g' with L < 0 (phi falls by less than pi/2).  Consecutive zeros
 are then more than a step apart, and a step holds at most one of them.
 
-Interlacing is proven where q, or r = 1 - 2 eta_s/t - 2L/t^2 for g', changes
+Interlacing is proven where q, or r = 1 - 2 eta/t - 2L/t^2 for g', changes
 sign at most once, from - to + (at a zero of F', F'' = -q F, so where q > 0
 every critical point of F is a strict extremum): for all L > -1 when
-eta_s <= 0, and for L >= 0 on both sides.  That covers the whole positive
-axis for eta <= 0 and the negative axis for L >= 0.  The proof stops where
-eta_s > 0 and -1 < L < 0 with eta_s^2 > -L(L+1) (F') or eta_s^2 > -2L (g'),
-unsafe eta > 0 on the positive axis included: there q or r dips below zero
-on an interval, and the half step is a margin only.  On 270 such cases it
-found the same zeros as a scan at 1/32 of the spacing.
+eta <= 0, and for L >= 0 at any eta.  That covers the positive axis of
+certified parameters, and their negative axis (the positive axis at
+-eta >= 0) for L >= 0.  The proof stops where eta > 0 and -1 < L < 0 with
+eta^2 > -L(L+1) (F') or eta^2 > -2L (g'), unsafe eta > 0 included: there q
+or r dips below zero on an interval, and the half step is a margin only.
+On 270 such cases it found the same zeros as a scan at 1/32 of the spacing.
 
-The negative axis starts with a zero-free stretch (0, t*] where L >= 0, with
-t* = eta_s + sqrt(eta_s^2 + L(L+1)) for F and F', and eta_s +
-sqrt(eta_s^2 + 2L) for g'.  Where t* > 0 (L > 0, or L = 0 with eta_s > 0), q
-(r for g') < 0 on (0, t*).  There u'' = -q u has the sign of u, so
+The scan starts with a zero-free stretch (0, t*] where L >= 0, with
+t* = eta + sqrt(eta^2 + L(L+1)) for F and F', and eta + sqrt(eta^2 + 2L)
+for g'.  Where t* > 0 (L > 0, or L = 0 with eta > 0), q (r for g') < 0 on
+(0, t*).  There u'' = -q u has the sign of u, so
 (u u')' = u'^2 - q u^2 > 0, and u ~ t^(L+1) gives u u' > 0 just right of the
 origin: neither u nor u' vanishes on (0, t*].  For g', v = t^(-L) u = t P has
 v' proportional to g', and (t^(2L) v')' = -r t^(2L) v gives
 (v t^(2L) v')' = t^(2L) (v'^2 - r v^2) > 0 with v v' > 0 at 0+.  Both
 products are positive at t* itself, so a t* rounded a few ulps high holds no
-zero either.  The scan walks its grid through (0, t*] unevaluated and takes
-(0, t_k] as its first step, t_k the last grid point at or below t*; the grid
-is the one it would have walked, so every later step, refine and zero is the
-same double.  L > -1 is needed: for unsafe L < -1, L(L+1) > 0 too, but
-u u' < 0 at the origin, and at (-1.3, -5) F vanishes at z = -0.039.  The
-positive axis, where t* > 0 for L > 0, keeps every step: the radius solver
-reads its equation off each step of the cap scan, and a first step (0, t*]
-there widens the radius bracket (at (48, 0), g-starlike, the direct and
-ratio forms then differ by 1.4e-12).
+zero either.  With skip_free the scan walks its grid through (0, t*]
+unevaluated and takes (0, t_k] as its first step, t_k the last grid point
+at or below t*; the grid is the one it would have walked, so every later
+step, refine and zero is the same double.  find_zeros skips the stretch on
+both sides.  The radius solver keeps every step: it reads its equation off
+each step of the cap scan, and a first step (0, t*] widens the radius
+bracket (at (48, 0), g-starlike, the direct and ratio forms then differ by
+1.4e-12).  L > -1 is needed: for unsafe L < -1, L(L+1) > 0 too, but u u' < 0
+at the origin, and at (-1.3, 5) F vanishes at z = 0.039.
 
 The scan runs until it has the requested count or reaches the precision
 horizon: the first step where the target is within eight of its error
@@ -87,7 +87,8 @@ refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
 steps, never at the refined root itself.  Each scan step is a sum from the
-origin (series.sum_point, past eval_point's memo).  refine_values serves
+origin (series.sum_point, past eval_point's memo); the first starts at the
+origin's exact value (1, a_1, 2 a_2), which is no sum.  refine_values serves
 each refine point as a jet (series.jet) of the nearest point summed for
 the refine, which starts with the ends of its scan step, the nearer end
 for its first point: a few double operations instead of a sum.  It sums a
@@ -113,11 +114,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .equations import (Jet, ZeroTarget, centrifugal, noise_limited, target_at_origin,
-                        target_jet)
+from .equations import Jet, ZeroTarget, centrifugal, noise_limited, target_jet
 from .errors import ConvergenceError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, _record, jet, sum_point
+from .series import EVAL_Z_MAX, SeriesValue, _origin, _record, jet, sum_point
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -234,9 +234,9 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     [4 tol, width/4]: the evaluation lands just short of the root and cuts
     off the long side.  The point is taken if it passes the same guard as a
     Halley point; the Halley step after it measures its lengthening against
-    the width.  Any non-finite entry (NaN slopes at the scan's origin, an
-    infinite value at a pole) skips it, so a value-only caller gets ITP's
-    iterates point for point.
+    the width.  Any non-finite entry (NaN slopes after a scan step that ends
+    on a zero, an infinite value at a pole) skips it, so a value-only caller
+    gets ITP's iterates point for point.
 
     Halley: from the end evaluated last (at the start, the end with the
     smaller |f|) the step is s = -2 f f'/(2 f'^2 - f f''), lengthened past the
@@ -313,67 +313,55 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 
 
 class ScanStep(NamedTuple):
-    """One step (t_prev, t] of the scan along t = |z| on one side.
+    """One step (t_prev, t] of the scan along the positive axis.
 
-    sv_prev and sv are the series at z = sign t_prev (None at the origin)
-    and z = sign t; prev and cur are the target's (value, slope, curvature)
-    along t at t_prev and t (NaN slopes at the origin); zero is the target's
-    zero in the step, refined, or None.
+    sv_prev and sv are the series at t_prev (the origin's exact value at 0)
+    and t; prev and cur are the target's (value, slope, curvature) there;
+    zero is the target's zero in the step, refined, or None.
     """
 
     t_prev: float
     t: float
-    sv_prev: SeriesValue | None
+    sv_prev: SeriesValue
     sv: SeriesValue
     prev: Jet
     cur: Jet
     zero: float | None
 
 
-def refine_values(params: CoulombParams, step: ScanStep,
-                  sign: float = 1.0) -> Callable[[float], SeriesValue]:
-    """The series at z = sign t for every point t of one refine in step.
+def refine_values(params: CoulombParams, step: ScanStep) -> Callable[[float], SeriesValue]:
+    """The series at every point t of one refine in step.
 
     Each point is the series.jet of the nearest point summed for this
-    refine, which starts with the ends of step (its end at the origin left
-    out), unless jet refuses it (noise-limited included); then it is summed
+    refine, which starts with the ends of step, unless jet refuses it (next
+    to the origin, which is no base, or noise-limited); then it is summed
     from the origin (series.sum_point) and joins them.  Jets are never bases.
     """
     # at equal distance, the end at t
-    summed = [(sign * step.t, step.sv)]
-    if step.sv_prev is not None:
-        summed.append((sign * step.t_prev, step.sv_prev))
+    summed = [(step.t, step.sv), (step.t_prev, step.sv_prev)]
 
     def value(t: float) -> SeriesValue:
-        z = sign * t
-        sv = jet(min(summed, key=lambda kept: abs(kept[0] - z))[1], z)
+        sv = jet(min(summed, key=lambda kept: abs(kept[0] - t))[1], t)
         if sv is None:
-            sv = sum_point(params, z)
-            summed.append((z, sv))
+            sv = sum_point(params, t)
+            summed.append((t, sv))
         return sv
 
     return value
 
 
-def scan(params: CoulombParams, target: ZeroTarget,
-         sign: float = 1.0) -> Iterator[ScanStep]:
-    """The one zero scan: half-Sturm-spacing steps outward from the origin on
-    the side of sign, each with the target's zero in it refined, up to the
+def scan(params: CoulombParams, target: ZeroTarget, *,
+         skip_free: bool = False) -> Iterator[ScanStep]:
+    """The one zero scan: half-Sturm-spacing steps along the positive axis
+    from the origin, each with the target's zero in it refined, up to the
     precision horizon (module docstring).  The consumer stops it once it has
     what it needs; each step evaluates the series once, plus the refine
-    steps of a step that holds a zero.  On the negative axis with L >= 0 the
-    first step is (0, t_k], t_k the last grid point of the zero-free
-    stretch (0, t*] (module docstring)."""
+    steps of a step that holds a zero.  With skip_free and L >= 0 the first
+    step is (0, t_k], t_k the last grid point of the zero-free stretch
+    (0, t*] (module docstring)."""
     L, eta = params.L, params.eta
-
-    def h(sv: SeriesValue, t: float) -> tuple[Jet, float]:
-        # on the negative axis the slope flips sign and the curvature does not
-        (val, d1, d2), noise = target_jet(L, eta, target, sign * t, sv)
-        return (val, sign * d1, d2), noise
-
-    # Q(t) = 1 + a/t + b/t^2 of the module docstring; the side z < 0 sees -eta
-    eta_s = sign * eta
-    a = max(0.0, -2.0 * eta_s)
+    # Q(t) = 1 + a/t + b/t^2 of the module docstring
+    a = max(0.0, -2.0 * eta)
     b = max(0.0, -L * (L + 1.0))
     # Start below the first zero of every target.  With lam = L+1 > 0 and
     # x = t max(e/lam, 2e, 1), e = |eta|, the recurrence bounds |a_n| t^n by x^n,
@@ -386,23 +374,23 @@ def scan(params: CoulombParams, target: ZeroTarget,
         # half the Sturm spacing, the last step ending on the evaluator's range
         return min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
 
-    # No target zero lies in (0, t_free] on the negative axis with L >= 0
-    # (module docstring): walk the grid there unevaluated, up to its last
-    # point at or below t_free, so every later step is the same as without.
+    # No target zero lies in (0, t_free] with L >= 0 (module docstring): walk
+    # the grid there unevaluated, up to its last point at or below t_free, so
+    # every later step is the same as without.
     c = centrifugal(L, target)
-    t_free = eta_s + math.sqrt(eta_s * eta_s + c) if sign < 0.0 and L >= 0.0 else 0.0
+    t_free = eta + math.sqrt(eta * eta + c) if skip_free and L >= 0.0 else 0.0
     nxt = after(t)
     while t < nxt <= t_free:
         t, nxt = nxt, after(nxt)
 
-    t_prev, sv_prev = 0.0, None
-    prev = (target_at_origin(L, target), math.nan, math.nan)
+    t_prev, sv_prev = 0.0, _origin(L, eta)
+    prev = target_jet(L, eta, target, t_prev, sv_prev)[0]
     while t_prev < EVAL_Z_MAX:
         try:
-            sv = sum_point(params, sign * t)
+            sv = sum_point(params, t)
         except ConvergenceError:
             return
-        cur, noise = h(sv, t)
+        cur, noise = target_jet(L, eta, target, t, sv)
         val = cur[0]
         if noise_limited(val, noise):
             return  # sign no longer resolvable against the cancellation floor
@@ -410,9 +398,10 @@ def scan(params: CoulombParams, target: ZeroTarget,
         if val == 0.0:
             step = step._replace(zero=t)  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            value = refine_values(params, step, sign)
-            step = step._replace(zero=refine_bracket(lambda s: h(value(s), s)[0], t_prev, t,
-                                                     prev, cur, REFINE_TOL).root)
+            value = refine_values(params, step)
+            step = step._replace(zero=refine_bracket(
+                lambda s: target_jet(L, eta, target, s, value(s))[0], t_prev, t, prev, cur,
+                REFINE_TOL).root)
         yield step
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
@@ -420,11 +409,11 @@ def scan(params: CoulombParams, target: ZeroTarget,
         t = after(t)
 
 
-def _zeros_one_sign(params: CoulombParams, target: ZeroTarget, sign: float,
-                    count: int) -> tuple[list[float], bool]:
+def _zeros(params: CoulombParams, target: ZeroTarget, count: int) -> tuple[list[float], bool]:
+    """The first count positive zeros, and whether fewer were found."""
     found: list[float] = []
     if count > 0:
-        for step in scan(params, target, sign):
+        for step in scan(params, target, skip_free=True):
             if step.zero is not None:
                 found.append(step.zero)
                 if len(found) == count:
@@ -437,20 +426,21 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
     """First count_pos positive and count_neg negative zeros, none skipped where
     the module docstring proves the scan step (for F, everywhere).
 
-    Refined by refine_bracket to REFINE_TOL on the abscissa.  If a requested
-    count is not reachable within the precision horizon (see the module
-    docstring), the partial result carries truncated=True.
+    The negative zeros are the positive zeros of (L, -eta), negated.  Refined
+    by refine_bracket to REFINE_TOL on the abscissa.  If a requested count is
+    not reachable within the precision horizon (see the module docstring),
+    the partial result carries truncated=True.
     """
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:
         raise ValueError("zero counts must be >= 0")
-    pos, trunc_pos = _zeros_one_sign(params, target, +1.0, count_pos)
-    neg_mod, trunc_neg = _zeros_one_sign(params, target, -1.0, count_neg)
+    pos, trunc_pos = _zeros(params, target, count_pos)
+    neg, trunc_neg = _zeros(CoulombParams(params.L, -params.eta, unsafe=True), target, count_neg)
     return ZeroSet(
         params=params,
         target=target,
         positive=tuple(pos),
-        negative=tuple(-m for m in neg_mod),
+        negative=tuple(-x for x in neg),
         refine_tol=REFINE_TOL,
         truncated=trunc_pos or trunc_neg,
     )

@@ -599,6 +599,44 @@ class TestJets:
             "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise", "_at"]
 
 
+class TestReflection:
+    """P(-t) at eta is P(t) at -eta bit for bit, P' negated, for sums and jets
+    alike: the zero scan's negative side rests on it."""
+
+    @staticmethod
+    def bits(sv, sign):
+        """The bits of P, sign P', P'', the bounds and the tail, and the terms."""
+        return ([x.hex() for x in (sv.p0, sign * sv.p1, sv.p2, *sv.noise, sv.tail_estimate)],
+                sv.truncation_terms)
+
+    @staticmethod
+    def pairs():
+        """300 seeded (sum at -t of (L, eta), sum at t of (L, -eta), t)."""
+        rng = random.Random(29)
+        for _ in range(300):
+            L = rng.choice((0.0, 0.5, 2.0, rng.uniform(-0.99, 8.0)))
+            eta = rng.choice((0.0, rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 0.0)))
+            t = rng.uniform(0.01, 50.0)
+            yield (series.sum_point(CoulombParams(L, eta), -t),
+                   series.sum_point(CoulombParams(L, -eta, unsafe=True), t), t)
+
+    def test_sums_are_mirror_images(self):
+        for neg, pos, t in self.pairs():
+            assert self.bits(neg, -1.0) == self.bits(pos, 1.0), (neg._at, t)
+
+    def test_jets_are_mirror_images(self):
+        rng = random.Random(30)
+        served = 0
+        for neg, pos, t in self.pairs():
+            z = t * (1.0 + rng.uniform(-0.2, 0.2))
+            jet_neg, jet_pos = series.jet(neg, -z), series.jet(pos, z)
+            assert (jet_neg is None) == (jet_pos is None), (neg._at, z)
+            if jet_pos is not None:
+                served += 1
+                assert self.bits(jet_neg, -1.0) == self.bits(jet_pos, 1.0), (neg._at, z)
+        assert served >= 100
+
+
 class TestCounting:
     """series.counting(): the record of the sums made inside a block."""
 
@@ -613,14 +651,15 @@ class TestCounting:
                 totals["jets"]) == (47, 3566, 70, 70)
 
     def test_find_zeros_sums_only_its_scan_steps(self):
+        # the negative side is summed as the positive side of (L, -eta)
         params = CoulombParams(0.5, -1.0)
         with series.counting() as counts:
             find_zeros(params, ZeroTarget.F, 10, 10)
         steps = []
-        for sign in (1.0, -1.0):
+        for side in (params, CoulombParams(0.5, 1.0, unsafe=True)):
             found = 0
-            for step in scan(params, ZeroTarget.F, sign):
-                steps.append(sign * step.t)
+            for step in scan(side, ZeroTarget.F, skip_free=True):
+                steps.append(step.t)
                 found += step.zero is not None
                 if found == 10:
                     break

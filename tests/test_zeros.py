@@ -165,11 +165,12 @@ class TestFindZeros:
 
 
 class TestZeroFreeStart:
-    """The negative axis with L >= 0 skips the grid points in (0, t*], where
-    q (r for g') < 0 and no target zero lies (zeros module docstring)."""
+    """find_zeros with L >= 0 skips the grid points in (0, t*] on both sides,
+    where q (r for g') < 0 and no target zero lies (zeros module docstring);
+    its negative side is the positive side of (L, -eta)."""
 
     def test_stretch_constant_per_target(self):
-        # t* = eta_s + sqrt(eta_s^2 + c): c = L(L+1) of q for F and F', 2L of r for g'
+        # t* = eta + sqrt(eta^2 + c): c = L(L+1) of q for F and F', 2L of r for g'
         from coulomb_radii.equations import centrifugal
 
         assert centrifugal(2.0, ZeroTarget.F) == centrifugal(2.0, ZeroTarget.F_PRIME) == 6.0
@@ -181,10 +182,10 @@ class TestZeroFreeStart:
         t_star = {ZeroTarget.F: 20.0 + math.sqrt(400.0 + L * (L + 1.0)),
                   ZeroTarget.G_PRIME: 20.0 + math.sqrt(400.0 + 2.0 * L)}
         t_star[ZeroTarget.F_PRIME] = t_star[ZeroTarget.F]
-        params = CoulombParams(L, eta)
+        params, mirrored = CoulombParams(L, eta), CoulombParams(L, -eta, unsafe=True)
         for target, t in t_star.items():
             # the first step is (0, t_k], t_k the last grid point at or below t*
-            first, second = itertools.islice(zeros.scan(params, target, -1.0), 2)
+            first, second = itertools.islice(zeros.scan(mirrored, target, skip_free=True), 2)
             assert first.t_prev == 0.0 and first.t <= t < second.t, target
         found = {target: tuple(-x for x in find_zeros(params, target, 0, 3).negative)
                  for target in ZeroTarget}
@@ -213,8 +214,22 @@ class TestZeroFreeStart:
         assert not zs.truncated
         assert zs.negative == pytest.approx((-0.039019553515725, -15.5805095145986), abs=1e-10)
         # ... in a half step from the first grid point, not in a skipped stretch
-        step = next(s for s in zeros.scan(params, ZeroTarget.F, -1.0) if s.zero is not None)
+        mirrored = CoulombParams(-1.3, 5.0, unsafe=True)
+        step = next(s for s in zeros.scan(mirrored, ZeroTarget.F, skip_free=True)
+                    if s.zero is not None)
         assert 0.0 < step.t_prev < 0.039 < step.t < 2.0
+
+    @pytest.mark.parametrize("L", [0.0, 0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, -8.0, -20.0])
+    def test_skipping_finds_the_zeros_of_every_step(self, L, eta):
+        # the zeros of a scan that evaluates every grid point, on both sides
+        params = CoulombParams(L, eta)
+        for target in ZeroTarget:
+            zs = find_zeros(params, target, 4, 4)
+            mirrored = CoulombParams(L, -eta, unsafe=True)
+            for side, found in ((params, zs.positive), (mirrored, [-x for x in zs.negative])):
+                every = [s.zero for s in zeros.scan(side, target) if s.zero is not None]
+                assert found and every[:len(found)] == list(found), (target, side)
 
 
 def itp_iterates(f, lo, hi, f_lo, f_hi, tol):
@@ -359,8 +374,8 @@ class TestRefineBracket:
     @pytest.mark.parametrize("end", ["lo", "hi"])
     @pytest.mark.parametrize("entry", [0, 1, 2])
     def test_non_finite_end_entry_takes_no_interpolated_point(self, end, entry):
-        # NaN slopes (the scan's origin) or an infinite value (a pole) at
-        # either end: no interpolated point; the refine starts with a Halley
+        # NaN slopes (after a step that ends on a zero) or an infinite value
+        # (a pole) at either end: no interpolated point; the refine starts with a Halley
         # or ITP step and keeps the worst case
         coeffs, lo, hi, root = self.POLYS[3]
         fn, tol = poly_jet(coeffs), 1e-12
@@ -411,12 +426,12 @@ class TestRefineBracket:
             assert len(evaluations) <= gate, target
 
 
-def _step(params, t_prev, t, sign=1.0):
-    """The scan step (t_prev, t] on the side of sign with the sums of its
-    ends (none at the origin), as refine_values reads it."""
+def _step(params, t_prev, t):
+    """The scan step (t_prev, t] with the series at its ends (the origin's
+    exact value at 0), as refine_values reads it."""
     nan = (math.nan,) * 3
-    sv_prev = series.sum_point(params, sign * t_prev) if t_prev else None
-    return zeros.ScanStep(t_prev, t, sv_prev, series.sum_point(params, sign * t), nan, nan, None)
+    return zeros.ScanStep(t_prev, t, series.sum_point(params, t_prev),
+                          series.sum_point(params, t), nan, nan, None)
 
 
 class TestLocalRefine:
@@ -425,32 +440,34 @@ class TestLocalRefine:
     origin only where the jet is refused (zeros.refine_values)."""
 
     def test_points_are_jets_of_the_nearer_end(self):
-        params = CoulombParams(0.5, -1.0)
-        step = _step(params, 10.0, 11.5, -1.0)
-        value = zeros.refine_values(params, step, -1.0)
+        # on the negative side of (0.5, -1): the positive side of (0.5, 1)
+        params = CoulombParams(0.5, 1.0, unsafe=True)
+        step = _step(params, 10.0, 11.5)
+        value = zeros.refine_values(params, step)
         with series.counting() as counts:
-            first = value(10.001)  # a jet of the nearer end, -10
-            second = value(11.4999)  # a jet of -11.5
+            first = value(10.001)  # a jet of the nearer end, 10
+            second = value(11.4999)  # a jet of 11.5
             third = value(10.75)  # the midpoint: a jet of the end at t
         assert counts.points == [] and counts.jets == 3
-        assert first == series.jet(step.sv_prev, -10.001)
-        assert second == series.jet(step.sv, -11.4999)
-        assert third == series.jet(step.sv, -10.75)
+        assert first == series.jet(step.sv_prev, 10.001)
+        assert second == series.jet(step.sv, 11.4999)
+        assert third == series.jet(step.sv, 10.75)
 
     def test_later_points_are_jets_of_the_nearest_sum(self):
-        # a step from the origin has one summed end: a point beyond the jet's
-        # reach of it is summed, and later points are jets of the nearest sum
-        params = CoulombParams(0.5, -1.0)
-        step = _step(params, 0.0, 2.0, -1.0)
-        value = zeros.refine_values(params, step, -1.0)
+        # a step from the origin has one summed end, the origin being no
+        # base: a point beyond the jet's reach of 2 is summed, and later
+        # points are jets of the nearest sum
+        params = CoulombParams(0.5, 1.0, unsafe=True)
+        step = _step(params, 0.0, 2.0)
+        value = zeros.refine_values(params, step)
         with series.counting() as counts:
-            first = value(1.9)  # a jet of -2
-            second = value(0.5)  # beyond |z0|/2 of -2: summed
-            third = value(0.5001)  # a jet of -0.5, the nearer sum
-        assert counts.points == [-0.5] and counts.jets == 2
-        assert first == series.jet(step.sv, -1.9)
+            first = value(1.9)  # a jet of 2
+            second = value(0.5)  # beyond |z0|/2 of 2: summed
+            third = value(0.5001)  # a jet of 0.5, the nearer sum
+        assert counts.points == [0.5] and counts.jets == 2
+        assert first == series.jet(step.sv, 1.9)
         assert second._at is not None
-        assert third == series.jet(second, -0.5001)
+        assert third == series.jet(second, 0.5001)
 
     def test_noise_limited_jet_is_summed_instead(self):
         # at (0, -6000), z = 50 the sum's bound lies far above its value, so
