@@ -1,0 +1,74 @@
+"""Pinned jets: series.jet of 300 seeded (base, z) pairs, bit for bit.
+
+The fixture ``data/jet_fixture.json`` holds, for each pair, the jet's P, P',
+P'', their bounds, its tail bound and its terms, or null where jet refuses
+the point.  The pairs mix scan steps, shares of the reach and tiny steps
+over L up to 20 and eta of either sign, so jets refused past the reach or
+past the terms (most of these hopeless from their first term) sit next to
+served ones.  A change to jet that is meant to keep its results must leave
+every byte of it in place.  After an intended change, regenerate the fixture and review
+its diff:
+
+    PYTHONPATH=src python tests/test_jet_fixture.py
+"""
+
+import json
+import math
+import os
+import random
+
+from coulomb_radii import series
+from coulomb_radii.errors import ConvergenceError
+from coulomb_radii.params import CoulombParams
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "jet_fixture.json")
+
+
+def _pairs():
+    """300 seeded (L, eta, z0, z) with a finite sum at z0."""
+    rng = random.Random(30)
+    found = 0
+    while found < 300:
+        L = rng.choice((0.0, 0.5, 2.0, 20.0, rng.uniform(-0.99, 8.0)))
+        eta = rng.choice((0.0, rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 3.0)))
+        z0 = rng.choice((1.0, -1.0)) * rng.uniform(0.05, 55.0)
+        # about a scan step at z0 (zeros module)
+        step = 0.5 * math.pi / math.sqrt(1.0 + 2.0 * abs(eta / z0))
+        z = z0 + rng.choice((rng.uniform(-1.6, 1.6), z0 * rng.uniform(-0.49, 0.49),
+                             z0 * 2.0 ** -rng.uniform(1.0, 40.0), rng.choice((1.0, -1.0)) * step))
+        try:
+            series.sum_point(CoulombParams(L, eta, unsafe=True), z0)
+        except ConvergenceError:  # P beyond the double range: no base
+            continue
+        found += 1
+        yield L, eta, z0, z
+
+
+def _rows() -> list[dict]:
+    rows = []
+    for L, eta, z0, z in _pairs():
+        sv = series.jet(series.sum_point(CoulombParams(L, eta, unsafe=True), z0), z)
+        rows.append({"L": L, "eta": eta, "z0": z0, "z": z, "jet": None if sv is None else {
+            "p": [sv.p0, sv.p1, sv.p2], "noise": list(sv.noise), "tail": sv.tail_estimate,
+            "terms": sv.truncation_terms}})
+    return rows
+
+
+def _text(rows: list[dict]) -> str:
+    return json.dumps(rows, indent=1) + "\n"
+
+
+def test_jets_match_the_fixture_byte_for_byte():
+    with open(FIXTURE) as fh:
+        pinned = fh.read()
+    rows = _rows()
+    served = sum(row["jet"] is not None for row in rows)
+    assert 50 <= served <= 250  # both outcomes are pinned
+    assert _text(rows) == pinned
+
+
+if __name__ == "__main__":
+    rows = _rows()
+    with open(FIXTURE, "w") as fh:
+        fh.write(_text(rows))
+    print(f"wrote {len(rows)} jets to {FIXTURE}")
