@@ -12,8 +12,9 @@ For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 -inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
 for convexity), and D > 0 on (0, x1).  radius() runs the zero scan of the
 zeros module for x1 (zeros.scan) and reads the equation off the series value
-of each scan step, at no extra evaluation, and at r = 0 off the origin's
-exact series value, which is no sum.  The first step (t_prev, t] where the
+of each scan step, a sum or a jet of the sum one step before it, at no
+extra evaluation, and at r = 0 off the origin's exact series value, which
+is no sum.  The first step (t_prev, t] where the
 equation is <= 0, or that holds x1, brackets the radius: the equation
 decreases on [0, x1], and no sign change of F, F' or g' (whichever x1 is a
 zero of) up to t puts x1 beyond t (or x1 is in the step, refined first, and
@@ -22,8 +23,9 @@ the smallest, and the radius needs x1 only where x1 lies in its step.  The
 one root finder of the zeros module (refine_bracket) refines that bracket with
 Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
 the bracket) on the abscissa.  Its evaluations and the residual's are jets
-of the ends of that scan step (series.jet, through zeros.refine_values),
-each summed from the origin instead where no jet is taken.  It solves
+of the sums of that scan step, its summed ends and the sum its jet end
+came from (series.jet, through zeros.refine_values), each summed from the
+origin instead where no jet is taken.  It solves
 either the ratio form N/D - beta ("ratio") or the direct form N - beta D
 ("direct"), which has the sign of the ratio form wherever D > 0; the two
 roots agreeing is one of the acceptance checks.  refine_bracket decides

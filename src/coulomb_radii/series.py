@@ -94,18 +94,24 @@ the dominant root of rho^3 = a rho^2 + b rho + c gives |u_(N+j)| <= B rho^j
 with B = max(|u_N| + F_N, rho (|u_(N-1)| + F_(N-1)),
 rho^2 (|u_(N-2)| + F_(N-2))), and where rho (N+2)/N < 1 the weighted tails
 are geometric too.  The jet stops once each weighted tail bound lies below
-the error bound of its sum.  jet returns None beyond its reach, past
+the error bound of its sum.  rho (N+2)/N is smallest at the last N, so
+where it is at least 1 there no N can stop the jet, and jet refuses the
+point before its first term.  jet returns None beyond its reach, past
 |z| = 55, past _JET_TERMS terms, and where P, P' or P'' is noise_limited by
 its bound; the caller then sums the point.  A jet keeps no point, so it is
-the base of no jet, and errors never chain.  One jet costs about a
-fifteenth of a direct sum at |z| = 40.
+the base of no jet, and errors never chain.  At (0.5, -1), |z| = 40, a
+jet one scan step (about 1.5) from its base takes 25 terms and a quarter
+to a third of the time of the 147-term sum it replaces; one 0.01 away
+takes 9 terms and about a ninth.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  Only eval_point keeps values between calls, a memo of the last
 512 keyed by the exact (L, eta, z); sum_point and eval_series sum on every
-call, and the zero scan and the radius solve, whose points never repeat,
-use them.  counting() counts every sum made inside its block, where
+call.  The zero scan, whose points never repeat, sums every second grid
+point with sum_point and serves the points between and its refine points
+as jets of those sums; the radius solve reads its equation off that scan
+and serves its own points as jets too.  counting() counts every sum made inside its block, where
 it is made, the jets, the steps of zeros.refine_bracket and the hits and
 misses of eval_point's memo; outside a block a sum, a jet or a memo lookup
 pays one ContextVar lookup.
@@ -371,6 +377,8 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     # every |u_m|, m > n >= 2, follows from the last three by coefficients at
     # most those at m = 3, so one rho serves every n
     rho = _dominant_root(ma * max(1.0, abs(3.0 + l2) / 3.0), mb / 6.0, mc / 6.0)
+    if rho * (_JET_TERMS + 1.0) / (_JET_TERMS - 1.0) >= 1.0:
+        return None  # the tail test's ratio, smallest at the last n, reaches 1 at every n
     for n in range(2, _JET_TERMS):
         k = n * (n - 1.0)
         c = (n - 1.0) * (n + l2)

@@ -60,8 +60,9 @@ v' proportional to g', and (t^(2L) v')' = -r t^(2L) v gives
 products are positive at t* itself, so a t* rounded a few ulps high holds no
 zero either.  With skip_free the scan walks its grid through (0, t*]
 unevaluated and takes (0, t_k] as its first step, t_k the last grid point
-at or below t*; the grid is the one it would have walked, so every later
-step, refine and zero is the same double.  find_zeros skips the stretch on
+at or below t*; the grid is the one it would have walked, and it sums the
+same points of it either way (below), so every later step, refine and zero
+is the same double.  find_zeros skips the stretch on
 both sides.  The radius solver keeps every step: it reads its equation off
 each step of the cap scan, and a first step (0, t*] widens the radius
 bracket (at (48, 0), g-starlike, the direct and ratio forms then differ by
@@ -69,8 +70,8 @@ bracket (at (48, 0), g-starlike, the direct and ratio forms then differ by
 at the origin, and at (-1.3, 5) F vanishes at z = 0.039.
 
 The scan runs until it has the requested count or reaches the precision
-horizon: the first step where the target is within eight of its error
-bounds of zero (and the bound exceeds 1e-14; equations.noise_limited), so
+horizon: the first step where the target, summed, is within eight of its
+error bounds of zero (and the bound exceeds 1e-14; equations.noise_limited), so
 its sign is no longer resolvable, or the end of the evaluator's range: the
 last step ends exactly at |z| = EVAL_Z_MAX (55) and the scan stops there (a
 point whose value overflows a double raises ConvergenceError, which also
@@ -86,18 +87,28 @@ Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
-steps, never at the refined root itself.  Each scan step is a sum from the
-origin (series.sum_point, past eval_point's memo); the first starts at the
-origin's exact value (1, a_1, 2 a_2), which is no sum.  refine_values serves
-each refine point as a jet (series.jet) of the nearest point summed for
-the refine, which starts with the ends of its scan step, the nearer end
-for its first point: a few double operations instead of a sum.  It sums a
-point from the origin only where jet refuses it (past the jet's reach or
-terms, or noise-limited), so no sign is decided from a noise-limited jet,
-and later points are jets of it too.  A jet lies within its noise of P, P'
-and P'', and the zeros move by less than the refine tolerance against
-summing every point (find_zeros(F, 10, 10) at (0.5, -1): 47 sums, the scan
-steps alone, and 70 jets, against 117 sums with every point summed).
+steps, never at the refined root itself.  The first step starts at the
+origin's exact value (1, a_1, 2 a_2), which is no sum.  The scan sums from
+the origin (series.sum_point, past eval_point's memo) only the grid points
+at an even offset from its anchor, the last grid point of the zero-free
+stretch (0, t*] where L >= 0 and there is one, else the first grid point.
+Each grid point between is a jet (series.jet) of the sum one step before
+it.  It is summed instead where jet refuses it (next to the origin, which
+is no base, past the jet's reach or terms, or noise-limited) or where the
+target is noise_limited on the jet's bound; so the scan stops where one
+that sums every step stops, and every sign is decided against a proven
+bound.  The anchor is the same with and without skip_free, so both walks
+sum the same points from t_k on and take the same steps, bit for bit.
+refine_values serves each refine point as a jet of the nearest point
+summed for the refine, which starts with the bases of its scan step (the
+ends that are sums, and the sum an end served as a jet was taken from): a
+few double operations instead of a sum.  It sums a point from the origin
+only where jet refuses it, and later points are jets of that sum too.  A
+jet is the base of no jet, so errors never chain.  A jet lies within its
+noise of P, P' and P'', and the zeros move by less than the refine
+tolerance against summing every point (find_zeros(F, 10, 10) at
+(0.5, -1): 32 sums and 85 jets, against 47 sums with every scan step
+summed and 117 with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, refine_bracket its one bracketed root
@@ -316,8 +327,11 @@ class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
     sv_prev and sv are the series at t_prev (the origin's exact value at 0)
-    and t; prev and cur are the target's (value, slope, curvature) there;
-    zero is the target's zero in the step, refined, or None.
+    and t, each a sum or a jet of the sum at the grid point before it; prev
+    and cur are the target's (value, slope, curvature) there; zero is the
+    target's zero in the step, refined, or None.  bases are the (abscissa,
+    sum) pairs a refine in the step takes its jets from: the ends that are
+    sums, t's first, and the sum an end served as a jet was taken from.
     """
 
     t_prev: float
@@ -327,18 +341,19 @@ class ScanStep(NamedTuple):
     prev: Jet
     cur: Jet
     zero: float | None
+    bases: tuple[tuple[float, SeriesValue], ...]
 
 
 def refine_values(params: CoulombParams, step: ScanStep) -> Callable[[float], SeriesValue]:
     """The series at every point t of one refine in step.
 
     Each point is the series.jet of the nearest point summed for this
-    refine, which starts with the ends of step, unless jet refuses it (next
-    to the origin, which is no base, or noise-limited); then it is summed
-    from the origin (series.sum_point) and joins them.  Jets are never bases.
+    refine, which starts with step.bases, unless jet refuses it (next to the
+    origin, which is no base, or noise-limited); then it is summed from the
+    origin (series.sum_point) and joins them.  Jets are never bases.
     """
-    # at equal distance, the end at t
-    summed = [(step.t, step.sv), (step.t_prev, step.sv_prev)]
+    # at equal distance, the first: the end at t where it is a sum
+    summed = list(step.bases)
 
     def value(t: float) -> SeriesValue:
         sv = jet(min(summed, key=lambda kept: abs(kept[0] - t))[1], t)
@@ -355,10 +370,13 @@ def scan(params: CoulombParams, target: ZeroTarget, *,
     """The one zero scan: half-Sturm-spacing steps along the positive axis
     from the origin, each with the target's zero in it refined, up to the
     precision horizon (module docstring).  The consumer stops it once it has
-    what it needs; each step evaluates the series once, plus the refine
-    steps of a step that holds a zero.  With skip_free and L >= 0 the first
-    step is (0, t_k], t_k the last grid point of the zero-free stretch
-    (0, t*] (module docstring)."""
+    what it needs.  Grid points at an even offset from the anchor, the last
+    grid point of the zero-free stretch (0, t*] (the first grid point where
+    there is none), are summed from the origin; each point between is a jet
+    of the sum before it, summed instead where the jet is refused or leaves
+    the target noise-limited.  A step that holds a zero adds the refine's
+    steps.  With skip_free and L >= 0 the first step is (0, t_k], t_k the
+    anchor (module docstring)."""
     L, eta = params.L, params.eta
     # Q(t) = 1 + a/t + b/t^2 of the module docstring
     a = max(0.0, -2.0 * eta)
@@ -374,27 +392,42 @@ def scan(params: CoulombParams, target: ZeroTarget, *,
         # half the Sturm spacing, the last step ending on the evaluator's range
         return min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
 
-    # No target zero lies in (0, t_free] with L >= 0 (module docstring): walk
-    # the grid there unevaluated, up to its last point at or below t_free, so
-    # every later step is the same as without.
+    # No target zero lies in (0, t_free] with L >= 0 (module docstring).  The
+    # anchor is the grid's last point there, reached after k steps; skip_free
+    # walks the grid up to it unevaluated.  Both walks sum the same points,
+    # so every later step is the same double.
     c = centrifugal(L, target)
-    t_free = eta + math.sqrt(eta * eta + c) if skip_free and L >= 0.0 else 0.0
-    nxt = after(t)
-    while t < nxt <= t_free:
-        t, nxt = nxt, after(nxt)
+    t_free = eta + math.sqrt(eta * eta + c) if L >= 0.0 else 0.0
+    anchor, nxt, k = t, after(t), 0
+    while anchor < nxt <= t_free:
+        anchor, nxt, k = nxt, after(nxt), k + 1
+    if skip_free:
+        t, k = anchor, 0
+    odd = k % 2 == 1  # whether t lies an odd number of grid steps from the anchor
 
     t_prev, sv_prev = 0.0, _origin(L, eta)
     prev = target_jet(L, eta, target, t_prev, sv_prev)[0]
+    # the sum sv_prev is, or was served from
+    base_prev = (t_prev, sv_prev)
     while t_prev < EVAL_Z_MAX:
-        try:
-            sv = sum_point(params, t)
-        except ConvergenceError:
-            return
-        cur, noise = target_jet(L, eta, target, t, sv)
+        # at an odd offset sv_prev is a sum, or the origin's value, which jet refuses
+        sv = jet(sv_prev, t) if odd else None
+        if sv is not None:
+            cur, noise = target_jet(L, eta, target, t, sv)
+            if noise_limited(cur[0], noise):
+                sv = None
+        if sv is None:
+            try:
+                sv = sum_point(params, t)
+            except ConvergenceError:
+                return
+            cur, noise = target_jet(L, eta, target, t, sv)
+            if noise_limited(cur[0], noise):
+                return  # sign no longer resolvable against the cancellation floor
+        base = base_prev if sv._at is None else (t, sv)
         val = cur[0]
-        if noise_limited(val, noise):
-            return  # sign no longer resolvable against the cancellation floor
-        step = ScanStep(t_prev, t, sv_prev, sv, prev, cur, None)
+        step = ScanStep(t_prev, t, sv_prev, sv, prev, cur, None,
+                        (base,) if base is base_prev else (base, base_prev))
         if val == 0.0:
             step = step._replace(zero=t)  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
@@ -405,8 +438,8 @@ def scan(params: CoulombParams, target: ZeroTarget, *,
         yield step
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
-        t_prev, prev, sv_prev = t, cur, sv
-        t = after(t)
+        t_prev, prev, sv_prev, base_prev = t, cur, sv, base
+        t, odd = after(t), not odd
 
 
 def _zeros(params: CoulombParams, target: ZeroTarget, count: int) -> tuple[list[float], bool]:

@@ -148,7 +148,7 @@ class TestEvalAndZeros:
         assert len(lines) == 1
         totals = json.loads(lines[0][len("sums: "):])
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (47, 3566, 70, 70)
+                totals["jets"]) == (32, 2110, 70, 85)
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and err == ""
 

@@ -644,14 +644,16 @@ class TestCounting:
         with series.counting() as counts:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
-        # every refine point a jet of an end of its scan step; 67 sums and
-        # 4416 terms with each refine's first point summed, 117 and 5925 with
-        # every point summed
+        # every second scan step and every refine point a jet of a summed
+        # scan step; 47 sums and 3566 terms with every scan step summed, 67
+        # and 4416 with each refine's first point summed too, 117 and 5925
+        # with every point summed
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (47, 3566, 70, 70)
+                totals["jets"]) == (32, 2110, 70, 85)
 
     def test_find_zeros_sums_only_its_scan_steps(self):
-        # the negative side is summed as the positive side of (L, -eta)
+        # the negative side is summed as the positive side of (L, -eta); the
+        # 15 of the 47 scan steps not listed are jets
         params = CoulombParams(0.5, -1.0)
         with series.counting() as counts:
             find_zeros(params, ZeroTarget.F, 10, 10)
@@ -659,11 +661,12 @@ class TestCounting:
         for side in (params, CoulombParams(0.5, 1.0, unsafe=True)):
             found = 0
             for step in scan(side, ZeroTarget.F, skip_free=True):
-                steps.append(step.t)
+                if step.sv._at is not None:
+                    steps.append(step.t)
                 found += step.zero is not None
                 if found == 10:
                     break
-        assert counts.points == steps and len(steps) == 47
+        assert counts.points == steps and len(steps) == 32
 
     def test_radius_record(self):
         from coulomb_radii.radii import RadiusQuery, radius

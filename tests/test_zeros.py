@@ -4,6 +4,7 @@ truncated Weierstrass product of the acceptance matrix."""
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
@@ -200,9 +201,9 @@ class TestZeroFreeStart:
 
     @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 17), (0.0, -25.0, 2, 8)])
     def test_evaluation_count(self, evaluations, L, eta, count, gate):
-        # deterministic gates: 13 and 6 evaluations (15 and 6 with every
-        # refine point summed), against 41 and 37 with every grid point of
-        # (0, t*] evaluated
+        # deterministic gates: 7 and 3 sums (13 and 6 with every scan step
+        # summed, 15 and 6 with every refine point summed too), against 41
+        # and 37 with every grid point of (0, t*] evaluated
         find_zeros(CoulombParams(L, eta), ZeroTarget.F, 0, count)
         assert 0 < len(evaluations) <= gate
 
@@ -411,14 +412,15 @@ class TestRefineBracket:
     def test_find_zeros_evaluation_count(self, evaluations):
         # deterministic gates: the scan steps of 20 zeros, one
         # half-Sturm-spacing step for every target, the zero-free start of the
-        # negative axis unevaluated, each refine started at the interpolated
-        # point of the scan's end jets and every refine point a jet of an end
-        # of its scan step (F 47, F' 45, g' 44; 67, 65 and 64 with each
-        # refine's first point summed, 117, 118 and 114 with every refine
-        # point summed, 118, 119 and 115 with the zero-free start evaluated
-        # too, 139, 138 and 138 from Halley steps alone, 223, 220 and 221 with
-        # ITP steps alone); jets are no sums
-        gates = {ZeroTarget.F: 47, ZeroTarget.F_PRIME: 45, ZeroTarget.G_PRIME: 44}
+        # negative axis unevaluated, every second scan step a jet of the one
+        # before it, each refine started at the interpolated point of the
+        # scan's end jets and every refine point a jet of a summed scan step
+        # (F 32, F' 31, g' 30; 47, 45 and 44 with every scan step summed, 67,
+        # 65 and 64 with each refine's first point summed too, 117, 118 and
+        # 114 with every refine point summed, 118, 119 and 115 with the
+        # zero-free start evaluated too, 139, 138 and 138 from Halley steps
+        # alone, 223, 220 and 221 with ITP steps alone); jets are no sums
+        gates = {ZeroTarget.F: 32, ZeroTarget.F_PRIME: 31, ZeroTarget.G_PRIME: 30}
         for target, gate in gates.items():
             evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
@@ -430,8 +432,8 @@ def _step(params, t_prev, t):
     """The scan step (t_prev, t] with the series at its ends (the origin's
     exact value at 0), as refine_values reads it."""
     nan = (math.nan,) * 3
-    return zeros.ScanStep(t_prev, t, series.sum_point(params, t_prev),
-                          series.sum_point(params, t), nan, nan, None)
+    sv_prev, sv = series.sum_point(params, t_prev), series.sum_point(params, t)
+    return zeros.ScanStep(t_prev, t, sv_prev, sv, nan, nan, None, ((t, sv), (t_prev, sv_prev)))
 
 
 class TestLocalRefine:
@@ -493,6 +495,89 @@ class TestLocalRefine:
         assert len(jets.negative) == len(summed.negative) and jets.truncated == summed.truncated
         for a, b in zip(jets.positive + jets.negative, summed.positive + summed.negative):
             assert abs(a - b) <= zeros.REFINE_TOL, (a, b)
+
+
+class TestAlternateSteps:
+    """The scan sums the grid points at an even offset from its anchor and
+    serves each point between as a jet of the sum before it."""
+
+    SIDES = (CoulombParams(0.5, -1.0), CoulombParams(0.5, 1.0, unsafe=True),
+             CoulombParams(2.0, -8.0), CoulombParams(0.0, 20.0, unsafe=True),
+             CoulombParams(-0.5, -3.0))
+
+    def test_jet_steps_are_jets_of_the_sum_before_them(self):
+        served = 0
+        for params in self.SIDES:
+            for target in ZeroTarget:
+                steps = list(itertools.islice(zeros.scan(params, target), 60))
+                for before, step in zip(steps, steps[1:]):
+                    assert step.sv_prev is before.sv
+                    if step.sv._at is None:
+                        served += 1
+                        # never two jets in a row, and the jet of the step before
+                        assert before.sv._at is not None, (params, target, step.t)
+                        assert step.sv == series.jet(before.sv, step.t)
+                        assert step.bases == ((before.t, before.sv),)
+        assert served >= 100
+
+    def test_refines_take_jets_of_sums_alone(self, monkeypatch):
+        # every base handed to jet, in the scan and in refine_values, is a sum
+        bases = []
+
+        def recorded(value, z):
+            bases.append(value)
+            return series.jet(value, z)
+
+        monkeypatch.setattr(zeros, "jet", recorded)
+        for params in self.SIDES:
+            for target in ZeroTarget:
+                refined = [s for s in zeros.scan(params, target) if s.zero is not None][:6]
+                assert refined, (params, target)
+                for step in refined:
+                    assert all(sv._at is not None for _, sv in step.bases)
+        assert len(bases) >= 500 and all(sv._at is not None for sv in bases)
+
+    def test_jet_noise_limited_on_the_target_is_summed_instead(self, monkeypatch):
+        # jets with their bounds raised past every value: the scan sums each
+        # such point and walks the same grid to the same zeros
+        params = CoulombParams(0.5, -1.0)
+        plain = list(itertools.islice(zeros.scan(params, ZeroTarget.F_PRIME), 30))
+
+        def noisy(value, z):
+            sv = series.jet(value, z)
+            return None if sv is None else dataclasses.replace(sv, noise=(1e300,) * 3)
+
+        monkeypatch.setattr(zeros, "jet", noisy)
+        summed = list(itertools.islice(zeros.scan(params, ZeroTarget.F_PRIME), 30))
+        assert sum(step.sv._at is None for step in plain) >= 10
+        assert all(step.sv._at is not None for step in summed)
+        assert [s.t for s in summed] == [s.t for s in plain]
+        assert [s.zero is None for s in summed] == [s.zero is None for s in plain]
+
+    @staticmethod
+    def grid():
+        """Seeded (L, eta) pairs, with the noise-limited (0, -6000) and the
+        large-eta (10, -25) and (0, -20)."""
+        rng = random.Random(30)
+        yield from ((0.0, -6000.0), (10.0, -25.0), (0.0, -20.0))
+        for _ in range(9):
+            L = rng.uniform(-0.9, 8.0)
+            yield L, rng.choice((rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 0.0)))
+
+    def test_horizon_matches_every_step_summed(self, monkeypatch):
+        # a jet noise-limited on the target is summed instead, so the scan
+        # stops where summing every step stops: same counts, same flags
+        found = {(L, eta, target): find_zeros(CoulombParams(L, eta), target, 12, 12)
+                 for L, eta in self.grid() for target in ZeroTarget}
+        monkeypatch.setattr(zeros, "jet", lambda value, z: None)
+        truncated = 0
+        for (L, eta, target), zs in found.items():
+            summed = find_zeros(CoulombParams(L, eta), target, 12, 12)
+            assert zs.truncated == summed.truncated, (L, eta, target)
+            assert len(zs.positive) == len(summed.positive), (L, eta, target)
+            assert len(zs.negative) == len(summed.negative), (L, eta, target)
+            truncated += zs.truncated
+        assert truncated >= 3
 
 
 class TestLargeEta:
