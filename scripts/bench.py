@@ -22,11 +22,11 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the series.counting() record of one call (fields
 as series.SumCounts documents them, evals for the number of points): sums
-from the origin, the jets (series.jet, no sums) that serve every second
-scan step from the sum one step before it and a refine's points from a sum
-of its scan step or a point it summed, and each query row's
-refine_steps, the zero refines and the radius solve, each step a sum or a
-jet, so evals + jets - refine_steps are the scan steps and the few single
+from the origin, the jets (series.jet, no sums) that a query's
+series.Evaluator serves from the nearest sum it keeps, for every second
+scan step and every refine point, and each query row's refine_steps, the
+zero refines and the radius solve, each step a sum or a jet, so
+evals + jets - refine_steps are the scan steps and the few single
 evaluations around them.
 Only series.eval_point keeps values between calls, in its memo, and the cli
 rows add its memo_hits and memo_misses.  Every row but cli_eval_warm empties

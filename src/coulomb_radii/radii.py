@@ -10,38 +10,37 @@ with (N, D) the pair of equations.radius_terms:
 
 For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 -inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
-for convexity), and D > 0 on (0, x1).  radius() runs the zero scan of the
-zeros module for x1 (zeros.scan) and reads the equation off the series value
-of each scan step, a sum or a jet of the sum one step before it, at no
-extra evaluation, and at r = 0 off the origin's exact series value, which
-is no sum.  The first step (t_prev, t] where the
-equation is <= 0, or that holds x1, brackets the radius: the equation
-decreases on [0, x1], and no sign change of F, F' or g' (whichever x1 is a
-zero of) up to t puts x1 beyond t (or x1 is in the step, refined first, and
-the bracket is [t_prev, x1] with -inf at x1).  So the root in that step is
-the smallest, and the radius needs x1 only where x1 lies in its step.  The
-one root finder of the zeros module (refine_bracket) refines that bracket with
-Halley steps from the jets of equations.equation, to 1e-13 max(1, end of
-the bracket) on the abscissa.  Its evaluations and the residual's are jets
-of the sums of that scan step, its summed ends and the sum its jet end
-came from (series.jet, through zeros.refine_values), each summed from the
-origin instead where no jet is taken.  It solves
-either the ratio form N/D - beta ("ratio") or the direct form N - beta D
-("direct"), which has the sign of the ratio form wherever D > 0; the two
-roots agreeing is one of the acceptance checks.  refine_bracket decides
-the sign at each end of its bracket without a noise check, so the result
-widens both ends by the equation's noise floor at the root over its slope,
-within the scan step: a rule first order in the series bounds, not a
-proof, under which every golden and seeded random bracket holds the root
-of a 50-digit equation.  The scan then runs
-on to x1, refined as by find_zeros, which is reported as the domain cap;
-where the scan ends before it (x1 beyond |z| = 55 or the noise floor), the
-domain cap is None and the result carries the flag domain-cap-beyond-range.  The univalence
-radius is the starlikeness radius at beta = 0.  Under unsafe parameters
-the decrease is not proven; it is checked on the points the scan and the
-solver visit past the origin, and a rise raises MonotonicityError.  The cap
-of a convexity radius is the first zero of equations.derivative_target(kind):
-of F' for f and g' for g, whose zeros the paper calls sigma and varsigma.
+for convexity), and D > 0 on (0, x1).  radius() builds one series.Evaluator
+of (L, eta), runs the zero scan of the zeros module for x1 (zeros.scan) on
+it and reads the equation off the series value of each scan step, a sum or a
+jet of the sum one step before it, at no extra evaluation, and at r = 0 off
+the evaluator's exact value at the origin, which is no sum.  The first step
+(t_prev, t] where the equation is <= 0, or that holds x1, brackets the
+radius: the equation decreases on [0, x1], and no sign change of F, F' or g'
+(whichever x1 is a zero of) up to t puts x1 beyond t (or x1 is in the step,
+refined first, and the bracket is [t_prev, x1] with -inf at x1).  So the
+root in that step is the smallest, and the radius needs x1 only where x1
+lies in its step.  The one root finder of the zeros module (refine_bracket)
+refines that bracket with Halley steps from the jets of equations.equation,
+to 1e-13 max(1, end of the bracket) on the abscissa.  Its points and the
+residual's are values of the same evaluator: jets (series.jet) of the
+nearest sum the scan or the solve made, each summed from the origin instead
+where no jet is taken.  It solves either the ratio form N/D - beta ("ratio")
+or the direct form N - beta D ("direct"), which has the sign of the ratio
+form wherever D > 0; the two roots agreeing is one of the acceptance checks.
+refine_bracket decides the sign at each end of its bracket without a noise
+check, so the result widens both ends by the equation's noise floor at the
+root over its slope, within the scan step: a rule first order in the series
+bounds, not a proof, under which every golden and seeded random bracket
+holds the root of a 50-digit equation.  The scan then runs on to x1, refined
+as by find_zeros, which is reported as the domain cap; where the scan ends
+before it (x1 beyond |z| = 55 or the noise floor), the domain cap is None
+and the result carries the flag domain-cap-beyond-range.  The univalence
+radius is the starlikeness radius at beta = 0.  Under unsafe parameters the
+decrease is not proven; it is checked on the points the scan and the solver
+visit past the origin, and a rise raises MonotonicityError.  The cap of a
+convexity radius is the first zero of equations.derivative_target(kind): of
+F' for f and g' for g, whose zeros the paper calls sigma and varsigma.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ from . import equations
 from .errors import MonotonicityError, PoleError
 from .equations import Jet, Kind  # Kind is re-exported here
 from .params import CoulombParams
-from .series import SeriesValue
+from .series import Evaluator, SeriesValue
 # find_zeros stays bound here, where perfbench's tracer also wraps it
-from .zeros import ZeroTarget, find_zeros, refine_bracket, refine_values, scan  # noqa: F401
+from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
 
 _ABSCISSA_TOL = 1e-13
 
@@ -133,11 +132,11 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     # the equation is > 0 at 0 (each ratio starts at 1, above beta) and falls
     # to -inf at the cap (the direct form has the sign of the ratio form); the
     # first scan step where it is <= 0, or that holds the cap, holds the radius
-    bracket = at_lo = cap = None
-    for step in scan(params, cap_target):
+    values = Evaluator(params)
+    bracket = cap = None
+    at_lo = at(0.0, values.value(0.0))[0]  # the first step starts at the origin
+    for step in scan(values, cap_target):
         if bracket is None:
-            if at_lo is None:  # the first step starts at the origin
-                at_lo = at(step.t_prev, step.sv_prev)[0]
             if step.zero is not None:
                 bracket = step, step.zero, at_lo, (-math.inf, math.nan, math.nan)
             else:
@@ -157,10 +156,9 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         flags.append("domain-cap-beyond-range")
     step, hi, at_lo, at_hi = bracket
     lo = step.t_prev
-    value = refine_values(params, step)
-    ref = refine_bracket(lambda r: at(r, value(r))[0], lo, hi, at_lo, at_hi,
+    ref = refine_bracket(lambda r: at(r, values.value(r))[0], lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
-    (residual, slope, _), noise = at(ref.root, value(ref.root))
+    (residual, slope, _), noise = at(ref.root, values.value(ref.root))
     # refine_bracket decides the sign at each end without a noise check, so
     # both ends move out by the noise over the slope at the root, within the
     # step's bracket

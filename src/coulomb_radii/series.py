@@ -106,12 +106,13 @@ takes 9 terms and about a ninth.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
-read them.  Only eval_point keeps values between calls, a memo of the last
-512 keyed by the exact (L, eta, z); sum_point and eval_series sum on every
-call.  The zero scan, whose points never repeat, sums every second grid
-point with sum_point and serves the points between and its refine points
-as jets of those sums; the radius solve reads its equation off that scan
-and serves its own points as jets too.  counting() counts every sum made inside its block, where
+read them.  eval_point keeps the last 512 values in a memo keyed by the
+exact (L, eta, z); sum_point and eval_series sum on every call.  An
+Evaluator keeps the sums of one query at one (L, eta), and it alone picks a
+jet's base: the zero scan sums every second grid point (Evaluator.sum), and
+every other point of the scan, of its refines and of the radius solve is
+Evaluator.value, a jet of the nearest kept sum or, where jet refuses it, a
+sum that is kept.  counting() counts every sum made inside its block, where
 it is made, the jets, the steps of zeros.refine_bracket and the hits and
 misses of eval_point's memo; outside a block a sum, a jet or a memo lookup
 pays one ContextVar lookup.
@@ -119,6 +120,7 @@ pays one ContextVar lookup.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import math
@@ -421,6 +423,39 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     if counts is not None:
         counts.jets += 1
     return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau, noise=(b0, b1, b2))
+
+
+class Evaluator:
+    """P, P' and P'' of one (L, eta) at every point one query asks for.
+
+    sum(t) sums from the origin (sum_point) and keeps the sum.  value(t) is
+    the origin's exact value at 0, which is no sum; elsewhere the jet of the
+    kept sum nearest t (the larger abscissa at equal distance), or, where jet
+    refuses it, a sum that is kept.  Jets are never kept, so errors never
+    chain.  The sums are kept sorted by abscissa, for one query in one thread.
+    """
+
+    def __init__(self, params: CoulombParams):
+        self.params = params
+        self._at_origin = _origin(params.L, params.eta)
+        self._ts: list[float] = []
+        self._sums: list[SeriesValue] = []
+
+    def sum(self, t: float) -> SeriesValue:
+        sv = sum_point(self.params, t)
+        i = bisect.bisect(self._ts, t)
+        self._ts.insert(i, t)
+        self._sums.insert(i, sv)
+        return sv
+
+    def value(self, t: float) -> SeriesValue:
+        if t == 0.0:
+            return self._at_origin
+        ts, i = self._ts, bisect.bisect_left(self._ts, t)
+        if i == len(ts) or (i and t - ts[i - 1] < ts[i] - t):
+            i -= 1
+        sv = jet(self._sums[i], t) if i >= 0 else None
+        return self.sum(t) if sv is None else sv
 
 
 def _direct(L: float, eta: float, z: float) -> SeriesValue:

@@ -87,36 +87,34 @@ Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
 zero throughout).  The series is evaluated only at scan steps and refine
-steps, never at the refined root itself.  The first step starts at the
-origin's exact value (1, a_1, 2 a_2), which is no sum.  The scan sums from
-the origin (series.sum_point, past eval_point's memo) only the grid points
+steps, never at the refined root itself, and every value comes from one
+series.Evaluator of (L, eta), which the caller builds and the scan asks.
+The first step starts at its value at the origin, (1, a_1, 2 a_2), which is
+no sum.  The scan sums from the origin (Evaluator.sum) only the grid points
 at an even offset from its anchor, the last grid point of the zero-free
 stretch (0, t*] where L >= 0 and there is one, else the first grid point.
-Each grid point between is a jet (series.jet) of the sum one step before
-it.  It is summed instead where jet refuses it (next to the origin, which
-is no base, past the jet's reach or terms, or noise-limited) or where the
-target is noise_limited on the jet's bound; so the scan stops where one
-that sums every step stops, and every sign is decided against a proven
-bound.  The anchor is the same with and without skip_free, so both walks
-sum the same points from t_k on and take the same steps, bit for bit.
-refine_values serves each refine point as a jet of the nearest point
-summed for the refine, which starts with the bases of its scan step (the
-ends that are sums, and the sum an end served as a jet was taken from): a
-few double operations instead of a sum.  It sums a point from the origin
-only where jet refuses it, and later points are jets of that sum too.  A
-jet is the base of no jet, so errors never chain.  A jet lies within its
-noise of P, P' and P'', and the zeros move by less than the refine
-tolerance against summing every point (find_zeros(F, 10, 10) at
-(0.5, -1): 32 sums and 85 jets, against 47 sums with every scan step
-summed and 117 with every point summed).
+Every other point, of the grid or of a refine, is Evaluator.value: a jet
+(series.jet) of the nearest sum the evaluator keeps (for a grid point, the
+sum one step before it), summed and kept instead where jet refuses it (next
+to the origin, which is no base, past the jet's reach or terms, or
+noise-limited).  A grid point is summed too where the target is
+noise_limited on its jet's bound; so the scan stops where one that sums
+every step stops, and every sign is decided against a proven bound.  The
+anchor is the same with and without skip_free, so both walks sum the same
+points from t_k on and take the same steps, bit for bit.  A refine point
+costs a few double operations instead of a sum, and a jet is the base of no
+jet, so errors never chain.  A jet lies within its noise of P, P' and P'',
+and the zeros move by less than the refine tolerance against summing every
+point (find_zeros(F, 10, 10) at (0.5, -1): 32 sums and 85 jets, against 47
+sums with every scan step summed and 117 with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
-the radius solver both consume, refine_bracket its one bracketed root
-finder, and refine_values the one source of the values of a refine's
-points.  The radius solver reads its equation off the series value of each
-step and refines the step that brackets the radius with the slopes of the
-equation's jet (see the radii module).  refine_bracket decides signs
-without a noise-floor check; series.counting() counts its steps.
+the radius solver both consume, and refine_bracket its one bracketed root
+finder; which sum serves a point is the evaluator's choice alone.  The
+radius solver reads its equation off the series value of each step and
+refines the step that brackets the radius with the slopes of the equation's
+jet (see the radii module).  refine_bracket decides signs without a
+noise-floor check; series.counting() counts its steps.
 """
 
 from __future__ import annotations
@@ -128,7 +126,7 @@ from typing import Callable, Iterator, NamedTuple
 from .equations import Jet, ZeroTarget, centrifugal, noise_limited, target_jet
 from .errors import ConvergenceError
 from .params import CoulombParams
-from .series import EVAL_Z_MAX, SeriesValue, _origin, _record, jet, sum_point
+from .series import EVAL_Z_MAX, Evaluator, SeriesValue, _record
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
@@ -326,58 +324,31 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
-    sv_prev and sv are the series at t_prev (the origin's exact value at 0)
-    and t, each a sum or a jet of the sum at the grid point before it; prev
-    and cur are the target's (value, slope, curvature) there; zero is the
-    target's zero in the step, refined, or None.  bases are the (abscissa,
-    sum) pairs a refine in the step takes its jets from: the ends that are
-    sums, t's first, and the sum an end served as a jet was taken from.
+    sv is the series at t, a sum or a jet of the sum one step before; prev
+    and cur are the target's (value, slope, curvature) at t_prev and t; zero
+    is the target's zero in the step, refined, or None.
     """
 
     t_prev: float
     t: float
-    sv_prev: SeriesValue
     sv: SeriesValue
     prev: Jet
     cur: Jet
     zero: float | None
-    bases: tuple[tuple[float, SeriesValue], ...]
 
 
-def refine_values(params: CoulombParams, step: ScanStep) -> Callable[[float], SeriesValue]:
-    """The series at every point t of one refine in step.
-
-    Each point is the series.jet of the nearest point summed for this
-    refine, which starts with step.bases, unless jet refuses it (next to the
-    origin, which is no base, or noise-limited); then it is summed from the
-    origin (series.sum_point) and joins them.  Jets are never bases.
-    """
-    # at equal distance, the first: the end at t where it is a sum
-    summed = list(step.bases)
-
-    def value(t: float) -> SeriesValue:
-        sv = jet(min(summed, key=lambda kept: abs(kept[0] - t))[1], t)
-        if sv is None:
-            sv = sum_point(params, t)
-            summed.append((t, sv))
-        return sv
-
-    return value
-
-
-def scan(params: CoulombParams, target: ZeroTarget, *,
-         skip_free: bool = False) -> Iterator[ScanStep]:
-    """The one zero scan: half-Sturm-spacing steps along the positive axis
-    from the origin, each with the target's zero in it refined, up to the
-    precision horizon (module docstring).  The consumer stops it once it has
-    what it needs.  Grid points at an even offset from the anchor, the last
-    grid point of the zero-free stretch (0, t*] (the first grid point where
-    there is none), are summed from the origin; each point between is a jet
-    of the sum before it, summed instead where the jet is refused or leaves
-    the target noise-limited.  A step that holds a zero adds the refine's
-    steps.  With skip_free and L >= 0 the first step is (0, t_k], t_k the
-    anchor (module docstring)."""
-    L, eta = params.L, params.eta
+def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> Iterator[ScanStep]:
+    """The one zero scan of values.params: half-Sturm-spacing steps along the
+    positive axis from the origin, each with the target's zero in it refined,
+    up to the precision horizon (module docstring).  The consumer stops it
+    once it has what it needs.  Grid points at an even offset from the
+    anchor, the last grid point of the zero-free stretch (0, t*] (the first
+    grid point where there is none), are summed (values.sum); every other
+    point, of the grid or of a refine, is values.value, and a grid point is
+    summed instead where its jet leaves the target noise-limited.  A step
+    that holds a zero adds the refine's steps.  With skip_free and L >= 0
+    the first step is (0, t_k], t_k the anchor (module docstring)."""
+    L, eta = values.params.L, values.params.eta
     # Q(t) = 1 + a/t + b/t^2 of the module docstring
     a = max(0.0, -2.0 * eta)
     b = max(0.0, -L * (L + 1.0))
@@ -405,40 +376,31 @@ def scan(params: CoulombParams, target: ZeroTarget, *,
         t, k = anchor, 0
     odd = k % 2 == 1  # whether t lies an odd number of grid steps from the anchor
 
-    t_prev, sv_prev = 0.0, _origin(L, eta)
-    prev = target_jet(L, eta, target, t_prev, sv_prev)[0]
-    # the sum sv_prev is, or was served from
-    base_prev = (t_prev, sv_prev)
+    t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     while t_prev < EVAL_Z_MAX:
-        # at an odd offset sv_prev is a sum, or the origin's value, which jet refuses
-        sv = jet(sv_prev, t) if odd else None
-        if sv is not None:
+        try:
+            # at an odd offset the nearest kept sum is the one a step before
+            sv = values.value(t) if odd else values.sum(t)
             cur, noise = target_jet(L, eta, target, t, sv)
-            if noise_limited(cur[0], noise):
-                sv = None
-        if sv is None:
-            try:
-                sv = sum_point(params, t)
-            except ConvergenceError:
-                return
-            cur, noise = target_jet(L, eta, target, t, sv)
-            if noise_limited(cur[0], noise):
-                return  # sign no longer resolvable against the cancellation floor
-        base = base_prev if sv._at is None else (t, sv)
+            if sv._at is None and noise_limited(cur[0], noise):
+                sv = values.sum(t)
+                cur, noise = target_jet(L, eta, target, t, sv)
+        except ConvergenceError:
+            return
+        if noise_limited(cur[0], noise):
+            return  # sign no longer resolvable against the cancellation floor
         val = cur[0]
-        step = ScanStep(t_prev, t, sv_prev, sv, prev, cur, None,
-                        (base,) if base is base_prev else (base, base_prev))
+        step = ScanStep(t_prev, t, sv, prev, cur, None)
         if val == 0.0:
             step = step._replace(zero=t)  # grid point sits exactly on a (simple) zero
         elif (prev[0] < 0.0) != (val < 0.0):
-            value = refine_values(params, step)
             step = step._replace(zero=refine_bracket(
-                lambda s: target_jet(L, eta, target, s, value(s))[0], t_prev, t, prev, cur,
-                REFINE_TOL).root)
+                lambda s: target_jet(L, eta, target, s, values.value(s))[0], t_prev, t, prev,
+                cur, REFINE_TOL).root)
         yield step
         if val == 0.0:
             cur = (-prev[0], math.nan, math.nan)  # the sign flips there
-        t_prev, prev, sv_prev, base_prev = t, cur, sv, base
+        t_prev, prev = t, cur
         t, odd = after(t), not odd
 
 
@@ -446,7 +408,7 @@ def _zeros(params: CoulombParams, target: ZeroTarget, count: int) -> tuple[list[
     """The first count positive zeros, and whether fewer were found."""
     found: list[float] = []
     if count > 0:
-        for step in scan(params, target, skip_free=True):
+        for step in scan(Evaluator(params), target, skip_free=True):
             if step.zero is not None:
                 found.append(step.zero)
                 if len(found) == count:

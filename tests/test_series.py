@@ -27,7 +27,7 @@ from coulomb_radii import (
 )
 from coulomb_radii.equations import ZeroTarget, noise_limited, target_jet
 from coulomb_radii.verify import bessel_j
-from coulomb_radii.zeros import find_zeros, scan
+from coulomb_radii.zeros import REFINE_TOL, find_zeros, scan
 
 P00 = CoulombParams(0.0, 0.0)
 P0M1 = CoulombParams(0.0, -1.0)
@@ -599,6 +599,95 @@ class TestJets:
             "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise", "_at"]
 
 
+class TestEvaluator:
+    """series.Evaluator: each point is a jet of the nearest sum it keeps, and
+    a point is summed from the origin, and kept, only where the jet is
+    refused."""
+
+    def test_points_are_jets_of_the_nearer_end(self):
+        # on the negative side of (0.5, -1): the positive side of (0.5, 1)
+        values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+        lo, hi = values.sum(10.0), values.sum(11.5)
+        with series.counting() as counts:
+            first = values.value(10.001)  # a jet of the nearer end, 10
+            second = values.value(11.4999)  # a jet of 11.5
+            third = values.value(10.75)  # the midpoint: a jet of the larger end
+        assert counts.points == [] and counts.jets == 3
+        assert first == series.jet(lo, 10.001)
+        assert second == series.jet(hi, 11.4999)
+        assert third == series.jet(hi, 10.75)
+
+    def test_a_tie_goes_to_the_larger_abscissa(self):
+        # the sums are kept by abscissa, not in the order they were made
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        hi, lo = values.sum(11.5), values.sum(10.0)
+        assert values.value(10.75) == series.jet(hi, 10.75) != series.jet(lo, 10.75)
+
+    def test_the_origin_is_no_sum(self):
+        params = CoulombParams(0.5, -1.0)
+        values = series.Evaluator(params)
+        with series.counting() as counts:
+            at_origin = values.value(0.0)
+            first = values.value(0.001)  # no sum is kept, and the origin is no base
+        assert at_origin == series._origin(0.5, -1.0) and at_origin.p1 == -1.0 / 1.5  # a_1
+        assert counts.points == [0.001] and counts.jets == 0
+        assert first == series.sum_point(params, 0.001)
+
+    def test_later_points_are_jets_of_the_nearest_sum(self):
+        # a step from the origin has one summed end: a point beyond the jet's
+        # reach of 2 is summed, and later points are jets of the nearest sum
+        values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+        end = values.sum(2.0)
+        with series.counting() as counts:
+            first = values.value(1.9)  # a jet of 2
+            second = values.value(0.5)  # beyond |z0|/2 of 2: summed
+            third = values.value(0.5001)  # a jet of 0.5, the nearer sum
+        assert counts.points == [0.5] and counts.jets == 2
+        assert first == series.jet(end, 1.9)
+        assert second._at is not None
+        assert third == series.jet(second, 0.5001)
+
+    def test_a_refused_point_is_summed_once_and_serves_later_points(self):
+        # in the step (0.5, 2] the point 1.2 lies beyond the reach of both
+        # ends, so one refine sums it; asked again it is that sum, and a
+        # later point next to it, of another refine, is a jet of it
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        values.sum(0.5)
+        values.sum(2.0)
+        with series.counting() as counts:
+            first = values.value(1.2)
+            again = values.value(1.2)
+            later = values.value(1.25)
+        assert counts.points == [1.2] and counts.jets == 1
+        assert first._at is not None and again is first
+        assert later == series.jet(first, 1.25)
+
+    def test_noise_limited_jet_is_summed_instead(self):
+        # at (0, -6000), z = 50 the sum's bound lies far above its value, so
+        # a jet of it is noise-limited: the point is summed
+        values = series.Evaluator(CoulombParams(0.0, -6000.0))
+        values.sum(49.0)
+        end = values.sum(50.0)
+        with series.counting() as counts:
+            first = values.value(49.999)
+            second = values.value(49.9991)
+        assert noise_limited(end.p0, end.noise[0])
+        assert counts.points == [49.999, 49.9991] and counts.jets == 0
+        assert first._at is not None and second._at is not None
+
+    def test_refined_zeros_match_direct_sums(self, monkeypatch):
+        # every refine point summed from the origin instead gives zeros within
+        # the refine tolerance of these
+        params = CoulombParams(4.105, -22.918)
+        jets = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
+        monkeypatch.setattr(series, "jet", lambda value, z: None)
+        summed = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
+        assert len(jets.positive) == len(summed.positive) == 10
+        assert len(jets.negative) == len(summed.negative) and jets.truncated == summed.truncated
+        for a, b in zip(jets.positive + jets.negative, summed.positive + summed.negative):
+            assert abs(a - b) <= REFINE_TOL, (a, b)
+
+
 class TestReflection:
     """P(-t) at eta is P(t) at -eta bit for bit, P' negated, for sums and jets
     alike: the zero scan's negative side rests on it."""
@@ -660,7 +749,7 @@ class TestCounting:
         steps = []
         for side in (params, CoulombParams(0.5, 1.0, unsafe=True)):
             found = 0
-            for step in scan(side, ZeroTarget.F, skip_free=True):
+            for step in scan(series.Evaluator(side), ZeroTarget.F, skip_free=True):
                 if step.sv._at is not None:
                     steps.append(step.t)
                 found += step.zero is not None
@@ -695,7 +784,8 @@ class TestCounting:
         assert counts.jets == 4 and counts.refine_steps == 3
         # the cap lies past |z| = 55, so the scan runs to its end
         assert res.domain_cap is None
-        assert counts.points == [step.t for step in scan(params, ZeroTarget.F_PRIME)]
+        assert counts.points == [step.t for step in scan(series.Evaluator(params),
+                                                          ZeroTarget.F_PRIME)]
         assert res.value == 39.54609038197589
 
     def test_nothing_is_recorded_outside_a_block(self):

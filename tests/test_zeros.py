@@ -9,7 +9,6 @@ import random
 import pytest
 
 from coulomb_radii import CoulombParams, series, zeros
-from coulomb_radii.equations import noise_limited
 from coulomb_radii.verify import _interlaced, _product, bessel_j
 from coulomb_radii.zeros import ZeroTarget, _jet_roots, _jet_start, find_zeros, refine_bracket
 
@@ -186,7 +185,8 @@ class TestZeroFreeStart:
         params, mirrored = CoulombParams(L, eta), CoulombParams(L, -eta, unsafe=True)
         for target, t in t_star.items():
             # the first step is (0, t_k], t_k the last grid point at or below t*
-            first, second = itertools.islice(zeros.scan(mirrored, target, skip_free=True), 2)
+            first, second = itertools.islice(zeros.scan(series.Evaluator(mirrored), target,
+                                                               skip_free=True), 2)
             assert first.t_prev == 0.0 and first.t <= t < second.t, target
         found = {target: tuple(-x for x in find_zeros(params, target, 0, 3).negative)
                  for target in ZeroTarget}
@@ -216,8 +216,8 @@ class TestZeroFreeStart:
         assert zs.negative == pytest.approx((-0.039019553515725, -15.5805095145986), abs=1e-10)
         # ... in a half step from the first grid point, not in a skipped stretch
         mirrored = CoulombParams(-1.3, 5.0, unsafe=True)
-        step = next(s for s in zeros.scan(mirrored, ZeroTarget.F, skip_free=True)
-                    if s.zero is not None)
+        step = next(s for s in zeros.scan(series.Evaluator(mirrored), ZeroTarget.F,
+                                          skip_free=True) if s.zero is not None)
         assert 0.0 < step.t_prev < 0.039 < step.t < 2.0
 
     @pytest.mark.parametrize("L", [0.0, 0.5, 2.0, 6.0])
@@ -229,7 +229,8 @@ class TestZeroFreeStart:
             zs = find_zeros(params, target, 4, 4)
             mirrored = CoulombParams(L, -eta, unsafe=True)
             for side, found in ((params, zs.positive), (mirrored, [-x for x in zs.negative])):
-                every = [s.zero for s in zeros.scan(side, target) if s.zero is not None]
+                every = [s.zero for s in zeros.scan(series.Evaluator(side), target)
+                         if s.zero is not None]
                 assert found and every[:len(found)] == list(found), (target, side)
 
 
@@ -428,75 +429,6 @@ class TestRefineBracket:
             assert len(evaluations) <= gate, target
 
 
-def _step(params, t_prev, t):
-    """The scan step (t_prev, t] with the series at its ends (the origin's
-    exact value at 0), as refine_values reads it."""
-    nan = (math.nan,) * 3
-    sv_prev, sv = series.sum_point(params, t_prev), series.sum_point(params, t)
-    return zeros.ScanStep(t_prev, t, sv_prev, sv, nan, nan, None, ((t, sv), (t_prev, sv_prev)))
-
-
-class TestLocalRefine:
-    """Each refine point is a jet of the nearest point summed for the refine,
-    which starts with the ends of its scan step; a point is summed from the
-    origin only where the jet is refused (zeros.refine_values)."""
-
-    def test_points_are_jets_of_the_nearer_end(self):
-        # on the negative side of (0.5, -1): the positive side of (0.5, 1)
-        params = CoulombParams(0.5, 1.0, unsafe=True)
-        step = _step(params, 10.0, 11.5)
-        value = zeros.refine_values(params, step)
-        with series.counting() as counts:
-            first = value(10.001)  # a jet of the nearer end, 10
-            second = value(11.4999)  # a jet of 11.5
-            third = value(10.75)  # the midpoint: a jet of the end at t
-        assert counts.points == [] and counts.jets == 3
-        assert first == series.jet(step.sv_prev, 10.001)
-        assert second == series.jet(step.sv, 11.4999)
-        assert third == series.jet(step.sv, 10.75)
-
-    def test_later_points_are_jets_of_the_nearest_sum(self):
-        # a step from the origin has one summed end, the origin being no
-        # base: a point beyond the jet's reach of 2 is summed, and later
-        # points are jets of the nearest sum
-        params = CoulombParams(0.5, 1.0, unsafe=True)
-        step = _step(params, 0.0, 2.0)
-        value = zeros.refine_values(params, step)
-        with series.counting() as counts:
-            first = value(1.9)  # a jet of 2
-            second = value(0.5)  # beyond |z0|/2 of 2: summed
-            third = value(0.5001)  # a jet of 0.5, the nearer sum
-        assert counts.points == [0.5] and counts.jets == 2
-        assert first == series.jet(step.sv, 1.9)
-        assert second._at is not None
-        assert third == series.jet(second, 0.5001)
-
-    def test_noise_limited_jet_is_summed_instead(self):
-        # at (0, -6000), z = 50 the sum's bound lies far above its value, so
-        # a jet of it is noise-limited: the refine sums that point
-        params = CoulombParams(0.0, -6000.0)
-        step = _step(params, 49.0, 50.0)
-        value = zeros.refine_values(params, step)
-        with series.counting() as counts:
-            first = value(49.999)
-            second = value(49.9991)
-        assert noise_limited(step.sv.p0, step.sv.noise[0])
-        assert counts.points == [49.999, 49.9991] and counts.jets == 0
-        assert first._at is not None and second._at is not None
-
-    def test_refined_zeros_match_direct_sums(self, monkeypatch):
-        # every refine point summed from the origin instead gives zeros within
-        # the refine tolerance of these
-        params = CoulombParams(4.105, -22.918)
-        jets = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
-        monkeypatch.setattr(zeros, "jet", lambda value, z: None)
-        summed = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
-        assert len(jets.positive) == len(summed.positive) == 10
-        assert len(jets.negative) == len(summed.negative) and jets.truncated == summed.truncated
-        for a, b in zip(jets.positive + jets.negative, summed.positive + summed.negative):
-            assert abs(a - b) <= zeros.REFINE_TOL, (a, b)
-
-
 class TestAlternateSteps:
     """The scan sums the grid points at an even offset from its anchor and
     serves each point between as a jet of the sum before it."""
@@ -509,46 +441,52 @@ class TestAlternateSteps:
         served = 0
         for params in self.SIDES:
             for target in ZeroTarget:
-                steps = list(itertools.islice(zeros.scan(params, target), 60))
+                values = series.Evaluator(params)
+                steps = list(itertools.islice(zeros.scan(values, target), 60))
                 for before, step in zip(steps, steps[1:]):
-                    assert step.sv_prev is before.sv
                     if step.sv._at is None:
                         served += 1
                         # never two jets in a row, and the jet of the step before
                         assert before.sv._at is not None, (params, target, step.t)
                         assert step.sv == series.jet(before.sv, step.t)
-                        assert step.bases == ((before.t, before.sv),)
+                # every summed step is kept, and the evaluator keeps sums alone
+                kept = set(map(id, values._sums))
+                assert all(id(step.sv) in kept for step in steps if step.sv._at is not None)
+                assert all(sv._at is not None for sv in values._sums)
         assert served >= 100
 
     def test_refines_take_jets_of_sums_alone(self, monkeypatch):
-        # every base handed to jet, in the scan and in refine_values, is a sum
+        # every base handed to jet, by the scan and by its refines, is a sum
         bases = []
+        jet = series.jet
 
         def recorded(value, z):
             bases.append(value)
-            return series.jet(value, z)
+            return jet(value, z)
 
-        monkeypatch.setattr(zeros, "jet", recorded)
+        monkeypatch.setattr(series, "jet", recorded)
         for params in self.SIDES:
             for target in ZeroTarget:
-                refined = [s for s in zeros.scan(params, target) if s.zero is not None][:6]
+                values = series.Evaluator(params)
+                refined = [s for s in zeros.scan(values, target) if s.zero is not None][:6]
                 assert refined, (params, target)
-                for step in refined:
-                    assert all(sv._at is not None for _, sv in step.bases)
+                assert all(sv._at is not None for sv in values._sums)
         assert len(bases) >= 500 and all(sv._at is not None for sv in bases)
 
     def test_jet_noise_limited_on_the_target_is_summed_instead(self, monkeypatch):
         # jets with their bounds raised past every value: the scan sums each
         # such point and walks the same grid to the same zeros
         params = CoulombParams(0.5, -1.0)
-        plain = list(itertools.islice(zeros.scan(params, ZeroTarget.F_PRIME), 30))
+        plain = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME), 30))
+        jet = series.jet
 
         def noisy(value, z):
-            sv = series.jet(value, z)
+            sv = jet(value, z)
             return None if sv is None else dataclasses.replace(sv, noise=(1e300,) * 3)
 
-        monkeypatch.setattr(zeros, "jet", noisy)
-        summed = list(itertools.islice(zeros.scan(params, ZeroTarget.F_PRIME), 30))
+        monkeypatch.setattr(series, "jet", noisy)
+        summed = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME),
+                                       30))
         assert sum(step.sv._at is None for step in plain) >= 10
         assert all(step.sv._at is not None for step in summed)
         assert [s.t for s in summed] == [s.t for s in plain]
@@ -569,7 +507,7 @@ class TestAlternateSteps:
         # stops where summing every step stops: same counts, same flags
         found = {(L, eta, target): find_zeros(CoulombParams(L, eta), target, 12, 12)
                  for L, eta in self.grid() for target in ZeroTarget}
-        monkeypatch.setattr(zeros, "jet", lambda value, z: None)
+        monkeypatch.setattr(series, "jet", lambda value, z: None)
         truncated = 0
         for (L, eta, target), zs in found.items():
             summed = find_zeros(CoulombParams(L, eta), target, 12, 12)
