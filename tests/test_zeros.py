@@ -185,8 +185,8 @@ class TestZeroFreeStart:
         params, mirrored = CoulombParams(L, eta), CoulombParams(L, -eta, unsafe=True)
         for target, t in t_star.items():
             # the first step is (0, t_k], t_k the last grid point at or below t*
-            first, second = itertools.islice(zeros.scan(series.Evaluator(mirrored), target,
-                                                               skip_free=True), 2)
+            steps = zeros.scan(series.Evaluator(mirrored), target, skip_free=True)
+            first, second = itertools.islice(steps, 2)
             assert first.t_prev == 0.0 and first.t <= t < second.t, target
         found = {target: tuple(-x for x in find_zeros(params, target, 0, 3).negative)
                  for target in ZeroTarget}
@@ -477,7 +477,8 @@ class TestAlternateSteps:
         # jets with their bounds raised past every value: the scan sums each
         # such point and walks the same grid to the same zeros
         params = CoulombParams(0.5, -1.0)
-        plain = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME), 30))
+        plain = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME),
+                                      30))
         jet = series.jet
 
         def noisy(value, z):
