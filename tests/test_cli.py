@@ -1,5 +1,7 @@
 """CLI surface: schema, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -137,6 +139,24 @@ class TestEvalAndZeros:
         series.eval_point.cache_clear()
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and err == ""
+
+    def test_truncated_zeros_are_flagged(self, capsys):
+        # at (0, 0) the zeros of F are n pi; the scan ends on |z| = 55, so 30
+        # asked for gives the 17 up to 17 pi, flagged truncated in JSON and CSV
+        argv = ["zeros", "--L", "0", "--eta", "0", "--count-pos", "30"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        validate_report(report)
+        result = report["result"]
+        assert result["truncated"] and "truncated" in report["warnings"]
+        assert len(result["positive"]) == 17 and result["negative"] == []
+        for n, x in enumerate(result["positive"], start=1):
+            assert x == pytest.approx(n * math.pi, abs=1e-12)
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 17 and all("truncated" in row["warnings"] for row in rows)
 
     def test_verbose_prints_the_sums(self, capsys):
         # one sums: line on stderr, the series.counting() record of the

@@ -5,10 +5,12 @@ import json
 import math
 import os
 import random
+import re
 
 import pytest
 
 from coulomb_radii import CoulombDomainError, CoulombParams, conv_ratio, star_ratio
+from coulomb_radii.errors import MonotonicityError
 from coulomb_radii.equations import derivative_target
 from coulomb_radii.radii import (
     Kind,
@@ -327,6 +329,20 @@ class TestUnsafe:
         res = radius(RadiusQuery(params, "g", "starlike", 0.0))
         assert "no-certificate" in res.flags
         assert res.value > 0.0
+
+    def test_a_rising_ratio_is_refused(self):
+        # at (0.5, 2) r g'/g = r F'/F - L rises between two points the solver
+        # visits (mpmath: 1.0807 at 0.0625, 2.1081 at 1.6333), so no radius is
+        # returned
+        mpmath = pytest.importorskip("mpmath")
+        query = RadiusQuery(CoulombParams(0.5, 2.0, unsafe=True), "g", "starlike", 0.0)
+        with pytest.raises(MonotonicityError, match=r"between r=0\.0625 and r=1\.6333") as exc:
+            radius(query)
+        r1, r2 = (float(r) for r in re.findall(r"r=([0-9.]+)", str(exc.value)))
+        with mpmath.workdps(30):
+            F = lambda t: mpmath.coulombf(0.5, 2.0, t)  # noqa: E731
+            ratio = [float(r * mpmath.diff(F, r) / F(r)) - 0.5 for r in (r1, r2)]
+        assert ratio == pytest.approx([1.0807, 2.1081], abs=1e-4)
 
 
 class TestBracketHoldsTheRoot:

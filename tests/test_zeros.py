@@ -519,6 +519,91 @@ class TestAlternateSteps:
         assert truncated >= 3
 
 
+class TestExactGridZero:
+    """A grid value of exactly 0.0 is a zero of a smooth target like any
+    other: the scan reports it once, on the grid point, and the zeros on
+    either side do not move."""
+
+    PARAMS = CoulombParams(2.0, -3.0)
+
+    @staticmethod
+    def grid_values(params, count):
+        """The zeros of F and the target at every grid point of find_zeros's
+        positive side, as the scan computes them."""
+        seen = {}
+        target_jet = zeros.target_jet
+
+        def recorded(L, eta, target, t, sv):
+            seen[t] = out = target_jet(L, eta, target, t, sv)
+            return out
+
+        steps = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F,
+                                                 skip_free=True), 4 * count))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeros, "target_jet", recorded)
+            found = find_zeros(params, ZeroTarget.F, count, 0).positive
+        return found, [s.t for s in steps], seen
+
+    @pytest.mark.parametrize("index, positive_before", [(3, True), (2, False)])
+    def test_grid_zero_is_reported_once(self, monkeypatch, index, positive_before):
+        # the target less its own grid value at t_g times a C2 bump of
+        # half-width w about t_g: a simple zero of a smooth function at t_g,
+        # in place of the index-th zero next to it, and the same target
+        # beyond t_g +- w
+        params, count = self.PARAMS, 6
+        found, grid, seen = self.grid_values(params, count)
+        zero = found[index - 1]
+        g = min(range(1, len(grid) - 1), key=lambda j: abs(grid[j] - zero))
+        t_g = grid[g]
+        w = 0.9 * min(t_g - grid[g - 1], grid[g + 1] - t_g)
+        c = seen[t_g][0][0]
+        assert abs(t_g - zero) < 0.5 * w and c != 0.0
+        assert (seen[grid[g - 1]][0][0] > 0.0) == positive_before
+        target_jet, on_grid = zeros.target_jet, []
+
+        def shifted(L, eta, target, t, sv):
+            (f, d1, d2), noise = target_jet(L, eta, target, t, sv)
+            x = (t - t_g) / w
+            if abs(x) < 1.0:
+                u = 1.0 - x * x
+                f, d1, d2 = (f - c * u ** 3, d1 + 6.0 * c * x * u * u / w,
+                             d2 + c * (6.0 * u * u - 24.0 * x * x * u) / (w * w))
+            if t == t_g:
+                on_grid.append(f)
+            return (f, d1, d2), noise
+
+        monkeypatch.setattr(zeros, "target_jet", shifted)
+        moved = find_zeros(params, ZeroTarget.F, count, 0)
+        assert on_grid == [0.0]
+        assert len(moved.positive) == count and not moved.truncated
+        near = [x for x in moved.positive if abs(x - t_g) < w]
+        assert len(near) == 1 and abs(near[0] - t_g) <= zeros.REFINE_TOL, (near, t_g)
+        assert [x for x in moved.positive if x not in near] == [
+            x for x in found if x != zero]
+
+    def test_noise_floor_ends_the_scan(self, monkeypatch):
+        # one grid sum with its bound raised past its value: the scan stops
+        # there and find_zeros returns the zeros before it, truncated
+        params = CoulombParams(0.5, -1.0)
+        steps = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F,
+                                                 skip_free=True), 24))
+        fourth = [s.t for s in steps if s.zero is not None][3]
+        stop = next(s.t for s in steps if s.t > fourth and s.sv._at is not None)
+        before = tuple(s.zero for s in steps if s.zero is not None and s.t < stop)
+        direct = series._direct
+
+        def noisy(L, eta, z):
+            sv = direct(L, eta, z)
+            if (L, eta, z) == (params.L, params.eta, stop):
+                sv = dataclasses.replace(sv, noise=(1.0, 1.0, 1.0))
+            return sv
+
+        monkeypatch.setattr(series, "_direct", noisy)
+        zs = find_zeros(params, ZeroTarget.F, len(before) + 3, 0)
+        assert zs.truncated and len(before) == 4
+        assert zs.positive == before
+
+
 class TestLargeEta:
     """Zeros crowd the origin as eta -> -inf; the oracle is mpmath.coulombf."""
 
