@@ -15,10 +15,10 @@ of (L, eta), runs the zero scan of the zeros module for x1 (zeros.scan) on
 it and reads the equation off the series value of each scan step, a sum or a
 jet of the sum one step before it, at no extra evaluation, and at r = 0 off
 the evaluator's exact value at the origin, which is no sum.  The first step
-(t_prev, t] where the equation is <= 0, or that holds x1, brackets the
-radius: the equation decreases on [0, x1], and no sign change of F, F' or g'
-(whichever x1 is a zero of) up to t puts x1 beyond t (or x1 is in the step,
-refined first, and the bracket is [t_prev, x1] with -inf at x1).  So the
+(t_prev, t] where the equation is <= 0 brackets the radius, the equation
+counted as -inf at x1 (a step that holds x1, refined first, gives the
+bracket [t_prev, x1]): the equation decreases on [0, x1], and no sign change
+of F, F' or g' (whichever x1 is a zero of) up to t puts x1 beyond t.  So the
 root in that step is the smallest, and the radius needs x1 only where x1
 lies in its step.  The one root finder of the zeros module (refine_bracket)
 refines that bracket with Halley steps from the jets of equations.equation,
@@ -27,20 +27,21 @@ residual's are values of the same evaluator: jets (series.jet) of the
 nearest sum the scan or the solve made, each summed from the origin instead
 where no jet is taken.  It solves either the ratio form N/D - beta ("ratio")
 or the direct form N - beta D ("direct"), which has the sign of the ratio
-form wherever D > 0; the two roots agreeing is one of the acceptance checks.
-refine_bracket decides the sign at each end of its bracket without a noise
-check, so the result widens both ends by the equation's noise floor at the
-root over its slope, within the scan step: a rule first order in the series
-bounds, not a proof, under which every golden and seeded random bracket
-holds the root of a 50-digit equation.  The scan then runs on to x1, refined
-as by find_zeros, which is reported as the domain cap; where the scan ends
-before it (x1 beyond |z| = 55 or the noise floor), the domain cap is None
-and the result carries the flag domain-cap-beyond-range.  The univalence
-radius is the starlikeness radius at beta = 0.  Under unsafe parameters the
-decrease is not proven; it is checked on the points the scan and the solver
-visit past the origin, and a rise raises MonotonicityError.  The cap of a
-convexity radius is the first zero of equations.derivative_target(kind): of
-F' for f and g' for g, whose zeros the paper calls sigma and varsigma.
+form wherever D > 0; the two roots agreeing is one of the acceptance
+checks.  refine_bracket decides the sign at each end of its bracket without a
+noise check, so the result widens both ends by the equation's noise floor at
+the root over its slope, within the scan step: a rule first order in the
+series bounds, not a proof, under which every golden and seeded random
+bracket holds the root of a 50-digit equation.  The scan then runs on to x1,
+refined as by find_zeros, which is reported as the domain cap; where the
+scan ends before it (x1 beyond |z| = 55 or the noise floor), the domain cap
+is None and the result carries the flag domain-cap-beyond-range.  The
+univalence radius is the starlikeness radius at beta = 0.  Under unsafe
+parameters the decrease is not proven; it is checked on the points the scan
+and the solver visit past the origin, and a rise raises
+MonotonicityError.  The cap of a convexity radius is the first zero of
+equations.derivative_target(kind): of F' for f and g' for g, whose zeros the
+paper calls sigma and varsigma.
 """
 
 from __future__ import annotations
@@ -131,19 +132,17 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
 
     # the equation is > 0 at 0 (each ratio starts at 1, above beta) and falls
     # to -inf at the cap (the direct form has the sign of the ratio form); the
-    # first scan step where it is <= 0, or that holds the cap, holds the radius
+    # first scan step where it is <= 0 (-inf at the cap) holds the radius
     values = Evaluator(params)
     bracket = cap = None
     at_lo = at(0.0, values.value(0.0))[0]  # the first step starts at the origin
     for step in scan(values, cap_target):
         if bracket is None:
-            if step.zero is not None:
-                bracket = step, step.zero, at_lo, (-math.inf, math.nan, math.nan)
-            else:
-                at_t = at(step.t, step.sv)[0]
-                if at_t[0] <= 0.0:
-                    bracket = step, step.t, at_lo, at_t
-                at_lo = at_t
+            hi, at_hi = ((step.zero, (-math.inf, math.nan, math.nan)) if step.zero is not None
+                         else (step.t, at(step.t, step.sv)[0]))
+            if at_hi[0] <= 0.0:
+                bracket = step.t_prev, hi, at_lo, at_hi
+            at_lo = at_hi
         if step.zero is not None:
             cap = step.zero
             break
@@ -154,8 +153,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         )
     if cap is None:
         flags.append("domain-cap-beyond-range")
-    step, hi, at_lo, at_hi = bracket
-    lo = step.t_prev
+    lo, hi, at_lo, at_hi = bracket
     ref = refine_bracket(lambda r: at(r, values.value(r))[0], lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
     (residual, slope, _), noise = at(ref.root, values.value(ref.root))

@@ -59,7 +59,7 @@ there returns with its true, large bound, and noise_limited flags it.
 Beyond |z| = 55, and where a value or its bound overflows a double,
 evaluation raises ConvergenceError.
 
-Jets.  jet serves a point z next to a sum at z0 != 0 without a sum.  The
+Jets.  jet serves a point z next to a sum at z0 without a sum.  The
 Coulomb equation (DLMF 33.2.1) written for P,
 
     z P'' + 2(L+1) P' + (z - 2 eta) P = 0,
@@ -98,24 +98,26 @@ the error bound of its sum.  rho (N+2)/N is smallest at the last N, so
 where it is at least 1 there no N can stop the jet, and jet refuses the
 point before its first term.  jet returns None beyond its reach, past
 |z| = 55, past _JET_TERMS terms, and where P, P' or P'' is noise_limited by
-its bound; the caller then sums the point.  A jet keeps no point, so it is
-the base of no jet, and errors never chain.  At (0.5, -1), |z| = 40, a
-jet one scan step (about 1.5) from its base takes 25 terms and a quarter
-to a third of the time of the 147-term sum it replaces; one 0.01 away
-takes 9 terms and about a ninth.
+its bound; the caller then sums the point.  The origin's exact value has
+no reach: it serves z = 0 alone.  A jet keeps no point, so it is the base
+of no jet, and errors never chain.  At (0.5, -1), |z| = 40, a jet one scan
+step (about 1.5) from its base takes 25 terms and a quarter to a third of
+the time of the 147-term sum it replaces; one 0.01 away takes 9 terms and
+about a ninth.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
-exact (L, eta, z); sum_point and eval_series sum on every call.  An
-Evaluator keeps the sums of one query at one (L, eta), and it alone picks a
-jet's base: the zero scan sums every second grid point (Evaluator.sum), and
-every other point of the scan, of its refines and of the radius solve is
-Evaluator.value, a jet of the nearest kept sum or, where jet refuses it, a
-sum that is kept.  counting() counts every sum made inside its block, where
-it is made, the jets, the steps of zeros.refine_bracket and the hits and
-misses of eval_point's memo; outside a block a sum, a jet or a memo lookup
-pays one ContextVar lookup.
+exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps
+the origin's exact value and the sums of one query at one (L, eta), and it
+alone picks a jet's base: the zero scan sums every second grid point
+(Evaluator.sum, which sums a point once per query), and every other point
+of the scan, of its refines and of the radius solve is Evaluator.value, a
+jet of the nearest kept value or, where jet refuses it, a sum that is
+kept.  counting() counts every sum made inside its block, where it is
+made, the jets, the steps of zeros.refine_bracket and the hits and misses
+of eval_point's memo; outside a block a sum, a jet or a memo lookup pays
+one ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -273,9 +275,9 @@ class SeriesValue:
     errors of the fixed-point sum carried through the recurrence, the bound
     on the discarded tail, and half an ulp of p_k.  truncation_terms counts
     the terms summed, and tail_estimate bounds the discarded tail of the P
-    sum (both of the last pass, at the precision that was kept).  A sum
-    (eval_point, sum_point, eval_series) keeps its (L, eta, z) for jet,
-    outside the value's repr and equality; a jet keeps none.
+    sum (both of the last pass, at the precision that was kept).  A sum and
+    the origin's exact value keep their (L, eta, z) for jet, outside the
+    value's repr and equality; a jet keeps none.
     """
 
     p0: float
@@ -284,7 +286,7 @@ class SeriesValue:
     truncation_terms: int
     tail_estimate: float
     noise: tuple[float, float, float]
-    # a sum's (L, eta, z); None for a jet
+    # a sum's or the origin's (L, eta, z); None for a jet
     _at: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
 
@@ -333,23 +335,18 @@ def _memo(L: float, eta: float, z: float) -> SeriesValue:
 eval_point.cache_info, eval_point.cache_clear = _memo.cache_info, _memo.cache_clear
 
 
-def sum_point(params: CoulombParams, z: float) -> SeriesValue:
-    """eval_point without the memo: one sum from the origin on every call."""
-    return _direct(params.L, params.eta, z)
-
-
 def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     """P, P' and P'' at z from the Taylor jet of the sum value at z0, in
     doubles (module docstring, Jets); None where |z - z0| >= |z0|/2, past
     |z| = 55, past _JET_TERMS terms, or where P, P' or P'' is noise_limited
     by the jet's bound.
 
-    value is a sum (eval_point, sum_point or eval_series); a jet is refused
+    value is a sum or the origin's exact value (no reach); a jet is refused
     as a base, so errors never chain.  The noise means what a sum's does.
     """
     at = value._at
     if at is None:
-        raise ValueError("jet needs a sum (eval_point, sum_point, eval_series)")
+        raise ValueError("jet needs a sum (eval_point, eval_series, Evaluator.sum)")
     L, eta, z0 = at
     z = float(z)
     if z == z0:
@@ -428,33 +425,30 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
 class Evaluator:
     """P, P' and P'' of one (L, eta) at every point one query asks for.
 
-    sum(t) sums from the origin (sum_point) and keeps the sum.  value(t) is
-    the origin's exact value at 0, which is no sum; elsewhere the jet of the
-    kept sum nearest t (the larger abscissa at equal distance), or, where jet
-    refuses it, a sum that is kept.  Jets are never kept, so errors never
-    chain.  The sums are kept sorted by abscissa, for one query in one thread.
+    It keeps the origin's exact value, which is no sum, and every sum it
+    makes, by abscissa, for one query in one thread.  sum(t) is the value
+    kept at t, or a new sum from the origin; value(t) is the jet of the kept
+    value nearest t (the larger abscissa at equal distance), or sum(t) where
+    jet refuses it.  Jets are never kept, so errors never chain.
     """
 
     def __init__(self, params: CoulombParams):
         self.params = params
-        self._at_origin = _origin(params.L, params.eta)
-        self._ts: list[float] = []
-        self._sums: list[SeriesValue] = []
+        self._ts = [0.0]
+        self._sums = [_origin(params.L, params.eta)]
 
     def sum(self, t: float) -> SeriesValue:
-        sv = sum_point(self.params, t)
-        i = bisect.bisect(self._ts, t)
-        self._ts.insert(i, t)
-        self._sums.insert(i, sv)
-        return sv
+        ts, i = self._ts, bisect.bisect_left(self._ts, t)
+        if i == len(ts) or ts[i] != t:
+            self._sums.insert(i, _direct(self.params.L, self.params.eta, t))
+            ts.insert(i, t)
+        return self._sums[i]
 
     def value(self, t: float) -> SeriesValue:
-        if t == 0.0:
-            return self._at_origin
         ts, i = self._ts, bisect.bisect_left(self._ts, t)
         if i == len(ts) or (i and t - ts[i - 1] < ts[i] - t):
             i -= 1
-        sv = jet(self._sums[i], t) if i >= 0 else None
+        sv = jet(self._sums[i], t)
         return self.sum(t) if sv is None else sv
 
 

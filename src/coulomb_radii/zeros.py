@@ -86,27 +86,31 @@ depend on how many more were requested.
 Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
 z != 0 (a solution of u'' + q u = 0 that vanishes with its slope there is
-zero throughout).  The series is evaluated only at scan steps and refine
-steps, never at the refined root itself, and every value comes from one
-series.Evaluator of (L, eta), which the caller builds and the scan asks.
-The first step starts at its value at the origin, (1, a_1, 2 a_2), which is
-no sum.  The scan sums from the origin (Evaluator.sum) only the grid points
-at an even offset from its anchor, the last grid point of the zero-free
-stretch (0, t*] where L >= 0 and there is one, else the first grid point.
-Every other point, of the grid or of a refine, is Evaluator.value: a jet
-(series.jet) of the nearest sum the evaluator keeps (for a grid point, the
-sum one step before it), summed and kept instead where jet refuses it (next
-to the origin, which is no base, past the jet's reach or terms, or
-noise-limited).  A grid point is summed too where the target is
-noise_limited on its jet's bound; so the scan stops where one that sums
-every step stops, and every sign is decided against a proven bound.  The
-anchor is the same with and without skip_free, so both walks sum the same
-points from t_k on and take the same steps, bit for bit.  A refine point
-costs a few double operations instead of a sum, and a jet is the base of no
-jet, so errors never chain.  A jet lies within its noise of P, P' and P'',
-and the zeros move by less than the refine tolerance against summing every
-point (find_zeros(F, 10, 10) at (0.5, -1): 32 sums and 85 jets, against 47
-sums with every scan step summed and 117 with every point summed).
+zero throughout).  A value of exactly 0.0 counts as non-negative.  A grid
+point on a zero then shows the sign change in the step beside it whose
+other end is negative, and that step's refine converges onto it within
+REFINE_TOL, the next zero lying more than a step away.  The series is
+evaluated only at scan steps and refine steps, never at the refined root
+itself, and every value comes from one series.Evaluator of (L, eta), which
+the caller builds and the scan asks.  The first step starts at its value at
+the origin, (1, a_1, 2 a_2), which is no sum.  The scan sums from the origin
+(Evaluator.sum) only the grid points at an even offset from its anchor, the
+last grid point of the zero-free stretch (0, t*] where L >= 0 and there is
+one, else the first grid point.  Every other point, of the grid or of a
+refine, is Evaluator.value: a jet (series.jet) of the nearest value the
+evaluator keeps (for a grid point, the sum one step before it), summed and
+kept instead where jet refuses it (next to the origin, which has no reach,
+past the jet's reach or terms, or noise-limited).  A grid point where the
+target is noise_limited is summed too, which for a summed point is its kept
+sum again; so the scan stops where one that sums every step stops, and
+every sign is decided against a proven bound.  The anchor is the same with
+and without skip_free, so both walks sum the same points from t_k on and
+take the same steps, bit for bit.  A refine point costs a few double
+operations instead of a sum, and a jet is the base of no jet, so errors
+never chain.  A jet lies within its noise of P, P' and P'', and the zeros
+move by less than the refine tolerance against summing every point
+(find_zeros(F, 10, 10) at (0.5, -1): 32 sums and 85 jets, against 47 sums
+with every scan step summed and 117 with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
@@ -123,7 +127,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .equations import Jet, ZeroTarget, centrifugal, noise_limited, target_jet
+from .equations import ZeroTarget, centrifugal, noise_limited, target_jet
 from .errors import ConvergenceError
 from .params import CoulombParams
 from .series import EVAL_Z_MAX, Evaluator, SeriesValue, _record
@@ -228,9 +232,9 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     """Guarded Halley steps on a sign-change bracket, with ITP (Oliveira &
     Takahashi, ACM TOMS 47(1), 2020) as the fallback.
 
-    fn returns (f, f', f'') at x, and at_lo and at_hi are fn at the ends, whose
-    f have opposite signs.  A caller with no slopes returns NaN for f' and
-    f'', and then every step is ITP's.  Each step evaluates fn once.
+    fn returns (f, f', f'') at x, and at_lo and at_hi are fn at the ends, of
+    which one f is < 0 and the other not.  A caller with no slopes returns NaN
+    for f' and f'', and then every step is ITP's.  Each step evaluates fn once.
 
     Interpolated start: where all six end entries are finite, the first point
     comes from the quintic Hermite interpolant of the two end jets, which
@@ -243,9 +247,9 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
     [4 tol, width/4]: the evaluation lands just short of the root and cuts
     off the long side.  The point is taken if it passes the same guard as a
     Halley point; the Halley step after it measures its lengthening against
-    the width.  Any non-finite entry (NaN slopes after a scan step that ends
-    on a zero, an infinite value at a pole) skips it, so a value-only caller
-    gets ITP's iterates point for point.
+    the width.  Any non-finite entry (an infinite value at a pole, the NaN
+    slopes of a value-only caller) skips it, so a value-only caller gets
+    ITP's iterates point for point.
 
     Halley: from the end evaluated last (at the start, the end with the
     smaller |f|) the step is s = -2 f f'/(2 f'^2 - f f''), lengthened past the
@@ -324,16 +328,13 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
-    sv is the series at t, a sum or a jet of the sum one step before; prev
-    and cur are the target's (value, slope, curvature) at t_prev and t; zero
+    sv is the series at t, a sum or a jet of the sum one step before; zero
     is the target's zero in the step, refined, or None.
     """
 
     t_prev: float
     t: float
     sv: SeriesValue
-    prev: Jet
-    cur: Jet
     zero: float | None
 
 
@@ -344,10 +345,11 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     once it has what it needs.  Grid points at an even offset from the
     anchor, the last grid point of the zero-free stretch (0, t*] (the first
     grid point where there is none), are summed (values.sum); every other
-    point, of the grid or of a refine, is values.value, and a grid point is
-    summed instead where its jet leaves the target noise-limited.  A step
-    that holds a zero adds the refine's steps.  With skip_free and L >= 0
-    the first step is (0, t_k], t_k the anchor (module docstring)."""
+    point, of the grid or of a refine, is values.value, and a grid point
+    where the target is noise-limited is values.sum as well.  A value of 0.0
+    counts as non-negative.  A step that holds a zero adds the refine's
+    steps.  With skip_free and L >= 0 the first step is (0, t_k], t_k the
+    anchor (module docstring)."""
     L, eta = values.params.L, values.params.eta
     # Q(t) = 1 + a/t + b/t^2 of the module docstring
     a = max(0.0, -2.0 * eta)
@@ -382,24 +384,18 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
             # at an odd offset the nearest kept sum is the one a step before
             sv = values.value(t) if odd else values.sum(t)
             cur, noise = target_jet(L, eta, target, t, sv)
-            if sv._at is None and noise_limited(cur[0], noise):
+            if noise_limited(cur[0], noise):  # a summed point is its kept sum again
                 sv = values.sum(t)
                 cur, noise = target_jet(L, eta, target, t, sv)
         except ConvergenceError:
             return
         if noise_limited(cur[0], noise):
             return  # sign no longer resolvable against the cancellation floor
-        val = cur[0]
-        step = ScanStep(t_prev, t, sv, prev, cur, None)
-        if val == 0.0:
-            step = step._replace(zero=t)  # grid point sits exactly on a (simple) zero
-        elif (prev[0] < 0.0) != (val < 0.0):
-            step = step._replace(zero=refine_bracket(
-                lambda s: target_jet(L, eta, target, s, values.value(s))[0], t_prev, t, prev,
-                cur, REFINE_TOL).root)
-        yield step
-        if val == 0.0:
-            cur = (-prev[0], math.nan, math.nan)  # the sign flips there
+        zero = None
+        if (prev[0] < 0.0) != (cur[0] < 0.0):  # 0.0 counts as non-negative
+            zero = refine_bracket(lambda s: target_jet(L, eta, target, s, values.value(s))[0],
+                                  t_prev, t, prev, cur, REFINE_TOL).root
+        yield ScanStep(t_prev, t, sv, zero)
         t_prev, prev = t, cur
         t, odd = after(t), not odd
 

@@ -37,7 +37,7 @@ def _pairs():
         z = z0 + rng.choice((rng.uniform(-1.6, 1.6), z0 * rng.uniform(-0.49, 0.49),
                              z0 * 2.0 ** -rng.uniform(1.0, 40.0), rng.choice((1.0, -1.0)) * step))
         try:
-            series.sum_point(CoulombParams(L, eta, unsafe=True), z0)
+            series.Evaluator(CoulombParams(L, eta, unsafe=True)).sum(z0)
         except ConvergenceError:  # P beyond the double range: no base
             continue
         found += 1
@@ -47,7 +47,7 @@ def _pairs():
 def _rows() -> list[dict]:
     rows = []
     for L, eta, z0, z in _pairs():
-        sv = series.jet(series.sum_point(CoulombParams(L, eta, unsafe=True), z0), z)
+        sv = series.jet(series.Evaluator(CoulombParams(L, eta, unsafe=True)).sum(z0), z)
         rows.append({"L": L, "eta": eta, "z0": z0, "z": z, "jet": None if sv is None else {
             "p": [sv.p0, sv.p1, sv.p2], "noise": list(sv.noise), "tail": sv.tail_estimate,
             "terms": sv.truncation_terms}})

@@ -161,7 +161,7 @@ class TestEvalSeries:
         # equals a serial sum made apart from the memo
         params = CoulombParams(0.3, -2.0)
         zs = [0.5 + 1.5 * k for k in range(30)]
-        expected = {z: repr(series.sum_point(params, z)) for z in zs}
+        expected = {z: repr(series.Evaluator(params).sum(z)) for z in zs}
         errors = []
 
         def worker(offset):
@@ -353,7 +353,7 @@ class TestPointMemo:
             cold = eval_point(params, z)
             warm = eval_point(params, z)
             assert warm is cold
-            assert fields(warm) == fields(cold) == fields(series.sum_point(params, z))
+            assert fields(warm) == fields(cold) == fields(series.Evaluator(params).sum(z))
 
     def test_second_call_sums_nothing(self, evaluations):
         params = CoulombParams(2.5, -3.0)
@@ -441,7 +441,7 @@ class TestJets:
         mp = pytest.importorskip("mpmath")
         z0 = sign * t0
         try:
-            base = series.sum_point(CoulombParams(L, eta), z0)
+            base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
         except ConvergenceError:  # P beyond the double range
             assume(False)
         reach = series._JET_REACH * t0
@@ -468,7 +468,7 @@ class TestJets:
                 params = CoulombParams(L, eta)
                 for z0 in (0.05, 2.9, -7.3, 21.7, -38.1, 54.9):
                     try:
-                        base = series.sum_point(params, z0)
+                        base = series.Evaluator(params).sum(z0)
                     except ConvergenceError:
                         continue
                     for h in (2.5e-13, -3e-7, 2.0 ** -13 * z0, -0.99 * 2.0 ** -12 * z0,
@@ -496,20 +496,20 @@ class TestJets:
         assert series._JET_REACH == 0.5
         params = CoulombParams(0.5, -1.0)
         for z0 in (0.3, -2.0, 10.0, -40.0):
-            base = series.sum_point(params, z0)
+            base = series.Evaluator(params).sum(z0)
             reach = series._JET_REACH * abs(z0)
             for h in (reach, -reach):
                 beyond = math.nextafter(z0 + h, math.copysign(math.inf, h))
                 assert series.jet(base, beyond) is None
-        base = series.sum_point(CoulombParams(0.0, 0.0), 0.05)
+        base = series.Evaluator(CoulombParams(0.0, 0.0)).sum(0.05)
         for frac in (0.98, -0.98):
             assert series.jet(base, 0.05 * (1.0 + frac * series._JET_REACH)) is not None
-        assert series.jet(series.sum_point(params, 0.0), 1e-300) is None  # no reach at 0
+        assert series.jet(series.Evaluator(params).sum(0.0), 1e-300) is None  # no reach at 0
 
     def test_no_jet_where_its_value_is_noise_limited(self):
         # at (0, -6000), z = 50 the sum keeps a bound far above its value
         # (the scan's cut-off), and the jet carries it
-        base = series.sum_point(CoulombParams(0.0, -6000.0), 50.0)
+        base = series.Evaluator(CoulombParams(0.0, -6000.0)).sum(50.0)
         assert noise_limited(base.p0, base.noise[0])
         assert series.jet(base, 50.001) is None
 
@@ -534,7 +534,7 @@ class TestJets:
                     points.append(lo)
             for x in points:
                 z0 = x + 1e-9
-                base = series.sum_point(params, z0)
+                base = series.Evaluator(params).sum(z0)
                 for h in (2.5e-13, -2.5e-13, 1e-4, -2.0 ** -6 * z0, 2.0 ** -3 * z0):
                     tried += 1
                     sv = series.jet(base, z0 + h)
@@ -557,7 +557,7 @@ class TestJets:
         checked = 0
         for L, eta, z0, hs in ((0.5, -1.0, 10.3, (0.2, -0.4)), (-0.9, -25.0, 3.1, (0.02, -0.025)),
                                (9.0, -3.0, -21.7, (0.6, -0.9)), (2.5, 0.0, 37.1, (1.1, -0.4))):
-            base = series.sum_point(CoulombParams(L, eta), z0)
+            base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
             with mp.workdps(60):
                 Lm, em, wm = mp.mpf(L), mp.mpf(eta), mp.mpf(z0)
                 c = [None, *_mp_series(mp, Lm, em, wm)[:2]]
@@ -576,7 +576,7 @@ class TestJets:
 
     def test_jets_are_no_bases(self):
         params = CoulombParams(0.5, -1.0)
-        base = series.sum_point(params, 10.0)
+        base = series.Evaluator(params).sum(10.0)
         assert base._at is not None
         sv = series.jet(base, 10.1)
         assert sv is not None and sv._at is None
@@ -585,7 +585,7 @@ class TestJets:
 
     def test_a_jet_is_counted_apart_from_the_sums(self):
         params = CoulombParams(0.5, -1.0)
-        base = series.sum_point(params, 10.0)
+        base = series.Evaluator(params).sum(10.0)
         with series.counting() as counts:
             series.jet(base, 10.001)
             series.jet(base, 16.0)  # beyond the reach: no jet, and no sum
@@ -593,7 +593,7 @@ class TestJets:
 
     def test_a_value_has_no_dict(self):
         # SeriesValue has slots: a value is a few doubles, nothing kept beside
-        sv = series.sum_point(CoulombParams(0.5, -1.0), 10.0)
+        sv = series.Evaluator(CoulombParams(0.5, -1.0)).sum(10.0)
         assert not hasattr(sv, "__dict__")
         assert [f.name for f in dataclasses.fields(sv)] == [
             "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise", "_at"]
@@ -628,10 +628,24 @@ class TestEvaluator:
         values = series.Evaluator(params)
         with series.counting() as counts:
             at_origin = values.value(0.0)
-            first = values.value(0.001)  # no sum is kept, and the origin is no base
+            first = values.value(0.001)  # the origin, the one kept value, has no reach
+            again = values.sum(0.0)  # the kept origin, not a sum
         assert at_origin == series._origin(0.5, -1.0) and at_origin.p1 == -1.0 / 1.5  # a_1
+        assert again is at_origin and series.jet(at_origin, 0.001) is None
         assert counts.points == [0.001] and counts.jets == 0
-        assert first == series.sum_point(params, 0.001)
+        assert first == series.Evaluator(params).sum(0.001)
+
+    def test_a_point_is_summed_once(self):
+        # sum(t) at a kept abscissa is the kept sum, whether sum or value made it
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        with series.counting() as counts:
+            first = values.sum(2.0)
+            again = values.sum(2.0)
+            served = values.value(0.001)  # summed: no jet of the origin
+            resummed = values.sum(0.001)
+        assert counts.points == [2.0, 0.001]
+        assert again is first and resummed is served
+        assert values._ts == [0.0, 0.001, 2.0]
 
     def test_later_points_are_jets_of_the_nearest_sum(self):
         # a step from the origin has one summed end: a point beyond the jet's
@@ -706,8 +720,8 @@ class TestReflection:
             L = rng.choice((0.0, 0.5, 2.0, rng.uniform(-0.99, 8.0)))
             eta = rng.choice((0.0, rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 0.0)))
             t = rng.uniform(0.01, 50.0)
-            yield (series.sum_point(CoulombParams(L, eta), -t),
-                   series.sum_point(CoulombParams(L, -eta, unsafe=True), t), t)
+            yield (series.Evaluator(CoulombParams(L, eta)).sum(-t),
+                   series.Evaluator(CoulombParams(L, -eta, unsafe=True)).sum(t), t)
 
     def test_sums_are_mirror_images(self):
         for neg, pos, t in self.pairs():
@@ -794,25 +808,25 @@ class TestCounting:
             pass
         assert series._record.get() is None
         find_zeros(params, ZeroTarget.F, 2, 2)
-        series.jet(series.sum_point(params, 10.0), 10.1)
+        series.jet(series.Evaluator(params).sum(10.0), 10.1)
         assert counts == series.SumCounts()
 
     def test_failed_sum_counts_with_no_terms(self):
         with series.counting() as counts:
             with pytest.raises(ConvergenceError):
-                series.sum_point(P0M1, 60.0)
+                series.Evaluator(P0M1).sum(60.0)
         assert counts.points == [60.0] and counts.terms == 0
 
     def test_nested_block_adds_to_the_enclosing_one(self):
         params = CoulombParams(0.5, -1.0)
         with series.counting() as outer:
-            series.sum_point(params, 1.0)
+            series.Evaluator(params).sum(1.0)
             with series.counting() as inner:
                 find_zeros(params, ZeroTarget.F, 1, 0)
                 assert outer.points == [1.0] and outer.refine_steps == 0
             assert len(inner.points) > 1 and inner.refine_steps > 0
         assert outer.points == [1.0, *inner.points]
-        assert outer.terms == series.sum_point(params, 1.0).truncation_terms + inner.terms
+        assert outer.terms == series.Evaluator(params).sum(1.0).truncation_terms + inner.terms
         assert outer.refine_steps == inner.refine_steps
 
     def test_other_threads_count_only_in_a_copy_of_the_context(self):
@@ -820,12 +834,12 @@ class TestCounting:
 
         params = CoulombParams(0.5, -1.0)
         with series.counting() as counts:
-            plain = threading.Thread(target=series.sum_point, args=(params, 2.0))
+            plain = threading.Thread(target=series.Evaluator(params).sum, args=(2.0,))
             plain.start()
             plain.join(timeout=60)
             assert not plain.is_alive() and counts.points == []
             copied = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(series.sum_point, params, 3.0))
+                                      args=(series.Evaluator(params).sum, 3.0))
             copied.start()
             copied.join(timeout=60)
             assert not copied.is_alive()
@@ -921,11 +935,11 @@ class TestTableContinuation:
         # only, and a sum elsewhere raises before it sums a term
         params = CoulombParams(-10.5, -1.0, unsafe=True)
         a = reference_coefficients(params, 2)
-        sv = series.sum_point(params, 0.0)
+        sv = series.Evaluator(params).sum(0.0)
         assert (sv.p0, sv.p1, sv.p2) == (1.0, a[1], 2.0 * a[2])
         with series.counting() as counts:
             with pytest.raises(DegenerateRecurrenceError) as exc:
-                series.sum_point(params, 0.5)
+                series.Evaluator(params).sum(0.5)
         assert exc.value.n == 20
         assert counts.points == [0.5] and counts.terms == 0
 

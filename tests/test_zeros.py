@@ -449,7 +449,7 @@ class TestAlternateSteps:
                         # never two jets in a row, and the jet of the step before
                         assert before.sv._at is not None, (params, target, step.t)
                         assert step.sv == series.jet(before.sv, step.t)
-                # every summed step is kept, and the evaluator keeps sums alone
+                # every summed step is kept, and the evaluator keeps no jet
                 kept = set(map(id, values._sums))
                 assert all(id(step.sv) in kept for step in steps if step.sv._at is not None)
                 assert all(sv._at is not None for sv in values._sums)
