@@ -13,7 +13,7 @@ For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 for convexity), and D > 0 on (0, x1).  radius() builds one series.Evaluator
 of (L, eta), runs the zero scan of the zeros module for x1 (zeros.scan) on
 it and reads the equation off the series value of each scan step, a sum or a
-jet of the sum one step before it, at no extra evaluation, and at r = 0 off
+jet of a sum one or two steps back, at no extra evaluation, and at r = 0 off
 the evaluator's exact value at the origin, which is no sum.  The first step
 (t_prev, t] where the equation is <= 0 brackets the radius, the equation
 counted as -inf at x1 (a step that holds x1, refined first, gives the

@@ -87,30 +87,34 @@ E_1 are the base's bounds, and
 with F_k = E_k + 16 eps |u_k| for the roundings u_k brings into the terms
 after it (eps = 2^-53).  A running rounding bound covers the three sums in
 doubles: (N+1) eps times the sums of |u_k|, k |u_k| and k(k-1) |u_k|.  The
-tail bound is geometric: for every m >= 3 the three coefficients of the
-recurrence are at most those at m = 3, a = |h/z0| max(1, |3+2L|/3),
-b = |z0 - 2 eta| h^2/(6 |z0|) and c = |h|^3/(6 |z0|), so a rho at or above
-the dominant root of rho^3 = a rho^2 + b rho + c gives |u_(N+j)| <= B rho^j
+tail bound is geometric.  For every m > N the three coefficients of the
+recurrence are at most those at m = N+1, a = |h/z0| max(1, |N+1+2L|/(N+1)),
+b = |z0 - 2 eta| h^2/((N+1) N |z0|) and c = |h|^3/((N+1) N |z0|): (m+2L)/m
+falls with m for L >= 0, stays below 1 for -m/2 <= L < 0, and |m+2L|/m
+falls with m below that.  So a rho at or above the dominant root of
+rho^3 = a rho^2 + b rho + c gives |u_(N+j)| <= B rho^j, by induction on j,
 with B = max(|u_N| + F_N, rho (|u_(N-1)| + F_(N-1)),
 rho^2 (|u_(N-2)| + F_(N-2))), and where rho (N+2)/N < 1 the weighted tails
-are geometric too.  The jet stops once each weighted tail bound lies below
-the error bound of its sum.  rho (N+2)/N is smallest at the last N, so
-where it is at least 1 there no N can stop the jet, and jet refuses the
-point before its first term.  jet returns None beyond its reach, past
+are geometric too.  Once |u_N| lies below the error bound of the P sum, the
+jet takes rho and stops if each weighted tail bound lies below the error
+bound of its sum.  a, b and c fall with N, so rho (N+2)/N is smallest at
+the last N, with the coefficients at m = _JET_TERMS; where it is at least 1
+there no N can stop the jet, and jet refuses the point before its first
+term.  jet returns None beyond its reach, past
 |z| = 55, past _JET_TERMS terms, and where P, P' or P'' is noise_limited by
 its bound; the caller then sums the point.  The origin's exact value has
 no reach: it serves z = 0 alone.  A jet keeps no point, so it is the base
 of no jet, and errors never chain.  At (0.5, -1), |z| = 40, a jet one scan
-step (about 1.5) from its base takes 25 terms and a quarter to a third of
-the time of the 147-term sum it replaces; one 0.01 away takes 9 terms and
-about a ninth.
+step (about 1.5) from its base takes 22 terms and about a sixth of the time
+of the 151-term sum it replaces, one two steps away 28 terms and about a
+fifth, one 0.01 away 9 terms and about a tenth.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
 exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps
 the origin's exact value and the sums of one query at one (L, eta), and it
-alone picks a jet's base: the zero scan sums every second grid point
+alone picks a jet's base: the zero scan sums every third grid point
 (Evaluator.sum, which sums a point once per query), and every other point
 of the scan, of its refines and of the radius solve is Evaluator.value, a
 jet of the nearest kept value or, where jet refuses it, a sum that is
@@ -373,11 +377,9 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     # the sums of |u_k|, k |u_k| and k(k-1) |u_k|: N + 1 terms summed in
     # doubles err by at most (N + 1) eps times these, the products k u_k included
     m0, m1, m2 = a2 + a1, a1, 0.0
-    # every |u_m|, m > n >= 2, follows from the last three by coefficients at
-    # most those at m = 3, so one rho serves every n
-    rho = _dominant_root(ma * max(1.0, abs(3.0 + l2) / 3.0), mb / 6.0, mc / 6.0)
-    if rho * (_JET_TERMS + 1.0) / (_JET_TERMS - 1.0) >= 1.0:
-        return None  # the tail test's ratio, smallest at the last n, reaches 1 at every n
+    # the tail test's ratio is smallest at the last n, with m = _JET_TERMS
+    if _tail_root(ma, mb, mc, l2, _JET_TERMS) * (_JET_TERMS + 1.0) / (_JET_TERMS - 1.0) >= 1.0:
+        return None
     for n in range(2, _JET_TERMS):
         k = n * (n - 1.0)
         c = (n - 1.0) * (n + l2)
@@ -394,12 +396,15 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
         g1 += n * e
         g2 += k * e
         u3, u2, u1, a3, a2, a1, f3, f2, f1 = u2, u1, u, a2, a1, au, f2, f1, e + rnd * au
-        ratio = rho * (n + 2.0) / n
         # stop once each weighted tail bound lies below the error bound of its
         # sum, which is at least 3 eps times it; tau is at least |u_n| rho
         roundoff = (n + 1.0) * eps
         err0 = g0 + roundoff * m0
-        if au * rho > err0 or ratio >= 1.0:
+        if au > err0:
+            continue
+        rho = _tail_root(ma, mb, mc, l2, n + 1)
+        ratio = rho * (n + 2.0) / n
+        if ratio >= 1.0:
             continue
         # F_k >= E_k bounds |u_k| - |computed u_k| as well
         tau = max(a1 + f1, rho * (a2 + f2), rho * rho * (a3 + f3)) * rho / (1.0 - ratio) * up
@@ -609,6 +614,13 @@ def _dominant_root(a: float, b: float, c: float) -> float:
     rho = a + math.sqrt(b) + c ** (1.0 / 3.0)
     rho -= (((rho - a) * rho - b) * rho - c) / ((3.0 * rho - 2.0 * a) * rho - b)
     return rho * _UP
+
+
+def _tail_root(ma: float, mb: float, mc: float, l2: float, m: int) -> float:
+    """The jet's tail ratio: the dominant root of the bounds at m on the
+    coefficients of every later term (module docstring, Jets)."""
+    k = m * (m - 1.0)
+    return _dominant_root(ma * max(1.0, abs(m + l2) / m), mb / k, mc / k)
 
 
 def _errors(n: int, gi: int, tau: int) -> tuple[int, int, int]:

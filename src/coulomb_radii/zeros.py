@@ -94,13 +94,14 @@ evaluated only at scan steps and refine steps, never at the refined root
 itself, and every value comes from one series.Evaluator of (L, eta), which
 the caller builds and the scan asks.  The first step starts at its value at
 the origin, (1, a_1, 2 a_2), which is no sum.  The scan sums from the origin
-(Evaluator.sum) only the grid points at an even offset from its anchor, the
-last grid point of the zero-free stretch (0, t*] where L >= 0 and there is
-one, else the first grid point.  Every other point, of the grid or of a
-refine, is Evaluator.value: a jet (series.jet) of the nearest value the
-evaluator keeps (for a grid point, the sum one step before it), summed and
-kept instead where jet refuses it (next to the origin, which has no reach,
-past the jet's reach or terms, or noise-limited).  A grid point where the
+(Evaluator.sum) only every third grid point, those at a multiple of three
+steps from its anchor, the last grid point of the zero-free stretch (0, t*]
+where L >= 0 and there is one, else the first grid point.  Every other
+point, of the grid or of a refine, is Evaluator.value: a jet (series.jet) of
+the nearest value the evaluator keeps (for a grid point, the sum one or two
+steps before it), summed and kept instead where jet refuses it (next to the
+origin, which has no reach, past the jet's reach or terms, or
+noise-limited).  A grid point where the
 target is noise_limited is summed too, which for a summed point is its kept
 sum again; so the scan stops where one that sums every step stops, and
 every sign is decided against a proven bound.  The anchor is the same with
@@ -109,8 +110,9 @@ take the same steps, bit for bit.  A refine point costs a few double
 operations instead of a sum, and a jet is the base of no jet, so errors
 never chain.  A jet lies within its noise of P, P' and P'', and the zeros
 move by less than the refine tolerance against summing every point
-(find_zeros(F, 10, 10) at (0.5, -1): 32 sums and 85 jets, against 47 sums
-with every scan step summed and 117 with every point summed).
+(find_zeros(F, 10, 10) at (0.5, -1): 20 sums and 97 jets, against 32 sums
+with every second scan step summed, 47 with every scan step summed and 117
+with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
@@ -134,6 +136,7 @@ from .series import EVAL_Z_MAX, Evaluator, SeriesValue, _record
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
+_SUM_EVERY = 3  # the scan sums the grid points this many steps apart
 
 
 @dataclass(frozen=True)
@@ -328,7 +331,7 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
-    sv is the series at t, a sum or a jet of the sum one step before; zero
+    sv is the series at t, a sum or a jet of a sum before it; zero
     is the target's zero in the step, refined, or None.
     """
 
@@ -342,14 +345,14 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     """The one zero scan of values.params: half-Sturm-spacing steps along the
     positive axis from the origin, each with the target's zero in it refined,
     up to the precision horizon (module docstring).  The consumer stops it
-    once it has what it needs.  Grid points at an even offset from the
-    anchor, the last grid point of the zero-free stretch (0, t*] (the first
-    grid point where there is none), are summed (values.sum); every other
-    point, of the grid or of a refine, is values.value, and a grid point
-    where the target is noise-limited is values.sum as well.  A value of 0.0
-    counts as non-negative.  A step that holds a zero adds the refine's
-    steps.  With skip_free and L >= 0 the first step is (0, t_k], t_k the
-    anchor (module docstring)."""
+    once it has what it needs.  Grid points at a multiple of _SUM_EVERY
+    steps from the anchor, the last grid point of the zero-free stretch
+    (0, t*] (the first grid point where there is none), are summed
+    (values.sum); every other point, of the grid or of a refine, is
+    values.value, and a grid point where the target is noise-limited is
+    values.sum as well.  A value of 0.0 counts as non-negative.  A step that
+    holds a zero adds the refine's steps.  With skip_free and L >= 0 the first
+    step is (0, t_k], t_k the anchor (module docstring)."""
     L, eta = values.params.L, values.params.eta
     # Q(t) = 1 + a/t + b/t^2 of the module docstring
     a = max(0.0, -2.0 * eta)
@@ -376,13 +379,13 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
         anchor, nxt, k = nxt, after(nxt), k + 1
     if skip_free:
         t, k = anchor, 0
-    odd = k % 2 == 1  # whether t lies an odd number of grid steps from the anchor
+    offset = -k % _SUM_EVERY  # t's offset from the anchor, in grid steps
 
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     while t_prev < EVAL_Z_MAX:
         try:
-            # at an odd offset the nearest kept sum is the one a step before
-            sv = values.value(t) if odd else values.sum(t)
+            # between sums the nearest kept sum is one or two steps before
+            sv = values.value(t) if offset else values.sum(t)
             cur, noise = target_jet(L, eta, target, t, sv)
             if noise_limited(cur[0], noise):  # a summed point is its kept sum again
                 sv = values.sum(t)
@@ -397,7 +400,7 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
                                   t_prev, t, prev, cur, REFINE_TOL).root
         yield ScanStep(t_prev, t, sv, zero)
         t_prev, prev = t, cur
-        t, odd = after(t), not odd
+        t, offset = after(t), (offset + 1) % _SUM_EVERY
 
 
 def _zeros(params: CoulombParams, target: ZeroTarget, count: int) -> tuple[list[float], bool]:

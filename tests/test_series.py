@@ -9,7 +9,7 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coulomb_radii import series
@@ -429,9 +429,48 @@ def _mp_values(mp, L, eta, z):
                 return s0, s1 / zm, s2 / zm ** 2
 
 
+def _step(L, eta, t):
+    """The zero scan's grid step at t: half the Sturm spacing (zeros module
+    docstring)."""
+    return 0.5 * math.pi / math.sqrt(1.0 + max(0.0, -2.0 * eta) / t
+                                     + max(0.0, -L * (L + 1.0)) / (t * t))
+
+
+def _m3_refuses(L, eta, z0, z):
+    """Whether jet refused z before its first term when it took the
+    recurrence's coefficients at m = 3 as bounds on every later term."""
+    h, up, terms = z - z0, series._UP, series._JET_TERMS
+    rho = series._dominant_root(abs(h / z0) * up * max(1.0, abs(3.0 + 2.0 * L) / 3.0),
+                                abs((z0 - 2.0 * eta) * h * h / z0) * up / 6.0,
+                                abs(h * h * h / z0) * up / 6.0)
+    return rho * (terms + 1.0) / (terms - 1.0) >= 1.0
+
+
+def _grid_step_jets():
+    """Seeded inputs (L, eta, t0, sign, side, e) of
+    test_jet_lies_within_its_noise_of_mpmath: points one and two grid steps
+    from a base at z0 = sign t0, L from -0.9 to 10, eta from -25 to 0, t0
+    up to 50; the m = 3 bound refused most of them (_m3_refuses)."""
+    rng = random.Random(33)
+    for _ in range(40):
+        L, eta, t0 = rng.uniform(-0.9, 10.0), rng.uniform(-25.0, 0.0), rng.uniform(0.5, 50.0)
+        sign, side = rng.choice((1.0, -1.0)), rng.choice((1.0, -1.0))
+        reach = series._JET_REACH * t0
+        for k in (1, 2):
+            if k * _step(L, eta, t0) < reach:
+                yield L, eta, t0, sign, side, math.log2(reach / (k * _step(L, eta, t0)))
+
+
+def _with_grid_step_jets(test):
+    for args in _grid_step_jets():
+        test = example(*args)(test)
+    return test
+
+
 class TestJets:
     """series.jet: P, P', P'' next to a sum, from its Taylor jet in doubles."""
 
+    @_with_grid_step_jets
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1.0, 5.0, exclude_min=True), st.floats(-25.0, 0.0),
            st.floats(0.05, 55.0), st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0)),
@@ -488,6 +527,52 @@ class TestJets:
         assert near >= 250
         assert near_taken == near
         assert far_taken >= 20
+
+    def test_jets_reach_two_grid_steps(self):
+        # every seeded jet one or two grid steps from its base is served,
+        # most of them where the m = 3 bound refused it
+        served = refused_at_m3 = 0
+        for L, eta, t0, sign, side, e in _grid_step_jets():
+            z0 = sign * t0
+            z = z0 + side * series._JET_REACH * t0 * 2.0 ** -e
+            base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
+            assert series.jet(base, z) is not None, (L, eta, z0, z)
+            served += 1
+            refused_at_m3 += _m3_refuses(L, eta, z0, z)
+        assert served >= 70 and refused_at_m3 >= served / 2
+
+    def test_the_pre_check_refuses_only_what_the_loop_refuses(self, monkeypatch):
+        # the pre-check takes the tail ratio at the last term, m = _JET_TERMS,
+        # the smallest the loop can meet: each jet is the one the loop gives
+        # with the pre-check bypassed, and more than 80 points are refused
+        # by it
+        tail_root, terms, up = series._tail_root, series._JET_TERMS, series._UP
+        calls = []
+
+        def bypassable(*args):  # the pre-check is a jet's first call
+            calls.append(args)
+            return 0.0 if calls == [None, args] else tail_root(*args)
+
+        monkeypatch.setattr(series, "_tail_root", bypassable)
+        rng = random.Random(34)
+        refused = 0
+        for _ in range(2000):
+            L, eta, t0 = rng.uniform(-0.9, 10.0), rng.uniform(-25.0, 0.0), rng.uniform(0.05, 50.0)
+            z0 = rng.choice((1.0, -1.0)) * t0
+            z = z0 + rng.choice((1.0, -1.0)) * series._JET_REACH * t0 * 2.0 ** -rng.uniform(0, 6)
+            try:
+                base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
+            except ConvergenceError:
+                continue
+            calls.clear()
+            plain = series.jet(base, z)
+            calls[:] = [None]  # bypass the next pre-check
+            assert series.jet(base, z) == plain, (L, eta, z0, z)
+            h = z - z0  # the jet's coefficients, as it forms them
+            rho = tail_root(abs(h / z0) * up, abs((z0 - 2.0 * eta) * (h * h) / z0) * up,
+                            abs(h * h * h / z0) * up, 2.0 * L, terms)
+            refused += rho * (terms + 1.0) / (terms - 1.0) >= 1.0
+        assert refused >= 80
 
     def test_no_jet_beyond_its_reach(self):
         # the reach is |z0|/2, the largest share of |z0| where h = z - z0 is
@@ -747,16 +832,17 @@ class TestCounting:
         with series.counting() as counts:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
-        # every second scan step and every refine point a jet of a summed
-        # scan step; 47 sums and 3566 terms with every scan step summed, 67
-        # and 4416 with each refine's first point summed too, 117 and 5925
-        # with every point summed
+        # two scan steps in three and every refine point jets of a summed
+        # scan step; 32 sums and 2110 terms with every second scan step
+        # summed, 47 and 3566 with every scan step summed, 67 and 5305 with
+        # each refine's first point summed from the origin too, 117 and 10198
+        # with every point summed from the origin
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (32, 2110, 70, 85)
+                totals["jets"]) == (20, 1258, 70, 97)
 
     def test_find_zeros_sums_only_its_scan_steps(self):
         # the negative side is summed as the positive side of (L, -eta); the
-        # 15 of the 47 scan steps not listed are jets
+        # 27 of the 47 scan steps not listed are jets
         params = CoulombParams(0.5, -1.0)
         with series.counting() as counts:
             find_zeros(params, ZeroTarget.F, 10, 10)
@@ -769,7 +855,7 @@ class TestCounting:
                 found += step.zero is not None
                 if found == 10:
                     break
-        assert counts.points == steps and len(steps) == 32
+        assert counts.points == steps and len(steps) == 20
 
     def test_radius_record(self):
         from coulomb_radii.radii import RadiusQuery, radius
@@ -786,21 +872,28 @@ class TestCounting:
 
     def test_radius_solve_sums_from_the_origin(self):
         # at (60, -1) every point of the f-convex solve and the residual are
-        # jets of the ends of the bracketing scan step, and every sum is a
-        # scan step's, from the origin (39.546090381975525 with the first
-        # point summed, 39.54609038197775 with every point summed; mpmath's
-        # root lies 8.0e-13 from this one, 1.16e-12 and 1.06e-12 from those)
+        # jets of the nearest sum of the cap scan, two cap scan steps in
+        # three are jets, and every sum is a scan step's, from
+        # the origin (39.54609038197589 with every scan step summed,
+        # 39.546090381975525 with the solve's first point summed too,
+        # 39.54609038197775 with every point summed; mpmath's root lies
+        # 5.1e-12 from this one, and 8.0e-13, 1.16e-12 and 1.06e-12 from
+        # those, all well inside the bracket's noise margin of 3.4e-9 a side)
         from coulomb_radii.radii import RadiusQuery, radius
 
         params = CoulombParams(60.0, -1.0)
         with series.counting() as counts:
             res = radius(RadiusQuery(params, "f", "convex", 0.0))
-        assert counts.jets == 4 and counts.refine_steps == 3
+        steps = list(scan(series.Evaluator(params), ZeroTarget.F_PRIME))
+        summed = [step.t for step in steps if step.sv._at is not None]
+        # the solve's 5 points and the residual are jets, as are the cap
+        # scan's steps that are not summed
+        assert counts.jets == 6 + len(steps) - len(summed) == 24
+        assert counts.refine_steps == 5
         # the cap lies past |z| = 55, so the scan runs to its end
         assert res.domain_cap is None
-        assert counts.points == [step.t for step in scan(series.Evaluator(params),
-                                                          ZeroTarget.F_PRIME)]
-        assert res.value == 39.54609038197589
+        assert counts.points == summed and len(summed) == 22
+        assert res.value == 39.54609038198174
 
     def test_nothing_is_recorded_outside_a_block(self):
         params = CoulombParams(0.5, -1.0)

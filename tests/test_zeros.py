@@ -201,9 +201,10 @@ class TestZeroFreeStart:
 
     @pytest.mark.parametrize("L, eta, count, gate", [(2.0, -20.0, 3, 17), (0.0, -25.0, 2, 8)])
     def test_evaluation_count(self, evaluations, L, eta, count, gate):
-        # deterministic gates: 7 and 3 sums (13 and 6 with every scan step
-        # summed, 15 and 6 with every refine point summed too), against 41
-        # and 37 with every grid point of (0, t*] evaluated
+        # deterministic gates: 5 and 2 sums (7 and 3 with every second scan
+        # step summed, 13 and 6 with every scan step summed, 15 and 6 with
+        # every refine point summed too), against 41 and 37 with every grid
+        # point of (0, t*] evaluated
         find_zeros(CoulombParams(L, eta), ZeroTarget.F, 0, count)
         assert 0 < len(evaluations) <= gate
 
@@ -413,15 +414,16 @@ class TestRefineBracket:
     def test_find_zeros_evaluation_count(self, evaluations):
         # deterministic gates: the scan steps of 20 zeros, one
         # half-Sturm-spacing step for every target, the zero-free start of the
-        # negative axis unevaluated, every second scan step a jet of the one
-        # before it, each refine started at the interpolated point of the
-        # scan's end jets and every refine point a jet of a summed scan step
-        # (F 32, F' 31, g' 30; 47, 45 and 44 with every scan step summed, 67,
-        # 65 and 64 with each refine's first point summed too, 117, 118 and
-        # 114 with every refine point summed, 118, 119 and 115 with the
-        # zero-free start evaluated too, 139, 138 and 138 from Halley steps
-        # alone, 223, 220 and 221 with ITP steps alone); jets are no sums
-        gates = {ZeroTarget.F: 32, ZeroTarget.F_PRIME: 31, ZeroTarget.G_PRIME: 30}
+        # negative axis unevaluated, two scan steps in three jets of the sum
+        # one or two steps before them, each refine started at the
+        # interpolated point of the scan's end jets and every refine point a
+        # jet of a summed scan step (20 for each target; 32, 31 and 30 with
+        # every second scan step summed, 47, 45 and 44 with every scan step
+        # summed, 67, 65 and 64 with each refine's first point summed too,
+        # 117, 118 and 114 with every refine point summed, 118, 119 and 115
+        # with the zero-free start evaluated too, 139, 138 and 138 from Halley
+        # steps alone, 223, 220 and 221 with ITP steps alone); jets are no sums
+        gates = {ZeroTarget.F: 20, ZeroTarget.F_PRIME: 20, ZeroTarget.G_PRIME: 20}
         for target, gate in gates.items():
             evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
@@ -430,30 +432,43 @@ class TestRefineBracket:
 
 
 class TestAlternateSteps:
-    """The scan sums the grid points at an even offset from its anchor and
-    serves each point between as a jet of the sum before it."""
+    """The scan sums the grid points at a multiple of three steps from its
+    anchor and serves each point between as a jet of the sum one or two
+    steps before it."""
 
     SIDES = (CoulombParams(0.5, -1.0), CoulombParams(0.5, 1.0, unsafe=True),
              CoulombParams(2.0, -8.0), CoulombParams(0.0, 20.0, unsafe=True),
              CoulombParams(-0.5, -3.0))
 
     def test_jet_steps_are_jets_of_the_sum_before_them(self):
-        served = 0
+        served = twos = 0
         for params in self.SIDES:
             for target in ZeroTarget:
                 values = series.Evaluator(params)
-                steps = list(itertools.islice(zeros.scan(values, target), 60))
-                for before, step in zip(steps, steps[1:]):
-                    if step.sv._at is None:
-                        served += 1
-                        # never two jets in a row, and the jet of the step before
-                        assert before.sv._at is not None, (params, target, step.t)
-                        assert step.sv == series.jet(before.sv, step.t)
+                walk, steps, run, last = zeros.scan(values, target), [], 0, math.inf
+                for _ in range(60):
+                    # the sums kept before the step's point is evaluated all
+                    # lie below it: the last one is the nearest
+                    nearest = values._sums[-1]
+                    step = next(walk, None)
+                    if step is None:
+                        break
+                    steps.append(step)
+                    if step.sv._at is not None:
+                        last, run = step.t, 0
+                        continue
+                    served += 1
+                    run += 1
+                    twos += run == 2
+                    # never three jets in a row, and the jet of the sum one or
+                    # two steps before (or of a refine's sum after it)
+                    assert run <= 2 and nearest._at[2] >= last, (params, target, step.t)
+                    assert step.sv == series.jet(nearest, step.t)
                 # every summed step is kept, and the evaluator keeps no jet
                 kept = set(map(id, values._sums))
                 assert all(id(step.sv) in kept for step in steps if step.sv._at is not None)
                 assert all(sv._at is not None for sv in values._sums)
-        assert served >= 100
+        assert served >= 150 and twos >= 60
 
     def test_refines_take_jets_of_sums_alone(self, monkeypatch):
         # every base handed to jet, by the scan and by its refines, is a sum
