@@ -607,20 +607,18 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
     return (s0, s1, s2), _errors(n, gi, tau), shift, n, tau
 
 
-def _dominant_root(a: float, b: float, c: float) -> float:
-    """An upper bound, within a few ulps, on the root of rho^3 = a rho^2 + b rho + c
-    (a, b, c >= 0, not all 0): a + sqrt(b) + c^(1/3), which lies above it,
-    then one Newton step, which stays above it, and _UP."""
+def _tail_root(ma: float, mb: float, mc: float, l2: float, m: int) -> float:
+    """An upper bound, within a few ulps, on the dominant root of
+    rho^3 = a rho^2 + b rho + c with the jet's bounds at m on the
+    coefficients of every later term, a = ma max(1, |m+2L|/m),
+    b = mb/(m(m-1)) and c = mc/(m(m-1)) (module docstring, Jets):
+    a + sqrt(b) + c^(1/3), which lies above it, then one Newton step, which
+    stays above it, and _UP."""
+    k = m * (m - 1.0)
+    a, b, c = ma * max(1.0, abs(m + l2) / m), mb / k, mc / k
     rho = a + math.sqrt(b) + c ** (1.0 / 3.0)
     rho -= (((rho - a) * rho - b) * rho - c) / ((3.0 * rho - 2.0 * a) * rho - b)
     return rho * _UP
-
-
-def _tail_root(ma: float, mb: float, mc: float, l2: float, m: int) -> float:
-    """The jet's tail ratio: the dominant root of the bounds at m on the
-    coefficients of every later term (module docstring, Jets)."""
-    k = m * (m - 1.0)
-    return _dominant_root(ma * max(1.0, abs(m + l2) / m), mb / k, mc / k)
 
 
 def _errors(n: int, gi: int, tau: int) -> tuple[int, int, int]:

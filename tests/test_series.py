@@ -440,9 +440,8 @@ def _m3_refuses(L, eta, z0, z):
     """Whether jet refused z before its first term when it took the
     recurrence's coefficients at m = 3 as bounds on every later term."""
     h, up, terms = z - z0, series._UP, series._JET_TERMS
-    rho = series._dominant_root(abs(h / z0) * up * max(1.0, abs(3.0 + 2.0 * L) / 3.0),
-                                abs((z0 - 2.0 * eta) * h * h / z0) * up / 6.0,
-                                abs(h * h * h / z0) * up / 6.0)
+    rho = series._tail_root(abs(h / z0) * up, abs((z0 - 2.0 * eta) * (h * h) / z0) * up,
+                            abs(h * h * h / z0) * up, 2.0 * L, 3)
     return rho * (terms + 1.0) / (terms - 1.0) >= 1.0
 
 
