@@ -23,8 +23,8 @@ Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the series.counting() record of one call (fields
 as series.SumCounts documents them, evals for the number of points): sums
 from the origin, the jets (series.jet, no sums) that a query's
-series.Evaluator serves from the nearest sum it keeps, for every second
-scan step and every refine point, and each query row's refine_steps, the
+series.Evaluator serves from the nearest sum it keeps, for two scan steps
+in three and every refine point, and each query row's refine_steps, the
 zero refines and the radius solve, each step a sum or a jet, so
 evals + jets - refine_steps are the scan steps and the few single
 evaluations around them.

@@ -97,8 +97,8 @@ with B = max(|u_N| + F_N, rho (|u_(N-1)| + F_(N-1)),
 rho^2 (|u_(N-2)| + F_(N-2))), and where rho (N+2)/N < 1 the weighted tails
 are geometric too.  Once |u_N| lies below the error bound of the P sum, the
 jet takes rho and stops if each weighted tail bound lies below the error
-bound of its sum.  a, b and c fall with N, so rho (N+2)/N is smallest at
-the last N, with the coefficients at m = _JET_TERMS; where it is at least 1
+bound of its sum.  a, b and c never grow with N, so rho (N+2)/N is smallest
+at the last N, with the coefficients at m = _JET_TERMS; where it is at least 1
 there no N can stop the jet, and jet refuses the point before its first
 term.  jet returns None beyond its reach, past
 |z| = 55, past _JET_TERMS terms, and where P, P' or P'' is noise_limited by
