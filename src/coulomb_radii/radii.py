@@ -35,13 +35,14 @@ series bounds, not a proof, under which every golden and seeded random
 bracket holds the root of a 50-digit equation.  The scan then runs on to x1,
 refined as by find_zeros, which is reported as the domain cap; where the
 scan ends before it (x1 beyond |z| = 55 or the noise floor), the domain cap
-is None and the result carries the flag domain-cap-beyond-range.  The
-univalence radius is the starlikeness radius at beta = 0.  Under unsafe
-parameters the decrease is not proven; it is checked on the points the scan
-and the solver visit past the origin, and a rise raises
-MonotonicityError.  The cap of a convexity radius is the first zero of
-equations.derivative_target(kind): of F' for f and g' for g, whose zeros the
-paper calls sigma and varsigma.
+is None and the result carries the flag domain-cap-beyond-range.  Where it
+ends before any step brackets the radius, radius raises ConvergenceError,
+which names that range.  The univalence radius is the starlikeness radius at
+beta = 0.  Under unsafe parameters the decrease is not proven; it is checked
+on the points the scan and the solver visit past the origin, and a rise
+raises MonotonicityError.  The cap of a convexity radius is the first zero
+of equations.derivative_target(kind): of F' for f and g' for g, whose zeros
+the paper calls sigma and varsigma.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import equations
-from .errors import MonotonicityError, PoleError
+from .errors import ConvergenceError, MonotonicityError, PoleError
 from .equations import Jet, Kind  # Kind is re-exported here
 from .params import CoulombParams
-from .series import Evaluator, SeriesValue
+from .series import EVAL_Z_MAX, Evaluator, SeriesValue
 # find_zeros stays bound here, where perfbench's tracer also wraps it
 from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
 
@@ -147,9 +148,10 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
             cap = step.zero
             break
     if bracket is None:
-        raise MonotonicityError(
-            f"could not locate the first positive zero of {cap_target.value} for "
-            f"(L={L}, eta={eta}), nor the radius below it"
+        raise ConvergenceError(
+            f"no scan step brackets the {query.property.value} radius of (L={L}, eta={eta}): "
+            f"the scan ends at |z| = {EVAL_Z_MAX:g}, or where the sign of {cap_target.value} "
+            "falls below its noise floor, before the equation changes sign"
         )
     if cap is None:
         flags.append("domain-cap-beyond-range")

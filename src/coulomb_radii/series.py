@@ -97,17 +97,15 @@ with B = max(|u_N| + F_N, rho (|u_(N-1)| + F_(N-1)),
 rho^2 (|u_(N-2)| + F_(N-2))), and where rho (N+2)/N < 1 the weighted tails
 are geometric too.  Once |u_N| lies below the error bound of the P sum, the
 jet takes rho and stops if each weighted tail bound lies below the error
-bound of its sum.  a, b and c never grow with N, so rho (N+2)/N is smallest
-at the last N, with the coefficients at m = _JET_TERMS; where it is at least 1
-there no N can stop the jet, and jet refuses the point before its first
-term.  jet returns None beyond its reach, past
-|z| = 55, past _JET_TERMS terms, and where P, P' or P'' is noise_limited by
-its bound; the caller then sums the point.  The origin's exact value has
-no reach: it serves z = 0 alone.  A jet keeps no point, so it is the base
-of no jet, and errors never chain.  At (0.5, -1), |z| = 40, a jet one scan
-step (about 1.5) from its base takes 22 terms and about a sixth of the time
-of the 151-term sum it replaces, one two steps away 28 terms and about a
-fifth, one 0.01 away 9 terms and about a tenth.
+bound of its sum.  jet returns None beyond its reach and past |z| = 55;
+within them it refuses a point only where that test stops no N below
+_JET_TERMS, or where P, P' or P'' is noise_limited by its bound.  The caller
+then sums the point.  The origin's exact value has no reach: it serves
+z = 0 alone.  A jet keeps no point, so it is the base of no jet, and errors
+never chain.  At (0.5, -1), |z| = 40, a jet one scan step (about 1.5) from
+its base takes 22 terms and about a sixth of the time of the 151-term sum
+it replaces, one two steps away 28 terms and about a fifth, one 0.01 away
+9 terms and about a tenth.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
@@ -342,8 +340,8 @@ eval_point.cache_info, eval_point.cache_clear = _memo.cache_info, _memo.cache_cl
 def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     """P, P' and P'' at z from the Taylor jet of the sum value at z0, in
     doubles (module docstring, Jets); None where |z - z0| >= |z0|/2, past
-    |z| = 55, past _JET_TERMS terms, or where P, P' or P'' is noise_limited
-    by the jet's bound.
+    |z| = 55, where no tail test within _JET_TERMS terms stops the jet, or
+    where P, P' or P'' is noise_limited by the jet's bound.
 
     value is a sum or the origin's exact value (no reach); a jet is refused
     as a base, so errors never chain.  The noise means what a sum's does.
@@ -377,9 +375,6 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     # the sums of |u_k|, k |u_k| and k(k-1) |u_k|: N + 1 terms summed in
     # doubles err by at most (N + 1) eps times these, the products k u_k included
     m0, m1, m2 = a2 + a1, a1, 0.0
-    # the tail test's ratio is smallest at the last n, with m = _JET_TERMS
-    if _tail_root(ma, mb, mc, l2, _JET_TERMS) * (_JET_TERMS + 1.0) / (_JET_TERMS - 1.0) >= 1.0:
-        return None
     for n in range(2, _JET_TERMS):
         k = n * (n - 1.0)
         c = (n - 1.0) * (n + l2)

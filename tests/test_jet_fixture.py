@@ -4,10 +4,10 @@ The fixture ``data/jet_fixture.json`` holds, for each pair, the jet's P, P',
 P'', their bounds, its tail bound and its terms, or null where jet refuses
 the point.  The pairs mix scan steps, shares of the reach and tiny steps
 over L up to 20 and eta of either sign, so jets refused past the reach or
-past the terms (some of these hopeless from their first term) sit next to
-served ones.  A change to jet that is meant to keep its results must leave
-every byte of it in place.  After an intended change, regenerate the fixture and review
-its diff:
+because no tail test within _JET_TERMS terms stops them sit next to served
+ones.  A change to jet that is meant to keep its results must leave every
+byte of it in place.  After an intended change, regenerate the fixture and
+review its diff:
 
     PYTHONPATH=src python tests/test_jet_fixture.py
 """

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from coulomb_radii import CoulombDomainError, CoulombParams, conv_ratio, star_ratio
-from coulomb_radii.errors import MonotonicityError
+from coulomb_radii.errors import ConvergenceError, MonotonicityError
 from coulomb_radii.equations import derivative_target
 from coulomb_radii.radii import (
     Kind,
@@ -295,6 +295,16 @@ class TestLargeL:
         d = 1e-9 * r
         assert h(r - d) > 0 > h(r + d), (kind, L, eta, r)
         assert all(h(r * k / 16) > 0 for k in range(1, 16)), (kind, L, eta, r)
+
+    @pytest.mark.parametrize("L", [60.0, 80.0, 100.0])
+    def test_radius_beyond_the_range_is_a_convergence_error(self, L):
+        # below the turning point sqrt(L(L+1)) > 55 at eta = 0, F and F' stay
+        # positive, so r F'/F > 0 up to |z| = 55: no scan step brackets the
+        # f-starlike radius, and the error names the range
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(ConvergenceError, match=r"the scan ends at \|z\| = 55, or where"):
+            radius(RadiusQuery(CoulombParams(L, 0.0), "f", "starlike"))
+        assert mpmath.diff(lambda t: mpmath.coulombf(L, 0.0, t), 55.0) > 0
 
     def test_direct_form_agrees(self):
         for kind, prop, L, eta in (("g", "starlike", 48.0, 0.0), ("f", "convex", 60.0, -1.0)):

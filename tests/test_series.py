@@ -540,21 +540,11 @@ class TestJets:
             refused_at_m3 += _m3_refuses(L, eta, z0, z)
         assert served >= 70 and refused_at_m3 >= served / 2
 
-    def test_the_pre_check_refuses_only_what_the_loop_refuses(self, monkeypatch):
-        # the pre-check takes the tail ratio at the last term, m = _JET_TERMS,
-        # the smallest the loop can meet: each jet is the one the loop gives
-        # with the pre-check bypassed, and more than 80 points are refused
-        # by it
+    def test_no_jet_where_the_last_tail_ratio_reaches_one(self):
+        # the tail ratio rho (n+2)/n is smallest at the last tail test, with
+        # m = _JET_TERMS; where it is at least 1 there, no tail test stops the
+        # term loop, so jet gives None and counts no jet; more than 80 points
         tail_root, terms, up = series._tail_root, series._JET_TERMS, series._UP
-        bypass = []
-
-        def bypassable(*args):
-            if bypass:  # the pre-check is a jet's first call
-                bypass.clear()
-                return 0.0
-            return tail_root(*args)
-
-        monkeypatch.setattr(series, "_tail_root", bypassable)
         rng = random.Random(34)
         refused = 0
         for _ in range(2000):
@@ -565,14 +555,15 @@ class TestJets:
                 base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
             except ConvergenceError:
                 continue
-            bypass.clear()  # left set by a point refused before its pre-check
-            plain = series.jet(base, z)
-            bypass.append(True)
-            assert series.jet(base, z) == plain, (L, eta, z0, z)
             h = z - z0  # the jet's coefficients, as it forms them
             rho = tail_root(abs(h / z0) * up, abs((z0 - 2.0 * eta) * (h * h) / z0) * up,
                             abs(h * h * h / z0) * up, 2.0 * L, terms)
-            refused += rho * (terms + 1.0) / (terms - 1.0) >= 1.0
+            if rho * (terms + 1.0) / (terms - 1.0) < 1.0:
+                continue
+            with series.counting() as counts:
+                assert series.jet(base, z) is None, (L, eta, z0, z)
+            assert counts.jets == 0
+            refused += 1
         assert refused >= 80
 
     def test_no_jet_beyond_its_reach(self):
