@@ -5,6 +5,9 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
 
     coef256             building a 256-term coefficient table, in exact arithmetic
     eval_z0.5           one eval_series on that table at z = 0.5 (also z = 10, 50)
+    table_build         one series.Evaluator's table of the origin's coefficients,
+                        grown to its cap (asked for a point past its reach)
+    table_z0.5          one point of that table at z = 0.5
     radius              one radius: g, starlike, beta = 0.5
     radius_convex_g     one radius: g, convex, beta = 0.5
     find_zeros          find_zeros(F, 10, 10)
@@ -46,6 +49,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import platform
 import statistics
 import sys
@@ -91,6 +95,12 @@ def rows(repeat):
             "evals": 1,
             "terms": series.eval_series(table, z).truncation_terms,
         }
+    out["table_build"] = {"ms": median_ms(lambda: series.Evaluator(PARAMS).table(math.inf), repeat)}
+    values = series.Evaluator(PARAMS)
+    values.table(math.inf)
+    out["table_z0.5"] = {"ms": median_ms(lambda: values.table(0.5), repeat),
+                         "table_points": counts(lambda: values.table(0.5))["table_points"],
+                         "terms": values.table(0.5).truncation_terms}
     queries = {
         "radius": lambda: radius(RadiusQuery(PARAMS, "g", "starlike", 0.5)),
         "radius_convex_g": lambda: radius(RadiusQuery(PARAMS, "g", "convex", 0.5)),

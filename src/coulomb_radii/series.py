@@ -100,26 +100,73 @@ jet takes rho and stops if each weighted tail bound lies below the error
 bound of its sum.  jet returns None beyond its reach and past |z| = 55;
 within them it refuses a point only where that test stops no N below
 _JET_TERMS, or where P, P' or P'' is noise_limited by its bound.  The caller
-then sums the point.  The origin's exact value has no reach: it serves
-z = 0 alone.  A jet keeps no point, so it is the base of no jet, and errors
-never chain.  At (0.5, -1), |z| = 40, a jet one scan step (about 1.5) from
+then sums the point.  The origin's exact value, a sum at z = 0, has no
+reach: it serves z = 0 alone (the points next to the origin come from the
+table, below).  A jet keeps no point, so it is the base of no jet, and
+errors never chain.  At (0.5, -1), |z| = 40, a jet one scan step (about 1.5) from
 its base takes 22 terms and about a sixth of the time of the 151-term sum
 it replaces, one two steps away 28 terms and about a fifth, one 0.01 away
 9 terms and about a tenth.
 
+Table.  An Evaluator of (L, eta) with L > -1, where every
+c_n = n(n+2L+1) is positive, serves the points next to the origin from a
+table of the origin's coefficients in doubles, grown as far as the points
+asked need and to at most _TABLE_TERMS = 32 rows: from a_0 = 1 and
+a_(-1) = 0,
+
+    a_n = (2 eta a_(n-1) - a_(n-2)) / c_n,   c_n = n (n + (2L+1)),
+
+with c_n within three roundings of its value (2L+1 is exact by Sterbenz
+where it is negative, and positive elsewhere), so that the running majorant
+
+    e_n = ((|2 eta| e_(n-1) + e_(n-2)) + 6 eps (|2 eta a_(n-1)| + |a_(n-2)|)) / c_n
+
+bounds |a_n - exact a_n| (eps = 2^-53; the three roundings of a_n and the
+three of c_n, each majorant step rounded up by _UP).  A point 0 <= t takes
+the rows 0..N: P, P' and P'' are the forward sums of a_n t^n, n a_n t^(n-1)
+and n(n-1) a_n t^(n-2), in plain floats and a fixed order, each power the
+last one times t.  Each term rounds at most N+1 times, its coefficient's
+product by n or n(n-1) included, so each sum errs by at most gamma_(N+1)
+times the sum of its terms' moduli (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sections 3.1 and 4.2,
+gamma_k = k eps/(1 - k eps)), plus the coefficient errors e_n t^n with the
+same weights.  A row folds both into w_n = |a_n| + e_n/((n+2) eps), which
+gamma_(N+2) >= (n+2) eps scales to at least both.  The tail is bounded as
+in a sum from the origin, at m = N+1: c_m >= c_(N+1) bounds the
+recurrence's coefficients for every later term by a = |2 eta|/c_(N+1) and
+b = 1/c_(N+1), and the root rho' of rho'^2 = a rho' + b gives
+|a_(N+j)| <= B rho'^j, B = max(|a_N| + e_N, rho' (|a_(N-1)| + e_(N-1))), so
+with r = rho' t (N+2)/N < 1 and K = B rho' the three tails are at most
+K t^(N+1)/(1-r), (N+1) K t^N/(1-r) and (N+1) N K t^(N-1)/(1-r).  The reach
+of the rows 0..N is the largest t with r <= 1/2 that puts the largest of
+them, that of P'', below _TABLE_TAIL = 2^-56; a point takes the fewest rows
+whose reach holds it, so its value depends on (L, eta, t) alone and not on
+how far the table has grown.  The table refuses a point past the reach of
+its 32 rows, one where t^N leaves the normal range, one where the bound of
+P passes _TABLE_BUDGET = 1e-13 of |P| (next to a zero of P, or where the
+terms cancel), and one where P' or P'' is noise_limited.  A table value
+keeps no point, so it is the base of no jet.  At (0.5, -1) the table
+reaches |z| = 3.8; a point at z = 0.5 takes 18 terms and about a third of
+the time of a sum, and building the 32 rows costs about two sums.
+
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
-exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps
-the origin's exact value and the sums of one query at one (L, eta), and it
-alone picks a jet's base: the zero scan sums every third grid point
-(Evaluator.sum, which sums a point once per query), and every other point
-of the scan, of its refines and of the radius solve is Evaluator.value, a
-jet of the nearest kept value or, where jet refuses it, a sum that is
-kept.  counting() counts every sum made inside its block, where it is
-made, the jets, the steps of zeros.refine_bracket and the hits and misses
-of eval_point's memo; outside a block a sum, a jet or a memo lookup pays
-one ContextVar lookup.
+exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps the
+table of the origin's coefficients and the sums of one query at one
+(L, eta), and it alone picks what serves a point: the zero scan takes
+every third grid point from the table within its reach and sums it past
+(Evaluator.direct; Evaluator.sum sums a point once per query), and every
+other point of the scan, of its refines and of the radius solve is
+Evaluator.value: the table's value, or else a jet of the nearest kept sum,
+or else a sum that is kept.  A point below every kept sum is summed rather
+than taken from a jet that runs towards the origin, where the second
+solution of the Coulomb equation is singular: at (48, 0) the table reaches
+10.7, and a jet from a sum at 12.5 to 10.9 carries a bound of 2.4e-11 on
+P = 0.55.  counting() counts every sum made inside its block, where it is
+made, the jets, the table points, the steps of zeros.refine_bracket and
+the hits and misses of eval_point's memo; outside a block a sum, a jet, a
+table point or a memo lookup pays one ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -154,6 +201,10 @@ _JET_TERMS = 32  # ... and gives up on a jet that needs this many terms
 _EPS = 2.0 ** -53  # the unit roundoff of a double
 _JET_ROUND = 16.0 * _EPS  # bounds the roundings of one jet term against its parts
 _TINY = 2.0 ** -1060  # ... plus this, for a term that leaves the normal range
+_NORMAL = 2.0 ** -1022  # the smallest normal double
+_TABLE_TERMS = 32  # the origin's table holds at most this many coefficients
+_TABLE_TAIL = 2.0 ** -56  # a table point takes the terms that put each tail below this
+_TABLE_BUDGET = 1e-13  # ... and is refused where the bound of P passes this share of P
 
 
 @dataclass
@@ -162,13 +213,15 @@ class SumCounts:
     sum (one that fails included), in order, find_zeros's negative side at
     +t of (L, -eta) (zeros module docstring); terms their truncation_terms;
     refine_steps the iterations of zeros.refine_bracket; jets the values
-    served by jet, which are no sums; memo_hits and memo_misses the lookups
-    in eval_point's memo, each miss also a sum."""
+    served by jet and table_points those served by an Evaluator's table of
+    the origin's coefficients, neither of them sums; memo_hits and
+    memo_misses the lookups in eval_point's memo, each miss also a sum."""
 
     points: list[float] = field(default_factory=list)
     terms: int = 0
     refine_steps: int = 0
     jets: int = 0
+    table_points: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -422,20 +475,130 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau, noise=(b0, b1, b2))
 
 
+class _OriginTable:
+    """The coefficients a_0..a_N of one (L, eta), L > -1, in doubles, grown
+    as far as the points asked need (module docstring, Table).
+
+    Row n holds a_n, n a_n and n(n-1) a_n, then w_n = |a_n| + e_n/((n+2) eps),
+    n w_n and n(n-1) w_n, which bound their moduli and errors; reach[N - 2]
+    is the largest t up to which the rows 0..N put each tail below
+    _TABLE_TAIL, at least that of every shorter table, and tails[N - 2]
+    holds the rho' and K of their tail bound.
+    """
+
+    __slots__ = ("_l1", "_te", "_last", "rows", "reach", "tails")
+
+    def __init__(self, L: float, eta: float):
+        self._l1, self._te = 2.0 * L + 1.0, 2.0 * eta
+        self.rows: list[tuple[float, ...]] = [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
+        self.reach: list[float] = []
+        self.tails: list[tuple[float, float]] = []
+        self._last = (0.0, 0.0, 1.0, 0.0)  # a_(n-2), e_(n-2), a_(n-1), e_(n-1); a_(-1) = 0
+        self._grow(0.0)
+
+    def _grow(self, t: float) -> None:
+        """Rows until the reach passes t or the table is full: c_n = n(n + 2L+1)
+        and a_n = (2 eta a_(n-1) - a_(n-2))/c_n in doubles, with
+        e_n = ((|2 eta| e_(n-1) + e_(n-2)) + 6 eps (|2 eta a_(n-1)| + |a_(n-2)|))/c_n,
+        and from N = 2 on the reach of the rows 0..N (module docstring, Table)."""
+        rows, reach, tails = self.rows, self.reach, self.tails
+        te, l1 = self._te, self._l1
+        ate, eps, up, tiny = abs(te), _EPS, _UP, _TINY
+        a2, e2, a1, e1 = self._last
+        u2, u1 = abs(a2), abs(a1)
+        last = reach[-1] if reach else 0.0
+        n = len(rows)
+        c = n * (n + l1)
+        while True:
+            a = (te * a1 - a2) / c
+            e = ((ate * e1 + e2) + 6.0 * eps * (ate * u1 + u2)) / c * up
+            u = abs(a)
+            k = n * (n - 1.0)
+            w = u + e / ((n + 2.0) * eps)
+            rows.append((a, n * a, k * a, w, n * w, k * w))
+            a2, e2, u2, a1, e1, u1 = a1, e1, u1, a, e, u
+            n += 1
+            c = n * (n + l1)
+            if n < 3:
+                continue
+            # the rows 0..N, N = n - 1: c_m >= c_(N+1) = c for every m > N
+            m = n - 1.0
+            alpha = ate / c
+            rho = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 / c)) * up
+            big, prev = u1 + e1, rho * (u2 + e2)
+            big = (big if big > prev else prev) * rho * up + tiny
+            r = m / (2.0 * (m + 2.0) * rho)
+            tail = (_TABLE_TAIL / (2.0 * (m + 1.0) * m * big)) ** (1.0 / (m - 1.0))
+            r = r if r < tail else tail
+            last = r if r > last else last
+            reach.append(last)
+            tails.append((rho, big))
+            if last >= t or n == _TABLE_TERMS:
+                break
+        self._last = a2, e2, a1, e1
+
+    def value(self, t: float) -> SeriesValue | None:
+        """P, P' and P'' at 0 <= t within the reach, as forward sums of the
+        rows, or None where the table refuses t (module docstring, Table)."""
+        reach = self.reach
+        if not t >= 0.0:
+            return None
+        if reach[-1] < t:
+            if len(self.rows) == _TABLE_TERMS:
+                return None
+            self._grow(t)
+            if reach[-1] < t:
+                return None
+        n = bisect.bisect_left(reach, t) + 2
+        # p0, p1 and p2 are t^n, t^(n-1) and t^(n-2) at row n, each power
+        # rounded once more than the last
+        s0 = s1 = s2 = m0 = m1 = m2 = p1 = p2 = 0.0
+        p0 = 1.0
+        for a, b, d, w0, w1, w2 in self.rows[:n + 1]:
+            s0 += a * p0
+            s1 += b * p1
+            s2 += d * p2
+            m0 += w0 * p0
+            m1 += w1 * p1
+            m2 += w2 * p2
+            p2, p1, p0 = p1, p0, p0 * t
+        if 0.0 < p1 < _NORMAL:  # a power below the normal range
+            return None
+        rho, big = self.tails[n - 2]
+        q = big / (1.0 - rho * t * (n + 2.0) / n)  # rho t (n+2)/n <= 1/2 within the reach
+        gamma = (n + 2.0) * _EPS / (1.0 - (n + 2.0) * _EPS)
+        b0 = (gamma * m0 + q * p0) * _UP
+        b1 = (gamma * m1 + (n + 1.0) * q * p1) * _UP
+        b2 = (gamma * m2 + (n + 1.0) * n * q * p2) * _UP
+        if not (abs(s0) + abs(s1) + abs(s2) + b1 + b2 < math.inf
+                and b0 <= _TABLE_BUDGET * abs(s0)) or noise_limited(s1, b1) or noise_limited(s2, b2):
+            return None
+        counts = _record.get()
+        if counts is not None:
+            counts.table_points += 1
+        return SeriesValue(s0, s1, s2, truncation_terms=n + 1, tail_estimate=q * p0 * _UP,
+                           noise=(b0 + _TINY, b1 + _TINY, b2 + _TINY))
+
+
 class Evaluator:
     """P, P' and P'' of one (L, eta) at every point one query asks for.
 
-    It keeps the origin's exact value, which is no sum, and every sum it
-    makes, by abscissa, for one query in one thread.  sum(t) is the value
-    kept at t, or a new sum from the origin; value(t) is the jet of the kept
-    value nearest t (the larger abscissa at equal distance), or sum(t) where
-    jet refuses it.  Jets are never kept, so errors never chain.
+    It keeps the table of the origin's coefficients (L > -1) and every sum
+    it makes, by abscissa, for one query in one thread.  sum(t) is the value
+    kept at t, or a new sum from the origin; direct(t) is the table's value
+    at t, or sum(t) past the table's reach or where it refuses t; value(t)
+    is the table's value, or else the jet of the kept sum nearest t (the
+    larger abscissa at equal distance), or else sum(t), which a point below
+    every kept sum takes at once.  Neither table values nor jets are kept,
+    so errors never chain.
     """
 
     def __init__(self, params: CoulombParams):
         self.params = params
-        self._ts = [0.0]
-        self._sums = [_origin(params.L, params.eta)]
+        self._ts: list[float] = []
+        self._sums: list[SeriesValue] = []
+        # every c_m = m(m+2L+1) is positive exactly where L > -1
+        self._table = _OriginTable(params.L, params.eta) if params.L > -1.0 else None
 
     def sum(self, t: float) -> SeriesValue:
         ts, i = self._ts, bisect.bisect_left(self._ts, t)
@@ -444,11 +607,22 @@ class Evaluator:
             ts.insert(i, t)
         return self._sums[i]
 
+    def table(self, t: float) -> SeriesValue | None:
+        """The table's value at t, or None where there is none."""
+        return None if self._table is None else self._table.value(t)
+
+    def direct(self, t: float) -> SeriesValue:
+        sv = None if self._table is None else self._table.value(t)
+        return self.sum(t) if sv is None else sv
+
     def value(self, t: float) -> SeriesValue:
-        ts, i = self._ts, bisect.bisect_left(self._ts, t)
-        if i == len(ts) or (i and t - ts[i - 1] < ts[i] - t):
-            i -= 1
-        sv = jet(self._sums[i], t)
+        sv = None if self._table is None else self._table.value(t)
+        ts = self._ts
+        if sv is None and ts and t >= ts[0]:
+            i = bisect.bisect_left(ts, t)
+            if i == len(ts) or (i and t - ts[i - 1] < ts[i] - t):
+                i -= 1
+            sv = jet(self._sums[i], t)
         return self.sum(t) if sv is None else sv
 
 

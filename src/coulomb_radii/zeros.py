@@ -93,26 +93,29 @@ REFINE_TOL, the next zero lying more than a step away.  The series is
 evaluated only at scan steps and refine steps, never at the refined root
 itself, and every value comes from one series.Evaluator of (L, eta), which
 the caller builds and the scan asks.  The first step starts at its value at
-the origin, (1, a_1, 2 a_2), which is no sum.  The scan sums from the origin
-(Evaluator.sum) only every third grid point, those at a multiple of three
-steps from its anchor, the last grid point of the zero-free stretch (0, t*]
-where L >= 0 and there is one, else the first grid point.  Every other
-point, of the grid or of a refine, is Evaluator.value: a jet (series.jet) of
-the nearest value the evaluator keeps (for a grid point, the sum one or two
-steps before it), summed and kept instead where jet refuses it (next to the
-origin, which has no reach, past the jet's reach or terms, or
-noise-limited).  A grid point where the
+the origin, from the evaluator's table of the origin's coefficients (series
+module docstring, Table), which is no sum.  Every third grid point, those
+at a multiple of three steps from its anchor (the last grid point of the
+zero-free stretch (0, t*] where L >= 0 and there is one, else the first
+grid point), is Evaluator.direct: the table's value within its reach, and
+past it a sum from the origin (Evaluator.sum).  Every other point, of the
+grid or of a refine, is Evaluator.value: the table's value, or else a jet
+(series.jet) of the nearest sum the evaluator keeps (for a grid point, the
+sum one or two steps before it), summed and kept instead where jet refuses
+it (past the jet's reach or terms, or noise-limited) or where the point
+lies below every kept sum.  A grid point where the
 target is noise_limited is summed too, which for a summed point is its kept
 sum again; so the scan stops where one that sums every step stops, and
 every sign is decided against a proven bound.  The anchor is the same with
 and without skip_free, so both walks sum the same points from t_k on and
-take the same steps, bit for bit.  A refine point costs a few double
-operations instead of a sum, and a jet is the base of no jet, so errors
-never chain.  A jet lies within its noise of P, P' and P'', and the zeros
-move by less than the refine tolerance against summing every point
-(find_zeros(F, 10, 10) at (0.5, -1): 20 sums and 97 jets, against 32 sums
-with every second scan step summed, 47 with every scan step summed and 117
-with every point summed).
+take the same steps, bit for bit.  A table point or a refine point costs a
+few double operations instead of a sum, and neither a table value nor a jet
+is the base of a jet, so errors never chain.  Both lie within their noise of
+P, P' and P'', and the zeros move by less than the refine tolerance against
+summing every point (find_zeros(F, 10, 10) at (0.5, -1): 16 sums, 96 jets
+and 7 table points, against 20 sums and 97 jets with no table, 32 sums with
+every second scan step summed, 47 with every scan step summed and 117 with
+every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
@@ -331,8 +334,8 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
-    sv is the series at t, a sum or a jet of a sum before it; zero
-    is the target's zero in the step, refined, or None.
+    sv is the series at t, the table's value, a sum or a jet of a sum
+    before it; zero is the target's zero in the step, refined, or None.
     """
 
     t_prev: float
@@ -347,10 +350,10 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     up to the precision horizon (module docstring).  The consumer stops it
     once it has what it needs.  Grid points at a multiple of _SUM_EVERY
     steps from the anchor, the last grid point of the zero-free stretch
-    (0, t*] (the first grid point where there is none), are summed
-    (values.sum); every other point, of the grid or of a refine, is
+    (0, t*] (the first grid point where there is none), are values.direct,
+    the table's or a sum; every other point, of the grid or of a refine, is
     values.value, and a grid point where the target is noise-limited is
-    values.sum as well.  A value of 0.0 counts as non-negative.  A step that
+    values.sum.  A value of 0.0 counts as non-negative.  A step that
     holds a zero adds the refine's steps.  With skip_free and L >= 0 the first
     step is (0, t_k], t_k the anchor (module docstring)."""
     L, eta = values.params.L, values.params.eta
@@ -384,8 +387,8 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     while t_prev < EVAL_Z_MAX:
         try:
-            # between sums the nearest kept sum is one or two steps before
-            sv = values.value(t) if offset else values.sum(t)
+            # past the table's reach the nearest kept sum is one or two steps before
+            sv = values.value(t) if offset else values.direct(t)
             cur, noise = target_jet(L, eta, target, t, sv)
             if noise_limited(cur[0], noise):  # a summed point is its kept sum again
                 sv = values.sum(t)

@@ -168,7 +168,7 @@ class TestEvalAndZeros:
         assert len(lines) == 1
         totals = json.loads(lines[0][len("sums: "):])
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (20, 1258, 70, 97)
+                totals["jets"], totals["table_points"]) == (16, 1185, 70, 96, 7)
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and err == ""
 

@@ -63,7 +63,8 @@ def test_jets_match_the_fixture_byte_for_byte():
         pinned = fh.read()
     rows = _rows()
     served = sum(row["jet"] is not None for row in rows)
-    assert 50 <= served <= 250  # both outcomes are pinned
+    # both outcomes are pinned: the fixture serves 249 pairs and refuses 51
+    assert (served, len(rows) - served) == (249, 51)
     assert _text(rows) == pinned
 
 

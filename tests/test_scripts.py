@@ -50,42 +50,52 @@ def test_bench_rows(capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime", "find_zeros_neg")
-    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "cli_eval",
-                         "cli_eval_warm", "disk_g64", "disk_zgpg64", *queries}
+    assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "table_build",
+                         "table_z0.5", "cli_eval", "cli_eval_warm", "disk_g64", "disk_zgpg64",
+                         *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
+    # one point of the table of the origin's coefficients: no sum
+    assert rows["table_z0.5"]["table_points"] == 1 and rows["table_z0.5"]["terms"] <= 32
     # sums, counted by series.counting(), within the gates of test_zeros and
-    # test_radii: two scan steps in three, every refine point a jet (32, 31,
-    # 30 and 7 with every second scan step summed; 47, 45, 44 and 13 with
-    # every scan step summed; 67, 65, 64, 13, 7 and 8 with each refine's
-    # first point summed too, 117, 118, 114, 15, 12 and 13 with every refine
-    # point summed)
-    assert 0 < rows["find_zeros"]["evals"] <= 20
-    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 20
-    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 20
+    # test_radii: the points near the origin from the table, past its reach
+    # two scan steps in three and every refine point jets (20, 20, 20, 5, 5
+    # and 4 with no table; 32, 31, 30 and 7 with every second scan step
+    # summed; 47, 45, 44 and 13 with every scan step summed; 67, 65, 64, 13,
+    # 7 and 8 with each refine's first point summed too, 117, 118, 114, 15, 12
+    # and 13 with every refine point summed)
+    assert 0 < rows["find_zeros"]["evals"] <= 16
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 18
+    assert 0 < rows["find_zeros_g_prime"]["evals"] <= 16
     assert 0 < rows["find_zeros_neg"]["evals"] <= 5
-    assert 0 < rows["radius"]["evals"] <= 5
-    assert 0 < rows["radius_convex_g"]["evals"] <= 4
-    # terms: 1258 each (2110, 1994 and 1859 with every second scan step
-    # summed, 3566, 3312 and 3177 with every scan step summed, 4416, 4107
-    # and 3971 with each refine's first point summed too, 5925, 5328 and
-    # 5097 with every refine point summed about a scan step, 10198, 8760 and
-    # 8462 from 0)
-    assert rows["find_zeros"]["terms"] <= 1258
-    assert rows["find_zeros_F_prime"]["terms"] <= 1258
-    assert rows["find_zeros_g_prime"]["terms"] <= 1258
-    # every refine step is a jet
+    assert 0 < rows["radius"]["evals"] <= 2
+    # the g-convex radius lies within the table's reach, and so do its cap
+    # scan's steps: no sum
+    assert rows["radius_convex_g"]["evals"] == 0 < rows["radius_convex_g"]["table_points"]
+    # terms: 1185, 1255 and 1185 (1258 each with no table, 2110, 1994 and
+    # 1859 with every second scan step summed, 3566, 3312 and 3177 with every
+    # scan step summed, 4416, 4107 and 3971 with each refine's first point
+    # summed too, 5925, 5328 and 5097 with every refine point summed about a
+    # scan step, 10198, 8760 and 8462 from 0)
+    assert rows["find_zeros"]["terms"] <= 1185
+    assert rows["find_zeros_F_prime"]["terms"] <= 1255
+    assert rows["find_zeros_g_prime"]["terms"] <= 1185
+    # every refine step is a jet or a table point
     for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
-        assert rows[name]["jets"] >= rows[name]["refine_steps"]
+        assert rows[name]["jets"] + rows[name]["table_points"] >= rows[name]["refine_steps"]
     # one sum per point of the in-process eval request on an empty memo, and
     # none when the request is repeated
     assert rows["cli_eval"]["evals"] == 16
     assert rows["cli_eval"]["terms"] == 440
+    # eval_point keeps its memo and takes nothing from an evaluator's table
+    assert rows["cli_eval"]["table_points"] == rows["cli_eval_warm"]["table_points"] == 0
     assert rows["cli_eval_warm"]["evals"] == rows["cli_eval_warm"]["terms"] == 0
     # each point a memo miss on an empty memo and a hit on a full one
     assert (rows["cli_eval"]["memo_hits"], rows["cli_eval"]["memo_misses"]) == (0, 16)
     assert (rows["cli_eval_warm"]["memo_hits"], rows["cli_eval_warm"]["memo_misses"]) == (16, 0)
     for name in ("eval_z0.5", "eval_z10", "eval_z50", "cli_eval", *queries):
         assert rows[name]["terms"] >= 5 * rows[name]["evals"]
-    # the refine steps are sums or jets, and the rest of the sums are scan steps
+    # the refine steps are sums, jets or table points, and the rest of them
+    # are scan steps
     for name in queries:
-        assert 0 < rows[name]["refine_steps"] <= rows[name]["evals"] + rows[name]["jets"]
+        assert 0 < rows[name]["refine_steps"] <= (rows[name]["evals"] + rows[name]["jets"]
+                                                  + rows[name]["table_points"])

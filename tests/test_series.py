@@ -700,17 +700,23 @@ class TestEvaluator:
         hi, lo = values.sum(11.5), values.sum(10.0)
         assert values.value(10.75) == series.jet(hi, 10.75) != series.jet(lo, 10.75)
 
-    def test_the_origin_is_no_sum(self):
+    def test_the_origin_is_the_tables(self):
+        # the origin is served by the table of the origin's coefficients, as
+        # (1, a_1, 2 a_2) within their bounds, and so is a point next to it;
+        # no sum is made, and sum(0.0) is the exact value, a base of no jet
         params = CoulombParams(0.5, -1.0)
         values = series.Evaluator(params)
         with series.counting() as counts:
             at_origin = values.value(0.0)
-            first = values.value(0.001)  # the origin, the one kept value, has no reach
-            again = values.sum(0.0)  # the kept origin, not a sum
-        assert at_origin == series._origin(0.5, -1.0) and at_origin.p1 == -1.0 / 1.5  # a_1
-        assert again is at_origin and series.jet(at_origin, 0.001) is None
-        assert counts.points == [0.001] and counts.jets == 0
-        assert first == series.Evaluator(params).sum(0.001)
+            first = values.value(0.001)
+        assert counts.points == [] and counts.jets == 0 and counts.table_points == 2
+        exact = series._origin(0.5, -1.0)
+        assert at_origin.p0 == 1.0 and at_origin.p1 == exact.p1 == -1.0 / 1.5  # a_1
+        assert abs(at_origin.p2 - exact.p2) <= at_origin.noise[2]
+        assert at_origin._at is None and first._at is None
+        assert first == values.table(0.001)
+        summed = values.sum(0.0)
+        assert fields(summed) == fields(exact) and series.jet(summed, 0.001) is None
 
     def test_a_point_is_summed_once(self):
         # sum(t) at a kept abscissa is the kept sum, whether sum or value made it
@@ -718,40 +724,57 @@ class TestEvaluator:
         with series.counting() as counts:
             first = values.sum(2.0)
             again = values.sum(2.0)
-            served = values.value(0.001)  # summed: no jet of the origin
+            served = values.value(0.001)  # the table's: no sum
+            summed = values.sum(0.001)
             resummed = values.sum(0.001)
         assert counts.points == [2.0, 0.001]
-        assert again is first and resummed is served
-        assert values._ts == [0.0, 0.001, 2.0]
+        assert again is first and resummed is summed
+        assert served._at is None and summed._at is not None
+        assert values._ts == [0.001, 2.0]
 
     def test_later_points_are_jets_of_the_nearest_sum(self):
-        # a step from the origin has one summed end: a point beyond the jet's
-        # reach of 2 is summed, and later points are jets of the nearest sum
+        # past the table's reach: a point beyond the jet's reach of every
+        # kept sum is summed, and later points are jets of the nearest sum
         values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
-        end = values.sum(2.0)
+        start = values.sum(5.0)
         with series.counting() as counts:
-            first = values.value(1.9)  # a jet of 2
-            second = values.value(0.5)  # beyond |z0|/2 of 2: summed
-            third = values.value(0.5001)  # a jet of 0.5, the nearer sum
-        assert counts.points == [0.5] and counts.jets == 2
-        assert first == series.jet(end, 1.9)
+            first = values.value(5.5)  # a jet of 5
+            second = values.value(20.0)  # beyond |z0|/2 of 5: summed
+            third = values.value(19.0)  # a jet of 20, the nearer sum
+        assert values._table.reach[-1] < 5.0
+        assert counts.points == [20.0] and counts.jets == 2 and counts.table_points == 0
+        assert first == series.jet(start, 5.5)
         assert second._at is not None
-        assert third == series.jet(second, 0.5001)
+        assert third == series.jet(second, 19.0)
+
+    def test_no_jet_below_the_lowest_sum(self):
+        # at (48, 0) the table reaches 10.7; a jet of a sum at 12.5 at 10.9,
+        # towards the origin, would carry a bound of 2.4e-11 on P = 0.55, so
+        # the point is summed, and a point next to it is a jet of that sum
+        values = series.Evaluator(CoulombParams(48.0, 0.0))
+        end = values.sum(12.5)
+        assert values.table(10.9) is None and values._table.reach[-1] < 10.9
+        assert series.jet(end, 10.9).noise[0] > 1e-11
+        with series.counting() as counts:
+            first = values.value(10.9)
+            second = values.value(10.9001)
+        assert counts.points == [10.9] and counts.jets == 1
+        assert first._at is not None and second == series.jet(first, 10.9001)
 
     def test_a_refused_point_is_summed_once_and_serves_later_points(self):
-        # in the step (0.5, 2] the point 1.2 lies beyond the reach of both
+        # in the step (6, 24] the point 10.5 lies beyond the reach of both
         # ends, so one refine sums it; asked again it is that sum, and a
         # later point next to it, of another refine, is a jet of it
         values = series.Evaluator(CoulombParams(0.5, -1.0))
-        values.sum(0.5)
-        values.sum(2.0)
+        values.sum(6.0)
+        values.sum(24.0)
         with series.counting() as counts:
-            first = values.value(1.2)
-            again = values.value(1.2)
-            later = values.value(1.25)
-        assert counts.points == [1.2] and counts.jets == 1
+            first = values.value(10.5)
+            again = values.value(10.5)
+            later = values.value(10.55)
+        assert counts.points == [10.5] and counts.jets == 1
         assert first._at is not None and again is first
-        assert later == series.jet(first, 1.25)
+        assert later == series.jet(first, 10.55)
 
     def test_noise_limited_jet_is_summed_instead(self):
         # at (0, -6000), z = 50 the sum's bound lies far above its value, so
@@ -777,6 +800,141 @@ class TestEvaluator:
         assert len(jets.negative) == len(summed.negative) and jets.truncated == summed.truncated
         for a, b in zip(jets.positive + jets.negative, summed.positive + summed.negative):
             assert abs(a - b) <= REFINE_TOL, (a, b)
+
+
+def _full_table(L, eta):
+    """The table of the origin's coefficients of (L, eta), grown to its cap."""
+    table = series._OriginTable(L, eta)
+    table._grow(math.inf)
+    return table
+
+
+class TestTable:
+    """series.Evaluator's table of the origin's coefficients: points near the
+    origin as forward sums in doubles, within a proven bound, the same bits
+    whatever the evaluator did before."""
+
+    @staticmethod
+    def points():
+        """300 seeded (L, eta, t): L from -0.999 to 10 (a quarter within 0.05
+        of -1), eta from -12 to 0, t from 0 up to the table's reach."""
+        rng = random.Random(35)
+        for j in range(300):
+            L = rng.uniform(-0.999, -0.95) if j % 4 == 0 else rng.uniform(-0.95, 10.0)
+            eta = rng.choice((0.0, rng.uniform(-12.0, 0.0), rng.uniform(-3.0, 0.0)))
+            reach = _full_table(L, eta).reach[-1]
+            t = reach * rng.choice((0.0, 2.0 ** -rng.uniform(0.0, 30.0), rng.random(),
+                                    rng.random(), 1.0))
+            yield L, eta, t
+
+    def test_points_lie_within_their_noise_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        served = 0
+        for L, eta, t in self.points():
+            sv = series.Evaluator(CoulombParams(L, eta)).table(t)
+            if sv is None:  # P near its zeros, or lost to cancellation
+                continue
+            served += 1
+            assert sv._at is None and sv.truncation_terms <= series._TABLE_TERMS
+            if t == 0.0:  # (1, a_1, 2 a_2)
+                with mp.workdps(60):
+                    a1 = mp.mpf(eta) / (mp.mpf(L) + 1)
+                    want = (mp.mpf(1), a1, (2 * mp.mpf(eta) * a1 - 1) / (2 * mp.mpf(L) + 3))
+            else:
+                want = _mp_values(mp, L, eta, t)
+            with mp.workdps(60):
+                for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                    assert abs(mp.mpf(got) - w) <= sv.noise[k], (L, eta, t, k)
+        assert served >= 180  # 200 of the 300
+
+    def test_tail_estimate_bounds_the_discarded_tail(self):
+        # the terms a_n t^n past the last one summed, from the recurrence in
+        # mpmath, add up to at most tail_estimate
+        mp = pytest.importorskip("mpmath")
+        checked = 0
+        for L, eta in ((5.0, 0.0), (2.0, 0.0), (4.0, -0.3), (0.5, -1.0)):
+            table = _full_table(L, eta)
+            with mp.workdps(60):
+                a = [mp.mpf(1), mp.mpf(eta) / (mp.mpf(L) + 1)]
+                for n in range(2, 200):
+                    a.append((2 * mp.mpf(eta) * a[-1] - a[-2]) / (n * (n + 2 * mp.mpf(L) + 1)))
+                for share in (0.01, 0.3, 0.6, 1.0):
+                    t = share * table.reach[-1]
+                    sv = table.value(t)
+                    if sv is None:
+                        continue
+                    tail = sum(a[n] * mp.mpf(t) ** n for n in range(sv.truncation_terms, 200))
+                    assert abs(tail) <= sv.tail_estimate, (L, eta, t)
+                    checked += 1
+        assert checked >= 12
+
+    def test_same_bits_from_two_evaluators(self):
+        # one evaluator asks the points in ascending order, another in a
+        # seeded random order after a sum and a point past the reach, and a
+        # third only the one point; the table grows differently in each
+        rng = random.Random(36)
+        served = 0
+        for L, eta in ((0.5, -1.0), (-0.9, -6.0), (4.0, -0.3), (0.0, 0.0)):
+            params = CoulombParams(L, eta)
+            reach = _full_table(L, eta).reach[-1]
+            ts = sorted(rng.uniform(0.0, reach) for _ in range(40))
+            up = series.Evaluator(params)
+            first = {t: up.table(t) for t in ts}
+            other = series.Evaluator(params)
+            other.sum(1.3)
+            other.value(2.0 * reach)
+            for t in rng.sample(ts, len(ts)):
+                again, alone = other.table(t), series.Evaluator(params).table(t)
+                assert (first[t] is None) == (again is None) == (alone is None), (L, eta, t)
+                if again is not None:
+                    assert TestReflection.bits(again, 1.0) == TestReflection.bits(first[t], 1.0)
+                    assert TestReflection.bits(alone, 1.0) == TestReflection.bits(first[t], 1.0)
+            served += sum(v is not None for v in first.values())
+        assert served >= 80
+
+    def test_a_point_past_the_reach_is_summed(self):
+        params = CoulombParams(5.0, 0.0)
+        values = series.Evaluator(params)
+        reach = _full_table(5.0, 0.0).reach[-1]
+        inside, past = reach, math.nextafter(reach, math.inf)
+        with series.counting() as counts:
+            assert values.table(inside) is not None and values.table(past) is None
+            assert values.direct(past)._at is not None
+            assert values.value(inside)._at is None
+        assert counts.points == [past] and counts.table_points == 2
+
+    def test_a_noise_limited_point_is_summed(self):
+        # at pi, the first zero of P = sin(t)/t at (0, 0), the bound of P
+        # passes _TABLE_BUDGET of P; at (-0.9856, -9.3253), next to a zero of
+        # P', P' is noise-limited; both points lie within the reach, and the
+        # evaluator sums them
+        for L, eta, t, k in ((0.0, 0.0, math.pi, 0),
+                             (-0.9855735062608232, -9.325273674641638, 0.08021906645079305, 1)):
+            values = series.Evaluator(CoulombParams(L, eta))
+            assert t < _full_table(L, eta).reach[-1]
+            with series.counting() as counts:
+                assert values.table(t) is None
+                sv = values.value(t)
+            assert counts.points == [t] and counts.table_points == 0 and sv._at is not None
+            assert abs((sv.p0, sv.p1)[k]) < 1e-12
+
+    def test_table_values_are_no_bases(self):
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        sv = values.value(0.5)
+        assert sv._at is None and values._sums == []
+        with pytest.raises(ValueError):
+            series.jet(sv, 0.51)
+
+    def test_no_table_below_L_minus_one(self):
+        # c_1 = 2 (L + 1) <= 0: the evaluator sums every point, the origin
+        # (its exact value, one term) included
+        values = series.Evaluator(CoulombParams(-1.3, -5.0, unsafe=True))
+        with series.counting() as counts:
+            assert values.table(0.0) is None and values.table(0.01) is None
+            origin, near = values.value(0.0), values.value(0.01)
+        assert counts.points == [0.0, 0.01] and counts.table_points == 0
+        assert fields(origin) == fields(series._origin(-1.3, -5.0))
+        assert near._at is not None
 
 
 class TestReflection:
@@ -824,17 +982,18 @@ class TestCounting:
         with series.counting() as counts:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
-        # two scan steps in three and every refine point jets of a summed
-        # scan step; 32 sums and 2110 terms with every second scan step
-        # summed, 47 and 3566 with every scan step summed, 67 and 5305 with
-        # each refine's first point summed from the origin too, 117 and 10198
-        # with every point summed from the origin
+        # the points near the origin from the table of its coefficients, and
+        # past its reach two scan steps in three and every refine point jets
+        # of a summed scan step; 20 sums and 1258 terms with no table, 32 and
+        # 2110 with every second scan step summed, 47 and 3566 with every scan
+        # step summed, 67 and 5305 with each refine's first point summed from
+        # the origin too, 117 and 10198 with every point summed from the origin
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (20, 1258, 70, 97)
+                totals["jets"], totals["table_points"]) == (16, 1185, 70, 96, 7)
 
     def test_find_zeros_sums_only_its_scan_steps(self):
         # the negative side is summed as the positive side of (L, -eta); the
-        # 27 of the 47 scan steps not listed are jets
+        # 31 of the 47 scan steps not listed are jets or table points
         params = CoulombParams(0.5, -1.0)
         with series.counting() as counts:
             find_zeros(params, ZeroTarget.F, 10, 10)
@@ -847,7 +1006,7 @@ class TestCounting:
                 found += step.zero is not None
                 if found == 10:
                     break
-        assert counts.points == steps and len(steps) == 20
+        assert counts.points == steps and len(steps) == 16
 
     def test_radius_record(self):
         from coulomb_radii.radii import RadiusQuery, radius
@@ -855,36 +1014,42 @@ class TestCounting:
         with series.counting() as counts:
             radius(RadiusQuery(CoulombParams(0.5, -1.0), "g", "starlike", 0.5))
         totals = counts.totals()
-        # the cap scan's steps alone: the solve's points and the residual are
-        # jets of the ends of the step that brackets the radius (7 sums and
-        # 169 terms with the solve's first point summed, 12 and 307 with every
-        # point summed)
+        # two cap scan steps past the table's reach alone: the solve's points
+        # and the residual are the table's (5 sums and 117 terms with no
+        # table, 7 and 169 with the solve's first point summed too, 12 and 307
+        # with every point summed)
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"]) == (5, 117, 6, 7)
+                totals["jets"], totals["table_points"]) == (2, 62, 6, 3, 9)
 
     def test_radius_solve_sums_from_the_origin(self):
         # at (60, -1) every point of the f-convex solve and the residual are
-        # jets of the nearest sum of the cap scan, two cap scan steps in
-        # three are jets, and every sum is a scan step's, from the origin
-        # (39.54609038197589 with every scan step summed, 39.546090381975525
-        # with the solve's first point summed too, 39.54609038197775 with
-        # every point summed; mpmath's root lies 5.1e-12 from this one, and
-        # 8.0e-13, 1.16e-12 and 1.06e-12 from those, all well inside the
-        # bracket's noise margin of 3.4e-9 a side)
+        # jets of the nearest sum of the cap scan, the cap scan's steps within
+        # the reach of the origin's table are the table's, two steps in three
+        # past it are jets, and every sum is a scan step's, from the origin
+        # (the same value with no table, 39.54609038197589 with every scan
+        # step summed, 39.546090381975525 with the solve's first point summed
+        # too, 39.54609038197775 with every point summed; mpmath's root lies
+        # 5.1e-12 from this one, and 8.0e-13, 1.16e-12 and 1.06e-12 from
+        # those, all well inside the bracket's noise margin of 3.4e-9 a side)
         from coulomb_radii.radii import RadiusQuery, radius
 
         params = CoulombParams(60.0, -1.0)
         with series.counting() as counts:
             res = radius(RadiusQuery(params, "f", "convex", 0.0))
-        steps = list(scan(series.Evaluator(params), ZeroTarget.F_PRIME))
+        values = series.Evaluator(params)
+        steps = list(scan(values, ZeroTarget.F_PRIME))
         summed = [step.t for step in steps if step.sv._at is not None]
+        tabled = [step.t for step in steps
+                  if step.sv._at is None and step.sv == values.table(step.t)]
         # the solve's 5 points and the residual are jets, as are the cap
-        # scan's steps that are not summed
-        assert counts.jets == 6 + len(steps) - len(summed) == 24
+        # scan's steps that are neither summed nor the table's; the origin is
+        # the table's for the scan and for the solve
+        assert counts.jets == 6 + len(steps) - len(summed) - len(tabled) == 23
+        assert counts.table_points == len(tabled) + 2 == 13
         assert counts.refine_steps == 5
         # the cap lies past |z| = 55, so the scan runs to its end
         assert res.domain_cap is None
-        assert counts.points == summed and len(summed) == 22
+        assert counts.points == summed and len(summed) == 12
         assert res.value == 39.54609038198174
 
     def test_nothing_is_recorded_outside_a_block(self):

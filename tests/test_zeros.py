@@ -414,16 +414,18 @@ class TestRefineBracket:
     def test_find_zeros_evaluation_count(self, evaluations):
         # deterministic gates: the scan steps of 20 zeros, one
         # half-Sturm-spacing step for every target, the zero-free start of the
-        # negative axis unevaluated, two scan steps in three jets of the sum
-        # one or two steps before them, each refine started at the
-        # interpolated point of the scan's end jets and every refine point a
-        # jet of a summed scan step (20 for each target; 32, 31 and 30 with
-        # every second scan step summed, 47, 45 and 44 with every scan step
-        # summed, 67, 65 and 64 with each refine's first point summed too,
-        # 117, 118 and 114 with every refine point summed, 118, 119 and 115
-        # with the zero-free start evaluated too, 139, 138 and 138 from Halley
-        # steps alone, 223, 220 and 221 with ITP steps alone); jets are no sums
-        gates = {ZeroTarget.F: 20, ZeroTarget.F_PRIME: 20, ZeroTarget.G_PRIME: 20}
+        # negative axis unevaluated, the points near the origin from the
+        # table of its coefficients, past its reach two scan steps in three
+        # jets of the sum one or two steps before them, each refine started at
+        # the interpolated point of the scan's end jets and every refine point
+        # a jet of a summed scan step (16, 18 and 16; 20 for each target with
+        # no table, 32, 31 and 30 with every second scan step summed, 47, 45
+        # and 44 with every scan step summed, 67, 65 and 64 with each refine's
+        # first point summed too, 117, 118 and 114 with every refine point
+        # summed, 118, 119 and 115 with the zero-free start evaluated too, 139,
+        # 138 and 138 from Halley steps alone, 223, 220 and 221 with ITP steps
+        # alone); jets and table points are no sums
+        gates = {ZeroTarget.F: 16, ZeroTarget.F_PRIME: 18, ZeroTarget.G_PRIME: 16}
         for target, gate in gates.items():
             evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
@@ -432,16 +434,22 @@ class TestRefineBracket:
 
 
 class TestAlternateSteps:
-    """The scan sums the grid points at a multiple of three steps from its
-    anchor and serves each point between as a jet of the sum one or two
+    """The scan takes the grid points at a multiple of three steps from its
+    anchor from the origin's table or, past its reach, sums them, and serves
+    each point between from the table or as a jet of the sum one or two
     steps before it."""
 
     SIDES = (CoulombParams(0.5, -1.0), CoulombParams(0.5, 1.0, unsafe=True),
              CoulombParams(2.0, -8.0), CoulombParams(0.0, 20.0, unsafe=True),
              CoulombParams(-0.5, -3.0))
 
+    @staticmethod
+    def tabled(values, step):
+        """Whether the step's value is the table's."""
+        return step.sv._at is None and step.sv == values.table(step.t)
+
     def test_jet_steps_are_jets_of_the_sum_before_them(self):
-        served = twos = 0
+        served = twos = tabled = 0
         for params in self.SIDES:
             for target in ZeroTarget:
                 values = series.Evaluator(params)
@@ -449,7 +457,7 @@ class TestAlternateSteps:
                 for _ in range(60):
                     # the sums kept before the step's point is evaluated all
                     # lie below it: the last one is the nearest
-                    nearest = values._sums[-1]
+                    nearest = values._sums[-1] if values._sums else None
                     step = next(walk, None)
                     if step is None:
                         break
@@ -457,18 +465,23 @@ class TestAlternateSteps:
                     if step.sv._at is not None:
                         last, run = step.t, 0
                         continue
+                    if self.tabled(values, step):
+                        tabled += 1
+                        run = 0
+                        continue
                     served += 1
                     run += 1
                     twos += run == 2
-                    # never three jets in a row, and the jet of the sum one or
-                    # two steps before (or of a refine's sum after it)
+                    # never three jets in a row, and the jet of the last sum,
+                    # that of the last summed step or of a refine after it
                     assert run <= 2 and nearest._at[2] >= last, (params, target, step.t)
                     assert step.sv == series.jet(nearest, step.t)
-                # every summed step is kept, and the evaluator keeps no jet
+                # every summed step is kept, and the evaluator keeps no jet and
+                # no table value
                 kept = set(map(id, values._sums))
                 assert all(id(step.sv) in kept for step in steps if step.sv._at is not None)
                 assert all(sv._at is not None for sv in values._sums)
-        assert served >= 150 and twos >= 60
+        assert served >= 150 and twos >= 60 and tabled >= 30
 
     def test_refines_take_jets_of_sums_alone(self, monkeypatch):
         # every base handed to jet, by the scan and by its refines, is a sum
@@ -501,10 +514,11 @@ class TestAlternateSteps:
             return None if sv is None else dataclasses.replace(sv, noise=(1e300,) * 3)
 
         monkeypatch.setattr(series, "jet", noisy)
-        summed = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME),
-                                       30))
-        assert sum(step.sv._at is None for step in plain) >= 10
-        assert all(step.sv._at is not None for step in summed)
+        values = series.Evaluator(params)
+        summed = list(itertools.islice(zeros.scan(values, ZeroTarget.F_PRIME), 30))
+        assert sum(step.sv._at is None and not self.tabled(values, step) for step in plain) >= 10
+        # the steps near the origin are still the table's, which takes no jet
+        assert all(step.sv._at is not None or self.tabled(values, step) for step in summed)
         assert [s.t for s in summed] == [s.t for s in plain]
         assert [s.zero is None for s in summed] == [s.zero is None for s in plain]
 
