@@ -700,7 +700,7 @@ class TestEvaluator:
         hi, lo = values.sum(11.5), values.sum(10.0)
         assert values.value(10.75) == series.jet(hi, 10.75) != series.jet(lo, 10.75)
 
-    def test_the_origin_is_the_tables(self):
+    def test_the_origin_is_no_sum(self):
         # the origin is served by the table of the origin's coefficients, as
         # (1, a_1, 2 a_2) within their bounds, and so is a point next to it;
         # no sum is made, and sum(0.0) is the exact value, a base of no jet
