@@ -142,7 +142,7 @@ of the rows 0..N is the largest t with r <= 1/2 that puts the largest of
 them, that of P'', below _TABLE_TAIL = 2^-56; a point takes the fewest rows
 whose reach holds it, so its value depends on (L, eta, t) alone and not on
 how far the table has grown.  The table refuses a point past the reach of
-its 32 rows, one where t^N leaves the normal range, one where the bound of
+its 32 rows or past |z| = 55, one where t^N leaves the normal range, one where the bound of
 P passes _TABLE_BUDGET = 1e-13 of |P| (next to a zero of P, or where the
 terms cancel), and one where P' or P'' is noise_limited.  A table value
 keeps no point, so it is the base of no jet.  At (0.5, -1) the table
@@ -538,10 +538,10 @@ class _OriginTable:
         self._last = a2, e2, a1, e1
 
     def value(self, t: float) -> SeriesValue | None:
-        """P, P' and P'' at 0 <= t within the reach, as forward sums of the
-        rows, or None where the table refuses t (module docstring, Table)."""
+        """P, P' and P'' at 0 <= t <= 55 within the reach, as forward sums of
+        the rows, or None where the table refuses t (module docstring, Table)."""
         reach = self.reach
-        if not t >= 0.0:
+        if not 0.0 <= t <= EVAL_Z_MAX:
             return None
         if reach[-1] < t:
             if len(self.rows) == _TABLE_TERMS:

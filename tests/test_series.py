@@ -918,6 +918,15 @@ class TestTable:
             assert counts.points == [t] and counts.table_points == 0 and sv._at is not None
             assert abs((sv.p0, sv.p1)[k]) < 1e-12
 
+    def test_no_table_point_past_the_evaluation_range(self):
+        # at (1e4, 0) the table reaches past |z| = 100, but like a sum or a
+        # jet it serves nothing beyond |z| = 55
+        values = series.Evaluator(CoulombParams(1e4, 0.0))
+        assert _full_table(1e4, 0.0).reach[-1] > 100.0
+        assert values.table(55.0) is not None and values.table(100.0) is None
+        with pytest.raises(ConvergenceError):
+            values.value(100.0)
+
     def test_table_values_are_no_bases(self):
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         sv = values.value(0.5)
