@@ -486,7 +486,7 @@ class _OriginTable:
     holds the rho' and K of their tail bound.
     """
 
-    __slots__ = ("_l1", "_te", "_last", "rows", "reach", "tails")
+    __slots__ = ("_l1", "_te", "_last", "_far", "rows", "reach", "tails")
 
     def __init__(self, L: float, eta: float):
         self._l1, self._te = 2.0 * L + 1.0, 2.0 * eta
@@ -494,6 +494,12 @@ class _OriginTable:
         self.reach: list[float] = []
         self.tails: list[tuple[float, float]] = []
         self._last = (0.0, 0.0, 1.0, 0.0)  # a_(n-2), e_(n-2), a_(n-1), e_(n-1); a_(-1) = 0
+        # the reach of the rows 0..N is at most N/(2(N+2) rho'), which grows
+        # with N: no table reaches past its value for the full table, nor
+        # past |z| = 55
+        m = _TABLE_TERMS - 1.0
+        far = m / (2.0 * (m + 2.0) * _tail_ratio(abs(self._te), (m + 1.0) * (m + 1.0 + self._l1)))
+        self._far = far if far < EVAL_Z_MAX else EVAL_Z_MAX
         self._grow(0.0)
 
     def _grow(self, t: float) -> None:
@@ -523,8 +529,7 @@ class _OriginTable:
                 continue
             # the rows 0..N, N = n - 1: c_m >= c_(N+1) = c for every m > N
             m = n - 1.0
-            alpha = ate / c
-            rho = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 / c)) * up
+            rho = _tail_ratio(ate, c)
             big, prev = u1 + e1, rho * (u2 + e2)
             big = (big if big > prev else prev) * rho * up + tiny
             r = m / (2.0 * (m + 2.0) * rho)
@@ -541,7 +546,7 @@ class _OriginTable:
         """P, P' and P'' at 0 <= t <= 55 within the reach, as forward sums of
         the rows, or None where the table refuses t (module docstring, Table)."""
         reach = self.reach
-        if not 0.0 <= t <= EVAL_Z_MAX:
+        if not 0.0 <= t <= self._far:
             return None
         if reach[-1] < t:
             if len(self.rows) == _TABLE_TERMS:
@@ -788,6 +793,13 @@ def _tail_root(ma: float, mb: float, mc: float, l2: float, m: int) -> float:
     rho = a + math.sqrt(b) + c ** (1.0 / 3.0)
     rho -= (((rho - a) * rho - b) * rho - c) / ((3.0 * rho - 2.0 * a) * rho - b)
     return rho * _UP
+
+
+def _tail_ratio(a: float, c: float) -> float:
+    """rho' of the table's tail bound, rounded up: the root of
+    rho'^2 = (a rho' + 1)/c, a = |2 eta| and c = c_(N+1)."""
+    alpha = a / c
+    return 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 / c)) * _UP
 
 
 def _errors(n: int, gi: int, tau: int) -> tuple[int, int, int]:
