@@ -12,9 +12,10 @@ For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 -inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
 for convexity), and D > 0 on (0, x1).  radius() builds one series.Evaluator
 of (L, eta), runs the zero scan of the zeros module for x1 (zeros.scan) on
-it and reads the equation off the series value of each scan step, a sum or a
-jet of a sum one or two steps back, at no extra evaluation, and at r = 0 off
-the evaluator's exact value at the origin, which is no sum.  The first step
+it and reads the equation off the series value of each scan step, the value
+of the evaluator's table of the origin's coefficients, a sum, or a jet of a
+sum one or two steps back, at no extra evaluation, and at r = 0 off the
+table's value at the origin, which is no sum.  The first step
 (t_prev, t] where the equation is <= 0 brackets the radius, the equation
 counted as -inf at x1 (a step that holds x1, refined first, gives the
 bracket [t_prev, x1]): the equation decreases on [0, x1], and no sign change
@@ -23,9 +24,9 @@ root in that step is the smallest, and the radius needs x1 only where x1
 lies in its step.  The one root finder of the zeros module (refine_bracket)
 refines that bracket with Halley steps from the jets of equations.equation,
 to 1e-13 max(1, end of the bracket) on the abscissa.  Its points and the
-residual's are values of the same evaluator: jets (series.jet) of the
-nearest sum the scan or the solve made, each summed from the origin instead
-where no jet is taken.  It solves either the ratio form N/D - beta ("ratio")
+residual's are values of the same evaluator: the table's next to the
+origin, elsewhere jets (series.jet) of the nearest sum the scan or the
+solve made, each summed from the origin instead where neither is taken.  It solves either the ratio form N/D - beta ("ratio")
 or the direct form N - beta D ("direct"), which has the sign of the ratio
 form wherever D > 0; the two roots agreeing is one of the acceptance
 checks.  refine_bracket decides the sign at each end of its bracket without a

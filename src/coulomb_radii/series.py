@@ -332,7 +332,7 @@ class SeriesValue:
     the terms summed, and tail_estimate bounds the discarded tail of the P
     sum (both of the last pass, at the precision that was kept).  A sum and
     the origin's exact value keep their (L, eta, z) for jet, outside the
-    value's repr and equality; a jet keeps none.
+    value's repr and equality; a jet and a table point keep none.
     """
 
     p0: float
@@ -396,8 +396,9 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     |z| = 55, where no tail test within _JET_TERMS terms stops the jet, or
     where P, P' or P'' is noise_limited by the jet's bound.
 
-    value is a sum or the origin's exact value (no reach); a jet is refused
-    as a base, so errors never chain.  The noise means what a sum's does.
+    value is a sum or the origin's exact value (no reach); a jet or a table
+    point is refused as a base, so errors never chain.  The noise means what
+    a sum's does.
     """
     at = value._at
     if at is None:
