@@ -550,9 +550,8 @@ class _OriginTable:
         if not 0.0 <= t <= self._far:
             return None
         if reach[-1] < t:
-            if len(self.rows) == _TABLE_TERMS:
-                return None
-            self._grow(t)
+            if len(self.rows) < _TABLE_TERMS:
+                self._grow(t)
             if reach[-1] < t:
                 return None
         n = bisect.bisect_left(reach, t) + 2
