@@ -142,10 +142,11 @@ of the rows 0..N is the largest t with r <= 1/2 that puts the largest of
 them, that of P'', below _TABLE_TAIL = 2^-56; a point takes the fewest rows
 whose reach holds it, so its value depends on (L, eta, t) alone and not on
 how far the table has grown.  The table refuses a point past the reach of
-its 32 rows or past |z| = 55, one where t^N leaves the normal range, one where the bound of
-P passes _TABLE_BUDGET = 1e-13 of |P| (next to a zero of P, or where the
-terms cancel), and one where P' or P'' is noise_limited.  A table value
-keeps no point, so it is the base of no jet.  At (0.5, -1) the table
+its 32 rows or past |z| = 55, one where t^(N+1) > 0 leaves the normal
+range (its powers and tail bound would lose their relative error bounds),
+one where the bound of P passes _TABLE_BUDGET = 1e-13 of |P| (next to a
+zero of P, or where the terms cancel), and one where P' or P'' is
+noise_limited.  A table value keeps no point, so it is the base of no jet.  At (0.5, -1) the table
 reaches |z| = 3.8; a point at z = 0.5 takes 17 terms and about a third of
 the time of a sum, and building the 32 rows costs about two sums.
 
@@ -567,7 +568,7 @@ class _OriginTable:
             m1 += w1 * p1
             m2 += w2 * p2
             p2, p1, p0 = p1, p0, p0 * t
-        if 0.0 < p1 < _NORMAL:  # a power below the normal range
+        if 0.0 < t and p0 < _NORMAL:  # a power, t^(n+1) the least, below the normal range
             return None
         rho, big = self.tails[n - 2]
         q = big / (1.0 - rho * t * (n + 2.0) / n)  # rho t (n+2)/n <= 1/2 within the reach

@@ -927,6 +927,15 @@ class TestTable:
         with pytest.raises(ConvergenceError):
             values.value(100.0)
 
+    def test_powers_below_the_normal_range_are_summed(self):
+        # at t = 1e-300 the powers t^n underflow, and the tail bound with
+        # them: the table refuses the point, and the evaluator sums it
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        assert values.table(1e-300) is None and values.table(1e-100) is not None
+        with series.counting() as counts:
+            assert values.value(1e-300)._at is not None
+        assert counts.points == [1e-300]
+
     def test_table_values_are_no_bases(self):
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         sv = values.value(0.5)
