@@ -544,9 +544,11 @@ class _OriginTable:
                 break
         self._last = a2, e2, a1, e1
 
-    def value(self, t: float) -> SeriesValue | None:
+    def value(self, t: float, flip: float = 1.0) -> SeriesValue | None:
         """P, P' and P'' at 0 <= t <= 55 within the reach, as forward sums of
-        the rows, or None where the table refuses t (module docstring, Table)."""
+        the rows, or None where the table refuses t (module docstring, Table).
+        With flip = -1.0 they are those of (L, -eta): the rows read at -t,
+        P' negated."""
         reach = self.reach
         if not 0.0 <= t <= self._far:
             return None
@@ -556,18 +558,21 @@ class _OriginTable:
             if reach[-1] < t:
                 return None
         n = bisect.bisect_left(reach, t) + 2
-        # p0, p1 and p2 are t^n, t^(n-1) and t^(n-2) at row n, each power
-        # rounded once more than the last
-        s0 = s1 = s2 = m0 = m1 = m2 = p1 = p2 = 0.0
-        p0 = 1.0
+        # p0, p1 and p2 are x^n, x^(n-1) and x^(n-2) at row n, x = flip t, each
+        # power rounded once more than the last; q0, q1 and q2 their moduli
+        x = flip * t
+        s0 = s1 = s2 = m0 = m1 = m2 = p1 = p2 = q1 = q2 = 0.0
+        p0 = q0 = 1.0
         for a, b, d, w0, w1, w2 in self.rows[:n + 1]:
             s0 += a * p0
             s1 += b * p1
             s2 += d * p2
-            m0 += w0 * p0
-            m1 += w1 * p1
-            m2 += w2 * p2
-            p2, p1, p0 = p1, p0, p0 * t
+            m0 += w0 * q0
+            m1 += w1 * q1
+            m2 += w2 * q2
+            p2, p1, p0 = p1, p0, p0 * x
+            q2, q1, q0 = q1, q0, q0 * t
+        p0, p1, p2 = q0, q1, q2
         if 0.0 < t and p0 < _NORMAL:  # a power, t^(n+1) the least, below the normal range
             return None
         rho, big = self.tails[n - 2]
@@ -582,7 +587,7 @@ class _OriginTable:
         counts = _record.get()
         if counts is not None:
             counts.table_points += 1
-        return SeriesValue(s0, s1, s2, truncation_terms=n + 1, tail_estimate=q * p0 * _UP,
+        return SeriesValue(s0, flip * s1, s2, truncation_terms=n + 1, tail_estimate=q * p0 * _UP,
                            noise=(b0 + _TINY, b1 + _TINY, b2 + _TINY))
 
 
@@ -605,6 +610,18 @@ class Evaluator:
         self._sums: list[SeriesValue] = []
         # every c_m = m(m+2L+1) is positive exactly where L > -1
         self._table = _OriginTable(params.L, params.eta) if params.L > -1.0 else None
+        self._flip = 1.0
+
+    def reflected(self) -> Evaluator:
+        """A new Evaluator of (L, -eta), unsafe, that shares this one's table
+        of the origin's coefficients: a_n at -eta is (-1)^n a_n at eta, so it
+        reads the table at -t, P' negated, bit for bit what a table of its
+        own would give."""
+        other = Evaluator.__new__(Evaluator)
+        other.params = CoulombParams(self.params.L, -self.params.eta, unsafe=True)
+        other._ts, other._sums, other._table = [], [], self._table
+        other._flip = -self._flip
+        return other
 
     def sum(self, t: float) -> SeriesValue:
         ts, i = self._ts, bisect.bisect_left(self._ts, t)
@@ -615,7 +632,7 @@ class Evaluator:
 
     def table(self, t: float) -> SeriesValue | None:
         """The table's value at t, or None where there is none."""
-        return None if self._table is None else self._table.value(t)
+        return None if self._table is None else self._table.value(t, self._flip)
 
     def direct(self, t: float) -> SeriesValue:
         sv = self.table(t)

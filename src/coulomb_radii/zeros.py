@@ -406,11 +406,11 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
         t, offset = after(t), (offset + 1) % _SUM_EVERY
 
 
-def _zeros(params: CoulombParams, target: ZeroTarget, count: int) -> tuple[list[float], bool]:
+def _zeros(values: Evaluator, target: ZeroTarget, count: int) -> tuple[list[float], bool]:
     """The first count positive zeros, and whether fewer were found."""
     found: list[float] = []
     if count > 0:
-        for step in scan(Evaluator(params), target, skip_free=True):
+        for step in scan(values, target, skip_free=True):
             if step.zero is not None:
                 found.append(step.zero)
                 if len(found) == count:
@@ -431,8 +431,10 @@ def find_zeros(params: CoulombParams, target: ZeroTarget | str, count_pos: int,
     target = ZeroTarget(target)
     if count_pos < 0 or count_neg < 0:
         raise ValueError("zero counts must be >= 0")
-    pos, trunc_pos = _zeros(params, target, count_pos)
-    neg, trunc_neg = _zeros(CoulombParams(params.L, -params.eta, unsafe=True), target, count_neg)
+    # both sides share one table of the origin's coefficients
+    values = Evaluator(params)
+    pos, trunc_pos = _zeros(values, target, count_pos)
+    neg, trunc_neg = _zeros(values.reflected(), target, count_neg)
     return ZeroSet(
         params=params,
         target=target,

@@ -892,6 +892,25 @@ class TestTable:
             served += sum(v is not None for v in first.values())
         assert served >= 80
 
+    def test_a_reflected_evaluator_shares_the_table_bit_for_bit(self):
+        # the evaluator of (L, -eta) that find_zeros builds for the negative
+        # side reads the table of (L, eta) at -t, P' negated: the bits of a
+        # table of its own, and no second table
+        rng = random.Random(37)
+        served = 0
+        for L, eta in ((0.5, -1.0), (-0.9, -6.0), (4.0, -0.3), (2.0, -20.0)):
+            values = series.Evaluator(CoulombParams(L, eta))
+            mirror = values.reflected()
+            assert mirror.params.eta == -eta and mirror._table is values._table
+            reach = _full_table(L, -eta).reach[-1]
+            for t in sorted(rng.uniform(0.0, 1.2 * reach) for _ in range(30)):
+                got, own = mirror.table(t), series.Evaluator(CoulombParams(L, -eta, unsafe=True)).table(t)
+                assert (got is None) == (own is None), (L, eta, t)
+                if got is not None:
+                    served += 1
+                    assert TestReflection.bits(got, 1.0) == TestReflection.bits(own, 1.0), (L, eta, t)
+        assert served >= 60
+
     def test_a_point_past_the_reach_is_summed(self):
         params = CoulombParams(5.0, 0.0)
         values = series.Evaluator(params)
