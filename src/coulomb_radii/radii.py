@@ -164,7 +164,14 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     # both ends move out by the noise over the slope at the root, within the
     # step's bracket
     half = noise / abs(slope) if slope else math.inf
-    lo, hi = max(lo, ref.lo - half), min(hi, ref.hi + half)
+    # an end that rounds back nearer the refined end than half (the
+    # differences are exact) steps one double further out
+    out_lo, out_hi = ref.lo - half, ref.hi + half
+    if ref.lo - out_lo < half:
+        out_lo = math.nextafter(out_lo, -math.inf)
+    if out_hi - ref.hi < half:
+        out_hi = math.nextafter(out_hi, math.inf)
+    lo, hi = max(lo, out_lo), min(hi, out_hi)
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we
         # verify it on the points the scan and the solver visited instead of

@@ -434,3 +434,35 @@ class TestBracketHoldsTheRoot:
                                          form=form)
                             self.assert_straddles(mp, L, eta, kind, prop, beta, form,
                                                   res.bracket)
+
+    def test_a_widening_below_half_an_ulp_keeps_the_root(self, monkeypatch):
+        # the refine is made to close on the double just below the root of the
+        # g-starlike equation at (48, 0), and the residual there to carry a
+        # floor whose widening noise/|slope| is 0.4 ulp, as a summed residual
+        # does (7.2e-16 against half an ulp of 8.9e-16): rounded to nearest,
+        # both ends would fall back onto that double and miss the root; each
+        # end steps one double outward instead
+        mp = pytest.importorskip("mpmath")
+        from coulomb_radii import equations, radii
+
+        L, eta = 48.0, 0.0
+        h = functools.partial(self.direct_form, mp, L, eta, "g", "starlike", 0.0)
+        with mp.workdps(50):
+            root = mp.findroot(h, (mp.mpf(9.9), mp.mpf(9.91)), solver="anderson")
+        x = float(root)
+        x = x if x < root else math.nextafter(x, 0.0)
+        refine, equation = radii.refine_bracket, equations.equation
+
+        def collapsed(*args):
+            found = refine(*args)
+            return type(found)(root=x, lo=x, hi=x, iterations=found.iterations)
+
+        def sharp(num, den, noise_n, noise_d, r, beta, form):
+            jet, noise = equation(num, den, noise_n, noise_d, r, beta, form)
+            return jet, (0.4 * math.ulp(x) * abs(jet[1]) if r == x else noise)
+
+        monkeypatch.setattr(radii, "refine_bracket", collapsed)
+        monkeypatch.setattr(equations, "equation", sharp)
+        lo, hi = radius(RadiusQuery(CoulombParams(L, eta), "g", "starlike", 0.0)).bracket
+        assert lo < x < hi
+        self.assert_straddles(mp, L, eta, "g", "starlike", 0.0, "ratio", (lo, hi))
