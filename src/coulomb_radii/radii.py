@@ -13,9 +13,9 @@ For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 for convexity), and D > 0 on (0, x1).  radius() builds one series.Evaluator
 of (L, eta), runs the zero scan of the zeros module for x1 (zeros.scan) on
 it and reads the equation off the series value of each scan step, the value
-of the evaluator's table of the origin's coefficients, a sum, or a jet of a
-sum one or two steps back, at no extra evaluation, and at r = 0 off the
-table's value at the origin, which is no sum.  The first step
+of the origin's table, a sum, or the value of the table at a sum one or two
+steps back, at no extra evaluation, and at r = 0 off the origin table's
+value, which is no sum.  The first step
 (t_prev, t] where the equation is <= 0 brackets the radius, the equation
 counted as -inf at x1 (a step that holds x1, refined first, gives the
 bracket [t_prev, x1]): the equation decreases on [0, x1], and no sign change
@@ -24,14 +24,16 @@ root in that step is the smallest, and the radius needs x1 only where x1
 lies in its step.  The one root finder of the zeros module (refine_bracket)
 refines that bracket with Halley steps from the jets of equations.equation,
 to 1e-13 max(1, end of the bracket) on the abscissa.  Its points and the
-residual's are values of the same evaluator: the table's next to the
-origin, elsewhere jets (series.jet) of the nearest sum the scan or the
-solve made, each summed from the origin instead where neither is taken.  It solves either the ratio form N/D - beta ("ratio")
+residual's are values of the same evaluator: the origin table's next to
+the origin, elsewhere those of the table at the nearest sum the scan or the
+solve made, each summed from the origin instead where neither serves.  It
+solves either the ratio form N/D - beta ("ratio")
 or the direct form N - beta D ("direct"), which has the sign of the ratio
 form wherever D > 0; the two roots agreeing is one of the acceptance
 checks.  refine_bracket decides the sign at each end of its bracket without a
 noise check, so the result widens both ends by the equation's noise floor at
-the root over its slope, within the scan step: a rule first order in the
+the root over its slope, within the scan step, each end one double further
+where rounding would leave it nearer than that: a rule first order in the
 series bounds, not a proof, under which every golden and seeded random
 bracket holds the root of a 50-digit equation.  The scan then runs on to x1,
 refined as by find_zeros, which is reported as the domain cap; where the
@@ -167,10 +169,8 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     # an end that rounds back nearer the refined end than half (the
     # differences are exact) steps one double further out
     out_lo, out_hi = ref.lo - half, ref.hi + half
-    if ref.lo - out_lo < half:
-        out_lo = math.nextafter(out_lo, -math.inf)
-    if out_hi - ref.hi < half:
-        out_hi = math.nextafter(out_hi, math.inf)
+    out_lo = out_lo if ref.lo - out_lo >= half else math.nextafter(out_lo, -math.inf)
+    out_hi = out_hi if out_hi - ref.hi >= half else math.nextafter(out_hi, math.inf)
     lo, hi = max(lo, out_lo), min(hi, out_hi)
     if not certified:
         # the decrease is proven only for eta <= 0; under unsafe parameters we

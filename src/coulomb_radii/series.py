@@ -59,115 +59,87 @@ there returns with its true, large bound, and noise_limited flags it.
 Beyond |z| = 55, and where a value or its bound overflows a double,
 evaluation raises ConvergenceError.
 
-Jets.  jet serves a point z next to a sum at z0 without a sum.  The
-Coulomb equation (DLMF 33.2.1) written for P,
+Tables.  A point next to the origin or to a sum an Evaluator keeps, at z0,
+is read from a table of the Taylor coefficients c_n of P about z0 in
+doubles, grown as far as the points asked need, to at most _TABLE_TERMS = 32
+rows.  At the origin (L > -1) c_n = a_n, from a_0 = 1, a_(-1) = 0 and
+a_n = (2 eta a_(n-1) - a_(n-2))/d_n, with d_n = n (n + (2L+1)) > 0 within
+three roundings of its value, and
+e_n = ((|2 eta| e_(n-1) + e_(n-2)) + 6 eps (|2 eta a_(n-1)| + |a_(n-2)|))/d_n
+bounds |a_n - exact a_n| (eps = 2^-53, each step rounded up by _UP).  At a
+sum, the Coulomb equation (DLMF 33.2.1) written for P,
+z P'' + 2(L+1) P' + (z - 2 eta) P = 0, gives from c_0 = P(z0), c_1 = P'(z0)
 
-    z P'' + 2(L+1) P' + (z - 2 eta) P = 0,
+    z0 n(n-1) c_n = -(n-1)(n+2L) c_(n-1) - (z0 - 2 eta) c_(n-2) - c_(n-3),
 
-gives for P(z0 + h) = sum c_k h^k
+and from e_0 and e_1, the sum's bounds,
+e_n = (|(n-1)(n+2L)| f_(n-1) + |z0 - 2 eta| f_(n-2) + f_(n-3))/(|z0| n(n-1)),
+f_k = e_k + 16 eps |c_k| for the (at most seven) roundings c_k brings into
+a later row.  The tails are geometric.  At the origin d_m >= d_(N+1) for
+m > N, and the root sigma of sigma^2 = (|2 eta| sigma + 1)/d_(N+1) bounds
+every later ratio.  At a sum the recurrence's coefficients for m > N are at
+most those at m = N+1, A = max(1, |m+2L|/m)/|z0|, B = |z0 - 2 eta|/(m(m-1)|z0|)
+and C = 1/(m(m-1)|z0|) ((m+2L)/m falls with m for L >= 0, stays below 1 for
+-m/2 <= L < 0, and |m+2L|/m falls with m below that), and so does a sigma at
+or above the dominant root of sigma^3 = A sigma^2 + B sigma + C: one Newton
+step from the last row's sigma, which lies above it.  By induction
+|c_(N+j)| <= B sigma^j, B the largest of sigma^k (|c_(N-k)| + e_(N-k)) for
+k = 0, 1 (and 2 at a sum); with K = B sigma and r = sigma |h| (N+2)/N < 1 the
+tails of the three sums below are at most K |h|^(N+1)/(1-r),
+(N+1) K |h|^N/(1-r) and (N+1) N K |h|^(N-1)/(1-r).
 
-    z0 (k+2)(k+1) c_(k+2) = -(k+1)(k+2L+2) c_(k+1) - (z0 - 2 eta) c_k - c_(k-1),
-
-so the terms u_k = c_k h^k follow from
-
-    z0 n(n-1) u_n = -(n-1)(n+2L) h u_(n-1) - (z0 - 2 eta) h^2 u_(n-2) - h^3 u_(n-3).
-
-jet runs this recurrence in doubles from u_0 = P(z0) and u_1 = h P'(z0),
-and the sums of u_k, k u_k and k(k-1) u_k give P, h P' and h^2 P''.  Its
-reach is |z - z0| < |z0|/2, the largest share of |z0| within which
-z0/2 <= z <= 2 z0 on both sides, so that h = z - z0 is exact (Sterbenz).
-The second solution of the Coulomb equation is singular at 0, so the
-terms about z0 fall like (h/z0)^k at best, and the jet gives up after
-_JET_TERMS = 32 terms; the recurrence's h^2 and h^3 terms narrow it
-further where |z0 - 2 eta| is large.  Its noise is a bound of three parts.
-The base's noise is carried through a majorant of the recurrence: E_0 and
-E_1 are the base's bounds, and
-    E_n = |n+2L|/n |h/z0| F_(n-1)
-          + (|z0 - 2 eta| h^2 F_(n-2) + |h|^3 F_(n-3)) / (|z0| n(n-1)),
-with F_k = E_k + 16 eps |u_k| for the roundings u_k brings into the terms
-after it (eps = 2^-53).  A running rounding bound covers the three sums in
-doubles: (N+1) eps times the sums of |u_k|, k |u_k| and k(k-1) |u_k|.  The
-tail bound is geometric.  For every m > N the three coefficients of the
-recurrence are at most those at m = N+1, a = |h/z0| max(1, |N+1+2L|/(N+1)),
-b = |z0 - 2 eta| h^2/((N+1) N |z0|) and c = |h|^3/((N+1) N |z0|): (m+2L)/m
-falls with m for L >= 0, stays below 1 for -m/2 <= L < 0, and |m+2L|/m
-falls with m below that.  So a rho at or above the dominant root of
-rho^3 = a rho^2 + b rho + c gives |u_(N+j)| <= B rho^j, by induction on j,
-with B = max(|u_N| + F_N, rho (|u_(N-1)| + F_(N-1)),
-rho^2 (|u_(N-2)| + F_(N-2))), and where rho (N+2)/N < 1 the weighted tails
-are geometric too.  Once |u_N| lies below the error bound of the P sum, the
-jet takes rho and stops if each weighted tail bound lies below the error
-bound of its sum.  jet returns None beyond its reach and past |z| = 55;
-within them it refuses a point only where that test stops no N below
-_JET_TERMS, or where P, P' or P'' is noise_limited by its bound.  The caller
-then sums the point.  The origin's exact value, a sum at z = 0, has no
-reach: it serves z = 0 alone (the points next to the origin come from the
-table, below).  A jet keeps no point, so it is the base of no jet, and
-errors never chain.  At (0.5, -1), |z| = 40, a jet one scan step (about 1.5) from
-its base takes 22 terms and about a sixth of the time of the 151-term sum
-it replaces, one two steps away 28 terms and about a fifth, one 0.01 away
-9 terms and about a tenth.
-
-Table.  An Evaluator of (L, eta) with L > -1, where every
-c_n = n(n+2L+1) is positive, serves the points next to the origin from a
-table of the origin's coefficients in doubles, grown as far as the points
-asked need and to at most _TABLE_TERMS = 32 rows: from a_0 = 1 and
-a_(-1) = 0,
-
-    a_n = (2 eta a_(n-1) - a_(n-2)) / c_n,   c_n = n (n + (2L+1)),
-
-with c_n within three roundings of its value (2L+1 is exact by Sterbenz
-where it is negative, and positive elsewhere), so that the running majorant
-
-    e_n = ((|2 eta| e_(n-1) + e_(n-2)) + 6 eps (|2 eta a_(n-1)| + |a_(n-2)|)) / c_n
-
-bounds |a_n - exact a_n| (eps = 2^-53; the three roundings of a_n and the
-three of c_n, each majorant step rounded up by _UP).  A point 0 <= t takes
-the rows 0..N: P, P' and P'' are the forward sums of a_n t^n, n a_n t^(n-1)
-and n(n-1) a_n t^(n-2), in plain floats and a fixed order, each power the
-last one times t.  Each term rounds at most N+1 times, its coefficient's
-product by n or n(n-1) included, so each sum errs by at most gamma_(N+1)
-times the sum of its terms' moduli (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., sections 3.1 and 4.2,
-gamma_k = k eps/(1 - k eps)), plus the coefficient errors e_n t^n with the
-same weights.  A row folds both into w_n = |a_n| + e_n/((n+2) eps), which
-gamma_(N+2) >= (n+2) eps scales to at least both.  The tail is bounded as
-in a sum from the origin, at m = N+1: c_m >= c_(N+1) bounds the
-recurrence's coefficients for every later term by a = |2 eta|/c_(N+1) and
-b = 1/c_(N+1), and the root rho' of rho'^2 = a rho' + b gives
-|a_(N+j)| <= B rho'^j, B = max(|a_N| + e_N, rho' (|a_(N-1)| + e_(N-1))), so
-with r = rho' t (N+2)/N < 1 and K = B rho' the three tails are at most
-K t^(N+1)/(1-r), (N+1) K t^N/(1-r) and (N+1) N K t^(N-1)/(1-r).  The reach
-of the rows 0..N is the largest t with r <= 1/2 that puts the largest of
-them, that of P'', below _TABLE_TAIL = 2^-56; a point takes the fewest rows
-whose reach holds it, so its value depends on (L, eta, t) alone and not on
-how far the table has grown.  The table refuses a point past the reach of
-its 32 rows or past |z| = 55, one where t^(N+1) > 0 leaves the normal
-range (its powers and tail bound would lose their relative error bounds),
-one where the bound of P passes _TABLE_BUDGET = 1e-13 of |P| (next to a
-zero of P, or where the terms cancel), and one where P' or P'' is
-noise_limited.  A table value keeps no point, so it is the base of no jet.  At (0.5, -1) the table
-reaches |z| = 3.8; a point at z = 0.5 takes 17 terms and about a third of
-the time of a sum, and building the 32 rows costs about two sums.
+A point z0 + h takes the rows 0..N: P, P' and P'' are the forward sums of
+c_n h^n, n c_n h^(n-1) and n(n-1) c_n h^(n-2) in plain floats and a fixed
+order, each power the last one times |h| (the rows read at h < 0 carry the
+powers' signs).  Each term rounds at most N+2 times, its weight included,
+so each sum errs by at most gamma_(N+2) <= gamma_34 times the sum of its
+terms' moduli (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., sections 3.1 and 4.2, gamma_k = k eps/(1 - k eps)), plus the errors
+e_n |h|^n, so row n holds w_n = gamma_34 |c_n| + e_n, and each bound is the
+forward sum of the weighted w_n |h|^n plus the tail, rounded up.  The reach
+of the rows 0..N is the largest |h| with r <= _TABLE_RATIO = 7/8 where the
+tail of P'', the largest of the three against its terms, lies below the
+bound k(k-1) w_k |h|^(k-2) of its term k = 2, 3 or (N+1)//2 (the last where
+the errors e_n outgrow the terms), so that it at most doubles the bound.
+It is kept monotone in N, and a
+point takes the fewest rows whose reach holds |h|: its bits depend on the
+sum and h alone, not on how far the table has grown.  A table refuses a
+point past the reach of its 32 rows or past |z| = 55, one where
+|h|^(N+1) > 0 leaves the normal range (its powers and tail bound would lose
+their relative error bounds), and one where P, P' or P'' is noise_limited;
+the caller then sums it.  At a sum it refuses |h| >= |z0|/2 as well, the
+largest share of |z0| within which z0/2 <= z <= 2 z0, so that h = z - z0 is
+exact (Sterbenz); the origin's table refuses a point where the bound of P
+passes _TABLE_BUDGET = 1e-13 of |P| (next to a zero of P, or where the
+terms cancel), where a sum is short.  A table value keeps no point, so it
+is the base of no table, and errors never chain; the origin's exact value,
+a sum at z = 0, has no reach.  The rows of (L, -eta) at the origin are
+(-1)^n those of (L, eta), exactly, so Evaluator.reflected reads the table of
+(L, eta) at -t, P' negated, bit for bit.  jet reads one point from a fresh
+table at a sum.  At (0.5, -1) the origin's table reaches 4.4 (z = 0.5 takes
+16 rows); the table at the sum at 40 serves h = 0.01, 1.5 and 3.0 from 9, 23
+and 30 rows, each point a third of a jet that reran the recurrence per
+point and each row a twelfth.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
 exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps the
-table of the origin's coefficients and the sums of one query at one
-(L, eta), and it alone picks what serves a point: the zero scan takes
-every third grid point from the table within its reach and sums it past
-(Evaluator.direct; Evaluator.sum sums a point once per query), and every
-other point of the scan, of its refines and of the radius solve is
-Evaluator.value: the table's value, or else a jet of the nearest kept sum,
-or else a sum that is kept.  A point below every kept sum is summed rather
-than taken from a jet that runs towards the origin, where the second
-solution of the Coulomb equation is singular: at (48, 0) the table reaches
-10.7, and a jet from a sum at 12.5 to 10.9 carries a bound of 2.4e-11 on
-P = 0.55.  counting() counts every sum made inside its block, where it is
-made, the jets, the table points, the steps of zeros.refine_bracket and
-the hits and misses of eval_point's memo; outside a block a sum, a jet, a
-table point or a memo lookup pays one ContextVar lookup.
+origin's table, the sums of one query at one (L, eta) and the table at each
+sum a point asked for, and it alone picks what serves a point: the zero
+scan takes every third grid point from the origin's table within its reach
+and sums it past (Evaluator.direct; Evaluator.sum sums a point once per
+query), and every other point of the scan, of its refines and of the radius
+solve is Evaluator.value: the origin table's value, or else that of the
+table at the nearest kept sum, or else a sum that is kept.  A point below
+every kept sum is summed rather than read towards the origin, where the
+second solution of the Coulomb equation is singular: at (48, 0) the origin's
+table reaches 10.6, and the table at a sum at 12.5 gives 11.5 a bound of
+1.0e-13 on P = 0.51.  counting() counts every sum made inside its block,
+where it is made, the points served from tables at sums (jets) and from the
+origin's table, the rows the tables build, the steps of
+zeros.refine_bracket and the hits and misses of eval_point's memo; outside a
+block each of them pays one ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -197,16 +169,20 @@ _TAIL_BITS = 58  # the tail bound stops the sum below 2^-58 of it
 _UP = 1.0 + 2.0 ** -30  # covers the roundings of the doubles in the bound
 _BIG, _SMALL = 2.0 ** 512, 2.0 ** -512  # rescaling of E, kept in range
 _MEMO_SIZE = 512  # eval_point's values kept
-_JET_REACH = 0.5  # jet serves points within this share of |z0| of its base, where h is exact
-_JET_TERMS = 32  # ... and gives up on a jet that needs this many terms
 _EPS = 2.0 ** -53  # the unit roundoff of a double
-_JET_ROUND = 16.0 * _EPS  # bounds the roundings of one jet term against its parts
+_ROW_ROUND = 16.0 * _EPS  # bounds the roundings of one row at a sum against its parts
 _TINY = 2.0 ** -1060  # ... plus this, for a term that leaves the normal range
 _NORMAL = 2.0 ** -1022  # the smallest normal double
-_TABLE_TERMS = 32  # the origin's table holds at most this many coefficients
-_TABLE_TAIL = 2.0 ** -56  # a table point takes the terms that put each tail below this
-_TABLE_BUDGET = 1e-13  # ... and is refused where the bound of P passes this share of P
+_TABLE_TERMS = 32  # a table holds at most this many coefficients
+_TABLE_RATIO = 0.875  # ... within the reach r = sigma |h| (N+2)/N stays at most this
+_TABLE_GAMMA = (_TABLE_TERMS + 2.0) * _EPS / (1.0 - (_TABLE_TERMS + 2.0) * _EPS)  # gamma_(N+2), N < 32
+_TABLE_BUDGET = 1e-13  # the origin's table refuses a point where the bound of P passes this share of P
 
+# n = N + 1 rows: the largest r over sigma, the tail of P'' over K |h|^(N-1),
+# and the exponents that turn its bounds against its terms 2, 3 and k = n // 2
+# into |h|
+_REACH = {n: (_TABLE_RATIO * (n - 1.0) / (n + 1.0), n * (n - 1.0) / (1.0 - _TABLE_RATIO),
+              1.0 / (n - 2.0), 1.0 / (n - 3.0), n // 2, 1.0 / (n - n // 2)) for n in range(4, _TABLE_TERMS + 1)}
 
 @dataclass
 class SumCounts:
@@ -214,15 +190,17 @@ class SumCounts:
     sum (one that fails included), in order, find_zeros's negative side at
     +t of (L, -eta) (zeros module docstring); terms their truncation_terms;
     refine_steps the iterations of zeros.refine_bracket; jets the values
-    served by jet and table_points those served by an Evaluator's table of
-    the origin's coefficients, neither of them sums; memo_hits and
-    memo_misses the lookups in eval_point's memo, each miss also a sum."""
+    served by a table at a sum (jet's or an Evaluator's) and table_points
+    those served by a table at the origin, neither of them sums; table_rows
+    the rows both kinds of table build; memo_hits and memo_misses the
+    lookups in eval_point's memo, each miss also a sum."""
 
     points: list[float] = field(default_factory=list)
     terms: int = 0
     refine_steps: int = 0
     jets: int = 0
     table_points: int = 0
+    table_rows: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -392,235 +370,236 @@ eval_point.cache_info, eval_point.cache_clear = _memo.cache_info, _memo.cache_cl
 
 
 def jet(value: SeriesValue, z: float) -> SeriesValue | None:
-    """P, P' and P'' at z from the Taylor jet of the sum value at z0, in
-    doubles (module docstring, Jets); None where |z - z0| >= |z0|/2, past
-    |z| = 55, where no tail test within _JET_TERMS terms stops the jet, or
-    where P, P' or P'' is noise_limited by the jet's bound.
-
-    value is a sum or the origin's exact value (no reach); a jet or a table
-    point is refused as a base, so errors never chain.  The noise means what
-    a sum's does.
-    """
-    at = value._at
-    if at is None:
+    """P, P' and P'' at z from a fresh table at the sum value at z0 (module
+    docstring, Tables), or None where the table refuses z.  value is a sum
+    or the origin's exact value (no reach); a table point is refused as a
+    base, so errors never chain.  The noise means what a sum's does."""
+    if value._at is None:
         raise ValueError("jet needs a sum (eval_point, eval_series, Evaluator.sum)")
-    L, eta, z0 = at
+    z0 = value._at[2]
     z = float(z)
     if z == z0:
         return value
-    h = z - z0  # exact within the reach, where z0/2 <= z <= 2 z0
-    ah = abs(h)
-    # strict: a z just past z0/2 may round h to -z0/2
-    if not ah < _JET_REACH * abs(z0) or abs(z) > EVAL_Z_MAX:
-        return None
-    # n(n-1) u_n = -(n-1)(n+2L) qa u_(n-1) - qb u_(n-2) - qc u_(n-3), u_k = c_k h^k
-    qa, qb, qc = h / z0, (z0 - 2.0 * eta) * (h * h) / z0, h * h * h / z0
-    ma, mb, mc = abs(qa) * _UP, abs(qb) * _UP, abs(qc) * _UP  # the majorant's
-    l2, eps, up, rnd = 2.0 * L, _EPS, _UP, _JET_ROUND
-    # E_k bounds the error of u_k, from the base's bounds at E_0 and E_1, and
-    # F_k = E_k + rnd |u_k| adds the roundings u_k brings into later terms:
-    # E_n = (|n+2L|/n ma F_(n-1) + (mb F_(n-2) + mc F_(n-3))/(n(n-1))) + _TINY;
-    # g0, g1, g2 sum E_k, k E_k and k(k-1) E_k
-    u2, u1, u3 = value.p0, h * value.p1, 0.0
-    a2, a1, a3 = abs(u2), abs(u1), 0.0
-    e2, e1 = value.noise[0], ah * value.noise[1] * up + eps * a1
-    f3, f2, f1 = 0.0, e2 + rnd * a2, e1 + rnd * a1
-    s0, s1, s2 = u2 + u1, u1, 0.0
-    g0, g1, g2 = e2 + e1, e1, 0.0
-    # the sums of |u_k|, k |u_k| and k(k-1) |u_k|: N + 1 terms summed in
-    # doubles err by at most (N + 1) eps times these, the products k u_k included
-    m0, m1, m2 = a2 + a1, a1, 0.0
-    for n in range(2, _JET_TERMS):
-        k = n * (n - 1.0)
-        c = (n - 1.0) * (n + l2)
-        u = -(c * qa * u1 + qb * u2 + qc * u3) / k
-        au = abs(u)
-        e = (abs(c) * ma * f1 + mb * f2 + mc * f3) / k + _TINY
-        s0 += u
-        s1 += n * u
-        s2 += k * u
-        m0 += au
-        m1 += n * au
-        m2 += k * au
-        g0 += e
-        g1 += n * e
-        g2 += k * e
-        u3, u2, u1, a3, a2, a1, f3, f2, f1 = u2, u1, u, a2, a1, au, f2, f1, e + rnd * au
-        # stop once each weighted tail bound lies below the error bound of its
-        # sum, which is at least 3 eps times it; tau is at least |u_n| rho
-        roundoff = (n + 1.0) * eps
-        err0 = g0 + roundoff * m0
-        if au > err0:
-            continue
-        rho = _tail_root(ma, mb, mc, l2, n + 1)
-        ratio = rho * (n + 2.0) / n
-        if ratio >= 1.0:
-            continue
-        # F_k >= E_k bounds |u_k| - |computed u_k| as well
-        tau = max(a1 + f1, rho * (a2 + f2), rho * rho * (a3 + f3)) * rho / (1.0 - ratio) * up
-        err1, err2 = g1 + roundoff * m1, g2 + roundoff * m2
-        if tau <= err0 and (n + 1.0) * tau <= err1 and (n + 1.0) * n * tau <= err2:
-            break
-    else:
-        return None
-    # P = s0, P' = s1/h and P'' = s2/h^2, each division rounded once
-    p0, p1, p2 = s0, s1 / h, s2 / h / h
-    b0 = (err0 + tau) * up
-    b1 = ((err1 + (n + 1.0) * tau) / ah + eps * abs(p1)) * up
-    b2 = ((err2 + (n + 1.0) * n * tau) / ah / ah + 2.0 * eps * abs(p2)) * up
-    if (not b0 + b1 + b2 + abs(p0) + abs(p1) + abs(p2) < math.inf
-            or noise_limited(p0, b0) or noise_limited(p1, b1) or noise_limited(p2, b2)):
-        return None
-    counts = _record.get()
-    if counts is not None:
-        counts.jets += 1
-    return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau, noise=(b0, b1, b2))
+    return _Table.at(value).value(z - z0) if abs(z) <= EVAL_Z_MAX else None
 
 
-class _OriginTable:
-    """The coefficients a_0..a_N of one (L, eta), L > -1, in doubles, grown
-    as far as the points asked need (module docstring, Table).
+def _origin_rows(L: float, eta: float) -> Iterator[tuple[float, float, float, float]]:
+    """a_n and its error bound e_n, with the rho' and K of the tail bound of
+    the rows 0..n (module docstring, Tables)."""
+    te, l1 = 2.0 * eta, 2.0 * L + 1.0
+    ate, eps, up, tiny, gamma = abs(te), _EPS, _UP, _TINY, _TABLE_GAMMA
+    a2 = e2 = u2 = e1 = 0.0  # a_(-1) = 0
+    a1 = u1 = 1.0
+    yield 1.0, gamma, 0.0, 0.0
+    n = 1
+    while True:
+        c = n * (n + l1)
+        a = (te * a1 - a2) / c
+        e = ((ate * e1 + e2) + 6.0 * eps * (ate * u1 + u2)) / c * up
+        a2, e2, u2, a1, e1, u1 = a1, e1, u1, a, e, abs(a)
+        n += 1
+        rho = _tail_ratio(ate, n * (n + l1))  # c_m >= c_(n+1) for every m > n
+        big, prev = u1 + e1, rho * (u2 + e2)
+        yield a, gamma * u1 + e, rho, (big if big > prev else prev) * rho * up + tiny
 
-    Row n holds a_n, n a_n and n(n-1) a_n, then w_n = |a_n| + e_n/((n+2) eps),
-    n w_n and n(n-1) w_n, which bound their moduli and errors; reach[N - 2]
-    is the largest t up to which the rows 0..N put each tail below
-    _TABLE_TAIL, at least that of every shorter table, and tails[N - 2]
-    holds the rho' and K of their tail bound.
+
+def _base_rows(value: SeriesValue) -> Iterator[tuple[float, float, float, float]]:
+    """c_n of P about the sum value at z0 and its error bound e_n, with the
+    sigma and K of the tail bound of the rows 0..n (module docstring,
+    Tables)."""
+    L, eta, z0 = value._at
+    l2, zb, iz = 2.0 * L, z0 - 2.0 * eta, 1.0 / abs(z0)
+    azb, rnd, up, tiny = abs(zb), _ROW_ROUND, _UP, _TINY
+    # c_(n-3), c_(n-2), c_(n-1), their moduli and error bounds, and
+    # f_k = e_k + rnd |c_k|
+    c2, c1 = value.p0, value.p1
+    u2, u1 = abs(c2), abs(c1)
+    e2, e1 = value.noise[0], value.noise[1]
+    c3 = f3 = 0.0
+    f2, f1 = e2 + rnd * u2, e1 + rnd * u1
+    gamma = _TABLE_GAMMA
+    yield c2, gamma * u2 + e2, 0.0, 0.0
+    yield c1, gamma * u1 + e1, 0.0, 0.0
+    sigma, n = 0.0, 2
+    while True:
+        g = (n - 1.0) * (n + l2)
+        c = -(g * c1 + zb * c2 + c3) / (z0 * (n * (n - 1.0)))
+        u = abs(c)
+        e = (abs(g) * f1 + azb * f2 + f3) * iz / (n * (n - 1.0)) * up
+        # at m = n + 1 the recurrence's coefficients bound every later one's
+        m = n + 1.0
+        a = abs(m + l2) / m
+        cc = iz / (m * n)
+        a, b = (a if a > 1.0 else 1.0) * iz, azb * cc
+        if not sigma:
+            sigma = a + math.sqrt(b) + cc ** (1.0 / 3.0)
+        # one Newton step from above (sigma at m = n bounds it) stays above
+        sigma -= (((sigma - a) * sigma - b) * sigma - cc) / ((3.0 * sigma - 2.0 * a) * sigma - b)
+        sigma *= up
+        w = sigma * (u2 + e2)
+        big = u1 + e1
+        w = sigma * (big if big > w else w)
+        big = u + e
+        yield c, gamma * u + e, sigma, (big if big > w else w) * sigma * up + tiny
+        c3, c2, c1, u2, u1, e2, e1 = c2, c1, c, u1, u, e1, e
+        f3, f2, f1 = f2, f1, e + rnd * u
+        n += 1
+
+
+class _Table:
+    """The Taylor coefficients c_0..c_N of P about z0, the origin or a kept
+    sum, in doubles, grown as far as the points asked need (module
+    docstring, Tables).
+
+    Row n holds c_n, n c_n and n(n-1) c_n, then w_n = gamma_34 |c_n| + e_n,
+    n w_n and n(n-1) w_n; reach[N - 3] is the reach of the rows 0..N, at
+    least that of every shorter table, and tails[N - 3] holds the sigma and
+    K of their tail bound.
     """
 
-    __slots__ = ("_l1", "_te", "_last", "_far", "rows", "reach", "tails")
+    __slots__ = ("_source", "_far", "_origin", "_scale", "_mirror", "rows", "reach", "tails")
 
-    def __init__(self, L: float, eta: float):
-        self._l1, self._te = 2.0 * L + 1.0, 2.0 * eta
-        self.rows: list[tuple[float, ...]] = [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
+    def __init__(self, source: Iterator[tuple[float, float, float, float]], far: float,
+                 origin: bool):
+        self._source, self._far, self._origin = source, far, origin
+        self._mirror: list[tuple[float, ...]] = []
+        self.rows: list[tuple[float, ...]] = []
         self.reach: list[float] = []
         self.tails: list[tuple[float, float]] = []
-        self._last = (0.0, 0.0, 1.0, 0.0)  # a_(n-2), e_(n-2), a_(n-1), e_(n-1); a_(-1) = 0
-        # the reach of the rows 0..N is at most N/(2(N+2) rho'), which grows
-        # with N: no table reaches past its value for the full table, nor
-        # past |z| = 55
+
+    @classmethod
+    def origin(cls, L: float, eta: float) -> _Table:
+        """The table of the origin's coefficients of (L, eta), L > -1."""
+        # the reach of the rows 0..N is at most 7/8 N/((N+2) sigma), which
+        # grows with N: no table reaches past its value for the full table,
+        # nor past |z| = 55
         m = _TABLE_TERMS - 1.0
-        far = m / (2.0 * (m + 2.0) * _tail_ratio(abs(self._te), (m + 1.0) * (m + 1.0 + self._l1)))
-        self._far = far if far < EVAL_Z_MAX else EVAL_Z_MAX
-        self._grow(0.0)
+        far = _TABLE_RATIO * m / ((m + 2.0) * _tail_ratio(abs(2.0 * eta), (m + 1.0) * (m + 2.0 + 2.0 * L)))
+        table = cls(_origin_rows(L, eta), far if far < EVAL_Z_MAX else EVAL_Z_MAX, True)
+        table._grow(0.0)
+        return table
+
+    @classmethod
+    def at(cls, value: SeriesValue) -> _Table:
+        """The table at the sum value, with no rows until a point asks; it
+        serves |h| < |z0|/2, where h is exact."""
+        return cls(_base_rows(value), math.nextafter(0.5 * abs(value._at[2]), 0.0), False)
 
     def _grow(self, t: float) -> None:
-        """Rows until the reach passes t or the table is full: c_n = n(n + 2L+1)
-        and a_n = (2 eta a_(n-1) - a_(n-2))/c_n in doubles, with
-        e_n = ((|2 eta| e_(n-1) + e_(n-2)) + 6 eps (|2 eta a_(n-1)| + |a_(n-2)|))/c_n,
-        and from N = 2 on the reach of the rows 0..N (module docstring, Table)."""
+        """Rows until the reach passes t or the table is full, and from N = 3
+        on the reach of the rows 0..N (module docstring, Tables)."""
         rows, reach, tails = self.rows, self.reach, self.tails
-        te, l1 = self._te, self._l1
-        ate, eps, up, tiny = abs(te), _EPS, _UP, _TINY
-        a2, e2, a1, e1 = self._last
-        u2, u1 = abs(a2), abs(a1)
         last = reach[-1] if reach else 0.0
-        n = len(rows)
-        c = n * (n + l1)
-        while True:
-            a = (te * a1 - a2) / c
-            e = ((ate * e1 + e2) + 6.0 * eps * (ate * u1 + u2)) / c * up
-            u = abs(a)
+        n = start = len(rows)
+        for c, w, sigma, big in self._source:
             k = n * (n - 1.0)
-            w = u + e / ((n + 2.0) * eps)
-            rows.append((a, n * a, k * a, w, n * w, k * w))
-            a2, e2, u2, a1, e1, u1 = a1, e1, u1, a, e, u
+            rows.append((c, n * c, k * c, w, n * w, k * w))
             n += 1
-            c = n * (n + l1)
-            if n < 3:
+            if n < 4:
                 continue
-            # the rows 0..N, N = n - 1: c_m >= c_(N+1) = c for every m > N
-            m = n - 1.0
-            rho = _tail_ratio(ate, c)
-            big, prev = u1 + e1, rho * (u2 + e2)
-            big = (big if big > prev else prev) * rho * up + tiny
-            r = m / (2.0 * (m + 2.0) * rho)
-            tail = (_TABLE_TAIL / (2.0 * (m + 1.0) * m * big)) ** (1.0 / (m - 1.0))
-            r = r if r < tail else tail
+            if n == 4:  # the bounds of the leading terms of P'' at |h| = 1
+                self._scale = (rows[2][5], rows[3][5])
+            # the rows 0..N, N = n - 1, with r <= _TABLE_RATIO: where the tail
+            # of P'', f |h|^(N-1), meets the bound of its term 2, 3 or k
+            ratio, weight, x1, x2, k, xk = _REACH[n]
+            lead, f = self._scale, weight * big
+            a, b = (lead[0] / f) ** x1, (lead[1] / f) ** x2
+            a = a if a > b else b
+            b, r = (rows[k][5] / f) ** xk, ratio / sigma
+            a = a if a > b else b
+            r = r if r < a else a
             last = r if r > last else last
             reach.append(last)
-            tails.append((rho, big))
+            tails.append((sigma, big))
             if last >= t or n == _TABLE_TERMS:
                 break
-        self._last = a2, e2, a1, e1
+        counts = _record.get()
+        if counts is not None:
+            counts.table_rows += n - start
 
-    def value(self, t: float, flip: float = 1.0) -> SeriesValue | None:
-        """P, P' and P'' at 0 <= t <= 55 within the reach, as forward sums of
-        the rows, or None where the table refuses t (module docstring, Table).
-        With flip = -1.0 they are those of (L, -eta): the rows read at -t,
-        P' negated."""
-        reach = self.reach
-        if not 0.0 <= t <= self._far:
+    def value(self, x: float, flip: float = 1.0) -> SeriesValue | None:
+        """P, P' and P'' at z0 + x, |x| within the reach, as forward sums of
+        the rows, P' times flip, or None where the table refuses x (module
+        docstring, Tables)."""
+        t = abs(x)
+        if not t <= self._far:
             return None
-        if reach[-1] < t:
+        reach = self.reach
+        if not reach or reach[-1] < t:
             if len(self.rows) < _TABLE_TERMS:
                 self._grow(t)
             if reach[-1] < t:
                 return None
-        n = bisect.bisect_left(reach, t) + 2
-        # p0, p1 and p2 are x^n, x^(n-1) and x^(n-2) at row n, x = flip t, each
-        # power rounded once more than the last; q0, q1 and q2 their moduli
-        x = flip * t
-        s0 = s1 = s2 = m0 = m1 = m2 = p1 = p2 = q1 = q2 = 0.0
-        p0 = q0 = 1.0
-        for a, b, d, w0, w1, w2 in self.rows[:n + 1]:
-            s0 += a * p0
-            s1 += b * p1
-            s2 += d * p2
-            m0 += w0 * q0
-            m1 += w1 * q1
-            m2 += w2 * q2
-            p2, p1, p0 = p1, p0, p0 * x
-            q2, q1, q0 = q1, q0, q0 * t
-        p0, p1, p2 = q0, q1, q2
+        n = bisect.bisect_left(reach, t) + 3
+        rows = self.rows
+        if x < 0.0:
+            # the rows with the signs of x^n, x^(n-1) and x^(n-2) folded in
+            rows = self._mirror
+            for k in range(len(rows), n + 1):
+                c0, c1, c2, w0, w1, w2 = self.rows[k]
+                rows.append((-c0, c1, -c2, w0, w1, w2) if k % 2 else (c0, -c1, c2, w0, w1, w2))
+        # p0, p1 and p2 are t^n, t^(n-1) and t^(n-2) at row n, t = |x|, each
+        # power rounded once more than the last
+        s0 = s1 = s2 = m0 = m1 = m2 = p1 = p2 = 0.0
+        p0 = 1.0
+        for c0, c1, c2, w0, w1, w2 in rows[:n + 1]:
+            s0 += c0 * p0
+            s1 += c1 * p1
+            s2 += c2 * p2
+            m0 += w0 * p0
+            m1 += w1 * p1
+            m2 += w2 * p2
+            p2, p1, p0 = p1, p0, p0 * t
         if 0.0 < t and p0 < _NORMAL:  # a power, t^(n+1) the least, below the normal range
             return None
-        rho, big = self.tails[n - 2]
-        q = big / (1.0 - rho * t * (n + 2.0) / n)  # rho t (n+2)/n <= 1/2 within the reach
-        gamma = (n + 2.0) * _EPS / (1.0 - (n + 2.0) * _EPS)
-        b0 = (gamma * m0 + q * p0) * _UP
-        b1 = (gamma * m1 + (n + 1.0) * q * p1) * _UP
-        b2 = (gamma * m2 + (n + 1.0) * n * q * p2) * _UP
-        if not (abs(s0) + abs(s1) + abs(s2) + b1 + b2 < math.inf
-                and b0 <= _TABLE_BUDGET * abs(s0)) or noise_limited(s1, b1) or noise_limited(s2, b2):
+        sigma, big = self.tails[n - 3]
+        q = big / (1.0 - sigma * t * (n + 2.0) / n)  # r <= _TABLE_RATIO within the reach
+        b0 = (m0 + q * p0) * _UP + _TINY
+        b1 = (m1 + (n + 1.0) * q * p1) * _UP + _TINY
+        b2 = (m2 + (n + 1.0) * n * q * p2) * _UP + _TINY
+        if (not abs(s0) + abs(s1) + abs(s2) + b0 + b1 + b2 < math.inf
+                or (self._origin and not b0 <= _TABLE_BUDGET * abs(s0))
+                or noise_limited(s0, b0) or noise_limited(s1, b1) or noise_limited(s2, b2)):
             return None
         counts = _record.get()
         if counts is not None:
-            counts.table_points += 1
+            if self._origin:
+                counts.table_points += 1
+            else:
+                counts.jets += 1
         return SeriesValue(s0, flip * s1, s2, truncation_terms=n + 1, tail_estimate=q * p0 * _UP,
-                           noise=(b0 + _TINY, b1 + _TINY, b2 + _TINY))
+                           noise=(b0, b1, b2))
 
 
 class Evaluator:
     """P, P' and P'' of one (L, eta) at every point one query asks for.
 
-    It keeps the table of the origin's coefficients (L > -1) and every sum
-    it makes, by abscissa, for one query in one thread.  sum(t) is the value
-    kept at t, or a new sum from the origin; direct(t) is the table's value
-    at t, or sum(t) past the table's reach or where it refuses t; value(t)
-    is the table's value, or else the jet of the kept sum nearest t (the
-    larger abscissa at equal distance), or else sum(t), which a point below
-    every kept sum takes at once.  Neither table values nor jets are kept,
-    so errors never chain.
+    It keeps the table of the origin's coefficients (L > -1), every sum it
+    makes, by abscissa, and the table at each sum a point has asked for, for
+    one query in one thread.  sum(t) is the value kept at t, or a new sum
+    from the origin; direct(t) is the origin table's value at t, or sum(t)
+    where it refuses t; value(t) is the origin table's value, or else the
+    value of the table at the kept sum nearest t (the larger abscissa at
+    equal distance), or else sum(t), which a point below every kept sum
+    takes at once.  Table values are not kept, so errors never chain.
     """
 
     def __init__(self, params: CoulombParams):
         self.params = params
         self._ts: list[float] = []
         self._sums: list[SeriesValue] = []
+        self._bases: dict[float, _Table] = {}
         # every c_m = m(m+2L+1) is positive exactly where L > -1
-        self._table = _OriginTable(params.L, params.eta) if params.L > -1.0 else None
+        self._table = _Table.origin(params.L, params.eta) if params.L > -1.0 else None
         self._flip = 1.0
 
     def reflected(self) -> Evaluator:
-        """A new Evaluator of (L, -eta), unsafe, that shares this one's table
-        of the origin's coefficients: a_n at -eta is (-1)^n a_n at eta, so it
-        reads the table at -t, P' negated, bit for bit what a table of its
-        own would give."""
+        """A new Evaluator of (L, -eta), unsafe, sharing this one's origin
+        table, which it reads at -t, P' negated (module docstring, Tables)."""
         other = Evaluator.__new__(Evaluator)
         other.params = CoulombParams(self.params.L, -self.params.eta, unsafe=True)
-        other._ts, other._sums, other._table = [], [], self._table
-        other._flip = -self._flip
+        other._ts, other._sums, other._bases = [], [], {}
+        other._table, other._flip = self._table, -self._flip
         return other
 
     def sum(self, t: float) -> SeriesValue:
@@ -631,8 +610,8 @@ class Evaluator:
         return self._sums[i]
 
     def table(self, t: float) -> SeriesValue | None:
-        """The table's value at t, or None where there is none."""
-        return None if self._table is None else self._table.value(t, self._flip)
+        """The origin table's value at t, or None where there is none."""
+        return None if self._table is None else self._table.value(self._flip * t, self._flip)
 
     def direct(self, t: float) -> SeriesValue:
         sv = self.table(t)
@@ -641,11 +620,18 @@ class Evaluator:
     def value(self, t: float) -> SeriesValue:
         sv = self.table(t)
         ts = self._ts
-        if sv is None and ts and t >= ts[0]:
+        if sv is None and ts and ts[0] <= t <= EVAL_Z_MAX:
             i = bisect.bisect_left(ts, t)
             if i == len(ts) or (i and t - ts[i - 1] < ts[i] - t):
                 i -= 1
-            sv = jet(self._sums[i], t)
+            z0 = ts[i]
+            if t == z0:
+                return self._sums[i]
+            if abs(t - z0) < 0.5 * abs(z0):  # else past the reach of the table at z0
+                table = self._bases.get(z0)
+                if table is None:
+                    table = self._bases[z0] = _Table.at(self._sums[i])
+                sv = table.value(t - z0)
         return self.sum(t) if sv is None else sv
 
 
@@ -797,20 +783,6 @@ def _fixed_point_sum(L: float, eta: float, z: float, bits: int):
     else:
         raise ConvergenceError(f"tail bound not reached within {N_MAX_CAP} terms at z={z:.6g}")
     return (s0, s1, s2), _errors(n, gi, tau), shift, n, tau
-
-
-def _tail_root(ma: float, mb: float, mc: float, l2: float, m: int) -> float:
-    """An upper bound, within a few ulps, on the dominant root of
-    rho^3 = a rho^2 + b rho + c with the jet's bounds at m on the
-    coefficients of every later term, a = ma max(1, |m+2L|/m),
-    b = mb/(m(m-1)) and c = mc/(m(m-1)) (module docstring, Jets):
-    a + sqrt(b) + c^(1/3), which lies above it, then one Newton step, which
-    stays above it, and _UP."""
-    k = m * (m - 1.0)
-    a, b, c = ma * max(1.0, abs(m + l2) / m), mb / k, mc / k
-    rho = a + math.sqrt(b) + c ** (1.0 / 3.0)
-    rho -= (((rho - a) * rho - b) * rho - c) / ((3.0 * rho - 2.0 * a) * rho - b)
-    return rho * _UP
 
 
 def _tail_ratio(a: float, c: float) -> float:

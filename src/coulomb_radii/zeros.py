@@ -17,9 +17,11 @@ first point is the root of the quintic Hermite interpolant of those two
 jets, moved a little towards the midpoint so that it cuts off the long side
 of the bracket (refine_bracket); it costs no evaluation, and a zero takes
 about 3.5 refine steps (4.5 from Halley steps alone).  The scan walks
-the positive axis only.  P(-t) at eta is P(t) at -eta, sum for sum and jet
-for jet, bit for bit (P' flips sign, P and P'' do not), so find_zeros finds
-the negative zeros of (L, eta) as the positive zeros of (L, -eta), negated.
+the positive axis only.  P(-t) at eta is P(t) at -eta, sum for sum and
+table point for table point, bit for bit (P' flips sign, P and P'' do not),
+so find_zeros finds the negative zeros of (L, eta) as the positive zeros of
+(L, -eta), negated, on an evaluator that shares the origin's table
+(Evaluator.reflected).
 
 Every target is stepped by half the Sturm spacing, 0.5 pi/sqrt(Q(t)).
 u = F/C solves u'' + q u = 0, q(t) = 1 - 2 eta/t - L(L+1)/t^2 (DLMF
@@ -93,29 +95,27 @@ REFINE_TOL, the next zero lying more than a step away.  The series is
 evaluated only at scan steps and refine steps, never at the refined root
 itself, and every value comes from one series.Evaluator of (L, eta), which
 the caller builds and the scan asks.  The first step starts at its value at
-the origin, from the evaluator's table of the origin's coefficients (series
-module docstring, Table), which is no sum.  Every third grid point, those
-at a multiple of three steps from its anchor (the last grid point of the
-zero-free stretch (0, t*] where L >= 0 and there is one, else the first
-grid point), is Evaluator.direct: the table's value within its reach, and
-past it a sum from the origin (Evaluator.sum).  Every other point, of the
-grid or of a refine, is Evaluator.value: the table's value, or else a jet
-(series.jet) of the nearest sum the evaluator keeps (for a grid point, the
-sum one or two steps before it), summed and kept instead where jet refuses
-it (past the jet's reach or terms, or noise-limited) or where the point
-lies below every kept sum.  A grid point where the
-target is noise_limited is summed too, which for a summed point is its kept
-sum again; so the scan stops where one that sums every step stops, and
-every sign is decided against a proven bound.  The anchor is the same with
-and without skip_free, so both walks sum the same points from t_k on and
-take the same steps, bit for bit.  A table point or a refine point costs a
-few double operations instead of a sum, and neither a table value nor a jet
-is the base of a jet, so errors never chain.  Both lie within their noise of
-P, P' and P'', and the zeros move by less than the refine tolerance against
-summing every point (find_zeros(F, 10, 10) at (0.5, -1): 16 sums, 96 jets
-and 7 table points, against 20 sums and 97 jets with no table, 32 sums with
-every second scan step summed, 47 with every scan step summed and 117 with
-every point summed).
+the origin, from the origin's table (series module docstring, Tables),
+which is no sum.  Every third grid point, those at a multiple of three
+steps from its anchor (the last grid point of the zero-free stretch
+(0, t*] where L >= 0 and there is one, else the first grid point), is
+Evaluator.direct: the origin table's value within its reach, and past it a
+sum from the origin (Evaluator.sum).  Every other point, of the grid or of
+a refine, is Evaluator.value: the origin table's value, or else that of the
+table at the nearest sum the evaluator keeps (for a grid point, the sum one
+or two steps before it), summed and kept instead where that table refuses
+it (past its reach, or noise-limited) or where the point lies below every
+kept sum.  A grid point where the target is noise_limited is summed too,
+which for a summed point is its kept sum again; so the scan stops where one
+that sums every step stops, and every sign is decided against a proven
+bound.  The anchor is the same with and without skip_free, so both walks
+sum the same points from t_k on and take the same steps, bit for bit.  A
+table point costs a few double operations a row instead of a sum, and no
+table value is the base of a table, so errors never chain.  Each lies
+within its noise of P, P' and P'', and the zeros move by less than the
+refine tolerance against summing every point (find_zeros(F, 10, 10) at
+(0.5, -1): 16 sums, 96 points from tables at sums and 7 from the origin's,
+against 47 sums with every scan step summed and 117 with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
@@ -334,8 +334,9 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
-    sv is the series at t, the table's value, a sum or a jet of a sum
-    before it; zero is the target's zero in the step, refined, or None.
+    sv is the series at t: the origin table's value, a sum, or the value of
+    the table at a sum before it; zero is the target's zero in the step,
+    refined, or None.
     """
 
     t_prev: float
@@ -387,7 +388,7 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     while t_prev < EVAL_Z_MAX:
         try:
-            # past the table's reach the nearest kept sum is one or two steps before
+            # past the origin table's reach the nearest kept sum is one or two steps before
             sv = values.value(t) if offset else values.direct(t)
             cur, noise = target_jet(L, eta, target, t, sv)
             if noise_limited(cur[0], noise):  # a summed point is its kept sum again

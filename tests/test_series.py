@@ -437,12 +437,25 @@ def _step(L, eta, t):
 
 
 def _m3_refuses(L, eta, z0, z):
-    """Whether jet refused z before its first term when it took the
-    recurrence's coefficients at m = 3 as bounds on every later term."""
-    h, up, terms = z - z0, series._UP, series._JET_TERMS
-    rho = series._tail_root(abs(h / z0) * up, abs((z0 - 2.0 * eta) * (h * h) / z0) * up,
-                            abs(h * h * h / z0) * up, 2.0 * L, 3)
-    return rho * (terms + 1.0) / (terms - 1.0) >= 1.0
+    """Whether a 32-term Taylor sum about z0 would refuse z if it took the
+    recurrence's coefficients at m = 3 as bounds on every later term: the
+    bound a + sqrt(b) + c^(1/3) on the dominant root of
+    rho^3 = a rho^2 + b rho + c, a = |h/z0| max(1, |3+2L|/3),
+    b = |z0 - 2 eta| h^2/(6 |z0|), c = |h|^3/(6 |z0|), after one Newton step,
+    has rho 33/31 >= 1."""
+    h = abs(z - z0)
+    a, b, c = h / abs(z0) * max(1.0, abs(3.0 + 2.0 * L) / 3.0), \
+        abs(z0 - 2.0 * eta) * h * h / (6.0 * abs(z0)), h ** 3 / (6.0 * abs(z0))
+    rho = a + math.sqrt(b) + c ** (1.0 / 3.0)
+    rho -= (((rho - a) * rho - b) * rho - c) / ((3.0 * rho - 2.0 * a) * rho - b)
+    return rho * series._UP * 33.0 / 31.0 >= 1.0
+
+
+def _full_reach(value):
+    """The reach of the 32 rows of the table at the sum value."""
+    table = series._Table.at(value)
+    table._grow(math.inf)
+    return table.reach[-1]
 
 
 def _grid_step_jets():
@@ -454,7 +467,7 @@ def _grid_step_jets():
     for _ in range(40):
         L, eta, t0 = rng.uniform(-0.9, 10.0), rng.uniform(-25.0, 0.0), rng.uniform(0.5, 50.0)
         sign, side = rng.choice((1.0, -1.0)), rng.choice((1.0, -1.0))
-        reach = series._JET_REACH * t0
+        reach = 0.5 * t0
         for k in (1, 2):
             if k * _step(L, eta, t0) < reach:
                 yield L, eta, t0, sign, side, math.log2(reach / (k * _step(L, eta, t0)))
@@ -467,7 +480,8 @@ def _with_grid_step_jets(test):
 
 
 class TestJets:
-    """series.jet: P, P', P'' next to a sum, from its Taylor jet in doubles."""
+    """series.jet: P, P', P'' next to a sum, read from a fresh table of its
+    Taylor coefficients in doubles."""
 
     @_with_grid_step_jets
     @settings(max_examples=300, deadline=None)
@@ -482,11 +496,11 @@ class TestJets:
             base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
         except ConvergenceError:  # P beyond the double range
             assume(False)
-        reach = series._JET_REACH * t0
+        reach = 0.5 * t0
         assert series.jet(base, z0 + side * 1.001 * reach) is None
         z = z0 + side * reach * 2.0 ** -e
         sv = series.jet(base, z)
-        if sv is None:  # past its terms, noise-limited, or past |z| = 55;
+        if sv is None:  # past its 32 rows, noise-limited, or past |z| = 55;
             return      # test_jets_are_taken_on_a_grid counts these
         assert sv is base or sv._at is None  # z = z0 gives the base
         want = _mp_values(mp, L, eta, z)
@@ -497,8 +511,8 @@ class TestJets:
     def test_jets_are_taken_on_a_grid(self):
         # L from -0.9 to 5, eta from 0 to -25, both axes, h up to 2^-12 |z0|,
         # where every jet is taken, and on to 0.49 |z0|, near the edge of the
-        # reach, where the jet runs out of terms unless z0 is small; each jet
-        # taken lies within its noise of mpmath
+        # reach, where the table runs out of rows unless z0 is small; each
+        # point taken lies within its noise of mpmath
         mp = pytest.importorskip("mpmath")
         near = near_taken = far = far_taken = 0
         for L in (-0.9, 0.0, 2.5, 5.0):
@@ -533,32 +547,27 @@ class TestJets:
         served = refused_at_m3 = 0
         for L, eta, t0, sign, side, e in _grid_step_jets():
             z0 = sign * t0
-            z = z0 + side * series._JET_REACH * t0 * 2.0 ** -e
+            z = z0 + side * 0.5 * t0 * 2.0 ** -e
             base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
             assert series.jet(base, z) is not None, (L, eta, z0, z)
             served += 1
             refused_at_m3 += _m3_refuses(L, eta, z0, z)
         assert served >= 70 and refused_at_m3 >= served / 2
 
-    def test_no_jet_where_the_last_tail_ratio_reaches_one(self):
-        # the tail ratio rho (n+2)/n is smallest at the last tail test, with
-        # m = _JET_TERMS; where it is at least 1 there, no tail test stops the
-        # term loop, so jet gives None and counts no jet; more than 80 points
-        tail_root, terms, up = series._tail_root, series._JET_TERMS, series._UP
+    def test_no_jet_past_the_reach_of_32_rows(self):
+        # where the 32 rows of the table at the sum do not reach the point,
+        # jet gives None and counts no jet; more than 80 points
         rng = random.Random(34)
         refused = 0
         for _ in range(2000):
             L, eta, t0 = rng.uniform(-0.9, 10.0), rng.uniform(-25.0, 0.0), rng.uniform(0.05, 50.0)
             z0 = rng.choice((1.0, -1.0)) * t0
-            z = z0 + rng.choice((1.0, -1.0)) * series._JET_REACH * t0 * 2.0 ** -rng.uniform(0, 6)
+            z = z0 + rng.choice((1.0, -1.0)) * 0.5 * t0 * 2.0 ** -rng.uniform(0, 6)
             try:
                 base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
             except ConvergenceError:
                 continue
-            h = z - z0  # the jet's coefficients, as it forms them
-            rho = tail_root(abs(h / z0) * up, abs((z0 - 2.0 * eta) * (h * h) / z0) * up,
-                            abs(h * h * h / z0) * up, 2.0 * L, terms)
-            if rho * (terms + 1.0) / (terms - 1.0) < 1.0:
+            if abs(z - z0) <= _full_reach(base):
                 continue
             with series.counting() as counts:
                 assert series.jet(base, z) is None, (L, eta, z0, z)
@@ -569,18 +578,18 @@ class TestJets:
     def test_no_jet_beyond_its_reach(self):
         # the reach is |z0|/2, the largest share of |z0| where h = z - z0 is
         # exact (Sterbenz); next to the origin the terms about z0 fall fast
-        # enough for jets close to its edge
-        assert series._JET_REACH == 0.5
+        # enough for points close to its edge
         params = CoulombParams(0.5, -1.0)
         for z0 in (0.3, -2.0, 10.0, -40.0):
             base = series.Evaluator(params).sum(z0)
-            reach = series._JET_REACH * abs(z0)
+            reach = 0.5 * abs(z0)
+            assert series._Table.at(base)._far < reach
             for h in (reach, -reach):
                 beyond = math.nextafter(z0 + h, math.copysign(math.inf, h))
                 assert series.jet(base, beyond) is None
         base = series.Evaluator(CoulombParams(0.0, 0.0)).sum(0.05)
         for frac in (0.98, -0.98):
-            assert series.jet(base, 0.05 * (1.0 + frac * series._JET_REACH)) is not None
+            assert series.jet(base, 0.05 * (1.0 + frac * 0.5)) is not None
         assert series.jet(series.Evaluator(params).sum(0.0), 1e-300) is None  # no reach at 0
 
     def test_no_jet_where_its_value_is_noise_limited(self):
@@ -661,12 +670,16 @@ class TestJets:
             series.jet(sv, 10.1002)
 
     def test_a_jet_is_counted_apart_from_the_sums(self):
+        # one point and the rows its fresh table builds; the point beyond the
+        # reach builds none
         params = CoulombParams(0.5, -1.0)
         base = series.Evaluator(params).sum(10.0)
         with series.counting() as counts:
-            series.jet(base, 10.001)
+            sv = series.jet(base, 10.001)
             series.jet(base, 16.0)  # beyond the reach: no jet, and no sum
-        assert counts.totals() == {**series.SumCounts().totals(), "jets": 1}
+        rows = sv.truncation_terms
+        assert 4 <= rows <= series._TABLE_TERMS
+        assert counts.totals() == {**series.SumCounts().totals(), "jets": 1, "table_rows": rows}
 
     def test_a_value_has_no_dict(self):
         # SeriesValue has slots: a value is a few doubles, nothing kept beside
@@ -677,9 +690,10 @@ class TestJets:
 
 
 class TestEvaluator:
-    """series.Evaluator: each point is a jet of the nearest sum it keeps, and
-    a point is summed from the origin, and kept, only where the jet is
-    refused."""
+    """series.Evaluator: each point past the origin's table is read from the
+    table at the nearest sum it keeps, the same bits as series.jet, and a
+    point is summed from the origin, and kept, only where that table refuses
+    it."""
 
     def test_points_are_jets_of_the_nearer_end(self):
         # on the negative side of (0.5, -1): the positive side of (0.5, 1)
@@ -748,18 +762,19 @@ class TestEvaluator:
         assert third == series.jet(second, 19.0)
 
     def test_no_jet_below_the_lowest_sum(self):
-        # at (48, 0) the table reaches 10.7; a jet of a sum at 12.5 at 10.9,
-        # towards the origin, would carry a bound of 2.4e-11 on P = 0.55, so
-        # the point is summed, and a point next to it is a jet of that sum
+        # at (48, 0) the origin's table reaches 10.6; the table at a sum at
+        # 12.5 would serve 11.5, towards the origin, with a bound of 1.0e-13
+        # on P = 0.51, so the point is summed, and a point next to it is read
+        # from the table at that sum
         values = series.Evaluator(CoulombParams(48.0, 0.0))
         end = values.sum(12.5)
-        assert values.table(10.9) is None and values._table.reach[-1] < 10.9
-        assert series.jet(end, 10.9).noise[0] > 1e-11
+        assert values.table(11.5) is None and values._table.reach[-1] < 11.5
+        assert series.jet(end, 11.5).noise[0] > 5e-14
         with series.counting() as counts:
-            first = values.value(10.9)
-            second = values.value(10.9001)
-        assert counts.points == [10.9] and counts.jets == 1
-        assert first._at is not None and second == series.jet(first, 10.9001)
+            first = values.value(11.5)
+            second = values.value(11.5001)
+        assert counts.points == [11.5] and counts.jets == 1
+        assert first._at is not None and second == series.jet(first, 11.5001)
 
     def test_a_refused_point_is_summed_once_and_serves_later_points(self):
         # in the step (6, 24] the point 10.5 lies beyond the reach of both
@@ -794,7 +809,9 @@ class TestEvaluator:
         # the refine tolerance of these
         params = CoulombParams(4.105, -22.918)
         jets = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
-        monkeypatch.setattr(series, "jet", lambda value, z: None)
+        value = series._Table.value
+        monkeypatch.setattr(series._Table, "value",
+                            lambda self, x, flip=1.0: value(self, x, flip) if self._origin else None)
         summed = find_zeros(params, ZeroTarget.F_PRIME, 10, 10)
         assert len(jets.positive) == len(summed.positive) == 10
         assert len(jets.negative) == len(summed.negative) and jets.truncated == summed.truncated
@@ -804,7 +821,7 @@ class TestEvaluator:
 
 def _full_table(L, eta):
     """The table of the origin's coefficients of (L, eta), grown to its cap."""
-    table = series._OriginTable(L, eta)
+    table = series._Table.origin(L, eta)
     table._grow(math.inf)
     return table
 
@@ -948,9 +965,10 @@ class TestTable:
 
     def test_powers_below_the_normal_range_are_summed(self):
         # at t = 1e-300 the powers t^n underflow, and the tail bound with
-        # them: the table refuses the point, and the evaluator sums it
+        # them: the table refuses the point, and the evaluator sums it; at
+        # 1e-75 the four rows of the smallest table keep t^4 normal
         values = series.Evaluator(CoulombParams(0.5, -1.0))
-        assert values.table(1e-300) is None and values.table(1e-100) is not None
+        assert values.table(1e-300) is None and values.table(1e-75) is not None
         with series.counting() as counts:
             assert values.value(1e-300)._at is not None
         assert counts.points == [1e-300]
@@ -972,6 +990,74 @@ class TestTable:
         assert counts.points == [0.0, 0.01] and counts.table_points == 0
         assert fields(origin) == fields(series._origin(-1.3, -5.0))
         assert near._at is not None
+
+
+class TestTablesAtSums:
+    """The table of the Taylor coefficients at a sum: points within a proven
+    bound of the exact value, the same bits however the table grew."""
+
+    @staticmethod
+    def points():
+        """300 seeded (L, eta, z0, z): L from -0.999 to 10 (a quarter within
+        0.05 of -1), eta from -25 to 0, z0 of either sign up to 50, and |h|
+        up to the reach of the table's 32 rows."""
+        rng = random.Random(36)
+        found = 0
+        while found < 300:
+            L = rng.uniform(-0.999, -0.95) if found % 4 == 0 else rng.uniform(-0.95, 10.0)
+            eta = rng.choice((rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 0.0)))
+            z0 = rng.choice((1.0, -1.0)) * rng.uniform(0.5, 50.0)
+            try:
+                base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
+            except ConvergenceError:  # P beyond the double range: no base
+                continue
+            reach = min(_full_reach(base), series._Table.at(base)._far)
+            h = reach * rng.choice((1.0, -1.0)) * rng.choice(
+                (2.0 ** -rng.uniform(0.0, 30.0), rng.random(), rng.random(), 1.0))
+            found += 1
+            yield L, eta, base, z0 + h
+
+    def test_points_lie_within_their_noise_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        served = 0
+        for L, eta, base, z in self.points():
+            sv = series.jet(base, z)
+            if sv is None:  # noise-limited, or past |z| = 55
+                continue
+            served += 1
+            assert sv._at is None or sv is base
+            want = _mp_values(mp, L, eta, z)
+            with mp.workdps(60):
+                for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
+                    assert abs(mp.mpf(got) - w) <= sv.noise[k], (L, eta, base._at[2], z, k)
+        assert served >= 270
+
+    def test_same_bits_whatever_grew_the_table(self):
+        # one evaluator asks a point near the reach of the table's 32 rows
+        # first, which grows it far, then points near the sum; another asks
+        # the near points first and the far one last; a fresh table serves
+        # each point alone
+        rng = random.Random(37)
+        served = 0
+        for L, eta, z0 in ((0.5, -1.0, 40.0), (-0.9, -6.0, 7.3), (4.0, -20.0, 25.0),
+                           (0.0, 0.0, 3.1), (2.0, -8.0, 12.0)):
+            params = CoulombParams(L, eta)
+            step = 0.5 * math.pi / math.sqrt(1.0 + 2.0 * abs(eta) / z0)
+            # above the sum: an evaluator sums a point below every kept sum
+            near = [z0 + step * 2.0 ** -rng.uniform(0.0, 20.0) for _ in range(20)]
+            first, last = series.Evaluator(params), series.Evaluator(params)
+            base = first.sum(z0)
+            last.sum(z0)
+            far = z0 + 0.9 * min(_full_reach(base), series._Table.at(base)._far)
+            got = {far: first.value(far)} | {z: first.value(z) for z in near}
+            again = {z: last.value(z) for z in near} | {far: last.value(far)}
+            assert len(first._bases[z0].rows) > len(series._Table.at(first.sum(z0)).rows)
+            for z, sv in got.items():
+                alone = series.jet(first.sum(z0), z)
+                assert TestReflection.bits(sv, 1.0) == TestReflection.bits(again[z], 1.0), (L, eta, z)
+                assert alone is not None and TestReflection.bits(sv, 1.0) == TestReflection.bits(alone, 1.0)
+                served += 1
+        assert served == 105
 
 
 class TestReflection:
@@ -1060,14 +1146,13 @@ class TestCounting:
 
     def test_radius_solve_sums_from_the_origin(self):
         # at (60, -1) every point of the f-convex solve and the residual are
-        # jets of the nearest sum of the cap scan, the cap scan's steps within
-        # the reach of the origin's table are the table's, two steps in three
-        # past it are jets, and every sum is a scan step's, from the origin
-        # (the same value with no table, 39.54609038197589 with every scan
-        # step summed, 39.546090381975525 with the solve's first point summed
-        # too, 39.54609038197775 with every point summed; mpmath's root lies
-        # 5.1e-12 from this one, and 8.0e-13, 1.16e-12 and 1.06e-12 from
-        # those, all well inside the bracket's noise margin of 3.4e-9 a side)
+        # read from the table at the nearest sum of the cap scan, the cap
+        # scan's steps within the reach of the origin's table are the
+        # table's, two steps in three past it are read from tables at sums,
+        # and every sum is a scan step's, from the origin (mpmath's root lies
+        # 1.4e-12 from this one, well inside the bracket's noise margin of
+        # 2.4e-9 a side; 5.1e-12 from the value of jets that reran the
+        # recurrence for each point)
         from coulomb_radii.radii import RadiusQuery, radius
 
         params = CoulombParams(60.0, -1.0)
@@ -1078,16 +1163,16 @@ class TestCounting:
         summed = [step.t for step in steps if step.sv._at is not None]
         tabled = [step.t for step in steps
                   if step.sv._at is None and step.sv == values.table(step.t)]
-        # the solve's 5 points and the residual are jets, as are the cap
-        # scan's steps that are neither summed nor the table's; the origin is
-        # the table's for the scan and for the solve
-        assert counts.jets == 6 + len(steps) - len(summed) - len(tabled) == 23
+        # the solve's 3 points and the residual are read from tables at sums,
+        # as are the cap scan's steps that are neither summed nor the origin
+        # table's; the origin is the origin table's for the scan and the solve
+        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 20
         assert counts.table_points == len(tabled) + 2 == 13
-        assert counts.refine_steps == 5
+        assert counts.refine_steps == 3
         # the cap lies past |z| = 55, so the scan runs to its end
         assert res.domain_cap is None
-        assert counts.points == summed and len(summed) == 12
-        assert res.value == 39.54609038198174
+        assert counts.points == summed and len(summed) == 13
+        assert res.value == 39.54609038197805
 
     def test_nothing_is_recorded_outside_a_block(self):
         params = CoulombParams(0.5, -1.0)

@@ -433,11 +433,23 @@ class TestRefineBracket:
             assert len(evaluations) <= gate, target
 
 
+def _tables_at_sums(monkeypatch, replace):
+    """Every value a table at a sum serves, replaced by replace(value); the
+    origin's table is left as it is."""
+    value = series._Table.value
+
+    def patched(self, x, flip=1.0):
+        sv = value(self, x, flip)
+        return sv if self._origin or sv is None else replace(sv)
+
+    monkeypatch.setattr(series._Table, "value", patched)
+
+
 class TestAlternateSteps:
     """The scan takes the grid points at a multiple of three steps from its
     anchor from the origin's table or, past its reach, sums them, and serves
-    each point between from the table or as a jet of the sum one or two
-    steps before it."""
+    each point between from the origin's table or from the table at the sum
+    one or two steps before it."""
 
     SIDES = (CoulombParams(0.5, -1.0), CoulombParams(0.5, 1.0, unsafe=True),
              CoulombParams(2.0, -8.0), CoulombParams(0.0, 20.0, unsafe=True),
@@ -484,22 +496,24 @@ class TestAlternateSteps:
         assert served >= 150 and twos >= 60 and tabled >= 30
 
     def test_refines_take_jets_of_sums_alone(self, monkeypatch):
-        # every base handed to jet, by the scan and by its refines, is a sum
+        # every base a table is built at, for the scan and for its refines,
+        # is a sum, and those tables serve at least 500 points
         bases = []
-        jet = series.jet
+        at = series._Table.at.__func__
 
-        def recorded(value, z):
+        def recorded(cls, value):
             bases.append(value)
-            return jet(value, z)
+            return at(cls, value)
 
-        monkeypatch.setattr(series, "jet", recorded)
-        for params in self.SIDES:
-            for target in ZeroTarget:
-                values = series.Evaluator(params)
-                refined = [s for s in zeros.scan(values, target) if s.zero is not None][:6]
-                assert refined, (params, target)
-                assert all(sv._at is not None for sv in values._sums)
-        assert len(bases) >= 500 and all(sv._at is not None for sv in bases)
+        monkeypatch.setattr(series._Table, "at", classmethod(recorded))
+        with series.counting() as counts:
+            for params in self.SIDES:
+                for target in ZeroTarget:
+                    values = series.Evaluator(params)
+                    refined = [s for s in zeros.scan(values, target) if s.zero is not None][:6]
+                    assert refined, (params, target)
+                    assert all(sv._at is not None for sv in values._sums)
+        assert counts.jets >= 500 and all(sv._at is not None for sv in bases)
 
     def test_jet_noise_limited_on_the_target_is_summed_instead(self, monkeypatch):
         # jets with their bounds raised past every value: the scan sums each
@@ -507,13 +521,7 @@ class TestAlternateSteps:
         params = CoulombParams(0.5, -1.0)
         plain = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME),
                                       30))
-        jet = series.jet
-
-        def noisy(value, z):
-            sv = jet(value, z)
-            return None if sv is None else dataclasses.replace(sv, noise=(1e300,) * 3)
-
-        monkeypatch.setattr(series, "jet", noisy)
+        _tables_at_sums(monkeypatch, lambda sv: dataclasses.replace(sv, noise=(1e300,) * 3))
         values = series.Evaluator(params)
         summed = list(itertools.islice(zeros.scan(values, ZeroTarget.F_PRIME), 30))
         assert sum(step.sv._at is None and not self.tabled(values, step) for step in plain) >= 10
@@ -537,7 +545,7 @@ class TestAlternateSteps:
         # stops where summing every step stops: same counts, same flags
         found = {(L, eta, target): find_zeros(CoulombParams(L, eta), target, 12, 12)
                  for L, eta in self.grid() for target in ZeroTarget}
-        monkeypatch.setattr(series, "jet", lambda value, z: None)
+        _tables_at_sums(monkeypatch, lambda sv: None)
         truncated = 0
         for (L, eta, target), zs in found.items():
             summed = find_zeros(CoulombParams(L, eta), target, 12, 12)
