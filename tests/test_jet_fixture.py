@@ -1,13 +1,13 @@
 """Pinned jets: series.jet of 300 seeded (base, z) pairs, bit for bit.
 
-The fixture ``data/jet_fixture.json`` holds, for each pair, the jet's P, P',
-P'', their bounds, its tail bound and its terms, or null where jet refuses
-the point.  The pairs mix scan steps, shares of the reach and tiny steps
-over L up to 20 and eta of either sign, so jets refused past the reach or
-because no tail test within _JET_TERMS terms stops them sit next to served
-ones.  A change to jet that is meant to keep its results must leave every
-byte of it in place.  After an intended change, regenerate the fixture and
-review its diff:
+The fixture ``data/jet_fixture.json`` holds, for each pair, the point read
+from a fresh table at the base: P, P', P'', their bounds, its tail bound and
+its rows, or null where the table refuses the point.  The pairs mix scan
+steps, shares of the reach and tiny steps over L up to 20 and eta of either
+sign, so points refused past |z0|/2 or past the reach of the table's 32
+rows sit next to served ones.  A change to the tables that is meant to keep
+their results must leave every byte of it in place.  After an intended
+change, regenerate the fixture, check it against mpmath and review its diff:
 
     PYTHONPATH=src python tests/test_jet_fixture.py
 """
@@ -16,6 +16,8 @@ import json
 import math
 import os
 import random
+
+import pytest
 
 from coulomb_radii import series
 from coulomb_radii.errors import ConvergenceError
@@ -63,9 +65,22 @@ def test_jets_match_the_fixture_byte_for_byte():
         pinned = fh.read()
     rows = _rows()
     served = sum(row["jet"] is not None for row in rows)
-    # both outcomes are pinned: the fixture serves 249 pairs and refuses 51
-    assert (served, len(rows) - served) == (249, 51)
+    # both outcomes are pinned: the fixture serves 241 pairs and refuses 59
+    assert (served, len(rows) - served) == (241, 59)
     assert _text(rows) == pinned
+
+
+def test_served_points_lie_within_their_noise_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    from test_series import _mp_values
+
+    with open(FIXTURE) as fh:
+        rows = [row for row in json.load(fh) if row["jet"] is not None]
+    for row in rows:
+        want = _mp_values(mp, row["L"], row["eta"], row["z"])
+        with mp.workdps(60):
+            for k, (got, w) in enumerate(zip(row["jet"]["p"], want)):
+                assert abs(mp.mpf(got) - w) <= row["jet"]["noise"][k], (row, k)
 
 
 if __name__ == "__main__":
