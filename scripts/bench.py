@@ -6,8 +6,13 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
     coef256             building a 256-term coefficient table, in exact arithmetic
     eval_z0.5           one eval_series on that table at z = 0.5 (also z = 10, 50)
     table_build         one series.Evaluator's table of the origin's coefficients,
-                        grown to its cap (asked for a point past its reach)
+                        grown to all 32 rows (asked for a point between the
+                        reach of its 32 rows and the farthest any could reach)
     table_z0.5          one point of that table at z = 0.5
+    base_build          one point a scan step (1.53) past the sum at z = 40,
+                        read from a fresh table at that sum (series.jet)
+    base_point          the same point from an evaluator's table at that sum,
+                        already grown for it
     radius              one radius: g, starlike, beta = 0.5
     radius_convex_g     one radius: g, convex, beta = 0.5
     find_zeros          find_zeros(F, 10, 10)
@@ -25,12 +30,12 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the series.counting() record of one call (fields
 as series.SumCounts documents them, evals for the number of points): sums
-from the origin, the jets (series.jet, no sums) that a query's
-series.Evaluator serves from the nearest sum it keeps, for two scan steps
-in three and every refine point, and each query row's refine_steps, the
-zero refines and the radius solve, each step a sum or a jet, so
-evals + jets - refine_steps are the scan steps and the few single
-evaluations around them.
+from the origin, the points (jets, no sums) that a query's
+series.Evaluator reads from the table at the nearest sum it keeps, for two
+scan steps in three and every refine point, the rows the tables build, and
+each query row's refine_steps, the zero refines and the radius solve, each
+step a sum or a point from a table, so evals + jets + table_points -
+refine_steps are the scan steps and the few single evaluations around them.
 Only series.eval_point keeps values between calls, in its memo, and the cli
 rows add its memo_hits and memo_misses.  Every row but cli_eval_warm empties
 the memo before each call, timed or counted, so it is a cold request; the
@@ -49,6 +54,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import platform
 import statistics
 import sys
@@ -60,6 +66,7 @@ from coulomb_radii.subordination import disk_min_real
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
 PARAMS = CoulombParams(0.5, -1.0)
+BASE = 40.0  # the sum of the base_build and base_point rows
 CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
             "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
 
@@ -94,14 +101,27 @@ def rows(repeat):
             "evals": 1,
             "terms": series.eval_series(table, z).truncation_terms,
         }
-    # a point past the table's reach, within the evaluation range, grows it to its cap
-    out["table_build"] = {"ms": median_ms(lambda: series.Evaluator(PARAMS).table(series.EVAL_Z_MAX),
-                                          repeat)}
+    # a point past the reach of the 32 rows but not past the farthest reach
+    # any 32 rows of (L, eta) could have grows the table to all of them
     values = series.Evaluator(PARAMS)
     values.table(series.EVAL_Z_MAX)
+    past = 0.5 * (values._table.reach[-1] + values._table._far)
+    out["table_build"] = {"ms": median_ms(lambda: series.Evaluator(PARAMS).table(past), repeat),
+                          "table_rows": counts(lambda: series.Evaluator(PARAMS).table(past))[
+                              "table_rows"]}
+    values.table(past)
     out["table_z0.5"] = {"ms": median_ms(lambda: values.table(0.5), repeat),
                          "table_points": counts(lambda: values.table(0.5))["table_points"],
                          "terms": values.table(0.5).truncation_terms}
+    # the sum at z = 40 and a point one scan step past it (zeros module)
+    values.sum(BASE)
+    z = BASE + 0.5 * math.pi / math.sqrt(1.0 - 2.0 * PARAMS.eta / BASE)
+    values.value(z)  # grows the table at the sum for base_point
+    for name, fn in (("base_build", lambda: series.jet(values.sum(BASE), z)),
+                     ("base_point", lambda: values.value(z))):
+        tally = counts(fn)
+        out[name] = {"ms": median_ms(fn, repeat), "jets": tally["jets"],
+                     "table_rows": tally["table_rows"], "terms": fn().truncation_terms}
     queries = {
         "radius": lambda: radius(RadiusQuery(PARAMS, "g", "starlike", 0.5)),
         "radius_convex_g": lambda: radius(RadiusQuery(PARAMS, "g", "convex", 0.5)),

@@ -51,11 +51,18 @@ def test_bench_rows(capsys):
     queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "table_build",
-                         "table_z0.5", "cli_eval", "cli_eval_warm", "disk_g64", "disk_zgpg64",
-                         *queries}
+                         "table_z0.5", "base_build", "base_point", "cli_eval", "cli_eval_warm",
+                         "disk_g64", "disk_zgpg64", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
-    # one point of the table of the origin's coefficients: no sum
+    # the origin's table grown to all its rows, and one point of it: no sum
+    assert rows["table_build"]["table_rows"] == 32
     assert rows["table_z0.5"]["table_points"] == 1 and rows["table_z0.5"]["terms"] <= 32
+    # a point a scan step past a sum: from a fresh table, grown for it, and
+    # from a table already grown, which builds no row
+    assert rows["base_build"]["jets"] == rows["base_point"]["jets"] == 1
+    assert rows["base_build"]["table_rows"] == rows["base_build"]["terms"] <= 32
+    assert rows["base_point"]["table_rows"] == 0
+    assert rows["base_point"]["terms"] == rows["base_build"]["terms"]
     # sums, counted by series.counting(), within the gates of test_zeros and
     # test_radii: the points near the origin from the table, past its reach
     # two scan steps in three and every refine point jets (20, 20, 20, 5, 5
@@ -64,20 +71,21 @@ def test_bench_rows(capsys):
     # 7 and 8 with each refine's first point summed too, 117, 118, 114, 15, 12
     # and 13 with every refine point summed)
     assert 0 < rows["find_zeros"]["evals"] <= 16
-    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 18
+    assert 0 < rows["find_zeros_F_prime"]["evals"] <= 16
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 16
     assert 0 < rows["find_zeros_neg"]["evals"] <= 5
     assert 0 < rows["radius"]["evals"] <= 2
     # the g-convex radius lies within the table's reach, and so do its cap
     # scan's steps: no sum
     assert rows["radius_convex_g"]["evals"] == 0 < rows["radius_convex_g"]["table_points"]
-    # terms: 1185, 1255 and 1185 (1258 each with no table, 2110, 1994 and
+    # terms: 1185 each (1185, 1255 and 1185 with jets that reran the
+    # recurrence per point; 1258 each with no origin table, 2110, 1994 and
     # 1859 with every second scan step summed, 3566, 3312 and 3177 with every
     # scan step summed, 4416, 4107 and 3971 with each refine's first point
     # summed too, 5925, 5328 and 5097 with every refine point summed about a
     # scan step, 10198, 8760 and 8462 from 0)
     assert rows["find_zeros"]["terms"] <= 1185
-    assert rows["find_zeros_F_prime"]["terms"] <= 1255
+    assert rows["find_zeros_F_prime"]["terms"] <= 1185
     assert rows["find_zeros_g_prime"]["terms"] <= 1185
     # every refine step is a jet or a table point
     for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
