@@ -179,8 +179,8 @@ _TABLE_GAMMA = (_TABLE_TERMS + 2.0) * _EPS / (1.0 - (_TABLE_TERMS + 2.0) * _EPS)
 _TABLE_BUDGET = 1e-13  # the origin's table refuses a point where the bound of P passes this share of P
 
 # n = N + 1 rows: the largest r over sigma, the tail of P'' over K |h|^(N-1),
-# and the exponents that turn its bounds against its terms 2, 3 and k = n // 2
-# into |h|
+# and the exponents that turn its bounds against its terms 2, 3 and
+# mid = n // 2 into |h|
 _REACH = {n: (_TABLE_RATIO * (n - 1.0) / (n + 1.0), n * (n - 1.0) / (1.0 - _TABLE_RATIO),
               1.0 / (n - 2.0), 1.0 / (n - 3.0), n // 2, 1.0 / (n - n // 2)) for n in range(4, _TABLE_TERMS + 1)}
 
@@ -384,8 +384,8 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
 
 
 def _origin_rows(L: float, eta: float) -> Iterator[tuple[float, float, float, float]]:
-    """a_n and its error bound e_n, with the rho' and K of the tail bound of
-    the rows 0..n (module docstring, Tables)."""
+    """a_n and its weight w_n, with the sigma and K of the tail bound of the
+    rows 0..n (module docstring, Tables)."""
     te, l1 = 2.0 * eta, 2.0 * L + 1.0
     ate, eps, up, tiny, gamma = abs(te), _EPS, _UP, _TINY, _TABLE_GAMMA
     a2 = e2 = u2 = e1 = 0.0  # a_(-1) = 0
@@ -404,9 +404,8 @@ def _origin_rows(L: float, eta: float) -> Iterator[tuple[float, float, float, fl
 
 
 def _base_rows(value: SeriesValue) -> Iterator[tuple[float, float, float, float]]:
-    """c_n of P about the sum value at z0 and its error bound e_n, with the
-    sigma and K of the tail bound of the rows 0..n (module docstring,
-    Tables)."""
+    """c_n of P about the sum value at z0 and its weight w_n, with the sigma
+    and K of the tail bound of the rows 0..n (module docstring, Tables)."""
     L, eta, z0 = value._at
     l2, zb, iz = 2.0 * L, z0 - 2.0 * eta, 1.0 / abs(z0)
     azb, rnd, up, tiny = abs(zb), _ROW_ROUND, _UP, _TINY
@@ -500,12 +499,12 @@ class _Table:
             if n == 4:  # the bounds of the leading terms of P'' at |h| = 1
                 self._scale = (rows[2][5], rows[3][5])
             # the rows 0..N, N = n - 1, with r <= _TABLE_RATIO: where the tail
-            # of P'', f |h|^(N-1), meets the bound of its term 2, 3 or k
-            ratio, weight, x1, x2, k, xk = _REACH[n]
+            # of P'', f |h|^(N-1), meets the bound of its term 2, 3 or mid
+            ratio, weight, x1, x2, mid, xm = _REACH[n]
             lead, f = self._scale, weight * big
             a, b = (lead[0] / f) ** x1, (lead[1] / f) ** x2
             a = a if a > b else b
-            b, r = (rows[k][5] / f) ** xk, ratio / sigma
+            b, r = (rows[mid][5] / f) ** xm, ratio / sigma
             a = a if a > b else b
             r = r if r < a else a
             last = r if r > last else last
