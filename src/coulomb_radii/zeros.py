@@ -14,9 +14,10 @@ P'' with P, and equations.target_jet turns them into the target's slope
 and curvature, so the Halley steps cost no evaluation beyond the step's own,
 and the scan hands the refine the jets it has at both ends.  The refine's
 first point is the root of the quintic Hermite interpolant of those two
-jets, moved a little towards the midpoint so that it cuts off the long side
-of the bracket (refine_bracket); it costs no evaluation, and a zero takes
-about 3.5 refine steps (4.5 from Halley steps alone).  The scan walks
+jets, moved 2.5e-5 of the step towards the midpoint so that it cuts off the
+long side of the bracket (refine_bracket); it costs no evaluation, and a
+zero takes about 3.3 refine steps (4.6 from Halley steps alone, over the
+first 180 seeded zero-scan operations of perfbench).  The scan walks
 the positive axis only.  P(-t) at eta is P(t) at -eta, sum for sum and
 table point for table point, bit for bit (P' flips sign, P and P'' do not),
 so find_zeros finds the negative zeros of (L, eta) as the positive zeros of
@@ -192,43 +193,31 @@ def _poly_root(coeffs: tuple[float, ...], u: float, neg_at_0: bool) -> float:
     return u
 
 
-def _jet_roots(lo: float, hi: float, at_lo: tuple[float, float, float],
-               at_hi: tuple[float, float, float]) -> tuple[float, float] | None:
-    """Roots in [lo, hi] of the quintic Hermite interpolant of both end jets
-    (value, slope, curvature) and of the cubic one of value and slope, or None
-    unless all six entries are finite.  Both are written in u = (x - lo)/w,
-    w = hi - lo, with slopes scaled by w and curvatures by w^2, and cost no
-    evaluation of fn."""
-    f0, s0, c0 = at_lo
-    f1, s1, c1 = at_hi
-    w = hi - lo
-    a1, a2 = w * s0, 0.5 * w * w * c0
-    # the cubic f0 + a1 u + b2 u^2 + b3 u^3 meets (f1, w s1) at u = 1
-    A, B = f1 - f0 - a1, w * s1 - a1
-    cubic = (f0, a1, 3.0 * A - B, B - 2.0 * A)
-    # the quintic adds a2 u^2 and the u^3..u^5 terms that meet w^2 c1
-    A, B, C = A - a2, B - 2.0 * a2, w * w * c1 - 2.0 * a2
-    quintic = (f0, a1, a2, 10.0 * A - 4.0 * B + 0.5 * C, -15.0 * A + 7.0 * B - C,
-               6.0 * A - 3.0 * B + 0.5 * C)
-    if not all(map(math.isfinite, cubic + quintic)):
-        return None
-    neg = f0 < 0.0
-    u_c = _poly_root(cubic, f0 / (f0 - f1) if f0 != f1 else 0.5, neg)
-    u_q = _poly_root(quintic, u_c, neg)
-    return lo + w * u_q, lo + w * u_c
+_START_SHARE = 2.5e-5  # the first point's shift towards the midpoint, over the width
 
 
 def _jet_start(lo: float, hi: float, at_lo: tuple[float, float, float],
                at_hi: tuple[float, float, float], tol: float) -> float | None:
-    """The first point of a refine with both end jets: the quintic root moved
-    towards the midpoint by delta = 0.05 |x_quintic - x_cubic|, clamped to
-    [4 tol, width/4]; None where _jet_roots is."""
-    roots = _jet_roots(lo, hi, at_lo, at_hi)
-    if roots is None:
+    """The first point of a refine with both end jets (value, slope,
+    curvature): the root x_q in [lo, hi] of their quintic Hermite interpolant,
+    moved towards the midpoint by delta = _START_SHARE w, w = hi - lo,
+    clamped to [4 tol, w/4], or the midpoint where delta passes it; None
+    unless all six entries are finite.  The quintic is written in
+    u = (x - lo)/w, with slopes scaled by w and curvatures by w^2, and its
+    root is taken from the secant point; it costs no evaluation of fn."""
+    f0, s0, c0 = at_lo
+    f1, s1, c1 = at_hi
+    w = hi - lo
+    a1, a2 = w * s0, 0.5 * w * w * c0
+    # the u^3..u^5 terms meet (f1, w s1, w^2 c1) at u = 1
+    A, B, C = f1 - f0 - a1 - a2, w * s1 - a1 - 2.0 * a2, w * w * c1 - 2.0 * a2
+    quintic = (f0, a1, a2, 10.0 * A - 4.0 * B + 0.5 * C, -15.0 * A + 7.0 * B - C,
+               6.0 * A - 3.0 * B + 0.5 * C)
+    if not all(map(math.isfinite, quintic)):
         return None
-    x_q, x_c = roots
+    x_q = lo + w * _poly_root(quintic, f0 / (f0 - f1) if f0 != f1 else 0.5, f0 < 0.0)
     mid = 0.5 * (lo + hi)
-    delta = min(max(0.05 * abs(x_q - x_c), 4.0 * tol), 0.25 * (hi - lo))
+    delta = min(max(_START_SHARE * w, 4.0 * tol), 0.25 * w)
     return x_q + math.copysign(delta, mid - x_q) if delta <= abs(mid - x_q) else mid
 
 
@@ -244,14 +233,15 @@ def refine_bracket(fn: Callable[[float], tuple[float, float, float]], lo: float,
 
     Interpolated start: where all six end entries are finite, the first point
     comes from the quintic Hermite interpolant of the two end jets, which
-    costs no evaluation.  Its root (safeguarded Newton on the polynomial)
-    lands about 1e-5 of the width from the root, on either side, so taken as
-    is it rarely halves the bracket, and the worst-case guard below then
-    refuses the next Halley step.  It is moved towards the midpoint by
-    delta = 0.05 |x_quintic - x_cubic| (x_cubic the root of the value and
-    slope cubic, so delta scales with the interpolation error), clamped to
+    costs no evaluation.  Its root (safeguarded Newton on the polynomial,
+    from the secant point) lands about 1e-5 of the width from the root, on
+    either side, so taken as is it rarely halves the bracket, and the
+    worst-case guard below then refuses the next Halley step.  It is moved
+    towards the midpoint by delta = 2.5e-5 of the width, clamped to
     [4 tol, width/4]: the evaluation lands just short of the root and cuts
-    off the long side.  The point is taken if it passes the same guard as a
+    off the long side.  Every bracket refined is one scan step or part of
+    one, at most pi/2 wide, so the share clears the interpolation error
+    wherever the end jets resolve it.  The point is taken if it passes the same guard as a
     Halley point; the Halley step after it measures its lengthening against
     the width.  Any non-finite entry (an infinite value at a pole, the NaN
     slopes of a value-only caller) skips it, so a value-only caller gets

@@ -126,18 +126,18 @@ class TestUnivalence:
         assert 0 < res.iterations <= 200
 
     def test_exact_zero_of_the_equation_widens_the_bracket(self):
-        # the f-univalence solve at (0, -2) lands on an exact zero of its
+        # the f-univalence solve at (-0.4, -3) lands on an exact zero of its
         # computed ratio form, where refine_bracket closes the bracket to that
         # point; the bracket is widened by the equation's noise over its slope
-        # and holds mpmath's root, the first zero of F' (the solve at
-        # (0.5, -1) did so while its points were jets of sums)
+        # and holds mpmath's root, the first zero of F' (the solves at
+        # (0.5, -1) and (0, -2) did so from other first points of the refine)
         mpmath = pytest.importorskip("mpmath")
-        res = radius(RadiusQuery(CoulombParams(0.0, -2.0), "f", "univalent"))
+        res = radius(RadiusQuery(CoulombParams(-0.4, -3.0), "f", "univalent"))
         lo, hi = res.bracket
         assert res.residual == 0.0
         assert lo < res.value < hi and hi - lo <= 1e-13
         with mpmath.workdps(40):
-            root = mpmath.findroot(lambda t: mpmath.diff(lambda u: mpmath.coulombf(0, -2, u), t),
+            root = mpmath.findroot(lambda t: mpmath.diff(lambda u: mpmath.coulombf(-0.4, -3, u), t),
                                    res.value)
             assert lo <= root <= hi
 

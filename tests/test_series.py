@@ -1150,9 +1150,8 @@ class TestCounting:
         # scan's steps within the reach of the origin's table are the
         # table's, two steps in three past it are read from tables at sums,
         # and every sum is a scan step's, from the origin (mpmath's root lies
-        # 1.4e-12 from this one, well inside the bracket's noise margin of
-        # 2.4e-9 a side; 5.1e-12 from the value of jets that reran the
-        # recurrence for each point)
+        # 3.3e-12 from this one, well inside the bracket's noise margin of
+        # 2.4e-9 a side)
         from coulomb_radii.radii import RadiusQuery, radius
 
         params = CoulombParams(60.0, -1.0)
@@ -1172,7 +1171,7 @@ class TestCounting:
         # the cap lies past |z| = 55, so the scan runs to its end
         assert res.domain_cap is None
         assert counts.points == summed and len(summed) == 13
-        assert res.value == 39.54609038197805
+        assert res.value == 39.54609038198001
 
     def test_nothing_is_recorded_outside_a_block(self):
         params = CoulombParams(0.5, -1.0)

@@ -10,7 +10,7 @@ import pytest
 
 from coulomb_radii import CoulombParams, series, zeros
 from coulomb_radii.verify import _interlaced, _product, bessel_j
-from coulomb_radii.zeros import ZeroTarget, _jet_roots, _jet_start, find_zeros, refine_bracket
+from coulomb_radii.zeros import ZeroTarget, _jet_start, find_zeros, refine_bracket
 
 P00 = CoulombParams(0.0, 0.0)
 
@@ -356,23 +356,47 @@ class TestRefineBracket:
     @pytest.mark.parametrize("case", range(len(POLYS)))
     def test_interpolated_root_of_a_quintic_is_its_root(self, case):
         # the quintic Hermite interpolant of a polynomial of degree <= 5 is
-        # the polynomial itself, and the cubic one for degree <= 3
+        # the polynomial itself, so the first point sits delta towards the
+        # midpoint from its root, delta = 2.5e-5 of the width clamped to
+        # [4 tol, width/4]
         coeffs, lo, hi, root = self.POLYS[case]
         fn = poly_jet(coeffs)
-        x_q, x_c = _jet_roots(lo, hi, fn(lo), fn(hi))
-        assert x_q == pytest.approx(root, abs=1e-14)
-        if len(coeffs) <= 4:
-            assert x_c == pytest.approx(root, abs=1e-14)
-        # the first point sits delta towards the midpoint, delta >= 4 tol
         tol = 1e-12
         x = _jet_start(lo, hi, fn(lo), fn(hi), tol)
-        delta = min(max(0.05 * abs(x_q - x_c), 4.0 * tol), 0.25 * (hi - lo))
-        assert x - x_q == pytest.approx(math.copysign(delta, 0.5 * (lo + hi) - x_q), rel=1e-9)
+        delta = min(max(2.5e-5 * (hi - lo), 4.0 * tol), 0.25 * (hi - lo))
+        assert x - root == pytest.approx(math.copysign(delta, 0.5 * (lo + hi) - root), abs=1e-14)
         calls = []
         ref = refine_bracket(lambda t: calls.append(t) or fn(t), lo, hi, fn(lo), fn(hi), tol)
         assert calls[0] == x
         assert abs(ref.root - root) <= tol
         assert ref.iterations <= math.ceil(math.log2((hi - lo) / tol)) + 1
+
+    # (lo, hi, root, tol, first point): the shift 2.5e-5 of the width, raised
+    # to 4 tol, capped at width/4, and the midpoint where the shift passes it
+    SHIFTS = [(0.0, 1.0, 0.9, 1e-12, 0.9 - 2.5e-5), (0.0, 1e-9, 0.25e-9, 1e-12, 0.25e-9 + 4e-12),
+              (0.0, 1.0, 0.1, 0.1, 0.35), (0.0, 1.0, 0.4, 0.1, 0.5)]
+
+    @pytest.mark.parametrize("case", range(len(SHIFTS)))
+    def test_interpolated_point_shift_is_clamped(self, case):
+        lo, hi, root, tol, first = self.SHIFTS[case]
+        fn = poly_jet((-root, 1.0))
+        assert _jet_start(lo, hi, fn(lo), fn(hi), tol) == pytest.approx(first, rel=1e-12)
+
+    @pytest.mark.parametrize("case", range(len(POLYS)))
+    def test_one_interpolant_root_per_refine(self, case, monkeypatch):
+        # finite end jets: one quintic and one root of it, no cubic
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return poly_root(*args)
+
+        poly_root = zeros._poly_root
+        monkeypatch.setattr(zeros, "_poly_root", counting)
+        coeffs, lo, hi, root = self.POLYS[case]
+        fn = poly_jet(coeffs)
+        refine_bracket(fn, lo, hi, fn(lo), fn(hi), 1e-12)
+        assert len(calls) == 1 and len(calls[0][0]) == 6
 
     @pytest.mark.parametrize("end", ["lo", "hi"])
     @pytest.mark.parametrize("entry", [0, 1, 2])
@@ -386,7 +410,6 @@ class TestRefineBracket:
         value = ends[end][0]
         ends[end][entry] = math.copysign(math.inf, value) if entry == 0 else math.nan
         at_lo, at_hi = tuple(ends["lo"]), tuple(ends["hi"])
-        assert _jet_roots(lo, hi, at_lo, at_hi) is None
         assert _jet_start(lo, hi, at_lo, at_hi, tol) is None
         calls = []
         ref = refine_bracket(lambda t: calls.append(t) or fn(t), lo, hi, at_lo, at_hi, tol)
