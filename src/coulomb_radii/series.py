@@ -626,11 +626,10 @@ class Evaluator:
             z0 = ts[i]
             if t == z0:
                 return self._sums[i]
-            if abs(t - z0) < 0.5 * abs(z0):  # else past the reach of the table at z0
-                table = self._bases.get(z0)
-                if table is None:
-                    table = self._bases[z0] = _Table.at(self._sums[i])
-                sv = table.value(t - z0)
+            table = self._bases.get(z0)
+            if table is None:
+                table = self._bases[z0] = _Table.at(self._sums[i])
+            sv = table.value(t - z0)
         return self.sum(t) if sv is None else sv
 
 
