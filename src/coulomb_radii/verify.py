@@ -30,9 +30,12 @@ from .zeros import ZeroSet, ZeroTarget, find_zeros
 GRID_L = (-0.4, 0.0, 0.5, 1.0, 2.5)
 GRID_ETA = (-2.0, -1.0, -0.25, 0.0)
 
-# double epsilon and underflow guard of the Bessel oracle's stopping rule
+# double epsilon, underflow guard and relative tail of the Bessel oracle's
+# stopping rule, and the bisection steps of the elementary-function oracles
 _EPS = 2.220446049250313e-16
 _TINY = 1e-306
+_BESSEL_TOL = 1e-14
+_ORACLE_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,9 @@ class CriterionResult:
     flagged: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _oracle_bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 100) -> float:
+def _oracle_bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     flo = f(lo)
-    for _ in range(iters):
+    for _ in range(_ORACLE_ITERS):
         mid = 0.5 * (lo + hi)
         if flo * f(mid) <= 0.0:
             hi = mid
@@ -56,7 +59,7 @@ def _oracle_bisect(f: Callable[[float], float], lo: float, hi: float, iters: int
     return 0.5 * (lo + hi)
 
 
-def bessel_j(nu: float, x: float, *, tol: float = 1e-14) -> float:
+def bessel_j(nu: float, x: float) -> float:
     """Ascending-series Bessel function of the first kind (oracle path).
 
     Independent of the Coulomb series code: used to cross-check the eta = 0
@@ -92,7 +95,7 @@ def bessel_j(nu: float, x: float, *, tol: float = 1e-14) -> float:
         if abs(term) <= _EPS * abs(s) + _TINY:
             run += 1
             if run >= 3 and ratio < 0.9:
-                if abs(term) * ratio / (1.0 - ratio) <= max(tol * abs(s), _TINY):
+                if abs(term) * ratio / (1.0 - ratio) <= max(_BESSEL_TOL * abs(s), _TINY):
                     return s + comp
         else:
             run = 0
