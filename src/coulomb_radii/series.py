@@ -118,8 +118,7 @@ a sum at z = 0, has no reach.  The rows of (L, -eta) at the origin are
 (L, eta) at -t, P' negated, bit for bit.  jet reads one point from a fresh
 table at a sum.  At (0.5, -1) the origin's table reaches 4.4 (z = 0.5 takes
 16 rows); the table at the sum at 40 serves h = 0.01, 1.5 and 3.0 from 9, 23
-and 30 rows, each point a third of a jet that reran the recurrence per
-point and each row a twelfth.
+and 30 rows.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
