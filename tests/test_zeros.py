@@ -385,13 +385,12 @@ class TestRefineBracket:
     @pytest.mark.parametrize("case", range(len(POLYS)))
     def test_one_interpolant_root_per_refine(self, case, monkeypatch):
         # finite end jets: one quintic and one root of it, no cubic
-        calls = []
+        calls, poly_root = [], zeros._poly_root
 
         def counting(*args):
             calls.append(args)
             return poly_root(*args)
 
-        poly_root = zeros._poly_root
         monkeypatch.setattr(zeros, "_poly_root", counting)
         coeffs, lo, hi, root = self.POLYS[case]
         fn = poly_jet(coeffs)
