@@ -15,6 +15,9 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
                         already grown for it
     radius              one radius: g, starlike, beta = 0.5
     radius_convex_g     one radius: g, convex, beta = 0.5
+    domain_cap          the domain cap of the g-starlike radius, the first
+                        positive zero of F (radii.domain_cap), which the CLI's
+                        radius command adds once per (L, eta)
     find_zeros          find_zeros(F, 10, 10)
     find_zeros_F_prime  find_zeros(F_prime, 10, 10)
     find_zeros_g_prime  find_zeros(g_prime, 10, 10)
@@ -61,7 +64,7 @@ import sys
 import time
 
 from coulomb_radii import CoulombParams, cli, series
-from coulomb_radii.radii import RadiusQuery, radius
+from coulomb_radii.radii import RadiusQuery, domain_cap, radius
 from coulomb_radii.subordination import disk_min_real
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
@@ -125,6 +128,7 @@ def rows(repeat):
     queries = {
         "radius": lambda: radius(RadiusQuery(PARAMS, "g", "starlike", 0.5)),
         "radius_convex_g": lambda: radius(RadiusQuery(PARAMS, "g", "convex", 0.5)),
+        "domain_cap": lambda: domain_cap(RadiusQuery(PARAMS, "g", "starlike", 0.5)),
         "find_zeros": lambda: find_zeros(PARAMS, ZeroTarget.F, 10, 10),
         "find_zeros_F_prime": lambda: find_zeros(PARAMS, ZeroTarget.F_PRIME, 10, 10),
         "find_zeros_g_prime": lambda: find_zeros(PARAMS, ZeroTarget.G_PRIME, 10, 10),

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 from .equations import conv_ratio, g_prime, g_value, noise_limited, star_ratio
 from .errors import CoulombDomainError, CoulombError
 from .params import CoulombParams
-from .radii import RadiusQuery, radius
+from .radii import RadiusQuery, domain_cap, radius
 from .rayleigh import bracket_sums
 from .series import counting, eval_point
 from .subordination import disk_min_real, region_check
@@ -210,18 +210,22 @@ def _run_radius(args) -> Iterator[_Point]:
     for L, eta, params, _ in _grid(args):
         # every beta is checked before the first radius is solved
         queries = [RadiusQuery(params, args.kind, args.property, beta) for beta in args.beta]
-        for query in queries:
-            res = radius(query, form=args.form)
-            warn = sorted(f for f in res.flags
+        results = [radius(query, form=args.form) for query in queries]
+        # the betas of a grid point share one cap: kind and property fix its target
+        cap = domain_cap(queries[0])
+        cap_flags = ["domain-cap-beyond-range"] if cap is None else []
+        for query, res in zip(queries, results):
+            flags = [*res.flags, *cap_flags]
+            warn = sorted(f for f in flags
                           if f in ("no-certificate", "domain-cap-beyond-range"))
             yield _Point(
                 {"L": L, "eta": eta, "beta": query.beta},
                 {"value": res.value, "bracket": list(res.bracket), "residual": res.residual,
-                 "domain_cap": res.domain_cap, "iterations": res.iterations,
-                 "method_flags": [args.form, *res.flags]},
+                 "domain_cap": cap, "iterations": res.iterations,
+                 "method_flags": [args.form, *flags]},
                 warn,
                 [["radius", L, eta, query.beta, args.kind, args.property, args.form,
-                  res.value, *res.bracket, res.residual, res.domain_cap, res.iterations,
+                  res.value, *res.bracket, res.residual, cap, res.iterations,
                   ";".join(warn)]])
 
 

@@ -12,7 +12,8 @@ For L > -1, eta <= 0 each ratio decreases strictly from 1 at the origin to
 -inf at x1, the first positive zero of D (of F for starlikeness, of F' or g'
 for convexity), and D > 0 on (0, x1).  radius() builds one series.Evaluator
 of (L, eta), runs the zero scan of the zeros module for x1 (zeros.scan) on
-it and reads the equation off the series value of each scan step, the value
+it up to the step that brackets the radius, and reads the equation off the
+series value of each scan step, the value
 of the origin's table, a sum, or the value of the table at a sum one or two
 steps back, at no extra evaluation, and at r = 0 off the origin table's
 value, which is no sum.  The first step
@@ -21,12 +22,13 @@ counted as -inf at x1 (a step that holds x1, refined first, gives the
 bracket [t_prev, x1]): the equation decreases on [0, x1], and no sign change
 of F, F' or g' (whichever x1 is a zero of) up to t puts x1 beyond t.  So the
 root in that step is the smallest, and the radius needs x1 only where x1
-lies in its step.  The one root finder of the zeros module (refine_bracket)
-refines that bracket with Halley steps from the jets of equations.equation,
-to 1e-13 max(1, end of the bracket) on the abscissa.  Its points and the
+lies in its step.  The scan stops there.  The one root finder of the zeros
+module (refine_bracket) refines that bracket with Halley steps from the jets
+of equations.equation, to 1e-13 max(1, end of the bracket) on the abscissa.  Its points and the
 residual's are values of the same evaluator: the origin table's next to
-the origin, elsewhere those of the table at the nearest sum the scan or the
-solve made, each summed from the origin instead where neither serves.  It
+the origin, elsewhere those of the table at the nearest sum the scan (up to
+the bracket) or the solve made, each summed from the origin instead where
+neither serves.  It
 solves either the ratio form N/D - beta ("ratio")
 or the direct form N - beta D ("direct"), which has the sign of the ratio
 form wherever D > 0; the two roots agreeing is one of the acceptance
@@ -35,17 +37,22 @@ noise check, so the result widens both ends by the equation's noise floor at
 the root over its slope, within the scan step, each end one double further
 where rounding would leave it nearer than that: a rule first order in the
 series bounds, not a proof, under which every golden and seeded random
-bracket holds the root of a 50-digit equation.  The scan then runs on to x1,
-refined as by find_zeros, which is reported as the domain cap; where the
-scan ends before it (x1 beyond |z| = 55 or the noise floor), the domain cap
-is None and the result carries the flag domain-cap-beyond-range.  Where it
-ends before any step brackets the radius, radius raises ConvergenceError,
-which names that range.  The univalence radius is the starlikeness radius at
-beta = 0.  Under unsafe parameters the decrease is not proven; it is checked
-on the points the scan and the solver visit past the origin, and a rise
-raises MonotonicityError.  The cap of a convexity radius is the first zero
-of equations.derivative_target(kind): of F' for f and g' for g, whose zeros
-the paper calls sigma and varsigma.
+bracket holds the root of a 50-digit equation.  Where the scan ends before
+any step brackets the radius (at |z| = 55 or the noise floor), radius raises
+ConvergenceError, which names that range.  The univalence radius is the
+starlikeness radius at beta = 0.  Under unsafe parameters the decrease is
+not proven; it is checked on the points past the origin that the scan
+visits up to the bracket and the solver visits in it, which is all the
+smallest-root claim needs, and a rise raises MonotonicityError.
+
+The domain cap x1 is its own query, domain_cap(query): the first positive
+zero of the cap target as find_zeros refines it, the same scan run on to
+x1, so the same double wherever the radius solve refines x1 too; None where
+that scan ends before x1 (beyond |z| = 55 or the noise floor).  The CLI
+reports it once per (L, eta), with the warning domain-cap-beyond-range where
+it is None.  The cap target is F for starlikeness and univalence and
+equations.derivative_target(kind) for convexity: F' for f and g' for g,
+whose zeros the paper calls sigma and varsigma.
 """
 
 from __future__ import annotations
@@ -59,8 +66,7 @@ from .errors import ConvergenceError, MonotonicityError, PoleError
 from .equations import Jet, Kind  # Kind is re-exported here
 from .params import CoulombParams
 from .series import EVAL_Z_MAX, Evaluator, SeriesValue
-# find_zeros stays bound here, where perfbench's tracer also wraps it
-from .zeros import ZeroTarget, find_zeros, refine_bracket, scan  # noqa: F401
+from .zeros import ZeroTarget, find_zeros, refine_bracket, scan
 
 _ABSCISSA_TOL = 1e-13
 
@@ -95,9 +101,24 @@ class RadiusResult:
     value: float
     bracket: tuple[float, float]
     residual: float
-    domain_cap: float | None
     iterations: int
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+
+def _cap_target(query: RadiusQuery) -> ZeroTarget:
+    """The function whose first positive zero is the domain cap: F for
+    starlikeness and univalence, F' (kind f) or g' (kind g) for convexity."""
+    if query.property is RadiusProperty.CONVEX:
+        return equations.derivative_target(query.kind)
+    return ZeroTarget.F
+
+
+def domain_cap(query: RadiusQuery) -> float | None:
+    """The domain cap x1 of query's equation, the first positive zero of its
+    cap target as find_zeros refines it, or None where the scan ends before
+    it (x1 beyond |z| = 55 or the noise floor)."""
+    zeros = find_zeros(query.params, _cap_target(query), 1, 0).positive
+    return zeros[0] if zeros else None
 
 
 def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
@@ -113,7 +134,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     certified = (params.check_f_convexity() if convex and kind is Kind.F
                  else params.in_certified_region)
 
-    cap_target = equations.derivative_target(kind) if convex else ZeroTarget.F
+    cap_target = _cap_target(query)
 
     flags: list[str] = []
     if not certified:
@@ -138,26 +159,21 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
     # to -inf at the cap (the direct form has the sign of the ratio form); the
     # first scan step where it is <= 0 (-inf at the cap) holds the radius
     values = Evaluator(params)
-    bracket = cap = None
+    bracket = None
     at_lo = at(0.0, values.value(0.0))[0]  # the first step starts at the origin
     for step in scan(values, cap_target):
-        if bracket is None:
-            hi, at_hi = ((step.zero, (-math.inf, math.nan, math.nan)) if step.zero is not None
-                         else (step.t, at(step.t, step.sv)[0]))
-            if at_hi[0] <= 0.0:
-                bracket = step.t_prev, hi, at_lo, at_hi
-            at_lo = at_hi
-        if step.zero is not None:
-            cap = step.zero
+        hi, at_hi = ((step.zero, (-math.inf, math.nan, math.nan)) if step.zero is not None
+                     else (step.t, at(step.t, step.sv)[0]))
+        if at_hi[0] <= 0.0:
+            bracket = step.t_prev, hi, at_lo, at_hi
             break
+        at_lo = at_hi
     if bracket is None:
         raise ConvergenceError(
             f"no scan step brackets the {query.property.value} radius of (L={L}, eta={eta}): "
             f"the scan ends at |z| = {EVAL_Z_MAX:g}, or where the sign of {cap_target.value} "
             "falls below its noise floor, before the equation changes sign"
         )
-    if cap is None:
-        flags.append("domain-cap-beyond-range")
     lo, hi, at_lo, at_hi = bracket
     ref = refine_bracket(lambda r: at(r, values.value(r))[0], lo, hi, at_lo, at_hi,
                          _ABSCISSA_TOL * max(1.0, hi))
@@ -187,7 +203,6 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         value=ref.root,
         bracket=(lo, hi),
         residual=residual,
-        domain_cap=cap,
         iterations=ref.iterations,
         flags=tuple(flags),
     )

@@ -16,10 +16,12 @@ from coulomb_radii.radii import (
     Kind,
     RadiusProperty,
     RadiusQuery,
+    domain_cap,
     radius,
 )
 from coulomb_radii.rayleigh import bracket_sums
-from coulomb_radii.zeros import ZeroTarget, find_zeros
+from coulomb_radii.series import Evaluator
+from coulomb_radii.zeros import ZeroTarget, find_zeros, scan
 
 P00 = CoulombParams(0.0, 0.0)
 
@@ -56,12 +58,13 @@ class TestStarlike:
         assert res.value == pytest.approx(1.16556118520721, abs=1e-9)
 
     def test_result_diagnostics(self):
-        res = radius(RadiusQuery(P00, "g", "starlike", 0.25))
+        query = RadiusQuery(P00, "g", "starlike", 0.25)
+        res = radius(query)
         lo, hi = res.bracket
         assert lo < res.value < hi
         assert abs(res.residual) <= 1e-10
-        assert res.value < res.domain_cap
-        assert res.domain_cap == pytest.approx(math.pi, abs=1e-9)
+        assert res.value < domain_cap(query)
+        assert domain_cap(query) == pytest.approx(math.pi, abs=1e-9)
         assert res.iterations > 0
 
 
@@ -200,7 +203,7 @@ class TestProperties:
         for kind in ("g", "f"):
             q = RadiusQuery(params, kind, "starlike", 0.0)
             ratio = radius(q, form="ratio")
-            assert ratio.value < ratio.domain_cap
+            assert ratio.value < domain_cap(q)
             direct = radius(q, form="direct").value
             assert abs(ratio.value - direct) <= 1e-13 * max(1.0, ratio.value)
 
@@ -214,15 +217,14 @@ class TestProperties:
 
 class TestEvaluationCounts:
     def test_series_evaluations_per_radius(self, evaluations):
-        # deterministic gate on the solver: the cap scan with its Halley
-        # refine, the Halley steps of the radius from the scan step that
-        # brackets it and the residual, over every query shape at (0.5, -1),
-        # univalent at beta = 0 only, each refine started at the interpolated
-        # point of its end jets, its points and the residual jets of the ends
-        # of its scan step: the cap scan's steps alone (mean 4.3, max 5; 6.65
-        # and 8 with each refine's first point summed, 11.65 and 13 with every
-        # point summed, 13.9 and 15 from Halley steps alone, 19.35 and 20 when
-        # the radius was a second ITP solve on [0, cap])
+        # deterministic gate on the solver: the scan up to the step that
+        # brackets the radius, the Halley steps of the radius from that step
+        # and the residual, over every query shape at (0.5, -1), univalent at
+        # beta = 0 only.  Every radius there, and each point of its solve,
+        # lies within the reach of the origin's table: no sum (mean 4.3, max
+        # 5 when the scan ran on to the cap; 11.65 and 13 with every point
+        # summed, 19.35 and 20 when the radius was a second ITP solve on
+        # [0, cap])
         params = CoulombParams(0.5, -1.0)
         counts = []
         for kind in ("f", "g"):
@@ -232,8 +234,7 @@ class TestEvaluationCounts:
                         evaluations.clear()
                         radius(RadiusQuery(params, kind, prop, beta), form=form)
                         counts.append(len(evaluations))
-        assert sum(counts) / len(counts) <= 4.3
-        assert max(counts) <= 5
+        assert max(counts) == 0
 
 
 class TestLargeEta:
@@ -286,9 +287,10 @@ class TestLargeL:
                                                  ("f", "convex", 60.0, -1.0)])
     def test_radius_without_the_cap(self, kind, prop, L, eta):
         mpmath = pytest.importorskip("mpmath")
-        res = radius(RadiusQuery(CoulombParams(L, eta), kind, prop, 0.0))
-        assert res.domain_cap is None
-        assert "domain-cap-beyond-range" in res.flags
+        query = RadiusQuery(CoulombParams(L, eta), kind, prop, 0.0)
+        res = radius(query)
+        assert domain_cap(query) is None
+        assert res.flags == ()  # the cap is its own query; the CLI flags its absence
         cap_target = ZeroTarget.F if prop == "starlike" else ZeroTarget.F_PRIME
         assert find_zeros(CoulombParams(L, eta), cap_target, 1, 0).positive == ()
         r = res.value
@@ -312,7 +314,7 @@ class TestLargeL:
             q = RadiusQuery(CoulombParams(L, eta), kind, prop, 0.0)
             a, b = radius(q, form="ratio"), radius(q, form="direct")
             assert abs(a.value - b.value) <= 1e-13 * a.value
-            assert b.domain_cap is None
+            assert domain_cap(q) is None
 
 
 class TestDomainCap:
@@ -325,9 +327,42 @@ class TestDomainCap:
     @pytest.mark.parametrize("params", GRID, ids=lambda p: f"L{p.L}_eta{p.eta}")
     def test_cap_is_the_smallest_modulus_zero(self, params):
         for kind, prop, target in self.CASES:
-            cap = radius(RadiusQuery(params, kind, prop, 0.0)).domain_cap
+            cap = domain_cap(RadiusQuery(params, kind, prop, 0.0))
             zs = find_zeros(params, target, 1, 1)
             assert abs(cap - min(zs.positive[0], -zs.negative[0])) <= 1e-12
+
+    # (L, eta, kind, property, beta, form) with the result the solve gave when
+    # it ran its scan on to the cap: value, bracket and residual as hex floats,
+    # and the iterations
+    HOLDS_THE_CAP = [
+        ((0.5, -1.0, "f", "convex", 0.0, "ratio"),
+         ("0x1.1bd01caac6c9cp-1", "0x1.1bd01caac6b22p-1", "0x1.1bd01caac6e15p-1",
+          "-0x1.bea382210ee53p-44", 4)),
+        ((0.0, 0.0, "g", "convex", 0.5, "ratio"),
+         ("0x1.4e798f9ffaa77p-1", "0x1.4e798f9ffaa3cp-1", "0x1.4e798f9ffaab2p-1",
+          "0x0.0p+0", 7)),
+        ((-0.9470250013088233, -2.651393115070862, "g", "convex", 0.0, "direct"),
+         ("0x1.5093b4a355113p-8", "0x1.5093b4a34e030p-8", "0x1.5093b4a35c1f6p-8",
+          "-0x1.4cb1000000000p-38", 5)),
+    ]
+
+    @pytest.mark.parametrize("case,pinned", HOLDS_THE_CAP,
+                             ids=[f"{c[2]}-{c[3]}-L{c[0]:.3g}-eta{c[1]:.3g}"
+                                  for c, _ in HOLDS_THE_CAP])
+    def test_a_bracketing_step_that_holds_the_cap(self, case, pinned):
+        # the scan step that brackets the radius holds x1 too, so the solve
+        # refines x1 and takes [t_prev, x1] as its bracket
+        L, eta, kind, prop, beta, form = case
+        query = RadiusQuery(CoulombParams(L, eta), kind, prop, beta)
+        res = radius(query, form=form)
+        cap = domain_cap(query)
+        step = next(s for s in scan(Evaluator(query.params), derivative_target(kind))
+                    if s.zero is not None)
+        assert step.zero == cap and step.t_prev < res.bracket[0] < res.value < cap
+        value, lo, hi, residual, iterations = pinned
+        assert (res.value, res.bracket, res.residual, res.iterations) == (
+            float.fromhex(value), (float.fromhex(lo), float.fromhex(hi)),
+            float.fromhex(residual), iterations)
 
 
 class TestUnsafe:

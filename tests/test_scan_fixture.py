@@ -3,11 +3,11 @@
 The fixture ``data/scan_fixture.json`` holds, for 30 seeded find_zeros
 cases (L, eta, target and both counts), the zeros as hex floats, the
 truncated flag and the series.counting() totals, and for 60 seeded radius
-queries the value, the bracket and the domain cap as hex floats, the
-iterations and flags, and the totals.  The cases mix |eta| up to 25, where
-the first steps are short and refine points next to the origin are summed,
-with the negative side of find_zeros (the positive side of (L, -eta)) and
-every kind, property and form.  A change to the scan, its refines or the
+queries the value, the bracket and the domain cap (radii.domain_cap) as hex
+floats, the iterations and flags, and the totals of the radius solve.  The
+cases mix |eta| up to 25, where the first steps are short and refine points
+next to the origin are summed, with the negative side of find_zeros (the
+positive side of (L, -eta)) and every kind, property and form.  A change to the scan, its refines or the
 radius solve that is meant to keep their results must leave every byte of
 it in place.  After an intended change, regenerate the fixture and review
 its diff:
@@ -21,7 +21,7 @@ import random
 
 from coulomb_radii import series
 from coulomb_radii.params import CoulombParams
-from coulomb_radii.radii import RadiusQuery, radius
+from coulomb_radii.radii import RadiusQuery, domain_cap, radius
 from coulomb_radii.zeros import find_zeros
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "scan_fixture.json")
@@ -69,10 +69,12 @@ def _rows() -> dict:
                           "truncated": zs.truncated, "totals": counts.totals()})
     for L, eta, kind, prop, beta, form in _radius_cases():
         row = {"L": L, "eta": eta, "kind": kind, "property": prop, "beta": beta, "form": form}
+        query = RadiusQuery(CoulombParams(L, eta), kind, prop, beta)
         with series.counting() as counts:
-            res = radius(RadiusQuery(CoulombParams(L, eta), kind, prop, beta), form=form)
+            res = radius(query, form=form)
+        # the cap is its own query, outside the radius's totals
         row.update(value=_hex(res.value), bracket=[_hex(x) for x in res.bracket],
-                   domain_cap=_hex(res.domain_cap), iterations=res.iterations,
+                   domain_cap=_hex(domain_cap(query)), iterations=res.iterations,
                    flags=list(res.flags), totals=counts.totals())
         radius_rows.append(row)
     return {"find_zeros": zero_rows, "radius": radius_rows}

@@ -48,7 +48,7 @@ def test_disk_scan_rows(capsys):
 def test_bench_rows(capsys):
     load("bench").main(["--repeat", "1"])
     rows = json.loads(capsys.readouterr().out)["rows"]
-    queries = ("radius", "radius_convex_g", "find_zeros", "find_zeros_F_prime",
+    queries = ("radius", "radius_convex_g", "domain_cap", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "table_build",
                          "table_z0.5", "base_build", "base_point", "cli_eval", "cli_eval_warm",
@@ -74,10 +74,14 @@ def test_bench_rows(capsys):
     assert 0 < rows["find_zeros_F_prime"]["evals"] <= 16
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 16
     assert 0 < rows["find_zeros_neg"]["evals"] <= 5
-    assert 0 < rows["radius"]["evals"] <= 2
-    # the g-convex radius lies within the table's reach, and so do its cap
-    # scan's steps: no sum
+    # both radii lie within the table's reach, and the scan stops at the step
+    # that brackets them: no sum (the g-starlike radius took 2 when the scan
+    # ran on to the cap)
+    assert rows["radius"]["evals"] == 0 < rows["radius"]["table_points"]
     assert rows["radius_convex_g"]["evals"] == 0 < rows["radius_convex_g"]["table_points"]
+    # the cap scan to the first zero of F: the two steps past the table's
+    # reach are summed
+    assert 0 < rows["domain_cap"]["evals"] <= 2
     # terms: 1185 each (1185, 1255 and 1185 with jets that reran the
     # recurrence per point; 1258 each with no origin table, 2110, 1994 and
     # 1859 with every second scan step summed, 3566, 3312 and 3177 with every

@@ -1137,41 +1137,49 @@ class TestCounting:
         with series.counting() as counts:
             radius(RadiusQuery(CoulombParams(0.5, -1.0), "g", "starlike", 0.5))
         totals = counts.totals()
-        # two cap scan steps past the table's reach alone: the solve's points
-        # and the residual are the table's (5 sums and 117 terms with no
-        # table, 7 and 169 with the solve's first point summed too, 12 and 307
-        # with every point summed)
+        # the scan stops at the step that brackets the radius, within the
+        # reach of the origin's table, so the scan steps, the solve's points
+        # and the residual are all the table's (2 sums and 62 terms when the
+        # scan ran on to the cap, 5 and 117 with no table, 12 and 307 with
+        # every point summed)
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"], totals["table_points"]) == (2, 62, 6, 3, 9)
+                totals["jets"], totals["table_points"]) == (0, 0, 3, 0, 9)
 
     def test_radius_solve_sums_from_the_origin(self):
-        # at (60, -1) every point of the f-convex solve and the residual are
-        # read from the table at the nearest sum of the cap scan, the cap
-        # scan's steps within the reach of the origin's table are the
-        # table's, two steps in three past it are read from tables at sums,
-        # and every sum is a scan step's, from the origin (mpmath's root lies
-        # 3.3e-12 from this one, well inside the bracket's noise margin of
-        # 2.4e-9 a side)
-        from coulomb_radii.radii import RadiusQuery, radius
+        # at (60, -1) the f-convex scan stops at the step that brackets the
+        # radius, 30 of the 40 steps to its end: its steps within the reach of
+        # the origin's table are the table's, two steps in three past it are
+        # read from tables at sums, and every sum is a scan step's, from the
+        # origin.  Every point of the solve and the residual are read from the
+        # table at the nearest of those sums (mpmath's root lies 7.7e-13 from
+        # this one, well inside the bracket's noise margin of 2.1e-7; 3.3e-12
+        # when the scan ran on to its end and the solve read a table at a sum
+        # past the bracket)
+        from coulomb_radii.radii import RadiusQuery, domain_cap, radius
 
-        params = CoulombParams(60.0, -1.0)
+        query = RadiusQuery(CoulombParams(60.0, -1.0), "f", "convex", 0.0)
         with series.counting() as counts:
-            res = radius(RadiusQuery(params, "f", "convex", 0.0))
-        values = series.Evaluator(params)
-        steps = list(scan(values, ZeroTarget.F_PRIME))
+            res = radius(query)
+        values = series.Evaluator(query.params)
+        steps = []
+        for step in scan(values, ZeroTarget.F_PRIME):
+            steps.append(step)
+            if step.t >= res.value:
+                break
+        assert steps[-1].t_prev < res.bracket[0] < res.bracket[1] < steps[-1].t
         summed = [step.t for step in steps if step.sv._at is not None]
         tabled = [step.t for step in steps
                   if step.sv._at is None and step.sv == values.table(step.t)]
         # the solve's 3 points and the residual are read from tables at sums,
-        # as are the cap scan's steps that are neither summed nor the origin
+        # as are the scan's steps that are neither summed nor the origin
         # table's; the origin is the origin table's for the scan and the solve
-        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 20
+        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 14
         assert counts.table_points == len(tabled) + 2 == 13
         assert counts.refine_steps == 3
-        # the cap lies past |z| = 55, so the scan runs to its end
-        assert res.domain_cap is None
-        assert counts.points == summed and len(summed) == 13
-        assert res.value == 39.54609038198001
+        assert counts.points == summed and len(summed) == 9 and len(steps) == 30
+        assert res.value == 39.54609038197592
+        # the cap lies past |z| = 55
+        assert domain_cap(query) is None
 
     def test_nothing_is_recorded_outside_a_block(self):
         params = CoulombParams(0.5, -1.0)
