@@ -25,8 +25,6 @@ from .params import CoulombParams
 from .radii import RadiusQuery, domain_cap, radius
 from .rayleigh import bracket_sums
 from .series import counting, eval_point
-from .subordination import disk_min_real, region_check
-from .verify import run_all
 from .zeros import ZeroTarget, find_zeros
 
 
@@ -246,6 +244,9 @@ def _run_bounds(args) -> Iterator[_Point]:
 
 
 def _run_region(args) -> Iterator[_Point]:
+    # numpy loads with subordination, so only the commands that need it pay for it
+    from .subordination import disk_min_real, region_check
+
     rep = region_check(args.L, args.eta)
     result = {"re_positive_ok": rep.re_positive_ok, "starlike_ok": rep.starlike_ok,
               "margins": dict(rep.margins)}
@@ -264,6 +265,8 @@ def _run_region(args) -> Iterator[_Point]:
 
 
 def _run_verify(args) -> Iterator[_Point]:
+    from .verify import run_all  # imports subordination, and with it numpy
+
     picks = None
     if args.criteria is not None:
         try:
