@@ -62,12 +62,21 @@ evaluation raises ConvergenceError.
 Tables.  A point next to the origin or to a sum an Evaluator keeps, at z0,
 is read from a table of the Taylor coefficients c_n of P about z0 in
 doubles, grown as far as the points asked need, to at most _TABLE_TERMS = 32
-rows.  At the origin (L > -1) c_n = a_n, from a_0 = 1, a_(-1) = 0 and
-a_n = (2 eta a_(n-1) - a_(n-2))/d_n, with d_n = n (n + (2L+1)) > 0 within
-three roundings of its value, and
-e_n = ((|2 eta| e_(n-1) + e_(n-2)) + 6 eps (|2 eta a_(n-1)| + |a_(n-2)|))/d_n
-bounds |a_n - exact a_n| (eps = 2^-53, each step rounded up by _UP).  At a
-sum, the Coulomb equation (DLMF 33.2.1) written for P,
+rows.  At the origin (L > -1) c_n = a_n, each within one rounding of its
+exact value plus a proven floor-error term.  The terms t_n = a_n R^n of the
+sum at R = 2^k, the least power of two past the table's far end (and at
+least 2^-8), come from the recurrence above in fixed point, with L, eta and
+R exact: T_n = floor((2 eta R T_(n-1) - R^2 T_(n-2))/d_n) in units of
+2^-s, d_n = n(n+2L+1) > 0, where every denominator but d_n's is a power of
+two.
+Each T_n rounds once to a double and scales back by R^-n exactly, and
+e_n = (|2 eta| e_(n-1) + e_(n-2))/d_n + 2^-(s+kn) bounds the floors' errors
+carried into a_n (each step rounded up by _UP).  Where T_n and T_(n-1) both
+fall below 2^(53 + _GUARD_BITS), as the terms of a large L do, both move up
+to that many bits, exactly, so e_n stays _GUARD_BITS below the rounding of
+a_n.  The rows are those of -|eta|, the odd ones negated where eta has its
+sign bit clear, so the rows of (L, -eta) are (-1)^n those of (L, eta),
+exactly.  At a sum, the Coulomb equation (DLMF 33.2.1) written for P,
 z P'' + 2(L+1) P' + (z - 2 eta) P = 0, gives from c_0 = P(z0), c_1 = P'(z0)
 
     z0 n(n-1) c_n = -(n-1)(n+2L) c_(n-1) - (z0 - 2 eta) c_(n-2) - c_(n-3),
@@ -75,9 +84,10 @@ z P'' + 2(L+1) P' + (z - 2 eta) P = 0, gives from c_0 = P(z0), c_1 = P'(z0)
 and from e_0 and e_1, the sum's bounds,
 e_n = (|(n-1)(n+2L)| f_(n-1) + |z0 - 2 eta| f_(n-2) + f_(n-3))/(|z0| n(n-1)),
 f_k = e_k + 16 eps |c_k| for the (at most seven) roundings c_k brings into
-a later row.  The tails are geometric.  At the origin d_m >= d_(N+1) for
-m > N, and the root sigma of sigma^2 = (|2 eta| sigma + 1)/d_(N+1) bounds
-every later ratio.  At a sum the recurrence's coefficients for m > N are at
+a later row (eps = 2^-53).  The tails are geometric.  At the origin
+d_m >= d_(N+1) for m > N, and the root sigma of
+sigma^2 = (|2 eta| sigma + 1)/d_(N+1) bounds every later ratio.  At a sum
+the recurrence's coefficients for m > N are at
 most those at m = N+1, A = max(1, |m+2L|/m)/|z0|, B = |z0 - 2 eta|/(m(m-1)|z0|)
 and C = 1/(m(m-1)|z0|) ((m+2L)/m falls with m for L >= 0, stays below 1 for
 -m/2 <= L < 0, and |m+2L|/m falls with m below that), and so does a sigma at
@@ -88,15 +98,21 @@ k = 0, 1 (and 2 at a sum); with K = B sigma and r = sigma |h| (N+2)/N < 1 the
 tails of the three sums below are at most K |h|^(N+1)/(1-r),
 (N+1) K |h|^N/(1-r) and (N+1) N K |h|^(N-1)/(1-r).
 
-A point z0 + h takes the rows 0..N: P, P' and P'' are the forward sums of
-c_n h^n, n c_n h^(n-1) and n(n-1) c_n h^(n-2) in plain floats and a fixed
-order, each power the last one times |h| (the rows read at h < 0 carry the
-powers' signs).  Each term rounds at most N+2 times, its weight included,
-so each sum errs by at most gamma_(N+2) <= gamma_34 times the sum of its
-terms' moduli (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-ed., sections 3.1 and 4.2, gamma_k = k eps/(1 - k eps)), plus the errors
-e_n |h|^n, so row n holds w_n = gamma_34 |c_n| + e_n, and each bound is the
-forward sum of the weighted w_n |h|^n plus the tail, rounded up.  The reach
+A point z0 + h takes the rows 0..N in one Horner pass over the rows N..0
+at the signed h, s2 = s2 h + s1, s1 = s1 h + s0, s0 = s0 h + c_n, which
+leaves P, P' and P''/2.  Along each of its paths the term of row n of P
+rounds at most 2n + 1 times, and once more as a row at the origin, and
+those of P' and P'' fewer, so each value errs by at most the sum of
+gamma_(2n+2) |c_n| |h|^n over its terms (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., eq. 5.3 and section 5.1; gamma_k =
+k eps/(1 - k eps)), plus the rows' errors e_n |h|^n.  So row n holds c_n
+and w_n = gamma_(2n+2) |c_n| + e_n, and the three bounds are the same pass
+at |h| over the w_n, with the tail bound K/(1-r) as the weight of row N+1,
+rounded up.  A product that underflows errs by less than 2^-1075, which
+every w_n covers (e_n > 2^-900 at the origin, and w_n holds _TINY at a
+sum).  At -h over the rows (-1)^n c_n the pass makes the same roundings,
+signs flipped, so Evaluator.reflected reads the table of (L, eta) at -t,
+P' negated, bit for bit.  The reach
 of the rows 0..N is the largest |h| with r <= _TABLE_RATIO = 7/8 where the
 tail of P'', the largest of the three against its terms, lies below the
 bound k(k-1) w_k |h|^(k-2) of its term k = 2, 3 or (N+1)//2 (the last where
@@ -105,39 +121,39 @@ It is kept monotone in N, and a
 point takes the fewest rows whose reach holds |h|: its bits depend on the
 sum and h alone, not on how far the table has grown.  A table refuses a
 point past the reach of its 32 rows or past |z| = 55, one where
-|h|^(N+1) > 0 leaves the normal range (its powers and tail bound would lose
-their relative error bounds), and one where P, P' or P'' is noise_limited;
+|h|^(N+1) > 0 leaves the normal range (the tail bound would lose its
+relative error bound), and one where P, P' or P'' is noise_limited;
 the caller then sums it.  At a sum it refuses |h| >= |z0|/2 as well, the
 largest share of |z0| within which z0/2 <= z <= 2 z0, so that h = z - z0 is
 exact (Sterbenz); the origin's table refuses a point where the bound of P
 passes _TABLE_BUDGET = 1e-13 of |P| (next to a zero of P, or where the
 terms cancel), where a sum is short.  A table value keeps no point, so it
 is the base of no table, and errors never chain; the origin's exact value,
-a sum at z = 0, has no reach.  The rows of (L, -eta) at the origin are
-(-1)^n those of (L, eta), exactly, so Evaluator.reflected reads the table of
-(L, eta) at -t, P' negated, bit for bit.  jet reads one point from a fresh
-table at a sum.  At (0.5, -1) the origin's table reaches 4.4 (z = 0.5 takes
-16 rows); the table at the sum at 40 serves h = 0.01, 1.5 and 3.0 from 9, 23
-and 30 rows.
+a sum at z = 0, has no reach.  jet reads one point from a fresh table at a
+sum.  At (0.5, -1) the origin's table reaches 4.1 (z = 0.5 takes 17 rows
+and is bounded at 5.6e-16 of P; z = 2.0 at 2.8e-14, where gamma_34 on every
+row and e_n from a recurrence in doubles gave 3.1e-13, past the budget);
+the table at the sum at 40 serves h = 0.01, 1.5 and 3.0 from 9, 23 and 30
+rows.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
 exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps the
 origin's table, the sums of one query at one (L, eta) and the table at each
-sum a point asked for, and it alone picks what serves a point: the zero
-scan takes every third grid point from the origin's table within its reach
-and sums it past (Evaluator.direct; Evaluator.sum sums a point once per
-query), and every other point of the scan, of its refines and of the radius
-solve is Evaluator.value: the origin table's value, or else that of the
+sum a point asked for, and the method its caller asks picks what serves a
+point: the zero scan sends every third grid point to Evaluator.direct, the
+origin table's value within its reach and a sum past it (Evaluator.sum sums
+a point once per query), and every other point of the scan, of its refines
+and of the radius solve is Evaluator.value: the origin table's value, or else that of the
 table at the nearest kept sum, or else a sum that is kept.  A point below
 every kept sum is summed rather than read towards the origin, where the
 second solution of the Coulomb equation is singular: at (48, 0) the origin's
-table reaches 10.6, and the table at a sum at 12.5 gives 11.5 a bound of
-1.0e-13 on P = 0.51.  counting() counts every sum made inside its block,
+table reaches 10.0, and the table at a sum at 12.5 gives 11.5 a bound of
+9.8e-14 on P = 0.51.  counting() counts every sum made inside its block,
 where it is made, the points served from tables at sums (jets) and from the
-origin's table, the rows the tables build, the steps of
-zeros.refine_bracket and the hits and misses of eval_point's memo; outside a
+origin's table, the rows the tables build and the points they refuse, the
+steps of zeros.refine_bracket and the hits and misses of eval_point's memo; outside a
 block each of them pays one ContextVar lookup.
 """
 
@@ -174,14 +190,16 @@ _TINY = 2.0 ** -1060  # ... plus this, for a term that leaves the normal range
 _NORMAL = 2.0 ** -1022  # the smallest normal double
 _TABLE_TERMS = 32  # a table holds at most this many coefficients
 _TABLE_RATIO = 0.875  # ... within the reach r = sigma |h| (N+2)/N stays at most this
-_TABLE_GAMMA = (_TABLE_TERMS + 2.0) * _EPS / (1.0 - (_TABLE_TERMS + 2.0) * _EPS)  # gamma_(N+2), N < 32
+# gamma_(2n+2) = k eps/(1 - k eps), k = 2n + 2: the roundings of row n's term in one Horner pass
+_TABLE_GAMMA = tuple((2.0 * n + 2.0) * _EPS / (1.0 - (2.0 * n + 2.0) * _EPS) for n in range(_TABLE_TERMS))
 _TABLE_BUDGET = 1e-13  # the origin's table refuses a point where the bound of P passes this share of P
 
 # n = N + 1 rows: the largest r over sigma, the tail of P'' over K |h|^(N-1),
-# and the exponents that turn its bounds against its terms 2, 3 and
-# mid = n // 2 into |h|
+# the exponents that turn its bounds against its terms 2 and 3 into |h|, and
+# mid = n // 2, mid (mid - 1) and the exponent for its term mid
 _REACH = {n: (_TABLE_RATIO * (n - 1.0) / (n + 1.0), n * (n - 1.0) / (1.0 - _TABLE_RATIO),
-              1.0 / (n - 2.0), 1.0 / (n - 3.0), n // 2, 1.0 / (n - n // 2)) for n in range(4, _TABLE_TERMS + 1)}
+              1.0 / (n - 2.0), 1.0 / (n - 3.0), n // 2, (n // 2) * (n // 2 - 1.0), 1.0 / (n - n // 2))
+          for n in range(4, _TABLE_TERMS + 1)}
 
 @dataclass
 class SumCounts:
@@ -191,8 +209,13 @@ class SumCounts:
     refine_steps the iterations of zeros.refine_bracket; jets the values
     served by a table at a sum (jet's or an Evaluator's) and table_points
     those served by a table at the origin, neither of them sums; table_rows
-    the rows both kinds of table build; memo_hits and memo_misses the
-    lookups in eval_point's memo, each miss also a sum."""
+    the rows both kinds of table build; refused_in_reach the points a table
+    of either kind refused after reading its rows (its bound of P passes
+    the budget, a value is noise-limited, its powers leave the normal range
+    or a value overflows), and refused_past_reach those it refused unread,
+    past the reach of its 32 rows or past its far end (jet counts a point
+    past |z| = 55 there too); memo_hits and memo_misses the lookups in
+    eval_point's memo, each miss also a sum."""
 
     points: list[float] = field(default_factory=list)
     terms: int = 0
@@ -200,6 +223,8 @@ class SumCounts:
     jets: int = 0
     table_points: int = 0
     table_rows: int = 0
+    refused_in_reach: int = 0
+    refused_past_reach: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -379,32 +404,73 @@ def jet(value: SeriesValue, z: float) -> SeriesValue | None:
     z = float(z)
     if z == z0:
         return value
-    return _Table.at(value).value(z - z0) if abs(z) <= EVAL_Z_MAX else None
+    return _Table.at(value).value(z - z0) if abs(z) <= EVAL_Z_MAX else _refused(True)
 
 
-def _origin_rows(L: float, eta: float) -> Iterator[tuple[float, float, float, float]]:
-    """a_n and its weight w_n, with the sigma and K of the tail bound of the
+def _origin_rows(L: float, eta: float, k: int) -> Iterator[tuple[tuple[float, ...], tuple[float, float]]]:
+    """Row n of the origin's table (_Table) with the sigma and K of the tail
+    bound of the rows 0..n (module docstring, Tables): a_n from the terms
+    a_n R^n of the sum at R = 2^k in fixed point, each rounded once to a
+    double and scaled back."""
+    Ln, Ld = L.as_integer_ratio()
+    En, Ed = (-abs(eta)).as_integer_ratio()
+    # T_n = floor((En T_(n-1) 2^xa - T_(n-2) 2^xb) / (m_n 2^xc)) for
+    # n(n+2L+1) t_n = 2 eta R t_(n-1) - R^2 t_(n-2), t_n = a_n R^n, eta <= 0,
+    # m_n = n (n Ld + 2 Ln + Ld) = Ld n(n+2L+1): Ld, Ed and R are powers of
+    # two, so shifts carry them
+    p, q = Ld.bit_length() - 1, Ed.bit_length() - 1
+    xa, xb, xc = 1 + p + k, q + p + 2 * k, q
+    low = min(xa, xb, xc)
+    xa, xb, xc = xa - low, xb - low, xc - low
+    ate, up, hup, tiny, gammas, sqrt = abs(2.0 * eta), _UP, 0.5 * _UP, _TINY, _TABLE_GAMMA, math.sqrt
+    # T_n and T_(n-1) in units of 2^-s, so a_n = T_n ps, ps = 2^-(s + k n),
+    # within f_n = (|2 eta| f_(n-1) + f_(n-2))/c_n + ps, the floors' errors
+    # carried through the recurrence (each step rounded up by _UP); where
+    # both fall below 2^bits (and a_n is above about 2^-600), the two move up
+    # to that many bits, exactly, so each row keeps its relative precision:
+    # a double's 53 bits and _GUARD_BITS more, by which f_n stays below the
+    # rounding of a_n
+    bits = s = 53 + _GUARD_BITS
+    t, t1, f, f1 = 1 << s, 0, 0.0, 0.0
+    rinv = math.ldexp(1.0, -k)
+    psu = math.ldexp(up, -s)  # ps _UP
+    # the rows of -|eta|, negated at odd n where eta has its sign bit clear,
+    # so the rows of (L, -eta) are (-1)^n those of (L, eta), exactly
+    sc, rs = math.ldexp(1.0, -s), (-rinv if math.copysign(1.0, eta) > 0.0 else rinv)
+    m, step, step2 = 0, 2 * (Ld + Ln), 2 * Ld
+    cn, u1 = step / Ld, 1.0  # c_1 = m_1 / Ld, rounded once; |a_0|
+    yield (1.0, gammas[0] + tiny), (0.0, 0.0)
+    for n in range(1, _TABLE_TERMS):
+        m += step
+        step += step2
+        t, t1 = ((((En * t) << xa) - (t1 << xb)) >> xc) // m, t
+        psu *= rinv
+        sc *= rs
+        f, f1 = (ate * f + f1) * (up / cn) + psu, f
+        try:
+            a = float(t) * sc
+        except OverflowError:  # a_n beyond the double range
+            a = math.copysign(math.inf, t)
+        if t.bit_length() < bits and t1.bit_length() < bits:
+            j = bits - max(t.bit_length(), t1.bit_length())
+            if s + k * n + j <= bits + 600:
+                t, t1, s = t << j, t1 << j, s + j
+                psu, sc = math.ldexp(psu, -j), math.ldexp(sc, -j)
+        u = abs(a)
+        # cn = c_(n+1) <= c_m for every m > n, and rho of _tail_ratio
+        cn = (m + step) / Ld
+        rho = ate / cn
+        rho = (rho + sqrt(rho * rho + 4.0 / cn)) * hup
+        big, prev = u + f, rho * (u1 + f1)
+        # f >= ps > 2^-900 covers an underflow in a point's Horner pass
+        yield (a, gammas[n] * u + f), (rho, (big if big > prev else prev) * rho * up + tiny)
+        u1 = u
+
+
+def _base_rows(value: SeriesValue) -> Iterator[tuple[tuple[float, ...], tuple[float, float]]]:
+    """Row n of the table at the sum value at z0 (_Table), c_n the Taylor
+    coefficient of P about z0, with the sigma and K of the tail bound of the
     rows 0..n (module docstring, Tables)."""
-    te, l1 = 2.0 * eta, 2.0 * L + 1.0
-    ate, eps, up, tiny, gamma = abs(te), _EPS, _UP, _TINY, _TABLE_GAMMA
-    a2 = e2 = u2 = e1 = 0.0  # a_(-1) = 0
-    a1 = u1 = 1.0
-    yield 1.0, gamma, 0.0, 0.0
-    n = 1
-    while True:
-        c = n * (n + l1)
-        a = (te * a1 - a2) / c
-        e = ((ate * e1 + e2) + 6.0 * eps * (ate * u1 + u2)) / c * up
-        a2, e2, u2, a1, e1, u1 = a1, e1, u1, a, e, abs(a)
-        n += 1
-        rho = _tail_ratio(ate, n * (n + l1))  # c_m >= c_(n+1) for every m > n
-        big, prev = u1 + e1, rho * (u2 + e2)
-        yield a, gamma * u1 + e, rho, (big if big > prev else prev) * rho * up + tiny
-
-
-def _base_rows(value: SeriesValue) -> Iterator[tuple[float, float, float, float]]:
-    """c_n of P about the sum value at z0 and its weight w_n, with the sigma
-    and K of the tail bound of the rows 0..n (module docstring, Tables)."""
     L, eta, z0 = value._at
     l2, zb, iz = 2.0 * L, z0 - 2.0 * eta, 1.0 / abs(z0)
     azb, rnd, up, tiny = abs(zb), _ROW_ROUND, _UP, _TINY
@@ -415,11 +481,11 @@ def _base_rows(value: SeriesValue) -> Iterator[tuple[float, float, float, float]
     e2, e1 = value.noise[0], value.noise[1]
     c3 = f3 = 0.0
     f2, f1 = e2 + rnd * u2, e1 + rnd * u1
-    gamma = _TABLE_GAMMA
-    yield c2, gamma * u2 + e2, 0.0, 0.0
-    yield c1, gamma * u1 + e1, 0.0, 0.0
-    sigma, n = 0.0, 2
-    while True:
+    gammas = _TABLE_GAMMA
+    yield (c2, gammas[0] * u2 + e2 + tiny), (0.0, 0.0)
+    yield (c1, gammas[1] * u1 + e1 + tiny), (0.0, 0.0)
+    sigma = 0.0
+    for n in range(2, _TABLE_TERMS):
         g = (n - 1.0) * (n + l2)
         c = -(g * c1 + zb * c2 + c3) / (z0 * (n * (n - 1.0)))
         u = abs(c)
@@ -438,10 +504,9 @@ def _base_rows(value: SeriesValue) -> Iterator[tuple[float, float, float, float]
         big = u1 + e1
         w = sigma * (big if big > w else w)
         big = u + e
-        yield c, gamma * u + e, sigma, (big if big > w else w) * sigma * up + tiny
+        yield (c, gammas[n] * u + e + tiny), (sigma, (big if big > w else w) * sigma * up + tiny)
         c3, c2, c1, u2, u1, e2, e1 = c2, c1, c, u1, u, e1, e
         f3, f2, f1 = f2, f1, e + rnd * u
-        n += 1
 
 
 class _Table:
@@ -449,18 +514,16 @@ class _Table:
     sum, in doubles, grown as far as the points asked need (module
     docstring, Tables).
 
-    Row n holds c_n, n c_n and n(n-1) c_n, then w_n = gamma_34 |c_n| + e_n,
-    n w_n and n(n-1) w_n; reach[N - 3] is the reach of the rows 0..N, at
-    least that of every shorter table, and tails[N - 3] holds the sigma and
-    K of their tail bound.
+    Row n holds c_n and w_n = gamma_(2n+2) |c_n| + e_n; reach[N - 3] is the
+    reach of the rows 0..N, at least that of every shorter table, and
+    tails[N - 3] holds the sigma and K of their tail bound.
     """
 
-    __slots__ = ("_source", "_far", "_origin", "_scale", "_mirror", "rows", "reach", "tails")
+    __slots__ = ("_source", "_far", "_origin", "_scale", "rows", "reach", "tails")
 
-    def __init__(self, source: Iterator[tuple[float, float, float, float]], far: float,
+    def __init__(self, source: Iterator[tuple[tuple[float, ...], tuple[float, float]]], far: float,
                  origin: bool):
         self._source, self._far, self._origin = source, far, origin
-        self._mirror: list[tuple[float, ...]] = []
         self.rows: list[tuple[float, ...]] = []
         self.reach: list[float] = []
         self.tails: list[tuple[float, float]] = []
@@ -470,10 +533,12 @@ class _Table:
         """The table of the origin's coefficients of (L, eta), L > -1."""
         # the reach of the rows 0..N is at most 7/8 N/((N+2) sigma), which
         # grows with N: no table reaches past its value for the full table,
-        # nor past |z| = 55
+        # nor past |z| = 55; the rows are the terms of the sum at a power of
+        # two at least that far, and at least 2^-8
         m = _TABLE_TERMS - 1.0
         far = _TABLE_RATIO * m / ((m + 2.0) * _tail_ratio(abs(2.0 * eta), (m + 1.0) * (m + 2.0 + 2.0 * L)))
-        table = cls(_origin_rows(L, eta), far if far < EVAL_Z_MAX else EVAL_Z_MAX, True)
+        far = far if far < EVAL_Z_MAX else EVAL_Z_MAX
+        table = cls(_origin_rows(L, eta, max(math.frexp(far)[1], -8)), far, True)
         table._grow(0.0)
         return table
 
@@ -486,87 +551,97 @@ class _Table:
     def _grow(self, t: float) -> None:
         """Rows until the reach passes t or the table is full, and from N = 3
         on the reach of the rows 0..N (module docstring, Tables)."""
-        rows, reach, tails = self.rows, self.reach, self.tails
+        rows, reach, tails, bounds = self.rows, self.reach, self.tails, _REACH
         last = reach[-1] if reach else 0.0
         n = start = len(rows)
-        for c, w, sigma, big in self._source:
-            k = n * (n - 1.0)
-            rows.append((c, n * c, k * c, w, n * w, k * w))
+        lead2, lead3 = self._scale if n >= 4 else (0.0, 0.0)
+        for row, tail in self._source:  # at most _TABLE_TERMS rows
+            rows.append(row)
             n += 1
             if n < 4:
                 continue
             if n == 4:  # the bounds of the leading terms of P'' at |h| = 1
-                self._scale = (rows[2][5], rows[3][5])
+                lead2, lead3 = self._scale = (2.0 * rows[2][1], 6.0 * rows[3][1])
             # the rows 0..N, N = n - 1, with r <= _TABLE_RATIO: where the tail
             # of P'', f |h|^(N-1), meets the bound of its term 2, 3 or mid
-            ratio, weight, x1, x2, mid, xm = _REACH[n]
-            lead, f = self._scale, weight * big
-            a, b = (lead[0] / f) ** x1, (lead[1] / f) ** x2
+            ratio, weight, x1, x2, mid, kmid, xm = bounds[n]
+            sigma, big = tail
+            f = weight * big
+            a, b = (lead2 / f) ** x1, (lead3 / f) ** x2
             a = a if a > b else b
-            b, r = (rows[mid][5] / f) ** xm, ratio / sigma
+            b, r = (kmid * rows[mid][1] / f) ** xm, ratio / sigma
             a = a if a > b else b
             r = r if r < a else a
             last = r if r > last else last
             reach.append(last)
-            tails.append((sigma, big))
-            if last >= t or n == _TABLE_TERMS:
+            tails.append(tail)
+            if last >= t:
                 break
         counts = _record.get()
         if counts is not None:
             counts.table_rows += n - start
 
     def value(self, x: float, flip: float = 1.0) -> SeriesValue | None:
-        """P, P' and P'' at z0 + x, |x| within the reach, as forward sums of
-        the rows, P' times flip, or None where the table refuses x (module
-        docstring, Tables)."""
+        """P, P' and P'' at z0 + x, |x| within the reach, from one Horner
+        pass over the rows N..0 at x, P' times flip, or None where the table
+        refuses x (module docstring, Tables)."""
         t = abs(x)
         if not t <= self._far:
-            return None
+            return _refused(True)
         reach = self.reach
         if not reach or reach[-1] < t:
             if len(self.rows) < _TABLE_TERMS:
                 self._grow(t)
             if reach[-1] < t:
-                return None
+                return _refused(True)
         n = bisect.bisect_left(reach, t) + 3
-        rows = self.rows
-        if x < 0.0:
-            # the rows with the signs of x^n, x^(n-1) and x^(n-2) folded in
-            rows = self._mirror
-            for k in range(len(rows), n + 1):
-                c0, c1, c2, w0, w1, w2 = self.rows[k]
-                rows.append((-c0, c1, -c2, w0, w1, w2) if k % 2 else (c0, -c1, c2, w0, w1, w2))
-        # p0, p1 and p2 are t^n, t^(n-1) and t^(n-2) at row n, t = |x|, each
-        # power rounded once more than the last
-        s0 = s1 = s2 = m0 = m1 = m2 = p1 = p2 = 0.0
-        p0 = 1.0
-        for c0, c1, c2, w0, w1, w2 in rows[:n + 1]:
-            s0 += c0 * p0
-            s1 += c1 * p1
-            s2 += c2 * p2
-            m0 += w0 * p0
-            m1 += w1 * p1
-            m2 += w2 * p2
-            p2, p1, p0 = p1, p0, p0 * t
-        if 0.0 < t and p0 < _NORMAL:  # a power, t^(n+1) the least, below the normal range
-            return None
+        p = t ** (n + 1)
+        if 0.0 < t and p < _NORMAL:  # a power, t^(n+1) the least, below the normal range
+            return _refused(False)
         sigma, big = self.tails[n - 3]
         q = big / (1.0 - sigma * t * (n + 2.0) / n)  # r <= _TABLE_RATIO within the reach
-        b0 = (m0 + q * p0) * _UP + _TINY
-        b1 = (m1 + (n + 1.0) * q * p1) * _UP + _TINY
-        b2 = (m2 + (n + 1.0) * n * q * p2) * _UP + _TINY
-        if (not abs(s0) + abs(s1) + abs(s2) + b0 + b1 + b2 < math.inf
-                or (self._origin and not b0 <= _TABLE_BUDGET * abs(s0))
-                or noise_limited(s0, b0) or noise_limited(s1, b1) or noise_limited(s2, b2)):
-            return None
+        # P, P' and P''/2 by Horner's rule at x, each derivative's sum taking
+        # the one before it in; their bounds the same at t over the weights,
+        # from the tail bound q as the weight of row n + 1
+        s0 = s1 = s2 = m1 = m2 = 0.0
+        m0 = q
+        for c, w in self.rows[n::-1]:
+            s2 = s2 * x + s1
+            s1 = s1 * x + s0
+            s0 = s0 * x + c
+            m2 = m2 * t + m1
+            m1 = m1 * t + m0
+            m0 = m0 * t + w
+        s2 *= 2.0
+        b0 = m0 * _UP + _TINY
+        b1 = m1 * _UP + _TINY
+        b2 = 2.0 * m2 * _UP + _TINY
+        a0, a1, a2 = abs(s0), abs(s1), abs(s2)
+        # the budget, and noise_limited for each value
+        if (not a0 + a1 + a2 + b0 + b1 + b2 < math.inf
+                or (self._origin and not b0 <= _TABLE_BUDGET * a0)
+                or (a0 <= 8.0 * b0 and b0 > 1e-14) or (a1 <= 8.0 * b1 and b1 > 1e-14)
+                or (a2 <= 8.0 * b2 and b2 > 1e-14)):
+            return _refused(False)
         counts = _record.get()
         if counts is not None:
             if self._origin:
                 counts.table_points += 1
             else:
                 counts.jets += 1
-        return SeriesValue(s0, flip * s1, s2, truncation_terms=n + 1, tail_estimate=q * p0 * _UP,
+        return SeriesValue(s0, flip * s1, s2, truncation_terms=n + 1, tail_estimate=q * p * _UP,
                            noise=(b0, b1, b2))
+
+
+def _refused(past: bool) -> None:
+    """Count a point a table refuses, past its reach or else after reading
+    its rows (SumCounts), and return None."""
+    counts = _record.get()
+    if counts is not None:
+        if past:
+            counts.refused_past_reach += 1
+        else:
+            counts.refused_in_reach += 1
 
 
 class Evaluator:

@@ -129,18 +129,19 @@ class TestUnivalence:
         assert 0 < res.iterations <= 200
 
     def test_exact_zero_of_the_equation_widens_the_bracket(self):
-        # the f-univalence solve at (-0.4, -3) lands on an exact zero of its
+        # the f-univalence solve at (-0.4, -4) lands on an exact zero of its
         # computed ratio form, where refine_bracket closes the bracket to that
         # point; the bracket is widened by the equation's noise over its slope
         # and holds mpmath's root, the first zero of F' (the solves at
-        # (0.5, -1) and (0, -2) did so from other first points of the refine)
+        # (0.5, -1) and (0, -2) did so from other first points of the refine,
+        # and the one at (-0.4, -3) with the forward sums of the origin's table)
         mpmath = pytest.importorskip("mpmath")
-        res = radius(RadiusQuery(CoulombParams(-0.4, -3.0), "f", "univalent"))
+        res = radius(RadiusQuery(CoulombParams(-0.4, -4.0), "f", "univalent"))
         lo, hi = res.bracket
         assert res.residual == 0.0
         assert lo < res.value < hi and hi - lo <= 1e-13
         with mpmath.workdps(40):
-            root = mpmath.findroot(lambda t: mpmath.diff(lambda u: mpmath.coulombf(-0.4, -3, u), t),
+            root = mpmath.findroot(lambda t: mpmath.diff(lambda u: mpmath.coulombf(-0.4, -4, u), t),
                                    res.value)
             assert lo <= root <= hi
 
@@ -331,19 +332,21 @@ class TestDomainCap:
             zs = find_zeros(params, target, 1, 1)
             assert abs(cap - min(zs.positive[0], -zs.negative[0])) <= 1e-12
 
-    # (L, eta, kind, property, beta, form) with the result the solve gave when
-    # it ran its scan on to the cap: value, bracket and residual as hex floats,
-    # and the iterations
+    # (L, eta, kind, property, beta, form) with the result the solve gives:
+    # value, bracket and residual as hex floats, and the iterations; each
+    # bracket holds the 50-digit root of the direct form (TestBracketHoldsTheRoot)
+    # and the value lies within 4e-14 of it (the first lands on an exact zero
+    # of its equation)
     HOLDS_THE_CAP = [
         ((0.5, -1.0, "f", "convex", 0.0, "ratio"),
-         ("0x1.1bd01caac6c9cp-1", "0x1.1bd01caac6b22p-1", "0x1.1bd01caac6e15p-1",
-          "-0x1.bea382210ee53p-44", 4)),
+         ("0x1.1bd01caac6b9cp-1", "0x1.1bd01caac6b92p-1", "0x1.1bd01caac6ba6p-1",
+          "0x0.0p+0", 3)),
         ((0.0, 0.0, "g", "convex", 0.5, "ratio"),
-         ("0x1.4e798f9ffaa77p-1", "0x1.4e798f9ffaa3cp-1", "0x1.4e798f9ffaab2p-1",
-          "0x0.0p+0", 7)),
+         ("0x1.4e798f9ffa915p-1", "0x1.4e798f9ffa7adp-1", "0x1.4e798f9ffaa7dp-1",
+          "0x1.3e80000000000p-44", 8)),
         ((-0.9470250013088233, -2.651393115070862, "g", "convex", 0.0, "direct"),
-         ("0x1.5093b4a355113p-8", "0x1.5093b4a34e030p-8", "0x1.5093b4a35c1f6p-8",
-          "-0x1.4cb1000000000p-38", 5)),
+         ("0x1.5093b4a355112p-8", "0x1.5093b4a34e05fp-8", "0x1.5093b4a35c1c6p-8",
+          "-0x1.4caf000000000p-38", 5)),
     ]
 
     @pytest.mark.parametrize("case,pinned", HOLDS_THE_CAP,

@@ -679,7 +679,8 @@ class TestJets:
             series.jet(base, 16.0)  # beyond the reach: no jet, and no sum
         rows = sv.truncation_terms
         assert 4 <= rows <= series._TABLE_TERMS
-        assert counts.totals() == {**series.SumCounts().totals(), "jets": 1, "table_rows": rows}
+        assert counts.totals() == {**series.SumCounts().totals(), "jets": 1, "table_rows": rows,
+                                   "refused_past_reach": 1}
 
     def test_a_value_has_no_dict(self):
         # SeriesValue has slots: a value is a few doubles, nothing kept beside
@@ -1053,7 +1054,9 @@ class TestTablesAtSums:
             again = {z: last.value(z) for z in near} | {far: last.value(far)}
             assert len(first._bases[z0].rows) > len(series._Table.at(first.sum(z0)).rows)
             for z, sv in got.items():
-                alone = series.jet(first.sum(z0), z)
+                # a point the origin's table serves is that table's, and any
+                # other the jet of the sum
+                alone = first.table(z) or series.jet(first.sum(z0), z)
                 assert TestReflection.bits(sv, 1.0) == TestReflection.bits(again[z], 1.0), (L, eta, z)
                 assert alone is not None and TestReflection.bits(sv, 1.0) == TestReflection.bits(alone, 1.0)
                 served += 1
@@ -1110,9 +1113,15 @@ class TestCounting:
         # of a summed scan step; 20 sums and 1258 terms with no table, 32 and
         # 2110 with every second scan step summed, 47 and 3566 with every scan
         # step summed, 67 and 5305 with each refine's first point summed from
-        # the origin too, 117 and 10198 with every point summed from the origin
+        # the origin too, 117 and 10198 with every point summed from the origin.
+        # The table serves the scan step at 3.31 (16 sums and 1185 terms when
+        # its bound weighed every row with gamma_34), so the step at 4.55, no
+        # longer a jet of that sum, is summed instead
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"], totals["table_points"]) == (16, 1185, 70, 96, 7)
+                totals["jets"], totals["table_points"]) == (16, 1191, 70, 95, 8)
+        # the table refuses 4 points after reading its rows, and 108 past
+        # its reach or far end
+        assert (totals["refused_in_reach"], totals["refused_past_reach"]) == (4, 108)
 
     def test_find_zeros_sums_only_its_scan_steps(self):
         # the negative side is summed as the positive side of (L, -eta); the
@@ -1151,10 +1160,12 @@ class TestCounting:
         # the origin's table are the table's, two steps in three past it are
         # read from tables at sums, and every sum is a scan step's, from the
         # origin.  Every point of the solve and the residual are read from the
-        # table at the nearest of those sums (mpmath's root lies 7.7e-13 from
-        # this one, well inside the bracket's noise margin of 2.1e-7; 3.3e-12
+        # table at the nearest of those sums (mpmath's root lies 5.2e-13 from
+        # this one, well inside the bracket's noise margin of 2.1e-7; 7.7e-13
+        # when the origin's table weighed every row with gamma_34, and 3.3e-12
         # when the scan ran on to its end and the solve read a table at a sum
-        # past the bracket)
+        # past the bracket).  The origin's table serves the first 10 steps,
+        # to 10.02; with its tighter weights it no longer reaches the 11th
         from coulomb_radii.radii import RadiusQuery, domain_cap, radius
 
         query = RadiusQuery(CoulombParams(60.0, -1.0), "f", "convex", 0.0)
@@ -1173,11 +1184,11 @@ class TestCounting:
         # the solve's 3 points and the residual are read from tables at sums,
         # as are the scan's steps that are neither summed nor the origin
         # table's; the origin is the origin table's for the scan and the solve
-        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 14
-        assert counts.table_points == len(tabled) + 2 == 13
+        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 15
+        assert counts.table_points == len(tabled) + 2 == 12
         assert counts.refine_steps == 3
         assert counts.points == summed and len(summed) == 9 and len(steps) == 30
-        assert res.value == 39.54609038197592
+        assert res.value == 39.54609038197617
         # the cap lies past |z| = 55
         assert domain_cap(query) is None
 
@@ -1201,7 +1212,7 @@ class TestCounting:
         with series.counting() as outer:
             series.Evaluator(params).sum(1.0)
             with series.counting() as inner:
-                find_zeros(params, ZeroTarget.F, 1, 0)
+                find_zeros(params, ZeroTarget.F, 2, 0)
                 assert outer.points == [1.0] and outer.refine_steps == 0
             assert len(inner.points) > 1 and inner.refine_steps > 0
         assert outer.points == [1.0, *inner.points]
