@@ -1063,6 +1063,124 @@ class TestTablesAtSums:
         assert served == 105
 
 
+class TestHornerBound:
+    """One Horner pass rounds the term of row n of P at most 2n + 2 times,
+    the row's own rounding included (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., eq. 5.3), and those of P' and P'' fewer.
+    So each value a table computes lies within the gamma part of its bound,
+    sum gamma_(2n+2) |c_n| |h|^n (and n |c_n| |h|^(n-1), n(n-1) |c_n|
+    |h|^(n-2)), of the polynomial of its stored rows, computed exactly.  The
+    points include those next to zeros of P and those the origin's budget
+    refuses, read with the budget switched off, and the bound is sharp
+    enough that a twentieth of it fails."""
+
+    @staticmethod
+    def origin_points():
+        """240 seeded (table, x), x of either sign up to the reach of the
+        table's 32 rows, a third of them next to the first zero of P on
+        either side."""
+        rng = random.Random(42)
+        points = []
+        while len(points) < 240:
+            L = rng.uniform(-0.95, 8.0)
+            eta = rng.choice((0.0, rng.uniform(-12.0, 0.0), rng.uniform(-3.0, 0.0)))
+            table = _full_table(L, eta)
+            reach = table.reach[-1]
+            if len(points) % 3:
+                x = rng.choice((1.0, -1.0)) * reach * rng.choice((rng.random(), rng.random(),
+                                                                  2.0 ** -rng.uniform(0.0, 20.0)))
+            else:
+                zs = find_zeros(CoulombParams(L, eta), ZeroTarget.F, 1, 1)
+                x = rng.choice(zs.positive + zs.negative) * (
+                    1.0 + rng.choice((1.0, -1.0)) * 2.0 ** -rng.uniform(8.0, 50.0))
+                if not abs(x) < reach:
+                    continue
+            points.append((table, x))
+        return points
+
+    @staticmethod
+    def base_points():
+        """240 seeded (table at a sum z0, h): z0 of either sign up to 50 and
+        h of either sign up to the table's reach, a third of them with z0 + h
+        next to a zero of P."""
+        rng = random.Random(43)
+        points = []
+        while len(points) < 240:
+            L = rng.uniform(-0.95, 8.0)
+            eta = rng.choice((0.0, rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 0.0)))
+            sign = rng.choice((1.0, -1.0))
+            params = CoulombParams(L, sign * eta, unsafe=True)
+            if len(points) % 3:
+                z0 = rng.uniform(0.5, 50.0)
+            else:
+                # a zero of P on the positive side, and a sum a share of a
+                # scan step from it
+                zs = find_zeros(params, ZeroTarget.F, 4, 0).positive
+                if not zs:
+                    continue
+                zero = rng.choice(zs)
+                z0 = zero + rng.uniform(-0.5, 0.5) * _step(L, sign * eta, zero)
+            try:
+                base = series.Evaluator(params).sum(sign * z0)
+            except ConvergenceError:  # P beyond the double range: no base
+                continue
+            table = series._Table.at(base)
+            table._grow(math.inf)
+            reach = min(table.reach[-1], table._far)
+            if len(points) % 3:
+                h = rng.choice((1.0, -1.0)) * reach * rng.choice((rng.random(), rng.random(),
+                                                                  2.0 ** -rng.uniform(0.0, 20.0)))
+            else:
+                h = sign * (zero - z0) * (1.0 + rng.choice((1.0, -1.0)) * 2.0 ** -rng.uniform(8.0, 50.0))
+                if not abs(h) < reach:
+                    continue
+            points.append((table, h))
+        return points
+
+    @staticmethod
+    def ratios(table, x):
+        """The error of each of P, P' and P'' at z0 + x over its gamma part,
+        and whether the bound of P passes 1e-13 of P, or None where a value
+        is noise-limited."""
+        sv = table.value(x)
+        if sv is None:
+            return None
+        n, t, X = sv.truncation_terms - 1, abs(x), Fraction(x)
+        rows, gammas = table.rows, series._TABLE_GAMMA
+        out = []
+        for k, got in enumerate((sv.p0, sv.p1, sv.p2)):
+            exact = Fraction(0)
+            for m in range(n, k - 1, -1):
+                exact = exact * X + math.perm(m, k) * Fraction(rows[m][0])
+            part = sum(gammas[m] * math.perm(m, k) * abs(rows[m][0]) * t ** (m - k)
+                       for m in range(k, n + 1))
+            error = abs(Fraction(got) - exact)
+            out.append(0.0 if not error else float(error) / part)
+        return out, not sv.noise[0] <= 1e-13 * abs(sv.p0)
+
+    @pytest.fixture
+    def unbudgeted(self, monkeypatch):
+        """Origin tables that serve every point within their reach that is
+        not noise-limited."""
+        monkeypatch.setattr(series, "_TABLE_BUDGET", math.inf)
+
+    def test_origin_values_lie_within_the_gamma_part(self, unbudgeted):
+        # the largest error is 0.43 of its gamma part; the budget refuses
+        # 86 of the 233 points read (7 are noise-limited)
+        checked = [r for r in (self.ratios(table, x) for table, x in self.origin_points()) if r]
+        assert len(checked) >= 200
+        assert 0.05 < max(max(ratios) for ratios, _ in checked) <= 1.0
+        assert sum(over for _, over in checked) >= 50
+
+    def test_values_at_sums_lie_within_the_gamma_part(self):
+        # the largest error is 0.42 of its gamma part; the bound of P passes
+        # 1e-13 of P at 87 of the 240 points read
+        checked = [r for r in (self.ratios(table, h) for table, h in self.base_points()) if r]
+        assert len(checked) >= 200
+        assert 0.05 < max(max(ratios) for ratios, _ in checked) <= 1.0
+        assert sum(over for _, over in checked) >= 50
+
+
 class TestReflection:
     """P(-t) at eta is P(t) at -eta bit for bit, P' negated, for sums and jets
     alike: the zero scan's negative side rests on it."""
