@@ -26,6 +26,8 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
     cli_eval            one in-process cli.main eval of the starlike ratio
                         at 16 points z = 0.25 .. 4, stdout captured
     cli_eval_warm       the same request again, its points in eval_point's memo
+    cli_process         a fresh process: python -m coulomb_radii eval --L 0.5
+                        --eta=-1 --z 1, beside bare_ms, a bare python -c pass
     disk_g64            one unit-disk scan of Re g(z)/z at (4+1i, 0.5), grid 64:
                         256 angles on |z| = 0.99
     disk_zgpg64         the same scan of Re z g'(z)/g(z), with its zero count
@@ -33,7 +35,8 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
 Each row holds the median wall time in ms over --repeat calls and, where the
 row evaluates the series, the series.counting() record of one call (fields
 as series.SumCounts documents them, evals for the number of points): sums
-from the origin, the points (jets, no sums) that a query's
+from the origin, the points a table refused after reading its rows and
+those past its reach, the points (jets, no sums) that a query's
 series.Evaluator reads from the table at the nearest sum it keeps, for two
 scan steps in three and every refine point, the rows the tables build, and
 each query row's refine_steps, the zero refines and the radius solve, each
@@ -46,7 +49,8 @@ query rows never reach the memo, so for them a cold request is also a
 repeated one.  cli_eval_warm fills the memo with one request first, and its
 counts are those of the repeated request: 16 hits and no sums.
 The disk rows sum in numpy, not through the series module, so they hold
-only their time.
+only their time; cli_process runs its two processes in turn, --repeat
+times each.
 The counts are deterministic; the times depend on the machine.
 
     PYTHONPATH=src python scripts/bench.py
@@ -58,11 +62,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
+import coulomb_radii
 from coulomb_radii import CoulombParams, cli, series
 from coulomb_radii.radii import RadiusQuery, domain_cap, radius
 from coulomb_radii.subordination import disk_min_real
@@ -72,6 +79,7 @@ PARAMS = CoulombParams(0.5, -1.0)
 BASE = 40.0  # the sum of the base_build and base_point rows
 CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
             "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
+CLI_PROCESS = ["-m", "coulomb_radii", "eval", "--L", "0.5", "--eta=-1", "--z", "1"]
 
 
 def median_ms(fn, repeat, cold=True):
@@ -147,7 +155,24 @@ def rows(repeat):
         out[f"disk_{quantity}64"] = {
             "ms": median_ms(lambda: disk_min_real(4 + 1j, 0.5, quantity, 64), repeat),
         }
+    out["cli_process"] = cli_process(repeat)
     return out
+
+
+def cli_process(repeat):
+    """Median wall times in ms of a fresh one-request CLI process and of a
+    bare interpreter, run in turn, the package imported from where this
+    script imports it."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(coulomb_radii.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    times = {"ms": [], "bare_ms": []}
+    for _ in range(repeat):
+        for name, args in (("bare_ms", ["-c", "pass"]), ("ms", CLI_PROCESS)):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+            times[name].append(time.perf_counter() - start)
+    return {name: 1e3 * statistics.median(ts) for name, ts in times.items()}
 
 
 def cli_eval():

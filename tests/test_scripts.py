@@ -52,8 +52,10 @@ def test_bench_rows(capsys):
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "table_build",
                          "table_z0.5", "base_build", "base_point", "cli_eval", "cli_eval_warm",
-                         "disk_g64", "disk_zgpg64", *queries}
+                         "disk_g64", "disk_zgpg64", "cli_process", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
+    # a fresh CLI process, and a bare interpreter beside it
+    assert rows["cli_process"]["bare_ms"] > 0.0
     # the origin's table grown to all its rows, and one point of it: no sum
     assert rows["table_build"]["table_rows"] == 32
     assert rows["table_z0.5"]["table_points"] == 1 and rows["table_z0.5"]["terms"] <= 32
