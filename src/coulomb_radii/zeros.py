@@ -115,12 +115,15 @@ table point costs a few double operations a row instead of a sum, and no
 table value is the base of a table, so errors never chain.  Each lies
 within its noise of P, P' and P'', and the zeros move by less than the
 refine tolerance against summing every point (find_zeros(F, 10, 10) at
-(0.5, -1): 16 sums, 96 points from tables at sums and 7 from the origin's,
+(0.5, -1): 16 sums, 95 points from tables at sums and 8 from the origin's,
 against 47 sums with every scan step summed and 117 with every point summed).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
-finder; which sum serves a point is the evaluator's choice alone.  The
+finder.  What serves a point is the evaluator's choice once the scan has
+picked the method: the scan sends every third grid point to
+Evaluator.direct (_SUM_EVERY), so it, not the evaluator, decides that those
+points past the origin table's reach are summed.  The
 radius solver reads its equation off the series value of each step and
 refines the step that brackets the radius with the slopes of the equation's
 jet (see the radii module).  refine_bracket decides signs without a
