@@ -450,7 +450,7 @@ def _origin_rows(L: float, eta: float, k: int) -> Iterator[tuple[tuple[float, ..
         try:
             a = float(t) * sc
         except OverflowError:  # a_n beyond the double range
-            a = math.copysign(math.inf, t)
+            a = math.inf if t > 0 else -math.inf
         if t.bit_length() < bits and t1.bit_length() < bits:
             j = bits - max(t.bit_length(), t1.bit_length())
             if s + k * n + j <= bits + 600:

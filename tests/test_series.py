@@ -974,6 +974,16 @@ class TestTable:
             assert values.value(1e-300)._at is not None
         assert counts.points == [1e-300]
 
+    def test_rows_past_the_double_range_are_refused(self):
+        # at |eta| = 1e200 the rows a_n overflow a double from n = 2 on: the
+        # table holds them as infinities and refuses every point, and the
+        # sum the evaluator then makes overflows too
+        for eta in (-1e200, 1e200):
+            values = series.Evaluator(CoulombParams(0.0, eta, unsafe=True))
+            assert values.table(1e-200) is None and values.table(1.0) is None
+            with pytest.raises(ConvergenceError):
+                values.value(1e-200)
+
     def test_table_values_are_no_bases(self):
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         sv = values.value(0.5)
