@@ -422,7 +422,7 @@ def _origin_rows(L: float, eta: float, k: int) -> Iterator[tuple[tuple[float, ..
     xa, xb, xc = 1 + p + k, q + p + 2 * k, q
     low = min(xa, xb, xc)
     xa, xb, xc = xa - low, xb - low, xc - low
-    ate, up, hup, tiny, gammas, sqrt = abs(2.0 * eta), _UP, 0.5 * _UP, _TINY, _TABLE_GAMMA, math.sqrt
+    ate, up, tiny, gammas = abs(2.0 * eta), _UP, _TINY, _TABLE_GAMMA
     # T_n and T_(n-1) in units of 2^-s, so a_n = T_n ps, ps = 2^-(s + k n),
     # within f_n = (|2 eta| f_(n-1) + f_(n-2))/c_n + ps, the floors' errors
     # carried through the recurrence (each step rounded up by _UP); where
@@ -457,10 +457,8 @@ def _origin_rows(L: float, eta: float, k: int) -> Iterator[tuple[tuple[float, ..
                 t, t1, s = t << j, t1 << j, s + j
                 psu, sc = math.ldexp(psu, -j), math.ldexp(sc, -j)
         u = abs(a)
-        # cn = c_(n+1) <= c_m for every m > n, and rho of _tail_ratio
-        cn = (m + step) / Ld
-        rho = ate / cn
-        rho = (rho + sqrt(rho * rho + 4.0 / cn)) * hup
+        cn = (m + step) / Ld  # c_(n+1) <= c_m for every m > n
+        rho = _tail_ratio(ate, cn)
         big, prev = u + f, rho * (u1 + f1)
         # f >= ps > 2^-900 covers an underflow in a point's Horner pass
         yield (a, gammas[n] * u + f), (rho, (big if big > prev else prev) * rho * up + tiny)
