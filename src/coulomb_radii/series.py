@@ -68,8 +68,7 @@ sum at R = 2^k, the least power of two past the table's far end (and at
 least 2^-8), come from the recurrence above in fixed point, with L, eta and
 R exact: T_n = floor((2 eta R T_(n-1) - R^2 T_(n-2))/d_n) in units of
 2^-s, d_n = n(n+2L+1) > 0, where every denominator but d_n's is a power of
-two.
-Each T_n rounds once to a double and scales back by R^-n exactly, and
+two.  Each T_n rounds once to a double and scales back by R^-n exactly, and
 e_n = (|2 eta| e_(n-1) + e_(n-2))/d_n + 2^-(s+kn) bounds the floors' errors
 carried into a_n (each step rounded up by _UP).  Where T_n and T_(n-1) both
 fall below 2^(53 + _GUARD_BITS), as the terms of a large L do, both move up
@@ -614,12 +613,9 @@ class _Table:
         b0 = m0 * _UP + _TINY
         b1 = m1 * _UP + _TINY
         b2 = 2.0 * m2 * _UP + _TINY
-        a0, a1, a2 = abs(s0), abs(s1), abs(s2)
-        # the budget, and noise_limited for each value
-        if (not a0 + a1 + a2 + b0 + b1 + b2 < math.inf
-                or (self._origin and not b0 <= _TABLE_BUDGET * a0)
-                or (a0 <= 8.0 * b0 and b0 > 1e-14) or (a1 <= 8.0 * b1 and b1 > 1e-14)
-                or (a2 <= 8.0 * b2 and b2 > 1e-14)):
+        if (not abs(s0) + abs(s1) + abs(s2) + b0 + b1 + b2 < math.inf
+                or (self._origin and not b0 <= _TABLE_BUDGET * abs(s0))
+                or noise_limited(s0, b0) or noise_limited(s1, b1) or noise_limited(s2, b2)):
             return _refused(False)
         counts = _record.get()
         if counts is not None:
