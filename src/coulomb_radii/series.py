@@ -324,7 +324,7 @@ def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex,
     return tuple(a)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SeriesValue:
     """P, P' and P'' at one point, each a double, with their error bounds.
 
@@ -335,6 +335,10 @@ class SeriesValue:
     sum (both of the last pass, at the precision that was kept).  A sum and
     the origin's exact value keep their (L, eta, z) for jet, outside the
     value's repr and equality; a jet and a table point keep none.
+
+    Every sum and table point builds one, so __init__ writes the slots
+    through their descriptors, about half the cost of the frozen
+    dataclass's object.__setattr__ per field; the value stays frozen.
     """
 
     p0: float
@@ -345,6 +349,22 @@ class SeriesValue:
     noise: tuple[float, float, float]
     # a sum's or the origin's (L, eta, z); None for a jet
     _at: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, p0: float, p1: float, p2: float, truncation_terms: int,
+                 tail_estimate: float, noise: tuple[float, float, float],
+                 _at: tuple[float, float, float] | None = None):
+        _set_p0(self, p0)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
+        _set_terms(self, truncation_terms)
+        _set_tail(self, tail_estimate)
+        _set_noise(self, noise)
+        _set_at(self, _at)
+
+
+# the slot descriptors' setters, which the frozen __setattr__ does not guard
+_set_p0, _set_p1, _set_p2, _set_terms, _set_tail, _set_noise, _set_at = (
+    getattr(SeriesValue, f.name).__set__ for f in fields(SeriesValue))
 
 
 def noise_limited(value: float, noise: float) -> bool:
@@ -623,8 +643,7 @@ class _Table:
                 counts.table_points += 1
             else:
                 counts.jets += 1
-        return SeriesValue(s0, flip * s1, s2, truncation_terms=n + 1, tail_estimate=q * p * _UP,
-                           noise=(b0, b1, b2))
+        return SeriesValue(s0, flip * s1, s2, n + 1, q * p * _UP, (b0, b1, b2))
 
 
 def _refused(past: bool) -> None:
@@ -763,10 +782,9 @@ def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int,
         raise ConvergenceError(
             f"P, P' or P'' at z={at[2]:.6g}, or its error bound, overflows a double"
         ) from None
-    return SeriesValue(p0, p1, p2, truncation_terms=n + 1, tail_estimate=tau / unit * _UP,
-                       noise=((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
-                              (b2 + 0.5 * math.ulp(p2)) * _UP),
-                       _at=at)
+    return SeriesValue(p0, p1, p2, n + 1, tau / unit * _UP,
+                       ((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
+                        (b2 + 0.5 * math.ulp(p2)) * _UP), at)
 
 
 def _fixed_point_sum(L: float, eta: float, z: float, bits: int):

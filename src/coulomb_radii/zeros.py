@@ -143,7 +143,6 @@ from .series import EVAL_Z_MAX, Evaluator, SeriesValue, _record
 
 REFINE_TOL = 1e-12
 _BISECT_CAP = 80
-_SUM_EVERY = 3  # the scan sums the grid points this many steps apart
 
 
 @dataclass(frozen=True)
@@ -371,18 +370,17 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     # so every later step is the same double.
     c = centrifugal(L, target)
     t_free = eta + math.sqrt(eta * eta + c) if L >= 0.0 else 0.0
-    anchor, nxt, k = t, after(t), 0
+    anchor, nxt = t, after(t)
     while anchor < nxt <= t_free:
-        anchor, nxt, k = nxt, after(nxt), k + 1
+        anchor, nxt = nxt, after(nxt)
     if skip_free:
-        t, k = anchor, 0
-    offset = -k % _SUM_EVERY  # t's offset from the anchor, in grid steps
+        t = anchor
 
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     while t_prev < EVAL_Z_MAX:
         try:
-            # past the origin table's reach the nearest kept sum is one or two steps before
-            sv = values.value(t) if offset else values.direct(t)
+            # from the anchor on, the nearest kept sum below t is the anchor's or a later one
+            sv = values.direct(t) if t == anchor else values.value(t)
             cur, noise = target_jet(L, eta, target, t, sv)
             if noise_limited(cur[0], noise):  # a summed point is its kept sum again
                 sv = values.sum(t)
@@ -397,7 +395,7 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
                                   t_prev, t, prev, cur, REFINE_TOL).root
         yield ScanStep(t_prev, t, sv, zero)
         t_prev, prev = t, cur
-        t, offset = after(t), (offset + 1) % _SUM_EVERY
+        t = after(t)
 
 
 def _zeros(values: Evaluator, target: ZeroTarget, count: int) -> tuple[list[float], bool]:
