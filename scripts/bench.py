@@ -9,6 +9,9 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
                         grown to all 32 rows (asked for a point between the
                         reach of its 32 rows and the farthest any could reach)
     table_z0.5          one point of that table at z = 0.5
+    value_build         building one series.SeriesValue positionally, as a
+                        table point or a sum does: us (and ms) per value, the
+                        median over --repeat batches of VALUE_BATCH
     base_build          one point a scan step (1.53) past the sum at z = 40,
                         read from a fresh table at that sum (series.jet)
     base_point          the same point from an evaluator's table at that sum,
@@ -80,6 +83,7 @@ BASE = 40.0  # the sum of the base_build and base_point rows
 CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
             "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
 CLI_PROCESS = ["-m", "coulomb_radii", "eval", "--L", "0.5", "--eta=-1", "--z", "1"]
+VALUE_BATCH = 1000  # SeriesValue builds per timed call of the value_build row
 
 
 def median_ms(fn, repeat, cold=True):
@@ -124,6 +128,11 @@ def rows(repeat):
     out["table_z0.5"] = {"ms": median_ms(lambda: values.table(0.5), repeat),
                          "table_points": counts(lambda: values.table(0.5))["table_points"],
                          "terms": values.table(0.5).truncation_terms}
+    sv = values.table(0.5)
+    fields = (sv.p0, sv.p1, sv.p2, sv.truncation_terms, sv.tail_estimate, sv.noise)
+    build = series.SeriesValue
+    ms = median_ms(lambda: [build(*fields) for _ in range(VALUE_BATCH)], repeat) / VALUE_BATCH
+    out["value_build"] = {"ms": ms, "us": 1e3 * ms}
     # the sum at z = 40 and a point one scan step past it (zeros module)
     values.sum(BASE)
     z = BASE + 0.5 * math.pi / math.sqrt(1.0 - 2.0 * PARAMS.eta / BASE)

@@ -168,7 +168,7 @@ class TestEvalAndZeros:
         assert len(lines) == 1
         totals = json.loads(lines[0][len("sums: "):])
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"], totals["table_points"]) == (16, 1191, 70, 95, 8)
+                totals["jets"], totals["table_points"]) == (16, 1251, 70, 95, 8)
         assert totals["refused_in_reach"] + totals["refused_past_reach"] > 0
         code, quiet, err = run_cli(capsys, *argv)
         assert code == 0 and quiet == out and err == ""

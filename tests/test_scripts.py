@@ -51,7 +51,8 @@ def test_bench_rows(capsys):
     queries = ("radius", "radius_convex_g", "domain_cap", "find_zeros", "find_zeros_F_prime",
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "table_build",
-                         "table_z0.5", "base_build", "base_point", "cli_eval", "cli_eval_warm",
+                         "table_z0.5", "value_build", "base_build", "base_point", "cli_eval",
+                         "cli_eval_warm",
                          "disk_g64", "disk_zgpg64", "cli_process", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # a fresh CLI process, and a bare interpreter beside it
@@ -65,10 +66,13 @@ def test_bench_rows(capsys):
     assert rows["base_build"]["table_rows"] == rows["base_build"]["terms"] <= 32
     assert rows["base_point"]["table_rows"] == 0
     assert rows["base_point"]["terms"] == rows["base_build"]["terms"]
+    # one value built, in microseconds
+    assert rows["value_build"]["us"] == pytest.approx(1e3 * rows["value_build"]["ms"])
     # sums, counted by series.counting(), within the gates of test_zeros and
     # test_radii: the points near the origin from the table, past its reach
-    # two scan steps in three and every refine point jets (20, 20, 20, 5, 5
-    # and 4 with no table; 32, 31, 30 and 7 with every second scan step
+    # every scan step and refine point a jet of the nearest kept sum, summed
+    # where that table refuses it (16, 15 and 14; 16 each when the scan
+    # summed every third grid point; 20, 20, 20, 5, 5 and 4 with no table; 32, 31, 30 and 7 with every second scan step
     # summed; 47, 45, 44 and 13 with every scan step summed; 67, 65, 64, 13,
     # 7 and 8 with each refine's first point summed too, 117, 118, 114, 15, 12
     # and 13 with every refine point summed)
@@ -84,17 +88,19 @@ def test_bench_rows(capsys):
     # the cap scan to the first zero of F: the two steps past the table's
     # reach are summed
     assert 0 < rows["domain_cap"]["evals"] <= 2
-    # terms: 1191 each, the origin's table serving the scan step at 3.31 so
-    # that the step at 4.55 is summed in its place (1185 each with every row
-    # of that table weighed with gamma_34; 1185, 1255 and 1185 with jets that
+    # terms: 1251, 1135 and 1000, the sums lying where the tables at sums
+    # refuse a point (1191 each when the scan summed every third grid point,
+    # the origin's table serving the scan step at 3.31 so that the step at
+    # 4.55 is summed in its place; 1185 each with every row of that table
+    # weighed with gamma_34; 1185, 1255 and 1185 with jets that
     # reran the recurrence per point; 1258 each with no origin table, 2110,
     # 1994 and 1859 with every second scan step summed, 3566, 3312 and 3177
     # with every scan step summed, 4416, 4107 and 3971 with each refine's
     # first point summed too, 5925, 5328 and 5097 with every refine point
     # summed about a scan step, 10198, 8760 and 8462 from 0)
-    assert rows["find_zeros"]["terms"] <= 1191
-    assert rows["find_zeros_F_prime"]["terms"] <= 1191
-    assert rows["find_zeros_g_prime"]["terms"] <= 1191
+    assert rows["find_zeros"]["terms"] <= 1251
+    assert rows["find_zeros_F_prime"]["terms"] <= 1135
+    assert rows["find_zeros_g_prime"]["terms"] <= 1000
     # every refine step is a jet or a table point
     for name in ("find_zeros", "find_zeros_F_prime", "find_zeros_g_prime"):
         assert rows[name]["jets"] + rows[name]["table_points"] >= rows[name]["refine_steps"]

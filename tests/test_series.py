@@ -1237,19 +1237,20 @@ class TestCounting:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
         # the points near the origin from the table of its coefficients, and
-        # past its reach two scan steps in three and every refine point jets
-        # of a summed scan step; 20 sums and 1258 terms with no table, 32 and
-        # 2110 with every second scan step summed, 47 and 3566 with every scan
-        # step summed, 67 and 5305 with each refine's first point summed from
-        # the origin too, 117 and 10198 with every point summed from the origin.
-        # The table serves the scan step at 3.31 (16 sums and 1185 terms when
-        # its bound weighed every row with gamma_34), so the step at 4.55, no
-        # longer a jet of that sum, is summed instead
+        # past its reach every scan step and refine point a jet of the nearest
+        # kept sum, summed where that table refuses it.  16 sums and 1191 terms
+        # when the scan summed every third grid point past the origin table's
+        # reach (1185 when that table weighed every row with gamma_34); 20 and
+        # 1258 with no table, 32 and 2110 with every second scan step summed,
+        # 47 and 3566 with every scan step summed, 67 and 5305 with each
+        # refine's first point summed from the origin too, 117 and 10198 with
+        # every point summed from the origin.  The sums lie farther out, so
+        # they take more terms each
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"], totals["table_points"]) == (16, 1191, 70, 95, 8)
-        # the table refuses 4 points after reading its rows, and 108 past
+                totals["jets"], totals["table_points"]) == (16, 1251, 70, 95, 8)
+        # the table refuses 4 points after reading its rows, and 121 past
         # its reach or far end
-        assert (totals["refused_in_reach"], totals["refused_past_reach"]) == (4, 108)
+        assert (totals["refused_in_reach"], totals["refused_past_reach"]) == (4, 121)
 
     def test_find_zeros_sums_only_its_scan_steps(self):
         # the negative side is summed as the positive side of (L, -eta); the
@@ -1285,9 +1286,10 @@ class TestCounting:
     def test_radius_solve_sums_from_the_origin(self):
         # at (60, -1) the f-convex scan stops at the step that brackets the
         # radius, 30 of the 40 steps to its end: its steps within the reach of
-        # the origin's table are the table's, two steps in three past it are
-        # read from tables at sums, and every sum is a scan step's, from the
-        # origin.  Every point of the solve and the residual are read from the
+        # the origin's table are the table's, past it each step is read from
+        # the table at the nearest kept sum or, where that refuses it, summed,
+        # and every sum is a scan step's, from the origin (9 sums and 15 jets
+        # when the scan summed every third grid point).  Every point of the solve and the residual are read from the
         # table at the nearest of those sums (mpmath's root lies 5.2e-13 from
         # this one, well inside the bracket's noise margin of 2.1e-7; 7.7e-13
         # when the origin's table weighed every row with gamma_34, and 3.3e-12
@@ -1312,10 +1314,10 @@ class TestCounting:
         # the solve's 3 points and the residual are read from tables at sums,
         # as are the scan's steps that are neither summed nor the origin
         # table's; the origin is the origin table's for the scan and the solve
-        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 15
+        assert counts.jets == 4 + len(steps) - len(summed) - len(tabled) == 16
         assert counts.table_points == len(tabled) + 2 == 12
         assert counts.refine_steps == 3
-        assert counts.points == summed and len(summed) == 9 and len(steps) == 30
+        assert counts.points == summed and len(summed) == 8 and len(steps) == 30
         assert res.value == 39.54609038197617
         # the cap lies past |z| = 55
         assert domain_cap(query) is None
@@ -1489,6 +1491,49 @@ class TestTableContinuation:
             "p2=0.0004863044393317693, truncation_terms=175, "
             "tail_estimate=3.3087224532935986e-24, noise=(2.7108363059834453e-20, "
             "1.0843179787811117e-19, 2.7145354576862276e-20))")
+
+
+class TestSeriesValue:
+    """SeriesValue builds through its own __init__ and keeps the frozen
+    dataclass's contract: fields read-only, _at outside repr and ==, and
+    dataclasses.replace."""
+
+    FIELDS = (0.25, -1.5, 3.0, 17, 1e-30, (1e-16, 2e-16, 3e-16))
+    AT = (0.5, -1.0, 0.75)
+
+    def test_assigning_a_field_raises(self):
+        sv = series.SeriesValue(*self.FIELDS, self.AT)
+        for f in dataclasses.fields(sv):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sv, f.name, getattr(sv, f.name))
+        assert (sv.p0, sv._at) == (0.25, self.AT)
+
+    def test_equality_and_repr_ignore_at(self):
+        summed = series.SeriesValue(*self.FIELDS, self.AT)
+        read = series.SeriesValue(*self.FIELDS)
+        assert read._at is None and summed == read and hash(summed) == hash(read)
+        assert repr(summed) == repr(read) == (
+            "SeriesValue(p0=0.25, p1=-1.5, p2=3.0, truncation_terms=17, "
+            "tail_estimate=1e-30, noise=(1e-16, 2e-16, 3e-16))")
+        assert summed != series.SeriesValue(0.5, *self.FIELDS[1:])
+
+    def test_replace_keeps_or_overrides_at(self):
+        sv = series.SeriesValue(*self.FIELDS, self.AT)
+        noisy = dataclasses.replace(sv, noise=(1.0, 1.0, 1.0))
+        assert noisy._at == self.AT and noisy.noise == (1.0, 1.0, 1.0)
+        assert (noisy.p0, noisy.truncation_terms) == (sv.p0, sv.truncation_terms)
+        moved = dataclasses.replace(sv, _at=None)
+        assert moved._at is None and moved == sv
+
+    def test_positional_and_keyword_construction_agree(self):
+        names = [f.name for f in dataclasses.fields(series.SeriesValue)]
+        positional = series.SeriesValue(*self.FIELDS, self.AT)
+        keyword = series.SeriesValue(**dict(zip(names, (*self.FIELDS, self.AT))))
+        assert positional == keyword
+        assert [getattr(positional, n) for n in names] == [getattr(keyword, n) for n in names]
+        # a sum and a table point build theirs positionally
+        summed = series.Evaluator(CoulombParams(0.5, -1.0)).sum(10.0)
+        assert summed == series.SeriesValue(**{n: getattr(summed, n) for n in names})
 
 
 class TestRatios:
