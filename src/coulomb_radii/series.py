@@ -140,12 +140,13 @@ numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
 exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps the
 origin's table, the sums of one query at one (L, eta) and the table at each
-sum a point asked for, and the method its caller asks picks what serves a
-point: the zero scan sends every third grid point to Evaluator.direct, the
-origin table's value within its reach and a sum past it (Evaluator.sum sums
-a point once per query), and every other point of the scan, of its refines
-and of the radius solve is Evaluator.value: the origin table's value, or else that of the
-table at the nearest kept sum, or else a sum that is kept.  A point below
+sum a point asked for, and the evaluator alone picks what serves a point.
+Every point of the zero scan but its anchor, of its refines and of the
+radius solve is Evaluator.value: the origin table's value, or else that of
+the table at the nearest kept sum, or else a sum that is kept, so a point is
+summed only where no table serves it.  The scan's anchor is
+Evaluator.direct, the origin table's value within its reach and a sum past
+it (Evaluator.sum sums a point once per query).  A point below
 every kept sum is summed rather than read towards the origin, where the
 second solution of the Coulomb equation is singular: at (48, 0) the origin's
 table reaches 10.0, and the table at a sum at 12.5 gives 11.5 a bound of

@@ -97,33 +97,35 @@ evaluated only at scan steps and refine steps, never at the refined root
 itself, and every value comes from one series.Evaluator of (L, eta), which
 the caller builds and the scan asks.  The first step starts at its value at
 the origin, from the origin's table (series module docstring, Tables),
-which is no sum.  Every third grid point, those at a multiple of three
-steps from its anchor (the last grid point of the zero-free stretch
-(0, t*] where L >= 0 and there is one, else the first grid point), is
+which is no sum.  The anchor, the last grid point of the zero-free stretch
+(0, t*] where L >= 0 and there is one, else the first grid point, is
 Evaluator.direct: the origin table's value within its reach, and past it a
 sum from the origin (Evaluator.sum).  Every other point, of the grid or of
 a refine, is Evaluator.value: the origin table's value, or else that of the
-table at the nearest sum the evaluator keeps (for a grid point, the sum one
-or two steps before it), summed and kept instead where that table refuses
-it (past its reach, or noise-limited) or where the point lies below every
-kept sum.  A grid point where the target is noise_limited is summed too,
-which for a summed point is its kept sum again; so the scan stops where one
-that sums every step stops, and every sign is decided against a proven
-bound.  The anchor is the same with and without skip_free, so both walks
-sum the same points from t_k on and take the same steps, bit for bit.  A
-table point costs a few double operations a row instead of a sum, and no
-table value is the base of a table, so errors never chain.  Each lies
-within its noise of P, P' and P'', and the zeros move by less than the
-refine tolerance against summing every point (find_zeros(F, 10, 10) at
-(0.5, -1): 16 sums, 95 points from tables at sums and 8 from the origin's,
-against 47 sums with every scan step summed and 117 with every point summed).
+table at the nearest sum the evaluator keeps, summed and kept instead where
+that table refuses it (past its reach, or noise-limited) or where the point
+lies below every kept sum.  So a point is summed only where no table serves
+it.  A grid point where the target is noise_limited is summed too, which
+for a summed point is its kept sum again; so the scan stops where one that
+sums every step stops, and every sign is decided against a proven bound.
+The anchor is the same with and without skip_free.  Where it is summed,
+every later point's nearest kept sum is the anchor's or a later one, and
+where the origin's table serves it and every grid point before it there is
+no sum below it; either way both walks sum the same points from t_k on and
+take the same steps, bit for bit.  A table point costs a few double
+operations a row instead of a sum, and no table value is the base of a
+table, so errors never chain.  Each lies within its noise of P, P' and
+P'', and the zeros move by less than the refine tolerance against summing
+every point (find_zeros(F, 10, 10) at (0.5, -1): 16 sums of 1251 terms, 95
+points from tables at sums and 8 from the origin's, against 47 sums with
+every scan step summed and 117 with every point summed; F' and g' take 15
+and 14 sums).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
-finder.  What serves a point is the evaluator's choice once the scan has
-picked the method: the scan sends every third grid point to
-Evaluator.direct (_SUM_EVERY), so it, not the evaluator, decides that those
-points past the origin table's reach are summed.  The
+finder.  What serves a point is the evaluator's choice alone: the scan
+asks Evaluator.direct at its anchor and Evaluator.value everywhere else,
+and sums a point itself only where the target is noise-limited there.  The
 radius solver reads its equation off the series value of each step and
 refines the step that brackets the radius with the slopes of the equation's
 jet (see the radii module).  refine_bracket decides signs without a
@@ -341,12 +343,11 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     """The one zero scan of values.params: half-Sturm-spacing steps along the
     positive axis from the origin, each with the target's zero in it refined,
     up to the precision horizon (module docstring).  The consumer stops it
-    once it has what it needs.  Grid points at a multiple of _SUM_EVERY
-    steps from the anchor, the last grid point of the zero-free stretch
-    (0, t*] (the first grid point where there is none), are values.direct,
-    the table's or a sum; every other point, of the grid or of a refine, is
-    values.value, and a grid point where the target is noise-limited is
-    values.sum.  A value of 0.0 counts as non-negative.  A step that
+    once it has what it needs.  The anchor, the last grid point of the
+    zero-free stretch (0, t*] (the first grid point where there is none), is
+    values.direct, the table's or a sum; every other point, of the grid or
+    of a refine, is values.value, and a grid point where the target is
+    noise-limited is values.sum.  A value of 0.0 counts as non-negative.  A step that
     holds a zero adds the refine's steps.  With skip_free and L >= 0 the first
     step is (0, t_k], t_k the anchor (module docstring)."""
     L, eta = values.params.L, values.params.eta
@@ -365,9 +366,9 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
         return min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
 
     # No target zero lies in (0, t_free] with L >= 0 (module docstring).  The
-    # anchor is the grid's last point there, reached after k steps; skip_free
-    # walks the grid up to it unevaluated.  Both walks sum the same points,
-    # so every later step is the same double.
+    # anchor is the grid's last point there; skip_free walks the grid up to
+    # it unevaluated.  Both walks sum the same points from it on, so every
+    # later step is the same double.
     c = centrifugal(L, target)
     t_free = eta + math.sqrt(eta * eta + c) if L >= 0.0 else 0.0
     anchor, nxt = t, after(t)

@@ -72,8 +72,8 @@ def test_bench_rows(capsys):
     # test_radii: the points near the origin from the table, past its reach
     # every scan step and refine point a jet of the nearest kept sum, summed
     # where that table refuses it (16, 15 and 14; 16 each when the scan
-    # summed every third grid point; 20, 20, 20, 5, 5 and 4 with no table; 32, 31, 30 and 7 with every second scan step
-    # summed; 47, 45, 44 and 13 with every scan step summed; 67, 65, 64, 13,
+    # summed every third grid point; 20, 20, 20, 5, 5 and 4 with no table;
+    # 32, 31, 30 and 7 with every second scan step summed; 47, 45, 44 and 13 with every scan step summed; 67, 65, 64, 13,
     # 7 and 8 with each refine's first point summed too, 117, 118, 114, 15, 12
     # and 13 with every refine point summed)
     assert 0 < rows["find_zeros"]["evals"] <= 16

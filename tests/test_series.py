@@ -1289,8 +1289,9 @@ class TestCounting:
         # the origin's table are the table's, past it each step is read from
         # the table at the nearest kept sum or, where that refuses it, summed,
         # and every sum is a scan step's, from the origin (9 sums and 15 jets
-        # when the scan summed every third grid point).  Every point of the solve and the residual are read from the
-        # table at the nearest of those sums (mpmath's root lies 5.2e-13 from
+        # when the scan summed every third grid point).  Every point of the
+        # solve and the residual are read from the table at the nearest of
+        # those sums (mpmath's root lies 5.2e-13 from
         # this one, well inside the bracket's noise margin of 2.1e-7; 7.7e-13
         # when the origin's table weighed every row with gamma_34, and 3.3e-12
         # when the scan ran on to its end and the solve read a table at a sum
