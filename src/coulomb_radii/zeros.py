@@ -380,7 +380,8 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     while t_prev < EVAL_Z_MAX:
         try:
-            # from the anchor on, the nearest kept sum below t is the anchor's or a later one
+            # the anchor is summed unless the origin's table serves it, so that
+            # both walks keep the same sums from it on
             sv = values.direct(t) if t == anchor else values.value(t)
             cur, noise = target_jet(L, eta, target, t, sv)
             if noise_limited(cur[0], noise):  # a summed point is its kept sum again
