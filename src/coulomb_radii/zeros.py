@@ -347,9 +347,9 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     zero-free stretch (0, t*] (the first grid point where there is none), is
     values.direct, the table's or a sum; every other point, of the grid or
     of a refine, is values.value, and a grid point where the target is
-    noise-limited is values.sum.  A value of 0.0 counts as non-negative.  A step that
-    holds a zero adds the refine's steps.  With skip_free and L >= 0 the first
-    step is (0, t_k], t_k the anchor (module docstring)."""
+    noise-limited is values.sum.  A value of 0.0 counts as non-negative.  A
+    step that holds a zero adds the refine's steps.  With skip_free and
+    L >= 0 the first step is (0, t_k], t_k the anchor (module docstring)."""
     L, eta = values.params.L, values.params.eta
     # Q(t) = 1 + a/t + b/t^2 of the module docstring
     a = max(0.0, -2.0 * eta)

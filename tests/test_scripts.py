@@ -52,8 +52,7 @@ def test_bench_rows(capsys):
                "find_zeros_g_prime", "find_zeros_neg")
     assert set(rows) == {"coef256", "eval_z0.5", "eval_z10", "eval_z50", "table_build",
                          "table_z0.5", "value_build", "base_build", "base_point", "cli_eval",
-                         "cli_eval_warm",
-                         "disk_g64", "disk_zgpg64", "cli_process", *queries}
+                         "cli_eval_warm", "disk_g64", "disk_zgpg64", "cli_process", *queries}
     assert all(row["ms"] > 0.0 for row in rows.values())
     # a fresh CLI process, and a bare interpreter beside it
     assert rows["cli_process"]["bare_ms"] > 0.0
@@ -73,9 +72,10 @@ def test_bench_rows(capsys):
     # every scan step and refine point a jet of the nearest kept sum, summed
     # where that table refuses it (16, 15 and 14; 16 each when the scan
     # summed every third grid point; 20, 20, 20, 5, 5 and 4 with no table;
-    # 32, 31, 30 and 7 with every second scan step summed; 47, 45, 44 and 13 with every scan step summed; 67, 65, 64, 13,
-    # 7 and 8 with each refine's first point summed too, 117, 118, 114, 15, 12
-    # and 13 with every refine point summed)
+    # 32, 31, 30 and 7 with every second scan step summed; 47, 45, 44 and 13
+    # with every scan step summed; 67, 65, 64, 13, 7 and 8 with each refine's
+    # first point summed too, 117, 118, 114, 15, 12 and 13 with every refine
+    # point summed)
     assert 0 < rows["find_zeros"]["evals"] <= 16
     assert 0 < rows["find_zeros_F_prime"]["evals"] <= 16
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 16
@@ -92,8 +92,8 @@ def test_bench_rows(capsys):
     # refuse a point (1191 each when the scan summed every third grid point,
     # the origin's table serving the scan step at 3.31 so that the step at
     # 4.55 is summed in its place; 1185 each with every row of that table
-    # weighed with gamma_34; 1185, 1255 and 1185 with jets that
-    # reran the recurrence per point; 1258 each with no origin table, 2110,
+    # weighed with gamma_34; 1185, 1255 and 1185 with jets that reran the
+    # recurrence per point; 1258 each with no origin table, 2110,
     # 1994 and 1859 with every second scan step summed, 3566, 3312 and 3177
     # with every scan step summed, 4416, 4107 and 3971 with each refine's
     # first point summed too, 5925, 5328 and 5097 with every refine point

@@ -1291,11 +1291,10 @@ class TestCounting:
         # and every sum is a scan step's, from the origin (9 sums and 15 jets
         # when the scan summed every third grid point).  Every point of the
         # solve and the residual are read from the table at the nearest of
-        # those sums (mpmath's root lies 5.2e-13 from
-        # this one, well inside the bracket's noise margin of 2.1e-7; 7.7e-13
-        # when the origin's table weighed every row with gamma_34, and 3.3e-12
-        # when the scan ran on to its end and the solve read a table at a sum
-        # past the bracket).  The origin's table serves the first 10 steps,
+        # those sums (mpmath's root lies 5.2e-13 from this one, well inside
+        # the bracket's noise margin of 2.1e-7; 7.7e-13 when the origin's
+        # table weighed every row with gamma_34, and 3.3e-12 when the scan ran
+        # on to its end and the solve read a table at a sum past the bracket).  The origin's table serves the first 10 steps,
         # to 10.02; with its tighter weights it no longer reaches the 11th
         from coulomb_radii.radii import RadiusQuery, domain_cap, radius
 
