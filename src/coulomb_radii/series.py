@@ -164,7 +164,7 @@ import contextlib
 import functools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Iterator
 
 from .errors import (
@@ -206,7 +206,10 @@ class SumCounts:
     """The sums of one counting() block: points holds the abscissa of every
     sum (one that fails included), in order, find_zeros's negative side at
     +t of (L, -eta) (zeros module docstring); terms their truncation_terms;
-    refine_steps the iterations of zeros.refine_bracket; jets the values
+    refine_steps the iterations of zeros.refine_bracket; refine_unresolved
+    the refine points of zeros.scan whose target value lies within its
+    noise floor (noise_limited), so that the sign the refine takes there is
+    not resolved; jets the values
     served by a table at a sum (jet's or an Evaluator's) and table_points
     those served by a table at the origin, neither of them sums; table_rows
     the rows both kinds of table build; refused_in_reach the points a table
@@ -220,6 +223,7 @@ class SumCounts:
     points: list[float] = field(default_factory=list)
     terms: int = 0
     refine_steps: int = 0
+    refine_unresolved: int = 0
     jets: int = 0
     table_points: int = 0
     table_rows: int = 0
@@ -366,6 +370,21 @@ class SeriesValue:
 # the slot descriptors' setters, which the frozen __setattr__ does not guard
 _set_p0, _set_p1, _set_p2, _set_terms, _set_tail, _set_noise, _set_at = (
     getattr(SeriesValue, f.name).__set__ for f in fields(SeriesValue))
+
+
+def _frozen_setattr(self: SeriesValue, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: SeriesValue, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# the pair that dataclass generates for a frozen class with slots calls
+# super() without arguments in the class that slots replaced, which raises
+# TypeError for a name that is no field on Python 3.10 and 3.11; these
+# refuse every name alike
+SeriesValue.__setattr__, SeriesValue.__delattr__ = _frozen_setattr, _frozen_delattr
 
 
 def noise_limited(value: float, noise: float) -> bool:
@@ -704,21 +723,41 @@ class Evaluator:
         sv = self.table(t)
         return self.sum(t) if sv is None else sv
 
-    def value(self, t: float) -> SeriesValue:
+    def value(self, t: float, ahead: float | None = None) -> SeriesValue:
         sv = self.table(t)
+        if sv is not None:
+            return sv
         ts = self._ts
-        if sv is None and ts and ts[0] <= t <= EVAL_Z_MAX:
-            i = bisect.bisect_left(ts, t)
-            if i == len(ts) or (i and t - ts[i - 1] < ts[i] - t):
-                i -= 1
-            z0 = ts[i]
-            if t == z0:
-                return self._sums[i]
-            table = self._bases.get(z0)
-            if table is None:
-                table = self._bases[z0] = _Table.at(self._sums[i])
-            sv = table.value(t - z0)
+        if not ts or not ts[0] <= t <= EVAL_Z_MAX:
+            return self.sum(t)  # below every kept sum, or past the range
+        i = bisect.bisect_left(ts, t)
+        if i == len(ts):  # past every kept sum
+            sv = self._read(i - 1, t)
+            if sv is None and ahead is not None:
+                try:
+                    self.sum(ahead)
+                except ConvergenceError:
+                    return self.sum(t)
+                sv = self._read(i, t)
+        elif ts[i] == t:
+            return self._sums[i]
+        else:  # between two kept sums: the nearer first, the larger at equal distance
+            near, other = (i - 1, i) if t - ts[i - 1] < ts[i] - t else (i, i - 1)
+            sv = self._read(near, t)
+            if sv is None:
+                sv = self._read(other, t)
         return self.sum(t) if sv is None else sv
+
+    def _read(self, i: int, t: float) -> SeriesValue | None:
+        """The value at t of the table at the i-th kept sum, or None where
+        it refuses t."""
+        z0 = self._ts[i]
+        if t == z0:
+            return self._sums[i]
+        table = self._bases.get(z0)
+        if table is None:
+            table = self._bases[z0] = _Table.at(self._sums[i])
+        return table.value(t - z0)
 
 
 def _direct(L: float, eta: float, z: float) -> SeriesValue:

@@ -339,7 +339,8 @@ class ScanStep(NamedTuple):
     zero: float | None
 
 
-def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> Iterator[ScanStep]:
+def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False,
+         count: int | None = None) -> Iterator[ScanStep]:
     """The one zero scan of values.params: half-Sturm-spacing steps along the
     positive axis from the origin, each with the target's zero in it refined,
     up to the precision horizon (module docstring).  The consumer stops it
@@ -377,12 +378,29 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     if skip_free:
         t = anchor
 
+    def jet(s: float) -> tuple[float, float, float]:
+        # a refine point; one whose value lies within its noise floor is counted
+        cur, noise = target_jet(L, eta, target, s, values.value(s))
+        if noise_limited(cur[0], noise):
+            counts = _record.get()
+            if counts is not None:
+                counts.refine_unresolved += 1
+        return cur
+
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
+    wanted = count if count is not None else 0  # zeros still wanted
     while t_prev < EVAL_Z_MAX:
         try:
             # the anchor is summed unless the origin's table serves it, so that
-            # both walks keep the same sums from it on
-            sv = values.direct(t) if t == anchor else values.value(t)
+            # both walks keep the same sums from it on; past it, while two or
+            # more zeros are wanted, a point no table serves is read back from
+            # a sum two grid steps ahead
+            if t == anchor:
+                sv = values.direct(t)
+            elif t > anchor and wanted >= 2:
+                sv = values.value(t, after(after(t)))
+            else:
+                sv = values.value(t)
             cur, noise = target_jet(L, eta, target, t, sv)
             if noise_limited(cur[0], noise):  # a summed point is its kept sum again
                 sv = values.sum(t)
@@ -393,8 +411,8 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
             return  # sign no longer resolvable against the cancellation floor
         zero = None
         if (prev[0] < 0.0) != (cur[0] < 0.0):  # 0.0 counts as non-negative
-            zero = refine_bracket(lambda s: target_jet(L, eta, target, s, values.value(s))[0],
-                                  t_prev, t, prev, cur, REFINE_TOL).root
+            zero = refine_bracket(jet, t_prev, t, prev, cur, REFINE_TOL).root
+            wanted -= 1
         yield ScanStep(t_prev, t, sv, zero)
         t_prev, prev = t, cur
         t = after(t)
@@ -404,7 +422,7 @@ def _zeros(values: Evaluator, target: ZeroTarget, count: int) -> tuple[list[floa
     """The first count positive zeros, and whether fewer were found."""
     found: list[float] = []
     if count > 0:
-        for step in scan(values, target, skip_free=True):
+        for step in scan(values, target, skip_free=True, count=count):
             if step.zero is not None:
                 found.append(step.zero)
                 if len(found) == count:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import random
 import sys
 import threading
@@ -1237,37 +1238,56 @@ class TestCounting:
             find_zeros(CoulombParams(0.5, -1.0), ZeroTarget.F, 10, 10)
         totals = counts.totals()
         # the points near the origin from the table of its coefficients, and
-        # past its reach every scan step and refine point a jet of the nearest
-        # kept sum, summed where that table refuses it.  16 sums and 1191 terms
-        # when the scan summed every third grid point past the origin table's
-        # reach (1185 when that table weighed every row with gamma_34); 20 and
-        # 1258 with no table, 32 and 2110 with every second scan step summed,
-        # 47 and 3566 with every scan step summed, 67 and 5305 with each
-        # refine's first point summed from the origin too, 117 and 10198 with
-        # every point summed from the origin.  The sums lie farther out, so
-        # they take more terms each
+        # past its reach every scan step and refine point read from the table
+        # at a kept sum on either side, else, while two or more zeros are
+        # wanted, from the sum two grid steps ahead, summed where no table
+        # serves it.  16 sums and 1251 terms with the sum at the point itself
+        # (1191 when the scan summed every third grid point past the origin
+        # table's reach, 1185 when that table weighed every row with
+        # gamma_34); 20 and 1258 with no table, 32 and 2110 with every second
+        # scan step summed, 47 and 3566 with every scan step summed, 67 and
+        # 5305 with each refine's first point summed from the origin too, 117
+        # and 10198 with every point summed from the origin
         assert (totals["evals"], totals["terms"], totals["refine_steps"],
-                totals["jets"], totals["table_points"]) == (16, 1251, 70, 95, 8)
-        # the table refuses 4 points after reading its rows, and 121 past
-        # its reach or far end
-        assert (totals["refused_in_reach"], totals["refused_past_reach"]) == (4, 121)
+                totals["jets"], totals["table_points"]) == (10, 779, 70, 101, 8)
+        # the table refuses 4 points after reading its rows, and 115 past
+        # its reach or far end (4 and 121 with the sum at the point itself);
+        # no refine point is noise-limited on F
+        assert (totals["refused_in_reach"], totals["refused_past_reach"]) == (4, 115)
+        assert totals["refine_unresolved"] == 0
+
+    def test_refine_points_within_the_noise_floor_are_counted(self):
+        # F' and g' at (0.5, -1): refine points whose target value lies
+        # within its noise floor, whose signs the refine decides all the same
+        for target, unresolved in ((ZeroTarget.F_PRIME, 13), (ZeroTarget.G_PRIME, 15)):
+            with series.counting() as counts:
+                find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
+            assert counts.refine_unresolved == unresolved, target
+            assert 0 < counts.refine_unresolved < counts.refine_steps
 
     def test_find_zeros_sums_only_its_scan_steps(self):
-        # the negative side is summed as the positive side of (L, -eta); the
-        # 31 of the 47 scan steps not listed are jets or table points
+        # the negative side is summed as the positive side of (L, -eta); every
+        # sum is made at a scan step, at the step itself or, for 8 of the 10,
+        # two grid steps ahead of it, and the 37 of the 47 scan steps whose
+        # value is no sum are jets or table points
         params = CoulombParams(0.5, -1.0)
         with series.counting() as counts:
             find_zeros(params, ZeroTarget.F, 10, 10)
-        steps = []
+        sums, ahead = [], 0
         for side in (params, CoulombParams(0.5, 1.0, unsafe=True)):
-            found = 0
-            for step in scan(series.Evaluator(side), ZeroTarget.F, skip_free=True):
-                if step.sv._at is not None:
-                    steps.append(step.t)
+            walk = scan(series.Evaluator(side), ZeroTarget.F, skip_free=True, count=10)
+            grid, made, found = [], [], 0
+            while found < 10:
+                with series.counting() as step_counts:
+                    step = next(walk)
+                grid.append(step.t)
+                made.append(step_counts.points)
                 found += step.zero is not None
-                if found == 10:
-                    break
-        assert counts.points == steps and len(steps) == 16
+            for k, points in enumerate(made):
+                assert set(points) <= {grid[k], *grid[k + 2:k + 3]}, (side, grid[k])
+                ahead += sum(z != grid[k] for z in points)
+            sums += [z for points in made for z in points]
+        assert counts.points == sums and len(sums) == 10 and ahead == 8
 
     def test_radius_record(self):
         from coulomb_radii.radii import RadiusQuery, radius
@@ -1507,6 +1527,22 @@ class TestSeriesValue:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(sv, f.name, getattr(sv, f.name))
         assert (sv.p0, sv._at) == (0.25, self.AT)
+
+    def test_assigning_or_deleting_any_name_raises(self):
+        # a name that is no field as well: the pair dataclass generates for
+        # a frozen class with slots raised TypeError there on 3.10 and 3.11
+        sv = series.SeriesValue(*self.FIELDS, self.AT)
+        for name in ("extra", "p0", "_at"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sv, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(sv, name)
+        assert not hasattr(sv, "extra") and (sv.p0, sv._at) == (0.25, self.AT)
+
+    def test_pickling_keeps_every_slot(self):
+        sv = series.SeriesValue(*self.FIELDS, self.AT)
+        back = pickle.loads(pickle.dumps(sv))
+        assert back == sv and back._at == self.AT
 
     def test_equality_and_repr_ignore_at(self):
         summed = series.SeriesValue(*self.FIELDS, self.AT)

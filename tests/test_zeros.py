@@ -224,15 +224,31 @@ class TestZeroFreeStart:
     @pytest.mark.parametrize("L", [0.0, 0.5, 2.0, 6.0])
     @pytest.mark.parametrize("eta", [0.0, -1.0, -8.0, -20.0])
     def test_skipping_finds_the_zeros_of_every_step(self, L, eta):
-        # the zeros of a scan that evaluates every grid point, on both sides
+        # the zeros of a scan that evaluates every grid point, on both sides,
+        # asked for as many zeros, so that it sums the same points ahead
         params = CoulombParams(L, eta)
         for target in ZeroTarget:
             zs = find_zeros(params, target, 4, 4)
             mirrored = CoulombParams(L, -eta, unsafe=True)
             for side, found in ((params, zs.positive), (mirrored, [-x for x in zs.negative])):
-                every = [s.zero for s in zeros.scan(series.Evaluator(side), target)
+                every = [s.zero for s in zeros.scan(series.Evaluator(side), target, count=4)
                          if s.zero is not None]
                 assert found and every[:len(found)] == list(found), (target, side)
+
+    @pytest.mark.parametrize("L, eta, target", [
+        (3.884621665193355, 14.881297333751107, ZeroTarget.F),
+        (0.08736309839802359, 13.919133248750512, ZeroTarget.F),
+        (0.010649173215207863, 18.570237236214105, ZeroTarget.F_PRIME)])
+    def test_no_sum_ahead_at_or_before_the_anchor(self, L, eta, target):
+        # no grid point up to the anchor asks for a sum two steps ahead, so
+        # the walks with and without skip_free sum the same points from the
+        # anchor on; with a sum ahead before the anchor too, each of these
+        # (unsafe, eta > 0) differs in a last bit
+        params = CoulombParams(L, eta, unsafe=True)
+        walks = [[s.zero for s in zeros.scan(series.Evaluator(params), target, skip_free=skip,
+                                             count=6) if s.zero is not None][:6]
+                 for skip in (True, False)]
+        assert len(walks[0]) >= 3 and walks[0] == walks[1]
 
 
 def itp_iterates(f, lo, hi, f_lo, f_hi, tol):
@@ -470,9 +486,11 @@ def _tables_at_sums(monkeypatch, replace):
 
 class TestAlternateSteps:
     """The scan takes its anchor from Evaluator.direct and every other grid
-    point from Evaluator.value: the origin's table, else the table at the
-    nearest kept sum, else a sum; a point whose target is noise-limited there
-    is summed instead."""
+    point from Evaluator.value, asked with the grid point two steps on while
+    two or more zeros are wanted: the origin's table, else the table at a
+    kept sum on either side of it, else the table at the sum two steps
+    ahead, else a sum; a point whose target is noise-limited there is summed
+    instead."""
 
     SIDES = (CoulombParams(0.5, -1.0), CoulombParams(0.5, 1.0, unsafe=True),
              CoulombParams(2.0, -8.0), CoulombParams(0.0, 20.0, unsafe=True),
@@ -485,23 +503,48 @@ class TestAlternateSteps:
 
     def test_grid_points_are_the_evaluators_values(self, monkeypatch):
         # every grid point past the anchor is the value Evaluator.value
-        # returns with the sums kept before it: the origin table's, else the
-        # table's at the nearest kept sum, else a sum; where that value is
-        # noise-limited on the target, the scan's value is the sum at the point
-        counts = dict.fromkeys(("served", "summed", "tabled", "resummed"), 0)
+        # returns with the sums kept before it, asked with the grid point two
+        # steps on while two or more of the ten zeros are still wanted and
+        # with none after that: the origin table's, else the table's at a
+        # kept sum on either side, else the table's at the sum two steps
+        # ahead, else a sum; where that value is noise-limited on the target,
+        # the scan's value is the sum at the point
+        counts = dict.fromkeys(("served", "backward", "summed", "tabled", "ahead", "resummed"), 0)
+        value = series.Evaluator.value
+        asked = []
 
-        def walk(params, target):
+        def recorded(self, t, ahead=None):
+            asked.append((t, ahead))
+            return value(self, t, ahead)
+
+        monkeypatch.setattr(series.Evaluator, "value", recorded)
+
+        def walk(params, target, count=10):
             values = series.Evaluator(params)
-            steps = zeros.scan(values, target, skip_free=True)
+            steps = zeros.scan(values, target, skip_free=True, count=count)
             anchor = next(steps)
             assert anchor.sv == values.direct(anchor.t)
+            wanted = count - (anchor.zero is not None)
+            walked = []
             for _ in range(60):
-                fresh = series.Evaluator(params)
-                fresh._ts, fresh._sums = list(values._ts), list(values._sums)
+                kept = list(values._ts), list(values._sums)
+                asked.clear()
                 step = next(steps, None)
                 if step is None:
                     break
-                sv = fresh.value(step.t)
+                # the grid point is the first point asked, before its refine
+                t, ahead = asked[0]
+                assert t == step.t
+                assert (ahead is None) == (wanted < 2), (params, target, t)
+                walked.append((step, ahead, kept))
+                wanted -= step.zero is not None
+            # the sum ahead is the grid point two steps on
+            for (step, ahead, _), (later, _, _) in zip(walked, walked[2:]):
+                assert ahead is None or ahead == later.t, (params, target, step.t)
+            for step, ahead, (ts, sums) in walked:
+                fresh = series.Evaluator(params)
+                fresh._ts, fresh._sums = list(ts), list(sums)
+                sv = value(fresh, step.t, ahead)
                 if step.sv._at is not None and sv._at is None:
                     (f, _, _), noise = zeros.target_jet(params.L, params.eta, target, step.t, sv)
                     assert zeros.noise_limited(f, noise), (params, target, step.t)
@@ -510,21 +553,28 @@ class TestAlternateSteps:
                     continue
                 assert step.sv == sv, (params, target, step.t)
                 if step.sv._at is not None:
-                    # summed: both tables refuse it, or no sum lies below it
+                    # summed: every table refuses it, or no sum lies below it
                     assert step.sv._at[2] == step.t and values.table(step.t) is None
                     counts["summed"] += 1
                 elif self.tabled(values, step):
                     counts["tabled"] += 1
+                elif ahead is not None and ahead not in ts and ahead in fresh._ts:
+                    # read back from the sum it made two steps ahead
+                    counts["ahead"] += 1
                 else:
                     counts["served"] += 1
+                    counts["backward"] += step.t < fresh._ts[-1] and any(
+                        z0 > step.t and fresh._bases.get(z0) is not None
+                        and fresh._bases[z0].value(step.t - z0) == sv for z0 in fresh._ts)
             # the evaluator keeps no jet and no table value
             assert all(sv._at is not None for sv in values._sums)
 
         for params in self.SIDES:
             for target in ZeroTarget:
                 walk(params, target)
-        assert counts["served"] >= 300 and counts["summed"] >= 150, counts
-        assert counts["tabled"] >= 30 and counts["resummed"] == 0, counts
+        assert counts["served"] >= 300 and counts["summed"] >= 100, counts
+        assert counts["tabled"] >= 30 and counts["ahead"] >= 40, counts
+        assert counts["backward"] >= 30 and counts["resummed"] == 0, counts
         # the values with an odd number of rows from tables at sums, their
         # bounds raised past every value: the scan sums those points instead
         _tables_at_sums(monkeypatch, lambda sv: dataclasses.replace(sv, noise=(1e300,) * 3)
@@ -658,15 +708,24 @@ class TestExactGridZero:
 
     def test_noise_floor_ends_the_scan(self, monkeypatch):
         # one grid sum with its bound raised past its value: the scan stops
-        # there and find_zeros returns the zeros before it, truncated; the
-        # first sum past the fourth zero's step, at 15.84, has five zeros
-        # below it (four when the scan summed every third grid point)
-        params = CoulombParams(0.5, -1.0)
-        steps = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F,
-                                                 skip_free=True), 24))
-        fourth = [s.t for s in steps if s.zero is not None][3]
-        stop = next(s.t for s in steps if s.t > fourth and s.sv._at is not None)
-        before = tuple(s.zero for s in steps if s.zero is not None and s.t < stop)
+        # there and find_zeros returns the zeros before it, truncated.  The
+        # sum is the first past the fourth zero's step that its own step
+        # makes, so no earlier point reads it: at 18.81 of a walk for seven
+        # zeros, the seventh then wanted alone, with six zeros below it (five
+        # below the first sum past that step, at 15.84, when no sum lay two
+        # steps ahead; four when the scan summed every third grid point)
+        params, count = CoulombParams(0.5, -1.0), 7
+        walk = zeros.scan(series.Evaluator(params), ZeroTarget.F, skip_free=True, count=count)
+        steps = []
+        for _ in range(24):
+            with series.counting() as made:
+                step = next(walk, None)
+            if step is None:
+                break
+            steps.append((step, made.points))
+        fourth = [s.t for s, _ in steps if s.zero is not None][3]
+        stop = next(s.t for s, points in steps if s.t > fourth and s.t in points)
+        before = tuple(s.zero for s, _ in steps if s.zero is not None and s.t < stop)
         direct = series._direct
 
         def noisy(L, eta, z):
@@ -676,8 +735,8 @@ class TestExactGridZero:
             return sv
 
         monkeypatch.setattr(series, "_direct", noisy)
-        zs = find_zeros(params, ZeroTarget.F, len(before) + 3, 0)
-        assert zs.truncated and len(before) == 5
+        zs = find_zeros(params, ZeroTarget.F, count, 0)
+        assert zs.truncated and len(before) == 6
         assert zs.positive == before
 
 
