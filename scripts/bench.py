@@ -55,15 +55,27 @@ counts are those of the repeated request: 16 hits and no sums.
 The disk rows sum in numpy, not through the series module, so they hold
 only their time; cli_process runs its two processes in turn, --repeat
 times each.
+The query rows also hold refine_unresolved, the zero scans' refine points
+whose target value lies within its noise floor.
 The counts are deterministic; the times depend on the machine.
+
+--seeded SEED prints instead the seeded-count table of ROADMAP.md: the
+series.counting() totals of the first 648 radius-table and 180 zero-scan
+operations that perfbench/workloads.py generates for SEED, run in this
+process as perfbench/worker.py runs them (a radius with its Euler-Rayleigh
+bounds, a find_zeros), one markdown row per workload.  It reads
+perfbench/workloads.py and changes nothing there.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
+    PYTHONPATH=src python scripts/bench.py --seeded 1
 """
 
 import argparse
 import contextlib
+import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -76,6 +88,7 @@ import time
 import coulomb_radii
 from coulomb_radii import CoulombParams, cli, series
 from coulomb_radii.radii import RadiusQuery, domain_cap, radius
+from coulomb_radii.rayleigh import euler_rayleigh_bounds
 from coulomb_radii.subordination import disk_min_real
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
@@ -85,6 +98,11 @@ CLI_EVAL = ["eval", "--L=0.5", "--eta=-1",
             "--z=" + ",".join(f"{0.25 * j:g}" for j in range(1, 17)), "--quantity", "star"]
 CLI_PROCESS = ["-m", "coulomb_radii", "eval", "--L", "0.5", "--eta=-1", "--z", "1"]
 VALUE_BATCH = 1000  # SeriesValue builds per timed call of the value_build row
+# the operations of each workload in the seeded-count table
+SEEDED = {"radius-table": 648, "zero-scan": 180}
+SEEDED_COLUMNS = (("sums", "evals"), ("terms", "terms"), ("jets", "jets"),
+                  ("table points", "table_points"), ("table rows", "table_rows"),
+                  ("refine steps", "refine_steps"), ("refine_unresolved", "refine_unresolved"))
 
 
 def median_ms(fn, repeat, cold=True):
@@ -159,7 +177,7 @@ def rows(repeat):
     for name, cold in (("cli_eval", True), ("cli_eval_warm", False)):
         # the cold calls leave the memo full for the warm ones
         tally = counts(cli_eval, cold)
-        del tally["refine_steps"]
+        del tally["refine_steps"], tally["refine_unresolved"]
         out[name] = {"ms": median_ms(cli_eval, repeat, cold), **tally}
     for quantity in ("g", "zgpg"):
         out[f"disk_{quantity}64"] = {
@@ -185,6 +203,51 @@ def cli_process(repeat):
     return {name: 1e3 * statistics.median(ts) for name, ts in times.items()}
 
 
+def workloads():
+    """perfbench/workloads.py, loaded from the checkout beside this script."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_radius(op):
+    params = CoulombParams(op["L"], op["eta"])
+    radius(RadiusQuery(params, op["kind"], op["property"], op["beta"]), form=op["form"])
+    euler_rayleigh_bounds(params, op["kind"], op["m"])
+
+
+def run_zeros(op):
+    find_zeros(CoulombParams(op["L"], op["eta"]), op["target"], op["count_pos"], op["count_neg"])
+
+
+def seeded(seed):
+    """The series.counting() totals of the first SEEDED operations of each
+    workload at seed, run in turn in this process."""
+    generators = workloads().GENERATORS
+    out = {}
+    for name, execute in (("radius-table", run_radius), ("zero-scan", run_zeros)):
+        ops = list(itertools.islice(generators[name](seed), SEEDED[name]))
+        series.eval_point.cache_clear()
+        with series.counting() as record:
+            for op in ops:
+                execute(op)
+        out[name] = record.totals()
+    return out
+
+
+def seeded_table(seed):
+    """The rows of seeded(seed) as a markdown table."""
+    lines = ["| Seed, workload | " + " | ".join(head for head, _ in SEEDED_COLUMNS) + " |",
+             "|---" * (len(SEEDED_COLUMNS) + 1) + "|"]
+    for name, totals in seeded(seed).items():
+        lines.append(f"| {seed}, {name} | "
+                     + " | ".join(str(totals[key]) for _, key in SEEDED_COLUMNS) + " |")
+    return "\n".join(lines) + "\n"
+
+
 def cli_eval():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(CLI_EVAL)
@@ -196,9 +259,14 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeat", type=int, default=21, help="calls per timed row (median)")
+    ap.add_argument("--seeded", type=int, metavar="SEED",
+                    help="print the seeded-count table of the perfbench workloads instead")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
+    if args.seeded is not None:
+        sys.stdout.write(seeded_table(args.seeded))
+        return 0
     report = {
         "params": {"L": PARAMS.L, "eta": PARAMS.eta},
         "python": platform.python_version(),

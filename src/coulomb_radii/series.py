@@ -733,7 +733,7 @@ class Evaluator:
         i = bisect.bisect_left(ts, t)
         if i == len(ts):  # past every kept sum
             sv = self._read(i - 1, t)
-            if sv is None and ahead is not None:
+            if sv is None and ahead is not None and ahead > t:
                 try:
                     self.sum(ahead)
                 except ConvergenceError:
@@ -752,8 +752,6 @@ class Evaluator:
         """The value at t of the table at the i-th kept sum, or None where
         it refuses t."""
         z0 = self._ts[i]
-        if t == z0:
-            return self._sums[i]
         table = self._bases.get(z0)
         if table is None:
             table = self._bases[z0] = _Table.at(self._sums[i])
