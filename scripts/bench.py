@@ -40,7 +40,8 @@ row evaluates the series, the series.counting() record of one call (fields
 as series.SumCounts documents them, evals for the number of points): sums
 from the origin, the points a table refused after reading its rows and
 those past its reach, the points (jets, no sums) that a query's
-series.Evaluator reads from the table at the nearest sum it keeps, for the
+series.Evaluator reads from the table at a sum it keeps on either side of
+them, or at the sum it makes two grid steps ahead of a scan step, for the
 scan steps and refine points the origin's table refuses and it need not
 sum, the rows the tables build, and
 each query row's refine_steps, the zero refines and the radius solve, each

@@ -26,9 +26,10 @@ lies in its step.  The scan stops there.  The one root finder of the zeros
 module (refine_bracket) refines that bracket with Halley steps from the jets
 of equations.equation, to 1e-13 max(1, end of the bracket) on the abscissa.  Its points and the
 residual's are values of the same evaluator: the origin table's next to
-the origin, elsewhere those of the table at the nearest sum the scan (up to
-the bracket) or the solve made, each summed from the origin instead where
-neither serves.  It
+the origin, elsewhere those of the table at a sum the scan (up to the
+bracket) or the solve made on either side of the point, the nearer first,
+each summed from the origin instead where none serves (the radius scan
+asks for no sum ahead).  It
 solves either the ratio form N/D - beta ("ratio")
 or the direct form N - beta D ("direct"), which has the sign of the ratio
 form wherever D > 0; the two roots agreeing is one of the acceptance

@@ -143,18 +143,25 @@ origin's table, the sums of one query at one (L, eta) and the table at each
 sum a point asked for, and the evaluator alone picks what serves a point.
 Every point of the zero scan but its anchor, of its refines and of the
 radius solve is Evaluator.value: the origin table's value, or else that of
-the table at the nearest kept sum, or else a sum that is kept, so a point is
-summed only where no table serves it.  The scan's anchor is
-Evaluator.direct, the origin table's value within its reach and a sum past
-it (Evaluator.sum sums a point once per query).  A point below
+the table at a kept sum on either side of the point, the nearer first, or
+else a sum that is kept, so a point is summed only where no table serves
+it.  Where the caller names a point ahead (the zero scan names the grid
+point two steps on) and no table serves a point past every kept sum, the
+evaluator sums the point ahead instead, keeps it, and reads the point back
+from its table, summing the point itself only where that table refuses it;
+so each table at a sum serves points on both sides of it.  The scan's
+anchor is Evaluator.direct, the origin table's value within its reach and
+a sum past it (Evaluator.sum sums a point once per query).  A point below
 every kept sum is summed rather than read towards the origin, where the
 second solution of the Coulomb equation is singular: at (48, 0) the origin's
 table reaches 10.0, and the table at a sum at 12.5 gives 11.5 a bound of
-9.8e-14 on P = 0.51.  counting() counts every sum made inside its block,
-where it is made, the points served from tables at sums (jets) and from the
-origin's table, the rows the tables build and the points they refuse, the
-steps of zeros.refine_bracket and the hits and misses of eval_point's memo; outside a
-block each of them pays one ContextVar lookup.
+9.8e-14 on P = 0.51.  A point read back from a sum above it has a kept sum
+below it too.  counting() counts every sum made inside its block, where it
+is made, the points served from tables at sums (jets) and from the origin's
+table, the rows the tables build and the points they refuse, the steps of
+zeros.refine_bracket and the refine points of the zero scan that are
+noise-limited on its target, and the hits and misses of eval_point's memo;
+outside a block each of them pays one ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -685,9 +692,13 @@ class Evaluator:
     one query in one thread.  sum(t) is the value kept at t, or a new sum
     from the origin; direct(t) is the origin table's value at t, or sum(t)
     where it refuses t; value(t) is the origin table's value, or else the
-    value of the table at the kept sum nearest t (the larger abscissa at
-    equal distance), or else sum(t), which a point below every kept sum
-    takes at once.  Table values are not kept, so errors never chain.
+    value of the table at a kept sum on either side of t, the nearer first
+    (the larger abscissa at equal distance), or else sum(t), which a point
+    below every kept sum takes at once.  value(t, ahead), for t past every
+    kept sum that no table serves, sums and keeps ahead (a point past
+    t) and reads t back from its table; it sums t where that table refuses
+    t or the sum at ahead raises ConvergenceError.  Table values are not
+    kept, so errors never chain.
     """
 
     def __init__(self, params: CoulombParams):

@@ -82,9 +82,14 @@ ends the scan).  The series is summed at the precision each point needs,
 so inside the range the horizon is reached only where that precision
 passes the series module's cap.
 Running past that horizon would report garbage zeros, so the result is
-flagged truncated instead.  The horizon depends on (L, eta) and the target
-alone, never on the count asked, so the first k zeros of a request do not
-depend on how many more were requested.
+flagged truncated instead.  The horizon depends on (L, eta) and the
+target, and on the count asked only through the table that serves a grid
+point (a point summed there is the same sum wherever the scan placed its
+others), since the count decides where the scan sums ahead (below).  The
+first k zeros of a request may then differ in their last bits with the
+count, by less than the refine tolerance: over 150 random requests at
+eta <= 0, 21 of k = 1, 2, 3 or 5 zeros a side differ from the first k of
+10 a side, by at most 5.0e-13 max(1, |x|), and none finds fewer.
 
 Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
@@ -102,34 +107,50 @@ which is no sum.  The anchor, the last grid point of the zero-free stretch
 Evaluator.direct: the origin table's value within its reach, and past it a
 sum from the origin (Evaluator.sum).  Every other point, of the grid or of
 a refine, is Evaluator.value: the origin table's value, or else that of the
-table at the nearest sum the evaluator keeps, summed and kept instead where
-that table refuses it (past its reach, or noise-limited) or where the point
-lies below every kept sum.  So a point is summed only where no table serves
-it.  A grid point where the target is noise_limited is summed too, which
-for a summed point is its kept sum again; so the scan stops where one that
-sums every step stops, and every sign is decided against a proven bound.
-The anchor is the same with and without skip_free.  Where it is summed,
-every later point's nearest kept sum is the anchor's or a later one, and
-where the origin's table serves it and every grid point before it there is
-no sum below it; either way both walks sum the same points from t_k on and
-take the same steps, bit for bit.  A table point costs a few double
-operations a row instead of a sum, and no table value is the base of a
-table, so errors never chain.  Each lies within its noise of P, P' and
-P'', and the zeros move by less than the refine tolerance against summing
-every point (find_zeros(F, 10, 10) at (0.5, -1): 16 sums of 1251 terms, 95
-points from tables at sums and 8 from the origin's, against 47 sums with
-every scan step summed and 117 with every point summed; F' and g' take 15
-and 14 sums).
+table at a kept sum on either side of the point, the nearer first, summed
+and kept instead where those tables refuse it (past their reach, or
+noise-limited) or where the point lies below every kept sum.  Past the
+anchor, while two or more zeros are still wanted (find_zeros passes its
+count), the scan asks each grid point with the grid point two steps on:
+where no table serves a point past every kept sum, the evaluator sums that
+point ahead and keeps it, reads the point back from its table, and sums
+the point itself only where that table refuses it (or where the sum ahead
+raises ConvergenceError).  So each table at a sum serves points on both
+sides of it, and a point is summed only where no table serves it.  A grid
+point where the target is noise_limited is summed too, which for a summed
+point is its kept sum again; so the scan stops where one that sums every
+step stops, and every sign of a grid point is decided against a proven
+bound.  The anchor is the same with and without skip_free, and no grid
+point up to it asks for a sum ahead.  Where the anchor is summed, every
+later point's kept sums are the anchor's or later ones, and where the
+origin's table serves it and every grid point before it there is no sum
+below it; either way both walks sum the same points from t_k on and take
+the same steps, bit for bit.  A sum ahead asked before the anchor would
+break that: a sum the walk with skip_free never makes would serve the
+walk without it (at (3.88, 14.88) for F a zero then moves by a last bit).
+The scan asks for no sum ahead while it wants one zero only, either, since
+its walk may end before it reaches that point; the radius solver passes
+no count and asks for none.  A table point costs a few double operations a row
+instead of a sum, and no table value is the base of a table, so errors
+never chain.  Each lies within its noise of P, P' and P'', and the zeros
+move by less than the refine tolerance against summing every point
+(find_zeros(F, 10, 10) at (0.5, -1): 10 sums of 779 terms, 101 points from
+tables at sums and 8 from the origin's, against 16 sums of 1251 terms with
+each sum at the point no table served and the nearest kept sum's table
+alone, 47 sums with every scan step summed and 117 with every point
+summed; F' and g' take 11 and 10 sums).
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root
 finder.  What serves a point is the evaluator's choice alone: the scan
 asks Evaluator.direct at its anchor and Evaluator.value everywhere else,
-and sums a point itself only where the target is noise-limited there.  The
-radius solver reads its equation off the series value of each step and
-refines the step that brackets the radius with the slopes of the equation's
-jet (see the radii module).  refine_bracket decides signs without a
-noise-floor check; series.counting() counts its steps.
+names the point ahead, and sums a point itself only where the target is
+noise-limited there.  The radius solver reads its equation off the series
+value of each step and refines the step that brackets the radius with the
+slopes of the equation's jet (see the radii module).  refine_bracket
+decides signs without a noise-floor check; series.counting() counts its
+steps, and as refine_unresolved the scan's refine points whose target
+value lies within its noise floor.
 """
 
 from __future__ import annotations
@@ -329,8 +350,8 @@ class ScanStep(NamedTuple):
     """One step (t_prev, t] of the scan along the positive axis.
 
     sv is the series at t: the origin table's value, a sum, or the value of
-    the table at a sum before it; zero is the target's zero in the step,
-    refined, or None.
+    the table at a kept sum on either side of t; zero is the target's zero
+    in the step, refined, or None.
     """
 
     t_prev: float
@@ -348,9 +369,13 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False,
     zero-free stretch (0, t*] (the first grid point where there is none), is
     values.direct, the table's or a sum; every other point, of the grid or
     of a refine, is values.value, and a grid point where the target is
-    noise-limited is values.sum.  A value of 0.0 counts as non-negative.  A
-    step that holds a zero adds the refine's steps.  With skip_free and
-    L >= 0 the first step is (0, t_k], t_k the anchor (module docstring)."""
+    noise-limited is values.sum.  count is the number of zeros the consumer
+    wants, or None: past the anchor, while two or more of them are still
+    wanted, a grid point is values.value(t, ahead), ahead the grid point two
+    steps on (module docstring).  A value of 0.0 counts as non-negative.  A
+    step that holds a zero adds the refine's steps, and counts those of its
+    points whose target is noise-limited.  With skip_free and L >= 0 the
+    first step is (0, t_k], t_k the anchor (module docstring)."""
     L, eta = values.params.L, values.params.eta
     # Q(t) = 1 + a/t + b/t^2 of the module docstring
     a = max(0.0, -2.0 * eta)

@@ -693,9 +693,56 @@ class TestJets:
 
 class TestEvaluator:
     """series.Evaluator: each point past the origin's table is read from the
-    table at the nearest sum it keeps, the same bits as series.jet, and a
-    point is summed from the origin, and kept, only where that table refuses
-    it."""
+    table at a sum it keeps on either side of it, the nearer first, the same
+    bits as series.jet, or, past every kept sum, from the sum at the point
+    ahead that the caller names; a point is summed from the origin, and
+    kept, only where those tables refuse it."""
+
+    def test_the_farther_side_serves_where_the_nearer_refuses(self):
+        # 4.9 lies 2.9 above the sum at 2, past its |z0|/2, and 3.1 below
+        # the sum at 8, whose table serves it
+        values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+        lo, hi = values.sum(2.0), values.sum(8.0)
+        assert series.jet(lo, 4.9) is None
+        with series.counting() as counts:
+            sv = values.value(4.9)
+        # refused unread by the origin's table and by the sum at 2's
+        assert counts.points == [] and counts.jets == 1 and counts.refused_past_reach == 2
+        assert sv == series.jet(hi, 4.9)
+
+    def test_a_point_past_every_sum_is_read_back_from_the_sum_ahead(self):
+        # 9 lies past the reach of the sum at 5: the sum at 11 is made and
+        # kept, and 9 is read back from its table
+        values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+        values.sum(5.0)
+        with series.counting() as counts:
+            sv = values.value(9.0, 11.0)
+        assert counts.points == [11.0] and counts.jets == 1
+        assert values._ts == [5.0, 11.0] and sv == series.jet(values.sum(11.0), 9.0)
+        # without a point ahead, the point itself is summed
+        other = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+        other.sum(5.0)
+        assert other.value(9.0)._at == (0.5, 1.0, 9.0) and other._ts == [5.0, 9.0]
+
+    def test_the_point_is_summed_where_the_sum_ahead_fails_it(self):
+        # a sum ahead whose table refuses the point (9 lies past 30/2 of 30),
+        # or one past |z| = 55 that raises ConvergenceError: 9 is summed too
+        for ahead, kept in ((30.0, [5.0, 9.0, 30.0]), (60.0, [5.0, 9.0])):
+            values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+            values.sum(5.0)
+            with series.counting() as counts:
+                sv = values.value(9.0, ahead)
+            assert counts.points == [ahead, 9.0] and values._ts == kept, ahead
+            assert sv._at == (0.5, 1.0, 9.0)
+
+    def test_no_sum_ahead_where_the_origin_serves_or_below_every_sum(self):
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        with series.counting() as counts:
+            near = values.value(0.5, 3.0)  # the origin's table
+            values.sum(20.0)
+            below = values.value(10.0, 12.0)  # below every kept sum: summed
+        assert near == values.table(0.5) and counts.points == [20.0, 10.0]
+        assert below._at == (0.5, -1.0, 10.0) and values._ts == [10.0, 20.0]
 
     def test_points_are_jets_of_the_nearer_end(self):
         # on the negative side of (0.5, -1): the positive side of (0.5, 1)

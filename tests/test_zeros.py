@@ -454,9 +454,11 @@ class TestRefineBracket:
         # half-Sturm-spacing step for every target, the zero-free start of the
         # negative axis unevaluated, the points near the origin from the
         # table of its coefficients, past its reach every scan step a jet of
-        # the nearest kept sum, summed where that table refuses it, each
-        # refine started at the interpolated point of the scan's end jets and
-        # every refine point a jet of a summed scan step (16, 15 and 14; 16
+        # a kept sum on either side, else read back from the sum two grid
+        # steps ahead, summed where no table serves it, each refine started
+        # at the interpolated point of the scan's end jets and every refine
+        # point a jet of a kept sum (10, 11 and 10; 16, 15 and 14 with the
+        # sum at the point itself and the nearest kept sum alone; 16
         # each when the scan summed every third grid point, 20 for each target
         # with no table, 32, 31 and 30 with every second scan step summed, 47, 45
         # and 44 with every scan step summed, 67, 65 and 64 with each refine's
@@ -464,7 +466,7 @@ class TestRefineBracket:
         # summed, 118, 119 and 115 with the zero-free start evaluated too, 139,
         # 138 and 138 from Halley steps alone, 223, 220 and 221 with ITP steps
         # alone); jets and table points are no sums
-        gates = {ZeroTarget.F: 16, ZeroTarget.F_PRIME: 16, ZeroTarget.G_PRIME: 16}
+        gates = {ZeroTarget.F: 10, ZeroTarget.F_PRIME: 11, ZeroTarget.G_PRIME: 10}
         for target, gate in gates.items():
             evaluations.clear()
             zs = find_zeros(CoulombParams(0.5, -1.0), target, 10, 10)
