@@ -63,9 +63,10 @@ The counts are deterministic; the times depend on the machine.
 --seeded SEED prints instead the seeded-count table of ROADMAP.md: the
 series.counting() totals of the first 648 radius-table and 180 zero-scan
 operations that perfbench/workloads.py generates for SEED, run in this
-process as perfbench/worker.py runs them (a radius with its Euler-Rayleigh
-bounds, a find_zeros), one markdown row per workload.  It reads
-perfbench/workloads.py and changes nothing there.
+process by perfbench/worker.py's executors (a radius with its
+Euler-Rayleigh bounds, a find_zeros), one markdown row per workload.  It
+loads perfbench/worker.py, which imports workloads.py, and changes nothing
+under perfbench/.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -89,7 +90,6 @@ import time
 import coulomb_radii
 from coulomb_radii import CoulombParams, cli, series
 from coulomb_radii.radii import RadiusQuery, domain_cap, radius
-from coulomb_radii.rayleigh import euler_rayleigh_bounds
 from coulomb_radii.subordination import disk_min_real
 from coulomb_radii.zeros import ZeroTarget, find_zeros
 
@@ -204,46 +204,40 @@ def cli_process(repeat):
     return {name: 1e3 * statistics.median(ts) for name, ts in times.items()}
 
 
-def workloads():
-    """perfbench/workloads.py, loaded from the checkout beside this script."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_worker():
+    """perfbench/worker.py, loaded from the checkout beside this script, with
+    the sibling modules it imports by name (workloads, speed)."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_worker", os.path.join(root, "worker.py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, root)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(root)
     return module
 
 
-def run_radius(op):
-    params = CoulombParams(op["L"], op["eta"])
-    radius(RadiusQuery(params, op["kind"], op["property"], op["beta"]), form=op["form"])
-    euler_rayleigh_bounds(params, op["kind"], op["m"])
-
-
-def run_zeros(op):
-    find_zeros(CoulombParams(op["L"], op["eta"]), op["target"], op["count_pos"], op["count_neg"])
-
-
-def seeded(seed):
-    """The series.counting() totals of the first SEEDED operations of each
-    workload at seed, run in turn in this process."""
-    generators = workloads().GENERATORS
+def seeded(seed, sizes=SEEDED):
+    """The series.counting() totals of the first sizes[name] operations of
+    each workload name at seed, run in turn in this process."""
+    worker = perfbench_worker()
     out = {}
-    for name, execute in (("radius-table", run_radius), ("zero-scan", run_zeros)):
-        ops = list(itertools.islice(generators[name](seed), SEEDED[name]))
+    for name, n in sizes.items():
+        ops = list(itertools.islice(worker.workloads.GENERATORS[name](seed), n))
         series.eval_point.cache_clear()
         with series.counting() as record:
             for op in ops:
-                execute(op)
+                worker.EXECUTORS[name](op)
         out[name] = record.totals()
     return out
 
 
-def seeded_table(seed):
-    """The rows of seeded(seed) as a markdown table."""
+def seeded_table(seed, sizes=SEEDED):
+    """The rows of seeded(seed, sizes) as a markdown table."""
     lines = ["| Seed, workload | " + " | ".join(head for head, _ in SEEDED_COLUMNS) + " |",
              "|---" * (len(SEEDED_COLUMNS) + 1) + "|"]
-    for name, totals in seeded(seed).items():
+    for name, totals in seeded(seed, sizes).items():
         lines.append(f"| {seed}, {name} | "
                      + " | ".join(str(totals[key]) for _, key in SEEDED_COLUMNS) + " |")
     return "\n".join(lines) + "\n"

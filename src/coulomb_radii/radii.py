@@ -28,8 +28,9 @@ of equations.equation, to 1e-13 max(1, end of the bracket) on the abscissa.  Its
 residual's are values of the same evaluator: the origin table's next to
 the origin, elsewhere those of the table at a sum the scan (up to the
 bracket) or the solve made on either side of the point, the nearer first,
-each summed from the origin instead where none serves (the radius scan
-asks for no sum ahead).  It
+each summed from the origin instead where none serves, or at a scan step
+past the anchor read back from a sum two grid steps ahead (zeros module
+docstring).  It
 solves either the ratio form N/D - beta ("ratio")
 or the direct form N - beta D ("direct"), which has the sign of the ratio
 form wherever D > 0; the two roots agreeing is one of the acceptance

@@ -82,14 +82,9 @@ ends the scan).  The series is summed at the precision each point needs,
 so inside the range the horizon is reached only where that precision
 passes the series module's cap.
 Running past that horizon would report garbage zeros, so the result is
-flagged truncated instead.  The horizon depends on (L, eta) and the
-target, and on the count asked only through the table that serves a grid
-point (a point summed there is the same sum wherever the scan placed its
-others), since the count decides where the scan sums ahead (below).  The
-first k zeros of a request may then differ in their last bits with the
-count, by less than the refine tolerance: over 150 random requests at
-eta <= 0, 21 of k = 1, 2, 3 or 5 zeros a side differ from the first k of
-10 a side, by at most 5.0e-13 max(1, |x|), and none finds fewer.
+flagged truncated instead.  The horizon, and every point the scan sums,
+depend on (L, eta) and the target alone, never on the count asked, so the
+first k zeros of a request do not depend on how many more were requested.
 
 Each sign change is refined as one zero, with no check for a multiple one:
 refine_bracket converges on any sign change, and F has only simple zeros at
@@ -110,8 +105,7 @@ a refine, is Evaluator.value: the origin table's value, or else that of the
 table at a kept sum on either side of the point, the nearer first, summed
 and kept instead where those tables refuse it (past their reach, or
 noise-limited) or where the point lies below every kept sum.  Past the
-anchor, while two or more zeros are still wanted (find_zeros passes its
-count), the scan asks each grid point with the grid point two steps on:
+anchor the scan asks each grid point with the grid point two steps on:
 where no table serves a point past every kept sum, the evaluator sums that
 point ahead and keeps it, reads the point back from its table, and sums
 the point itself only where that table refuses it (or where the sum ahead
@@ -128,9 +122,14 @@ below it; either way both walks sum the same points from t_k on and take
 the same steps, bit for bit.  A sum ahead asked before the anchor would
 break that: a sum the walk with skip_free never makes would serve the
 walk without it (at (3.88, 14.88) for F a zero then moves by a last bit).
-The scan asks for no sum ahead while it wants one zero only, either, since
-its walk may end before it reaches that point; the radius solver passes
-no count and asks for none.  A table point costs a few double operations a row
+The rule names no count, so a walk sums the same points whatever count its
+consumer wants; a walk that ends at its first zero may have summed a point
+two steps past it (the first 360 seeded zero-scan operations of perfbench
+ask (1, 0) zeros 36 times, in 880 terms against 868 with no sum ahead).
+The radius solver's scan asks ahead too; it stops at the step that
+brackets the radius, and the first 648 seeded radius-table operations at
+seeds 1 and 31 make the same sums and give the same doubles as with no
+sum ahead.  A table point costs a few double operations a row
 instead of a sum, and no table value is the base of a table, so errors
 never chain.  Each lies within its noise of P, P' and P'', and the zeros
 move by less than the refine tolerance against summing every point
@@ -360,8 +359,7 @@ class ScanStep(NamedTuple):
     zero: float | None
 
 
-def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False,
-         count: int | None = None) -> Iterator[ScanStep]:
+def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> Iterator[ScanStep]:
     """The one zero scan of values.params: half-Sturm-spacing steps along the
     positive axis from the origin, each with the target's zero in it refined,
     up to the precision horizon (module docstring).  The consumer stops it
@@ -369,10 +367,9 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False,
     zero-free stretch (0, t*] (the first grid point where there is none), is
     values.direct, the table's or a sum; every other point, of the grid or
     of a refine, is values.value, and a grid point where the target is
-    noise-limited is values.sum.  count is the number of zeros the consumer
-    wants, or None: past the anchor, while two or more of them are still
-    wanted, a grid point is values.value(t, ahead), ahead the grid point two
-    steps on (module docstring).  A value of 0.0 counts as non-negative.  A
+    noise-limited is values.sum.  Past the anchor a grid point is
+    values.value(t, ahead), ahead the grid point two steps on (module
+    docstring).  A value of 0.0 counts as non-negative.  A
     step that holds a zero adds the refine's steps, and counts those of its
     points whose target is noise-limited.  With skip_free and L >= 0 the
     first step is (0, t_k], t_k the anchor (module docstring)."""
@@ -413,16 +410,14 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False,
         return cur
 
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
-    wanted = count if count is not None else 0  # zeros still wanted
     while t_prev < EVAL_Z_MAX:
         try:
             # the anchor is summed unless the origin's table serves it, so that
-            # both walks keep the same sums from it on; past it, while two or
-            # more zeros are wanted, a point no table serves is read back from
-            # a sum two grid steps ahead
+            # both walks keep the same sums from it on; past it a point no
+            # table serves is read back from a sum two grid steps ahead
             if t == anchor:
                 sv = values.direct(t)
-            elif t > anchor and wanted >= 2:
+            elif t > anchor:
                 sv = values.value(t, after(after(t)))
             else:
                 sv = values.value(t)
@@ -437,7 +432,6 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False,
         zero = None
         if (prev[0] < 0.0) != (cur[0] < 0.0):  # 0.0 counts as non-negative
             zero = refine_bracket(jet, t_prev, t, prev, cur, REFINE_TOL).root
-            wanted -= 1
         yield ScanStep(t_prev, t, sv, zero)
         t_prev, prev = t, cur
         t = after(t)
@@ -447,7 +441,7 @@ def _zeros(values: Evaluator, target: ZeroTarget, count: int) -> tuple[list[floa
     """The first count positive zeros, and whether fewer were found."""
     found: list[float] = []
     if count > 0:
-        for step in scan(values, target, skip_free=True, count=count):
+        for step in scan(values, target, skip_free=True):
             if step.zero is not None:
                 found.append(step.zero)
                 if len(found) == count:

@@ -1286,10 +1286,9 @@ class TestCounting:
         totals = counts.totals()
         # the points near the origin from the table of its coefficients, and
         # past its reach every scan step and refine point read from the table
-        # at a kept sum on either side, else, while two or more zeros are
-        # wanted, from the sum two grid steps ahead, summed where no table
-        # serves it.  16 sums and 1251 terms with the sum at the point itself
-        # (1191 when the scan summed every third grid point past the origin
+        # at a kept sum on either side, else, past the anchor, from the sum
+        # two grid steps ahead, summed where no table serves it.  16 sums and
+        # 1251 terms with the sum at the point itself (1191 when the scan summed every third grid point past the origin
         # table's reach, 1185 when that table weighed every row with
         # gamma_34); 20 and 1258 with no table, 32 and 2110 with every second
         # scan step summed, 47 and 3566 with every scan step summed, 67 and
@@ -1322,7 +1321,7 @@ class TestCounting:
             find_zeros(params, ZeroTarget.F, 10, 10)
         sums, ahead = [], 0
         for side in (params, CoulombParams(0.5, 1.0, unsafe=True)):
-            walk = scan(series.Evaluator(side), ZeroTarget.F, skip_free=True, count=10)
+            walk = scan(series.Evaluator(side), ZeroTarget.F, skip_free=True)
             grid, made, found = [], [], 0
             while found < 10:
                 with series.counting() as step_counts:

@@ -224,14 +224,13 @@ class TestZeroFreeStart:
     @pytest.mark.parametrize("L", [0.0, 0.5, 2.0, 6.0])
     @pytest.mark.parametrize("eta", [0.0, -1.0, -8.0, -20.0])
     def test_skipping_finds_the_zeros_of_every_step(self, L, eta):
-        # the zeros of a scan that evaluates every grid point, on both sides,
-        # asked for as many zeros, so that it sums the same points ahead
+        # the zeros of a scan that evaluates every grid point, on both sides
         params = CoulombParams(L, eta)
         for target in ZeroTarget:
             zs = find_zeros(params, target, 4, 4)
             mirrored = CoulombParams(L, -eta, unsafe=True)
             for side, found in ((params, zs.positive), (mirrored, [-x for x in zs.negative])):
-                every = [s.zero for s in zeros.scan(series.Evaluator(side), target, count=4)
+                every = [s.zero for s in zeros.scan(series.Evaluator(side), target)
                          if s.zero is not None]
                 assert found and every[:len(found)] == list(found), (target, side)
 
@@ -245,9 +244,8 @@ class TestZeroFreeStart:
         # anchor on; with a sum ahead before the anchor too, each of these
         # (unsafe, eta > 0) differs in a last bit
         params = CoulombParams(L, eta, unsafe=True)
-        walks = [[s.zero for s in zeros.scan(series.Evaluator(params), target, skip_free=skip,
-                                             count=6) if s.zero is not None][:6]
-                 for skip in (True, False)]
+        walks = [[s.zero for s in zeros.scan(series.Evaluator(params), target, skip_free=skip)
+                  if s.zero is not None][:6] for skip in (True, False)]
         assert len(walks[0]) >= 3 and walks[0] == walks[1]
 
 
@@ -488,11 +486,10 @@ def _tables_at_sums(monkeypatch, replace):
 
 class TestAlternateSteps:
     """The scan takes its anchor from Evaluator.direct and every other grid
-    point from Evaluator.value, asked with the grid point two steps on while
-    two or more zeros are wanted: the origin's table, else the table at a
-    kept sum on either side of it, else the table at the sum two steps
-    ahead, else a sum; a point whose target is noise-limited there is summed
-    instead."""
+    point from Evaluator.value, asked with the grid point two steps on: the
+    origin's table, else the table at a kept sum on either side of it, else
+    the table at the sum two steps ahead, else a sum; a point whose target
+    is noise-limited there is summed instead."""
 
     SIDES = (CoulombParams(0.5, -1.0), CoulombParams(0.5, 1.0, unsafe=True),
              CoulombParams(2.0, -8.0), CoulombParams(0.0, 20.0, unsafe=True),
@@ -506,11 +503,10 @@ class TestAlternateSteps:
     def test_grid_points_are_the_evaluators_values(self, monkeypatch):
         # every grid point past the anchor is the value Evaluator.value
         # returns with the sums kept before it, asked with the grid point two
-        # steps on while two or more of the ten zeros are still wanted and
-        # with none after that: the origin table's, else the table's at a
-        # kept sum on either side, else the table's at the sum two steps
-        # ahead, else a sum; where that value is noise-limited on the target,
-        # the scan's value is the sum at the point
+        # steps on: the origin table's, else the table's at a kept sum on
+        # either side, else the table's at the sum two steps ahead, else a
+        # sum; where that value is noise-limited on the target, the scan's
+        # value is the sum at the point
         counts = dict.fromkeys(("served", "backward", "summed", "tabled", "ahead", "resummed"), 0)
         value = series.Evaluator.value
         asked = []
@@ -521,12 +517,11 @@ class TestAlternateSteps:
 
         monkeypatch.setattr(series.Evaluator, "value", recorded)
 
-        def walk(params, target, count=10):
+        def walk(params, target):
             values = series.Evaluator(params)
-            steps = zeros.scan(values, target, skip_free=True, count=count)
+            steps = zeros.scan(values, target, skip_free=True)
             anchor = next(steps)
             assert anchor.sv == values.direct(anchor.t)
-            wanted = count - (anchor.zero is not None)
             walked = []
             for _ in range(60):
                 kept = list(values._ts), list(values._sums)
@@ -536,13 +531,11 @@ class TestAlternateSteps:
                     break
                 # the grid point is the first point asked, before its refine
                 t, ahead = asked[0]
-                assert t == step.t
-                assert (ahead is None) == (wanted < 2), (params, target, t)
+                assert t == step.t and ahead is not None, (params, target, t)
                 walked.append((step, ahead, kept))
-                wanted -= step.zero is not None
             # the sum ahead is the grid point two steps on
             for (step, ahead, _), (later, _, _) in zip(walked, walked[2:]):
-                assert ahead is None or ahead == later.t, (params, target, step.t)
+                assert ahead == later.t, (params, target, step.t)
             for step, ahead, (ts, sums) in walked:
                 fresh = series.Evaluator(params)
                 fresh._ts, fresh._sums = list(ts), list(sums)
@@ -560,7 +553,7 @@ class TestAlternateSteps:
                     counts["summed"] += 1
                 elif self.tabled(values, step):
                     counts["tabled"] += 1
-                elif ahead is not None and ahead not in ts and ahead in fresh._ts:
+                elif ahead not in ts and ahead in fresh._ts:
                     # read back from the sum it made two steps ahead
                     counts["ahead"] += 1
                 else:
@@ -575,8 +568,8 @@ class TestAlternateSteps:
             for target in ZeroTarget:
                 walk(params, target)
         assert counts["served"] >= 300 and counts["summed"] >= 100, counts
-        assert counts["tabled"] >= 30 and counts["ahead"] >= 40, counts
-        assert counts["backward"] >= 30 and counts["resummed"] == 0, counts
+        assert counts["tabled"] >= 30 and counts["ahead"] >= 80, counts
+        assert counts["backward"] >= 80 and counts["resummed"] == 0, counts
         # the values with an odd number of rows from tables at sums, their
         # bounds raised past every value: the scan sums those points instead
         _tables_at_sums(monkeypatch, lambda sv: dataclasses.replace(sv, noise=(1e300,) * 3)
@@ -711,22 +704,21 @@ class TestExactGridZero:
     def test_noise_floor_ends_the_scan(self, monkeypatch):
         # one grid sum with its bound raised past its value: the scan stops
         # there and find_zeros returns the zeros before it, truncated.  The
-        # sum is the first past the fourth zero's step that its own step
-        # makes, so no earlier point reads it: at 18.81 of a walk for seven
-        # zeros, the seventh then wanted alone, with six zeros below it (five
-        # below the first sum past that step, at 15.84, when no sum lay two
-        # steps ahead; four when the scan summed every third grid point)
-        params, count = CoulombParams(0.5, -1.0), 7
-        walk = zeros.scan(series.Evaluator(params), ZeroTarget.F, skip_free=True, count=count)
+        # sum is the first made past the fourth zero's step, at 21.80, two
+        # grid steps ahead of the step at 18.81 that makes it; that step
+        # finds the table at the sum noise-limited and sums its own point,
+        # and the zeros below 21.80 are the clean walk's seven, bit for bit
+        # (the first sum past the fourth zero's step, at 15.84, had five
+        # zeros below it when each sum lay at the point that asked for it;
+        # four when the scan summed every third grid point)
+        params = CoulombParams(0.5, -1.0)
+        walk = zeros.scan(series.Evaluator(params), ZeroTarget.F, skip_free=True)
         steps = []
         for _ in range(24):
             with series.counting() as made:
-                step = next(walk, None)
-            if step is None:
-                break
-            steps.append((step, made.points))
+                steps.append((next(walk), made.points))
         fourth = [s.t for s, _ in steps if s.zero is not None][3]
-        stop = next(s.t for s, points in steps if s.t > fourth and s.t in points)
+        stop = next(points[0] for s, points in steps if s.t > fourth and points)
         before = tuple(s.zero for s, _ in steps if s.zero is not None and s.t < stop)
         direct = series._direct
 
@@ -737,10 +729,9 @@ class TestExactGridZero:
             return sv
 
         monkeypatch.setattr(series, "_direct", noisy)
-        zs = find_zeros(params, ZeroTarget.F, count, 0)
-        assert zs.truncated and len(before) == 6
+        zs = find_zeros(params, ZeroTarget.F, len(before) + 3, 0)
+        assert zs.truncated and len(before) == 7
         assert zs.positive == before
-
 
 def test_zero_read_from_a_far_table_at_a_sum():
     # the 9th negative zero of g' at this (L, eta) lies 2.5e-13 from mpmath's
