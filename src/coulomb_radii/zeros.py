@@ -410,6 +410,8 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
         return cur
 
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
+    t1 = after(t)
+    t2 = after(t1)  # the grid points one and two steps on
     while t_prev < EVAL_Z_MAX:
         try:
             # the anchor is summed unless the origin's table serves it, so that
@@ -418,7 +420,7 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
             if t == anchor:
                 sv = values.direct(t)
             elif t > anchor:
-                sv = values.value(t, after(after(t)))
+                sv = values.value(t, t2)
             else:
                 sv = values.value(t)
             cur, noise = target_jet(L, eta, target, t, sv)
@@ -434,7 +436,7 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
             zero = refine_bracket(jet, t_prev, t, prev, cur, REFINE_TOL).root
         yield ScanStep(t_prev, t, sv, zero)
         t_prev, prev = t, cur
-        t = after(t)
+        t, t1, t2 = t1, t2, after(t2)
 
 
 def _zeros(values: Evaluator, target: ZeroTarget, count: int) -> tuple[list[float], bool]:
