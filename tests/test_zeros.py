@@ -733,6 +733,7 @@ class TestExactGridZero:
         assert zs.truncated and len(before) == 7
         assert zs.positive == before
 
+
 def test_zero_read_from_a_far_table_at_a_sum():
     # the 9th negative zero of g' at this (L, eta) lies 2.5e-13 from mpmath's
     # root.  With 48 rows a table (at the sum at 25.20 of (L, -eta)) reaches
