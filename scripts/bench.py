@@ -64,9 +64,11 @@ The counts are deterministic; the times depend on the machine.
 series.counting() totals of the first 648 radius-table and 180 zero-scan
 operations that perfbench/workloads.py generates for SEED, run in this
 process by perfbench/worker.py's executors (a radius with its
-Euler-Rayleigh bounds, a find_zeros), one markdown row per workload.  It
-loads perfbench/worker.py, which imports workloads.py, and changes nothing
-under perfbench/.
+Euler-Rayleigh bounds, a find_zeros), one markdown row per workload, and
+in its outputs column the first 16 hex digits of the sha256 of json.dumps
+of the executors' outputs, in order, so that two trees that give the same
+doubles print the same row.  It loads perfbench/worker.py, which imports
+workloads.py, and changes nothing under perfbench/.
 
     PYTHONPATH=src python scripts/bench.py
     PYTHONPATH=src python scripts/bench.py --repeat 5
@@ -75,6 +77,7 @@ under perfbench/.
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -103,7 +106,8 @@ VALUE_BATCH = 1000  # SeriesValue builds per timed call of the value_build row
 SEEDED = {"radius-table": 648, "zero-scan": 180}
 SEEDED_COLUMNS = (("sums", "evals"), ("terms", "terms"), ("jets", "jets"),
                   ("table points", "table_points"), ("table rows", "table_rows"),
-                  ("refine steps", "refine_steps"), ("refine_unresolved", "refine_unresolved"))
+                  ("refine steps", "refine_steps"), ("refine_unresolved", "refine_unresolved"),
+                  ("outputs", "outputs"))
 
 
 def median_ms(fn, repeat, cold=True):
@@ -220,16 +224,18 @@ def perfbench_worker():
 
 def seeded(seed, sizes=SEEDED):
     """The series.counting() totals of the first sizes[name] operations of
-    each workload name at seed, run in turn in this process."""
+    each workload name at seed, run in turn in this process, with outputs:
+    the first 16 hex digits of the sha256 of json.dumps of the executors'
+    outputs, in order."""
     worker = perfbench_worker()
     out = {}
     for name, n in sizes.items():
         ops = list(itertools.islice(worker.workloads.GENERATORS[name](seed), n))
         series.eval_point.cache_clear()
         with series.counting() as record:
-            for op in ops:
-                worker.EXECUTORS[name](op)
-        out[name] = record.totals()
+            results = [worker.EXECUTORS[name](op) for op in ops]
+        digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()[:16]
+        out[name] = {**record.totals(), "outputs": digest}
     return out
 
 

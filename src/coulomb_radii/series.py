@@ -130,8 +130,7 @@ terms cancel), where a sum is short.  A table value keeps no point, so it
 is the base of no table, and errors never chain; the origin's exact value,
 a sum at z = 0, has no reach.  jet reads one point from a fresh table at a
 sum.  At (0.5, -1) the origin's table reaches 4.1 (z = 0.5 takes 17 rows
-and is bounded at 5.6e-16 of P; z = 2.0 at 2.8e-14, where gamma_34 on every
-row and e_n from a recurrence in doubles gave 3.1e-13, past the budget);
+and is bounded at 5.6e-16 of P, z = 2.0 at 2.8e-14, within the budget);
 the table at the sum at 40 serves h = 0.01, 1.5 and 3.0 from 9, 23 and 30
 rows.
 
@@ -139,29 +138,30 @@ coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
 read them.  eval_point keeps the last 512 values in a memo keyed by the
 exact (L, eta, z); eval_series sums on every call.  An Evaluator keeps the
-origin's table, the sums of one query at one (L, eta) and the table at each
-sum a point asked for, and the evaluator alone picks what serves a point.
-Every point of the zero scan but its anchor, of its refines and of the
-radius solve is Evaluator.value: the origin table's value, or else that of
-the table at a kept sum on either side of the point, the nearer first, or
-else a sum that is kept, so a point is summed only where no table serves
-it.  Where the caller names a point ahead (the zero scan names the grid
-point two steps on) and no table serves a point past every kept sum, the
-evaluator sums the point ahead instead, keeps it, and reads the point back
-from its table, summing the point itself only where that table refuses it;
-so each table at a sum serves points on both sides of it.  The scan's
-anchor is Evaluator.direct, the origin table's value within its reach and
-a sum past it (Evaluator.sum sums a point once per query).  A point below
-every kept sum is summed rather than read towards the origin, where the
-second solution of the Coulomb equation is singular: at (48, 0) the origin's
-table reaches 10.0, and the table at a sum at 12.5 gives 11.5 a bound of
-9.8e-14 on P = 0.51.  A point read back from a sum above it has a kept sum
-below it too.  counting() counts every sum made inside its block, where it
-is made, the points served from tables at sums (jets) and from the origin's
-table, the rows the tables build and the points they refuse, the steps of
-zeros.refine_bracket and the refine points of the zero scan that are
-noise-limited on its target, and the hits and misses of eval_point's memo;
-outside a block each of them pays one ContextVar lookup.
+origin's table and each sum of one query at one (L, eta) with its table,
+which builds no row until a point asks, and the evaluator alone picks what
+serves a point.  Every point of the zero scan but its anchor, of its
+refines and of the radius solve is Evaluator.value: the origin table's
+value, or else that of the table at a kept sum on either side of the point,
+the nearer first, or else a sum that is kept, so a point is summed only
+where no table serves it.  Where the caller names a point ahead (the zero
+scan names the grid point two steps on) and no table serves a point past
+every kept sum, the evaluator sums the point ahead instead, keeps it, and
+reads the point back from its table, summing the point itself only where
+that table refuses it; so each table at a sum serves points on both sides
+of it.  The scan's anchor is Evaluator.direct, the origin table's value
+within its reach and a sum past it (Evaluator.sum sums a point once per
+query).  A point below every kept sum is summed rather than read towards
+the origin, where the second solution of the Coulomb equation is singular:
+at (48, 0) the origin's table reaches 10.0, and the table at a sum at 12.5
+gives 11.5 a bound of 9.8e-14 on P = 0.51.  A point read back from a sum
+above it has a kept sum below it too.  counting() counts every sum made
+inside its block, where it is made, the points served from tables at sums
+(jets) and from the origin's table, the rows the tables build and the
+points they refuse, the steps of zeros.refine_bracket and the refine points
+of the zero scan that are noise-limited on its target, and the hits and
+misses of eval_point's memo; outside a block each of them pays one
+ContextVar lookup.
 """
 
 from __future__ import annotations
@@ -563,7 +563,7 @@ class _Table:
     tails[N - 3] holds the sigma and K of their tail bound.
     """
 
-    __slots__ = ("_source", "_far", "_origin", "_scale", "rows", "reach", "tails")
+    __slots__ = ("_source", "_far", "_origin", "_scale", "base", "rows", "reach", "tails")
 
     def __init__(self, source: Iterator[tuple[tuple[float, ...], tuple[float, float]]], far: float,
                  origin: bool):
@@ -588,9 +588,11 @@ class _Table:
 
     @classmethod
     def at(cls, value: SeriesValue) -> _Table:
-        """The table at the sum value, with no rows until a point asks; it
-        serves |h| < |z0|/2, where h is exact."""
-        return cls(_base_rows(value), math.nextafter(0.5 * abs(value._at[2]), 0.0), False)
+        """The table at the sum value, kept as its base, with no rows until a
+        point asks; it serves |h| < |z0|/2, where h is exact."""
+        table = cls(_base_rows(value), math.nextafter(0.5 * abs(value._at[2]), 0.0), False)
+        table.base = value
+        return table
 
     def _grow(self, t: float) -> None:
         """Rows until the reach passes t or the table is full, and from N = 3
@@ -687,25 +689,25 @@ def _refused(past: bool) -> None:
 class Evaluator:
     """P, P' and P'' of one (L, eta) at every point one query asks for.
 
-    It keeps the table of the origin's coefficients (L > -1), every sum it
-    makes, by abscissa, and the table at each sum a point has asked for, for
-    one query in one thread.  sum(t) is the value kept at t, or a new sum
-    from the origin; direct(t) is the origin table's value at t, or sum(t)
-    where it refuses t; value(t) is the origin table's value, or else the
-    value of the table at a kept sum on either side of t, the nearer first
-    (the larger abscissa at equal distance), or else sum(t), which a point
-    below every kept sum takes at once.  value(t, ahead), for t past every
-    kept sum that no table serves, sums and keeps ahead (a point past
-    t) and reads t back from its table; it sums t where that table refuses
-    t or the sum at ahead raises ConvergenceError.  Table values are not
-    kept, so errors never chain.
+    It keeps the table of the origin's coefficients (L > -1) and, by
+    abscissa, each sum it makes with its table, which builds no row until a
+    point asks, for one query in one thread.  sum(t) is the sum kept at t,
+    or a new sum from the origin, kept with its table; direct(t) is the
+    origin table's value at t, or sum(t) where it refuses t; value(t) is the
+    origin table's value, or else the value of the table at a kept sum on
+    either side of t, the nearer first (the larger abscissa at equal
+    distance), or else sum(t), which a point below every kept sum takes at
+    once.  value(t, ahead), for t past every kept sum that no table serves,
+    sums and keeps ahead (a point past t) and reads t back from its table;
+    it sums t where that table refuses t or the sum at ahead raises
+    ConvergenceError.  Table values are not kept, so errors never chain.
     """
 
     def __init__(self, params: CoulombParams):
         self.params = params
+        # the abscissae of the kept sums, ascending, and the table at each
         self._ts: list[float] = []
-        self._sums: list[SeriesValue] = []
-        self._bases: dict[float, _Table] = {}
+        self._kept: list[_Table] = []
         # every c_m = m(m+2L+1) is positive exactly where L > -1
         self._table = _Table.origin(params.L, params.eta) if params.L > -1.0 else None
         self._flip = 1.0
@@ -715,16 +717,16 @@ class Evaluator:
         table, which it reads at -t, P' negated (module docstring, Tables)."""
         other = Evaluator.__new__(Evaluator)
         other.params = CoulombParams(self.params.L, -self.params.eta, unsafe=True)
-        other._ts, other._sums, other._bases = [], [], {}
+        other._ts, other._kept = [], []
         other._table, other._flip = self._table, -self._flip
         return other
 
     def sum(self, t: float) -> SeriesValue:
         ts, i = self._ts, bisect.bisect_left(self._ts, t)
         if i == len(ts) or ts[i] != t:
-            self._sums.insert(i, _direct(self.params.L, self.params.eta, t))
+            self._kept.insert(i, _Table.at(_direct(self.params.L, self.params.eta, t)))
             ts.insert(i, t)
-        return self._sums[i]
+        return self._kept[i].base
 
     def table(self, t: float) -> SeriesValue | None:
         """The origin table's value at t, or None where there is none."""
@@ -738,35 +740,26 @@ class Evaluator:
         sv = self.table(t)
         if sv is not None:
             return sv
-        ts = self._ts
+        ts, kept = self._ts, self._kept
         if not ts or not ts[0] <= t <= EVAL_Z_MAX:
             return self.sum(t)  # below every kept sum, or past the range
         i = bisect.bisect_left(ts, t)
         if i == len(ts):  # past every kept sum
-            sv = self._read(i - 1, t)
+            sv = kept[i - 1].value(t - ts[i - 1])
             if sv is None and ahead is not None and ahead > t:
                 try:
                     self.sum(ahead)
                 except ConvergenceError:
                     return self.sum(t)
-                sv = self._read(i, t)
+                sv = kept[i].value(t - ts[i])
         elif ts[i] == t:
-            return self._sums[i]
+            return kept[i].base
         else:  # between two kept sums: the nearer first, the larger at equal distance
             near, other = (i - 1, i) if t - ts[i - 1] < ts[i] - t else (i, i - 1)
-            sv = self._read(near, t)
+            sv = kept[near].value(t - ts[near])
             if sv is None:
-                sv = self._read(other, t)
+                sv = kept[other].value(t - ts[other])
         return self.sum(t) if sv is None else sv
-
-    def _read(self, i: int, t: float) -> SeriesValue | None:
-        """The value at t of the table at the i-th kept sum, or None where
-        it refuses t."""
-        z0 = self._ts[i]
-        table = self._bases.get(z0)
-        if table is None:
-            table = self._bases[z0] = _Table.at(self._sums[i])
-        return table.value(t - z0)
 
 
 def _direct(L: float, eta: float, z: float) -> SeriesValue:

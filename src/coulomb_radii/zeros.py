@@ -16,13 +16,12 @@ and the scan hands the refine the jets it has at both ends.  The refine's
 first point is the root of the quintic Hermite interpolant of those two
 jets, moved 2.5e-5 of the step towards the midpoint so that it cuts off the
 long side of the bracket (refine_bracket); it costs no evaluation, and a
-zero takes about 3.3 refine steps (4.6 from Halley steps alone, over the
-first 180 seeded zero-scan operations of perfbench).  The scan walks
-the positive axis only.  P(-t) at eta is P(t) at -eta, sum for sum and
-table point for table point, bit for bit (P' flips sign, P and P'' do not),
-so find_zeros finds the negative zeros of (L, eta) as the positive zeros of
-(L, -eta), negated, on an evaluator that shares the origin's table
-(Evaluator.reflected).
+zero takes about 3.3 refine steps over the first 180 seeded zero-scan
+operations of perfbench.  The scan walks the positive axis only.  P(-t) at
+eta is P(t) at -eta, sum for sum and table point for table point, bit for
+bit (P' flips sign, P and P'' do not), so find_zeros finds the negative
+zeros of (L, eta) as the positive zeros of (L, -eta), negated, on an
+evaluator that shares the origin's table (Evaluator.reflected).
 
 Every target is stepped by half the Sturm spacing, 0.5 pi/sqrt(Q(t)).
 u = F/C solves u'' + q u = 0, q(t) = 1 - 2 eta/t - L(L+1)/t^2 (DLMF
@@ -100,44 +99,36 @@ the origin, from the origin's table (series module docstring, Tables),
 which is no sum.  The anchor, the last grid point of the zero-free stretch
 (0, t*] where L >= 0 and there is one, else the first grid point, is
 Evaluator.direct: the origin table's value within its reach, and past it a
-sum from the origin (Evaluator.sum).  Every other point, of the grid or of
-a refine, is Evaluator.value: the origin table's value, or else that of the
-table at a kept sum on either side of the point, the nearer first, summed
-and kept instead where those tables refuse it (past their reach, or
-noise-limited) or where the point lies below every kept sum.  Past the
-anchor the scan asks each grid point with the grid point two steps on:
-where no table serves a point past every kept sum, the evaluator sums that
-point ahead and keeps it, reads the point back from its table, and sums
-the point itself only where that table refuses it (or where the sum ahead
-raises ConvergenceError).  So each table at a sum serves points on both
-sides of it, and a point is summed only where no table serves it.  A grid
-point where the target is noise_limited is summed too, which for a summed
-point is its kept sum again; so the scan stops where one that sums every
-step stops, and every sign of a grid point is decided against a proven
-bound.  The anchor is the same with and without skip_free, and no grid
-point up to it asks for a sum ahead.  Where the anchor is summed, every
-later point's kept sums are the anchor's or later ones, and where the
+sum from the origin (Evaluator.sum), which the evaluator keeps with its
+table; a table builds its rows as points ask.  Every other point, of the
+grid or of a refine, is Evaluator.value: the origin table's value, or else
+that of the table at a kept sum on either side of the point, the nearer
+first, summed and kept instead where those tables refuse it (past their
+reach, or noise-limited) or where the point lies below every kept sum.
+Past the anchor the scan asks each grid point with the grid point two steps
+on: where no table serves a point past every kept sum, the evaluator sums
+that point ahead and keeps it, reads the point back from its table, and
+sums the point itself only where that table refuses it (or where the sum
+ahead raises ConvergenceError).  So each table at a sum serves points on
+both sides of it, and a point is summed only where no table serves it.  A
+grid point where the target is noise_limited is summed too, which for a
+summed point is its kept sum again; so the scan stops where one that sums
+every step stops, and every sign of a grid point is decided against a
+proven bound.  The anchor is the same with and without skip_free, and no
+grid point up to it asks for a sum ahead.  Where the anchor is summed,
+every later point's kept sums are the anchor's or later ones, and where the
 origin's table serves it and every grid point before it there is no sum
 below it; either way both walks sum the same points from t_k on and take
 the same steps, bit for bit.  A sum ahead asked before the anchor would
-break that: a sum the walk with skip_free never makes would serve the
-walk without it (at (3.88, 14.88) for F a zero then moves by a last bit).
+break that: a sum the walk with skip_free never makes would serve the walk
+without it (at (3.88, 14.88) for F a zero then moves by a last bit).
 The rule names no count, so a walk sums the same points whatever count its
 consumer wants; a walk that ends at its first zero may have summed a point
-two steps past it (the first 360 seeded zero-scan operations of perfbench
-ask (1, 0) zeros 36 times, in 880 terms against 868 with no sum ahead).
-The radius solver's scan asks ahead too; it stops at the step that
-brackets the radius, and the first 648 seeded radius-table operations at
-seeds 1 and 31 make the same sums and give the same doubles as with no
-sum ahead.  A table point costs a few double operations a row
-instead of a sum, and no table value is the base of a table, so errors
+two steps past it.  The radius solver's scan asks ahead too, up to the step
+that brackets the radius.  A table point costs a few double operations a
+row instead of a sum, and no table value is the base of a table, so errors
 never chain.  Each lies within its noise of P, P' and P'', and the zeros
-move by less than the refine tolerance against summing every point
-(find_zeros(F, 10, 10) at (0.5, -1): 10 sums of 779 terms, 101 points from
-tables at sums and 8 from the origin's, against 16 sums of 1251 terms with
-each sum at the point no table served and the nearest kept sum's table
-alone, 47 sums with every scan step summed and 117 with every point
-summed; F' and g' take 11 and 10 sums).
+move by less than the refine tolerance against summing every point.
 
 scan is the package's one scan, a generator of steps that find_zeros and
 the radius solver both consume, and refine_bracket its one bracketed root

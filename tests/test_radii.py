@@ -10,7 +10,7 @@ import re
 import pytest
 
 from coulomb_radii import CoulombDomainError, CoulombParams, conv_ratio, star_ratio
-from coulomb_radii.errors import ConvergenceError, MonotonicityError
+from coulomb_radii.errors import ConvergenceError, MonotonicityError, PoleError
 from coulomb_radii.equations import derivative_target
 from coulomb_radii.radii import (
     Kind,
@@ -472,6 +472,30 @@ class TestBracketHoldsTheRoot:
                                          form=form)
                             self.assert_straddles(mp, L, eta, kind, prop, beta, form,
                                                   res.bracket)
+
+    def test_a_pole_at_a_scan_step_is_its_low_side(self, monkeypatch):
+        # equations.equation made to raise PoleError, as it does at or past
+        # the cap, at the scan step that brackets the g-starlike radius at
+        # (0.5, -1): radius counts the equation there as -inf, brackets the
+        # radius in that step and refines its root there
+        from coulomb_radii import equations
+
+        query = RadiusQuery(CoulombParams(0.5, -1.0), "g", "starlike", 0.5)
+        plain = radius(query)
+        step = next(s for s in scan(Evaluator(query.params), ZeroTarget.F) if s.t >= plain.value)
+        equation, poles = equations.equation, []
+
+        def pole(num, den, noise_n, noise_d, r, beta, form):
+            if r == step.t:
+                poles.append(r)
+                raise PoleError("the denominator vanishes within its noise floor")
+            return equation(num, den, noise_n, noise_d, r, beta, form)
+
+        monkeypatch.setattr(equations, "equation", pole)
+        res = radius(query)
+        assert poles == [step.t]
+        assert step.t_prev <= res.bracket[0] <= res.value <= res.bracket[1] <= step.t
+        assert res.bracket[0] <= plain.value <= res.bracket[1]
 
     def test_a_widening_below_half_an_ulp_keeps_the_root(self, monkeypatch):
         # the refine is made to close on the double just below the root of the

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -71,36 +72,20 @@ def test_bench_rows(capsys):
     # test_radii: the points near the origin from the table, past its reach
     # every scan step and refine point a jet of a kept sum on either side,
     # else read back from a sum two grid steps ahead, summed where no table
-    # serves it (10, 11 and 10; 16, 15 and 14 with the sum at the point
-    # itself and the nearest kept sum alone; 16 each when the scan summed
-    # every third grid point; 20, 20, 20, 5, 5 and 4 with no table;
-    # 32, 31, 30 and 7 with every second scan step summed; 47, 45, 44 and 13
-    # with every scan step summed; 67, 65, 64, 13, 7 and 8 with each refine's
-    # first point summed too, 117, 118, 114, 15, 12 and 13 with every refine
-    # point summed)
+    # serves it
     assert 0 < rows["find_zeros"]["evals"] <= 10
     assert 0 < rows["find_zeros_F_prime"]["evals"] <= 11
     assert 0 < rows["find_zeros_g_prime"]["evals"] <= 10
     assert 0 < rows["find_zeros_neg"]["evals"] <= 5
     # both radii lie within the table's reach, and the scan stops at the step
-    # that brackets them: no sum (the g-starlike radius took 2 when the scan
-    # ran on to the cap)
+    # that brackets them: no sum
     assert rows["radius"]["evals"] == 0 < rows["radius"]["table_points"]
     assert rows["radius_convex_g"]["evals"] == 0 < rows["radius_convex_g"]["table_points"]
     # the cap scan to the first zero of F: the two steps past the table's
     # reach are summed
     assert 0 < rows["domain_cap"]["evals"] <= 2
-    # terms: 779, 850 and 779, the sums lying two grid steps past a point
-    # the tables at sums refuse (1251, 1135 and 1000 with the sum at that
-    # point; 1191 each when the scan summed every third grid point,
-    # the origin's table serving the scan step at 3.31 so that the step at
-    # 4.55 is summed in its place; 1185 each with every row of that table
-    # weighed with gamma_34; 1185, 1255 and 1185 with jets that reran the
-    # recurrence per point; 1258 each with no origin table, 2110,
-    # 1994 and 1859 with every second scan step summed, 3566, 3312 and 3177
-    # with every scan step summed, 4416, 4107 and 3971 with each refine's
-    # first point summed too, 5925, 5328 and 5097 with every refine point
-    # summed about a scan step, 10198, 8760 and 8462 from 0)
+    # terms: the sums lying two grid steps past a point the tables at sums
+    # refuse
     assert rows["find_zeros"]["terms"] <= 779
     assert rows["find_zeros_F_prime"]["terms"] <= 850
     assert rows["find_zeros_g_prime"]["terms"] <= 779
@@ -132,18 +117,24 @@ def test_bench_rows(capsys):
 def test_bench_seeded_table():
     # the seeded-count table of ROADMAP.md, here over the first few
     # operations of each workload: one markdown row per workload, run by
-    # perfbench's own executors
+    # perfbench's own executors, and the digest of their outputs, the same
+    # on a second call
     bench = load("bench")
-    lines = bench.seeded_table(1, {"radius-table": 12, "zero-scan": 6}).splitlines()
+    table = bench.seeded_table(1, {"radius-table": 12, "zero-scan": 6})
+    assert bench.seeded_table(1, {"radius-table": 12, "zero-scan": 6}) == table
+    lines = table.splitlines()
     assert lines[0] == ("| Seed, workload | sums | terms | jets | table points | table rows "
-                        "| refine steps | refine_unresolved |")
-    assert lines[1] == "|---" * 8 + "|"
-    rows = {line.split(" | ")[0]: [int(c) for c in line.strip(" |").split(" | ")[1:]]
-            for line in lines[2:]}
-    assert set(rows) == {"| 1, radius-table", "| 1, zero-scan"}
+                        "| refine steps | refine_unresolved | outputs |")
+    assert lines[1] == "|---" * 9 + "|"
+    cells = {line.split(" | ")[0]: line.strip(" |").split(" | ")[1:] for line in lines[2:]}
+    assert set(cells) == {"| 1, radius-table", "| 1, zero-scan"}
+    rows = {name: [int(c) for c in row[:-1]] for name, row in cells.items()}
     for name, (sums, terms, jets, points, table_rows, steps, unresolved) in rows.items():
         assert sums <= terms and 0 < steps and 0 <= unresolved <= steps, name
         assert 0 < points and 0 < table_rows, name
+        # the first 16 hex digits of a sha256
+        assert re.fullmatch("[0-9a-f]{16}", cells[name][-1]), name
+    assert cells["| 1, radius-table"][-1] != cells["| 1, zero-scan"][-1]
     # every zero refine step is a jet or a table point, and the scans sum
     sums, _, jets, points, _, steps, _ = rows["| 1, zero-scan"]
     assert 0 < sums and jets + points >= steps

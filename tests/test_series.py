@@ -670,6 +670,15 @@ class TestJets:
         with pytest.raises(ValueError):
             series.jet(sv, 10.1002)
 
+    def test_a_jet_at_its_sum_is_the_sum(self):
+        # z == z0: the sum itself, with no table built and nothing counted
+        params = CoulombParams(0.5, -1.0)
+        base, origin = series.Evaluator(params).sum(10.0), series.Evaluator(params).sum(0.0)
+        with series.counting() as counts:
+            assert series.jet(base, 10.0) is base and series.jet(base, 10) is base
+            assert series.jet(origin, 0.0) is origin
+        assert counts.totals() == series.SumCounts().totals()
+
     def test_a_jet_is_counted_apart_from_the_sums(self):
         # one point and the rows its fresh table builds; the point beyond the
         # reach builds none
@@ -794,6 +803,20 @@ class TestEvaluator:
         assert again is first and resummed is summed
         assert served._at is None and summed._at is not None
         assert values._ts == [0.001, 2.0]
+
+    def test_each_kept_sum_has_one_table(self):
+        # every kept sum comes with its own table, made with it, and a table
+        # whose sum no point has asked about builds no row
+        values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
+        values.sum(11.0)
+        values.sum(5.0)
+        assert values.value(11.4) == series.jet(values.sum(11.0), 11.4)
+        values.value(20.0, 23.0)  # past the reach of the sum at 11: the sum at 23 is made
+        ts, kept = values._ts, values._kept
+        assert ts == [5.0, 11.0, 23.0] and len(kept) == len(ts)
+        assert [table.base._at[2] for table in kept] == ts
+        assert len({id(table) for table in kept}) == len(ts)
+        assert kept[0].rows == [] and kept[1].rows and kept[2].rows
 
     def test_later_points_are_jets_of_the_nearest_sum(self):
         # past the table's reach: a point beyond the jet's reach of every
@@ -1035,7 +1058,7 @@ class TestTable:
     def test_table_values_are_no_bases(self):
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         sv = values.value(0.5)
-        assert sv._at is None and values._sums == []
+        assert sv._at is None and values._kept == []
         with pytest.raises(ValueError):
             series.jet(sv, 0.51)
 
@@ -1110,7 +1133,7 @@ class TestTablesAtSums:
             far = z0 + 0.9 * min(_full_reach(base), series._Table.at(base)._far)
             got = {far: first.value(far)} | {z: first.value(z) for z in near}
             again = {z: last.value(z) for z in near} | {far: last.value(far)}
-            assert len(first._bases[z0].rows) > len(series._Table.at(first.sum(z0)).rows)
+            assert len(first._kept[first._ts.index(z0)].rows) > len(series._Table.at(first.sum(z0)).rows)
             for z, sv in got.items():
                 # a point the origin's table serves is that table's, and any
                 # other the jet of the sum

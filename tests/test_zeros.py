@@ -248,6 +248,29 @@ class TestZeroFreeStart:
                   if s.zero is not None][:6] for skip in (True, False)]
         assert len(walks[0]) >= 3 and walks[0] == walks[1]
 
+    def test_walks_with_and_without_skip_free_agree(self):
+        # 200 seeded cases, L in [0, 8] and eta in [-30, 30] (unsafe where
+        # eta > 0), the targets in turn: the first six zeros are the same
+        # doubles with and without skip_free, and where the origin's table
+        # serves the anchor, the walk that evaluates the zero-free stretch
+        # keeps no sum below it, so that both walks read the same tables
+        # from it on
+        rng = random.Random(45)
+        tabled = 0
+        for target in itertools.islice(itertools.cycle(ZeroTarget), 200):
+            L, eta = rng.uniform(0.0, 8.0), rng.uniform(-30.0, 30.0)
+            params = CoulombParams(L, eta, unsafe=eta > 0.0)
+            skipped = zeros.scan(series.Evaluator(params), target, skip_free=True)
+            anchor = next(skipped)
+            values = series.Evaluator(params)
+            walks = [list(itertools.islice((s.zero for s in walk if s.zero is not None), 6))
+                     for walk in (itertools.chain([anchor], skipped), zeros.scan(values, target))]
+            assert walks[0] == walks[1], (L, eta, target)
+            if anchor.sv._at is None:
+                assert values._ts == [] or values._ts[0] >= anchor.t, (L, eta, target)
+                tabled += 1
+        assert tabled >= 50
+
 
 def itp_iterates(f, lo, hi, f_lo, f_hi, tol):
     """The points ITP alone evaluates: refine_bracket's fallback written out on
@@ -524,7 +547,7 @@ class TestAlternateSteps:
             assert anchor.sv == values.direct(anchor.t)
             walked = []
             for _ in range(60):
-                kept = list(values._ts), list(values._sums)
+                kept = list(values._ts), [table.base for table in values._kept]
                 asked.clear()
                 step = next(steps, None)
                 if step is None:
@@ -538,7 +561,7 @@ class TestAlternateSteps:
                 assert ahead == later.t, (params, target, step.t)
             for step, ahead, (ts, sums) in walked:
                 fresh = series.Evaluator(params)
-                fresh._ts, fresh._sums = list(ts), list(sums)
+                fresh._ts, fresh._kept = list(ts), [series._Table.at(sv) for sv in sums]
                 sv = value(fresh, step.t, ahead)
                 if step.sv._at is not None and sv._at is None:
                     (f, _, _), noise = zeros.target_jet(params.L, params.eta, target, step.t, sv)
@@ -559,10 +582,10 @@ class TestAlternateSteps:
                 else:
                     counts["served"] += 1
                     counts["backward"] += step.t < fresh._ts[-1] and any(
-                        z0 > step.t and fresh._bases.get(z0) is not None
-                        and fresh._bases[z0].value(step.t - z0) == sv for z0 in fresh._ts)
+                        z0 > step.t and table.value(step.t - z0) == sv
+                        for z0, table in zip(fresh._ts, fresh._kept))
             # the evaluator keeps no jet and no table value
-            assert all(sv._at is not None for sv in values._sums)
+            assert all(table.base._at is not None for table in values._kept)
 
         for params in self.SIDES:
             for target in ZeroTarget:
@@ -595,7 +618,7 @@ class TestAlternateSteps:
                     values = series.Evaluator(params)
                     refined = [s for s in zeros.scan(values, target) if s.zero is not None][:6]
                     assert refined, (params, target)
-                    assert all(sv._at is not None for sv in values._sums)
+                    assert all(table.base._at is not None for table in values._kept)
         assert counts.jets >= 500 and all(sv._at is not None for sv in bases)
 
     def test_jet_noise_limited_on_the_target_is_summed_instead(self, monkeypatch):
