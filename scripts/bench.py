@@ -13,7 +13,8 @@ The rows of the ROADMAP measurements, at (L, eta) = (0.5, -1) unless named:
                         table point or a sum does: us (and ms) per value, the
                         median over --repeat batches of VALUE_BATCH
     base_build          one point a scan step (1.53) past the sum at z = 40,
-                        read from a fresh table at that sum (series.jet)
+                        read from a fresh table at that sum, made as
+                        Evaluator.sum makes it (series._Table.at)
     base_point          the same point from an evaluator's table at that sum,
                         already grown for it
     radius              one radius: g, starlike, beta = 0.5
@@ -158,10 +159,11 @@ def rows(repeat):
     ms = median_ms(lambda: [build(*fields) for _ in range(VALUE_BATCH)], repeat) / VALUE_BATCH
     out["value_build"] = {"ms": ms, "us": 1e3 * ms}
     # the sum at z = 40 and a point one scan step past it (zeros module)
-    values.sum(BASE)
+    base = values.sum(BASE)
     z = BASE + 0.5 * math.pi / math.sqrt(1.0 - 2.0 * PARAMS.eta / BASE)
     values.value(z)  # grows the table at the sum for base_point
-    for name, fn in (("base_build", lambda: series.jet(values.sum(BASE), z)),
+    for name, fn in (("base_build",
+                      lambda: series._Table.at(PARAMS.L, PARAMS.eta, BASE, base).value(z - BASE)),
                      ("base_point", lambda: values.value(z))):
         tally = counts(fn)
         out[name] = {"ms": median_ms(fn, repeat), "jets": tally["jets"],

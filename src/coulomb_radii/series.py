@@ -128,11 +128,10 @@ exact (Sterbenz); the origin's table refuses a point where the bound of P
 passes _TABLE_BUDGET = 1e-13 of |P| (next to a zero of P, or where the
 terms cancel), where a sum is short.  A table value keeps no point, so it
 is the base of no table, and errors never chain; the origin's exact value,
-a sum at z = 0, has no reach.  jet reads one point from a fresh table at a
-sum.  At (0.5, -1) the origin's table reaches 4.1 (z = 0.5 takes 17 rows
-and is bounded at 5.6e-16 of P, z = 2.0 at 2.8e-14, within the budget);
-the table at the sum at 40 serves h = 0.01, 1.5 and 3.0 from 9, 23 and 30
-rows.
+a sum at z = 0, has no reach.  At (0.5, -1) the origin's table reaches 4.1
+(z = 0.5 takes 17 rows and is bounded at 5.6e-16 of P, z = 2.0 at 2.8e-14,
+within the budget); the table at the sum at 40 serves h = 0.01, 1.5 and 3.0
+from 9, 23 and 30 rows.
 
 coefficients builds a_0..a_{n_max} for the Rayleigh sums from exact integer
 numerators and denominators, each rounded once.  The evaluation does not
@@ -216,15 +215,14 @@ class SumCounts:
     refine_steps the iterations of zeros.refine_bracket; refine_unresolved
     the refine points of zeros.scan whose target value lies within its
     noise floor (noise_limited), so that the sign the refine takes there is
-    not resolved; jets the values
-    served by a table at a sum (jet's or an Evaluator's) and table_points
-    those served by a table at the origin, neither of them sums; table_rows
-    the rows both kinds of table build; refused_in_reach the points a table
-    of either kind refused after reading its rows (its bound of P passes
-    the budget, a value is noise-limited, its powers leave the normal range
-    or a value overflows), and refused_past_reach those it refused unread,
-    past the reach of its 32 rows or past its far end (jet counts a point
-    past |z| = 55 there too); memo_hits and memo_misses the lookups in
+    not resolved; jets the values served by the table at a sum an
+    Evaluator keeps and table_points those served by a table at the origin,
+    neither of them sums; table_rows the rows both kinds of table build;
+    refused_in_reach the points a table of either kind refused after
+    reading its rows (its bound of P passes the budget, a value is
+    noise-limited, its powers leave the normal range or a value overflows),
+    and refused_past_reach those it refused unread, past the reach of its
+    32 rows or past its far end; memo_hits and memo_misses the lookups in
     eval_point's memo, each miss also a sum."""
 
     points: list[float] = field(default_factory=list)
@@ -344,9 +342,7 @@ class SeriesValue:
     errors of the fixed-point sum carried through the recurrence, the bound
     on the discarded tail, and half an ulp of p_k.  truncation_terms counts
     the terms summed, and tail_estimate bounds the discarded tail of the P
-    sum (both of the last pass, at the precision that was kept).  A sum and
-    the origin's exact value keep their (L, eta, z) for jet, outside the
-    value's repr and equality; a jet and a table point keep none.
+    sum (both of the last pass, at the precision that was kept).
 
     Every sum and table point builds one, so __init__ writes the slots
     through their descriptors, about half the cost of the frozen
@@ -359,23 +355,19 @@ class SeriesValue:
     truncation_terms: int
     tail_estimate: float
     noise: tuple[float, float, float]
-    # a sum's or the origin's (L, eta, z); None for a jet
-    _at: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, p0: float, p1: float, p2: float, truncation_terms: int,
-                 tail_estimate: float, noise: tuple[float, float, float],
-                 _at: tuple[float, float, float] | None = None):
+                 tail_estimate: float, noise: tuple[float, float, float]):
         _set_p0(self, p0)
         _set_p1(self, p1)
         _set_p2(self, p2)
         _set_terms(self, truncation_terms)
         _set_tail(self, tail_estimate)
         _set_noise(self, noise)
-        _set_at(self, _at)
 
 
 # the slot descriptors' setters, which the frozen __setattr__ does not guard
-_set_p0, _set_p1, _set_p2, _set_terms, _set_tail, _set_noise, _set_at = (
+_set_p0, _set_p1, _set_p2, _set_terms, _set_tail, _set_noise = (
     getattr(SeriesValue, f.name).__set__ for f in fields(SeriesValue))
 
 
@@ -439,20 +431,6 @@ def _memo(L: float, eta: float, z: float) -> SeriesValue:
 eval_point.cache_info, eval_point.cache_clear = _memo.cache_info, _memo.cache_clear
 
 
-def jet(value: SeriesValue, z: float) -> SeriesValue | None:
-    """P, P' and P'' at z from a fresh table at the sum value at z0 (module
-    docstring, Tables), or None where the table refuses z.  value is a sum
-    or the origin's exact value (no reach); a table point is refused as a
-    base, so errors never chain.  The noise means what a sum's does."""
-    if value._at is None:
-        raise ValueError("jet needs a sum (eval_point, eval_series, Evaluator.sum)")
-    z0 = value._at[2]
-    z = float(z)
-    if z == z0:
-        return value
-    return _Table.at(value).value(z - z0) if abs(z) <= EVAL_Z_MAX else _refused(True)
-
-
 def _origin_rows(L: float, eta: float, k: int) -> Iterator[tuple[tuple[float, ...], tuple[float, float]]]:
     """Row n of the origin's table (_Table) with the sigma and K of the tail
     bound of the rows 0..n (module docstring, Tables): a_n from the terms
@@ -511,11 +489,11 @@ def _origin_rows(L: float, eta: float, k: int) -> Iterator[tuple[tuple[float, ..
         u1 = u
 
 
-def _base_rows(value: SeriesValue) -> Iterator[tuple[tuple[float, ...], tuple[float, float]]]:
-    """Row n of the table at the sum value at z0 (_Table), c_n the Taylor
-    coefficient of P about z0, with the sigma and K of the tail bound of the
-    rows 0..n (module docstring, Tables)."""
-    L, eta, z0 = value._at
+def _base_rows(L: float, eta: float, z0: float,
+               value: SeriesValue) -> Iterator[tuple[tuple[float, ...], tuple[float, float]]]:
+    """Row n of the table at value, the sum of (L, eta) at z0 (_Table), c_n
+    the Taylor coefficient of P about z0, with the sigma and K of the tail
+    bound of the rows 0..n (module docstring, Tables)."""
     l2, zb, iz = 2.0 * L, z0 - 2.0 * eta, 1.0 / abs(z0)
     azb, rnd, up, tiny = abs(zb), _ROW_ROUND, _UP, _TINY
     # c_(n-3), c_(n-2), c_(n-1), their moduli and error bounds, and
@@ -587,10 +565,11 @@ class _Table:
         return table
 
     @classmethod
-    def at(cls, value: SeriesValue) -> _Table:
-        """The table at the sum value, kept as its base, with no rows until a
-        point asks; it serves |h| < |z0|/2, where h is exact."""
-        table = cls(_base_rows(value), math.nextafter(0.5 * abs(value._at[2]), 0.0), False)
+    def at(cls, L: float, eta: float, z0: float, value: SeriesValue) -> _Table:
+        """The table at value, the sum of (L, eta) at z0, kept as its base,
+        with no rows until a point asks; it serves |h| < |z0|/2, where h is
+        exact."""
+        table = cls(_base_rows(L, eta, z0, value), math.nextafter(0.5 * abs(z0), 0.0), False)
         table.base = value
         return table
 
@@ -724,7 +703,8 @@ class Evaluator:
     def sum(self, t: float) -> SeriesValue:
         ts, i = self._ts, bisect.bisect_left(self._ts, t)
         if i == len(ts) or ts[i] != t:
-            self._kept.insert(i, _Table.at(_direct(self.params.L, self.params.eta, t)))
+            L, eta = self.params.L, self.params.eta
+            self._kept.insert(i, _Table.at(L, eta, t, _direct(L, eta, t)))
             ts.insert(i, t)
         return self._kept[i].base
 
@@ -785,7 +765,7 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
         if missing <= 0 or bits >= _MAX_BITS:
             break
         bits = min(bits + missing, _MAX_BITS)
-    sv = _rounded(sums, errs, shift, n, tau, (L, eta, z))
+    sv = _rounded(sums, errs, shift, n, tau, z)
     if counts is not None:
         counts.terms += sv.truncation_terms
     return sv
@@ -797,7 +777,7 @@ def _origin(L: float, eta: float) -> SeriesValue:
     values = (1.0, *(k * num / den for k, (num, den)
                      in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
     return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
-                       noise=tuple(0.5 * math.ulp(v) for v in values), _at=(L, eta, 0.0))
+                       noise=tuple(0.5 * math.ulp(v) for v in values))
 
 
 def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int:
@@ -808,25 +788,25 @@ def _missing_bits(sums: tuple[int, int, int], errs: tuple[int, int, int]) -> int
 
 
 def _rounded(sums: tuple[int, int, int], errs: tuple[int, int, int], shift: int, n: int,
-             tau: int, at: tuple[float, float, float]) -> SeriesValue:
-    """The SeriesValue at at = (L, eta, z) of the sums of t_n, n t_n and
+             tau: int, z: float) -> SeriesValue:
+    """The SeriesValue at z of the sums of t_n, n t_n and
     n(n-1) t_n in units of 2^-shift, t_n = a_n z^n: each of P, P', P'' and
     its bound rounds once, and _UP covers the rounding of each bound and of
     the sum with half an ulp."""
     (s0, s1, s2), (r0, r1, r2) = sums, errs
     unit = 1 << shift
-    Zn, Zd = at[2].as_integer_ratio()
+    Zn, Zd = z.as_integer_ratio()
     q1, q2 = Zn * unit, Zn * Zn * unit
     try:
         p0, p1, p2 = s0 / unit, s1 * Zd / q1, s2 * Zd * Zd / q2
         b0, b1, b2 = r0 / unit, r1 * Zd / abs(q1), r2 * Zd * Zd / q2
     except OverflowError:
         raise ConvergenceError(
-            f"P, P' or P'' at z={at[2]:.6g}, or its error bound, overflows a double"
+            f"P, P' or P'' at z={z:.6g}, or its error bound, overflows a double"
         ) from None
     return SeriesValue(p0, p1, p2, n + 1, tau / unit * _UP,
                        ((b0 + 0.5 * math.ulp(p0)) * _UP, (b1 + 0.5 * math.ulp(p1)) * _UP,
-                        (b2 + 0.5 * math.ulp(p2)) * _UP), at)
+                        (b2 + 0.5 * math.ulp(p2)) * _UP))
 
 
 def _fixed_point_sum(L: float, eta: float, z: float, bits: int):

@@ -1,13 +1,16 @@
-"""Pinned jets: series.jet of 300 seeded (base, z) pairs, bit for bit.
+"""Pinned jets: 300 seeded (base, z) pairs, bit for bit.
 
-The fixture ``data/jet_fixture.json`` holds, for each pair, the point read
-from a fresh table at the base: P, P', P'', their bounds, its tail bound and
-its rows, or null where the table refuses the point.  The pairs mix scan
-steps, shares of the reach and tiny steps over L up to 20 and eta of either
-sign, so points refused past |z0|/2 or past the reach of the table's 32
-rows sit next to served ones.  A change to the tables that is meant to keep
-their results must leave every byte of it in place.  After an intended
-change, regenerate the fixture, check it against mpmath and review its diff:
+The fixture ``data/jet_fixture.json`` holds, for each pair, the point z read
+from a fresh table at the base, the sum at z0, as an Evaluator reads a
+point from the table at a sum it keeps
+(``series._Table.at(L, eta, z0, base).value(z - z0)``): P, P', P'', their
+bounds, its tail bound and its rows, or null where the table refuses the
+point or z lies past |z| = 55.  The pairs mix scan steps, shares of the
+reach and tiny steps over L up to 20 and eta of either sign, so points
+refused past |z0|/2 or past the reach of the table's 32 rows sit next to
+served ones.  A change to the tables that is meant to keep their results
+must leave every byte of it in place.  After an intended change, regenerate
+the fixture, check it against mpmath and review its diff:
 
     PYTHONPATH=src python tests/test_jet_fixture.py
 """
@@ -49,7 +52,9 @@ def _pairs():
 def _rows() -> list[dict]:
     rows = []
     for L, eta, z0, z in _pairs():
-        sv = series.jet(series.Evaluator(CoulombParams(L, eta, unsafe=True)).sum(z0), z)
+        base = series.Evaluator(CoulombParams(L, eta, unsafe=True)).sum(z0)
+        # an Evaluator reads no point past |z| = 55 from a table
+        sv = series._Table.at(L, eta, z0, base).value(z - z0) if abs(z) <= series.EVAL_Z_MAX else None
         rows.append({"L": L, "eta": eta, "z0": z0, "z": z, "jet": None if sv is None else {
             "p": [sv.p0, sv.p1, sv.p2], "noise": list(sv.noise), "tail": sv.tail_estimate,
             "terms": sv.truncation_terms}})

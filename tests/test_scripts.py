@@ -138,3 +138,14 @@ def test_bench_seeded_table():
     # every zero refine step is a jet or a table point, and the scans sum
     sums, _, jets, points, _, steps, _ = rows["| 1, zero-scan"]
     assert 0 < sums and jets + points >= steps
+
+
+def test_bench_seeded_outputs_are_pinned():
+    # the full seed-1 table: every count and the digest of every output of
+    # the first 648 radius-table and 180 zero-scan operations; a change that
+    # moves an output or a count re-pins these rows and says why
+    lines = load("bench").seeded_table(1).splitlines()
+    assert lines[2:] == [
+        "| 1, radius-table | 81 | 2602 | 154 | 6829 | 13863 | 2455 | 0 | 933eeb1818c87217 |",
+        "| 1, zero-scan | 956 | 65705 | 5850 | 1581 | 28502 | 4279 | 491 | cfdebaed1358b141 |",
+    ]

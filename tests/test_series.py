@@ -452,9 +452,10 @@ def _m3_refuses(L, eta, z0, z):
     return rho * series._UP * 33.0 / 31.0 >= 1.0
 
 
-def _full_reach(value):
-    """The reach of the 32 rows of the table at the sum value."""
-    table = series._Table.at(value)
+def _full_reach(L, eta, z0, value):
+    """The reach of the 32 rows of the table at value, the sum of (L, eta)
+    at z0."""
+    table = series._Table.at(L, eta, z0, value)
     table._grow(math.inf)
     return table.reach[-1]
 
@@ -481,8 +482,8 @@ def _with_grid_step_jets(test):
 
 
 class TestJets:
-    """series.jet: P, P', P'' next to a sum, read from a fresh table of its
-    Taylor coefficients in doubles."""
+    """P, P', P'' next to a sum, read from a fresh table of its Taylor
+    coefficients in doubles (series._Table.at, as Evaluator.sum makes it)."""
 
     @_with_grid_step_jets
     @settings(max_examples=300, deadline=None)
@@ -498,12 +499,12 @@ class TestJets:
         except ConvergenceError:  # P beyond the double range
             assume(False)
         reach = 0.5 * t0
-        assert series.jet(base, z0 + side * 1.001 * reach) is None
+        table = series._Table.at(L, eta, z0, base)
+        assert table.value(z0 + side * 1.001 * reach - z0) is None
         z = z0 + side * reach * 2.0 ** -e
-        sv = series.jet(base, z)
-        if sv is None:  # past its 32 rows, noise-limited, or past |z| = 55;
+        sv = table.value(z - z0)
+        if sv is None:  # past its 32 rows or noise-limited;
             return      # test_jets_are_taken_on_a_grid counts these
-        assert sv is base or sv._at is None  # z = z0 gives the base
         want = _mp_values(mp, L, eta, z)
         with mp.workdps(60):
             for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
@@ -529,7 +530,7 @@ class TestJets:
                         is_near = abs(h) <= 2.0 ** -12 * abs(z0)
                         near += is_near
                         far += not is_near
-                        sv = series.jet(base, z0 + h)
+                        sv = series._Table.at(L, eta, z0, base).value(z0 + h - z0)
                         if sv is None:
                             continue
                         near_taken += is_near
@@ -550,14 +551,14 @@ class TestJets:
             z0 = sign * t0
             z = z0 + side * 0.5 * t0 * 2.0 ** -e
             base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
-            assert series.jet(base, z) is not None, (L, eta, z0, z)
+            assert series._Table.at(L, eta, z0, base).value(z - z0) is not None, (L, eta, z0, z)
             served += 1
             refused_at_m3 += _m3_refuses(L, eta, z0, z)
         assert served >= 70 and refused_at_m3 >= served / 2
 
     def test_no_jet_past_the_reach_of_32_rows(self):
         # where the 32 rows of the table at the sum do not reach the point,
-        # jet gives None and counts no jet; more than 80 points
+        # the table gives None and counts no jet; more than 80 points
         rng = random.Random(34)
         refused = 0
         for _ in range(2000):
@@ -568,10 +569,10 @@ class TestJets:
                 base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
             except ConvergenceError:
                 continue
-            if abs(z - z0) <= _full_reach(base):
+            if abs(z - z0) <= _full_reach(L, eta, z0, base):
                 continue
             with series.counting() as counts:
-                assert series.jet(base, z) is None, (L, eta, z0, z)
+                assert series._Table.at(L, eta, z0, base).value(z - z0) is None, (L, eta, z0, z)
             assert counts.jets == 0
             refused += 1
         assert refused >= 80
@@ -582,23 +583,24 @@ class TestJets:
         # enough for points close to its edge
         params = CoulombParams(0.5, -1.0)
         for z0 in (0.3, -2.0, 10.0, -40.0):
-            base = series.Evaluator(params).sum(z0)
+            table = series._Table.at(0.5, -1.0, z0, series.Evaluator(params).sum(z0))
             reach = 0.5 * abs(z0)
-            assert series._Table.at(base)._far < reach
+            assert table._far < reach
             for h in (reach, -reach):
                 beyond = math.nextafter(z0 + h, math.copysign(math.inf, h))
-                assert series.jet(base, beyond) is None
-        base = series.Evaluator(CoulombParams(0.0, 0.0)).sum(0.05)
+                assert table.value(beyond - z0) is None
+        table = series._Table.at(0.0, 0.0, 0.05, series.Evaluator(CoulombParams(0.0, 0.0)).sum(0.05))
         for frac in (0.98, -0.98):
-            assert series.jet(base, 0.05 * (1.0 + frac * 0.5)) is not None
-        assert series.jet(series.Evaluator(params).sum(0.0), 1e-300) is None  # no reach at 0
+            assert table.value(0.05 * (1.0 + frac * 0.5) - 0.05) is not None
+        origin = series.Evaluator(params).sum(0.0)
+        assert series._Table.at(0.5, -1.0, 0.0, origin).value(1e-300) is None  # no reach at 0
 
     def test_no_jet_where_its_value_is_noise_limited(self):
         # at (0, -6000), z = 50 the sum keeps a bound far above its value
         # (the scan's cut-off), and the jet carries it
         base = series.Evaluator(CoulombParams(0.0, -6000.0)).sum(50.0)
         assert noise_limited(base.p0, base.noise[0])
-        assert series.jet(base, 50.001) is None
+        assert series._Table.at(0.0, -6000.0, 50.0, base).value(50.001 - 50.0) is None
 
     def test_bases_next_to_zeros_of_P_and_P_prime(self):
         # a base within 1e-9 of a zero of P or of P' (so |P| or |P'| is some
@@ -624,7 +626,7 @@ class TestJets:
                 base = series.Evaluator(params).sum(z0)
                 for h in (2.5e-13, -2.5e-13, 1e-4, -2.0 ** -6 * z0, 2.0 ** -3 * z0):
                     tried += 1
-                    sv = series.jet(base, z0 + h)
+                    sv = series._Table.at(L, eta, z0, base).value(z0 + h - z0)
                     if sv is None:
                         assert abs(h) > 1e-4, (L, eta, z0, h)
                         continue
@@ -653,8 +655,8 @@ class TestJets:
                               - (c[k] if k else 0)) / (wm * (k + 2) * (k + 1)))
                 c = c[1:]
                 for h in hs:
-                    sv = series.jet(base, z0 + h)
-                    assert sv is not None and sv._at is None, (L, eta, z0, h)
+                    sv = series._Table.at(L, eta, z0, base).value(z0 + h - z0)
+                    assert sv is not None, (L, eta, z0, h)
                     hm = mp.mpf(z0 + h) - wm
                     tail = sum(c[k] * hm ** k for k in range(sv.truncation_terms, 200))
                     assert abs(tail) <= sv.tail_estimate, (L, eta, z0, h)
@@ -662,22 +664,24 @@ class TestJets:
         assert checked == 8
 
     def test_jets_are_no_bases(self):
-        params = CoulombParams(0.5, -1.0)
-        base = series.Evaluator(params).sum(10.0)
-        assert base._at is not None
-        sv = series.jet(base, 10.1)
-        assert sv is not None and sv._at is None
-        with pytest.raises(ValueError):
-            series.jet(sv, 10.1002)
+        # the evaluator keeps a table at each of its sums alone: a jet it
+        # reads is no kept base, so no table is made at it
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        base = values.sum(10.0)
+        sv = values.value(10.1)
+        assert sv is not None and sv is not base
+        assert values._ts == [10.0] and [table.base for table in values._kept] == [base]
+        assert values.value(10.1002) is not None and values._ts == [10.0]
 
     def test_a_jet_at_its_sum_is_the_sum(self):
-        # z == z0: the sum itself, with no table built and nothing counted
-        params = CoulombParams(0.5, -1.0)
-        base, origin = series.Evaluator(params).sum(10.0), series.Evaluator(params).sum(0.0)
+        # t at a kept sum: the sum itself, with no sum made, no row built at
+        # it and no jet counted
+        values = series.Evaluator(CoulombParams(0.5, -1.0))
+        base = values.sum(10.0)
         with series.counting() as counts:
-            assert series.jet(base, 10.0) is base and series.jet(base, 10) is base
-            assert series.jet(origin, 0.0) is origin
-        assert counts.totals() == series.SumCounts().totals()
+            assert values.value(10.0) is base and values.sum(10) is base
+        assert counts.points == [] and counts.jets == counts.table_points == 0
+        assert values._kept[0].rows == []
 
     def test_a_jet_is_counted_apart_from_the_sums(self):
         # one point and the rows its fresh table builds; the point beyond the
@@ -685,8 +689,9 @@ class TestJets:
         params = CoulombParams(0.5, -1.0)
         base = series.Evaluator(params).sum(10.0)
         with series.counting() as counts:
-            sv = series.jet(base, 10.001)
-            series.jet(base, 16.0)  # beyond the reach: no jet, and no sum
+            table = series._Table.at(0.5, -1.0, 10.0, base)
+            sv = table.value(10.001 - 10.0)
+            table.value(16.0 - 10.0)  # beyond the reach: no jet, and no sum
         rows = sv.truncation_terms
         assert 4 <= rows <= series._TABLE_TERMS
         assert counts.totals() == {**series.SumCounts().totals(), "jets": 1, "table_rows": rows,
@@ -697,13 +702,19 @@ class TestJets:
         sv = series.Evaluator(CoulombParams(0.5, -1.0)).sum(10.0)
         assert not hasattr(sv, "__dict__")
         assert [f.name for f in dataclasses.fields(sv)] == [
-            "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise", "_at"]
+            "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise"]
+
+
+def _summed(values, sv):
+    """Whether sv is a sum the evaluator values keeps, the base of one of its
+    tables."""
+    return any(sv is table.base for table in values._kept)
 
 
 class TestEvaluator:
     """series.Evaluator: each point past the origin's table is read from the
     table at a sum it keeps on either side of it, the nearer first, the same
-    bits as series.jet, or, past every kept sum, from the sum at the point
+    bits as a fresh table at that sum, or, past every kept sum, from the sum at the point
     ahead that the caller names; a point is summed from the origin, and
     kept, only where those tables refuse it."""
 
@@ -712,12 +723,12 @@ class TestEvaluator:
         # the sum at 8, whose table serves it
         values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
         lo, hi = values.sum(2.0), values.sum(8.0)
-        assert series.jet(lo, 4.9) is None
+        assert series._Table.at(0.5, 1.0, 2.0, lo).value(4.9 - 2.0) is None
         with series.counting() as counts:
             sv = values.value(4.9)
         # refused unread by the origin's table and by the sum at 2's
         assert counts.points == [] and counts.jets == 1 and counts.refused_past_reach == 2
-        assert sv == series.jet(hi, 4.9)
+        assert sv == series._Table.at(0.5, 1.0, 8.0, hi).value(4.9 - 8.0)
 
     def test_a_point_past_every_sum_is_read_back_from_the_sum_ahead(self):
         # 9 lies past the reach of the sum at 5: the sum at 11 is made and
@@ -727,11 +738,13 @@ class TestEvaluator:
         with series.counting() as counts:
             sv = values.value(9.0, 11.0)
         assert counts.points == [11.0] and counts.jets == 1
-        assert values._ts == [5.0, 11.0] and sv == series.jet(values.sum(11.0), 9.0)
+        assert values._ts == [5.0, 11.0]
+        assert sv == series._Table.at(0.5, 1.0, 11.0, values.sum(11.0)).value(9.0 - 11.0)
         # without a point ahead, the point itself is summed
         other = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
         other.sum(5.0)
-        assert other.value(9.0)._at == (0.5, 1.0, 9.0) and other._ts == [5.0, 9.0]
+        sv = other.value(9.0)
+        assert other._ts == [5.0, 9.0] and sv is other.sum(9.0)
 
     def test_the_point_is_summed_where_the_sum_ahead_fails_it(self):
         # a sum ahead whose table refuses the point (9 lies past 30/2 of 30),
@@ -742,7 +755,7 @@ class TestEvaluator:
             with series.counting() as counts:
                 sv = values.value(9.0, ahead)
             assert counts.points == [ahead, 9.0] and values._ts == kept, ahead
-            assert sv._at == (0.5, 1.0, 9.0)
+            assert sv is values.sum(9.0)
 
     def test_no_sum_ahead_where_the_origin_serves_or_below_every_sum(self):
         values = series.Evaluator(CoulombParams(0.5, -1.0))
@@ -751,7 +764,7 @@ class TestEvaluator:
             values.sum(20.0)
             below = values.value(10.0, 12.0)  # below every kept sum: summed
         assert near == values.table(0.5) and counts.points == [20.0, 10.0]
-        assert below._at == (0.5, -1.0, 10.0) and values._ts == [10.0, 20.0]
+        assert values._ts == [10.0, 20.0] and below is values.sum(10.0)
 
     def test_points_are_jets_of_the_nearer_end(self):
         # on the negative side of (0.5, -1): the positive side of (0.5, 1)
@@ -762,20 +775,22 @@ class TestEvaluator:
             second = values.value(11.4999)  # a jet of 11.5
             third = values.value(10.75)  # the midpoint: a jet of the larger end
         assert counts.points == [] and counts.jets == 3
-        assert first == series.jet(lo, 10.001)
-        assert second == series.jet(hi, 11.4999)
-        assert third == series.jet(hi, 10.75)
+        assert first == series._Table.at(0.5, 1.0, 10.0, lo).value(10.001 - 10.0)
+        assert second == series._Table.at(0.5, 1.0, 11.5, hi).value(11.4999 - 11.5)
+        assert third == series._Table.at(0.5, 1.0, 11.5, hi).value(10.75 - 11.5)
 
     def test_a_tie_goes_to_the_larger_abscissa(self):
         # the sums are kept by abscissa, not in the order they were made
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         hi, lo = values.sum(11.5), values.sum(10.0)
-        assert values.value(10.75) == series.jet(hi, 10.75) != series.jet(lo, 10.75)
+        assert (values.value(10.75) == series._Table.at(0.5, -1.0, 11.5, hi).value(10.75 - 11.5)
+                != series._Table.at(0.5, -1.0, 10.0, lo).value(10.75 - 10.0))
 
     def test_the_origin_is_no_sum(self):
         # the origin is served by the table of the origin's coefficients, as
         # (1, a_1, 2 a_2) within their bounds, and so is a point next to it;
-        # no sum is made, and sum(0.0) is the exact value, a base of no jet
+        # no sum is made, and sum(0.0) is the exact value, whose table
+        # serves no point
         params = CoulombParams(0.5, -1.0)
         values = series.Evaluator(params)
         with series.counting() as counts:
@@ -785,10 +800,10 @@ class TestEvaluator:
         exact = series._origin(0.5, -1.0)
         assert at_origin.p0 == 1.0 and at_origin.p1 == exact.p1 == -1.0 / 1.5  # a_1
         assert abs(at_origin.p2 - exact.p2) <= at_origin.noise[2]
-        assert at_origin._at is None and first._at is None
         assert first == values.table(0.001)
         summed = values.sum(0.0)
-        assert fields(summed) == fields(exact) and series.jet(summed, 0.001) is None
+        assert fields(summed) == fields(exact) and values._ts == [0.0]
+        assert values._kept[0].value(0.001) is None
 
     def test_a_point_is_summed_once(self):
         # sum(t) at a kept abscissa is the kept sum, whether sum or value made it
@@ -801,7 +816,7 @@ class TestEvaluator:
             resummed = values.sum(0.001)
         assert counts.points == [2.0, 0.001]
         assert again is first and resummed is summed
-        assert served._at is None and summed._at is not None
+        assert not _summed(values, served) and _summed(values, summed)
         assert values._ts == [0.001, 2.0]
 
     def test_each_kept_sum_has_one_table(self):
@@ -810,11 +825,14 @@ class TestEvaluator:
         values = series.Evaluator(CoulombParams(0.5, 1.0, unsafe=True))
         values.sum(11.0)
         values.sum(5.0)
-        assert values.value(11.4) == series.jet(values.sum(11.0), 11.4)
+        table = series._Table.at(0.5, 1.0, 11.0, values.sum(11.0))
+        assert values.value(11.4) == table.value(11.4 - 11.0)
         values.value(20.0, 23.0)  # past the reach of the sum at 11: the sum at 23 is made
         ts, kept = values._ts, values._kept
         assert ts == [5.0, 11.0, 23.0] and len(kept) == len(ts)
-        assert [table.base._at[2] for table in kept] == ts
+        params = values.params
+        assert [table.base for table in kept] == [series.eval_point(params, t) for t in ts]
+        assert [table._far for table in kept] == [math.nextafter(0.5 * t, 0.0) for t in ts]
         assert len({id(table) for table in kept}) == len(ts)
         assert kept[0].rows == [] and kept[1].rows and kept[2].rows
 
@@ -829,9 +847,9 @@ class TestEvaluator:
             third = values.value(19.0)  # a jet of 20, the nearer sum
         assert values._table.reach[-1] < 5.0
         assert counts.points == [20.0] and counts.jets == 2 and counts.table_points == 0
-        assert first == series.jet(start, 5.5)
-        assert second._at is not None
-        assert third == series.jet(second, 19.0)
+        assert first == series._Table.at(0.5, 1.0, 5.0, start).value(5.5 - 5.0)
+        assert second is values.sum(20.0)
+        assert third == series._Table.at(0.5, 1.0, 20.0, second).value(19.0 - 20.0)
 
     def test_no_jet_below_the_lowest_sum(self):
         # at (48, 0) the origin's table reaches 10.6; the table at a sum at
@@ -841,12 +859,13 @@ class TestEvaluator:
         values = series.Evaluator(CoulombParams(48.0, 0.0))
         end = values.sum(12.5)
         assert values.table(11.5) is None and values._table.reach[-1] < 11.5
-        assert series.jet(end, 11.5).noise[0] > 5e-14
+        assert series._Table.at(48.0, 0.0, 12.5, end).value(11.5 - 12.5).noise[0] > 5e-14
         with series.counting() as counts:
             first = values.value(11.5)
             second = values.value(11.5001)
         assert counts.points == [11.5] and counts.jets == 1
-        assert first._at is not None and second == series.jet(first, 11.5001)
+        assert first is values.sum(11.5)
+        assert second == series._Table.at(48.0, 0.0, 11.5, first).value(11.5001 - 11.5)
 
     def test_a_refused_point_is_summed_once_and_serves_later_points(self):
         # in the step (6, 24] the point 10.5 lies beyond the reach of both
@@ -860,8 +879,8 @@ class TestEvaluator:
             again = values.value(10.5)
             later = values.value(10.55)
         assert counts.points == [10.5] and counts.jets == 1
-        assert first._at is not None and again is first
-        assert later == series.jet(first, 10.55)
+        assert first is values.sum(10.5) and again is first
+        assert later == series._Table.at(0.5, -1.0, 10.5, first).value(10.55 - 10.5)
 
     def test_noise_limited_jet_is_summed_instead(self):
         # at (0, -6000), z = 50 the sum's bound lies far above its value, so
@@ -874,7 +893,7 @@ class TestEvaluator:
             second = values.value(49.9991)
         assert noise_limited(end.p0, end.noise[0])
         assert counts.points == [49.999, 49.9991] and counts.jets == 0
-        assert first._at is not None and second._at is not None
+        assert first is values.sum(49.999) and second is values.sum(49.9991)
 
     def test_refined_zeros_match_direct_sums(self, monkeypatch):
         # every refine point summed from the origin instead gives zeros within
@@ -924,7 +943,7 @@ class TestTable:
             if sv is None:  # P near its zeros, or lost to cancellation
                 continue
             served += 1
-            assert sv._at is None and sv.truncation_terms <= series._TABLE_TERMS
+            assert sv.truncation_terms <= series._TABLE_TERMS
             if t == 0.0:  # (1, a_1, 2 a_2)
                 with mp.workdps(60):
                     a1 = mp.mpf(eta) / (mp.mpf(L) + 1)
@@ -1007,8 +1026,8 @@ class TestTable:
         inside, past = reach, math.nextafter(reach, math.inf)
         with series.counting() as counts:
             assert values.table(inside) is not None and values.table(past) is None
-            assert values.direct(past)._at is not None
-            assert values.value(inside)._at is None
+            assert values.direct(past) is values.sum(past)
+            assert not _summed(values, values.value(inside))
         assert counts.points == [past] and counts.table_points == 2
 
     def test_a_noise_limited_point_is_summed(self):
@@ -1023,7 +1042,7 @@ class TestTable:
             with series.counting() as counts:
                 assert values.table(t) is None
                 sv = values.value(t)
-            assert counts.points == [t] and counts.table_points == 0 and sv._at is not None
+            assert counts.points == [t] and counts.table_points == 0 and sv is values.sum(t)
             assert abs((sv.p0, sv.p1)[k]) < 1e-12
 
     def test_no_table_point_past_the_evaluation_range(self):
@@ -1042,7 +1061,7 @@ class TestTable:
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         assert values.table(1e-300) is None and values.table(1e-75) is not None
         with series.counting() as counts:
-            assert values.value(1e-300)._at is not None
+            assert values.value(1e-300) is values.sum(1e-300)
         assert counts.points == [1e-300]
 
     def test_rows_past_the_double_range_are_refused(self):
@@ -1058,9 +1077,8 @@ class TestTable:
     def test_table_values_are_no_bases(self):
         values = series.Evaluator(CoulombParams(0.5, -1.0))
         sv = values.value(0.5)
-        assert sv._at is None and values._kept == []
-        with pytest.raises(ValueError):
-            series.jet(sv, 0.51)
+        assert sv == values.table(0.5) and values._kept == []
+        assert values.value(0.51) == values.table(0.51) and values._kept == []
 
     def test_no_table_below_L_minus_one(self):
         # c_1 = 2 (L + 1) <= 0: the evaluator sums every point, the origin
@@ -1071,7 +1089,7 @@ class TestTable:
             origin, near = values.value(0.0), values.value(0.01)
         assert counts.points == [0.0, 0.01] and counts.table_points == 0
         assert fields(origin) == fields(series._origin(-1.3, -5.0))
-        assert near._at is not None
+        assert near is values.sum(0.01)
 
 
 class TestTablesAtSums:
@@ -1080,7 +1098,7 @@ class TestTablesAtSums:
 
     @staticmethod
     def points():
-        """300 seeded (L, eta, z0, z): L from -0.999 to 10 (a quarter within
+        """300 seeded (L, eta, z0, base, z), base the sum at z0: L from -0.999 to 10 (a quarter within
         0.05 of -1), eta from -25 to 0, z0 of either sign up to 50, and |h|
         up to the reach of the table's 32 rows."""
         rng = random.Random(36)
@@ -1093,25 +1111,24 @@ class TestTablesAtSums:
                 base = series.Evaluator(CoulombParams(L, eta)).sum(z0)
             except ConvergenceError:  # P beyond the double range: no base
                 continue
-            reach = min(_full_reach(base), series._Table.at(base)._far)
+            reach = min(_full_reach(L, eta, z0, base), series._Table.at(L, eta, z0, base)._far)
             h = reach * rng.choice((1.0, -1.0)) * rng.choice(
                 (2.0 ** -rng.uniform(0.0, 30.0), rng.random(), rng.random(), 1.0))
             found += 1
-            yield L, eta, base, z0 + h
+            yield L, eta, z0, base, z0 + h
 
     def test_points_lie_within_their_noise_of_mpmath(self):
         mp = pytest.importorskip("mpmath")
         served = 0
-        for L, eta, base, z in self.points():
-            sv = series.jet(base, z)
-            if sv is None:  # noise-limited, or past |z| = 55
+        for L, eta, z0, base, z in self.points():
+            sv = series._Table.at(L, eta, z0, base).value(z - z0)
+            if sv is None:  # noise-limited
                 continue
             served += 1
-            assert sv._at is None or sv is base
             want = _mp_values(mp, L, eta, z)
             with mp.workdps(60):
                 for k, (got, w) in enumerate(zip((sv.p0, sv.p1, sv.p2), want)):
-                    assert abs(mp.mpf(got) - w) <= sv.noise[k], (L, eta, base._at[2], z, k)
+                    assert abs(mp.mpf(got) - w) <= sv.noise[k], (L, eta, z0, z, k)
         assert served >= 270
 
     def test_same_bits_whatever_grew_the_table(self):
@@ -1130,14 +1147,14 @@ class TestTablesAtSums:
             first, last = series.Evaluator(params), series.Evaluator(params)
             base = first.sum(z0)
             last.sum(z0)
-            far = z0 + 0.9 * min(_full_reach(base), series._Table.at(base)._far)
+            far = z0 + 0.9 * min(_full_reach(L, eta, z0, base), series._Table.at(L, eta, z0, base)._far)
             got = {far: first.value(far)} | {z: first.value(z) for z in near}
             again = {z: last.value(z) for z in near} | {far: last.value(far)}
-            assert len(first._kept[first._ts.index(z0)].rows) > len(series._Table.at(first.sum(z0)).rows)
+            assert len(first._kept[first._ts.index(z0)].rows) > 0
             for z, sv in got.items():
                 # a point the origin's table serves is that table's, and any
                 # other the jet of the sum
-                alone = first.table(z) or series.jet(first.sum(z0), z)
+                alone = first.table(z) or series._Table.at(L, eta, z0, first.sum(z0)).value(z - z0)
                 assert TestReflection.bits(sv, 1.0) == TestReflection.bits(again[z], 1.0), (L, eta, z)
                 assert alone is not None and TestReflection.bits(sv, 1.0) == TestReflection.bits(alone, 1.0)
                 served += 1
@@ -1205,7 +1222,7 @@ class TestHornerBound:
                 base = series.Evaluator(params).sum(sign * z0)
             except ConvergenceError:  # P beyond the double range: no base
                 continue
-            table = series._Table.at(base)
+            table = series._Table.at(params.L, params.eta, sign * z0, base)
             table._grow(math.inf)
             reach = min(table.reach[-1], table._far)
             if len(points) % 3:
@@ -1274,29 +1291,30 @@ class TestReflection:
 
     @staticmethod
     def pairs():
-        """300 seeded (sum at -t of (L, eta), sum at t of (L, -eta), t)."""
+        """300 seeded (L, eta, sum at -t of (L, eta), sum at t of (L, -eta), t)."""
         rng = random.Random(29)
         for _ in range(300):
             L = rng.choice((0.0, 0.5, 2.0, rng.uniform(-0.99, 8.0)))
             eta = rng.choice((0.0, rng.uniform(-25.0, 0.0), rng.uniform(-3.0, 0.0)))
             t = rng.uniform(0.01, 50.0)
-            yield (series.Evaluator(CoulombParams(L, eta)).sum(-t),
+            yield (L, eta, series.Evaluator(CoulombParams(L, eta)).sum(-t),
                    series.Evaluator(CoulombParams(L, -eta, unsafe=True)).sum(t), t)
 
     def test_sums_are_mirror_images(self):
-        for neg, pos, t in self.pairs():
-            assert self.bits(neg, -1.0) == self.bits(pos, 1.0), (neg._at, t)
+        for L, eta, neg, pos, t in self.pairs():
+            assert self.bits(neg, -1.0) == self.bits(pos, 1.0), (L, eta, t)
 
     def test_jets_are_mirror_images(self):
         rng = random.Random(30)
         served = 0
-        for neg, pos, t in self.pairs():
+        for L, eta, neg, pos, t in self.pairs():
             z = t * (1.0 + rng.uniform(-0.2, 0.2))
-            jet_neg, jet_pos = series.jet(neg, -z), series.jet(pos, z)
-            assert (jet_neg is None) == (jet_pos is None), (neg._at, z)
+            jet_neg = series._Table.at(L, eta, -t, neg).value(-z - -t)
+            jet_pos = series._Table.at(L, -eta, t, pos).value(z - t)
+            assert (jet_neg is None) == (jet_pos is None), (L, eta, t, z)
             if jet_pos is not None:
                 served += 1
-                assert self.bits(jet_neg, -1.0) == self.bits(jet_pos, 1.0), (neg._at, z)
+                assert self.bits(jet_neg, -1.0) == self.bits(jet_pos, 1.0), (L, eta, t, z)
         assert served >= 100
 
 
@@ -1397,9 +1415,9 @@ class TestCounting:
             if step.t >= res.value:
                 break
         assert steps[-1].t_prev < res.bracket[0] < res.bracket[1] < steps[-1].t
-        summed = [step.t for step in steps if step.sv._at is not None]
+        summed = [step.t for step in steps if _summed(values, step.sv)]
         tabled = [step.t for step in steps
-                  if step.sv._at is None and step.sv == values.table(step.t)]
+                  if not _summed(values, step.sv) and step.sv == values.table(step.t)]
         # the solve's 3 points and the residual are read from tables at sums,
         # as are the scan's steps that are neither summed nor the origin
         # table's; the origin is the origin table's for the scan and the solve
@@ -1417,7 +1435,9 @@ class TestCounting:
             pass
         assert series._record.get() is None
         find_zeros(params, ZeroTarget.F, 2, 2)
-        series.jet(series.Evaluator(params).sum(10.0), 10.1)
+        values = series.Evaluator(params)
+        values.sum(10.0)
+        values.value(10.1)
         assert counts == series.SumCounts()
 
     def test_failed_sum_counts_with_no_terms(self):
@@ -1584,56 +1604,52 @@ class TestTableContinuation:
 
 class TestSeriesValue:
     """SeriesValue builds through its own __init__ and keeps the frozen
-    dataclass's contract: fields read-only, _at outside repr and ==, and
+    dataclass's contract: fields read-only, equality, repr and
     dataclasses.replace."""
 
     FIELDS = (0.25, -1.5, 3.0, 17, 1e-30, (1e-16, 2e-16, 3e-16))
-    AT = (0.5, -1.0, 0.75)
 
     def test_assigning_a_field_raises(self):
-        sv = series.SeriesValue(*self.FIELDS, self.AT)
+        sv = series.SeriesValue(*self.FIELDS)
         for f in dataclasses.fields(sv):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(sv, f.name, getattr(sv, f.name))
-        assert (sv.p0, sv._at) == (0.25, self.AT)
+        assert sv.p0 == 0.25
 
     def test_assigning_or_deleting_any_name_raises(self):
         # a name that is no field as well: the pair dataclass generates for
         # a frozen class with slots raised TypeError there on 3.10 and 3.11
-        sv = series.SeriesValue(*self.FIELDS, self.AT)
-        for name in ("extra", "p0", "_at"):
+        sv = series.SeriesValue(*self.FIELDS)
+        for name in ("extra", "p0"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(sv, name, 1.0)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(sv, name)
-        assert not hasattr(sv, "extra") and (sv.p0, sv._at) == (0.25, self.AT)
+        assert not hasattr(sv, "extra") and sv.p0 == 0.25
 
     def test_pickling_keeps_every_slot(self):
-        sv = series.SeriesValue(*self.FIELDS, self.AT)
+        sv = series.SeriesValue(*self.FIELDS)
         back = pickle.loads(pickle.dumps(sv))
-        assert back == sv and back._at == self.AT
+        assert back == sv and back.noise == self.FIELDS[5]
 
-    def test_equality_and_repr_ignore_at(self):
-        summed = series.SeriesValue(*self.FIELDS, self.AT)
-        read = series.SeriesValue(*self.FIELDS)
-        assert read._at is None and summed == read and hash(summed) == hash(read)
-        assert repr(summed) == repr(read) == (
+    def test_equality_and_repr(self):
+        one, other = series.SeriesValue(*self.FIELDS), series.SeriesValue(*self.FIELDS)
+        assert one == other and hash(one) == hash(other)
+        assert repr(one) == repr(other) == (
             "SeriesValue(p0=0.25, p1=-1.5, p2=3.0, truncation_terms=17, "
             "tail_estimate=1e-30, noise=(1e-16, 2e-16, 3e-16))")
-        assert summed != series.SeriesValue(0.5, *self.FIELDS[1:])
+        assert one != series.SeriesValue(0.5, *self.FIELDS[1:])
 
-    def test_replace_keeps_or_overrides_at(self):
-        sv = series.SeriesValue(*self.FIELDS, self.AT)
+    def test_replace_overrides_a_field(self):
+        sv = series.SeriesValue(*self.FIELDS)
         noisy = dataclasses.replace(sv, noise=(1.0, 1.0, 1.0))
-        assert noisy._at == self.AT and noisy.noise == (1.0, 1.0, 1.0)
+        assert noisy.noise == (1.0, 1.0, 1.0) and noisy != sv
         assert (noisy.p0, noisy.truncation_terms) == (sv.p0, sv.truncation_terms)
-        moved = dataclasses.replace(sv, _at=None)
-        assert moved._at is None and moved == sv
 
     def test_positional_and_keyword_construction_agree(self):
         names = [f.name for f in dataclasses.fields(series.SeriesValue)]
-        positional = series.SeriesValue(*self.FIELDS, self.AT)
-        keyword = series.SeriesValue(**dict(zip(names, (*self.FIELDS, self.AT))))
+        positional = series.SeriesValue(*self.FIELDS)
+        keyword = series.SeriesValue(**dict(zip(names, self.FIELDS)))
         assert positional == keyword
         assert [getattr(positional, n) for n in names] == [getattr(keyword, n) for n in names]
         # a sum and a table point build theirs positionally

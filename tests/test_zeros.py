@@ -11,6 +11,7 @@ import pytest
 from coulomb_radii import CoulombParams, series, zeros
 from coulomb_radii.verify import _interlaced, _product, bessel_j
 from coulomb_radii.zeros import ZeroTarget, _jet_start, find_zeros, refine_bracket
+from test_series import _summed
 
 P00 = CoulombParams(0.0, 0.0)
 
@@ -260,13 +261,14 @@ class TestZeroFreeStart:
         for target in itertools.islice(itertools.cycle(ZeroTarget), 200):
             L, eta = rng.uniform(0.0, 8.0), rng.uniform(-30.0, 30.0)
             params = CoulombParams(L, eta, unsafe=eta > 0.0)
-            skipped = zeros.scan(series.Evaluator(params), target, skip_free=True)
+            skipping = series.Evaluator(params)
+            skipped = zeros.scan(skipping, target, skip_free=True)
             anchor = next(skipped)
             values = series.Evaluator(params)
             walks = [list(itertools.islice((s.zero for s in walk if s.zero is not None), 6))
                      for walk in (itertools.chain([anchor], skipped), zeros.scan(values, target))]
             assert walks[0] == walks[1], (L, eta, target)
-            if anchor.sv._at is None:
+            if not _summed(skipping, anchor.sv):
                 assert values._ts == [] or values._ts[0] >= anchor.t, (L, eta, target)
                 tabled += 1
         assert tabled >= 50
@@ -521,7 +523,7 @@ class TestAlternateSteps:
     @staticmethod
     def tabled(values, step):
         """Whether the step's value is the table's."""
-        return step.sv._at is None and step.sv == values.table(step.t)
+        return not _summed(values, step.sv) and step.sv == values.table(step.t)
 
     def test_grid_points_are_the_evaluators_values(self, monkeypatch):
         # every grid point past the anchor is the value Evaluator.value
@@ -561,18 +563,20 @@ class TestAlternateSteps:
                 assert ahead == later.t, (params, target, step.t)
             for step, ahead, (ts, sums) in walked:
                 fresh = series.Evaluator(params)
-                fresh._ts, fresh._kept = list(ts), [series._Table.at(sv) for sv in sums]
+                fresh._ts = list(ts)
+                fresh._kept = [series._Table.at(params.L, params.eta, z0, sv)
+                               for z0, sv in zip(ts, sums)]
                 sv = value(fresh, step.t, ahead)
-                if step.sv._at is not None and sv._at is None:
+                if _summed(values, step.sv) and not _summed(fresh, sv):
                     (f, _, _), noise = zeros.target_jet(params.L, params.eta, target, step.t, sv)
                     assert zeros.noise_limited(f, noise), (params, target, step.t)
-                    assert step.sv._at[2] == step.t
+                    assert step.sv is values.sum(step.t)
                     counts["resummed"] += 1
                     continue
                 assert step.sv == sv, (params, target, step.t)
-                if step.sv._at is not None:
+                if _summed(values, step.sv):
                     # summed: every table refuses it, or no sum lies below it
-                    assert step.sv._at[2] == step.t and values.table(step.t) is None
+                    assert step.sv is values.sum(step.t) and values.table(step.t) is None
                     counts["summed"] += 1
                 elif self.tabled(values, step):
                     counts["tabled"] += 1
@@ -584,8 +588,10 @@ class TestAlternateSteps:
                     counts["backward"] += step.t < fresh._ts[-1] and any(
                         z0 > step.t and table.value(step.t - z0) == sv
                         for z0, table in zip(fresh._ts, fresh._kept))
-            # the evaluator keeps no jet and no table value
-            assert all(table.base._at is not None for table in values._kept)
+            # the evaluator keeps no jet and no table value: each kept table
+            # is at the sum at its abscissa
+            assert [table.base for table in values._kept] == [
+                series.eval_point(params, t) for t in values._ts]
 
         for params in self.SIDES:
             for target in ZeroTarget:
@@ -607,9 +613,9 @@ class TestAlternateSteps:
         bases = []
         at = series._Table.at.__func__
 
-        def recorded(cls, value):
-            bases.append(value)
-            return at(cls, value)
+        def recorded(cls, L, eta, z0, value):
+            bases.append((L, eta, z0, value))
+            return at(cls, L, eta, z0, value)
 
         monkeypatch.setattr(series._Table, "at", classmethod(recorded))
         with series.counting() as counts:
@@ -618,21 +624,23 @@ class TestAlternateSteps:
                     values = series.Evaluator(params)
                     refined = [s for s in zeros.scan(values, target) if s.zero is not None][:6]
                     assert refined, (params, target)
-                    assert all(table.base._at is not None for table in values._kept)
-        assert counts.jets >= 500 and all(sv._at is not None for sv in bases)
+                    assert all(any(table.base is sv for *_, sv in bases) for table in values._kept)
+        assert counts.jets >= 500
+        assert all(sv == series.eval_point(CoulombParams(L, eta, unsafe=True), z0)
+                   for L, eta, z0, sv in bases)
 
     def test_jet_noise_limited_on_the_target_is_summed_instead(self, monkeypatch):
         # jets with their bounds raised past every value: the scan sums each
         # such point and walks the same grid to the same zeros
         params = CoulombParams(0.5, -1.0)
-        plain = list(itertools.islice(zeros.scan(series.Evaluator(params), ZeroTarget.F_PRIME),
-                                      30))
+        first = series.Evaluator(params)
+        plain = list(itertools.islice(zeros.scan(first, ZeroTarget.F_PRIME), 30))
         _tables_at_sums(monkeypatch, lambda sv: dataclasses.replace(sv, noise=(1e300,) * 3))
         values = series.Evaluator(params)
         summed = list(itertools.islice(zeros.scan(values, ZeroTarget.F_PRIME), 30))
-        assert sum(step.sv._at is None and not self.tabled(values, step) for step in plain) >= 10
+        assert sum(not _summed(first, step.sv) and not self.tabled(first, step) for step in plain) >= 10
         # the steps near the origin are still the table's, which takes no jet
-        assert all(step.sv._at is not None or self.tabled(values, step) for step in summed)
+        assert all(_summed(values, step.sv) or self.tabled(values, step) for step in summed)
         assert [s.t for s in summed] == [s.t for s in plain]
         assert [s.zero is None for s in summed] == [s.zero is None for s in plain]
 
