@@ -40,8 +40,9 @@ the root over its slope, within the scan step, each end one double further
 where rounding would leave it nearer than that: a rule first order in the
 series bounds, not a proof, under which every golden and seeded random
 bracket holds the root of a 50-digit equation.  Where the scan ends before
-any step brackets the radius (at |z| = 55 or the noise floor), radius raises
-ConvergenceError, which names that range.  The univalence radius is the
+any step brackets the radius (at |z| = 55, the noise floor, or a grid step
+that rounds to nothing at huge |eta|), radius raises ConvergenceError, which
+names that range.  The univalence radius is the
 starlikeness radius at beta = 0.  Under unsafe parameters the decrease is
 not proven; it is checked on the points past the origin that the scan
 visits up to the bracket and the solver visits in it, which is all the
@@ -153,7 +154,7 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
                 *equations.radius_terms(L, eta, kind, convex, r, sv), r, beta, form)
         except PoleError:
             return (-math.inf, math.nan, math.nan), math.inf  # at/past the cap: the low side
-        if r > 0.0:  # an unsafe ratio may rise from its 1 at the origin
+        if r > 0.0 and not certified:  # an unsafe ratio may rise from its 1 at the origin
             probes.append((r, jet[0]))
         return jet, noise
 
@@ -174,7 +175,8 @@ def radius(query: RadiusQuery, *, form: str = "ratio") -> RadiusResult:
         raise ConvergenceError(
             f"no scan step brackets the {query.property.value} radius of (L={L}, eta={eta}): "
             f"the scan ends at |z| = {EVAL_Z_MAX:g}, or where the sign of {cap_target.value} "
-            "falls below its noise floor, before the equation changes sign"
+            "falls below its noise floor or its grid step rounds to nothing, before the "
+            "equation changes sign"
         )
     lo, hi, at_lo, at_hi = bracket
     ref = refine_bracket(lambda r: at(r, values.value(r))[0], lo, hi, at_lo, at_hi,

@@ -171,7 +171,7 @@ import functools
 import math
 from contextvars import ContextVar
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     ConvergenceError,
@@ -334,8 +334,7 @@ def complex_coefficients(L: complex, eta: complex, n_max: int) -> tuple[complex,
     return tuple(a)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     """P, P' and P'' at one point, each a double, with their error bounds.
 
     noise[k] bounds |p_k - exact| for the double p_k as returned: the floor
@@ -343,10 +342,6 @@ class SeriesValue:
     on the discarded tail, and half an ulp of p_k.  truncation_terms counts
     the terms summed, and tail_estimate bounds the discarded tail of the P
     sum (both of the last pass, at the precision that was kept).
-
-    Every sum and table point builds one, so __init__ writes the slots
-    through their descriptors, about half the cost of the frozen
-    dataclass's object.__setattr__ per field; the value stays frozen.
     """
 
     p0: float
@@ -356,34 +351,11 @@ class SeriesValue:
     tail_estimate: float
     noise: tuple[float, float, float]
 
-    def __init__(self, p0: float, p1: float, p2: float, truncation_terms: int,
-                 tail_estimate: float, noise: tuple[float, float, float]):
-        _set_p0(self, p0)
-        _set_p1(self, p1)
-        _set_p2(self, p2)
-        _set_terms(self, truncation_terms)
-        _set_tail(self, tail_estimate)
-        _set_noise(self, noise)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-
-# the slot descriptors' setters, which the frozen __setattr__ does not guard
-_set_p0, _set_p1, _set_p2, _set_terms, _set_tail, _set_noise = (
-    getattr(SeriesValue, f.name).__set__ for f in fields(SeriesValue))
-
-
-def _frozen_setattr(self: SeriesValue, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self: SeriesValue, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# the pair that dataclass generates for a frozen class with slots calls
-# super() without arguments in the class that slots replaced, which raises
-# TypeError for a name that is no field on Python 3.10 and 3.11; these
-# refuse every name alike
-SeriesValue.__setattr__, SeriesValue.__delattr__ = _frozen_setattr, _frozen_delattr
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def noise_limited(value: float, noise: float) -> bool:
@@ -612,17 +584,17 @@ class _Table:
         refuses x (module docstring, Tables)."""
         t = abs(x)
         if not t <= self._far:
-            return _refused(True)
+            return _count("refused_past_reach")
         reach = self.reach
         if not reach or reach[-1] < t:
             if len(self.rows) < _TABLE_TERMS:
                 self._grow(t)
             if reach[-1] < t:
-                return _refused(True)
+                return _count("refused_past_reach")
         n = bisect.bisect_left(reach, t) + 3
         p = t ** (n + 1)
         if 0.0 < t and p < _NORMAL:  # a power, t^(n+1) the least, below the normal range
-            return _refused(False)
+            return _count("refused_in_reach")
         sigma, big = self.tails[n - 3]
         q = big / (1.0 - sigma * t * (n + 2.0) / n)  # r <= _TABLE_RATIO within the reach
         # P, P' and P''/2 by Horner's rule at x, each derivative's sum taking
@@ -644,25 +616,18 @@ class _Table:
         if (not abs(s0) + abs(s1) + abs(s2) + b0 + b1 + b2 < math.inf
                 or (self._origin and not b0 <= _TABLE_BUDGET * abs(s0))
                 or noise_limited(s0, b0) or noise_limited(s1, b1) or noise_limited(s2, b2)):
-            return _refused(False)
-        counts = _record.get()
-        if counts is not None:
-            if self._origin:
-                counts.table_points += 1
-            else:
-                counts.jets += 1
+            return _count("refused_in_reach")
+        _count("table_points" if self._origin else "jets")
         return SeriesValue(s0, flip * s1, s2, n + 1, q * p * _UP, (b0, b1, b2))
 
 
-def _refused(past: bool) -> None:
-    """Count a point a table refuses, past its reach or else after reading
-    its rows (SumCounts), and return None."""
+def _count(name: str) -> None:
+    """Add one to the field name of the SumCounts that counting() records
+    into, if any: a point a table serves or refuses.  Returns None, which
+    _Table.value returns for a point it refuses."""
     counts = _record.get()
     if counts is not None:
-        if past:
-            counts.refused_past_reach += 1
-        else:
-            counts.refused_in_reach += 1
+        setattr(counts, name, getattr(counts, name) + 1)
 
 
 class Evaluator:
@@ -774,8 +739,12 @@ def _direct(L: float, eta: float, z: float) -> SeriesValue:
 def _origin(L: float, eta: float) -> SeriesValue:
     """The exact series value at z = 0, (1, a_1, 2 a_2) each rounded once; no
     sum, so counting() does not count it."""
-    values = (1.0, *(k * num / den for k, (num, den)
-                     in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
+    try:
+        values = (1.0, *(k * num / den for k, (num, den)
+                         in enumerate(_exact_coefficients(L, eta, 2)[1:], 1)))
+    except OverflowError:
+        raise ConvergenceError(
+            f"P' or P'' at z=0 for (L={L}, eta={eta}) overflows a double") from None
     return SeriesValue(*values, truncation_terms=1, tail_estimate=0.0,
                        noise=tuple(0.5 * math.ulp(v) for v in values))
 

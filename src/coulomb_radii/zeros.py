@@ -77,7 +77,13 @@ error bounds of zero (and the bound exceeds 1e-14; equations.noise_limited), so
 its sign is no longer resolvable, or the end of the evaluator's range: the
 last step ends exactly at |z| = EVAL_Z_MAX (55) and the scan stops there (a
 point whose value overflows a double raises ConvergenceError, which also
-ends the scan).  The series is summed at the precision each point needs,
+ends the scan), or a grid point that does not lie past the one before it:
+from |eta| about 3.4e153 at L = 0.5 (2e153 at L = -0.5) a/t or b/t^2 at the
+first grid point (16 eta^2 at L = 0.5, 64 eta^2 at L = -0.5) overflows to
+inf and the half step rounds to 0 (where t or t * t is 0.0 the step is
+taken as 0).  A value at the origin that overflows, from |eta| about
+2.4e154 at L = 0.5, raises ConvergenceError out of find_zeros and radius.
+The series is summed at the precision each point needs,
 so inside the range the horizon is reached only where that precision
 passes the series module's cap.
 Running past that horizon would report garbage zeros, so the result is
@@ -376,8 +382,12 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     t = 0.25 / (max(1.0, 1.0 / lam) * max(e / lam, 2.0 * e, 1.0))
 
     def after(t: float) -> float:
-        # half the Sturm spacing, the last step ending on the evaluator's range
-        return min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
+        # half the Sturm spacing, the last step ending on the evaluator's range;
+        # where t or t * t is 0.0 the step is taken as none, which ends the scan
+        try:
+            return min(t + 0.5 * math.pi / math.sqrt(1.0 + a / t + b / (t * t)), EVAL_Z_MAX)
+        except ZeroDivisionError:
+            return t
 
     # No target zero lies in (0, t_free] with L >= 0 (module docstring).  The
     # anchor is the grid's last point there; skip_free walks the grid up to
@@ -403,7 +413,7 @@ def scan(values: Evaluator, target: ZeroTarget, *, skip_free: bool = False) -> I
     t_prev, prev = 0.0, target_jet(L, eta, target, 0.0, values.value(0.0))[0]
     t1 = after(t)
     t2 = after(t1)  # the grid points one and two steps on
-    while t_prev < EVAL_Z_MAX:
+    while t_prev < t:  # the range's end, or a step that rounds to nothing at huge |eta|
         try:
             # the anchor is summed unless the origin's table serves it, so that
             # both walks keep the same sums from it on; past it a point no

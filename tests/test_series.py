@@ -701,7 +701,7 @@ class TestJets:
         # SeriesValue has slots: a value is a few doubles, nothing kept beside
         sv = series.Evaluator(CoulombParams(0.5, -1.0)).sum(10.0)
         assert not hasattr(sv, "__dict__")
-        assert [f.name for f in dataclasses.fields(sv)] == [
+        assert list(sv._fields) == [
             "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise"]
 
 
@@ -1603,17 +1603,17 @@ class TestTableContinuation:
 
 
 class TestSeriesValue:
-    """SeriesValue builds through its own __init__ and keeps the frozen
-    dataclass's contract: fields read-only, equality, repr and
-    dataclasses.replace."""
+    """SeriesValue is a NamedTuple that keeps the frozen dataclass's
+    contract it replaced: fields read-only, equality, repr, pickling and a
+    copy with new fields (_replace)."""
 
     FIELDS = (0.25, -1.5, 3.0, 17, 1e-30, (1e-16, 2e-16, 3e-16))
 
     def test_assigning_a_field_raises(self):
         sv = series.SeriesValue(*self.FIELDS)
-        for f in dataclasses.fields(sv):
+        for name in series.SeriesValue._fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(sv, f.name, getattr(sv, f.name))
+                setattr(sv, name, getattr(sv, name))
         assert sv.p0 == 0.25
 
     def test_assigning_or_deleting_any_name_raises(self):
@@ -1642,12 +1642,12 @@ class TestSeriesValue:
 
     def test_replace_overrides_a_field(self):
         sv = series.SeriesValue(*self.FIELDS)
-        noisy = dataclasses.replace(sv, noise=(1.0, 1.0, 1.0))
+        noisy = sv._replace(noise=(1.0, 1.0, 1.0))
         assert noisy.noise == (1.0, 1.0, 1.0) and noisy != sv
         assert (noisy.p0, noisy.truncation_terms) == (sv.p0, sv.truncation_terms)
 
     def test_positional_and_keyword_construction_agree(self):
-        names = [f.name for f in dataclasses.fields(series.SeriesValue)]
+        names = series.SeriesValue._fields
         positional = series.SeriesValue(*self.FIELDS)
         keyword = series.SeriesValue(**dict(zip(names, self.FIELDS)))
         assert positional == keyword
@@ -1655,6 +1655,15 @@ class TestSeriesValue:
         # a sum and a table point build theirs positionally
         summed = series.Evaluator(CoulombParams(0.5, -1.0)).sum(10.0)
         assert summed == series.SeriesValue(**{n: getattr(summed, n) for n in names})
+
+    def test_a_value_is_a_tuple_of_its_fields(self):
+        sv = series.SeriesValue(*self.FIELDS)
+        assert isinstance(sv, tuple) and tuple(sv) == self.FIELDS
+        p0, p1, p2, terms, tail, noise = sv
+        assert (p0, p1, p2, terms, tail, noise) == self.FIELDS
+        assert sv == tuple(sv) and hash(sv) == hash(self.FIELDS)
+        assert list(sv._asdict()) == list(series.SeriesValue._fields) == [
+            "p0", "p1", "p2", "truncation_terms", "tail_estimate", "noise"]
 
 
 class TestRatios:

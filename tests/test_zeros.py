@@ -3,8 +3,12 @@ truncated Weierstrass product of the acceptance matrix."""
 
 import dataclasses
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -601,7 +605,7 @@ class TestAlternateSteps:
         assert counts["backward"] >= 80 and counts["resummed"] == 0, counts
         # the values with an odd number of rows from tables at sums, their
         # bounds raised past every value: the scan sums those points instead
-        _tables_at_sums(monkeypatch, lambda sv: dataclasses.replace(sv, noise=(1e300,) * 3)
+        _tables_at_sums(monkeypatch, lambda sv: sv._replace(noise=(1e300,) * 3)
                         if sv.truncation_terms % 2 else sv)
         for target in ZeroTarget:
             walk(self.SIDES[0], target)
@@ -635,7 +639,7 @@ class TestAlternateSteps:
         params = CoulombParams(0.5, -1.0)
         first = series.Evaluator(params)
         plain = list(itertools.islice(zeros.scan(first, ZeroTarget.F_PRIME), 30))
-        _tables_at_sums(monkeypatch, lambda sv: dataclasses.replace(sv, noise=(1e300,) * 3))
+        _tables_at_sums(monkeypatch, lambda sv: sv._replace(noise=(1e300,) * 3))
         values = series.Evaluator(params)
         summed = list(itertools.islice(zeros.scan(values, ZeroTarget.F_PRIME), 30))
         assert sum(not _summed(first, step.sv) and not self.tabled(first, step) for step in plain) >= 10
@@ -756,7 +760,7 @@ class TestExactGridZero:
         def noisy(L, eta, z):
             sv = direct(L, eta, z)
             if (L, eta, z) == (params.L, params.eta, stop):
-                sv = dataclasses.replace(sv, noise=(1.0, 1.0, 1.0))
+                sv = sv._replace(noise=(1.0, 1.0, 1.0))
             return sv
 
         monkeypatch.setattr(series, "_direct", noisy)
@@ -909,3 +913,52 @@ class TestProductEval:
                 for K in (2, 4, 8)]
         assert errs[1] <= 0.75 * errs[0]
         assert errs[2] <= 0.75 * errs[1]
+
+
+_HUGE_ETA = """
+import json, sys
+from coulomb_radii import CoulombError, CoulombParams
+from coulomb_radii.radii import RadiusQuery, radius
+from coulomb_radii.zeros import find_zeros
+params = CoulombParams(float(sys.argv[1]), float(sys.argv[2]))
+out = []
+for call in (lambda: find_zeros(params, 'F', 1, 0).truncated,
+             lambda: radius(RadiusQuery(params, 'g', 'starlike')).value):
+    try:
+        out.append({'value': call()})
+    except Exception as exc:
+        out.append({'error': type(exc).__name__, 'coulomb': isinstance(exc, CoulombError)})
+print(json.dumps(out))
+"""
+
+
+def _at_huge_eta(L, eta):
+    """find_zeros(F, 1, 0)'s truncated flag and the g-starlike radius at
+    (L, eta), or the error each raises, from a subprocess that a hang fails
+    after 60 s instead of hanging the suite."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", _HUGE_ETA, repr(L), repr(eta)],
+                         capture_output=True, text=True, env=env, check=True, timeout=60).stdout
+    return json.loads(out)
+
+
+class TestHugeEta:
+    CONVERGENCE = {"error": "ConvergenceError", "coulomb": True}
+
+    @pytest.mark.parametrize("eta", [-3.4e153, -2.2e154])
+    def test_a_step_that_rounds_to_nothing_ends_the_scan(self, eta):
+        # a/t at the first grid point overflows, so its half step rounds to 0
+        zeros_out, radius_out = _at_huge_eta(0.5, eta)
+        assert zeros_out == {"value": True}
+        assert radius_out == self.CONVERGENCE
+
+    @pytest.mark.parametrize("eta", [-2.4e154, -1e155, -1e200, -1.7e308])
+    def test_an_origin_that_overflows_is_a_convergence_error(self, eta):
+        # a_1 or 2 a_2 overflows a double; from -1e200 t * t underflows too
+        assert _at_huge_eta(0.5, eta) == [self.CONVERGENCE] * 2
+
+    def test_radius_below_minus_one_half_ends(self):
+        # b/t^2 at the first grid point overflows
+        radius_out = _at_huge_eta(-0.5, -2e153)[1]
+        assert "value" in radius_out or radius_out["coulomb"], radius_out
